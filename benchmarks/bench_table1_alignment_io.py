@@ -50,6 +50,15 @@ CONFIG = AlignGraphConfig(
 
 
 @pytest.fixture(scope="module")
+def bench_aligner(bench_per_read_aligner):
+    # "On RAID0 both systems are CPU-bound and tie" needs alignment to
+    # be the CPU cost, as in the paper: align through the per-read loop
+    # (~0.1 ms per read).  With SNAP's batch program (~20 us) FASTQ
+    # parsing and SAM formatting decide the RAID0 row, not the aligner.
+    return bench_per_read_aligner
+
+
+@pytest.fixture(scope="module")
 def table1_config(backendize):
     return backendize(CONFIG)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.align.base import ReadAligner
 from repro.align.snap import SeedIndex, SnapAligner
 from repro.dataflow.backends import BACKEND_CHOICES, make_backend, noop_task
 from repro.formats.converters import import_reads
@@ -116,8 +117,28 @@ def bench_reads(bench_reference):
 
 
 @pytest.fixture(scope="session")
-def bench_aligner(bench_reference):
-    return SnapAligner(SeedIndex(bench_reference, seed_length=16, max_hits=32))
+def bench_index(bench_reference):
+    return SeedIndex(bench_reference, seed_length=16, max_hits=32)
+
+
+@pytest.fixture(scope="session")
+def bench_aligner(bench_index):
+    return SnapAligner(bench_index)
+
+
+class PerReadSnapAligner(SnapAligner):
+    """SNAP through the per-read oracle loop: ~0.1 ms of Python compute
+    per read, the deterministic CPU-bound load of the benches whose
+    checks are about an aligner that keeps a core busy (Figure 5, the
+    RAID0 row of Table 1) or a compute kernel worth a process pool
+    (backend scaling)."""
+
+    align_reads = ReadAligner.align_reads
+
+
+@pytest.fixture(scope="session")
+def bench_per_read_aligner(bench_index):
+    return PerReadSnapAligner(bench_index)
 
 
 @pytest.fixture()

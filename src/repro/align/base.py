@@ -1,0 +1,18 @@
+"""What execution backends call on a single-end aligner."""
+
+from __future__ import annotations
+
+from repro.align.result import AlignmentResult
+
+
+class ReadAligner:
+    """Base of every single-end aligner: ``align_reads`` is the one
+    entry point a backend task calls.  The default runs ``align_read``
+    over the batch; an aligner with an array program overrides it."""
+
+    def align_read(self, bases: bytes) -> AlignmentResult:
+        raise NotImplementedError
+
+    def align_reads(self, bases) -> "list[AlignmentResult]":
+        """Align a batch (``list[bytes]`` or ``BasesColumn``), in order."""
+        return [self.align_read(read) for read in bases]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.align.base import ReadAligner
 from repro.align.result import FLAG_REVERSE, FLAG_UNMAPPED, AlignmentResult
 from repro.genome.reference import ReferenceGenome
 from repro.genome.sequence import reverse_complement
@@ -25,7 +26,7 @@ class BlastConfig:
     min_score: int = 40
 
 
-class BlastLikeAligner:
+class BlastLikeAligner(ReadAligner):
     """Word-table seeding with ungapped X-drop extension."""
 
     def __init__(self, reference: ReferenceGenome, config: "BlastConfig | None" = None):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+from repro.align.base import ReadAligner
 from repro.align.distance import verify_candidate
 from repro.align.result import (
     FLAG_REVERSE,
@@ -79,7 +80,7 @@ class BwaStats:
     chains_verified: int = 0
 
 
-class BwaMemAligner:
+class BwaMemAligner(ReadAligner):
     """Single- and paired-read aligner over a shared :class:`FMIndex`."""
 
     def __init__(self, index: FMIndex, config: "BwaConfig | None" = None):

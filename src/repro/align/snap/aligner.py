@@ -14,12 +14,25 @@ The algorithm, following Zaharia et al. [47]:
 The aligner is stateless per read and shared read-only across executor
 threads, matching how Persona's aligner kernels delegate subchunks to the
 thread-owning executor (§4.3, Figure 4).
+
+Backends call :meth:`SnapAligner.align_reads`, which runs seeding,
+voting, ranking and the Hamming pass of verification as whole-array
+operations over a batch; only reads with several candidates, or one that
+needs Landau–Vishkin, go through the per-candidate loop.
+:meth:`SnapAligner.align_read` is the per-read form of the same algorithm
+— the oracle the batch path is tested against, and what the paired-end
+layer calls through :meth:`SnapAligner.align_global`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.agd.compaction import BasesColumn
+from repro.align.base import ReadAligner
 from repro.align.distance import verify_candidate
 from repro.align.result import (
     FLAG_REVERSE,
@@ -27,7 +40,11 @@ from repro.align.result import (
     AlignmentResult,
 )
 from repro.align.snap.index import SeedIndex
-from repro.genome.sequence import reverse_complement
+from repro.genome.sequence import COMPLEMENT_LUT, reverse_complement
+
+#: Guards :meth:`SnapStats.merge`.  Module-level because aligners are
+#: pickled to process-backend workers, which a lock attribute would break.
+_STATS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -50,9 +67,19 @@ class SnapStats:
     candidates_checked: int = 0
     lv_calls: int = 0
 
+    def merge(self, other: "SnapStats") -> None:
+        """Add ``other``'s counts.  Calls accumulate privately and merge
+        once, so concurrent node threads lose no update."""
+        with _STATS_LOCK:
+            self.reads += other.reads
+            self.aligned += other.aligned
+            self.seed_lookups += other.seed_lookups
+            self.candidates_checked += other.candidates_checked
+            self.lv_calls += other.lv_calls
 
-class SnapAligner:
-    """Single-read aligner over a shared :class:`SeedIndex`."""
+
+class SnapAligner(ReadAligner):
+    """Seed-and-extend aligner over a shared :class:`SeedIndex`."""
 
     def __init__(self, index: SeedIndex, config: "SnapConfig | None" = None):
         self.index = index
@@ -67,60 +94,91 @@ class SnapAligner:
 
     def align_read(self, bases: bytes) -> AlignmentResult:
         """Align one read; returns an unmapped result when nothing passes."""
-        self.stats.reads += 1
-        m = len(bases)
-        if m < self.index.seed_length:
-            return AlignmentResult(flag=FLAG_UNMAPPED)
-        # One reverse complement per read, shared by seeding and
-        # verification (the columnar feed hands reads over at full rate,
-        # so per-read allocations in this loop are the aligner's floor).
-        rc = reverse_complement(bases)
-        candidates = self._collect_candidates(bases, rc)
-        best = self._verify_candidates(bases, candidates, rc)
-        if best is None:
-            return AlignmentResult(flag=FLAG_UNMAPPED)
-        position, reverse, distance, cigar, mapq = best
-        contig, local = self.reference.to_local(position)
-        contig_index = self._contig_index[contig]
-        self.stats.aligned += 1
-        return AlignmentResult(
-            flag=FLAG_REVERSE if reverse else 0,
-            mapq=mapq,
-            contig_index=contig_index,
-            position=local,
-            edit_distance=distance,
-            cigar=cigar,
-        )
+        stats = SnapStats(reads=1)
+        best = self._align_global(bases, stats)
+        stats.aligned = int(best is not None)
+        self.stats.merge(stats)
+        return self._result(best)
 
     def align_global(self, bases: bytes) -> "tuple[int, bool, int, bytes, int] | None":
         """Align returning (global pos, reverse, distance, cigar, mapq).
 
         Used by the paired-end layer, which reasons in global coordinates.
         """
-        rc = reverse_complement(bases)
-        candidates = self._collect_candidates(bases, rc)
-        return self._verify_candidates(bases, candidates, rc)
+        stats = SnapStats()
+        best = self._align_global(bases, stats)
+        self.stats.merge(stats)
+        return best
+
+    def align_reads(self, bases) -> "list[AlignmentResult]":
+        """Align a batch (``list[bytes]`` or ``BasesColumn``) as one
+        array program per read length; equal to ``align_read`` per read."""
+        if isinstance(bases, BasesColumn):
+            flat, bounds = bases.flat, bases.bounds
+        else:
+            flat = np.frombuffer(b"".join(bases), dtype=np.uint8)
+            bounds = np.zeros(len(bases) + 1, dtype=np.int64)
+            np.cumsum([len(read) for read in bases], out=bounds[1:])
+        lengths = np.diff(bounds)
+        stats = SnapStats(reads=lengths.size)
+        results: list = [None] * lengths.size
+        for m in np.unique(lengths[lengths >= self.index.seed_length]):
+            members = np.flatnonzero(lengths == m)
+            reads = flat[bounds[members, None] + np.arange(m)]
+            for i, best in zip(members.tolist(),
+                               self._align_group(reads, stats)):
+                results[i] = best
+        stats.aligned = len(results) - results.count(None)
+        self.stats.merge(stats)
+        return [self._result(best) for best in results]
 
     # ------------------------------------------------------------ internals
 
+    def _result(self, best) -> AlignmentResult:
+        """A global alignment outcome (or None) as a results-column record."""
+        if best is None:
+            return AlignmentResult(flag=FLAG_UNMAPPED)
+        position, reverse, distance, cigar, mapq = best
+        contig, local = self.reference.to_local(position)
+        return AlignmentResult(
+            flag=FLAG_REVERSE if reverse else 0,
+            mapq=mapq,
+            contig_index=self._contig_index[contig],
+            position=local,
+            edit_distance=distance,
+            cigar=cigar,
+        )
+
+    def _align_global(self, bases: bytes, stats: SnapStats):
+        if len(bases) < self.index.seed_length:
+            return None
+        # One reverse complement per read, shared by seeding and
+        # verification.
+        rc = reverse_complement(bases)
+        votes = self._collect_candidates(bases, rc, stats)
+        ordered = sorted(votes, key=lambda key: -votes[key])
+        return self._verify_candidates(
+            bases, rc, ordered[: self.config.max_candidates], stats
+        )
+
+    def _seed_offsets(self, m: int) -> "list[int]":
+        s = self.index.seed_length
+        offsets = list(range(0, m - s + 1, self.config.seed_stride))
+        if offsets[-1] != m - s:
+            offsets.append(m - s)  # always seed the read tail
+        return offsets
+
     def _collect_candidates(
-        self, bases: bytes, rc: "bytes | None" = None
+        self, bases: bytes, rc: bytes, stats: SnapStats
     ) -> "dict[tuple[int, bool], int]":
         """Seed both strands and tally votes per candidate start."""
         votes: dict[tuple[int, bool], int] = {}
-        s = self.index.seed_length
-        stride = self.config.seed_stride
         genome_len = len(self.reference)
         m = len(bases)
-        offsets = list(range(0, m - s + 1, stride))
-        if offsets and offsets[-1] != m - s:
-            offsets.append(m - s)  # always seed the read tail
-        for strand_bases, reverse in (
-            (bases, False),
-            (rc if rc is not None else reverse_complement(bases), True),
-        ):
+        offsets = self._seed_offsets(m)
+        for strand_bases, reverse in ((bases, False), (rc, True)):
             values = self.index.encode_read_seeds(strand_bases, offsets)
-            self.stats.seed_lookups += len(offsets)
+            stats.seed_lookups += len(offsets)
             for offset, value in zip(offsets, values):
                 if value is None:
                     continue
@@ -133,26 +191,31 @@ class SnapAligner:
         return votes
 
     def _verify_candidates(
-        self, bases: bytes, votes: "dict[tuple[int, bool], int]",
-        rc: "bytes | None" = None,
+        self, bases: bytes, rc: bytes,
+        ordered: "list[tuple[int, bool]]", stats: SnapStats,
+        hammings: "list[int] | None" = None,
     ) -> "tuple[int, bool, int, bytes, int] | None":
-        if not votes:
-            return None
+        """Verify ranked candidates under a shrinking edit bound.
+
+        ``hammings`` are the batch path's precomputed mismatch counts,
+        one per candidate: one within the current bound is the verdict
+        ``verify_candidate`` would reach through its own Hamming check.
+        """
         m = len(bases)
         max_k = self.config.max_edit_distance
-        ordered = sorted(votes.items(), key=lambda kv: -kv[1])
-        ordered = ordered[: self.config.max_candidates]
-        if rc is None:
-            rc = reverse_complement(bases)
         best: "tuple[int, bool, int, bytes] | None" = None
         second_distance: "int | None" = None
         bound = max_k
-        for (start, reverse), _count in ordered:
-            self.stats.candidates_checked += 1
-            read = rc if reverse else bases
-            window = self.reference.fetch(start, m + bound)
-            verdict = verify_candidate(read, window, bound)
-            self.stats.lv_calls += 1
+        for i, (start, reverse) in enumerate(ordered):
+            stats.candidates_checked += 1
+            stats.lv_calls += 1
+            if hammings is not None and hammings[i] <= bound:
+                verdict = hammings[i], b"%dM" % m
+            else:
+                window = self.reference.fetch(start, m + bound)
+                verdict = verify_candidate(
+                    rc if reverse else bases, window, bound
+                )
             if verdict is None:
                 continue
             distance, cigar = verdict
@@ -162,14 +225,80 @@ class SnapAligner:
                 best = (start, reverse, distance, cigar)
                 # Tighten the bound: later candidates must strictly win.
                 bound = min(bound, distance + self.config.confidence_gap)
-            elif best is not None and (start, reverse) != best[:2]:
-                if second_distance is None or distance < second_distance:
-                    second_distance = distance
+            elif second_distance is None or distance < second_distance:
+                second_distance = distance
         if best is None:
             return None
         start, reverse, distance, cigar = best
         mapq = compute_mapq(distance, second_distance, max_k)
         return start, reverse, distance, cigar, mapq
+
+    def _align_group(self, reads: np.ndarray, stats: SnapStats) -> list:
+        """The array program over ``reads``, an ``(n, m)`` ASCII array:
+        one ``align_global`` outcome per row."""
+        n, m = reads.shape
+        config, genome_len = self.config, len(self.reference)
+        offsets = np.array(self._seed_offsets(m))
+        # (1) Both strands as rows 2r (forward) and 2r + 1 (reverse).
+        strands = np.empty((n, 2, m), dtype=np.uint8)
+        strands[:, 0] = reads
+        strands[:, 1] = COMPLEMENT_LUT[reads][:, ::-1]
+        strands = strands.reshape(2 * n, m)
+        values, valid = self.index.pack_seeds(strands, offsets)
+        stats.seed_lookups += values.size
+        # (2) Every hit, in the scalar path's insertion order: (read,
+        # forward-then-reverse, offset, position).
+        query, hits = self.index.lookup_values(values.ravel(), valid.ravel())
+        starts = hits - offsets[query % offsets.size]
+        inside = (starts >= 0) & (starts + m <= genome_len)
+        keys = (query[inside] // offsets.size) * genome_len + starts[inside]
+        # (3) Vote, then rank per read by (-votes, first seen) — the
+        # order the scalar path's stable sort over its dict gives.
+        keys, first_seen, votes = np.unique(
+            keys, return_index=True, return_counts=True
+        )
+        order = np.lexsort((first_seen, -votes, keys // (2 * genome_len)))
+        rows, starts = np.divmod(keys[order], genome_len)
+        per_read = np.bincount(rows >> 1, minlength=n)
+        first = np.cumsum(per_read) - per_read  # each read's top candidate
+        kept = np.arange(rows.size) - np.repeat(first, per_read) \
+            < config.max_candidates
+        rows, starts = rows[kept], starts[kept]
+        per_read = np.minimum(per_read, config.max_candidates)
+        first = np.cumsum(per_read) - per_read
+        # (4) One Hamming over every kept candidate.
+        genome = np.frombuffer(self.reference.concatenated(), dtype=np.uint8)
+        hammings = (
+            strands[rows] != genome[starts[:, None] + np.arange(m)]
+        ).sum(axis=1)
+        # (5) A read whose only candidate passes Hamming is done: no
+        # second-best, no bound to shrink, no indel to trace.
+        results: list = [None] * n
+        lone = np.flatnonzero(per_read == 1)
+        lone = lone[hammings[first[lone]] <= config.max_edit_distance]
+        top = first[lone]
+        cigar = b"%dM" % m
+        for read, start, reverse, distance in zip(
+            lone.tolist(), starts[top].tolist(), (rows[top] & 1).tolist(),
+            hammings[top].tolist(),
+        ):
+            results[read] = (
+                start, bool(reverse), distance, cigar,
+                compute_mapq(distance, None, config.max_edit_distance),
+            )
+        stats.candidates_checked += lone.size
+        stats.lv_calls += lone.size
+        # Every other read with candidates replays the scalar loop.
+        per_read[lone] = 0
+        for read in np.flatnonzero(per_read).tolist():
+            span = slice(first[read], first[read] + per_read[read])
+            results[read] = self._verify_candidates(
+                strands[2 * read].tobytes(), strands[2 * read + 1].tobytes(),
+                list(zip(starts[span].tolist(),
+                         (rows[span] & 1).astype(bool).tolist())),
+                stats, hammings[span].tolist(),
+            )
+        return results
 
 
 def compute_mapq(

@@ -76,25 +76,24 @@ class SeedIndex:
         n = codes.size - s + 1
         windows = np.lib.stride_tricks.sliding_window_view(codes, s)
         valid = (windows != 255).all(axis=1)
-        weights = (4 ** np.arange(s, dtype=np.int64)).astype(np.int64)
-        values = windows.astype(np.int64) @ weights
+        self._weights = 4 ** np.arange(s, dtype=np.int64)
+        values = windows.astype(np.int64) @ self._weights
         positions = np.flatnonzero(valid)
         values = values[positions]
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]
         sorted_positions = positions[order].astype(np.int64)
-        unique_values, starts = np.unique(sorted_values, return_index=True)
-        ends = np.empty_like(starts)
-        ends[:-1] = starts[1:]
-        if len(starts):
-            ends[-1] = sorted_values.size
+        unique_values, starts, counts = np.unique(
+            sorted_values, return_index=True, return_counts=True
+        )
+        # One layout for every reader: three parallel sorted arrays —
+        # seed value, and its [start, end) run in ``_positions``.
         self._positions = sorted_positions
-        self._table: dict[int, tuple[int, int]] = {
-            int(v): (int(a), int(b))
-            for v, a, b in zip(unique_values, starts, ends)
-        }
+        self._values = unique_values
+        self._starts = starts
+        self._ends = self._starts + counts
         self.num_seeds = int(n)
-        self.num_distinct = len(self._table)
+        self.num_distinct = int(unique_values.size)
 
     # ------------------------------------------------------------- lookups
 
@@ -107,8 +106,7 @@ class SeedIndex:
         codes = _CODE_LUT[np.frombuffer(seed, dtype=np.uint8)]
         if (codes == 255).any():
             return None
-        weights = (4 ** np.arange(self.seed_length, dtype=np.int64))
-        return int(codes.astype(np.int64) @ weights)
+        return int(codes.astype(np.int64) @ self._weights)
 
     def lookup(self, seed: bytes) -> SeedHit:
         """Genome locations of a seed; empty for unknown/popular/N seeds."""
@@ -118,36 +116,59 @@ class SeedIndex:
         return SeedHit(self.lookup_value(value))
 
     def lookup_value(self, value: int) -> np.ndarray:
-        """Locations for a pre-encoded seed value (the aligner hot path)."""
-        span = self._table.get(value)
-        if span is None:
+        """Locations for a pre-encoded seed value (the scalar hot path)."""
+        slot = self._values.searchsorted(value)
+        if slot == self._values.size or self._values[slot] != value:
             return _EMPTY_POSITIONS
-        start, end = span
+        start, end = self._starts[slot], self._ends[slot]
         if end - start > self.max_hits:
             return _EMPTY_POSITIONS
         return self._positions[start:end]
 
-    def encode_read_seeds(self, bases: bytes, offsets: "list[int]") -> list:
-        """Encode the seeds at ``offsets`` of a read in one vectorized pass.
+    def lookup_values(self, values: np.ndarray, valid: np.ndarray):
+        """Batch :meth:`lookup_value` over a flat array of packed seeds:
+        ``(query, position)`` for every hit, ordered by query index then
+        position.  A query that is not ``valid``, absent or popular
+        contributes no hit."""
+        if not self._values.size:  # an all-N reference indexes nothing
+            return _EMPTY_POSITIONS, _EMPTY_POSITIONS
+        slots = np.minimum(
+            np.searchsorted(self._values, values), self._values.size - 1
+        )
+        starts = self._starts[slots]
+        counts = self._ends[slots] - starts
+        counts[~valid | (self._values[slots] != values)
+               | (counts > self.max_hits)] = 0
+        query = np.repeat(np.arange(values.size), counts)
+        skipped = np.cumsum(counts) - counts  # hits before each query
+        hits = np.repeat(starts - skipped, counts) + np.arange(query.size)
+        return query, self._positions[hits]
 
-        Returns one packed value per offset, or None where the seed
-        contains a non-ACGT base.
-        """
-        s = self.seed_length
-        codes = _CODE_LUT[np.frombuffer(bases, dtype=np.uint8)]
-        windows = np.lib.stride_tricks.sliding_window_view(codes, s)
-        picked = windows[offsets]
-        valid = (picked != 255).all(axis=1)
-        weights = (4 ** np.arange(s, dtype=np.int64)).astype(np.int64)
-        values = picked.astype(np.int64) @ weights
+    def pack_seeds(self, reads: np.ndarray, offsets: np.ndarray):
+        """2-bit-pack the seeds at ``offsets`` of every row of ``reads``
+        (an ``(n, m)`` ASCII array): ``(values, valid)``, each ``(n,
+        len(offsets))``.  Only the sampled windows are gathered; a seed
+        with a non-ACGT base is not ``valid`` and its value is garbage."""
+        codes = _CODE_LUT[reads]
+        picked = codes[:, offsets[:, None] + np.arange(self.seed_length)]
+        valid = (picked != 255).all(axis=2)
+        return picked.astype(np.int64) @ self._weights, valid
+
+    def encode_read_seeds(self, bases: bytes, offsets: "list[int]") -> list:
+        """Packed seed value per offset of one read, or None where the
+        seed contains a non-ACGT base."""
+        values, valid = self.pack_seeds(
+            np.frombuffer(bases, dtype=np.uint8)[None, :], np.asarray(offsets)
+        )
         return [
-            int(v) if ok else None for v, ok in zip(values, valid)
+            v if ok else None
+            for v, ok in zip(values[0].tolist(), valid[0].tolist())
         ]
 
     def memory_bytes(self) -> int:
-        """Approximate index footprint (the "multi-gigabyte reference
-        indexes" of §4.1, at our scale)."""
+        """Index footprint (the "multi-gigabyte reference indexes" of
+        §4.1, at our scale)."""
         return int(
-            self._positions.nbytes
-            + len(self._table) * 64  # dict entry overhead estimate
+            self._positions.nbytes + self._values.nbytes
+            + self._starts.nbytes + self._ends.nbytes
         )

@@ -143,11 +143,12 @@ def align_subchunk_task(shared, payload) -> "list[AlignmentResult]":
 
     Module-level (hence picklable) so the process backend can ship it to
     workers; ``shared`` resolves the aligner by handle on whichever side
-    of the process boundary the task runs.
+    of the process boundary the task runs.  The aligner must be a
+    ``repro.align.base.ReadAligner``: ``align_reads`` is all that is
+    called, and the base class supplies it from ``align_read``.
     """
     aligner_handle, bases = payload
-    aligner = shared[aligner_handle]
-    return [aligner.align_read(read_bases) for read_bases in bases]
+    return shared[aligner_handle].align_reads(bases)
 
 
 def align_pairs_task(shared, payload) -> "list[AlignmentResult]":

@@ -596,10 +596,10 @@ def run_pipeline(
     filtered dataset a ``filter`` stage materializes (its row predicate
     comes from ``filter_predicate``, e.g. ``filters.by_min_mapq(30)``).
 
-    Requirements per stage: align needs ``aligner``; varcall needs
-    ``reference``; filter needs ``filter_predicate``; stages without a
-    preceding align stage need the dataset to already have a results
-    column.
+    Requirements per stage: align needs ``aligner`` (a
+    ``repro.align.base.ReadAligner``); varcall needs ``reference``;
+    filter needs ``filter_predicate``; stages without a preceding align
+    stage need the dataset to already have a results column.
 
     ``session_timeout`` defaults to None (no deadline): unlike the
     single-stage calls, one budget here covers every fused stage, so a

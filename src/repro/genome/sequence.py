@@ -22,6 +22,9 @@ CODE_TO_BASE = {0: ord("A"), 1: ord("C"), 2: ord("G"), 3: ord("T"), 4: ord("N")}
 
 _COMPLEMENT_TABLE = bytes.maketrans(b"ACGTNacgtn", b"TGCANtgcan")
 
+#: The same table as a ``uint8`` array: ``COMPLEMENT_LUT[ascii_array]``.
+COMPLEMENT_LUT = np.frombuffer(_COMPLEMENT_TABLE, dtype=np.uint8)
+
 # Vectorized lookup tables (256-wide so raw ASCII bytes index directly).
 _ENCODE_LUT = np.full(256, 255, dtype=np.uint8)
 for _b, _c in BASE_TO_CODE.items():

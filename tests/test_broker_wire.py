@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from repro.align.base import ReadAligner
 from repro.cluster.broker import (
     _FRAME,
     _MAX_HEAD_BYTES,
@@ -563,7 +564,7 @@ def _small_threshold_server(instances, threshold=512):
     return _Server
 
 
-class _DyingAligner:
+class _DyingAligner(ReadAligner):
     """Raises WorkerKilled after a fixed number of reads."""
 
     def __init__(self, inner, survive_reads: int):

@@ -86,6 +86,13 @@ class TestPairedAligner:
             assert r1.flag & FLAG_UNMAPPED
             assert r1.flag & FLAG_MATE_UNMAPPED
 
+    def test_short_mate_does_not_crash_the_pair(self, setup):
+        _, reads, _, paired = setup
+        r1, r2 = paired.align_pair(reads[0].bases, b"ACGT")
+        assert r1.is_aligned
+        r1, r2 = paired.align_pair(b"ACGT", b"ACGTA")
+        assert not r1.is_aligned and not r2.is_aligned
+
     def test_orientation_forward_reverse(self, setup):
         ref, reads, origins, paired = setup
         for i in range(0, 20, 2):

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.agd.manifest import ChunkEntry
+from repro.align.base import ReadAligner
 from repro.cluster.broker import (
     Broker,
     BrokerError,
@@ -478,7 +479,7 @@ class TestEdgeAutotuning:
         assert_matches_single(placed, single_session, reference)
 
 
-class _SkewedAligner:
+class _SkewedAligner(ReadAligner):
     """Delays every read so one server is much slower than the other."""
 
     def __init__(self, inner, delay: float):
@@ -491,7 +492,7 @@ class _SkewedAligner:
         return self._inner.align_read(bases)
 
 
-class _DyingAligner:
+class _DyingAligner(ReadAligner):
     """Raises WorkerKilled after a fixed number of reads."""
 
     def __init__(self, inner, survive_reads: int):
@@ -625,7 +626,7 @@ class TestSelfBalancing:
             )
 
     def test_non_kill_error_propagates(self, fresh_dataset, reference):
-        class BrokenAligner:
+        class BrokenAligner(ReadAligner):
             def align_read(self, bases):
                 raise RuntimeError("index corrupted")
 

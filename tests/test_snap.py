@@ -49,6 +49,25 @@ class TestSeedIndex:
         hit = index.lookup(b"ACGTACGTACGTACGT")
         assert len(hit) == 0  # too popular
 
+    def test_memory_bytes_is_the_arrays(self, seed_index):
+        arrays = [getattr(seed_index, name) for name in
+                  ("_values", "_starts", "_ends", "_positions")]
+        assert seed_index.memory_bytes() == sum(a.nbytes for a in arrays)
+        assert len(arrays[0]) == len(arrays[1]) == len(arrays[2]) \
+            == seed_index.num_distinct
+
+    def test_pickle_round_trip_identical_lookups(self, seed_index, reference):
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(seed_index))
+        genome = reference.concatenated()
+        for pos in range(0, len(genome) - 16, 97):
+            seed = genome[pos:pos + 16]
+            assert np.array_equal(
+                clone.lookup(seed).positions, seed_index.lookup(seed).positions
+            )
+        assert clone.memory_bytes() == seed_index.memory_bytes()
+
     def test_invalid_params(self, reference):
         with pytest.raises(ValueError):
             SeedIndex(reference, seed_length=2)
@@ -102,6 +121,11 @@ class TestSnapAligner:
 
     def test_short_read_unmapped(self, snap_aligner):
         assert not snap_aligner.align_read(b"ACGT").is_aligned
+
+    def test_align_global_short_read_is_none(self, snap_aligner):
+        # Used to raise "window shape cannot be larger than input array".
+        assert snap_aligner.align_global(b"ACGT") is None
+        assert snap_aligner.align_global(b"") is None
 
     def test_read_with_errors_still_aligns(self, reference, seed_index):
         aligner = SnapAligner(seed_index)
