@@ -35,8 +35,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.agd.chunk import read_chunk, read_chunk_header
+from repro.agd.chunk import read_chunk_header, read_column
 from repro.agd.dataset import AGDDataset
+from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import AlignmentResult
 from repro.core.sort import (
     SortConfig,
@@ -78,6 +79,15 @@ def _make_rows(rng) -> "list[tuple]":
     ]
 
 
+def _run_columns(rows) -> dict:
+    """One run's rows as the column dict the sort spills."""
+    return {
+        column: as_column(record_type_for_column(column),
+                          [row[i] for row in rows])
+        for i, column in enumerate(COLUMNS)
+    }
+
+
 def _make_dataset(rows) -> AGDDataset:
     return AGDDataset.create(
         "spillbench",
@@ -117,7 +127,7 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
         spilled = [
             store_run_spill(
                 scratch, index,
-                encode_run_spill(run, "location", COLUMNS, 1, None, 1,
+                encode_run_spill(_run_columns(run), None, 1, None, 1,
                                  scratch_codec=codec_name),
             )
             for index, run in enumerate(run_rows)
@@ -136,7 +146,7 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
                     else:
                         buf = scratch.get(chunk_file)
                     header = read_chunk_header(buf)
-                    decoded_records += len(read_chunk(buf).records)
+                    decoded_records += len(read_column(buf))
                     counters["spill_restores"] += 1
                     if header.codec_name == "none":
                         counters["spill_view_bytes"] += \

@@ -9,8 +9,11 @@ aligned workload and asserts:
 * **byte-identical outputs**: same VCF records, same sorted dataset
   bytes, same duplicate marks and stats;
 * **the speedup shape**: the vectorized pileup must be at least 5x
-  faster than the scalar dict-of-Counter reference (CI's perf-smoke job
-  runs this file, so a silent fallback to the scalar path fails the
+  faster than the scalar dict-of-Counter reference, and the columnar
+  sort at least 2x faster than the row sort it replaced (the test
+  oracle in ``tests/row_sort_oracle.py``) — a single-thread ratio on
+  one box, so the gate is armed on any CPU count (CI's perf-smoke job
+  runs this file, so a silent fallback to per-record work fails the
   build).
 
 Related work anchors the expectation: BioWorkbench attributes its wins
@@ -21,7 +24,9 @@ exactly these per-base genomics loops.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +44,12 @@ from repro.core.varcall import (
 from repro.dataflow.backends import SerialBackend
 from repro.formats.converters import import_reads
 from repro.storage.base import MemoryStore
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from row_sort_oracle import oracle_sort_dataset  # noqa: E402
+
+#: The columnar sort must beat the row oracle by at least this factor.
+SORT_SPEEDUP_GATE = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -102,66 +113,69 @@ def test_vectorized_pileup_speedup(benchmark, aligned_world, bench_reference,
                        rounds=1, iterations=1)
 
 
-def test_vectorized_sort_and_partitioned_merge(benchmark, aligned_world,
-                                               report):
+def test_columnar_sort_and_partitioned_merge(benchmark, aligned_world,
+                                             report):
     dataset = aligned_world
+    # Raw scratch frames and level-1 output on both sides: compression
+    # is zlib's time, the same for either sort, and only dilutes a ratio
+    # meant to catch per-record work creeping back into the sort.
+    config = SortConfig(chunks_per_superchunk=4, raw_scratch=True,
+                        output_codec_level=1)
 
-    scalar_store = MemoryStore()
-    _, scalar_s = _timed(lambda: sort_dataset(
-        dataset, scalar_store,
-        SortConfig(chunks_per_superchunk=4, vectorized=False),
-    ), repeats=3)
-    vector_store = MemoryStore()
-    _, vector_s = _timed(lambda: sort_dataset(
-        dataset, vector_store,
-        SortConfig(chunks_per_superchunk=4, vectorized=True),
-    ), repeats=3)
+    oracle_store = MemoryStore()
+    _, oracle_s = _timed(
+        lambda: oracle_sort_dataset(dataset, oracle_store, config),
+        repeats=3)
+    columnar_store = MemoryStore()
+    _, columnar_s = _timed(
+        lambda: sort_dataset(dataset, columnar_store, config), repeats=3)
     # Partitioned phase-2 merge: >= 2 merge kernels through the backend.
     with SerialBackend() as backend:
         partitioned_store = MemoryStore()
         _, partitioned_s = _timed(lambda: sort_dataset(
             dataset, partitioned_store,
-            SortConfig(chunks_per_superchunk=4, merge_partitions=4),
+            SortConfig(chunks_per_superchunk=4, merge_partitions=4,
+                       raw_scratch=True, output_codec_level=1),
             backend=backend,
         ), repeats=3)
 
-    scalar_blobs = {k: scalar_store.get(k) for k in scalar_store.keys()}
-    vector_blobs = {k: vector_store.get(k) for k in vector_store.keys()}
+    oracle_blobs = {k: oracle_store.get(k) for k in oracle_store.keys()}
+    columnar_blobs = {k: columnar_store.get(k)
+                      for k in columnar_store.keys()}
     part_blobs = {k: partitioned_store.get(k) for k in partitioned_store.keys()}
-    assert vector_blobs == scalar_blobs, \
-        "vectorized sort changed the output bytes"
-    assert part_blobs == scalar_blobs, \
+    assert columnar_blobs == oracle_blobs, \
+        "columnar sort changed the output bytes"
+    assert part_blobs == oracle_blobs, \
         "partitioned merge changed the output bytes"
 
-    speedup = scalar_s / vector_s if vector_s else float("inf")
+    speedup = oracle_s / columnar_s if columnar_s else float("inf")
     rep = report("vectorized_kernels_sort",
-                 "Vectorized sort keys + partitioned superchunk merge")
-    rep.row("scalar sort (tuple-key list.sort)", "baseline",
-            f"{scalar_s * 1e3:.1f} ms")
-    rep.row("vectorized sort (packed-key argsort)", "faster",
-            f"{vector_s * 1e3:.1f} ms ({speedup:.2f}x)")
+                 "Columnar sort (key argsort + column gathers) vs row oracle")
+    rep.row("row oracle (tuple rows, list.sort, heapq)", "baseline",
+            f"{oracle_s * 1e3:.1f} ms")
+    rep.row("columnar sort (argsort + take per column)",
+            f">= {SORT_SPEEDUP_GATE:g}x",
+            f"{columnar_s * 1e3:.1f} ms ({speedup:.2f}x)")
     rep.row("4-partition merge (backend kernels)", "identical bytes",
             f"{partitioned_s * 1e3:.1f} ms")
-    rep.metric("scalar_seconds", scalar_s)
-    rep.metric("vectorized_seconds", vector_s)
+    rep.metric("oracle_seconds", oracle_s)
+    rep.metric("columnar_seconds", columnar_s)
     rep.metric("partitioned_seconds", partitioned_s)
     rep.metric("speedup", speedup)
     rep.add()
     rep.add("shape checks:")
-    rep.check("vectorized sort output byte-identical to scalar",
-              vector_blobs == scalar_blobs)
+    rep.check("columnar sort output byte-identical to the row oracle",
+              columnar_blobs == oracle_blobs)
     rep.check("partitioned merge output byte-identical to single-kernel",
-              part_blobs == scalar_blobs)
-    # Loose bound: the sort fast path is a modest win (the decode and
-    # re-encode around it dominate), so only guard against a real
-    # regression — tight margins on shared CI runners are flaky.
-    rep.check("vectorized sort within 1.5x of the scalar reference",
-              vector_s <= scalar_s * 1.5)
+              part_blobs == oracle_blobs)
+    # Both sides run single-threaded in this process on the same data,
+    # so the ratio means the same on one CPU as on sixteen: always armed.
+    rep.gate("columnar sort speedup over the row oracle",
+             SORT_SPEEDUP_GATE, speedup, armed=True)
     rep.finish()
 
     benchmark.pedantic(
-        lambda: sort_dataset(dataset, MemoryStore(),
-                             SortConfig(chunks_per_superchunk=4)),
+        lambda: sort_dataset(dataset, MemoryStore(), config),
         rounds=1, iterations=1,
     )
 

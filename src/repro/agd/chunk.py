@@ -200,37 +200,29 @@ def read_chunk_data(blob) -> tuple[ChunkHeader, RelativeIndex, bytes]:
     return header, index, data
 
 
-def read_chunk(blob, views: bool = False) -> Chunk:
-    """Decode a full chunk file image into typed records.
-
-    ``views=True`` asks record codecs that support it to return
-    zero-copy slices of the data block instead of owned ``bytes`` —
-    meaningful when ``blob`` is a ``memoryview`` over a leased segment
-    and the chunk's codec is ``none``.  View records alias the buffer:
-    call :func:`materialize_records` (or ``bytes(record)``) before
-    retaining one past the delivery lease.
-    """
+def read_chunk(blob) -> Chunk:
+    """Decode a full chunk file image into typed records (one object per
+    record; :func:`read_column` is the columnar form)."""
     header, index, data = read_chunk_data(blob)
-    record_codec = get_record_codec(header.record_type)
-    if views:
-        decode_views = getattr(record_codec, "decode_views", None)
-        if decode_views is not None:
-            return Chunk(
-                header.record_type, decode_views(data, index),
-                header.first_ordinal,
-            )
-    records = record_codec.decode(data, index)
+    records = get_record_codec(header.record_type).decode(data, index)
     return Chunk(header.record_type, records, header.first_ordinal)
 
 
-def materialize_records(records: list) -> list:
-    """Escape hatch out of the view plane: convert any ``memoryview``
-    records into owned ``bytes`` (non-view records pass through).  After
-    this, the list no longer aliases its delivery buffer and may outlive
-    the lease, be pickled, hashed, or sorted."""
-    return [
-        bytes(r) if isinstance(r, memoryview) else r for r in records
-    ]
+def read_column(blob):
+    """Decode a chunk file image into a column: one flat buffer plus
+    record bounds (:mod:`repro.agd.columns`), no per-record objects.
+
+    Same header/index/CRC validation as :func:`read_chunk` (both read
+    through :func:`read_chunk_data`); the column indexes and iterates to
+    the records :func:`read_chunk` would list.  A registered record type
+    whose codec has no ``decode_column`` decodes to its record list.
+    """
+    header, index, data = read_chunk_data(blob)
+    record_codec = get_record_codec(header.record_type)
+    decode_column = getattr(record_codec, "decode_column", None)
+    if decode_column is None:
+        return record_codec.decode(data, index)
+    return decode_column(data, index)
 
 
 def chunk_record_count(blob: bytes) -> int:

@@ -9,11 +9,9 @@ chunk's relative index so no terminator is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterator
-
 import numpy as np
 
+from repro.agd.columns import BasesColumn, PackedBasesColumn, RaggedColumn
 from repro.genome.sequence import (
     decode_bases,
     decode_bases_array,
@@ -72,106 +70,6 @@ def unpack_bases(packed: bytes, num_bases: int) -> bytes:
     return decode_bases(codes)
 
 
-@dataclass(eq=False)
-class BasesColumn:
-    """One decoded bases column as a flat ASCII array plus record bounds.
-
-    The columnar aligner feed (the §4.3 zero-copy plane): instead of
-    materializing one bytes object per read, the whole column decodes
-    into ``flat`` (uint8 ASCII, ``bounds[i]:bounds[i + 1]`` per record)
-    and flows through parser -> aligner queues as two numpy arrays —
-    which a shared-memory process backend ships by reference.  The class
-    is sequence-compatible (len / index / slice / iterate yield bytes),
-    so every kernel written against ``list[bytes]`` keeps working;
-    slices are zero-copy views over the same flat array.
-    """
-
-    #: Large fields ride the shared-memory plane (see repro.dataflow.shm).
-    __shm_payload__: ClassVar[bool] = True
-
-    flat: np.ndarray
-    bounds: np.ndarray  # int64, len(column) + 1 exclusive prefix bounds
-
-    def __len__(self) -> int:
-        return int(self.bounds.size) - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.bounds)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.flat.nbytes) + int(self.bounds.nbytes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            lo, hi, step = index.indices(len(self))
-            if step != 1:
-                raise ValueError("BasesColumn slices must be contiguous")
-            hi = max(lo, hi)
-            base = self.bounds[lo]
-            return BasesColumn(
-                flat=self.flat[base:self.bounds[hi]],
-                bounds=self.bounds[lo:hi + 1] - base,
-            )
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"record {index} of {len(self)}")
-        return self.flat[self.bounds[i]:self.bounds[i + 1]].tobytes()
-
-    def __iter__(self) -> Iterator[bytes]:
-        bounds = self.bounds
-        flat = self.flat
-        for i in range(len(self)):
-            yield flat[bounds[i]:bounds[i + 1]].tobytes()
-
-    def view(self, index: int) -> memoryview:
-        """Zero-copy window onto record ``index``'s bases.
-
-        The per-record analog of slicing: no bytes object is built, the
-        view aliases :attr:`flat`.  ``bytes.join`` and ``np.frombuffer``
-        accept it directly; call ``bytes()`` on it (or
-        :meth:`materialize` the column) before retaining it past the
-        column's backing buffer.
-        """
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"record {index} of {len(self)}")
-        return memoryview(self.flat[self.bounds[i]:self.bounds[i + 1]])
-
-    def materialize(self) -> "BasesColumn":
-        """Escape hatch out of the view plane: a column whose arrays own
-        their storage (and are writable), safe to retain after the
-        segment backing a view-decoded column is released.  Returns
-        ``self`` when the arrays already own their data."""
-        if self.flat.flags.owndata and self.flat.flags.writeable and \
-                self.bounds.flags.owndata:
-            return self
-        return BasesColumn(
-            flat=np.array(self.flat, copy=True),
-            bounds=np.array(self.bounds, copy=True),
-        )
-
-    def to_list(self) -> "list[bytes]":
-        return list(self)
-
-    def __eq__(self, other) -> bool:
-        """Record-wise equality against any sequence of bytes."""
-        if isinstance(other, BasesColumn):
-            return np.array_equal(self.bounds, other.bounds) and \
-                np.array_equal(self.flat, other.flat)
-        try:
-            if len(other) != len(self):
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(mine == theirs for mine, theirs in zip(self, other))
-
-
 def _pack_codes(codes: np.ndarray, n_bases: np.ndarray) -> bytes:
     """Scatter per-base 3-bit codes into packed little-endian words."""
     words_per_record = (n_bases + BASES_PER_WORD - 1) // BASES_PER_WORD
@@ -200,23 +98,28 @@ def _pack_codes(codes: np.ndarray, n_bases: np.ndarray) -> bytes:
 
 
 def pack_column(
-    sequences: "list[bytes] | BasesColumn",
+    sequences: "list[bytes] | RaggedColumn",
 ) -> tuple[bytes, list[int]]:
     """Pack many records in one vectorized pass.
 
     Returns (data block, per-record base counts).  Chunk encode/decode is
     on Persona's critical path (every parser node runs it), so the whole
     column is packed with a handful of NumPy operations rather than one
-    call per record.  A :class:`BasesColumn` packs straight from its flat
-    array — no per-record bytes objects are ever rebuilt.
+    call per record.  A column packs straight from its flat array — no
+    per-record bytes objects are ever rebuilt — and a column that is
+    still packed is its own data block.
     """
-    if isinstance(sequences, BasesColumn):
-        n_bases = np.diff(sequences.bounds)
-        lengths = [int(n) for n in n_bases]
-        if not lengths:
-            return b"", lengths
-        codes = encode_bases_array(sequences.flat).astype(np.uint64)
-        return _pack_codes(codes, n_bases), lengths
+    if isinstance(sequences, PackedBasesColumn):
+        block = sequences.flat[sequences.bounds[0]:sequences.bounds[-1]]
+        return block.tobytes(), sequences.counts
+    if isinstance(sequences, RaggedColumn):
+        n_bases = sequences.lengths
+        if not n_bases.size:
+            return b"", n_bases
+        codes = encode_bases_array(
+            sequences.flat[sequences.bounds[0]:sequences.bounds[-1]]
+        ).astype(np.uint64)
+        return _pack_codes(codes, n_bases), n_bases
     lengths = [len(s) for s in sequences]
     if not sequences:
         return b"", lengths
@@ -256,6 +159,15 @@ def unpack_column_flat(data: bytes, lengths) -> BasesColumn:
         return BasesColumn(flat=np.zeros(0, dtype=np.uint8), bounds=bounds)
     words = np.frombuffer(data, dtype="<u8").astype(np.uint64)
     lanes = ((words[:, None] >> _SHIFTS) & _MASK).astype(np.uint8)
+    if (n_bases == n_bases[0]).all():
+        # Equal-length reads (the sequencer's usual output): every
+        # record is the same run of lanes, so one strided cut replaces
+        # the gather below.
+        kept = lanes.reshape(n, -1)[:, :int(n_bases[0])]
+        return BasesColumn(
+            flat=decode_bases_array(np.ascontiguousarray(kept).reshape(-1)),
+            bounds=bounds,
+        )
     padded = decode_bases_array(lanes.reshape(-1))
     word_offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(words_per_record[:-1], out=word_offsets[1:])

@@ -13,6 +13,12 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
+from repro.agd.columns import (
+    BasesColumn,
+    PackedBasesColumn,
+    RaggedColumn,
+    TextColumn,
+)
 from repro.agd.compaction import pack_column, packed_size, unpack_column
 from repro.agd.index import AbsoluteIndex, RelativeIndex
 from repro.align.result import AlignmentResult
@@ -29,6 +35,11 @@ class RecordCodec(Protocol):
     def decode(self, data: bytes, index: RelativeIndex) -> list:
         """Inverse of :meth:`encode`."""
 
+    def decode_column(self, data: bytes, index: RelativeIndex) -> RaggedColumn:
+        """:meth:`decode` without per-record objects: the records as one
+        :class:`~repro.agd.columns.RaggedColumn` of ``column_class``
+        (optional; a codec without it decodes to a list everywhere)."""
+
     def byte_size(self, logical_length: int) -> int:
         """Bytes occupied in the data block by a record of this length."""
 
@@ -36,18 +47,30 @@ class RecordCodec(Protocol):
         """Random access: decode record ``i`` only."""
 
 
+def _column_block(column: RaggedColumn):
+    """A text/results column's (data block, record lengths): the flat
+    buffer as stored, no per-record work."""
+    return (column.flat[column.bounds[0]:column.bounds[-1]].tobytes(),
+            column.lengths)
+
+
 class BasesCodec:
     """Bases column: 3-bit compacted records; index stores base counts."""
 
     name = "bases"
+    column_class = BasesColumn
 
     def encode(self, records: Sequence[bytes]) -> tuple[bytes, list[int]]:
-        # pack_column dispatches on BasesColumn itself (re-packing from
-        # the flat array) and accepts any sequence of bytes directly.
+        # pack_column dispatches on columns itself (re-packing from the
+        # flat array) and accepts any sequence of bytes directly.
         return pack_column(records)
 
     def decode(self, data: bytes, index: RelativeIndex) -> list[bytes]:
-        return unpack_column(data, [index[i] for i in range(len(index))])
+        return unpack_column(data, index.lengths)
+
+    def decode_column(self, data, index: RelativeIndex) -> RaggedColumn:
+        # Still packed: whoever reads the bases unpacks them, once.
+        return PackedBasesColumn.from_block(data, index.lengths)
 
     def byte_size(self, logical_length: int) -> int:
         return packed_size(logical_length)
@@ -63,8 +86,11 @@ class RawBytesCodec:
     """Raw byte-string records (qualities, metadata, generic text)."""
 
     name = "text"
+    column_class = TextColumn
 
     def encode(self, records: Sequence[bytes]) -> tuple[bytes, list[int]]:
+        if isinstance(records, RaggedColumn):
+            return _column_block(records)
         for r in records:
             if not isinstance(r, (bytes, bytearray, memoryview)):
                 raise TypeError(f"text column records must be bytes, got {type(r)}")
@@ -72,15 +98,14 @@ class RawBytesCodec:
 
     def decode(self, data: bytes, index: RelativeIndex) -> list[bytes]:
         # Accepts any bytes-like buffer.  A memoryview input (the shm
-        # view plane) still yields owned bytes records by default:
-        # text records are used as dict keys and sort keys downstream,
-        # which memoryviews cannot serve.  decode_views is the
-        # explicitly-requested zero-copy variant.
+        # view plane) still yields owned bytes records: text records
+        # are used as dict keys downstream, which memoryviews cannot
+        # serve (decode_column / RaggedColumn.view are the zero-copy
+        # forms).
         materialize = isinstance(data, memoryview)
         out: list[bytes] = []
         offset = 0
-        for i in range(len(index)):
-            n = index[i]
+        for n in index.lengths.tolist():
             if offset + n > len(data):
                 raise ValueError("text column data truncated")
             record = data[offset : offset + n]
@@ -92,25 +117,8 @@ class RawBytesCodec:
             )
         return out
 
-    def decode_views(self, data, index: RelativeIndex) -> list:
-        """Zero-copy decode: each record is a slice of ``data`` (a
-        memoryview when ``data`` is one).  Records alias the buffer —
-        materialize (``bytes(record)``) anything retained past its
-        delivery lease, hashed, sorted, or pickled."""
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        out: list = []
-        offset = 0
-        for i in range(len(index)):
-            n = index[i]
-            if offset + n > len(view):
-                raise ValueError("text column data truncated")
-            out.append(view[offset : offset + n])
-            offset += n
-        if offset != len(view):
-            raise ValueError(
-                f"text column has {len(view) - offset} trailing bytes"
-            )
-        return out
+    def decode_column(self, data, index: RelativeIndex) -> RaggedColumn:
+        return TextColumn.from_block(data, index.lengths)
 
     def byte_size(self, logical_length: int) -> int:
         return logical_length
@@ -124,9 +132,19 @@ class ResultsCodec:
 
     name = "results"
 
+    @property
+    def column_class(self):
+        # Imported on use: result_column imports repro.align.result,
+        # and the align package's own imports reach back to this module.
+        from repro.agd.result_column import ResultsColumn
+
+        return ResultsColumn
+
     def encode(
         self, records: Sequence[AlignmentResult]
     ) -> tuple[bytes, list[int]]:
+        if isinstance(records, RaggedColumn):
+            return _column_block(records)
         blobs = [r.to_bytes() for r in records]
         return b"".join(blobs), [len(b) for b in blobs]
 
@@ -140,8 +158,7 @@ class ResultsCodec:
         materialize = isinstance(data, memoryview)
         out: list[AlignmentResult] = []
         offset = 0
-        for i in range(len(index)):
-            n = index[i]
+        for n in index.lengths.tolist():
             record = data[offset : offset + n]
             if materialize:
                 record = bytes(record)
@@ -152,6 +169,9 @@ class ResultsCodec:
                 f"results column has {len(data) - offset} trailing bytes"
             )
         return out
+
+    def decode_column(self, data, index: RelativeIndex) -> RaggedColumn:
+        return self.column_class.from_block(data, index.lengths)
 
     def byte_size(self, logical_length: int) -> int:
         return logical_length
@@ -195,6 +215,14 @@ def register_record_codec(type_name: str, codec: RecordCodec) -> None:
     if type_name in _CODECS:
         raise ValueError(f"record type {type_name!r} already registered")
     _CODECS[type_name] = codec
+
+
+def as_column(record_type: str, records) -> RaggedColumn:
+    """``records`` as ``record_type``'s column class: a column passes
+    through, any other sequence of records is wrapped once."""
+    if isinstance(records, RaggedColumn):
+        return records
+    return get_record_codec(record_type).column_class.from_records(records)
 
 
 def record_type_for_column(column: str) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.align.result import AlignmentResult
+from repro.agd.result_column import ResultsColumn
 
 
 class ReadAligner:
@@ -13,6 +14,9 @@ class ReadAligner:
     def align_read(self, bases: bytes) -> AlignmentResult:
         raise NotImplementedError
 
-    def align_reads(self, bases) -> "list[AlignmentResult]":
-        """Align a batch (``list[bytes]`` or ``BasesColumn``), in order."""
-        return [self.align_read(read) for read in bases]
+    def align_reads(self, bases) -> ResultsColumn:
+        """Align a batch (``list[bytes]`` or ``BasesColumn``), in order:
+        one results column (index it for an ``AlignmentResult``)."""
+        return ResultsColumn.from_records(
+            [self.align_read(read) for read in bases]
+        )

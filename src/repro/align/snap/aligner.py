@@ -17,8 +17,9 @@ thread-owning executor (§4.3, Figure 4).
 
 Backends call :meth:`SnapAligner.align_reads`, which runs seeding,
 voting, ranking and the Hamming pass of verification as whole-array
-operations over a batch; only reads with several candidates, or one that
-needs Landau–Vishkin, go through the per-candidate loop.
+operations over a batch and assembles the results column from the same
+arrays; only reads with several candidates, or one that needs
+Landau–Vishkin, go through the per-candidate loop.
 :meth:`SnapAligner.align_read` is the per-read form of the same algorithm
 — the oracle the batch path is tested against, and what the paired-end
 layer calls through :meth:`SnapAligner.align_global`.
@@ -31,14 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agd.compaction import BasesColumn
+from repro.agd.columns import RaggedColumn
 from repro.align.base import ReadAligner
-from repro.align.distance import verify_candidate
+from repro.align.distance import hamming, verify_candidate
 from repro.align.result import (
     FLAG_REVERSE,
     FLAG_UNMAPPED,
     AlignmentResult,
 )
+from repro.agd.result_column import RESULT_FIXED_DTYPE, ResultsColumn
 from repro.align.snap.index import SeedIndex
 from repro.genome.sequence import COMPLEMENT_LUT, reverse_complement
 
@@ -64,7 +66,10 @@ class SnapStats:
     reads: int = 0
     aligned: int = 0
     seed_lookups: int = 0
+    #: Candidate placements verified (each costs one Hamming compare).
     candidates_checked: int = 0
+    #: Verifications that Hamming could not settle and that ran
+    #: ``landau_vishkin`` (a handful per ten thousand clean reads).
     lv_calls: int = 0
 
     def merge(self, other: "SnapStats") -> None:
@@ -110,10 +115,12 @@ class SnapAligner(ReadAligner):
         self.stats.merge(stats)
         return best
 
-    def align_reads(self, bases) -> "list[AlignmentResult]":
-        """Align a batch (``list[bytes]`` or ``BasesColumn``) as one
-        array program per read length; equal to ``align_read`` per read."""
-        if isinstance(bases, BasesColumn):
+    def align_reads(self, bases) -> ResultsColumn:
+        """Align a batch (``list[bytes]`` or a bases column) as one
+        array program per read length; record ``i`` of the returned
+        results column equals ``align_read(bases[i])``."""
+        if isinstance(bases, RaggedColumn):
+            bases = bases.decoded()
             flat, bounds = bases.flat, bases.bounds
         else:
             flat = np.frombuffer(b"".join(bases), dtype=np.uint8)
@@ -121,16 +128,38 @@ class SnapAligner(ReadAligner):
             np.cumsum([len(read) for read in bases], out=bounds[1:])
         lengths = np.diff(bounds)
         stats = SnapStats(reads=lengths.size)
-        results: list = [None] * lengths.size
+        fixed = np.zeros(lengths.size, dtype=RESULT_FIXED_DTYPE)
+        position = np.full(lengths.size, -1, dtype=np.int64)
+        cigars = [b""] * lengths.size
         for m in np.unique(lengths[lengths >= self.index.seed_length]):
             members = np.flatnonzero(lengths == m)
             reads = flat[bounds[members, None] + np.arange(m)]
-            for i, best in zip(members.tolist(),
-                               self._align_group(reads, stats)):
-                results[i] = best
-        stats.aligned = len(results) - results.count(None)
+            starts, reverse, distance, mapq, traced = \
+                self._align_group(reads, stats)
+            position[members] = starts
+            fixed["flag"][members] = np.where(reverse, FLAG_REVERSE, 0)
+            fixed["mapq"][members] = mapq
+            fixed["edit_distance"][members] = distance
+            cigar = b"%dM" % m
+            for i in members[starts >= 0].tolist():
+                cigars[i] = cigar
+            for row, indel_cigar in traced.items():
+                cigars[members[row]] = indel_cigar
+        # The unmapped record is AlignmentResult()'s: every field at
+        # its default.
+        aligned = position >= 0
+        stats.aligned = int(aligned.sum())
         self.stats.merge(stats)
-        return [self._result(best) for best in results]
+        fixed["flag"][~aligned] = FLAG_UNMAPPED
+        fixed["next_contig"] = fixed["next_position"] = -1
+        fixed["contig"] = fixed["position"] = -1
+        fixed["contig"][aligned], fixed["position"][aligned] = \
+            self.reference.to_local_arrays(position[aligned])
+        return ResultsColumn.from_fields(
+            fixed,
+            np.frombuffer(b"".join(cigars), dtype=np.uint8),
+            np.fromiter(map(len, cigars), np.int64, len(cigars)),
+        )
 
     # ------------------------------------------------------------ internals
 
@@ -198,8 +227,10 @@ class SnapAligner(ReadAligner):
         """Verify ranked candidates under a shrinking edit bound.
 
         ``hammings`` are the batch path's precomputed mismatch counts,
-        one per candidate: one within the current bound is the verdict
-        ``verify_candidate`` would reach through its own Hamming check.
+        one per candidate (the per-read path computes each here): one
+        within the current bound is the verdict ``verify_candidate``
+        would reach through its own Hamming check, so only the others
+        run it — and count as ``lv_calls``.
         """
         m = len(bases)
         max_k = self.config.max_edit_distance
@@ -208,13 +239,17 @@ class SnapAligner(ReadAligner):
         bound = max_k
         for i, (start, reverse) in enumerate(ordered):
             stats.candidates_checked += 1
-            stats.lv_calls += 1
-            if hammings is not None and hammings[i] <= bound:
-                verdict = hammings[i], b"%dM" % m
+            strand = rc if reverse else bases
+            # Candidates lie inside the genome, so this is the Hamming
+            # check verify_candidate would start with.
+            mismatches = hammings[i] if hammings is not None else \
+                hamming(strand, self.reference.fetch(start, m))
+            if mismatches <= bound:
+                verdict = mismatches, b"%dM" % m
             else:
-                window = self.reference.fetch(start, m + bound)
+                stats.lv_calls += 1
                 verdict = verify_candidate(
-                    rc if reverse else bases, window, bound
+                    strand, self.reference.fetch(start, m + bound), bound
                 )
             if verdict is None:
                 continue
@@ -235,7 +270,9 @@ class SnapAligner(ReadAligner):
 
     def _align_group(self, reads: np.ndarray, stats: SnapStats) -> list:
         """The array program over ``reads``, an ``(n, m)`` ASCII array:
-        one ``align_global`` outcome per row."""
+        each row's ``align_global`` outcome as ``(position, reverse,
+        distance, mapq)`` arrays (position -1: unaligned) plus the
+        CIGARs of the rows that are not a plain ``<m>M``, by row."""
         n, m = reads.shape
         config, genome_len = self.config, len(self.reference)
         offsets = np.array(self._seed_offsets(m))
@@ -273,32 +310,36 @@ class SnapAligner(ReadAligner):
         ).sum(axis=1)
         # (5) A read whose only candidate passes Hamming is done: no
         # second-best, no bound to shrink, no indel to trace.
-        results: list = [None] * n
+        position = np.full(n, -1, dtype=np.int64)
+        reverse = np.zeros(n, dtype=bool)
+        distance = np.zeros(n, dtype=np.int64)
+        mapq = np.zeros(n, dtype=np.int64)
+        traced: "dict[int, bytes]" = {}
         lone = np.flatnonzero(per_read == 1)
         lone = lone[hammings[first[lone]] <= config.max_edit_distance]
         top = first[lone]
-        cigar = b"%dM" % m
-        for read, start, reverse, distance in zip(
-            lone.tolist(), starts[top].tolist(), (rows[top] & 1).tolist(),
-            hammings[top].tolist(),
-        ):
-            results[read] = (
-                start, bool(reverse), distance, cigar,
-                compute_mapq(distance, None, config.max_edit_distance),
-            )
+        position[lone] = starts[top]
+        reverse[lone] = (rows[top] & 1).astype(bool)
+        distance[lone] = hammings[top]
+        # compute_mapq with no second-best alignment.
+        mapq[lone] = np.maximum(10, 60 - 4 * hammings[top])
         stats.candidates_checked += lone.size
-        stats.lv_calls += lone.size
         # Every other read with candidates replays the scalar loop.
         per_read[lone] = 0
         for read in np.flatnonzero(per_read).tolist():
             span = slice(first[read], first[read] + per_read[read])
-            results[read] = self._verify_candidates(
+            best = self._verify_candidates(
                 strands[2 * read].tobytes(), strands[2 * read + 1].tobytes(),
                 list(zip(starts[span].tolist(),
                          (rows[span] & 1).astype(bool).tolist())),
                 stats, hammings[span].tolist(),
             )
-        return results
+            if best is not None:
+                (position[read], reverse[read], distance[read], cigar,
+                 mapq[read]) = best
+                if cigar != b"%dM" % m:
+                    traced[read] = cigar
+        return position, reverse, distance, mapq, traced
 
 
 def compute_mapq(

@@ -180,7 +180,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
                 chunks_per_superchunk=args.superchunk,
                 output_codec_level=args.codec_level,
                 merge_partitions=args.merge_partitions,
-                vectorized=args.kernels == "vectorized",
                 raw_scratch=_raw_scratch_arg(args),
             ),
             scratch_store=(DirectoryStore(args.scratch_dir)
@@ -987,9 +986,10 @@ def _add_kernel_options(
         "--kernels",
         choices=("vectorized", "scalar"),
         default="vectorized",
-        help="compute kernel implementation: the numpy columnar fast "
-             "path (default) or the scalar reference path (identical "
-             "output, used for equivalence testing)",
+        help="dupmark/varcall kernel implementation: the numpy columnar "
+             "fast path (default) or the scalar reference path "
+             "(identical output, used for equivalence testing); the "
+             "sort has one implementation and ignores this",
     )
     p.add_argument(
         "--raw-scratch",

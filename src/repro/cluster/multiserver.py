@@ -594,7 +594,7 @@ def run_placed_pipeline(
             # digest-verified store so downstream groups see every
             # chunk, exactly as an align replica would have sent them
             # (the edge serializer normalizes both transports).
-            from repro.agd.chunk import read_chunk
+            from repro.agd.chunk import read_column
             from repro.core.ops import ChunkWorkItem
 
             inject_queue = RemoteQueue(
@@ -611,12 +611,12 @@ def run_placed_pipeline(
                         continue
                     item = ChunkWorkItem(entry=entry)
                     for column in inject_columns:
-                        item.columns[column] = read_chunk(
+                        item.columns[column] = read_column(
                             dataset.store.get(entry.chunk_file(column))
-                        ).records
-                    item.results = read_chunk(
+                        )
+                    item.results = read_column(
                         dataset.store.get(entry.chunk_file("results"))
-                    ).records
+                    )
                     inject_queue.put(item)
             except (PipelineAborted, QueueClosed):
                 pass

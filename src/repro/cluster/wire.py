@@ -17,7 +17,7 @@ import json
 import struct
 from typing import Callable, NamedTuple
 
-from repro.agd.chunk import read_chunk, write_chunk
+from repro.agd.chunk import read_column, write_chunk
 from repro.agd.compression import as_bytes, get_codec, leveled_codec
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import record_type_for_column
@@ -167,21 +167,18 @@ def encode_work_item(item, codec_level: int = EDGE_CODEC_LEVEL) -> bytes:
     return pack_frames(encode_work_item_frames(item, codec_level))
 
 
-def decode_work_item_frames(frames: "list[bytes]", views: bool = False):
+def decode_work_item_frames(frames: "list[bytes]"):
     """Rebuild a work item from its frames.
 
-    Frames may be any bytes-like buffers — under the raw-shm handoff
-    each large frame arrives as a read-only ``memoryview`` of the
-    mapped segment.  With ``views=True`` the bases column decodes
-    straight to a flat :class:`~repro.agd.compaction.BasesColumn`
-    (no per-record bytes objects at all), which every kernel consumes
-    natively; text and results records follow the record-codec policy
-    (materialized per record, since they are hashed/sorted/pickled
-    downstream).  The delivery lease must outlive decoding — the
-    :class:`~repro.dataflow.queues.RemoteQueue` deferred ack guarantees
-    it for the worker loop.
+    Every column decodes to one flat buffer plus record bounds
+    (:func:`repro.agd.chunk.read_column`), which every kernel consumes
+    natively — no per-record objects.  Frames may be any bytes-like
+    buffers: under the raw-shm handoff each large frame arrives as a read-only ``memoryview`` of the mapped
+    segment, and a column copies its block out of it once, whole, so
+    decoded items never alias the delivery.  The delivery lease must
+    outlive decoding — the :class:`~repro.dataflow.queues.RemoteQueue`
+    deferred ack guarantees it for the worker loop.
     """
-    from repro.core.columnar import read_bases_column
     from repro.core.ops import ChunkWorkItem
 
     if not frames:
@@ -197,31 +194,24 @@ def decode_work_item_frames(frames: "list[bytes]", views: bool = False):
     entry = ChunkEntry(header["path"], header["first"], header["count"])
     item = ChunkWorkItem(entry=entry)
     for i, column in enumerate(columns):
-        frame = frames[1 + i]
-        if views and record_type_for_column(column) == "bases":
-            item.columns[column] = read_bases_column(frame)
-        else:
-            item.columns[column] = read_chunk(frame).records
+        item.columns[column] = read_column(frames[1 + i])
     if header["results"]:
-        item.results = read_chunk(frames[-1]).records
+        item.results = read_column(frames[-1])
     return item
 
 
-def decode_work_item(blob: bytes, views: bool = False):
+def decode_work_item(blob: bytes):
     """Inverse of :func:`encode_work_item`."""
-    return decode_work_item_frames(unpack_frames(blob), views=views)
+    return decode_work_item_frames(unpack_frames(blob))
 
 
-def item_serializer(codec_level: int = EDGE_CODEC_LEVEL,
-                    views: bool = False) -> PayloadSerializer:
+def item_serializer(codec_level: int = EDGE_CODEC_LEVEL) -> PayloadSerializer:
     return PayloadSerializer(
         encode=lambda item: encode_work_item(item, codec_level),
-        decode=lambda blob: decode_work_item(blob, views=views),
+        decode=decode_work_item,
         key=lambda item: item.entry.path,
         encode_frames=lambda item: encode_work_item_frames(item, codec_level),
-        decode_frames=lambda frames: decode_work_item_frames(
-            frames, views=views
-        ),
+        decode_frames=decode_work_item_frames,
     )
 
 
@@ -237,5 +227,5 @@ def edge_item_serializer(client) -> PayloadSerializer:
     handshake (in-process transports) also keep the compressed form.
     """
     if getattr(client, "shm_active", False):
-        return item_serializer(RAW_EDGE_CODEC_LEVEL, views=True)
+        return item_serializer(RAW_EDGE_CODEC_LEVEL)
     return item_serializer()

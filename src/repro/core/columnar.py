@@ -1,36 +1,41 @@
-"""Columnar fast path: numpy-vectorized kernels over AGD columns.
+"""Columnar kernels: numpy array programs over AGD column buffers.
 
 The paper's core claim is that the columnar AGD layout lets compute run
 "as fast as the hardware allows" (§1, §3) — yet the natural Python
 implementation walks one record object at a time.  This module exploits
-the columnar encoding end to end: AGD column blobs decode *directly* into
-numpy arrays (no per-record object materialization), and the three
-hottest kernels — pileup, sort-key extraction, and duplicate-signature
-extraction — run as vectorized array programs over them.
+the columnar encoding end to end: a decoded column is one flat buffer
+plus record bounds (:mod:`repro.agd.columns`,
+:mod:`repro.agd.result_column`), and the hot kernels — CIGAR parsing,
+pileup, sort keys and permutations, duplicate signatures and marking —
+run as vectorized array programs over those buffers.
 
-Contract: every kernel here is a *fast path* with a scalar reference
-implementation in :mod:`repro.core.varcall`, :mod:`repro.core.sort`, and
-:mod:`repro.core.dupmark`.  Fast paths must produce byte-identical
-outputs; where an input falls outside what the vectorized encoding can
-represent exactly (e.g. sort keys too wide to pack into a uint64), the
-helpers return ``None`` and callers fall back to the reference path
-rather than risk divergence.  Malformed data raises ``ValueError``, just
-like the scalar parsers.
+Contract: the pileup and duplicate-marking kernels are *fast paths* with
+a scalar reference implementation in :mod:`repro.core.varcall` and
+:mod:`repro.core.dupmark`, and must produce byte-identical outputs;
+input the dense pileup cannot represent raises
+:class:`ColumnarFallback` and reruns on the reference.  The sort kernels
+(:func:`sort_keys`, :func:`sort_permutation`) are the only sort there
+is: keys too wide to pack change how the permutation is computed, never
+the result (the row sort they replaced is the oracle under ``tests/``).
+Malformed data raises ``ValueError``, just like the scalar parsers.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.align.result import (
-    FLAG_DUPLICATE,
-    FLAG_PAIRED,
-    FLAG_REVERSE,
-    FLAG_UNMAPPED,
+from repro.agd.columns import RaggedColumn, TextColumn, cumsum0, ragged_index
+from repro.align.result import FLAG_DUPLICATE
+from repro.agd.result_column import (  # noqa: F401 - re-exported
+    RESULT_FIXED_DTYPE,
+    RESULT_FIXED_SIZE,
+    ResultsArrays,
+    ResultsColumn,
+    decode_results_arrays,
 )
+
 
 class ColumnarFallback(ValueError):
     """The input falls outside what the vectorized encoding represents
@@ -39,214 +44,23 @@ class ColumnarFallback(ValueError):
     rerun the scalar reference path — never a silent divergence."""
 
 
-# --------------------------------------------------------------------------
-# Results-column array decode (the zero-copy column -> array path).
+def read_results_column(blob) -> ResultsColumn:
+    """Decode a results-column *chunk file* image into its column — same
+    validation as :func:`repro.agd.chunk.read_chunk`, no AlignmentResult
+    objects."""
+    from repro.agd.chunk import read_column
 
-#: Mirrors ``repro.align.result._FIXED`` (``<HBxiqiqiHH``): the fixed
-#: 36-byte prefix of every serialized AlignmentResult record.
-RESULT_FIXED_DTYPE = np.dtype(
-    [
-        ("flag", "<u2"),
-        ("mapq", "u1"),
-        ("_pad", "u1"),
-        ("contig", "<i4"),
-        ("position", "<i8"),
-        ("next_contig", "<i4"),
-        ("next_position", "<i8"),
-        ("template_length", "<i4"),
-        ("edit_distance", "<u2"),
-        ("cigar_len", "<u2"),
-    ]
-)
-
-RESULT_FIXED_SIZE = RESULT_FIXED_DTYPE.itemsize
-assert RESULT_FIXED_SIZE == struct.calcsize("<HBxiqiqiHH")
-
-
-def _cumsum0(values: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum with a leading zero (size + 1 entries)."""
-    out = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=out[1:])
-    return out
-
-
-@dataclass
-class ResultsArrays:
-    """One results column decoded as parallel numpy arrays.
-
-    ``fixed`` is a structured array of the per-record fixed fields;
-    CIGAR bytes stay in-place in ``cigar_buf`` (a uint8 view of the data
-    block) addressed by ``cigar_starts``/``cigar_ends`` — variable-width
-    data is never copied per record.
-    """
-
-    fixed: np.ndarray
-    cigar_buf: np.ndarray
-    cigar_starts: np.ndarray
-    cigar_ends: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.fixed.size)
-
-    # Field accessors (named like the AlignmentResult properties).
-
-    @property
-    def flag(self) -> np.ndarray:
-        return self.fixed["flag"]
-
-    @property
-    def mapq(self) -> np.ndarray:
-        return self.fixed["mapq"]
-
-    @property
-    def contig_index(self) -> np.ndarray:
-        return self.fixed["contig"]
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.fixed["position"]
-
-    @property
-    def next_contig_index(self) -> np.ndarray:
-        return self.fixed["next_contig"]
-
-    @property
-    def next_position(self) -> np.ndarray:
-        return self.fixed["next_position"]
-
-    @property
-    def is_aligned(self) -> np.ndarray:
-        return (self.flag & FLAG_UNMAPPED) == 0
-
-    @property
-    def is_reverse(self) -> np.ndarray:
-        return (self.flag & FLAG_REVERSE) != 0
-
-    @property
-    def is_duplicate(self) -> np.ndarray:
-        return (self.flag & FLAG_DUPLICATE) != 0
-
-    @property
-    def is_paired(self) -> np.ndarray:
-        return (self.flag & FLAG_PAIRED) != 0
-
-    def cigar(self, i: int) -> bytes:
-        """Materialize record ``i``'s CIGAR bytes (lazy per-record access)."""
-        return self.cigar_buf[
-            int(self.cigar_starts[i]) : int(self.cigar_ends[i])
-        ].tobytes()
-
-    @classmethod
-    def from_records(cls, records) -> "ResultsArrays":
-        """Bridge for records already parsed into AlignmentResult objects
-        (e.g. chunks streaming through a pipeline queue)."""
-        n = len(records)
-        fixed = np.zeros(n, dtype=RESULT_FIXED_DTYPE)
-        fixed["flag"] = np.fromiter((r.flag for r in records), np.uint16, n)
-        fixed["mapq"] = np.fromiter((r.mapq for r in records), np.uint8, n)
-        fixed["contig"] = np.fromiter(
-            (r.contig_index for r in records), np.int32, n
-        )
-        fixed["position"] = np.fromiter(
-            (r.position for r in records), np.int64, n
-        )
-        fixed["next_contig"] = np.fromiter(
-            (r.next_contig_index for r in records), np.int32, n
-        )
-        fixed["next_position"] = np.fromiter(
-            (r.next_position for r in records), np.int64, n
-        )
-        cigars = [r.cigar for r in records]
-        lens = np.fromiter((len(c) for c in cigars), np.int64, n)
-        fixed["cigar_len"] = lens.astype(np.uint16)
-        bounds = _cumsum0(lens)
-        buf = np.frombuffer(b"".join(cigars), dtype=np.uint8)
-        return cls(
-            fixed=fixed,
-            cigar_buf=buf,
-            cigar_starts=bounds[:-1],
-            cigar_ends=bounds[1:],
-        )
-
-
-def decode_results_arrays(data: bytes, lengths) -> ResultsArrays:
-    """Decode a results-column data block straight into arrays.
-
-    ``lengths`` are the relative-index record byte lengths.  When every
-    record has the same serialized size the fixed fields are a zero-copy
-    strided view of the data block; otherwise one vectorized gather
-    copies just the 36-byte prefixes.
-    """
-    lens = np.asarray(lengths, dtype=np.int64)
-    n = int(lens.size)
-    base = np.frombuffer(data, dtype=np.uint8)
-    offsets = _cumsum0(lens)
-    if int(offsets[-1]) > base.size:
-        raise ValueError("results column data truncated")
-    if n == 0:
-        return ResultsArrays(
-            fixed=np.zeros(0, dtype=RESULT_FIXED_DTYPE),
-            cigar_buf=base,
-            cigar_starts=np.zeros(0, np.int64),
-            cigar_ends=np.zeros(0, np.int64),
-        )
-    if lens.min() < RESULT_FIXED_SIZE:
+    column = read_column(blob)
+    if not isinstance(column, ResultsColumn):
         raise ValueError(
-            f"result record truncated: shorter than {RESULT_FIXED_SIZE} bytes"
+            f"expected a results chunk, got {type(column).__name__}"
         )
-    if np.all(lens == lens[0]):
-        # Uniform records: view the block with a per-record stride.
-        stride = int(lens[0])
-        first = base[:RESULT_FIXED_SIZE].view(RESULT_FIXED_DTYPE)
-        fixed = np.lib.stride_tricks.as_strided(
-            first, shape=(n,), strides=(stride,)
-        )
-    else:
-        gathered = base[offsets[:-1, None] + np.arange(RESULT_FIXED_SIZE)]
-        fixed = gathered.view(RESULT_FIXED_DTYPE)[:, 0]
-    cigar_starts = offsets[:-1] + RESULT_FIXED_SIZE
-    cigar_ends = cigar_starts + fixed["cigar_len"].astype(np.int64)
-    if np.any(cigar_ends > offsets[1:]):
-        raise ValueError("result record CIGAR truncated")
-    return ResultsArrays(
-        fixed=fixed,
-        cigar_buf=base,
-        cigar_starts=cigar_starts,
-        cigar_ends=cigar_ends,
-    )
+    return column
 
 
-def read_results_arrays(blob: bytes) -> ResultsArrays:
-    """Decode a results-column *chunk file* image into arrays.
-
-    Same header/index/CRC validation as :func:`repro.agd.chunk.read_chunk`
-    (both read through ``read_chunk_data``) but skips AlignmentResult
-    object materialization entirely.
-    """
-    from repro.agd.chunk import read_chunk_data
-
-    header, index, data = read_chunk_data(blob)
-    if header.record_type != "results":
-        raise ValueError(
-            f"expected a results chunk, got {header.record_type!r}"
-        )
-    return decode_results_arrays(data, index.lengths)
-
-
-def read_bases_column(blob: bytes):
-    """Decode a bases-column chunk image into a flat
-    :class:`~repro.agd.compaction.BasesColumn` (the columnar aligner
-    feed): same validation as the object path, zero per-record bytes
-    objects materialized."""
-    from repro.agd.chunk import read_chunk_data
-    from repro.agd.compaction import unpack_column_flat
-
-    header, index, data = read_chunk_data(blob)
-    if header.record_type != "bases":
-        raise ValueError(
-            f"expected a bases chunk, got {header.record_type!r}"
-        )
-    return unpack_column_flat(data, index.lengths)
+def read_results_arrays(blob) -> ResultsArrays:
+    """The field arrays of a results-column chunk file image."""
+    return read_results_column(blob).arrays
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +102,7 @@ def parse_cigars(
     n = int(starts.size)
     lens = (ends - starts).astype(np.int64)
     total = int(lens.sum())
-    lstarts = _cumsum0(lens)
+    lstarts = cumsum0(lens)
     empty = CigarOps(
         record=np.zeros(0, np.int64),
         op=np.zeros(0, np.uint8),
@@ -343,7 +157,7 @@ def parse_cigars(
         op=op_bytes,
         length=values,
         op_count=op_count,
-        first_op=_cumsum0(op_count)[:-1],
+        first_op=cumsum0(op_count)[:-1],
     )
 
 
@@ -378,32 +192,25 @@ PileupPartial = "dict[int, tuple[int, np.ndarray]]"
 
 
 def _ensure_results_arrays(results) -> ResultsArrays:
+    """The array view of a results column (or of any sequence of
+    AlignmentResult, wrapped into a column once)."""
     if isinstance(results, ResultsArrays):
         return results
-    return ResultsArrays.from_records(results)
+    return ResultsColumn.from_records(results).arrays
 
 
 def _gather_kept(col, idx: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Concatenate the kept records of a column as one uint8 array.
 
-    The varcall pileup feed of the view plane: a
-    :class:`~repro.agd.compaction.BasesColumn` gathers straight from its
-    flat array in one fancy-index pass — no per-record bytes objects,
-    no join copy.  List-of-buffers columns (including memoryview
+    A :class:`~repro.agd.columns.RaggedColumn` gathers straight from its
+    flat array (unpacking still-packed bases first) in one fancy-index
+    pass — no per-record bytes objects, no join copy.  List-of-buffers columns (including memoryview
     records aliasing a leased segment) take the join path; ``b"".join``
     accepts any buffer, so views are consumed in place.
     """
-    from repro.agd.compaction import BasesColumn
-
-    if isinstance(col, BasesColumn):
-        bounds = np.asarray(col.bounds, dtype=np.int64)
-        lens = (bounds[1:] - bounds[:-1])[idx]
-        starts = bounds[:-1][idx]
-        total = int(lens.sum())
-        offs = np.arange(total, dtype=np.int64) - np.repeat(
-            _cumsum0(lens)[:-1], lens
-        )
-        return np.asarray(col.flat)[np.repeat(starts, lens) + offs], lens
+    if isinstance(col, RaggedColumn):
+        kept = col.decoded().take(idx)
+        return kept.flat, kept.lengths
     kept = [col[int(i)] for i in idx]
     lens = np.fromiter((len(b) for b in kept), np.int64, idx.size)
     return np.frombuffer(b"".join(kept), dtype=np.uint8), lens
@@ -427,7 +234,7 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     raw_q, qlens = _gather_kept(quals_col, idx)
     if not np.array_equal(lens, qlens):
         raise ValueError("bases/qual record lengths disagree")
-    starts = _cumsum0(lens)
+    starts = cumsum0(lens)
     total = int(starts[-1])
     rev = arrays.is_reverse[idx]
 
@@ -450,8 +257,8 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     )
     read_adv = ops.length * _CONSUMES_READ[ops.op]
     ref_adv = ops.length * _CONSUMES_REF[ops.op]
-    gread = _cumsum0(read_adv)
-    gref = _cumsum0(ref_adv)
+    gread = cumsum0(read_adv)
+    gref = cumsum0(ref_adv)
     first = ops.first_op[ops.record]
     read_start = gread[:-1] - gread[first]
     pos_kept = arrays.position[idx].astype(np.int64)
@@ -474,7 +281,7 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     seg_ref = ref_start[m]
     tb = int(seg_len.sum())
     bo = np.arange(tb, dtype=np.int64) - np.repeat(
-        _cumsum0(seg_len)[:-1], seg_len
+        cumsum0(seg_len)[:-1], seg_len
     )
     ref_pos = np.repeat(seg_ref, seg_len) + bo
     read_idx = np.repeat(seg_read, seg_len) + bo
@@ -647,91 +454,96 @@ def pileup_chunk_arrays_task(shared, payload) -> dict:
 
 
 def pileup_blobs_task(shared, payload) -> dict:
-    """Backend task: vectorized pileup straight from column blobs.
-
-    The results column never becomes objects — blobs decode into arrays
-    (:func:`read_results_arrays`) and pile up entirely in numpy.
-    """
-    from repro.agd.chunk import read_chunk
+    """Backend task: vectorized pileup straight from column blobs —
+    all three decode to columns and pile up entirely in numpy."""
+    from repro.agd.chunk import read_column
 
     config, results_blob, bases_blob, qual_blob = payload
     return pileup_partial(
         read_results_arrays(results_blob),
-        read_chunk(bases_blob).records,
-        read_chunk(qual_blob).records,
+        read_column(bases_blob),
+        read_column(qual_blob),
         config,
     )
 
 
 # --------------------------------------------------------------------------
-# Vectorized sort keys (the reference path is repro.core.sort).
+# Sort keys and permutations (what repro.core.sort orders columns by).
 
 #: Packed key for unmapped reads: sorts after every aligned key (whose
 #: top bit is always clear), mirroring ``AlignmentResult.location_key``.
 UNMAPPED_PACKED_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def row_sort_keys(order: str, rows, meta_index: int = 1) -> "np.ndarray | None":
-    """One numpy sort key per row, mirroring ``sort_key_for`` exactly.
+def sort_keys(order: str, column) -> "np.ndarray | None":
+    """One numpy sort key per record of the order's key column (the
+    results column for ``location``, metadata for ``metadata``).
 
     Location keys pack ``(contig, position)`` into a uint64 (contig in
-    the high 31 bits, position in the low 32); metadata keys (at row
-    position ``meta_index`` — 1 when a results column leads the row, 0
-    otherwise) become a fixed-width byte array.  Returns ``None`` when
-    the rows cannot be packed without changing the comparison order
-    (position out of the 32-bit range; metadata containing NUL bytes,
-    which numpy's ``S`` dtype treats as padding) — callers then use the
-    scalar reference.
+    the high 31 bits, position in the low 32; unmapped reads after every
+    aligned key, as ``AlignmentResult.location_key`` orders them);
+    metadata keys become a fixed-width byte array.  Returns ``None``
+    when the records cannot be packed without changing the comparison
+    order (position out of the 32-bit range; metadata containing NUL
+    bytes, which numpy's ``S`` dtype treats as padding) —
+    :func:`sort_permutation` then orders them another way.
     """
-    n = len(rows)
     if order == "location":
-        if n == 0:
-            return np.zeros(0, dtype=np.uint64)
-        flag = np.fromiter((row[0].flag for row in rows), np.int64, n)
-        contig = np.fromiter(
-            (row[0].contig_index for row in rows), np.int64, n
-        )
-        pos = np.fromiter((row[0].position for row in rows), np.int64, n)
-        aligned = (flag & FLAG_UNMAPPED) == 0
-        if aligned.any():
-            c = contig[aligned]
-            p = pos[aligned]
-            if (
-                int(c.min()) < 0
-                or int(c.max()) >= 1 << 31
-                or int(p.min()) < 0
-                or int(p.max()) >= 1 << 32
-            ):
-                return None
-        keys = np.full(n, UNMAPPED_PACKED_KEY, dtype=np.uint64)
-        keys[aligned] = (contig[aligned].astype(np.uint64) << np.uint64(32)) | pos[
-            aligned
-        ].astype(np.uint64)
+        arrays = _ensure_results_arrays(column)
+        aligned = arrays.is_aligned
+        contig = arrays.contig_index[aligned].astype(np.int64)
+        pos = arrays.position[aligned]
+        if contig.size and (
+            int(contig.min()) < 0
+            or int(pos.min()) < 0
+            or int(pos.max()) >= 1 << 32
+        ):
+            return None
+        keys = np.full(len(arrays), UNMAPPED_PACKED_KEY, dtype=np.uint64)
+        keys[aligned] = (contig.astype(np.uint64) << np.uint64(32)) \
+            | pos.astype(np.uint64)
         return keys
     if order == "metadata":
-        if n == 0:
+        column = TextColumn.from_records(column)
+        if not len(column):
             return np.zeros(0, dtype="S1")
-        metas = [row[meta_index] for row in rows]
-        for m in metas:
-            if not isinstance(m, (bytes, bytearray)) or b"\0" in m:
-                return None
-        return np.array(metas, dtype=np.bytes_)
+        flat = column.flat[column.bounds[0]:column.bounds[-1]]
+        if not flat.all():
+            return None
+        lens = column.lengths
+        width = max(1, int(lens.max()))
+        padded = np.zeros((lens.size, width), dtype=np.uint8)
+        padded.reshape(-1)[
+            ragged_index(np.arange(lens.size) * width, lens)
+        ] = flat
+        return padded.view(f"S{width}")[:, 0]
     raise ValueError(f"unknown sort order {order!r} (location|metadata)")
 
 
-def row_sort_permutation(
-    order: str, rows, meta_index: int = 1
-) -> "np.ndarray | None":
-    """Stable sort permutation over rows, or None (fall back to scalar).
+def sort_permutation(order: str, column) -> "tuple[np.ndarray, np.ndarray | None]":
+    """``(permutation, keys)``: the stable permutation sorting
+    ``column``'s records by ``order``, and their :func:`sort_keys`.
 
-    ``np.argsort(kind="stable")`` over keys that compare identically to
-    the scalar tuples yields exactly the permutation ``list.sort`` (also
-    stable) would apply.
+    Packable keys sort with one stable ``np.argsort``; records that do
+    not pack (``keys`` is None) are ordered by ``np.lexsort`` over the
+    (contig, position) fields or by a Python-keyed index sort over the
+    metadata — the same order either way, and exactly the order a
+    stable ``list.sort`` over ``location_key()`` / the metadata bytes
+    gives.
     """
-    keys = row_sort_keys(order, rows, meta_index)
-    if keys is None:
-        return None
-    return np.argsort(keys, kind="stable")
+    keys = sort_keys(order, column)
+    if keys is not None:
+        return np.argsort(keys, kind="stable"), keys
+    if order == "location":
+        arrays = _ensure_results_arrays(column)
+        aligned = arrays.is_aligned
+        return np.lexsort((
+            np.where(aligned, arrays.position, 0x7FFFFFFFFFFFFFFF),
+            np.where(aligned, arrays.contig_index, 0x7FFFFFFF),
+        )), None
+    records = list(column)
+    return np.array(sorted(range(len(records)), key=records.__getitem__),
+                    dtype=np.int64), None
 
 
 # --------------------------------------------------------------------------
@@ -867,57 +679,32 @@ class DuplicateTracker:
         return [int(i) for i in idx[dup]]
 
 
-def mark_duplicates_blob(blob: bytes, dup_positions) -> bytes:
+def mark_duplicates_blob(blob, dup_positions) -> bytes:
     """Rewrite a results-column chunk with FLAG_DUPLICATE set on the
-    given record positions — by patching the serialized flag bytes.
-
-    The results encoding is concatenated fixed-prefix records, so the
-    flag's high byte sits at a known offset of every record; marking is
-    a byte-patch of the decompressed data block plus a re-compress.  No
+    given record positions — by patching the serialized flag bytes
+    (:meth:`ResultsColumn.with_flag`) and re-framing the block.  No
     AlignmentResult is ever materialized, and the output is byte-for-
     byte what ``write_chunk`` would produce for the object path.
 
-    Copy-on-write discipline for the view plane: ``blob`` may be a
-    (readonly) ``memoryview`` over a leased shm segment — the
-    ``bytearray(data)`` below is the one place the mutation copies, so
-    the patch can never write through to a shared segment another
-    consumer (or a redelivery) might still read.
+    Copy-on-write for the view plane: ``blob`` may be a (readonly)
+    ``memoryview`` over a leased shm segment; the patch works on the
+    column's own copy of the block, never through to a shared segment
+    another consumer (or a redelivery) might still read.
     """
-    import zlib
-    from dataclasses import replace as dc_replace
+    from repro.agd.chunk import read_chunk_header, write_chunk
 
-    from repro.agd.chunk import HEADER_SIZE, read_chunk_data
-    from repro.agd.compression import DEFAULT_CODEC
-
-    header, index, data = read_chunk_data(blob)
-    if header.record_type != "results":
-        raise ValueError(
-            f"expected a results chunk, got {header.record_type!r}"
-        )
-    data_start = HEADER_SIZE + header.record_count * 4
-    index_bytes = bytes(blob[HEADER_SIZE:data_start])
-    offsets = _cumsum0(np.asarray(index.lengths, dtype=np.int64))
-    patched = bytearray(data)
-    for position in dup_positions:
-        # FLAG_DUPLICATE is 0x400: bit 2 of the little-endian flag's
-        # high byte, one byte into the record.
-        patched[int(offsets[position]) + 1] |= 0x04
-    out_data = bytes(patched)
-    out_compressed = DEFAULT_CODEC.compress(out_data)
-    out_header = dc_replace(
-        header,
-        codec_name=DEFAULT_CODEC.name,
-        compressed_size=len(out_compressed),
-        data_crc=zlib.crc32(out_data),
+    marked = read_results_column(blob).with_flag(dup_positions,
+                                                 FLAG_DUPLICATE)
+    return write_chunk(
+        marked, "results", first_ordinal=read_chunk_header(blob).first_ordinal
     )
-    return out_header.to_bytes() + index_bytes + out_compressed
 
 
 def results_signature_arrays_task(
     shared, payload
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Backend task: signatures from an in-memory results list."""
-    return fragment_signature_arrays(ResultsArrays.from_records(payload))
+    """Backend task: signatures of an in-memory results column."""
+    return fragment_signature_arrays(_ensure_results_arrays(payload))
 
 
 def chunk_signature_arrays_task(

@@ -38,7 +38,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.agd.chunk import read_chunk
+from repro.agd.chunk import read_column
 from repro.storage.base import ChunkStore, StorageError
 
 __all__ = [
@@ -504,7 +504,7 @@ class StageJournal:
         self.stage = stage
         self.store = store
 
-    def cached_results(self, entry) -> "list | None":
+    def cached_results(self, entry):
         if not self.ledger.resuming:
             return None
         key = entry.chunk_file("results")
@@ -518,7 +518,7 @@ class StageJournal:
         if blob_digest(blob) != digest:
             return None
         self.ledger.count_skip(f"{self.stage}.compute")
-        return list(read_chunk(blob).records)
+        return read_column(blob)
 
 
 class SpillJournal:

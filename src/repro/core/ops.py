@@ -10,14 +10,18 @@ executor, and writers.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.agd.chunk import materialize_records, read_chunk, write_chunk
+import numpy as np
+
+from repro.agd.chunk import read_column, write_chunk
+from repro.agd.columns import RaggedColumn
 from repro.agd.manifest import ChunkEntry, Manifest
-from repro.align.result import AlignmentResult
+from repro.agd.records import as_column, record_type_for_column
+from repro.align.result import FLAG_DUPLICATE
+from repro.agd.result_column import ResultsColumn
 from repro.dataflow.node import Node
 from repro.dataflow.queues import Queue
 from repro.dataflow.errors import QueueClosed
@@ -29,12 +33,19 @@ from repro.storage.base import ChunkStore
 
 @dataclass
 class ChunkWorkItem:
-    """One AGD chunk moving through a Persona pipeline."""
+    """One AGD chunk moving through a Persona pipeline.
+
+    ``columns`` holds decoded columns — one flat buffer plus record
+    bounds each (:mod:`repro.agd.columns`), never a list of per-record
+    objects; index or iterate a column to get records (``bytes``, or
+    ``AlignmentResult`` from a results column).  Kernels also accept
+    plain record lists there and wrap them once.
+    """
 
     entry: ChunkEntry
     raw: dict[str, bytes] = field(default_factory=dict)
-    columns: dict[str, list] = field(default_factory=dict)
-    results: "list[AlignmentResult] | None" = None
+    columns: dict = field(default_factory=dict)
+    results: "ResultsColumn | None" = None
 
     @property
     def record_count(self) -> int:
@@ -102,31 +113,20 @@ class ChunkReaderNode(Node):
 
 
 class AGDParserNode(Node):
-    """Decompresses and parses raw chunk blobs into record lists (§4.2).
+    """Decompresses and parses raw chunk blobs into columns (§4.2).
 
-    Bases columns decode through the columnar fast path by default: one
-    flat code array per chunk (:class:`~repro.agd.compaction.BasesColumn`)
-    instead of one bytes object per read, so the column flows to the
-    aligner nodes — and across a shared-memory process backend — without
-    per-record materialization.  ``columnar_bases=False`` restores the
-    ``list[bytes]`` representation (identical record values either way).
+    Every column decodes to one flat buffer plus record bounds
+    (:func:`repro.agd.chunk.read_column`) instead of one object per
+    record, so it flows to the kernels — and across a shared-memory
+    process backend — without per-record materialization.
     """
 
-    def __init__(self, name: str = "parser", parallelism: int = 2,
-                 columnar_bases: bool = True):
+    def __init__(self, name: str = "parser", parallelism: int = 2):
         super().__init__(name, parallelism)
-        self.columnar_bases = columnar_bases
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        from repro.agd.chunk import read_chunk_header
-        from repro.core.columnar import read_bases_column
-
         for column, blob in item.raw.items():
-            if self.columnar_bases and \
-                    read_chunk_header(blob).record_type == "bases":
-                records = read_bases_column(blob)
-            else:
-                records = read_chunk(blob).records
+            records = read_column(blob)
             if len(records) != item.record_count:
                 raise ValueError(
                     f"chunk {item.entry.path!r} column {column!r} has "
@@ -138,7 +138,7 @@ class AGDParserNode(Node):
         return [item]
 
 
-def align_subchunk_task(shared, payload) -> "list[AlignmentResult]":
+def align_subchunk_task(shared, payload) -> ResultsColumn:
     """Backend task: align one subchunk of single-end reads.
 
     Module-level (hence picklable) so the process backend can ship it to
@@ -148,10 +148,12 @@ def align_subchunk_task(shared, payload) -> "list[AlignmentResult]":
     called, and the base class supplies it from ``align_read``.
     """
     aligner_handle, bases = payload
-    return shared[aligner_handle].align_reads(bases)
+    return ResultsColumn.from_records(
+        shared[aligner_handle].align_reads(bases)
+    )
 
 
-def align_pairs_task(shared, payload) -> "list[AlignmentResult]":
+def align_pairs_task(shared, payload) -> ResultsColumn:
     """Backend task: align one subchunk of mate pairs (R1, R2, R1, ...)."""
     aligner_handle, bases = payload
     paired = shared[aligner_handle]
@@ -160,7 +162,7 @@ def align_pairs_task(shared, payload) -> "list[AlignmentResult]":
         r1, r2 = paired.align_pair(bases[i], bases[i + 1])
         output[i] = r1
         output[i + 1] = r2
-    return output
+    return ResultsColumn.from_records(output)
 
 
 class AlignerNode(Node):
@@ -215,7 +217,9 @@ class AlignerNode(Node):
         subchunk_results = backend.run_chunk(
             align_subchunk_task, payloads, shared=ctx.resources
         )
-        item.results = [r for sub in subchunk_results for r in sub]
+        # Owned storage: a process backend's result views are only
+        # leased until this thread's next dispatch.
+        item.results = ResultsColumn.concat(subchunk_results).materialize()
         return [item]
 
 
@@ -256,7 +260,9 @@ class PairedAlignerNode(Node):
         subchunk_results = backend.run_chunk(
             align_pairs_task, payloads, shared=ctx.resources
         )
-        item.results = [r for sub in subchunk_results for r in sub]
+        # Owned storage: a process backend's result views are only
+        # leased until this thread's next dispatch.
+        item.results = ResultsColumn.concat(subchunk_results).materialize()
         return [item]
 
 
@@ -519,34 +525,25 @@ class FilterStageNode(Node):
         self.reference = reference or []
         self.sort_order = sort_order
         self.filter_stats = stats if stats is not None else FilterStats()
+        #: Surviving records awaiting a full output chunk: column pieces.
         self._buffers: dict[str, list] = {c: [] for c in self.columns}
+        self._held = 0
         self.entries: list[ChunkEntry] = []
         self.manifest: "Manifest | None" = None
         self._emitted = 0
 
-    def _column_records(self, item: ChunkWorkItem, column: str) -> list:
-        if column in item.columns:
-            return item.columns[column]
-        if column == "results":
-            return _item_results(item)
-        raise ValueError(
-            f"chunk {item.entry.path!r} lacks column {column!r} needed "
-            f"by the filter stage"
-        )
-
     def _flush_chunk(self) -> ChunkWorkItem:
-        from repro.agd.records import record_type_for_column
-
-        count = min(self.out_chunk_size, len(self._buffers[self.columns[0]]))
+        count = min(self.out_chunk_size, self._held)
         entry = ChunkEntry(
             f"{self.dataset_name}-{len(self.entries)}",
             self._emitted,
             count,
         )
-        out_columns: dict[str, list] = {}
+        out_columns: dict = {}
         for column in self.columns:
-            records = self._buffers[column][:count]
-            del self._buffers[column][:count]
+            held = RaggedColumn.concat(self._buffers[column])
+            records = held[:count]
+            self._buffers[column] = [held[count:]]
             self.output_store.put(
                 entry.chunk_file(column),
                 write_chunk(
@@ -558,22 +555,24 @@ class FilterStageNode(Node):
             out_columns[column] = records
         self.entries.append(entry)
         self._emitted += count
+        self._held -= count
         return ChunkWorkItem(entry=entry, columns=out_columns)
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        results = _item_results(item)
-        mask = [bool(self.predicate(r)) for r in results]
-        self.filter_stats.examined += len(mask)
-        kept = sum(mask)
-        self.filter_stats.kept += kept
-        if kept:
+        results = _item_column(item, "results", "filter")
+        kept = np.flatnonzero(np.fromiter(
+            (bool(self.predicate(r)) for r in results), bool, len(results)
+        ))
+        self.filter_stats.examined += len(results)
+        self.filter_stats.kept += kept.size
+        if kept.size:
             for column in self.columns:
-                records = self._column_records(item, column)
-                self._buffers[column].extend(
-                    record for record, keep in zip(records, mask) if keep
+                self._buffers[column].append(
+                    _item_column(item, column, "filter").take(kept)
                 )
+            self._held += kept.size
         released: list[ChunkWorkItem] = []
-        while len(self._buffers[self.columns[0]]) >= self.out_chunk_size:
+        while self._held >= self.out_chunk_size:
             released.append(self._flush_chunk())
         return released
 
@@ -581,7 +580,7 @@ class FilterStageNode(Node):
         from repro.agd.manifest import ManifestError
 
         tail: list[ChunkWorkItem] = []
-        if self._buffers[self.columns[0]]:
+        if self._held:
             tail.append(self._flush_chunk())
         if self.filter_stats.kept == 0:
             raise ManifestError("filter kept no records")
@@ -603,7 +602,7 @@ class FilterStageNode(Node):
 # materializing in storage between five sequential passes.
 
 
-def _item_results(item: ChunkWorkItem) -> list:
+def _item_results(item: ChunkWorkItem):
     """A work item's alignment results, wherever the pipeline put them."""
     if "results" in item.columns:
         return item.columns["results"]
@@ -615,30 +614,19 @@ def _item_results(item: ChunkWorkItem) -> list:
     )
 
 
-def _item_rows(item: ChunkWorkItem, ordered_columns: "list[str]") -> list:
-    """One row tuple per record, in sort column order.
-
-    Rows outlive the item (buffered across chunks until a sort run
-    flushes, then pickled to a backend), so any record that is a
-    ``memoryview`` of a delivery buffer is materialized here — the sort
-    spill is where the view plane must end."""
-    column_data = []
-    for column in ordered_columns:
-        if column in item.columns:
-            column_data.append(item.columns[column])
-        elif column == "results":
-            column_data.append(_item_results(item))
-        else:
-            raise ValueError(
-                f"chunk {item.entry.path!r} lacks column {column!r} "
-                f"needed by the sort stage"
-            )
-    if any(
-        isinstance(r, memoryview)
-        for col in column_data for r in itertools.islice(col, 1)
-    ):
-        column_data = [materialize_records(list(col)) for col in column_data]
-    return list(zip(*column_data))
+def _item_column(item: ChunkWorkItem, column: str, stage: str):
+    """One of a work item's columns, as a column (a record list — a test
+    fake's, a FASTQ parser's — is wrapped once)."""
+    if column in item.columns:
+        records = item.columns[column]
+    elif column == "results":
+        records = _item_results(item)
+    else:
+        raise ValueError(
+            f"chunk {item.entry.path!r} lacks column {column!r} "
+            f"needed by the {stage} stage"
+        )
+    return as_column(record_type_for_column(column), records)
 
 
 class ResequencerNode(Node):
@@ -704,31 +692,14 @@ class ResequencerNode(Node):
         return released
 
 
-@dataclass
-class SortRun:
-    """A sorted superchunk spilled to scratch (phase 1 of §4.3's sort).
-
-    ``partitions`` is the per-key-range sub-chunk list when the run was
-    spilled partitioned (spill locality: phase-2 merge kernels then read
-    only their own key range); ``entry`` names the whole-run superchunk
-    otherwise.  ``nbytes`` is the stored frame size (0 when unknown,
-    e.g. a ledger-adopted run) so payload byte-batching weighs the run
-    by what a restore will actually map, not the pickled entry list.
-    """
-
-    entry: "ChunkEntry | None"
-    index: int
-    partitions: "list[ChunkEntry | None] | None" = None
-    nbytes: int = 0
-
-
 class SortRunNode(Node):
     """Sort-run producer: groups incoming chunks into superchunk runs.
 
     The streaming analog of the eager sort's phase 1: every
-    ``chunks_per_superchunk`` chunks, the buffered rows are sorted (the
-    compute dispatched through the execution backend) and spilled to the
-    scratch store, so only a single group of chunks is ever resident.
+    ``chunks_per_superchunk`` chunks, the buffered columns are sorted
+    and framed (:func:`repro.core.sort.sort_run_task`, dispatched
+    through the execution backend) and spilled to the scratch store, so
+    only a single group of chunks is ever resident.
     With ``merge_partitions >= 2`` runs spill as per-key-range
     sub-chunks at boundaries fixed by the first run (see
     :func:`repro.core.sort.encode_run_spill`).  Parallelism is 1: run
@@ -745,7 +716,6 @@ class SortRunNode(Node):
         chunks_per_superchunk: int = 4,
         name: str = "sort_runs",
         scratch_codec_level: "int | None" = None,
-        vectorized: bool = True,
         merge_partitions: int = 1,
         raw_scratch: "bool | None" = None,
     ):
@@ -770,50 +740,47 @@ class SortRunNode(Node):
         if raw_scratch is None:
             raw_scratch = local_scratch_root(scratch) is not None
         self.scratch_codec_name = "none" if raw_scratch else "gzip"
-        self.vectorized = vectorized
         self.merge_partitions = merge_partitions
-        self._spill_partitions = merge_partitions if vectorized else 1
+        self._spill_partitions = merge_partitions
         self._boundaries = None
-        self._rows: list = []
-        self._chunks_buffered = 0
+        #: The current group's chunks, ``{column: decoded column}`` each.
+        self._chunks: "list[dict]" = []
         self._runs_emitted = 0
         # Durable-run hook (ledger.SpillJournal): lets a resumed run
         # re-adopt journaled spills whose scratch files survive.
         self.journal = None
         self._group_paths: "list[str]" = []
 
-    def _adopt_run(self, record: dict) -> SortRun:
-        """Rebuild a SortRun from a journaled spill without re-sorting."""
-        from repro.core.sort import decode_boundaries
+    def _adopt_run(self, record: dict):
+        """Rebuild a SpilledRun from a journaled spill without re-sorting."""
+        from repro.core.sort import SpilledRun, decode_boundaries
 
         parts_doc = record.get("partitions")
         if parts_doc is not None:
             partitions = [
                 None if doc is None else ChunkEntry(*doc) for doc in parts_doc
             ]
-            entry = None
+            entries = [e for e in partitions if e is not None]
         else:
             partitions = None
-            entry = ChunkEntry(*record["entries"][0])
+            entries = [ChunkEntry(*record["entries"][0])]
         if self._spill_partitions >= 2 and self._boundaries is None:
             self._spill_partitions = int(
                 record.get("spill_partitions", self._spill_partitions)
             )
             self._boundaries = decode_boundaries(record.get("boundaries"))
-        return SortRun(
-            entry=entry, index=self._runs_emitted, partitions=partitions
-        )
+        return SpilledRun(entries=entries, partitions=partitions,
+                          index=self._runs_emitted)
 
-    def _flush_run(self, ctx: NodeContext) -> SortRun:
+    def _flush_run(self, ctx: NodeContext):
         from repro.core.sort import (
             encode_boundaries,
-            encode_run_spill,
-            metadata_row_index,
-            sort_rows_task,
+            sort_run_task,
             store_run_spill,
         )
 
-        group_paths = self._group_paths
+        group_paths, self._group_paths = self._group_paths, []
+        chunks, self._chunks = self._chunks, []
         if self.journal is not None:
             record = self.journal.adopt(
                 self._runs_emitted, group_paths, self.ordered_columns
@@ -821,26 +788,18 @@ class SortRunNode(Node):
             if record is not None:
                 run = self._adopt_run(record)
                 self._runs_emitted += 1
-                self._rows = []
-                self._chunks_buffered = 0
-                self._group_paths = []
                 return run
         backend = ctx.backend(self.backend_handle)
-        meta_index = metadata_row_index(self.ordered_columns)
         # One payload by design: a run sort is a single stable sort over
         # the whole group (splitting it would change the algorithm);
         # cross-run parallelism comes from the stages up- and downstream
         # of this kernel running concurrently.
-        [rows] = backend.run_chunk(
-            sort_rows_task,
-            [(self.order, self._rows, self.vectorized, meta_index)],
+        [spill] = backend.run_chunk(
+            sort_run_task,
+            [(self.order, self.ordered_columns, chunks,
+              self.scratch_codec_level, self._boundaries,
+              self._spill_partitions, self.scratch_codec_name)],
             shared=ctx.resources,
-        )
-        spill = encode_run_spill(
-            rows, self.order, self.ordered_columns,
-            self.scratch_codec_level, self._boundaries,
-            self._spill_partitions, meta_index,
-            self.scratch_codec_name,
         )
         if self._spill_partitions >= 2 and self._boundaries is None:
             if spill["boundaries"] is None:
@@ -856,29 +815,21 @@ class SortRunNode(Node):
                 encode_boundaries(self._boundaries), self._spill_partitions,
             )
         self.stats.add_counters({"spill_bytes": spilled.nbytes})
-        run = SortRun(
-            entry=spilled.entries[0] if spilled.partitions is None
-            else None,
-            index=self._runs_emitted,
-            partitions=spilled.partitions,
-            nbytes=spilled.nbytes,
-        )
         self._runs_emitted += 1
-        self._rows = []
-        self._chunks_buffered = 0
-        self._group_paths = []
-        return run
+        return spilled
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        self._rows.extend(_item_rows(item, self.ordered_columns))
-        self._chunks_buffered += 1
+        self._chunks.append({
+            column: _item_column(item, column, "sort")
+            for column in self.ordered_columns
+        })
         self._group_paths.append(item.entry.path)
-        if self._chunks_buffered >= self.chunks_per_superchunk:
+        if len(self._chunks) >= self.chunks_per_superchunk:
             return [self._flush_run(ctx)]
         return None
 
     def finalize(self, ctx: NodeContext):
-        if self._chunks_buffered:
+        if self._chunks:
             return [self._flush_run(ctx)]
         return None
 
@@ -886,21 +837,21 @@ class SortRunNode(Node):
 class SuperchunkMergeNode(Node):
     """Superchunk merger: phase 2 of the external sort as a kernel.
 
-    Collects run entries, then k-way-merges the spilled runs, writes the
+    Collects run entries, then merges the spilled runs, writes the
     final sorted chunks to the output store, and — unlike the eager path
-    — emits each sorted chunk downstream as a parsed work item, so a
-    following dupmark/varcall stage starts while later chunks are still
-    being merged.  After the run, :attr:`manifest` describes the sorted
-    dataset (identical to ``sort_dataset``'s).
+    — emits each sorted chunk downstream as a work item of decoded
+    columns, so a following dupmark/varcall stage starts while later
+    chunks are still being gathered and written.  After the run,
+    :attr:`manifest` describes the sorted dataset (identical to
+    ``sort_dataset``'s).
 
     With ``merge_partitions >= 2`` (and a ``backend_handle``), the merge
     itself runs as partitioned key-range kernels dispatched through the
-    execution backend — phase 2 of the external sort finally parallel —
-    with output bytes identical to the single-kernel merge.  The trade:
-    partitioned merging holds every decoded run in memory and emits
-    only after all partitions finish, where the single-kernel
-    ``heapq.merge`` streams chunks downstream as it goes — which is why
-    the auto default partitions only on multi-worker backends.
+    execution backend, with output bytes identical to the single-kernel
+    merge.  The trade: partitioned merging emits only after all
+    partitions finish, where the single kernel gathers one output chunk
+    at a time — which is why the auto default partitions only on
+    multi-worker backends.
     """
 
     def __init__(
@@ -932,11 +883,11 @@ class SuperchunkMergeNode(Node):
         self.backend_handle = backend_handle
         self.merge_partitions = merge_partitions
         self.output_codec_level = output_codec_level
-        self._runs: list[SortRun] = []
+        self._runs: list = []
         self.entries: list[ChunkEntry] = []
         self.manifest: "Manifest | None" = None
 
-    def process(self, run: SortRun, ctx: NodeContext):
+    def process(self, run, ctx: NodeContext):
         self._runs.append(run)
         return None
 
@@ -953,9 +904,8 @@ class SuperchunkMergeNode(Node):
         from repro.agd.compression import DEFAULT_CODEC, leveled_codec
         from repro.core.sort import build_sorted_manifest, iter_merged_chunks
 
-        # SortRun items normalize inside iter_merged_chunks: partition-
-        # spilled runs merge via per-range blob kernels (spill locality),
-        # whole-run spills via the streaming heap.
+        # Partition-spilled runs merge via per-range blob kernels
+        # (spill locality), whole-run spills in one kernel here.
         runs = sorted(self._runs, key=lambda r: r.index)
         out_codec = (
             DEFAULT_CODEC if self.output_codec_level is None
@@ -1023,8 +973,6 @@ class DupmarkNode(Node):
             for start in range(0, len(records), self.subchunk_size)
         ]
         if self.vectorized:
-            import numpy as np
-
             from repro.core.columnar import results_signature_arrays_task
 
             parts = backend.run_chunk(
@@ -1048,23 +996,14 @@ class DupmarkNode(Node):
         return scan_signatures(sigs, self._seen, self.dup_stats)
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        from repro.agd.records import record_type_for_column
-        from repro.align.result import FLAG_DUPLICATE
-
-        records = _item_results(item)
+        records = _item_column(item, "results", "dupmark")
         dup_positions = self._scan(records, ctx)
-        updated: "list | None" = None
         if dup_positions:
-            updated = list(records)
-            for position in dup_positions:
-                updated[position] = updated[position].with_flag(
-                    FLAG_DUPLICATE
-                )
-        if updated is not None:
+            # Marking patches the flag bytes in the serialized block —
+            # no AlignmentResult on either side of the rewrite.
+            updated = records.with_flag(dup_positions, FLAG_DUPLICATE)
             blob = write_chunk(
-                updated,
-                record_type_for_column("results"),
-                first_ordinal=item.entry.first_ordinal,
+                updated, "results", first_ordinal=item.entry.first_ordinal
             )
             self.store.put(item.entry.chunk_file("results"), blob)
             item.columns["results"] = updated
@@ -1109,9 +1048,9 @@ class VarCallNode(Node):
         self.variants: "list | None" = None
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        results = _item_results(item)
-        bases = item.columns["bases"]
-        quals = item.columns["qual"]
+        results = _item_column(item, "results", "varcall")
+        bases = _item_column(item, "bases", "varcall")
+        quals = _item_column(item, "qual", "varcall")
         # Subchunk payloads so per-chunk pileups fan out across the
         # backend's workers; merging partials is commutative.
         payloads = [

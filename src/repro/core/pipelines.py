@@ -446,15 +446,6 @@ def _build_stage_graph(
             )
         return built
     if stage == "sort":
-        # A caller-supplied SortConfig keeps its own vectorized choice;
-        # the pipeline-wide flag fills the default and acts as a
-        # force-scalar master switch.
-        if sort_config is None:
-            stage_sort_config = SortConfig(vectorized=vectorized)
-        elif not vectorized and sort_config.vectorized:
-            stage_sort_config = replace(sort_config, vectorized=False)
-        else:
-            stage_sort_config = sort_config
         stage_sort_store = sort_store
         if ledger is not None and sort_store is not None:
             stage_sort_store = JournaledStore(
@@ -464,7 +455,7 @@ def _build_stage_graph(
             manifest,
             stage_sort_store,
             input_store=dataset.store if head else None,
-            config=stage_sort_config,
+            config=sort_config,
             columns=(sorted(set(manifest.columns) | {"results"})
                      if "align" in stages else None),
             scratch_store=scratch_store,
@@ -605,9 +596,9 @@ def run_pipeline(
     single-stage calls, one budget here covers every fused stage, so a
     fixed cap would abort workloads whose individual stages are fine.
 
-    ``vectorized`` selects the columnar numpy fast path for the sort,
-    dupmark, and varcall kernels (the default; False runs the scalar
-    reference path — outputs are identical).  ``queue_sample_interval``
+    ``vectorized`` selects the numpy fast path for the dupmark and
+    varcall kernels (the default; False runs their scalar reference
+    path — outputs are identical; the sort has one implementation).  ``queue_sample_interval``
     samples every queue's depth on that period during the run; the
     per-stage traces land in ``report["queue_trace"]`` and each stage's
     ``stage_report`` entry (§4.6's "current queue states").  None

@@ -7,21 +7,30 @@ merged into temporary file 'superchunks'.  A final merge stage merges
 superchunks into the final sorted dataset."
 
 Sorting reorders *rows*, so all row-grouped columns move together; but —
-unlike row-oriented SAM/BAM sorting — only the key column plus compact
-row payloads travel through the sort, and records never leave their
-columnar encoding (Table 2's advantage).
+unlike row-oriented SAM/BAM sorting — the sort never builds a row.  A
+decoded column is one flat buffer plus record bounds
+(:mod:`repro.agd.columns`); the sort extracts one key array from the key
+column, computes one stable permutation, and gathers every column's
+buffer through it (Table 2's advantage: records never leave their
+columnar encoding).
 
-Two fast paths ride on the columnar layout (scalar reference paths
-remain and are equivalence-tested):
-
-* run sorts extract keys into numpy arrays and apply one stable
-  ``np.argsort`` permutation instead of a tuple-comparison ``list.sort``
-  (:func:`repro.core.columnar.row_sort_permutation`);
-* phase 2 can run as several *partitioned* merge kernels — the packed
+* Phase 1 (:func:`sort_run_task`, one backend task per run): concatenate
+  the group's columns, ``argsort`` the packed keys (stable), ``take`` each
+  column, frame the spill.
+* Phase 2 (:func:`iter_merged_chunks`): concatenate the runs' columns and
+  apply one stable ``argsort`` over the concatenated keys — ties keep run
+  order, which is exactly a k-way merge's tie-break — gathering one
+  output chunk at a time, so chunks stream downstream while later ones
+  are still being written.  With ``merge_partitions >= 2`` the packed
   key space is split into contiguous ranges (per-contig ranges for
-  location order), each range merged by an independent backend task, and
-  the ranges concatenated in key order.  Output bytes are identical to
-  the single-kernel ``heapq.merge``.
+  location order), each range merged by an independent backend task
+  (:func:`merge_partition_blobs_task`), and the ranges chained in key
+  order; output bytes are identical.
+
+Keys that do not pack (positions >= 2**32, NUL bytes in metadata) change
+only how the permutation is computed
+(:func:`repro.core.columnar.sort_permutation`), never the data path; they
+cannot define shared key ranges, so such runs spill whole.
 
 Spill locality: when the merge will be partitioned, phase 1 spills every
 run as *per-partition sub-chunks* at shared key-range boundaries (fixed
@@ -37,27 +46,25 @@ Spill-as-views: when the scratch store is a local directory, spills are
 written in the *raw* (identity-codec) chunk frame layout and restored by
 ``mmap`` — a merge kernel receives a tiny :class:`SpillFileRef` instead
 of the blob bytes, maps the file under a :class:`SpillLease` guard, and
-decodes records straight from the mapped pages in one pass (no
-``scratch.get`` copy, no gzip inflate, no blob shipping).  The chunk
-header is self-describing, so gzip scratch (remote / in-memory stores,
-or ``raw_scratch=False``) and resumed runs with mixed spills restore
+decodes columns straight from the mapped pages (no ``scratch.get`` copy,
+no gzip inflate, no blob shipping).  The chunk header is
+self-describing, so gzip scratch (remote / in-memory stores, or
+``raw_scratch=False``) and resumed runs with mixed spills restore
 through the same path byte-identically.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
-import itertools
 import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from repro.agd.chunk import read_chunk, read_chunk_header, write_chunk
+from repro.agd.chunk import read_chunk_header, read_column, write_chunk
+from repro.agd.columns import RaggedColumn
 from repro.agd.compression import (
     DEFAULT_CODEC,
     SCRATCH_CODEC_LEVEL,
@@ -66,9 +73,9 @@ from repro.agd.compression import (
 )
 from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry, Manifest
-from repro.agd.records import record_type_for_column
+from repro.agd.records import get_record_codec, record_type_for_column
 from repro.align.result import AlignmentResult
-from repro.core.columnar import row_sort_keys, row_sort_permutation
+from repro.core.columnar import sort_keys, sort_permutation
 from repro.storage.base import ChunkStore, MemoryStore
 
 
@@ -87,13 +94,10 @@ class SortConfig:
     output_codec_level: "int | None" = None
     #: Partitioned phase-2 merge kernels.  None = auto: one kernel per
     #: backend worker when a *multi-worker* backend is supplied, else
-    #: the single-kernel streaming ``heapq.merge`` (partitioning trades
-    #: streamed emission for parallel merge compute, so it only pays
-    #: when workers can actually overlap).  Requires ``vectorized``.
+    #: the single-kernel merge (partitioning trades streamed emission
+    #: for parallel decode + merge compute, so it only pays when
+    #: workers can actually overlap).
     merge_partitions: "int | None" = None
-    #: Use the numpy fast path for run sorts and the partitioned merge.
-    #: False forces the scalar reference implementation everywhere.
-    vectorized: bool = True
     #: Raw-scratch negotiation.  None = auto: spill in the raw
     #: (identity-codec) frame layout when the scratch store resolves to
     #: a local directory (see :func:`local_scratch_root`) so phase 2 can
@@ -102,9 +106,6 @@ class SortConfig:
     #: but restore copies through ``scratch.get``); False forces the
     #: gzip fallback everywhere.
     raw_scratch: "bool | None" = None
-
-    def scratch_codec(self, codec_name: str = "gzip") -> Codec:
-        return leveled_codec(codec_name, self.scratch_codec_level)
 
     def resolve_scratch_codec(self, scratch) -> str:
         """Scratch codec name after raw-scratch negotiation.
@@ -130,11 +131,11 @@ class SortConfig:
         caller's memory (the thread backend).  For a process pool the
         *payload* direction is now cheap — spill locality hands each
         kernel only its own compressed sub-chunk blobs, shm-shippable —
-        but the merged rows still return through pickled IPC (the whole
-        dataset, as decoded row tuples), so auto stays conservative and
-        process pools opt in explicitly via ``merge_partitions``.
+        but the merged columns still return through IPC (the whole
+        dataset), so auto stays conservative and process pools opt in
+        explicitly via ``merge_partitions``.
         """
-        if not self.vectorized or backend is None:
+        if backend is None:
             return 1
         if self.merge_partitions is not None:
             return max(1, self.merge_partitions)
@@ -144,93 +145,72 @@ class SortConfig:
         return 1
 
 
-def sort_key_for(order: str, meta_index: int = 1) -> Callable:
-    """Key extractor over a row tuple.
-
-    Rows are laid out key-first by :func:`_key_first_columns`: the
-    results column (location keys) is always row position 0 when
-    present; the metadata column sits at ``meta_index`` — 1 when a
-    results column leads the row, 0 for datasets without one (use
-    :func:`metadata_row_index` to derive it; the historical default of
-    1 silently keyed on the wrong column for results-less datasets).
-    """
+def key_column(order: str) -> str:
+    """The column a sort order reads its keys from."""
     if order == "location":
-        def location_key(row: tuple) -> tuple:
-            result: AlignmentResult = row[0]
-            return result.location_key()
-        return location_key
+        return "results"
     if order == "metadata":
-        def metadata_key(row: tuple) -> bytes:
-            return row[meta_index]
-        return metadata_key
+        return "metadata"
     raise ValueError(f"unknown sort order {order!r} (location|metadata)")
 
 
-def metadata_row_index(ordered_columns: "list[str]") -> int:
-    """Row position of the metadata column in key-first row tuples."""
-    try:
-        return ordered_columns.index("metadata")
-    except ValueError:
-        return 1
+def _key_first_columns(columns: list[str]) -> list[str]:
+    """Column order of spills and output chunks: results, metadata,
+    then the rest by name."""
+    rest = [c for c in columns if c not in ("results", "metadata")]
+    ordered = []
+    if "results" in columns:
+        ordered.append("results")
+    if "metadata" in columns:
+        ordered.append("metadata")
+    return ordered + sorted(rest)
 
 
-def _sorted_rows(
-    order: str, rows: "list[tuple]", vectorized: bool, meta_index: int = 1
-) -> list:
-    """Sort rows by the configured order — numpy permutation fast path,
-    scalar ``list.sort`` reference (also the fallback for unpackable
-    keys).  Both are stable, so output order is identical."""
-    if vectorized:
-        perm = row_sort_permutation(order, rows, meta_index)
-        if perm is not None:
-            return [rows[i] for i in perm]
-    rows = list(rows)
-    rows.sort(key=sort_key_for(order, meta_index))
-    return rows
+def _concat_columns(ordered_columns: "list[str]", chunks: "list[dict]",
+                    decode=read_column) -> "dict[str, RaggedColumn]":
+    """Per column, the records of every chunk in order, as one column.
 
-
-def sort_run_task(shared, payload) -> "dict[str, bytes]":
-    """Backend task: sort one superchunk run from raw chunk blobs.
-
-    Picklable both ways — input is the group's compressed column blobs,
-    output is one encoded superchunk blob per column — so phase 1 of the
-    external sort can fan out across processes.  The caller writes the
-    returned blobs to the scratch store (worker processes must not touch
-    caller-side stores).
+    A chunk's value is a decoded column (or record list, wrapped once by
+    ``concat``) or a chunk blob, which ``decode`` turns into a column.
     """
-    order, ordered_columns, chunk_blobs, *rest = payload
-    scratch_level = rest[0] if rest else SCRATCH_CODEC_LEVEL
-    vectorized = rest[1] if len(rest) > 1 else True
-    rows: list[tuple] = []
-    for blobs in chunk_blobs:
-        column_data = [read_chunk(blobs[column]).records
-                       for column in ordered_columns]
-        rows.extend(zip(*column_data))
-    rows = _sorted_rows(order, rows, vectorized,
-                        metadata_row_index(ordered_columns))
-    codec = leveled_codec("gzip", scratch_level)
-    out: dict[str, bytes] = {}
-    for c_index, column in enumerate(ordered_columns):
-        records = [row[c_index] for row in rows]
-        out[column] = write_chunk(
-            records, record_type_for_column(column), codec=codec
-        )
-    return out
+    blob_types = (bytes, bytearray, memoryview, SpillFileRef)
+    return {
+        column: get_record_codec(
+            record_type_for_column(column)
+        ).column_class.concat([
+            decode(chunk[column]) if isinstance(chunk[column], blob_types)
+            else chunk[column]
+            for chunk in chunks
+        ])
+        for column in ordered_columns
+    }
 
 
-def sort_rows_task(shared, payload) -> "list[tuple]":
-    """Backend task: sort one run's rows that are already in memory.
+def _take_columns(columns: "dict[str, RaggedColumn]",
+                  index) -> "dict[str, RaggedColumn]":
+    return {name: column.take(index) for name, column in columns.items()}
 
-    The streaming sort-run kernel uses this when rows arrived through a
-    pipeline queue (no blobs to decode); :func:`sort_run_task` is the
-    from-blob variant the eager path fans out.  Both the numpy
-    permutation and the scalar ``list.sort`` are stable, so output is
-    identical to sorting the same rows anywhere else.
+
+def sort_run_task(shared, payload) -> dict:
+    """Backend task: sort one superchunk run and encode its spill.
+
+    ``chunks`` holds, per input chunk, ``{column: chunk blob}`` (the
+    eager sort fans blobs out) or ``{column: decoded column}`` (chunks
+    that arrived through a pipeline queue).  One key array, one stable
+    permutation, one gather per column; the encoded result is partition-
+    aware (see :func:`encode_run_spill`).  Picklable both ways; the
+    caller writes the returned blobs via :func:`store_run_spill` (worker
+    processes must not touch caller-side stores).
     """
-    order, rows, *rest = payload
-    vectorized = rest[0] if rest else True
-    meta_index = rest[1] if len(rest) > 1 else 1
-    return _sorted_rows(order, list(rows), vectorized, meta_index)
+    (order, ordered_columns, chunks, scratch_level, boundaries,
+     partitions, scratch_codec) = payload
+    columns = _concat_columns(ordered_columns, chunks)
+    perm, keys = sort_permutation(order, columns[key_column(order)])
+    return encode_run_spill(
+        _take_columns(columns, perm),
+        None if keys is None else keys[perm],
+        scratch_level, boundaries, partitions, scratch_codec,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +319,6 @@ def open_spill_ref(ref: SpillFileRef) -> "tuple[memoryview, SpillLease]":
     return lease.buf, lease
 
 
-class _SpillSource:
-    """Resolver from spill chunk files to decodable buffers.
-
-    Caches the scratch store's local root once; :meth:`ref` hands out
-    :class:`SpillFileRef` descriptors for backend shipping (None when
-    the store is not mappable — the caller falls back to blob bytes),
-    :meth:`open` yields ``(buffer, lease-or-None)`` for in-caller
-    decode."""
-
-    def __init__(self, scratch: ChunkStore):
-        self.scratch = scratch
-        self.root = local_scratch_root(scratch)
-
-    def ref(self, chunk_file: str) -> "SpillFileRef | None":
-        if self.root is None:
-            return None
-        path = self.root / chunk_file
-        try:
-            nbytes = os.path.getsize(path)
-        except OSError:
-            return None
-        return SpillFileRef(str(path), nbytes)
-
-    def open(self, chunk_file: str):
-        ref = self.ref(chunk_file)
-        if ref is None:
-            return self.scratch.get(chunk_file), None
-        return open_spill_ref(ref)
-
-
 def _credit_spill(counters: "dict | None", header) -> None:
     """Account one restored spill blob by what its header says happened.
 
@@ -433,46 +383,23 @@ def _credit_result_stats(counters: "dict | None", backend,
 
 @dataclass
 class SpilledRun:
-    """One sorted run in the scratch store.
+    """One sorted run in the scratch store (phase 1's product).
 
     ``entries`` lists the run's chunk entries in row order (one jumbo
     superchunk, or the non-empty partition sub-chunks — concatenating
     them reproduces the sorted run either way).  ``partitions`` is the
     per-key-range sub-chunk list (None entries for ranges the run has no
     rows in), present only for partition-spilled runs.  ``nbytes`` is
-    the total stored frame size (what a restore will map or read), so
-    byte-batching over run payloads sees the real weight, not the
-    pickled entry list.
+    the total stored frame size (what a restore will map or read; 0 when
+    unknown, e.g. a ledger-adopted run), so byte-batching over run
+    payloads sees the real weight, not the pickled entry list.
+    ``index`` is the run's position in spill order.
     """
 
     entries: "list[ChunkEntry]"
     partitions: "list[ChunkEntry | None] | None" = None
     nbytes: int = 0
-
-    @property
-    def record_count(self) -> int:
-        return sum(e.record_count for e in self.entries)
-
-
-def _as_spilled(run) -> SpilledRun:
-    """Normalize the run shapes phase 2 accepts (plain entry lists from
-    legacy callers, SortRun work items from the streaming node)."""
-    if isinstance(run, SpilledRun):
-        return run
-    if isinstance(run, (list, tuple)):
-        return SpilledRun(entries=list(run))
-    partitions = getattr(run, "partitions", None)
-    entry = getattr(run, "entry", None)
-    nbytes = getattr(run, "nbytes", 0)
-    if partitions is not None:
-        return SpilledRun(
-            entries=[e for e in partitions if e is not None],
-            partitions=list(partitions),
-            nbytes=nbytes,
-        )
-    if entry is not None:
-        return SpilledRun(entries=[entry], nbytes=nbytes)
-    raise TypeError(f"cannot interpret {type(run).__name__} as a sorted run")
+    index: int = 0
 
 
 def _widen_keys(keys: np.ndarray, other: np.ndarray):
@@ -535,60 +462,65 @@ def partition_row_ranges(
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _encode_columns(columns: "dict[str, RaggedColumn]", codec: Codec,
+                    first_ordinal: int = 0) -> "dict[str, bytes]":
+    """One chunk file image per column (a column encodes as its flat
+    buffer — no per-record work)."""
+    return {
+        name: write_chunk(column, record_type_for_column(name),
+                          first_ordinal=first_ordinal, codec=codec)
+        for name, column in columns.items()
+    }
+
+
+def _slice_columns(columns: "dict[str, RaggedColumn]", lo: int,
+                   hi: int) -> "dict[str, RaggedColumn]":
+    return {name: column[lo:hi] for name, column in columns.items()}
+
+
 def encode_run_spill(
-    rows: "list[tuple]",
-    order: str,
-    ordered_columns: "list[str]",
+    columns: "dict[str, RaggedColumn]",
+    keys: "np.ndarray | None",
     scratch_level: int,
     boundaries: "np.ndarray | None",
     partitions: int,
-    meta_index: int = 1,
     scratch_codec: str = "gzip",
 ) -> dict:
-    """Encode one *sorted* run for the scratch store.
+    """Encode one *sorted* run (its columns, in spill column order) for
+    the scratch store.
 
-    With ``partitions >= 2`` and packable keys, the run is encoded as
-    per-key-range sub-chunks (``parts``: one ``(count, {column: blob})``
-    per range, blobs None when empty).  ``boundaries=None`` derives the
-    shared boundary keys from this run's quantiles and returns them —
-    the first run of a sort fixes the key ranges every later run spills
-    against.  Unpackable keys (or ``partitions <= 1``) fall back to one
-    jumbo chunk per column under ``columns``.
+    With ``partitions >= 2`` and packed ``keys`` (the run's sorted key
+    array), the run is encoded as per-key-range sub-chunks (``parts``:
+    one ``(count, {column: blob})`` per range, blobs None when empty).
+    ``boundaries=None`` derives the shared boundary keys from this run's
+    quantiles and returns them — the first run of a sort fixes the key
+    ranges every later run spills against.  Unpackable keys
+    (``keys=None``) or ``partitions <= 1`` fall back to one jumbo chunk
+    per column under ``columns``.
 
     ``scratch_codec`` is the negotiated spill codec name (``"none"``
     writes the raw frame layout phase 2 can mmap and decode in place;
     see :meth:`SortConfig.resolve_scratch_codec`).
     """
     codec = leveled_codec(scratch_codec, scratch_level)
-
-    def encode_rows(some_rows) -> "dict[str, bytes]":
+    record_count = len(next(iter(columns.values())))
+    if partitions < 2 or keys is None:
         return {
-            column: write_chunk(
-                [row[c_index] for row in some_rows],
-                record_type_for_column(column),
-                codec=codec,
-            )
-            for c_index, column in enumerate(ordered_columns)
-        }
-
-    keys = None
-    if partitions >= 2:
-        keys = row_sort_keys(order, rows, meta_index)
-    if keys is None:
-        return {
-            "record_count": len(rows),
-            "columns": encode_rows(rows),
+            "record_count": record_count,
+            "columns": _encode_columns(columns, codec),
             "parts": None,
             "boundaries": None,
         }
     if boundaries is None:
         boundaries = spill_boundaries(keys, partitions)
     parts = [
-        (hi - lo, encode_rows(rows[lo:hi]) if hi > lo else None)
+        (hi - lo,
+         _encode_columns(_slice_columns(columns, lo, hi), codec)
+         if hi > lo else None)
         for lo, hi in partition_row_ranges(keys, boundaries)
     ]
     return {
-        "record_count": len(rows),
+        "record_count": record_count,
         "columns": None,
         "parts": parts,
         "boundaries": boundaries,
@@ -612,7 +544,7 @@ def store_run_spill(scratch: ChunkStore, run_index: int,
         for column, blob in spill["columns"].items():
             scratch.put(entry.chunk_file(column), blob)
             nbytes += len(blob)
-        return SpilledRun(entries=[entry], nbytes=nbytes)
+        return SpilledRun(entries=[entry], nbytes=nbytes, index=run_index)
     partition_entries: "list[ChunkEntry | None]" = []
     for p, (count, blobs) in enumerate(spill["parts"]):
         if blobs is None:
@@ -627,54 +559,35 @@ def store_run_spill(scratch: ChunkStore, run_index: int,
         entries=[e for e in partition_entries if e is not None],
         partitions=partition_entries,
         nbytes=nbytes,
+        index=run_index,
     )
 
 
-def sort_run_spill_task(shared, payload) -> dict:
-    """Backend task: sort one superchunk run and encode its spill.
-
-    The spill-locality successor of :func:`sort_run_task`: same decode
-    and sort, but the encoded result is partition-aware (see
-    :func:`encode_run_spill`).  Picklable both ways; the caller writes
-    the returned blobs via :func:`store_run_spill`.
-    """
-    (order, ordered_columns, chunk_blobs, scratch_level, vectorized,
-     boundaries, partitions, *rest) = payload
-    scratch_codec = rest[0] if rest else "gzip"
-    rows: "list[tuple]" = []
-    for blobs in chunk_blobs:
-        column_data = [read_chunk(blobs[column]).records
-                       for column in ordered_columns]
-        rows.extend(zip(*column_data))
-    meta_index = metadata_row_index(ordered_columns)
-    rows = _sorted_rows(order, rows, vectorized, meta_index)
-    return encode_run_spill(
-        rows, order, ordered_columns, scratch_level,
-        boundaries, partitions if vectorized else 1, meta_index,
-        scratch_codec,
-    )
+def _decode_spill(blob, counters: "dict | None" = None) -> RaggedColumn:
+    """Decode one spilled column blob — bytes, or a :class:`SpillFileRef`
+    mapped under a :class:`SpillLease` for just as long as the decode
+    takes (a decoded column owns its storage)."""
+    if not isinstance(blob, SpillFileRef):
+        _credit_spill(counters, read_chunk_header(blob))
+        return read_column(blob)
+    view, lease = open_spill_ref(blob)
+    try:
+        _credit_spill(counters, read_chunk_header(view))
+        return read_column(view)
+    finally:
+        del view
+        lease.release()
 
 
-def merge_partition_task(shared, payload) -> "list[tuple]":
-    """Backend task: merge one key-range partition of the sorted runs.
-
-    ``payload`` carries, per run, the slice of rows whose keys fall in
-    this partition's key range.  Each slice is already sorted, so a
-    stable argsort over the concatenation (ties keep run order — exactly
-    ``heapq.merge``'s tie-break) reproduces the k-way merge for this
-    range; partitions concatenated in key order equal the full merge.
-    """
-    order, rows_slices, *rest = payload
-    meta_index = rest[0] if rest else 1
-    flat = [row for rows in rows_slices for row in rows]
-    perm = row_sort_permutation(order, flat, meta_index)
-    if perm is None:
-        return list(heapq.merge(*rows_slices,
-                                key=sort_key_for(order, meta_index)))
-    return [flat[i] for i in perm]
+def _merge_permutation(order: str,
+                       columns: "dict[str, RaggedColumn]") -> np.ndarray:
+    """The k-way merge of sorted runs laid end to end in ``columns``, as
+    a permutation: one stable sort over the concatenated keys — ties
+    keep run order, a merge heap's tie-break."""
+    return sort_permutation(order, columns[key_column(order)])[0]
 
 
-def merge_partition_blobs_task(shared, payload) -> "list[tuple]":
+def merge_partition_blobs_task(shared, payload) -> "dict[str, RaggedColumn]":
     """Backend task: merge one key-range partition straight from spilled
     sub-chunk blobs (the spill-locality path).
 
@@ -682,37 +595,16 @@ def merge_partition_blobs_task(shared, payload) -> "list[tuple]":
     run only (None for runs empty in the range), so a worker decodes
     exactly its own key range of each run — never a whole run.  A value
     is either the blob bytes (gzip/remote scratch) or a
-    :class:`SpillFileRef` (the spill-view path): the kernel maps the
-    file under a :class:`SpillLease`, decodes records straight from the
-    mapped raw frame in one pass, and releases the lease before
-    returning — rows own their bytes, the run itself is never
-    materialized.  Semantics are identical to
-    :func:`merge_partition_task` over the decoded slices.
+    :class:`SpillFileRef` (the spill-view path, mapped and decoded in
+    place).  Returns the partition's merged columns; partitions chained
+    in key order equal the full merge.
     """
-    order, ordered_columns, blob_maps, meta_index = payload
-    rows_slices: "list[list[tuple]]" = []
-    for blobs in blob_maps:
-        if blobs is None:
-            continue
-        leases: "list[SpillLease]" = []
-        column_data = []
-        try:
-            for column in ordered_columns:
-                blob = blobs[column]
-                if isinstance(blob, SpillFileRef):
-                    blob, lease = open_spill_ref(blob)
-                    leases.append(lease)
-                column_data.append(read_chunk(blob).records)
-        finally:
-            for lease in leases:
-                lease.release()
-        rows_slices.append(list(zip(*column_data)))
-    flat = [row for rows in rows_slices for row in rows]
-    perm = row_sort_permutation(order, flat, meta_index)
-    if perm is None:
-        return list(heapq.merge(*rows_slices,
-                                key=sort_key_for(order, meta_index)))
-    return [flat[i] for i in perm]
+    order, ordered_columns, blob_maps = payload
+    columns = _concat_columns(
+        ordered_columns, [b for b in blob_maps if b is not None],
+        decode=_decode_spill,
+    )
+    return _take_columns(columns, _merge_permutation(order, columns))
 
 
 def sort_dataset(
@@ -725,16 +617,16 @@ def sort_dataset(
 ) -> AGDDataset:
     """Sort a dataset into ``output_store``; returns the sorted dataset.
 
-    Phase 1 reads ``chunks_per_superchunk`` chunks at a time, sorts their
-    rows, and writes each sorted run as a *superchunk* into the scratch
-    store.  Phase 2 k-way-merges the runs and emits final chunks.
+    Phase 1 reads ``chunks_per_superchunk`` chunks at a time, sorts
+    their columns (:func:`sort_run_task`), and writes each sorted run as
+    a *superchunk* into the scratch store.  Phase 2 merges the runs and
+    emits final chunks (:func:`iter_merged_chunks`).
 
     ``backend`` (a :class:`~repro.dataflow.backends.Backend`) fans the
-    independent phase-1 run sorts out across workers and — with the
-    vectorized fast path — splits phase 2 into partitioned merge kernels
-    (see :data:`SortConfig.merge_partitions`); ``None`` keeps the
-    sequential single-kernel path.  Output bytes are identical either
-    way.
+    independent phase-1 run sorts out across workers and splits phase 2
+    into partitioned merge kernels (see
+    :data:`SortConfig.merge_partitions`); ``None`` keeps the sequential
+    single-kernel path.  Output bytes are identical either way.
 
     ``counters`` (optional dict) accumulates the memory-plane
     accounting: ``spill_view_bytes``/``decode_copies`` from spill
@@ -748,11 +640,9 @@ def sort_dataset(
     columns = list(manifest.columns)
     if config.order == "location" and "results" not in columns:
         raise ValueError("location sort needs a results column; align first")
+    key_column(config.order)  # unknown orders fail before any work
     scratch = scratch_store if scratch_store is not None else MemoryStore()
-    # Row layout: (results, metadata, bases, qual, <extra...>) so the key
-    # function can address results/metadata positionally.
     ordered_columns = _key_first_columns(columns)
-    key_fn = sort_key_for(config.order, metadata_row_index(ordered_columns))
 
     # ---------------------------------------------------- phase 1: runs
     groups: list[list[int]] = [
@@ -763,35 +653,33 @@ def sort_dataset(
     ]
     merge_partitions = config.resolve_merge_partitions(backend)
     scratch_codec = config.resolve_scratch_codec(scratch)
+
+    def group_payload(boundaries, partitions):
+        def payload(group: "list[int]"):
+            return (
+                config.order,
+                ordered_columns,
+                [
+                    {column: dataset.store.get(
+                        manifest.chunks[i].chunk_file(column))
+                     for column in ordered_columns}
+                    for i in group
+                ],
+                config.scratch_codec_level,
+                boundaries,
+                partitions,
+                scratch_codec,
+            )
+        return payload
+
+    runs: "list[SpilledRun]" = []
     if backend is None:
-        runs: "list" = [
-            _write_run(dataset, group, ordered_columns, key_fn,
-                       scratch, run_index, config, scratch_codec)
-            for run_index, group in enumerate(groups)
-        ]
+        for group in groups:
+            spill = sort_run_task(None, group_payload(None, 1)(group))
+            runs.append(store_run_spill(scratch, len(runs), spill))
     else:
         from repro.dataflow.backends import run_in_waves
 
-        def group_payload(boundaries, partitions):
-            def payload(group: "list[int]"):
-                return (
-                    config.order,
-                    ordered_columns,
-                    [
-                        {column: dataset.store.get(
-                            manifest.chunks[i].chunk_file(column))
-                         for column in ordered_columns}
-                        for i in group
-                    ],
-                    config.scratch_codec_level,
-                    config.vectorized,
-                    boundaries,
-                    partitions,
-                    scratch_codec,
-                )
-            return payload
-
-        runs = []
         rest = groups
         rest_partitions = merge_partitions
         boundaries = None
@@ -801,7 +689,7 @@ def sort_dataset(
             # every run spills against (spill locality: each phase-2
             # merge kernel will read only its own range of every run).
             [spill] = backend.run_chunk(
-                sort_run_spill_task,
+                sort_run_task,
                 [group_payload(None, merge_partitions)(groups[0])],
             )
             boundaries = spill["boundaries"]
@@ -814,7 +702,7 @@ def sort_dataset(
         # Waved dispatch keeps the external sort's bounded memory: only
         # a couple of chunk groups per worker are resident at a time.
         for _group, _payload, spill in run_in_waves(
-            backend, sort_run_spill_task, rest,
+            backend, sort_run_task, rest,
             group_payload(boundaries, rest_partitions),
         ):
             runs.append(store_run_spill(scratch, len(runs), spill))
@@ -841,48 +729,11 @@ def sort_dataset(
     return AGDDataset(sorted_manifest, output_store)
 
 
-def _partition_bounds(
-    key_arrays: "list[np.ndarray]", partitions: int
-) -> "list[list[tuple[int, int]]]":
-    """Split the key space into ``<= partitions`` contiguous ranges.
-
-    Boundary keys are drawn from the global sorted key distribution so
-    ranges carry roughly equal row counts; for location order the packed
-    keys put the contig in the high bits, so ranges are per-contig-range
-    splits whenever contigs dominate the distribution.  Equal keys never
-    straddle a boundary (``searchsorted`` side="left" on every run), so
-    each partition is a self-contained merge.
-    """
-    if key_arrays and key_arrays[0].dtype.kind == "S":
-        width = max(a.dtype.itemsize for a in key_arrays)
-        key_arrays = [a.astype(f"S{width}") for a in key_arrays]
-    total = sum(a.size for a in key_arrays)
-    if total == 0 or partitions <= 1:
-        return [[(0, a.size) for a in key_arrays]]
-    merged = np.sort(np.concatenate(key_arrays), kind="stable")
-    boundaries = []
-    for k in range(1, partitions):
-        b = merged[(total * k) // partitions]
-        if not boundaries or b != boundaries[-1]:
-            boundaries.append(b)
-    bounds: list[list[tuple[int, int]]] = []
-    lows = [0] * len(key_arrays)
-    for b in boundaries:
-        part = []
-        for r, keys in enumerate(key_arrays):
-            hi = int(np.searchsorted(keys, b, side="left"))
-            part.append((lows[r], hi))
-            lows[r] = hi
-        bounds.append(part)
-    bounds.append([(lows[r], a.size) for r, a in enumerate(key_arrays)])
-    return bounds
-
-
 def _spill_partition_count(runs: "list[SpilledRun]") -> "int | None":
     """Shared partition count when EVERY run was spilled partitioned at
     the same boundaries (partition lists are index-aligned); None when
-    any run is a whole-run spill (mixed spills merge via full-run
-    iteration instead)."""
+    any run is a whole-run spill (mixed spills merge in one kernel over
+    the whole runs instead)."""
     counts = {len(run.partitions) for run in runs
               if run.partitions is not None}
     if len(counts) != 1 or any(run.partitions is None for run in runs):
@@ -890,93 +741,110 @@ def _spill_partition_count(runs: "list[SpilledRun]") -> "int | None":
     return counts.pop()
 
 
-def _merged_row_iter(
+def _merged_batches(
     scratch: ChunkStore,
     runs: "list",
     ordered_columns: "list[str]",
     order: str,
+    batch_size: int,
     backend,
     merge_partitions: int,
     counters: "dict | None" = None,
 ):
-    """Rows of all runs in globally sorted order.
+    """The runs' records in globally sorted order, as a stream of column
+    batches (``{column: RaggedColumn}``).
 
-    Spill-locality path (partition-spilled runs + a backend): dispatch
-    one :func:`merge_partition_blobs_task` per key range, each decoding
-    only its own sub-chunks of every run.  On a local scratch directory
-    the payload per sub-chunk is a :class:`SpillFileRef` — the kernel
-    mmaps the raw frame and decodes it in place; otherwise the blob
-    bytes ship as before.  Legacy partitioned path (whole-run spills):
-    decode each run in the caller, slice at shared boundaries, dispatch
-    :func:`merge_partition_task` per range.  Either way, chaining the
-    ranges in key order reproduces the single-kernel merge exactly;
-    ``heapq.merge`` remains the fallback when no backend is given, a
-    single partition is requested, or keys are not packable.
+    Spill-locality path (every run partition-spilled + a backend): one
+    :func:`merge_partition_blobs_task` per key range, each decoding only
+    its own sub-chunks of every run — a :class:`SpillFileRef` per
+    sub-chunk on a local scratch directory (the kernel mmaps the raw
+    frame and decodes it in place), the blob bytes otherwise; every
+    range's merged columns are one batch.  Otherwise (no backend, one
+    partition, whole-run or mixed spills): decode every run in the
+    caller, one stable permutation over the concatenated keys, and one
+    gather per ``batch_size`` records — a batch is only built when the
+    consumer asks for it.
     """
-    meta_index = metadata_row_index(ordered_columns)
-    runs = [_as_spilled(run) for run in runs]
-    source = _SpillSource(scratch)
-    if backend is None or merge_partitions <= 1 or not runs:
-        streams = [
-            _RunReader(scratch, run.entries, ordered_columns,
-                       source=source, counters=counters)
-            for run in runs
-        ]
-        return heapq.merge(*streams, key=sort_key_for(order, meta_index))
-    spill_partitions = _spill_partition_count(runs)
-    if spill_partitions is not None:
-        payloads = []
-        for p in range(spill_partitions):
-            blob_maps = []
-            for run in runs:
-                if run.partitions[p] is None:
-                    blob_maps.append(None)
-                    continue
-                blobs = {}
-                for column in ordered_columns:
-                    chunk_file = run.partitions[p].chunk_file(column)
-                    blob = source.ref(chunk_file)
-                    if blob is None:
-                        blob = scratch.get(chunk_file)
-                    _credit_spill(counters, _spill_header(blob))
-                    blobs[column] = blob
-                blob_maps.append(blobs)
-            payloads.append((order, ordered_columns, blob_maps, meta_index))
-        result_snapshot = _result_stats_snapshot(backend)
-        results = backend.run_chunk(merge_partition_blobs_task, payloads)
-        _credit_result_stats(counters, backend, result_snapshot)
-        return itertools.chain.from_iterable(results)
-    run_rows: list[list[tuple]] = []
-    key_arrays: list[np.ndarray] = []
-    packable = True
-    for run in runs:
-        rows = list(_RunReader(scratch, run.entries, ordered_columns,
-                               source=source, counters=counters))
-        run_rows.append(rows)
-        if packable:
-            keys = row_sort_keys(order, rows, meta_index)
-            if keys is None:
-                packable = False
-            else:
-                key_arrays.append(keys)
-    if not packable:
-        return heapq.merge(*run_rows, key=sort_key_for(order, meta_index))
-    bounds = _partition_bounds(key_arrays, merge_partitions)
-    payloads = [
-        (order,
-         [rows[lo:hi] for rows, (lo, hi) in zip(run_rows, part)],
-         meta_index)
-        for part in bounds
-    ]
+    root = local_scratch_root(scratch)
+
+    def spilled(entry: ChunkEntry, column: str):
+        """A spilled column: a file ref to mmap when the scratch store
+        is a local directory, the blob bytes otherwise."""
+        chunk_file = entry.chunk_file(column)
+        if root is not None:
+            path = root / chunk_file
+            try:
+                return SpillFileRef(str(path), os.path.getsize(path))
+            except OSError:
+                pass
+        return scratch.get(chunk_file)
+
+    partitions = None
+    if backend is not None and merge_partitions >= 2:
+        partitions = _spill_partition_count(runs)
+    if partitions is None:
+        columns = _concat_columns(
+            ordered_columns,
+            [{column: spilled(entry, column) for column in ordered_columns}
+             for run in runs for entry in run.entries],
+            decode=lambda blob: _decode_spill(blob, counters),
+        )
+        perm = _merge_permutation(order, columns)
+        for lo in range(0, perm.size, batch_size):
+            yield _take_columns(columns, perm[lo:lo + batch_size])
+        return
+    payloads = []
+    for p in range(partitions):
+        blob_maps = []
+        for run in runs:
+            entry = run.partitions[p]
+            if entry is None:
+                blob_maps.append(None)
+                continue
+            blobs = {column: spilled(entry, column)
+                     for column in ordered_columns}
+            for blob in blobs.values():
+                _credit_spill(counters, _spill_header(blob))
+            blob_maps.append(blobs)
+        payloads.append((order, ordered_columns, blob_maps))
     result_snapshot = _result_stats_snapshot(backend)
-    results = backend.run_chunk(merge_partition_task, payloads)
+    yield from backend.run_chunk(merge_partition_blobs_task, payloads)
     _credit_result_stats(counters, backend, result_snapshot)
-    return itertools.chain.from_iterable(results)
+
+
+def _rechunk(batches, size: int, first_column: str):
+    """Re-cut a stream of column batches into batches of exactly
+    ``size`` records (the last may be shorter).  Slices are zero-copy;
+    batches are only concatenated where a chunk straddles two of them."""
+    pending: "list[dict]" = []
+    held = 0
+    for batch in batches:
+        count = len(batch[first_column])
+        if not count:
+            continue
+        pending.append(batch)
+        held += count
+        if held < size:
+            continue
+        merged = pending[0] if len(pending) == 1 else {
+            name: RaggedColumn.concat([b[name] for b in pending])
+            for name in pending[0]
+        }
+        cut = held - held % size
+        for lo in range(0, cut, size):
+            yield _slice_columns(merged, lo, lo + size)
+        held -= cut
+        pending = [_slice_columns(merged, cut, cut + held)] if held else []
+    if held:
+        yield {
+            name: RaggedColumn.concat([b[name] for b in pending])
+            for name in pending[0]
+        }
 
 
 def iter_merged_chunks(
     scratch: ChunkStore,
-    runs: "list",  # entry lists, SpilledRun, or SortRun items (normalized)
+    runs: "list[SpilledRun]",
     ordered_columns: "list[str]",
     order: str,
     out_chunk_size: int,
@@ -992,48 +860,32 @@ def iter_merged_chunks(
 
     Shared by the eager :func:`sort_dataset` and the streaming
     :class:`~repro.core.ops.SuperchunkMergeNode` so the two paths'
-    chunk naming, ordinals, and bytes cannot drift apart.  With a
-    ``backend`` and ``merge_partitions >= 2`` the merge itself runs as
-    partitioned kernels (see :func:`_merged_row_iter`); chunk emission
-    is unchanged either way.  ``counters`` accumulates the restore-side
-    memory-plane accounting (see :func:`_credit_spill`).
+    chunk naming, ordinals, and bytes cannot drift apart.  A generator:
+    each output chunk is gathered, written and yielded before the next
+    is touched.  With a ``backend`` and ``merge_partitions >= 2`` the
+    merge itself runs as partitioned kernels (see
+    :func:`_merged_batches`); chunk emission is unchanged either way.
+    ``counters`` accumulates the restore-side memory-plane accounting
+    (see :func:`_credit_spill`).
     """
-    merged = _merged_row_iter(
-        scratch, runs, ordered_columns, order, backend, merge_partitions,
-        counters=counters,
-    )
     sorted_name = f"{dataset_name}-sorted"
-    buffer: list[tuple] = []
     total = 0
-    index = 0
-
-    def flush() -> "tuple[ChunkEntry, dict[str, list]]":
-        nonlocal index
+    batches = _merged_batches(
+        scratch, runs, ordered_columns, order, out_chunk_size, backend,
+        merge_partitions, counters=counters,
+    )
+    for index, columns in enumerate(
+        _rechunk(batches, out_chunk_size, ordered_columns[0])
+    ):
         entry = ChunkEntry(
-            f"{sorted_name}-{index}", total - len(buffer), len(buffer)
+            f"{sorted_name}-{index}", total, len(columns[ordered_columns[0]])
         )
-        out_columns: dict[str, list] = {}
-        for c_index, column in enumerate(ordered_columns):
-            records = [row[c_index] for row in buffer]
-            blob = write_chunk(
-                records,
-                record_type_for_column(column),
-                first_ordinal=entry.first_ordinal,
-                codec=out_codec,
-            )
+        for column, blob in _encode_columns(
+            columns, out_codec, first_ordinal=total
+        ).items():
             output_store.put(entry.chunk_file(column), blob)
-            out_columns[column] = records
-        index += 1
-        buffer.clear()
-        return entry, out_columns
-
-    for row in merged:
-        buffer.append(row)
-        total += 1
-        if len(buffer) == out_chunk_size:
-            yield flush()
-    if buffer:
-        yield flush()
+        total += entry.record_count
+        yield entry, columns
 
 
 def build_sorted_manifest(
@@ -1053,105 +905,29 @@ def build_sorted_manifest(
     )
 
 
-def _key_first_columns(columns: list[str]) -> list[str]:
-    """Order columns so rows are (results, metadata, rest...)."""
-    rest = [c for c in columns if c not in ("results", "metadata")]
-    ordered = []
-    if "results" in columns:
-        ordered.append("results")
-    if "metadata" in columns:
-        ordered.append("metadata")
-    return ordered + sorted(rest)
-
-
-def _write_run(
-    dataset: AGDDataset,
-    chunk_indices: list[int],
-    ordered_columns: list[str],
-    key_fn: Callable,
-    scratch: ChunkStore,
-    run_index: int,
-    config: "SortConfig | None" = None,
-    scratch_codec: "str | None" = None,
-) -> list[ChunkEntry]:
-    """Sort a group of chunks into one superchunk (a sorted run)."""
-    config = config or SortConfig()
-    if scratch_codec is None:
-        scratch_codec = config.resolve_scratch_codec(scratch)
-    rows: list[tuple] = []
-    for chunk_index in chunk_indices:
-        column_data = [
-            dataset.read_chunk(column, chunk_index).records
-            for column in ordered_columns
-        ]
-        rows.extend(zip(*column_data))
-    rows = _sorted_rows(config.order, rows, config.vectorized,
-                        metadata_row_index(ordered_columns))
-    # A superchunk is stored as one jumbo chunk per column.
-    entry = ChunkEntry(f"superchunk-{run_index}", 0, len(rows))
-    codec = config.scratch_codec(scratch_codec)
-    for c_index, column in enumerate(ordered_columns):
-        records = [row[c_index] for row in rows]
-        blob = write_chunk(records, record_type_for_column(column),
-                           codec=codec)
-        scratch.put(entry.chunk_file(column), blob)
-    return [entry]
-
-
-class _RunReader:
-    """Streams rows of one sorted run for the merge heap.
-
-    On a local scratch directory each entry's columns are mmap'ed under
-    :class:`SpillLease` guards and decoded straight from the mapped
-    frames (records own their bytes after the one decode pass, so the
-    leases release before the rows are yielded); otherwise blobs are
-    read through ``scratch.get`` as before.
-    """
-
-    def __init__(
-        self,
-        scratch: ChunkStore,
-        entries: list[ChunkEntry],
-        ordered_columns: list[str],
-        source: "_SpillSource | None" = None,
-        counters: "dict | None" = None,
-    ):
-        self._scratch = scratch
-        self._entries = entries
-        self._columns = ordered_columns
-        self._source = source if source is not None else _SpillSource(scratch)
-        self._counters = counters
-
-    def __iter__(self):
-        for entry in self._entries:
-            leases: "list[SpillLease]" = []
-            column_data = []
-            try:
-                for column in self._columns:
-                    buf, lease = self._source.open(entry.chunk_file(column))
-                    if lease is not None:
-                        leases.append(lease)
-                    _credit_spill(self._counters, read_chunk_header(buf))
-                    column_data.append(read_chunk(buf).records)
-            finally:
-                for lease in leases:
-                    lease.release()
-            yield from zip(*column_data)
-
-
 def verify_sorted(dataset: AGDDataset, order: str = "location") -> bool:
-    """Check a dataset's rows are in the claimed order (test helper)."""
-    ordered_columns = _key_first_columns(list(dataset.manifest.columns))
-    key_fn = sort_key_for(order, metadata_row_index(ordered_columns))
+    """Check a dataset's rows are in the claimed order (test helper).
+
+    Reads only the key column; adjacent keys compare as one array op per
+    chunk (record by record only for keys that do not pack).
+    """
+    name = key_column(order)
+    record_key = AlignmentResult.location_key if order == "location" \
+        else bytes
     previous = None
-    for chunk_index in range(dataset.num_chunks):
-        column_data = [
-            dataset.read_chunk(column, chunk_index).records
-            for column in ordered_columns
-        ]
-        for row in zip(*column_data):
-            key = key_fn(row)
-            if previous is not None and key < previous:
-                return False
-            previous = key
+    for entry in dataset.manifest.chunks:
+        column = read_column(dataset.store.get(entry.chunk_file(name)))
+        if not len(column):
+            continue
+        keys = sort_keys(order, column)
+        if keys is None:
+            keys = [record_key(record) for record in column]
+            ordered = all(a <= b for a, b in zip(keys, keys[1:]))
+        else:
+            ordered = bool((keys[:-1] <= keys[1:]).all())
+        if not ordered or (
+            previous is not None and record_key(column[0]) < previous
+        ):
+            return False
+        previous = record_key(column[-1])
     return True

@@ -557,7 +557,6 @@ def build_sort_graph(
             backend_handle,
             chunks_per_superchunk=config.chunks_per_superchunk,
             scratch_codec_level=config.scratch_codec_level,
-            vectorized=config.vectorized,
             # Partitioned merges read partition-spilled runs: each
             # phase-2 kernel decodes only its own key range (locality).
             merge_partitions=merge_partitions,

@@ -106,6 +106,15 @@ class ReferenceGenome:
         idx = bisect.bisect_right(self._starts, global_pos) - 1
         return self.contigs[idx].name, global_pos - self._starts[idx]
 
+    def to_local_arrays(self, global_pos):
+        """Array form of :meth:`to_local`: ``(contig indices, local
+        offsets)`` of in-range global positions, one searchsorted."""
+        import numpy as np
+
+        starts = np.asarray(self._starts, dtype=np.int64)
+        index = np.searchsorted(starts, global_pos, side="right") - 1
+        return index, global_pos - starts[index]
+
     def fetch(self, global_pos: int, length: int) -> bytes:
         """Fetch ``length`` bases starting at ``global_pos``.
 

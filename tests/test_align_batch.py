@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.agd.compaction import BasesColumn
+from repro.agd.columns import BasesColumn
+from repro.align.result import AlignmentResult
+from repro.agd.result_column import ResultsColumn
 from repro.align.base import ReadAligner
 from repro.align.snap import SeedIndex, SnapAligner, SnapConfig
 from repro.core.pipelines import run_pipeline
@@ -108,8 +110,8 @@ def assert_batch_equals_oracle(config: SnapConfig, batch, as_column=False):
         )
         # A zero-copy slice has bounds rebased onto a view of ``flat``.
         cut = len(batch) // 2
-        got = batched.align_reads(column[:cut]) \
-            + batched.align_reads(column[cut:])
+        got = ResultsColumn.concat([batched.align_reads(column[:cut]),
+                                    batched.align_reads(column[cut:])])
     else:
         got = batched.align_reads(batch)
     assert got == expected
@@ -173,10 +175,13 @@ class TestBatchEqualsOracle:
 
             def align_read(self, bases):
                 self.seen.append(bases)
-                return len(bases)
+                return AlignmentResult(mapq=len(bases))
 
         aligner = Counting()
-        assert aligner.align_reads([b"AC", b"ACG"]) == [2, 3]
+        results = aligner.align_reads([b"AC", b"ACG"])
+        assert isinstance(results, ResultsColumn)
+        assert results == [AlignmentResult(mapq=2), AlignmentResult(mapq=3)]
+        assert results[1].mapq == 3
         assert aligner.seen == [b"AC", b"ACG"]
 
 

@@ -25,7 +25,8 @@ from repro.core.dupmark import (
     mark_duplicates,
     scan_signatures,
 )
-from repro.core.sort import SortConfig, sort_dataset, sort_key_for
+from repro.agd.result_column import ResultsColumn
+from repro.core.sort import SortConfig, sort_dataset
 from repro.core.varcall import (
     VarCallConfig,
     call_from_pileup,
@@ -35,6 +36,7 @@ from repro.core.varcall import (
 )
 from repro.dataflow.backends import make_backend
 from repro.storage.base import MemoryStore
+from row_sort_oracle import oracle_sort_dataset, sort_key_for
 
 # ---------------------------------------------------------------------------
 # Strategies: adversarial alignment records with consistent read data.
@@ -106,7 +108,7 @@ class TestResultsArrays:
     @settings(max_examples=40, deadline=None)
     def test_cigar_parse_matches_scalar(self, triples):
         results = [t[0] for t in triples]
-        arrays = columnar.ResultsArrays.from_records(results)
+        arrays = ResultsColumn.from_records(results).arrays
         ops = columnar.parse_cigars(
             arrays.cigar_buf, arrays.cigar_starts, arrays.cigar_ends
         )
@@ -213,8 +215,9 @@ class TestSortEquivalence:
         rows = [
             (t[0], f"meta{i:04d}".encode()) for i, t in enumerate(triples)
         ]
-        perm = columnar.row_sort_permutation("location", rows)
-        assert perm is not None
+        column = ResultsColumn.from_records([row[0] for row in rows])
+        assert columnar.sort_keys("location", column) is not None
+        perm, _keys = columnar.sort_permutation("location", column)
         assert [rows[i] for i in perm] == \
             sorted(rows, key=sort_key_for("location"))
 
@@ -223,18 +226,24 @@ class TestSortEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_metadata_permutation_matches_list_sort(self, metas):
         rows = [(AlignmentResult(), m) for m in metas]
-        perm = columnar.row_sort_permutation("metadata", rows)
-        if any(b"\0" in m for m in metas):
-            assert perm is None  # NUL bytes: packed keys would diverge
-            return
-        assert perm is not None
-        assert [rows[i][1] for i in perm] == \
-            [r[1] for r in sorted(rows, key=sort_key_for("metadata"))]
+        # NUL bytes: packed keys would diverge, so the permutation comes
+        # from a Python-keyed index sort instead — same order.
+        assert (columnar.sort_keys("metadata", metas) is None) == \
+            any(b"\0" in m for m in metas)
+        perm, _keys = columnar.sort_permutation("metadata", metas)
+        assert [int(i) for i in perm] == \
+            sorted(range(len(rows)), key=lambda i: rows[i][1])
 
-    def test_unpackable_positions_fall_back(self):
-        rows = [(AlignmentResult(flag=0, contig_index=0, position=1 << 40,
-                                 cigar=b"4M"), b"m")]
-        assert columnar.row_sort_keys("location", rows) is None
+    def test_unpackable_positions_change_only_the_permutation(self):
+        results = [
+            AlignmentResult(flag=0, contig_index=c, position=p, cigar=b"4M")
+            for c, p in [(1, 5), (0, 1 << 40), (0, 7), (0, 1 << 40), (1, 0)]
+        ] + [AlignmentResult()]
+        column = ResultsColumn.from_records(results)
+        assert columnar.sort_keys("location", column) is None
+        perm, _keys = columnar.sort_permutation("location", column)
+        assert [int(i) for i in perm] == sorted(
+            range(len(results)), key=lambda i: results[i].location_key())
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,7 @@ class TestDupmarkEquivalence:
                 [fragment_signature(r) for r in chunk], seen, scalar_stats
             )
             sigs, valid = columnar.fragment_signature_arrays(
-                columnar.ResultsArrays.from_records(chunk)
+                ResultsColumn.from_records(chunk).arrays
             )
             got = tracker.scan(sigs, valid, vector_stats)
             assert got == expected
@@ -269,7 +278,7 @@ class TestDupmarkEquivalence:
         """Two records collide vectorized iff they collide scalar."""
         results = [t[0] for t in triples]
         sigs, valid = columnar.fragment_signature_arrays(
-            columnar.ResultsArrays.from_records(results)
+            ResultsColumn.from_records(results).arrays
         )
         groups_scalar: dict = {}
         groups_vector: dict = {}
@@ -301,8 +310,8 @@ def _store_blobs(store: MemoryStore) -> dict:
 class TestBackendEquivalence:
     def test_sort_bytes_identical(self, aligned_dataset, backend_kind):
         scalar_store = MemoryStore()
-        sort_dataset(aligned_dataset, scalar_store,
-                     SortConfig(chunks_per_superchunk=3, vectorized=False))
+        oracle_sort_dataset(aligned_dataset, scalar_store,
+                            SortConfig(chunks_per_superchunk=3))
         backend = make_backend(backend_kind, workers=2)
         try:
             vector_store = MemoryStore()
@@ -356,24 +365,21 @@ class TestBackendEquivalence:
 class TestPartitionedMerge:
     def test_partitioned_merge_uses_backend_kernels(self, aligned_dataset):
         """>= 2 partition kernels actually dispatch through the backend."""
-        from repro.core.sort import (
-            merge_partition_blobs_task,
-            merge_partition_task,
-        )
+        from repro.core.sort import merge_partition_blobs_task
         from repro.dataflow.backends import SerialBackend
 
         calls: list = []
 
         class CountingBackend(SerialBackend):
             def run_chunk(self, fn, payloads, shared=None, timeout=300.0):
-                if fn in (merge_partition_task, merge_partition_blobs_task):
+                if fn is merge_partition_blobs_task:
                     calls.append(len(payloads))
                 return super().run_chunk(fn, payloads, shared=shared,
                                          timeout=timeout)
 
         single_store = MemoryStore()
-        sort_dataset(aligned_dataset, single_store,
-                     SortConfig(chunks_per_superchunk=3, vectorized=False))
+        oracle_sort_dataset(aligned_dataset, single_store,
+                            SortConfig(chunks_per_superchunk=3))
         backend = CountingBackend()
         part_store = MemoryStore()
         scratch = MemoryStore()
@@ -403,8 +409,8 @@ class TestPartitionedMerge:
             MemoryStore(), chunk_size=10,
         )
         single = MemoryStore()
-        sort_dataset(dataset, single,
-                     SortConfig(chunks_per_superchunk=2, vectorized=False))
+        oracle_sort_dataset(dataset, single,
+                            SortConfig(chunks_per_superchunk=2))
         backend = make_backend("serial")
         part = MemoryStore()
         sort_dataset(dataset, part,
@@ -613,7 +619,7 @@ class TestColumnarFallback:
     def test_metadata_sort_without_results_column(self):
         """Metadata-order sort of an unaligned dataset must key on the
         metadata column (historically row[1] keyed on bases), and the
-        scalar and vectorized paths must agree byte for byte."""
+        row oracle and the columnar sort must agree byte for byte."""
         from repro.core.sort import verify_sorted
 
         n = 30
@@ -628,8 +634,8 @@ class TestColumnarFallback:
             MemoryStore(), chunk_size=8,
         )
         scalar_store = MemoryStore()
-        sort_dataset(dataset, scalar_store,
-                     SortConfig(order="metadata", vectorized=False))
+        oracle_sort_dataset(dataset, scalar_store,
+                            SortConfig(order="metadata"))
         vector_store = MemoryStore()
         sorted_ds = sort_dataset(dataset, vector_store,
                                  SortConfig(order="metadata"))
@@ -637,27 +643,21 @@ class TestColumnarFallback:
         assert sorted_ds.read_column("metadata") == sorted(metas)
         assert verify_sorted(sorted_ds, order="metadata")
 
-    def test_run_pipeline_respects_sort_config_vectorized(
-            self, aligned_dataset, monkeypatch):
-        """An explicit SortConfig(vectorized=False) survives
-        run_pipeline's default vectorized=True."""
-        import repro.core.pipelines as pipelines_mod
+    def test_sort_has_no_scalar_twin(self, aligned_dataset):
+        """The columnar sort is the only sort: no ``vectorized`` field to
+        select a second implementation, and ``--kernels scalar`` (the
+        pipeline-wide flag) still sorts — to the same bytes."""
         from repro.core.pipelines import run_pipeline
 
-        captured = {}
-        original = pipelines_mod.build_sort_graph
-
-        def spy(manifest, output_store, **kwargs):
-            captured["config"] = kwargs.get("config")
-            return original(manifest, output_store, **kwargs)
-
-        monkeypatch.setattr(pipelines_mod, "build_sort_graph", spy)
-        run_pipeline(
-            aligned_dataset, stages=("sort",),
-            sort_config=SortConfig(vectorized=False),
-            backend="serial",
-        )
-        assert captured["config"].vectorized is False
+        assert "vectorized" not in SortConfig.__dataclass_fields__
+        stores = []
+        for vectorized in (True, False):
+            store = MemoryStore()
+            run_pipeline(aligned_dataset, stages=("sort",),
+                         output_store=store, backend="serial",
+                         vectorized=vectorized)
+            stores.append(_store_blobs(store))
+        assert stores[0] == stores[1]
 
 
 class TestQueueTelemetry:

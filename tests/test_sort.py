@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.agd.dataset import AGDDataset
 from repro.align.result import AlignmentResult
-from repro.core.sort import SortConfig, sort_dataset, sort_key_for, verify_sorted
+from repro.core.sort import SortConfig, key_column, sort_dataset, verify_sorted
 from repro.storage.base import MemoryStore
+from row_sort_oracle import sort_key_for
 
 
 def make_aligned_dataset(positions, chunk_size=4):
@@ -50,7 +51,10 @@ class TestSortKey:
 
     def test_unknown_order(self):
         with pytest.raises(ValueError):
-            sort_key_for("banana")
+            key_column("banana")
+        with pytest.raises(ValueError):
+            sort_dataset(make_aligned_dataset([(0, 1)]), MemoryStore(),
+                         SortConfig(order="banana"))
 
 
 class TestSortDataset:

@@ -3,10 +3,11 @@
 The acceptance properties of the end-to-end view plane:
 
 * chunk decoding over a ``memoryview`` + the identity codec is genuinely
-  zero-copy — the data block, view-decoded text records, and the bases
-  flat array all alias the input buffer — and every escape hatch
-  (``materialize_records``, ``BasesColumn.materialize``, ``PooledView
-  .materialize``) produces owned storage byte-identical to the views;
+  zero-copy up to the data block; a decoded column copies that block
+  once (so it never aliases the delivery), ``column.view(i)`` is the
+  zero-copy per-record window, and every escape hatch
+  (``RaggedColumn.materialize``, ``PooledView.materialize``) produces
+  owned storage byte-identical to the views;
 * view aliasing is *safe*: delivered views are read-only, a consumer
   mutating (or dying while holding) a view never corrupts the segment a
   redelivery reads, and no ``/dev/shm`` segment outlives the server;
@@ -28,12 +29,12 @@ import numpy as np
 import pytest
 
 from repro.agd.chunk import (
-    materialize_records,
     read_chunk,
     read_chunk_data,
     write_chunk,
 )
-from repro.agd.compaction import BasesColumn, unpack_column_flat
+from repro.agd.columns import BasesColumn, PackedBasesColumn
+from repro.agd.compaction import unpack_column_flat
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import get_record_codec
 from repro.align.result import AlignmentResult
@@ -45,7 +46,8 @@ from repro.cluster.wire import (
     edge_item_serializer,
     encode_work_item_frames,
 )
-from repro.core.columnar import _gather_kept, read_bases_column
+from repro.agd.chunk import read_column
+from repro.core.columnar import _gather_kept
 from repro.core.ops import ChunkWorkItem
 from repro.dataflow import shm
 from repro.dataflow.backends import payload_nbytes
@@ -96,16 +98,18 @@ class TestChunkViewDecode:
         assert isinstance(data, bytes)  # decompression must materialize
         assert read_chunk(memoryview(blob)).records == QUALS
 
-    def test_text_decode_views_alias_and_materialize(self):
+    def test_text_column_owns_its_block_and_serves_views(self):
         blob = write_chunk(QUALS, "text", codec="none")
-        chunk = read_chunk(memoryview(blob), views=True)
-        assert all(isinstance(r, memoryview) for r in chunk.records)
-        assert [bytes(r) for r in chunk.records] == QUALS
-        owned = materialize_records(chunk.records)
-        assert owned == QUALS
-        assert all(isinstance(r, bytes) for r in owned)
-        # Non-view records pass through materialize_records untouched.
-        assert materialize_records(owned) == owned
+        column = read_column(memoryview(blob))
+        # One whole-block copy: nothing aliases the transport buffer.
+        assert not np.shares_memory(
+            column.flat, np.frombuffer(blob, dtype=np.uint8))
+        assert column == QUALS
+        windows = [column.view(i) for i in range(len(QUALS))]
+        assert all(isinstance(w, memoryview) for w in windows)
+        assert [bytes(w) for w in windows] == QUALS
+        assert all(np.shares_memory(np.frombuffer(w, dtype=np.uint8),
+                                    column.flat) for w in windows if len(w))
 
     def test_default_decode_of_memoryview_owns_records(self):
         blob = write_chunk(QUALS, "text", codec="none")
@@ -128,7 +132,7 @@ class TestChunkViewDecode:
 class TestBasesColumnViews:
     def _column(self) -> BasesColumn:
         blob = write_chunk(READS, "bases", codec="none")
-        return read_bases_column(blob)
+        return read_column(blob).decoded()
 
     def test_unpack_column_flat_round_trips(self):
         column = self._column()
@@ -247,14 +251,20 @@ class TestEdgeCodecNegotiation:
             memoryview(f)
             for f in encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
         ]
-        got = decode_work_item_frames(frames, views=True)
+        got = decode_work_item_frames(frames)
+        # Bases stay in their 3-bit block (whoever reads them unpacks
+        # them once); every column owns its storage, none aliases the
+        # delivery frames.
         bases = got.columns["bases"]
-        assert isinstance(bases, BasesColumn)
+        assert isinstance(bases, PackedBasesColumn)
         assert bases.to_list() == READS
-        # Text/results follow the record-codec policy: owned storage.
+        assert isinstance(bases.decoded(), BasesColumn)
         assert got.columns["qual"] == QUALS
         assert all(isinstance(r, bytes) for r in got.columns["qual"])
         assert got.results == item.results
+        for column in (bases, got.columns["qual"], got.results):
+            assert not any(np.shares_memory(column.flat, np.frombuffer(
+                f, dtype=np.uint8)) for f in frames)
 
     def test_negotiation_keys_on_shm_handshake(self):
         class _ShmClient:
