@@ -60,7 +60,9 @@ def main() -> None:
     print(f"\nchunk header: type={header.record_type!r} "
           f"codec={header.codec_name!r} records={header.record_count} "
           f"first_ordinal={header.first_ordinal} "
-          f"data {header.uncompressed_size}->{header.compressed_size} B")
+          f"data {header.uncompressed_size}->{header.compressed_size} B "
+          f"index {header.record_count * 4}->{header.index_size} B "
+          f"(format v{header.version})")
 
     # ------------------------------------------------ selective access
     # Reading one column touches only that column's files (§3's argument

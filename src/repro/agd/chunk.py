@@ -3,16 +3,25 @@
 A chunk file holds a contiguous run of records from one column:
 
     +----------------+  64-byte fixed header (magic, version, record type,
-    |  File Header   |  codec, record count, first ordinal, sizes, CRCs)
+    |  File Header   |  codec, record count, stored index size, first
+    +----------------+  ordinal, data sizes, CRCs)
+    | Relative Index |  one uint32 logical length per record, zlib-deflated
     +----------------+
-    | Relative Index |  one uint32 logical length per record
-    +----------------+
-    |  Data  Block   |  block-compressed record payload
+    |  Data  Block   |  block-compressed record payload (the column's codec)
     +----------------+
 
-The header carries CRC32 checksums of the index and uncompressed data so
-truncation and corruption are detected at parse time rather than producing
-garbage records downstream.
+This is format version 2, the only one written.  Version 1 stored the
+index raw (``record_count * 4`` bytes, no stored-size field) and is still
+read.  The index is deflated whatever the data codec: it is copied into
+an array on decode anyway, whereas a ``none``-framed data block stays a
+zero-copy view of the input buffer.
+
+The header carries CRC32 checksums of the *uncompressed* index and data
+so truncation and corruption are detected at parse time rather than
+producing garbage records downstream.  This module is the only place
+that knows the layout; everything else reads through
+:func:`read_chunk_header` / :func:`read_chunk_index` /
+:func:`read_chunk_data`.
 """
 
 from __future__ import annotations
@@ -27,13 +36,22 @@ from repro.agd.index import RelativeIndex
 from repro.agd.records import get_record_codec
 
 MAGIC = b"AGDC"
-VERSION = 1
+VERSION = 2
 
-# magic, version, record type, codec, record count, first ordinal,
-# compressed size, uncompressed size, data crc, index crc.
-_HEADER = struct.Struct("<4sH12s8sIQQQII")
 HEADER_SIZE = 64
-_PAD = HEADER_SIZE - _HEADER.size
+# Both versions open with magic and version, which the reader dispatches on.
+_PREFIX = struct.Struct("<4sH")
+# v1 after the prefix: record type, codec, record count, first ordinal,
+# compressed size, uncompressed size, data crc, index crc (+ 2 pad bytes).
+_BODY_V1 = struct.Struct("<12s8sIQQQII")
+# v2 adds the stored (deflated) index size after the record count and
+# fills the 64 bytes exactly: the codec name gives up two bytes and the
+# padding goes.
+_BODY = struct.Struct("<12s6sIIQQQII")
+
+#: zlib level of the relative-index block (fixed: it is part of what
+#: makes a chunk's bytes a pure function of its records and codec).
+INDEX_LEVEL = 6
 
 
 class ChunkFormatError(ValueError):
@@ -49,7 +67,13 @@ def _fixed_name(name: str, width: int) -> bytes:
 
 @dataclass(frozen=True)
 class ChunkHeader:
-    """Decoded chunk header fields."""
+    """Decoded chunk header fields.
+
+    ``index_size`` is the stored size of the relative-index block — its
+    deflated size in a version-2 chunk, ``record_count * 4`` in a
+    version-1 chunk — so the data block starts at :attr:`data_offset`
+    in either.
+    """
 
     record_type: str
     codec_name: str
@@ -59,20 +83,31 @@ class ChunkHeader:
     uncompressed_size: int
     data_crc: int
     index_crc: int
+    index_size: int = 0
+    version: int = VERSION
+
+    @property
+    def data_offset(self) -> int:
+        """Byte offset of the data block in the chunk file image."""
+        return HEADER_SIZE + self.index_size
 
     def to_bytes(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC,
-            VERSION,
+        if self.version != VERSION:
+            raise ValueError(
+                f"chunk version {self.version} is read-only; "
+                f"only version {VERSION} is written"
+            )
+        return _PREFIX.pack(MAGIC, VERSION) + _BODY.pack(
             _fixed_name(self.record_type, 12),
-            _fixed_name(self.codec_name, 8),
+            _fixed_name(self.codec_name, 6),
             self.record_count,
+            self.index_size,
             self.first_ordinal,
             self.compressed_size,
             self.uncompressed_size,
             self.data_crc,
             self.index_crc,
-        ) + b"\0" * _PAD
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ChunkHeader":
@@ -80,11 +115,17 @@ class ChunkHeader:
             raise ChunkFormatError(
                 f"chunk header truncated: {len(raw)} < {HEADER_SIZE} bytes"
             )
-        (magic, version, rtype, codec, count, first_ordinal,
-         csize, usize, data_crc, index_crc) = _HEADER.unpack_from(raw)
+        magic, version = _PREFIX.unpack_from(raw)
         if magic != MAGIC:
             raise ChunkFormatError(f"bad magic {magic!r} (not an AGD chunk)")
-        if version != VERSION:
+        if version == VERSION:
+            (rtype, codec, count, index_size, first_ordinal, csize, usize,
+             data_crc, index_crc) = _BODY.unpack_from(raw, _PREFIX.size)
+        elif version == 1:
+            (rtype, codec, count, first_ordinal, csize, usize,
+             data_crc, index_crc) = _BODY_V1.unpack_from(raw, _PREFIX.size)
+            index_size = count * 4
+        else:
             raise ChunkFormatError(f"unsupported chunk version {version}")
         return cls(
             record_type=rtype.rstrip(b"\0").decode(),
@@ -95,6 +136,8 @@ class ChunkHeader:
             uncompressed_size=usize,
             data_crc=data_crc,
             index_crc=index_crc,
+            index_size=index_size,
+            version=version,
         )
 
 
@@ -121,8 +164,8 @@ def write_chunk(
         codec = get_codec(codec)
     record_codec = get_record_codec(record_type)
     data, lengths = record_codec.encode(records)
-    index = RelativeIndex(lengths)
-    index_bytes = index.to_bytes()
+    index_bytes = RelativeIndex(lengths).to_bytes()
+    stored_index = zlib.compress(index_bytes, INDEX_LEVEL)
     compressed = codec.compress(data)
     header = ChunkHeader(
         record_type=record_type,
@@ -133,8 +176,9 @@ def write_chunk(
         uncompressed_size=len(data),
         data_crc=zlib.crc32(data),
         index_crc=zlib.crc32(index_bytes),
+        index_size=len(stored_index),
     )
-    return header.to_bytes() + index_bytes + compressed
+    return header.to_bytes() + stored_index + compressed
 
 
 def read_chunk_header(blob: bytes) -> ChunkHeader:
@@ -149,13 +193,32 @@ def read_chunk_header(blob: bytes) -> ChunkHeader:
     return ChunkHeader.from_bytes(blob)
 
 
+def _inflate_index(stored, size: int) -> bytes:
+    """Inflate a stored index block that must hold exactly ``size`` bytes
+    (output is capped, so a corrupt stream cannot balloon)."""
+    inflater = zlib.decompressobj()
+    try:
+        index_bytes = inflater.decompress(stored, size + 1)
+    except zlib.error as exc:
+        raise ChunkFormatError(
+            f"chunk index decompression failed: {exc}"
+        ) from exc
+    if len(index_bytes) != size or not inflater.eof or inflater.unused_data:
+        raise ChunkFormatError(
+            f"chunk index does not inflate to the {size} bytes "
+            f"its record count needs"
+        )
+    return index_bytes
+
+
 def read_chunk_index(blob: bytes) -> tuple[ChunkHeader, RelativeIndex]:
     """Decode the header and relative index without touching the data block."""
     header = ChunkHeader.from_bytes(blob)
-    index_size = header.record_count * 4
-    index_bytes = blob[HEADER_SIZE : HEADER_SIZE + index_size]
-    if len(index_bytes) != index_size:
+    index_bytes = blob[HEADER_SIZE : header.data_offset]
+    if len(index_bytes) != header.index_size:
         raise ChunkFormatError("chunk index truncated")
+    if header.version > 1:
+        index_bytes = _inflate_index(index_bytes, header.record_count * 4)
     if zlib.crc32(index_bytes) != header.index_crc:
         raise ChunkFormatError("chunk index CRC mismatch")
     return header, RelativeIndex.from_bytes(index_bytes, header.record_count)
@@ -165,9 +228,10 @@ def read_chunk_data(blob) -> tuple[ChunkHeader, RelativeIndex, bytes]:
     """Header, relative index, and decompressed CRC-verified data block.
 
     The shared validation core of every chunk decode: the object path
-    (:func:`read_chunk`) and the columnar array paths
-    (:mod:`repro.core.columnar`) all read through here, so format and
-    corruption handling cannot drift between them.
+    (:func:`read_chunk`), the columnar array paths
+    (:mod:`repro.core.columnar`) and random record access
+    (:meth:`AGDDataset.read_record`) all read through here, so format
+    and corruption handling cannot drift between them.
 
     View-native: ``blob`` may be any bytes-like buffer (``bytes``, a
     :class:`memoryview` over a shared-memory delivery, an
@@ -176,13 +240,15 @@ def read_chunk_data(blob) -> tuple[ChunkHeader, RelativeIndex, bytes]:
     a zero-copy slice of that same buffer — no intermediate ``bytes``
     is ever materialized, and every downstream decoder
     (``np.frombuffer``, the record codecs) reads the transport buffer
-    in place.  CRC and length validation run identically either way.
+    in place.  (The index block is inflated into its own small buffer
+    either way.)  CRC and length validation run identically either way.
     """
     header, index = read_chunk_index(blob)
-    data_start = HEADER_SIZE + header.record_count * 4
     # Slicing a memoryview is zero-copy (slicing bytes is not), so a
     # memoryview input stays allocation-free through the identity codec.
-    compressed = blob[data_start : data_start + header.compressed_size]
+    compressed = blob[
+        header.data_offset : header.data_offset + header.compressed_size
+    ]
     if len(compressed) != header.compressed_size:
         raise ChunkFormatError("chunk data block truncated")
     codec = get_codec(header.codec_name)

@@ -17,10 +17,10 @@ from typing import Iterator, Sequence
 from repro.agd.chunk import (
     Chunk,
     read_chunk,
-    read_chunk_index,
+    read_chunk_data,
     write_chunk,
 )
-from repro.agd.compression import DEFAULT_CODEC, Codec, get_codec
+from repro.agd.compression import DEFAULT_CODEC, Codec
 from repro.agd.manifest import ChunkEntry, Manifest, ManifestError
 from repro.agd.records import get_record_codec, record_type_for_column
 from repro.storage.base import ChunkStore, DirectoryStore, MemoryStore
@@ -164,15 +164,9 @@ class AGDDataset:
         """Random access to one record via the on-the-fly absolute index."""
         entry, local = self.manifest.chunk_for_record(ordinal)
         blob = self.store.get(entry.chunk_file(column))
-        header, rel_index = read_chunk_index(blob)
+        header, rel_index, data = read_chunk_data(blob)
         codec = get_record_codec(header.record_type)
         absolute = rel_index.absolute(codec.byte_size)
-        # Decompress only this chunk's data block.
-        from repro.agd.chunk import HEADER_SIZE
-
-        data_start = HEADER_SIZE + header.record_count * 4
-        compressed = blob[data_start : data_start + header.compressed_size]
-        data = get_codec(header.codec_name).decompress(compressed)
         return codec.decode_one(data, absolute, local)
 
     # ------------------------------------------------------------ extending

@@ -177,6 +177,24 @@ class ResultsColumn(RaggedColumn):
         prefix and CIGAR bound on first use)."""
         return decode_results_arrays(self.flat, self.lengths)
 
+    def _like(self, flat, bounds, rows):
+        column = type(self)(flat, bounds)
+        decoded = self.__dict__.get("arrays")
+        # A contiguous slice is a window onto this column's block, which
+        # was validated when ``arrays`` was first read: window the arrays
+        # too.  (A gather or a materialized copy has its own buffer and
+        # decodes it on first use.)
+        if decoded is not None and isinstance(rows, slice) \
+                and np.may_share_memory(flat, self.flat):
+            base = self.bounds[rows.start or 0]
+            column.__dict__["arrays"] = ResultsArrays(
+                fixed=decoded.fixed[rows],
+                cigar_buf=flat,
+                cigar_starts=decoded.cigar_starts[rows] - base,
+                cigar_ends=decoded.cigar_ends[rows] - base,
+            )
+        return column
+
     @classmethod
     def from_block(cls, data, lengths) -> "ResultsColumn":
         column = super().from_block(data, lengths)

@@ -664,16 +664,15 @@ class DuplicateTracker:
         raw = uniq.tobytes()
         itemsize = uniq.dtype.itemsize
         seen = self._seen
-        keep = np.zeros(cur.size, dtype=bool)
-        fresh = [
-            first[i]
-            for i in range(uniq.size)
-            if raw[i * itemsize : (i + 1) * itemsize] not in seen
+        keys = [
+            raw[at : at + itemsize] for at in range(0, len(raw), itemsize)
         ]
-        keep[fresh] = True
-        seen.update(
-            raw[i * itemsize : (i + 1) * itemsize] for i in range(uniq.size)
+        fresh = np.fromiter(
+            (key not in seen for key in keys), dtype=bool, count=len(keys)
         )
+        keep = np.zeros(cur.size, dtype=bool)
+        keep[first[fresh]] = True
+        seen.update(keys)
         dup = ~keep
         stats.duplicates_marked += int(dup.sum())
         return [int(i) for i in idx[dup]]

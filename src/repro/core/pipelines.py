@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from repro.agd.chunk import read_chunk_index
 from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import Manifest
 from repro.align.bwa import BwaConfig, BwaMemAligner, FMIndex
@@ -124,8 +125,6 @@ def build_bwa_aligner(
 def _count_dataset_bases(dataset: AGDDataset) -> int:
     """Total base count from chunk indices alone (no data decompression —
     the relative index stores per-record base counts, §3)."""
-    from repro.agd.chunk import read_chunk_index
-
     total = 0
     for chunk_index in range(dataset.num_chunks):
         entry = dataset.manifest.chunks[chunk_index]

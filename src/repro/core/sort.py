@@ -63,7 +63,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.agd.chunk import read_chunk_header, read_column, write_chunk
+from repro.agd.chunk import (
+    HEADER_SIZE,
+    read_chunk_header,
+    read_column,
+    write_chunk,
+)
 from repro.agd.columns import RaggedColumn
 from repro.agd.compression import (
     DEFAULT_CODEC,
@@ -343,11 +348,11 @@ def _credit_spill(counters: "dict | None", header) -> None:
 
 
 def _spill_header(blob):
-    """Header of one spill blob without pulling its bytes: 64 bytes read
-    straight from the file when ``blob`` is a :class:`SpillFileRef`."""
+    """Header of one spill blob without pulling its bytes: just the
+    header read from the file when ``blob`` is a :class:`SpillFileRef`."""
     if isinstance(blob, SpillFileRef):
         with open(blob.path, "rb") as fh:
-            return read_chunk_header(fh.read(64))
+            return read_chunk_header(fh.read(HEADER_SIZE))
     return read_chunk_header(blob)
 
 

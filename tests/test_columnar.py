@@ -25,7 +25,7 @@ from repro.core.dupmark import (
     mark_duplicates,
     scan_signatures,
 )
-from repro.agd.result_column import ResultsColumn
+from repro.agd.result_column import ResultsColumn, decode_results_arrays
 from repro.core.sort import SortConfig, sort_dataset
 from repro.core.varcall import (
     VarCallConfig,
@@ -135,6 +135,38 @@ class TestResultsArrays:
             assert int(arrays.contig_index[i]) == r.contig_index
             assert int(arrays.position[i]) == r.position
             assert arrays.cigar(i) == r.cigar
+
+    @given(triple_lists, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_slice_windows_the_decoded_arrays(self, triples, data):
+        """A contiguous slice of a decoded column carries the parent's
+        arrays, rebased — equal to decoding the slice's own block."""
+        column = ResultsColumn.from_records([t[0] for t in triples])
+        column.arrays  # decoded (and validated) once, here
+        lo = data.draw(st.integers(0, len(column) - 1))
+        hi = data.draw(st.integers(lo + 1, len(column)))
+        window = column[lo:hi]
+        inner = window[1:]  # a slice of a slice
+        for sub in (window, inner):
+            if len(sub):
+                assert "arrays" in sub.__dict__
+            fresh = decode_results_arrays(sub.flat, sub.lengths)
+            got = sub.arrays
+            assert got.fixed.tobytes() == fresh.fixed.tobytes()
+            assert np.array_equal(got.cigar_starts, fresh.cigar_starts)
+            assert np.array_equal(got.cigar_ends, fresh.cigar_ends)
+            assert [got.cigar(i) for i in range(len(sub))] == \
+                [r.cigar for r in sub]
+        # A gather or an owned copy has its own buffer: decoded on use.
+        assert "arrays" not in column.take([lo]).__dict__
+        frozen = window.flat.view()
+        frozen.flags.writeable = False
+        borrowed = ResultsColumn(frozen, window.bounds)
+        borrowed.arrays
+        owned = borrowed.materialize()
+        assert owned is not borrowed
+        assert not np.shares_memory(owned.arrays.cigar_buf, column.flat)
+        assert not np.shares_memory(owned.arrays.fixed, column.flat)
 
     def test_malformed_cigar_raises(self):
         buf = np.frombuffer(b"5M3", dtype=np.uint8)

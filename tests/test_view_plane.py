@@ -88,9 +88,24 @@ class TestChunkViewDecode:
         view = memoryview(blob)
         header, index, data = read_chunk_data(view)
         assert isinstance(data, memoryview)
-        # Zero-copy: the data block is a window into the input buffer.
+        # Zero-copy: the data block is a window into the input buffer
+        # (only the deflated index ahead of it is inflated into its own).
         assert data.obj is blob
         assert bytes(data) == b"".join(QUALS)
+        assert header.index_size != len(QUALS) * 4
+        assert np.shares_memory(
+            np.frombuffer(data, dtype=np.uint8),
+            np.frombuffer(blob, dtype=np.uint8)[header.data_offset:])
+        assert index.lengths.tolist() == [len(q) for q in QUALS]
+
+    def test_none_framed_spill_restores_with_no_decode_copy(self):
+        from repro.core.sort import _decode_spill
+
+        blob = write_chunk(QUALS, "text", codec="none")
+        counters: dict = {}
+        assert _decode_spill(memoryview(blob), counters) == QUALS
+        assert counters.get("decode_copies", 0) == 0
+        assert counters["spill_view_bytes"] == len(b"".join(QUALS))
 
     def test_gzip_codec_still_decodes_from_views(self):
         blob = write_chunk(QUALS, "text")  # default gzip codec
