@@ -131,7 +131,10 @@ class SnapAligner(ReadAligner):
         fixed = np.zeros(lengths.size, dtype=RESULT_FIXED_DTYPE)
         position = np.full(lengths.size, -1, dtype=np.int64)
         cigars = [b""] * lengths.size
-        for m in np.unique(lengths[lengths >= self.index.seed_length]):
+        # (Distinct lengths by histogram: a plain ``np.unique`` imports
+        # ``numpy.ma`` on first use, ~10 ms inside the first chunk.)
+        seedable = lengths[lengths >= self.index.seed_length]
+        for m in np.flatnonzero(np.bincount(seedable)):
             members = np.flatnonzero(lengths == m)
             reads = flat[bounds[members, None] + np.arange(m)]
             starts, reverse, distance, mapq, traced = \

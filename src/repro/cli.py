@@ -149,7 +149,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _make_cli_backend(args: argparse.Namespace):
-    """Build the compute backend a sort/dupmark subcommand asked for.
+    """Build the compute backend a sort/varcall subcommand asked for.
 
     Returns ``None`` for the serial default (the sequential in-line code
     path needs no backend object at all).
@@ -201,15 +201,11 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 def _cmd_dupmark(args: argparse.Namespace) -> int:
     from repro.core.dupmark import mark_duplicates
 
+    # --backend/--kernels are accepted and ignored: there is one dupmark
+    # implementation, and it is too cheap per chunk to dispatch.
     dataset = AGDDataset.open(args.dataset_dir)
-    backend = _make_cli_backend(args)
     start = time.monotonic()
-    try:
-        stats = mark_duplicates(dataset, backend=backend,
-                                vectorized=args.kernels == "vectorized")
-    finally:
-        if backend is not None:
-            backend.shutdown()
+    stats = mark_duplicates(dataset)
     elapsed = time.monotonic() - start
     rate = stats.records / elapsed if elapsed > 0 else 0.0
     print(
@@ -986,10 +982,10 @@ def _add_kernel_options(
         "--kernels",
         choices=("vectorized", "scalar"),
         default="vectorized",
-        help="dupmark/varcall kernel implementation: the numpy columnar "
-             "fast path (default) or the scalar reference path "
-             "(identical output, used for equivalence testing); the "
-             "sort has one implementation and ignores this",
+        help="varcall kernel implementation: the numpy columnar fast "
+             "path (default) or the scalar reference path (identical "
+             "output, used for equivalence testing); sort and dupmark "
+             "have one implementation each and ignore this",
     )
     p.add_argument(
         "--raw-scratch",

@@ -9,14 +9,15 @@ plus record bounds (:mod:`repro.agd.columns`,
 pileup, sort keys and permutations, duplicate signatures and marking —
 run as vectorized array programs over those buffers.
 
-Contract: the pileup and duplicate-marking kernels are *fast paths* with
-a scalar reference implementation in :mod:`repro.core.varcall` and
-:mod:`repro.core.dupmark`, and must produce byte-identical outputs;
-input the dense pileup cannot represent raises
+Contract: the pileup kernel is a *fast path* with a scalar reference
+implementation in :mod:`repro.core.varcall` and must produce
+byte-identical outputs; input the dense pileup cannot represent raises
 :class:`ColumnarFallback` and reruns on the reference.  The sort kernels
-(:func:`sort_keys`, :func:`sort_permutation`) are the only sort there
-is: keys too wide to pack change how the permutation is computed, never
-the result (the row sort they replaced is the oracle under ``tests/``).
+(:func:`sort_keys`, :func:`sort_permutation`) and the duplicate tracker
+are the only sort and the only marker there are: keys too wide to pack
+change how the permutation is computed, never the result (the row sort
+is the oracle under ``tests/``; the object-level marking specification
+stays in :mod:`repro.core.dupmark` for the tests to compare against).
 Malformed data raises ``ValueError``, just like the scalar parsers.
 """
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.agd.columns import RaggedColumn, TextColumn, cumsum0, ragged_index
-from repro.align.result import FLAG_DUPLICATE
 from repro.agd.result_column import (  # noqa: F401 - re-exported
     RESULT_FIXED_DTYPE,
     RESULT_FIXED_SIZE,
@@ -164,14 +164,15 @@ def parse_cigars(
 # --------------------------------------------------------------------------
 # Vectorized pileup (the reference path is repro.core.varcall).
 
-_COMPLEMENT_LUT = np.frombuffer(
-    bytes.maketrans(b"ACGTNacgtn", b"TGCANtgcan"), dtype=np.uint8
-).copy()
-
-#: Base byte -> pileup matrix column, in 3-bit-code order (A,C,G,T,N).
-_BASE_CODE_LUT = np.full(256, 255, dtype=np.uint8)
-for _i, _c in enumerate(b"ACGTN"):
-    _BASE_CODE_LUT[_c] = _i
+#: Base byte -> pileup matrix column, in 3-bit-code order (A,C,G,T,N);
+#: 255 marks a byte the matrix cannot hold.  Row 0 reads a forward
+#: read's stored byte; row 1 reads a reverse read's — whose stored bases
+#: are the reverse complement of what aligned — as its complement.
+_STRAND_CODE_LUT = np.full((2, 256), 255, dtype=np.uint8)
+for _i, (_c, _rc) in enumerate(zip(b"ACGTN", b"TGCAN")):
+    _STRAND_CODE_LUT[0, _c] = _i
+    _STRAND_CODE_LUT[1, _rc] = _i
+_STRAND_CODE_LUT = _STRAND_CODE_LUT.reshape(-1)
 
 #: Matrix column -> base byte.
 BASE_BYTES = np.frombuffer(b"ACGTN", dtype=np.uint8)
@@ -222,6 +223,11 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     Returns a pileup partial (see :data:`PileupPartial`); partials merge
     commutatively via :func:`merge_pileup_partials`, so per-chunk partials
     can still fan out across any backend.
+
+    Reads are walked where they lie: a reverse read's aligned segment is
+    the same stored bytes read back to front through the complementing
+    row of the base-code LUT, so strand is a per-segment buffer start
+    and a +-1 step — no strand-corrected copy of bases or qualities.
     """
     arrays = _ensure_results_arrays(results)
     keep = arrays.is_aligned & (arrays.mapq >= config.min_mapq)
@@ -235,41 +241,21 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     if not np.array_equal(lens, qlens):
         raise ValueError("bases/qual record lengths disagree")
     starts = cumsum0(lens)
-    total = int(starts[-1])
-    rev = arrays.is_reverse[idx]
 
-    # Strand correction without per-read Python: corrected[p] = raw[src]
-    # where reverse reads read their buffer back to front (and complement).
-    read_of_p = np.repeat(np.arange(idx.size), lens)
-    p = np.arange(total, dtype=np.int64)
-    off = p - np.repeat(starts[:-1], lens)
-    rev_b = rev[read_of_p]
-    src = np.where(
-        rev_b, starts[read_of_p] + lens[read_of_p] - 1 - off, p
-    )
-    bases_c = raw_b[src]
-    bases_c = np.where(rev_b, _COMPLEMENT_LUT[bases_c], bases_c)
-    quals_c = raw_q[src]
-
-    # CIGAR-expanded (position, base, qual) vectors for M/=/X segments.
+    # Per CIGAR op: its offset into the (strand-corrected) read and its
+    # reference position.
     ops = parse_cigars(
         arrays.cigar_buf, arrays.cigar_starts[idx], arrays.cigar_ends[idx]
     )
-    read_adv = ops.length * _CONSUMES_READ[ops.op]
-    ref_adv = ops.length * _CONSUMES_REF[ops.op]
-    gread = cumsum0(read_adv)
-    gref = cumsum0(ref_adv)
+    gread = cumsum0(ops.length * _CONSUMES_READ[ops.op])
+    gref = cumsum0(ops.length * _CONSUMES_REF[ops.op])
     first = ops.first_op[ops.record]
-    read_start = gread[:-1] - gread[first]
-    pos_kept = arrays.position[idx].astype(np.int64)
-    ref_start = pos_kept[ops.record] + gref[:-1] - gref[first]
-
     m = _IS_ALIGN_OP[ops.op]
     seg_len = ops.length[m]
     if seg_len.size == 0:
         return {}
     seg_rec = ops.record[m]
-    seg_read_local = read_start[m]
+    seg_read_local = (gread[:-1] - gread[first])[m]
     # Per-record bound: an aligned segment reaching past its own read
     # would silently index a neighbor's bases in the concatenated
     # buffer; the scalar walk raises there, so must we.
@@ -277,42 +263,64 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
         raise ValueError(
             "CIGAR consumes more read bases than the record has"
         )
-    seg_read = starts[seg_rec] + seg_read_local
-    seg_ref = ref_start[m]
-    tb = int(seg_len.sum())
-    bo = np.arange(tb, dtype=np.int64) - np.repeat(
-        cumsum0(seg_len)[:-1], seg_len
-    )
-    ref_pos = np.repeat(seg_ref, seg_len) + bo
-    read_idx = np.repeat(seg_read, seg_len) + bo
-    contig_per_base = np.repeat(
-        arrays.contig_index[idx].astype(np.int64)[seg_rec], seg_len
+    seg_ref = (arrays.position[idx].astype(np.int64)[ops.record]
+               + gref[:-1] - gref[first])[m]
+    seg_rev = arrays.is_reverse[idx][seg_rec]
+    seg_buf = starts[seg_rec] + np.where(
+        seg_rev, lens[seg_rec] - 1 - seg_read_local, seg_read_local
     )
 
-    good = quals_c[read_idx].astype(np.int64) - 33 >= config.min_base_quality
-    codes = _BASE_CODE_LUT[bases_c[read_idx]]
-    if codes[good].size and int(codes[good].max()) == 255:
+    # Expand segments to bases.  Base k of the expansion (``ramp[k]``)
+    # is base ``k - seg_first`` of its segment, so its reference
+    # position is ``seg_ref + (k - seg_first)`` and its buffer index
+    # ``seg_buf + seg_step * (k - seg_first)``: the per-segment constant
+    # is repeated, the ramp is shared.
+    seg_first = cumsum0(seg_len)
+    ramp = np.arange(int(seg_first[-1]))
+    seg_first = seg_first[:-1]
+    seg_step = np.where(seg_rev, -1, 1)
+    ref_pos = np.repeat(seg_ref - seg_first, seg_len)
+    ref_pos += ramp
+    read_idx = np.repeat(seg_step, seg_len)
+    read_idx *= ramp
+    read_idx += np.repeat(seg_buf - seg_step * seg_first, seg_len)
+
+    good = raw_q.take(read_idx) >= config.min_base_quality + 33
+    lut_row = np.repeat(np.where(seg_rev, 256, 0).astype(np.uint16), seg_len)
+    lut_row += raw_b.take(read_idx)
+    codes = _STRAND_CODE_LUT.take(lut_row).compress(good)
+    if codes.size and int(codes.max()) == 255:
         # Lowercase / IUPAC bytes: the scalar Counter keys raw bytes,
         # which the 5-column matrix cannot represent — fall back.
         raise ColumnarFallback("non-ACGTN base byte in pileup fast path")
-    ref_pos = ref_pos[good]
-    contig_per_base = contig_per_base[good]
-    codes = codes[good].astype(np.int64)
+    ref_pos = ref_pos.compress(good)
 
+    contigs = arrays.contig_index[idx]
+    low, high = int(contigs.min()), int(contigs.max())
+    if low == high:
+        groups = [(low, ref_pos, codes)]
+    else:
+        # One per-base contig vector, only for a subchunk that spans
+        # contigs; the contigs present come from the per-read array.
+        contig_per_base = np.repeat(contigs[seg_rec], seg_len).compress(good)
+        groups = []
+        for contig in np.flatnonzero(np.bincount(contigs - low)) + low:
+            cm = contig_per_base == contig
+            groups.append((contig, ref_pos.compress(cm), codes.compress(cm)))
     partial: dict = {}
-    # Unique contigs from the (small) per-read array, not the per-base one.
-    for contig in np.unique(arrays.contig_index[idx].astype(np.int64)):
-        cm = contig_per_base == contig
-        p = ref_pos[cm]
+    for contig, p, c5 in groups:
         if p.size == 0:
             continue
-        c5 = codes[cm]
         pmin = int(p.min())
         span = int(p.max()) - pmin + 1
         _check_dense_span(span, int(p.size), int(contig))
         # One bincount histogram over the covered range: positions piled
         # by reads are contiguous in practice, so dense is the fast form.
-        counts = np.bincount((p - pmin) * 5 + c5, minlength=span * 5)
+        # (``p`` is this function's own array: the index is built in it.)
+        p -= pmin
+        p *= 5
+        p += c5
+        counts = np.bincount(p, minlength=span * 5)
         partial[int(contig)] = (
             pmin, counts.reshape(span, 5).astype(np.int32)
         )
@@ -547,8 +555,8 @@ def sort_permutation(order: str, column) -> "tuple[np.ndarray, np.ndarray | None
 
 
 # --------------------------------------------------------------------------
-# Vectorized duplicate signatures (the reference path is
-# repro.core.dupmark).
+# Duplicate signatures and marking (repro.core.dupmark holds the
+# object-level specification).
 
 #: Structured signature rows.  tag 0 = single-end, 1 = paired fragment;
 #: two records are duplicates iff their rows compare equal, exactly
@@ -606,15 +614,17 @@ def fragment_signature_arrays(
     rev_u1 = rev.astype(np.uint8)
     c = arrays.contig_index.astype(np.int64)
     p = unclipped
-    mc = arrays.next_contig_index.astype(np.int64)
-    mp = arrays.next_position.astype(np.int64)
     paired = arrays.is_paired & (arrays.next_contig_index >= 0)
 
     # Single-end layout is the default; c2/p2/s2 stay zero.
     sig["c1"] = c
     sig["p1"] = p
     sig["s1"] = rev_u1
-    sig["tag"][paired] = 1
+    sig["tag"] = paired
+    if not paired.any():
+        return sig, valid
+    mc = arrays.next_contig_index.astype(np.int64)
+    mp = arrays.next_position.astype(np.int64)
     # Canonical fragment orientation: ((mate, not rev) < (own, rev)) puts
     # the mate first — the same lexicographic test as the scalar tuples.
     cond = (mc < c) | ((mc == c) & ((mp < p) | ((mp == p) & rev)))
@@ -641,74 +651,48 @@ def fragment_signature_arrays(
 class DuplicateTracker:
     """Cross-chunk duplicate scanning over signature arrays.
 
-    The vectorized analog of :func:`repro.core.dupmark.scan_signatures`:
-    the first fragment seen with a signature wins, so chunks must still
-    arrive in deterministic order.  Within a chunk, repeats collapse in
-    one ``np.unique`` pass; only the (few) distinct signatures probe the
-    cross-chunk seen set, keyed by their packed struct bytes — the
-    Samblaster hashing idea, fed by array extraction.
+    The array form of :func:`repro.core.dupmark.scan_signatures`: the
+    first fragment seen with a signature wins, so chunks must still
+    arrive in deterministic order.  Within a chunk, repeats collapse
+    with one stable ``np.lexsort`` over the signature's integer fields;
+    only the (few) distinct signatures probe the cross-chunk seen set,
+    keyed by their packed struct bytes — the Samblaster hashing idea,
+    fed by array extraction.
     """
+
+    #: Sort keys, least significant first; a chunk with no paired
+    #: fragment has tag/c2/p2/s2 all zero and sorts on the first three.
+    _SINGLE_KEYS = ("s1", "p1", "c1")
+    _PAIRED_KEYS = ("s2", "p2", "c2") + _SINGLE_KEYS + ("tag",)
 
     def __init__(self) -> None:
         self._seen: set[bytes] = set()
 
     def scan(self, sigs: np.ndarray, valid: np.ndarray, stats) -> list[int]:
         """Update stats and the seen set; return duplicate positions."""
-        stats.records += int(valid.size)
-        stats.unmapped += int((~valid).sum())
         idx = np.flatnonzero(valid)
+        stats.records += int(valid.size)
+        stats.unmapped += int(valid.size - idx.size)
         if idx.size == 0:
             return []
-        cur = np.ascontiguousarray(sigs[idx])
-        uniq, first = np.unique(cur, return_index=True)
-        raw = uniq.tobytes()
-        itemsize = uniq.dtype.itemsize
+        cur = sigs[idx]
+        keys = self._PAIRED_KEYS if cur["tag"].any() else self._SINGLE_KEYS
+        columns = [cur[key] for key in keys]
+        order = np.lexsort(columns)
+        # Stable sort: each run of equal signatures starts at its first
+        # occurrence in chunk order.
+        leads = np.ones(order.size, dtype=bool)
+        leads[1:] = np.logical_or.reduce([
+            ranked[1:] != ranked[:-1]
+            for ranked in (col[order] for col in columns)
+        ])
+        first = order[leads]
+        packed = cur[first].view(f"V{cur.dtype.itemsize}").tolist()
         seen = self._seen
-        keys = [
-            raw[at : at + itemsize] for at in range(0, len(raw), itemsize)
-        ]
-        fresh = np.fromiter(
-            (key not in seen for key in keys), dtype=bool, count=len(keys)
-        )
-        keep = np.zeros(cur.size, dtype=bool)
-        keep[first[fresh]] = True
-        seen.update(keys)
-        dup = ~keep
+        known = np.fromiter(map(seen.__contains__, packed), dtype=bool,
+                            count=len(packed))
+        seen.update(packed)
+        dup = np.ones(cur.size, dtype=bool)
+        dup[first[~known]] = False
         stats.duplicates_marked += int(dup.sum())
-        return [int(i) for i in idx[dup]]
-
-
-def mark_duplicates_blob(blob, dup_positions) -> bytes:
-    """Rewrite a results-column chunk with FLAG_DUPLICATE set on the
-    given record positions — by patching the serialized flag bytes
-    (:meth:`ResultsColumn.with_flag`) and re-framing the block.  No
-    AlignmentResult is ever materialized, and the output is byte-for-
-    byte what ``write_chunk`` would produce for the object path.
-
-    Copy-on-write for the view plane: ``blob`` may be a (readonly)
-    ``memoryview`` over a leased shm segment; the patch works on the
-    column's own copy of the block, never through to a shared segment
-    another consumer (or a redelivery) might still read.
-    """
-    from repro.agd.chunk import read_chunk_header, write_chunk
-
-    marked = read_results_column(blob).with_flag(dup_positions,
-                                                 FLAG_DUPLICATE)
-    return write_chunk(
-        marked, "results", first_ordinal=read_chunk_header(blob).first_ordinal
-    )
-
-
-def results_signature_arrays_task(
-    shared, payload
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Backend task: signatures of an in-memory results column."""
-    return fragment_signature_arrays(_ensure_results_arrays(payload))
-
-
-def chunk_signature_arrays_task(
-    shared, payload
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Backend task: signatures straight from a results-column blob
-    (decode and extraction both vectorized; no objects materialized)."""
-    return fragment_signature_arrays(read_results_arrays(payload))
+        return idx[dup].tolist()

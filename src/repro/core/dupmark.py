@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.agd.chunk import read_chunk
+from repro.agd.chunk import read_chunk_header, write_chunk
 from repro.agd.dataset import AGDDataset
-from repro.dataflow import shm as shm_plane
 from repro.align.result import (
     FLAG_DUPLICATE,
     AlignmentResult,
@@ -99,9 +98,10 @@ def scan_signatures(
 
     Updates the counters and the cross-chunk ``seen`` set; returns the
     positions to mark as duplicates.  First fragment with a signature
-    wins, so successive calls must follow chunk order.  This is the ONE
-    copy of the marking semantics — the eager paths and the streaming
-    :class:`~repro.core.ops.DupmarkNode` all run through it.
+    wins, so successive calls must follow chunk order.  The object-level
+    specification of the marking semantics: what runs is
+    :class:`~repro.core.columnar.DuplicateTracker`, which the tests
+    compare against this.
     """
     dup_positions: list[int] = []
     for position, sig in enumerate(sigs):
@@ -135,157 +135,46 @@ def mark_duplicates_results(
     ]
 
 
-def results_signatures_task(shared, payload) -> "list[tuple | None]":
-    """Backend task: extract signatures from an in-memory results list.
-
-    The streaming dupmark kernel uses this when records are already
-    parsed (they arrived through a pipeline queue, not from storage);
-    :func:`chunk_signatures_task` is the from-blob variant.
-    """
-    return [fragment_signature(r) for r in payload]
-
-
-def chunk_signatures_task(shared, payload) -> "list[tuple | None]":
-    """Backend task: decode one results-column blob into signatures.
-
-    Signature extraction (decompression + CIGAR parsing) is the
-    parallelizable part of duplicate marking; the seen-set pass itself
-    is inherently sequential (Samblaster semantics: first fragment with
-    a signature wins), so it stays on the caller.
-    """
-    return [fragment_signature(r) for r in read_chunk(payload).records]
-
-
 def mark_duplicates(
     dataset: AGDDataset,
     stats: "DupmarkStats | None" = None,
-    backend=None,
-    vectorized: bool = True,
 ) -> DupmarkStats:
     """Mark duplicates in-place on a dataset's results column.
 
     Reads and rewrites *only* the results column, chunk by chunk — the
-    I/O-efficiency property §5.6 highlights.
-
-    ``vectorized`` (the default) decodes each chunk's results column
-    straight into numpy arrays, extracts signatures as structured-array
-    rows, and scans duplicates with ``np.unique``
-    (:mod:`repro.core.columnar`); a clean chunk never materializes a
-    single AlignmentResult object.  ``vectorized=False`` runs the scalar
-    reference path; marks and stats are identical.
-
-    ``backend`` (a :class:`~repro.dataflow.backends.Backend`) computes
-    per-chunk signatures in parallel before the sequential marking pass;
-    output is identical to the default sequential path.
-    """
-    if not dataset.manifest.has_column("results"):
-        raise ValueError("dataset has no results column; align first")
-    stats = stats if stats is not None else DupmarkStats()
-    if vectorized:
-        return _mark_duplicates_vectorized(dataset, stats, backend)
-    seen: set = set()
-    if backend is not None:
-        return _mark_duplicates_backend(dataset, stats, seen, backend)
-    for chunk_index in range(dataset.num_chunks):
-        records = dataset.read_chunk("results", chunk_index).records
-        sigs = [fragment_signature(result) for result in records]
-        dup_positions = scan_signatures(sigs, seen, stats)
-        if dup_positions:
-            updated = list(records)
-            for position in dup_positions:
-                updated[position] = updated[position].with_flag(
-                    FLAG_DUPLICATE
-                )
-            dataset.replace_column_chunk("results", chunk_index, updated)
-    return stats
-
-
-def _mark_duplicates_vectorized(
-    dataset: AGDDataset,
-    stats: DupmarkStats,
-    backend,
-) -> DupmarkStats:
-    """Columnar fast path: array signatures + ``np.unique`` scanning.
-
-    The sequential seen-set semantics (first fragment with a signature
-    wins, in chunk order) are preserved by the
-    :class:`~repro.core.columnar.DuplicateTracker`; only dirty chunks
-    are decoded into objects, and only to rewrite them.
+    I/O-efficiency property §5.6 highlights.  Each chunk's results
+    decode straight into numpy arrays, signatures are structured-array
+    rows, and the :class:`~repro.core.columnar.DuplicateTracker` keeps
+    the sequential semantics (first fragment with a signature wins, in
+    chunk order).  A chunk that gained a duplicate is rewritten by
+    patching the flag bytes of its serialized block
+    (:meth:`ResultsColumn.with_flag`) and re-framing it with the codec
+    it was stored with — byte for byte what re-encoding the updated
+    objects would give, with no AlignmentResult on either side.  (There
+    is no ``backend=``: signature extraction is ~0.5 ms per chunk, a
+    tenth of what dispatching it costs.)
     """
     from repro.core.columnar import (
         DuplicateTracker,
-        chunk_signature_arrays_task,
-        mark_duplicates_blob,
+        fragment_signature_arrays,
+        read_results_column,
     )
 
+    if not dataset.manifest.has_column("results"):
+        raise ValueError("dataset has no results column; align first")
+    stats = stats if stats is not None else DupmarkStats()
     tracker = DuplicateTracker()
-
-    def results_blob(chunk_index: int) -> bytes:
-        return dataset.store.get(
-            dataset.manifest.chunks[chunk_index].chunk_file("results"))
-
-    def mark_chunk(chunk_index: int, blob, sigs, valid) -> None:
-        dup_positions = tracker.scan(sigs, valid, stats)
-        if not dup_positions:
-            return
-        # Dirty chunks rewrite by patching the serialized flag bytes —
-        # no AlignmentResult objects on either side of the marking.
-        # Under streaming wave leases the blob may be an ShmRef; it is
-        # resolved only here, i.e. only for chunks that are dirty.
-        blob = shm_plane.resolve_payload(blob)
-        entry = dataset.manifest.chunks[chunk_index]
-        dataset.store.put(
-            entry.chunk_file("results"),
-            mark_duplicates_blob(blob, dup_positions),
+    for entry in dataset.manifest.chunks:
+        key = entry.chunk_file("results")
+        blob = dataset.store.get(key)
+        column = read_results_column(blob)
+        dup_positions = tracker.scan(
+            *fragment_signature_arrays(column.arrays), stats
         )
-
-    if backend is not None:
-        from repro.dataflow.backends import run_in_waves
-
-        for chunk_index, blob, (sigs, valid) in run_in_waves(
-            backend, chunk_signature_arrays_task,
-            range(dataset.num_chunks), results_blob,
-        ):
-            mark_chunk(chunk_index, blob, sigs, valid)
-        return stats
-    for chunk_index in range(dataset.num_chunks):
-        blob = results_blob(chunk_index)
-        sigs, valid = chunk_signature_arrays_task(None, blob)
-        mark_chunk(chunk_index, blob, sigs, valid)
-    return stats
-
-
-def _mark_duplicates_backend(
-    dataset: AGDDataset,
-    stats: DupmarkStats,
-    seen: set,
-    backend,
-) -> DupmarkStats:
-    """Backend path: signature extraction fans out in bounded waves.
-
-    A wave holds ~2 chunk blobs per worker in flight (same bound as the
-    parallel sort's phase 1), and a chunk is only decoded a second time
-    when it actually contains duplicates to rewrite — the common clean
-    chunk costs one decode, in a worker.
-    """
-    from repro.dataflow.backends import run_in_waves
-
-    def results_blob(chunk_index: int) -> bytes:
-        return dataset.store.get(
-            dataset.manifest.chunks[chunk_index].chunk_file("results"))
-
-    for chunk_index, blob, sigs in run_in_waves(
-        backend, chunk_signatures_task,
-        range(dataset.num_chunks), results_blob,
-    ):
-        dup_positions = scan_signatures(sigs, seen, stats)
         if dup_positions:
-            # Lease-aware: resolve the (possibly ShmRef) blob only for
-            # the chunks that actually need rewriting.
-            updated = list(read_chunk(shm_plane.resolve_payload(blob)).records)
-            for position in dup_positions:
-                updated[position] = updated[position].with_flag(
-                    FLAG_DUPLICATE
-                )
-            dataset.replace_column_chunk("results", chunk_index, updated)
+            header = read_chunk_header(blob)
+            dataset.store.put(key, write_chunk(
+                column.with_flag(dup_positions, FLAG_DUPLICATE), "results",
+                first_ordinal=header.first_ordinal, codec=header.codec_name,
+            ))
     return stats

@@ -16,8 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.agd.chunk import read_column, write_chunk
+from repro.agd.chunk import read_chunk_header, read_column, write_chunk
 from repro.agd.columns import RaggedColumn
+from repro.agd.compression import DEFAULT_CODEC, Codec
 from repro.agd.manifest import ChunkEntry, Manifest
 from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import FLAG_DUPLICATE
@@ -39,13 +40,16 @@ class ChunkWorkItem:
     bounds each (:mod:`repro.agd.columns`), never a list of per-record
     objects; index or iterate a column to get records (``bytes``, or
     ``AlignmentResult`` from a results column).  Kernels also accept
-    plain record lists there and wrap them once.
+    plain record lists there and wrap them once.  ``codecs`` names the
+    codec each column parsed from ``raw`` was stored with, for a kernel
+    that rewrites the chunk in place.
     """
 
     entry: ChunkEntry
     raw: dict[str, bytes] = field(default_factory=dict)
     columns: dict = field(default_factory=dict)
     results: "ResultsColumn | None" = None
+    codecs: "dict[str, str]" = field(default_factory=dict)
 
     @property
     def record_count(self) -> int:
@@ -134,6 +138,7 @@ class AGDParserNode(Node):
                     f"{item.record_count}"
                 )
             item.columns[column] = records
+            item.codecs[column] = read_chunk_header(blob).codec_name
         item.raw = {}
         return [item]
 
@@ -867,7 +872,8 @@ class SuperchunkMergeNode(Node):
         name: str = "sort_merge",
         backend_handle: "str | None" = None,
         merge_partitions: int = 1,
-        output_codec_level: "int | None" = None,
+        output_codec: "Codec | str" = DEFAULT_CODEC,
+        deferred_columns: "tuple[str, ...]" = (),
     ):
         super().__init__(name, parallelism=1)
         if out_chunk_size <= 0:
@@ -882,7 +888,8 @@ class SuperchunkMergeNode(Node):
         self.reference = reference or []
         self.backend_handle = backend_handle
         self.merge_partitions = merge_partitions
-        self.output_codec_level = output_codec_level
+        self.output_codec = output_codec
+        self.deferred_columns = tuple(deferred_columns)
         self._runs: list = []
         self.entries: list[ChunkEntry] = []
         self.manifest: "Manifest | None" = None
@@ -901,16 +908,11 @@ class SuperchunkMergeNode(Node):
         return self._merge_and_emit(backend)
 
     def _merge_and_emit(self, backend=None):
-        from repro.agd.compression import DEFAULT_CODEC, leveled_codec
         from repro.core.sort import build_sorted_manifest, iter_merged_chunks
 
         # Partition-spilled runs merge via per-range blob kernels
         # (spill locality), whole-run spills in one kernel here.
         runs = sorted(self._runs, key=lambda r: r.index)
-        out_codec = (
-            DEFAULT_CODEC if self.output_codec_level is None
-            else leveled_codec("gzip", self.output_codec_level)
-        )
         # Restore-side memory-plane accounting lands directly in this
         # node's counters (spill_view_bytes / decode_copies / backend
         # result-path deltas) and surfaces through stage_report.
@@ -918,7 +920,8 @@ class SuperchunkMergeNode(Node):
             self.scratch, runs, self.ordered_columns, self.order,
             self.out_chunk_size, self.dataset_name, self.output_store,
             backend=backend, merge_partitions=self.merge_partitions,
-            out_codec=out_codec, counters=self.stats.counters,
+            out_codec=self.output_codec, counters=self.stats.counters,
+            deferred_columns=self.deferred_columns,
         ):
             self.entries.append(entry)
             yield ChunkWorkItem(entry=entry, columns=columns)
@@ -931,84 +934,58 @@ class SuperchunkMergeNode(Node):
 class DupmarkNode(Node):
     """Streaming Samblaster-style duplicate marker (§4.3, §5.6).
 
-    Signature extraction for each chunk is dispatched through the
-    execution backend; the seen-set pass itself is inherently sequential
-    (first fragment with a signature wins), hence parallelism 1 and the
-    requirement that chunks arrive in a deterministic order.  Dirty
-    chunks are rewritten to ``store`` — only the results column, the
-    I/O-efficiency property §5.6 measures.
+    Signatures come straight from the chunk's results arrays, on this
+    node's thread: ~0.5 ms a chunk, a tenth of what dispatching them to
+    a backend costs.  The seen-set pass is inherently sequential (first
+    fragment with a signature wins), hence parallelism 1 and the
+    requirement that chunks arrive in a deterministic order.  Only the
+    results column is ever written — the I/O-efficiency property §5.6
+    measures.  Without ``write_codec`` the chunks are already in
+    ``store`` and only dirty ones are rewritten, with the codec they
+    were stored with; with it (the stage directly after a sort, whose
+    merge then leaves the results column to this node) every chunk's
+    results are encoded and put here, once, flagged or clean.
     """
 
     def __init__(
         self,
         store: ChunkStore,
-        backend_handle: str,
-        subchunk_size: int = 512,
         name: str = "dupmark",
         stats: "object | None" = None,
-        vectorized: bool = True,
+        write_codec=None,
     ):
         from repro.core.columnar import DuplicateTracker
         from repro.core.dupmark import DupmarkStats
 
         super().__init__(name, parallelism=1)
-        if subchunk_size <= 0:
-            raise ValueError("subchunk_size must be positive")
         self.store = store
-        self.backend_handle = backend_handle
-        self.subchunk_size = subchunk_size
-        self.vectorized = vectorized
+        self.write_codec = write_codec
         # Not ``stats`` — that's the base Node's runtime NodeStats.
         self.dup_stats = stats if stats is not None else DupmarkStats()
-        self._seen: set = set()
         self._tracker = DuplicateTracker()
 
-    def _scan(self, records, ctx: NodeContext) -> "list[int]":
-        """Signature extraction (fanned out) + the sequential seen pass."""
-        backend = ctx.backend(self.backend_handle)
-        # Subchunk payloads so signature extraction fans out across the
-        # backend's workers (one payload per chunk would serialize it).
-        payloads = [
-            records[start:start + self.subchunk_size]
-            for start in range(0, len(records), self.subchunk_size)
-        ]
-        if self.vectorized:
-            from repro.core.columnar import results_signature_arrays_task
-
-            parts = backend.run_chunk(
-                results_signature_arrays_task, payloads,
-                shared=ctx.resources,
-            )
-            if not parts:
-                return []
-            sig_arr = np.concatenate([p[0] for p in parts])
-            valid = np.concatenate([p[1] for p in parts])
-            return self._tracker.scan(sig_arr, valid, self.dup_stats)
-        from repro.core.dupmark import results_signatures_task, scan_signatures
-
-        sigs = [
-            sig
-            for sub in backend.run_chunk(
-                results_signatures_task, payloads, shared=ctx.resources
-            )
-            for sig in sub
-        ]
-        return scan_signatures(sigs, self._seen, self.dup_stats)
-
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
+        from repro.core.columnar import fragment_signature_arrays
+
         records = _item_column(item, "results", "dupmark")
-        dup_positions = self._scan(records, ctx)
+        dup_positions = self._tracker.scan(
+            *fragment_signature_arrays(records.arrays), self.dup_stats
+        )
         if dup_positions:
             # Marking patches the flag bytes in the serialized block —
             # no AlignmentResult on either side of the rewrite.
-            updated = records.with_flag(dup_positions, FLAG_DUPLICATE)
-            blob = write_chunk(
-                updated, "results", first_ordinal=item.entry.first_ordinal
-            )
-            self.store.put(item.entry.chunk_file("results"), blob)
-            item.columns["results"] = updated
+            records = records.with_flag(dup_positions, FLAG_DUPLICATE)
+            item.columns["results"] = records
             if item.results is not None:
-                item.results = updated
+                item.results = records
+        if dup_positions or self.write_codec is not None:
+            codec = self.write_codec or item.codecs.get("results",
+                                                        DEFAULT_CODEC)
+            self.store.put(
+                item.entry.chunk_file("results"),
+                write_chunk(records, "results", codec=codec,
+                            first_ordinal=item.entry.first_ordinal),
+            )
         return [item]
 
 

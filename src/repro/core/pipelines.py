@@ -407,7 +407,8 @@ def _build_stage_graph(
 
     ``stages`` is the FULL pipeline stage tuple (not just this server's
     group): cross-stage decisions — which columns an align reader must
-    fetch, which store dupmark rewrites — depend on the whole workload
+    fetch, which store dupmark writes, whether the sort's merge leaves
+    the results column to it — depend on the whole workload
     even when this stage runs on another server.  ``head`` marks the
     stage that reads chunk names and the store directly (the pipeline
     head, or a placed head pulling names from the cluster work edge via
@@ -420,6 +421,12 @@ def _build_stage_graph(
     runs) get journal hooks so a resumed run skips verified work.
     """
     manifest = dataset.manifest
+    # Dupmark directly after sort marks before the first write: the merge
+    # leaves the results column to the dupmark node, which encodes it
+    # once, flagged.  Read off the full stage tuple, so the servers of a
+    # placed run that split the two stages decide alike.
+    marks_first_write = "sort" in stages and \
+        stages[stages.index("sort") + 1:][:1] == ("dupmark",)
     if stage == "align":
         config = align_config or AlignGraphConfig()
         config = replace(config, backend=backend_obj)
@@ -461,6 +468,7 @@ def _build_stage_graph(
             backend=backend_obj,
             name_queue=name_queue if head else None,
             missing_ok=missing_ok,
+            deferred_columns=("results",) if marks_first_write else (),
         )
         if ledger is not None and scratch_store is not None:
             # Spills only survive a restart in a durable scratch store;
@@ -494,10 +502,10 @@ def _build_stage_graph(
                      if previous == "align" else None),
             from_queue=not head,
             columns=columns,
-            backend=backend_obj,
-            vectorized=vectorized,
             name_queue=name_queue if head else None,
             missing_ok=missing_ok,
+            write_codec=((sort_config or SortConfig()).output_codec()
+                         if marks_first_write else None),
         )
     if stage == "filter":
         filter_name, out_chunk, order = _filter_output_spec(
@@ -595,9 +603,9 @@ def run_pipeline(
     single-stage calls, one budget here covers every fused stage, so a
     fixed cap would abort workloads whose individual stages are fine.
 
-    ``vectorized`` selects the numpy fast path for the dupmark and
-    varcall kernels (the default; False runs their scalar reference
-    path — outputs are identical; the sort has one implementation).  ``queue_sample_interval``
+    ``vectorized`` selects the numpy fast path for the varcall kernel
+    (the default; False runs its scalar reference path — outputs are
+    identical; sort and dupmark have one implementation each).  ``queue_sample_interval``
     samples every queue's depth on that period during the run; the
     per-stage traces land in ``report["queue_trace"]`` and each stage's
     ``stage_report`` entry (§4.6's "current queue states").  None

@@ -859,9 +859,13 @@ def iter_merged_chunks(
     merge_partitions: int = 1,
     out_codec: "Codec | str" = DEFAULT_CODEC,
     counters: "dict | None" = None,
+    deferred_columns: "tuple[str, ...]" = (),
 ):
     """Phase 2 of the external sort: merge sorted runs and write final
     chunks; yields ``(entry, columns)`` per chunk written.
+    ``deferred_columns`` are merged and yielded but neither encoded nor
+    put: the stage that consumes the stream writes them (a dupmark stage
+    directly downstream flags the results column before its only write).
 
     Shared by the eager :func:`sort_dataset` and the streaming
     :class:`~repro.core.ops.SuperchunkMergeNode` so the two paths'
@@ -885,8 +889,10 @@ def iter_merged_chunks(
         entry = ChunkEntry(
             f"{sorted_name}-{index}", total, len(columns[ordered_columns[0]])
         )
+        written = {name: column for name, column in columns.items()
+                   if name not in deferred_columns}
         for column, blob in _encode_columns(
-            columns, out_codec, first_ordinal=total
+            written, out_codec, first_ordinal=total
         ).items():
             output_store.put(entry.chunk_file(column), blob)
         total += entry.record_count

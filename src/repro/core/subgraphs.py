@@ -484,6 +484,7 @@ def build_sort_graph(
     stage_name: str = "sort",
     name_queue: "Queue | None" = None,
     missing_ok=None,
+    deferred_columns: "tuple[str, ...]" = (),
 ) -> StageGraph:
     """The external merge sort (§4.3) as a dataflow stage.
 
@@ -495,6 +496,8 @@ def build_sort_graph(
 
     The collector is the :class:`SuperchunkMergeNode`; after the run its
     ``manifest`` describes the sorted dataset in ``output_store``.
+    ``deferred_columns`` are streamed downstream but not written: the
+    next stage must put them (see :func:`build_dupmark_graph`).
     """
     from repro.core.sort import SortConfig, _key_first_columns
 
@@ -577,7 +580,8 @@ def build_sort_graph(
         reference=manifest.reference,
         backend_handle=backend_handle,
         merge_partitions=merge_partitions,
-        output_codec_level=config.output_codec_level,
+        output_codec=config.output_codec(),
+        deferred_columns=deferred_columns,
     )
     g.add(merge, input=q_runs, output=q_sorted)
     return StageGraph(
@@ -592,15 +596,12 @@ def build_dupmark_graph(
     reorder: "list[str] | None" = None,
     from_queue: bool = False,
     columns: "tuple[str, ...]" = ("results",),
-    backend: "str | Backend" = "serial",
-    workers: int = 4,
-    batch_size: "int | None" = None,
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "dupmark",
-    vectorized: bool = True,
     name_queue: "Queue | None" = None,
     missing_ok=None,
+    write_codec=None,
 ) -> StageGraph:
     """Samblaster-style duplicate marking (§5.6) as a dataflow stage.
 
@@ -613,14 +614,14 @@ def build_dupmark_graph(
     ``reorder`` (a list of expected chunk paths) inserts a resequencer
     when the upstream emits out of order (e.g. a parallel align stage) —
     leave it None after a sort stage, whose merge already emits in
-    order.  The collector is the :class:`DupmarkNode` (its ``stats``).
+    order.  ``write_codec`` is the sort's output codec when that merge
+    defers the results column to this stage (``deferred_columns`` of
+    :func:`build_sort_graph`): every chunk's results are then written
+    here, once, instead of dirty chunks being rewritten.  The collector
+    is the :class:`DupmarkNode` (its ``dup_stats``); the marking runs on
+    the node's own thread, so the stage has no compute backend.
     """
     g = Graph(stage_name)
-    backend_obj, owns_backend = _stage_backend(
-        backend, workers, batch_size, stage_name
-    )
-    backend_handle = g.register_resource(f"{stage_name}.executor",
-                                         backend_obj)
 
     source: "Queue | None" = None
     if not from_queue:
@@ -657,11 +658,11 @@ def build_dupmark_graph(
         inlet = q_ordered
 
     q_out = g.queue("stage_out", 2)
-    node = DupmarkNode(store, backend_handle, vectorized=vectorized)
+    node = DupmarkNode(store, write_codec=write_codec)
     g.add(node, input=inlet, output=q_out)
     return StageGraph(
         name=stage_name, graph=g, source=source, sink=q_out,
-        collector=node, backend=backend_obj, owns_backend=owns_backend,
+        collector=node,
     )
 
 

@@ -856,10 +856,13 @@ class SegmentLease:
         sweep_zombie_leases()
         self.name = name
         self._seg = _shared_memory.SharedMemory(name=name)
+        self._settle_tracking()
+        self._mv = self._seg.buf.toreadonly()
+
+    def _settle_tracking(self) -> None:
         # An attacher is not an owner: keep the resource tracker out of
         # it so this process's exit never unlinks the creator's segment.
         _untrack(self._seg)
-        self._mv = self._seg.buf.toreadonly()
 
     @property
     def nbytes(self) -> int:
@@ -1141,6 +1144,10 @@ def _export_segment(data, descr, shape) -> "ShmRef | None":
         del dst
     else:
         seg.buf[:nbytes] = data
+    # Ownership passes to the coordinator, which attaches and unlinks
+    # (:class:`ResultLease`, :func:`_take_own_segment`); a registration
+    # left here would be unregistered twice.
+    _untrack(seg)
     seg.close()
     return ShmRef(segment=name, offset=0, length=nbytes, descr=descr,
                   shape=shape, own_segment=True)
@@ -1207,8 +1214,10 @@ class ResultLease(SegmentLease):
     leak the entry.
     """
 
-    def __init__(self, name: str):
-        super().__init__(name)
+    def _settle_tracking(self) -> None:
+        # The exporting worker handed its registration over
+        # (:func:`_export_segment`), so the attach just made and this
+        # unlink are the name's only register/unregister pair.
         try:
             self._seg.unlink()
         except OSError:  # pragma: no cover - raced the sweep

@@ -23,7 +23,7 @@ from repro.core.dupmark import (
     DupmarkStats,
     fragment_signature,
     mark_duplicates,
-    scan_signatures,
+    mark_duplicates_results,
 )
 from repro.agd.result_column import ResultsColumn, decode_results_arrays
 from repro.core.sort import SortConfig, sort_dataset
@@ -36,6 +36,7 @@ from repro.core.varcall import (
 )
 from repro.dataflow.backends import make_backend
 from repro.storage.base import MemoryStore
+from dupmark_oracle import oracle_mark_duplicates
 from row_sort_oracle import oracle_sort_dataset, sort_key_for
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ def cigar_ops(draw):
 
 
 @st.composite
-def aligned_triples(draw):
+def aligned_triples(draw, alphabet=BASES):
     """(AlignmentResult, bases, quals) with read length matching CIGAR."""
     unmapped = draw(st.integers(0, 9)) == 0
     if unmapped:
@@ -92,7 +93,7 @@ def aligned_triples(draw):
         cigar=cigar,
         **kwargs,
     )
-    bases = bytes(draw(st.sampled_from(BASES)) for _ in range(read_len))
+    bases = bytes(draw(st.sampled_from(alphabet)) for _ in range(read_len))
     quals = bytes(draw(st.integers(33, 74)) for _ in range(read_len))
     return result, bases, quals
 
@@ -201,6 +202,29 @@ class TestPileupEquivalence:
             assert scalar[key].depth == vector[key].depth
             assert scalar[key].counts == vector[key].counts
 
+    @given(st.lists(aligned_triples(alphabet=b"ACGTTGCANacgtRY"),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_falls_back_exactly_when_a_counted_byte_is_not_acgtn(
+        self, triples
+    ):
+        """Soft-masked and IUPAC bytes, on either strand: the fast path
+        gives up iff the scalar pileup *counts* one (a kept record, an
+        aligned base, good quality) — and agrees with it otherwise."""
+        results = [t[0] for t in triples]
+        bases = [t[1] for t in triples]
+        quals = [t[2] for t in triples]
+        config = VarCallConfig(min_mapq=20, min_base_quality=15)
+        scalar = dict(pileup_records(results, bases, quals, config))
+        if any(byte not in BASES
+               for column in scalar.values() for byte in column.counts):
+            with pytest.raises(columnar.ColumnarFallback):
+                columnar.pileup_partial(results, bases, quals, config)
+        else:
+            assert columnar.pileup_to_columns(
+                columnar.pileup_partial(results, bases, quals, config)
+            ) == scalar
+
     @given(triple_lists)
     @settings(max_examples=20, deadline=None)
     def test_chunked_merge_is_exact(self, triples):
@@ -281,28 +305,68 @@ class TestSortEquivalence:
 # ---------------------------------------------------------------------------
 # Duplicate-signature equivalence.
 
+@st.composite
+def fragment_records(draw):
+    """Results drawn from small pools, so signatures collide often:
+    single and paired fragments, both strands, soft clips that push the
+    unclipped position below zero, positions past 2**32, unmapped."""
+    if draw(st.integers(0, 7)) == 0:
+        return AlignmentResult()
+    clip = draw(st.sampled_from([0, 0, 2, 5]))
+    span = draw(st.sampled_from([4, 9]))
+    ops = [(span, "M")]
+    if clip:
+        ops.insert(0, (clip, "S"))
+        if draw(st.booleans()):
+            ops.append((clip, "S"))
+    flag = draw(st.sampled_from([0, 0x10]))
+    kwargs = {}
+    if draw(st.integers(0, 2)) == 0:
+        flag |= 0x1
+        kwargs = dict(
+            next_contig_index=draw(st.sampled_from([-1, 0, 1])),
+            next_position=draw(st.sampled_from([1, 4, (1 << 32) + 2])),
+        )
+    return AlignmentResult(
+        flag=flag,
+        mapq=60,
+        contig_index=draw(st.integers(0, 1)),
+        # 1..4 minus a 5-base leading clip is negative; the rest sit on
+        # either side of 2**32.
+        position=draw(st.sampled_from(
+            [1, 2, 4, (1 << 32) - 1, (1 << 32) + 2, 1 << 40]
+        )),
+        cigar=make_cigar(ops),
+        **kwargs,
+    )
+
+
 class TestDupmarkEquivalence:
-    @given(triple_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_tracker_matches_scan_signatures(self, triples):
-        results = [t[0] for t in triples]
+    @given(st.lists(fragment_records(), min_size=1, max_size=60),
+           st.lists(st.integers(1, 12), min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_tracker_matches_the_object_specification(self, results, cuts):
+        """Whatever the chunk cuts — a duplicate's first occurrence may
+        sit chunks earlier — the tracker marks exactly the records, and
+        counts exactly the stats, of ``mark_duplicates_results`` over
+        the whole column."""
         scalar_stats, vector_stats = DupmarkStats(), DupmarkStats()
-        seen: set = set()
+        marked = mark_duplicates_results(results, scalar_stats)
+        expected = [i for i, (new, old) in enumerate(zip(marked, results))
+                    if new is not old]
         tracker = columnar.DuplicateTracker()
-        for lo in range(0, len(results), 9):
-            chunk = results[lo:lo + 9]
-            expected = scan_signatures(
-                [fragment_signature(r) for r in chunk], seen, scalar_stats
-            )
+        got, lo = [], 0
+        for size in cuts + [len(results)]:
+            chunk = results[lo:lo + size]
+            if not chunk:
+                break
             sigs, valid = columnar.fragment_signature_arrays(
                 ResultsColumn.from_records(chunk).arrays
             )
-            got = tracker.scan(sigs, valid, vector_stats)
-            assert got == expected
-        assert (scalar_stats.records, scalar_stats.duplicates_marked,
-                scalar_stats.unmapped) == \
-            (vector_stats.records, vector_stats.duplicates_marked,
-             vector_stats.unmapped)
+            got += [lo + at for at in tracker.scan(sigs, valid, vector_stats)]
+            lo += size
+        assert got == expected
+        assert vector_stats == scalar_stats
 
     @given(triple_lists)
     @settings(max_examples=30, deadline=None)
@@ -338,6 +402,18 @@ def _store_blobs(store: MemoryStore) -> dict:
     return {key: store.get(key) for key in store.keys()}
 
 
+def test_dupmark_dataset_bytes_match_the_object_specification(
+    aligned_dataset,
+):
+    scalar_ds = _copy_dataset(aligned_dataset)
+    scalar_stats = oracle_mark_duplicates(scalar_ds)
+    assert scalar_stats.duplicates_marked > 0
+    vector_ds = _copy_dataset(aligned_dataset)
+    vector_stats = mark_duplicates(vector_ds)
+    assert _store_blobs(vector_ds.store) == _store_blobs(scalar_ds.store)
+    assert vector_stats == scalar_stats
+
+
 @pytest.mark.parametrize("backend_kind", ["serial", "thread", "process"])
 class TestBackendEquivalence:
     def test_sort_bytes_identical(self, aligned_dataset, backend_kind):
@@ -356,22 +432,6 @@ class TestBackendEquivalence:
             backend.shutdown()
         assert _store_blobs(vector_store) == _store_blobs(scalar_store)
         assert sorted_ds.manifest.sort_order == "location"
-
-    def test_dupmark_bytes_identical(self, aligned_dataset, backend_kind):
-        scalar_ds = _copy_dataset(aligned_dataset)
-        scalar_stats = mark_duplicates(scalar_ds, vectorized=False)
-        vector_ds = _copy_dataset(aligned_dataset)
-        backend = make_backend(backend_kind, workers=2)
-        try:
-            vector_stats = mark_duplicates(vector_ds, backend=backend,
-                                           vectorized=True)
-        finally:
-            backend.shutdown()
-        assert _store_blobs(vector_ds.store) == _store_blobs(scalar_ds.store)
-        assert (vector_stats.records, vector_stats.duplicates_marked,
-                vector_stats.unmapped) == \
-            (scalar_stats.records, scalar_stats.duplicates_marked,
-             scalar_stats.unmapped)
 
     def test_varcall_vcf_identical(self, aligned_dataset, reference,
                                    backend_kind, tmp_path):
@@ -535,7 +595,11 @@ class TestDuplicateBlobPatch:
         results = [t[0] for t in triples]
         positions = sorted(p for p in raw_positions if p < len(results))
         blob = write_chunk(results, "results", first_ordinal=7)
-        patched = columnar.mark_duplicates_blob(blob, positions)
+        patched = write_chunk(
+            columnar.read_results_column(blob).with_flag(positions,
+                                                         FLAG_DUPLICATE),
+            "results", first_ordinal=7,
+        )
         updated = [
             r.with_flag(FLAG_DUPLICATE) if i in positions else r
             for i, r in enumerate(results)
@@ -591,11 +655,13 @@ class TestColumnarFallback:
         monkeypatch.setattr(varcall_mod, "pileup_dataset_arrays", boom)
         assert call_variants(dataset, reference, vectorized=True) == expected
 
-    def test_cigar_read_overrun_raises(self):
+    @pytest.mark.parametrize("flag", [0, 0x10])
+    def test_cigar_read_overrun_raises(self, flag):
         """A non-last record whose CIGAR overruns its read must raise,
-        not silently pile the next record's bases."""
+        not silently pile a neighbor's bases (the next record's walking
+        forward, the previous one's walking a reverse read backward)."""
         results = [
-            AlignmentResult(flag=0, mapq=60, contig_index=0, position=0,
+            AlignmentResult(flag=flag, mapq=60, contig_index=0, position=0,
                             cigar=b"6M"),
             AlignmentResult(flag=0, mapq=60, contig_index=0, position=100,
                             cigar=b"4M"),

@@ -50,6 +50,7 @@ from repro.dataflow import shm as shm_plane
 from repro.dataflow.backends import make_backend
 from repro.formats.converters import import_reads
 from repro.storage.base import DirectoryStore, MemoryStore
+from dupmark_oracle import oracle_mark_duplicates
 from row_sort_oracle import (
     oracle_merge,
     oracle_sort_dataset,
@@ -500,7 +501,7 @@ def oracle_digest(reads, reference, aligned_results):
                            reference=reference.manifest_entry())
     dataset.append_column("results", list(aligned_results))
     sorted_dataset = oracle_sort_dataset(dataset, MemoryStore(), SORT_CONFIG)
-    stats = mark_duplicates(sorted_dataset, vectorized=False)
+    stats = oracle_mark_duplicates(sorted_dataset)
     assert stats.duplicates_marked > 0
     variants = call_variants(sorted_dataset, reference, VARCALL,
                              vectorized=False)

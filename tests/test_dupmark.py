@@ -216,3 +216,64 @@ class TestPairedDupmark:
         )
         # Coincidental fragment collisions are possible but rare.
         assert false_marks <= 4
+
+
+class TestRewriteKeepsTheCodec:
+    """Marking flips flag bits; it must not re-choose a chunk's codec."""
+
+    @pytest.mark.parametrize("how", ["eager", "head_stage"])
+    def test_lzma_results_stay_lzma(self, aligned_dataset, how):
+        from repro.agd.chunk import read_chunk_header
+        from repro.core.pipelines import run_pipeline
+
+        for index in range(aligned_dataset.num_chunks):
+            aligned_dataset.replace_column_chunk(
+                "results", index,
+                aligned_dataset.read_chunk("results", index).records,
+                codec="lzma",
+            )
+        if how == "eager":
+            stats = mark_duplicates(aligned_dataset)
+        else:
+            stats = run_pipeline(
+                aligned_dataset, stages=("dupmark",), backend="serial"
+            ).dupmark_stats
+        assert stats.duplicates_marked > 0
+        assert {
+            read_chunk_header(aligned_dataset.store.get(
+                entry.chunk_file("results"))).codec_name
+            for entry in aligned_dataset.manifest.chunks
+        } == {"lzma"}
+        results = aligned_dataset.read_column("results")
+        assert sum(r.is_duplicate for r in results) == stats.duplicates_marked
+
+    def test_fused_dupmark_writes_at_the_sorts_output_level(
+        self, aligned_dataset
+    ):
+        """``sort,dupmark``: flagged and clean results chunks alike come
+        out at ``SortConfig.output_codec_level``."""
+        from repro.agd.chunk import read_chunk, write_chunk
+        from repro.agd.compression import leveled_codec
+        from repro.core.pipelines import run_pipeline
+        from repro.core.sort import SortConfig
+        from repro.storage.base import MemoryStore
+
+        store = MemoryStore()
+        outcome = run_pipeline(
+            aligned_dataset, stages=("sort", "dupmark"),
+            sort_config=SortConfig(output_codec_level=1),
+            output_store=store, backend="serial",
+        )
+        assert outcome.dupmark_stats.duplicates_marked > 0
+        level_one = leveled_codec("gzip", 1)
+        flagged_chunks = 0
+        for entry in outcome.sorted_dataset.manifest.chunks:
+            blob = store.get(entry.chunk_file("results"))
+            records = read_chunk(blob).records
+            flagged_chunks += any(r.is_duplicate for r in records)
+            assert blob == write_chunk(
+                records, "results", entry.first_ordinal, codec=level_one
+            )
+            assert blob != write_chunk(records, "results",
+                                       entry.first_ordinal)
+        assert flagged_chunks

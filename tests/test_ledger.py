@@ -235,6 +235,55 @@ class TestCrashResume:
         skipped = state.complete.get("skipped", {})
         assert skipped.get("align", 0) >= CRASH_AFTER
 
+    def test_crash_between_merge_put_and_dupmark_put(self, durable_ws,
+                                                     tmp_path):
+        """``sort,dupmark`` journals each output results chunk once, from
+        the dupmark stage.  Kill the run after the merge has put two of
+        the first sorted chunk's other columns — its results column is
+        not yet written by anyone — and the resume must still land on
+        the uninterrupted run's bytes and pass ``runs verify``."""
+        root, make_dataset = durable_ws
+        make_dataset(tmp_path / "ds-ref")
+        make_dataset(tmp_path / "ds-run")
+
+        def args(tag):
+            return [
+                "pipeline", str(tmp_path / f"ds-{tag}"),
+                str(tmp_path / f"out-{tag}"),
+                "--vcf", str(tmp_path / f"{tag}.vcf"),
+                "--reference", str(root / "ref.fa"),
+                "--stages", "align,sort,dupmark,varcall",
+                "--backend", "serial",
+                "--ledger-dir", str(tmp_path / f"runs-{tag}"),
+                "--run-id", tag,
+                "--scratch-dir", str(tmp_path / f"scratch-{tag}"),
+            ]
+
+        ref = _run_cli(args("ref"))
+        assert ref.returncode == 0, ref.stderr
+        state = RunLedger.replay(tmp_path / "runs-ref" / "ref.jsonl")
+        results_chunks = len(list((tmp_path / "out-ref").glob("*.results")))
+        assert results_chunks > 1
+        assert state.stage_counts["dupmark"] == results_chunks
+        assert state.stage_counts["sort"] == 3 * results_chunks
+        assert not any(stage == "sort" and key.endswith(".results")
+                       for stage, key in state.chunks)
+
+        crashed = _run_cli(args("run"), env={CRASH_ENV: "sort:2"})
+        _assert_killed(crashed)
+        state = RunLedger.replay(tmp_path / "runs-run" / "run.jsonl")
+        assert state.stage_counts["sort"] == 2
+        assert "dupmark" not in state.stage_counts
+        assert not list((tmp_path / "out-run").glob("*.results"))
+
+        resumed = _run_cli(args("run") + ["--resume"])
+        assert resumed.returncode == 0, resumed.stderr
+        _assert_identical_trees(tmp_path / "out-ref", tmp_path / "out-run")
+        assert (tmp_path / "ref.vcf").read_bytes() == \
+            (tmp_path / "run.vcf").read_bytes()
+        assert main(["runs", "verify", str(tmp_path / "runs-run"),
+                     "run"]) == 0
+
     def test_placed_tcp_crash_resume_byte_identity(self, durable_ws,
                                                    tmp_path):
         root, make_dataset = durable_ws

@@ -150,6 +150,98 @@ class TestOneGraphEquivalence:
         ]
 
 
+class PutLogStore(MemoryStore):
+    """A memory store that remembers every key it was asked to put."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts: "list[str]" = []
+
+    def put(self, key, data):
+        self.puts.append(key)  # list.append is atomic under the GIL
+        super().put(key, data)
+
+
+@pytest.fixture(scope="module")
+def eager_downstream(reads, reference, aligned_results):
+    """Eager sort + dupmark + varcall over the pre-aligned dataset: the
+    sort's own bytes, then the marked bytes, the manifest and the calls."""
+    dataset = import_reads(
+        reads, "aligned", MemoryStore(), chunk_size=100,
+        reference=reference.manifest_entry(),
+    )
+    dataset.append_column("results", list(aligned_results))
+    store = MemoryStore()
+    sorted_ds = sort_dataset(dataset, store, SORT_CONFIG)
+    sort_only = {key: store.get(key) for key in store.keys()}
+    stats = mark_duplicates(sorted_ds)
+    assert stats.duplicates_marked > 0
+    marked = {key: store.get(key) for key in store.keys()}
+    assert marked != sort_only
+    return (sort_only, marked, sorted_ds.manifest.to_json(),
+            call_variants(sorted_ds, reference))
+
+
+class TestMarksBeforeTheFirstWrite:
+    """Dupmark directly after sort writes the results column — once,
+    already flagged; the merge writes only the other columns.  Every
+    other shape writes what the eager chain writes."""
+
+    def check(self, outcome, store, eager_downstream, marked=True,
+              variants=True):
+        sort_only, eager_marked, manifest_json, eager_variants = \
+            eager_downstream
+        expected = eager_marked if marked else sort_only
+        assert sorted(store.puts) == sorted(expected), \
+            "every output chunk file is put exactly once"
+        assert {key: store.get(key) for key in store.keys()} == expected
+        assert outcome.sorted_dataset.manifest.to_json() == manifest_json
+        if variants:
+            assert outcome.variants == eager_variants
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("stages", [
+        ("sort", "dupmark"), ("sort", "dupmark", "varcall"),
+    ])
+    def test_fused_results_are_put_once(
+        self, stages, backend, aligned_dataset, reference, eager_downstream
+    ):
+        store = PutLogStore()
+        outcome = run_pipeline(
+            aligned_dataset, stages, reference=reference,
+            sort_config=SORT_CONFIG, output_store=store,
+            backend=backend, workers=2,
+        )
+        self.check(outcome, store, eager_downstream,
+                   variants="varcall" in stages)
+
+    def test_placed_split_between_sort_and_dupmark(
+        self, aligned_dataset, reference, eager_downstream
+    ):
+        from repro.cluster.multiserver import run_placed_pipeline
+        from repro.cluster.placement import PlacementPlan
+
+        store = PutLogStore()
+        outcome = run_placed_pipeline(
+            aligned_dataset, PlacementPlan.parse("A=sort;B=dupmark,varcall"),
+            reference=reference, sort_config=SORT_CONFIG,
+            output_store=store, backend="serial",
+        )
+        self.check(outcome, store, eager_downstream)
+
+    @pytest.mark.parametrize("stages", [("sort",), ("sort", "varcall")])
+    def test_without_dupmark_the_merge_writes_every_column(
+        self, stages, aligned_dataset, reference, eager_downstream
+    ):
+        store = PutLogStore()
+        outcome = run_pipeline(
+            aligned_dataset, stages, reference=reference,
+            sort_config=SORT_CONFIG, output_store=store, backend="serial",
+        )
+        self.check(outcome, store, eager_downstream, marked=False,
+                   variants=False)
+
+
 class TestSingleStagePipelines:
     def test_sort_only(self, aligned_dataset, eager_chain):
         outcome = run_pipeline(
@@ -374,7 +466,7 @@ class TestComposePrimitives:
             input_store=aligned_dataset.store, backend="serial",
         )
         dup = build_dupmark_graph(None, aligned_dataset.store,
-                                  from_queue=True, backend="serial")
+                                  from_queue=True)
         try:
             with pytest.raises(GraphError, match="terminal"):
                 compose(var, dup)
@@ -391,8 +483,7 @@ class TestComposePrimitives:
             input_store=aligned_dataset.store,
             config=SORT_CONFIG, backend="serial",
         )
-        dup_stage = build_dupmark_graph(None, out_store, from_queue=True,
-                                        backend="serial")
+        dup_stage = build_dupmark_graph(None, out_store, from_queue=True)
         pipeline = (PipelineBuilder("mini")
                     .add(sort_stage)
                     .add(dup_stage)

@@ -137,3 +137,18 @@ class TestPairedGraph:
             r1, r2 = results[i], results[i + 1]
             if r1.is_aligned and r2.is_aligned:
                 assert r1.next_position == r2.position
+
+
+def test_serial_pipeline_never_imports_numpy_ma():
+    """A plain ``np.unique(x)`` imports ``numpy.ma`` on first use — 10 ms
+    inside the first chunk that hits it.  No kernel on the align → sort
+    → dupmark → varcall path may."""
+    import json
+
+    from run_wgs_pipeline import launch
+
+    proc = launch("serial")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["duplicates"] > 0
+    assert not doc["numpy_ma_imported"]

@@ -335,3 +335,21 @@ class TestPipelineEquivalence:
         assert with_shm.variants == without.variants
         assert (with_shm.dupmark_stats.duplicates_marked
                 == without.dupmark_stats.duplicates_marked)
+
+
+@needs_shm
+def test_process_backend_run_leaves_stderr_and_dev_shm_clean():
+    """One-shot result segments change hands worker → coordinator: the
+    resource tracker must see one register/unregister pair per name (a
+    second unregister prints a ``KeyError`` traceback per segment), and
+    nothing may be left in ``/dev/shm``."""
+    import json
+
+    from run_wgs_pipeline import launch
+
+    before = set(shm.list_segments("psna"))
+    proc = launch("process")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result_segments"] > 0
+    assert proc.stderr == ""
+    assert set(shm.list_segments("psna")) == before
