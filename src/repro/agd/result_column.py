@@ -177,24 +177,6 @@ class ResultsColumn(RaggedColumn):
         prefix and CIGAR bound on first use)."""
         return decode_results_arrays(self.flat, self.lengths)
 
-    def _like(self, flat, bounds, rows):
-        column = type(self)(flat, bounds)
-        decoded = self.__dict__.get("arrays")
-        # A contiguous slice is a window onto this column's block, which
-        # was validated when ``arrays`` was first read: window the arrays
-        # too.  (A gather or a materialized copy has its own buffer and
-        # decodes it on first use.)
-        if decoded is not None and isinstance(rows, slice) \
-                and np.may_share_memory(flat, self.flat):
-            base = self.bounds[rows.start or 0]
-            column.__dict__["arrays"] = ResultsArrays(
-                fixed=decoded.fixed[rows],
-                cigar_buf=flat,
-                cigar_starts=decoded.cigar_starts[rows] - base,
-                cigar_ends=decoded.cigar_ends[rows] - base,
-            )
-        return column
-
     @classmethod
     def from_block(cls, data, lengths) -> "ResultsColumn":
         column = super().from_block(data, lengths)
@@ -227,9 +209,23 @@ class ResultsColumn(RaggedColumn):
     def with_flag(self, positions, flag_bit: int) -> "ResultsColumn":
         """A copy with ``flag_bit`` set on the records at ``positions`` —
         a patch of the little-endian flag bytes at each record's start,
-        byte for byte what re-encoding the updated objects would give."""
+        byte for byte what re-encoding the updated objects would give.
+        Already-decoded :attr:`arrays` carry over with the same patch,
+        so the next kernel neither re-validates nor re-decodes them."""
+        positions = np.asarray(positions, dtype=np.int64)
         flat = self.flat.copy()
-        starts = self.bounds[:-1][np.asarray(positions, dtype=np.int64)]
+        starts = self.bounds[:-1][positions]
         flat[starts] |= flag_bit & 0xFF
         flat[starts + 1] |= flag_bit >> 8
-        return type(self)(flat, self.bounds)
+        column = type(self)(flat, self.bounds)
+        decoded = self.__dict__.get("arrays")
+        if decoded is not None:
+            fixed = decoded.fixed.copy()
+            fixed["flag"][positions] |= flag_bit
+            column.__dict__["arrays"] = ResultsArrays(
+                fixed=fixed,
+                cigar_buf=flat,
+                cigar_starts=decoded.cigar_starts,
+                cigar_ends=decoded.cigar_ends,
+            )
+        return column

@@ -938,16 +938,17 @@ def _add_backend_options(
     p: argparse.ArgumentParser,
     default: str = "thread",
     with_workers: bool = False,
+    runs: str = "the align kernels and the sort's run and merge kernels",
 ) -> None:
-    """Attach the shared execution-backend flags to a subcommand."""
+    """Attach the shared execution-backend flags to a subcommand;
+    ``runs`` says, for the help text, what it dispatches there."""
     from repro.dataflow.backends import BACKEND_CHOICES
 
     p.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
         default=default,
-        help="execution backend for compute kernels "
-             f"(default: {default})",
+        help=f"execution backend for {runs} (default: {default})",
     )
     p.add_argument(
         "--batch-size",
@@ -1155,7 +1156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset_dir")
     p.add_argument("output")
     p.add_argument("--reference", required=True)
-    _add_backend_options(p, default="serial", with_workers=True)
+    _add_backend_options(
+        p, default="serial", with_workers=True,
+        runs="the per-chunk fan-out (inflate + pileup of a chunk's blobs)",
+    )
     _add_kernel_options(p)
     p.set_defaults(fn=_cmd_varcall)
 

@@ -58,11 +58,6 @@ def read_results_column(blob) -> ResultsColumn:
     return column
 
 
-def read_results_arrays(blob) -> ResultsArrays:
-    """The field arrays of a results-column chunk file image."""
-    return read_results_column(blob).arrays
-
-
 # --------------------------------------------------------------------------
 # Vectorized CIGAR parsing.
 
@@ -186,9 +181,9 @@ _BYTE_DESC_BYTES = BASE_BYTES[_BYTE_DESC_COLS]
 #: int32 base-count matrix in A,C,G,T,N column order covering reference
 #: positions [start, start + span)).  Dense per-contig arrays make both
 #: accumulation (one bincount histogram per chunk) and merging (one
-#: slice-add) cache-friendly O(span) operations; plain dicts of arrays
-#: so partials pickle cheaply across the process backend.  Memory is
-#: O(covered reference span per contig) — the natural pileup cost.
+#: slice-add into a :class:`PileupWindow`) cache-friendly O(span)
+#: operations; plain dicts of arrays so partials pickle cheaply across
+#: the process backend.  A partial covers one chunk's span per contig.
 PileupPartial = "dict[int, tuple[int, np.ndarray]]"
 
 
@@ -220,8 +215,8 @@ def _gather_kept(col, idx: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 def pileup_partial(results, bases_col, quals_col, config) -> dict:
     """Vectorized analog of :func:`repro.core.varcall.pileup_records`.
 
-    Returns a pileup partial (see :data:`PileupPartial`); partials merge
-    commutatively via :func:`merge_pileup_partials`, so per-chunk partials
+    Returns a pileup partial (see :data:`PileupPartial`); partials fold
+    commutatively into a :class:`PileupWindow`, so per-chunk partials
     can still fan out across any backend.
 
     Reads are walked where they lie: a reverse read's aligned segment is
@@ -343,37 +338,6 @@ def _check_dense_span(span: int, covered: int, contig: int) -> None:
         )
 
 
-def merge_pileup_partials(target: dict, partial: dict) -> dict:
-    """Fold one pileup partial into another (commutative, like
-    :func:`repro.core.varcall.merge_pileups`)."""
-    # Validate every contig's merged span BEFORE mutating anything, so a
-    # ColumnarFallback leaves the target untouched (callers then convert
-    # it to the scalar representation without double counting).
-    for contig, (start, mat) in partial.items():
-        if contig in target:
-            tstart, tmat = target[contig]
-            lo = min(tstart, start)
-            hi = max(tstart + tmat.shape[0], start + mat.shape[0])
-            _check_dense_span(
-                hi - lo, int(tmat.shape[0] + mat.shape[0]), contig
-            )
-    for contig, (start, mat) in partial.items():
-        if contig not in target:
-            target[contig] = (start, mat.copy())
-            continue
-        tstart, tmat = target[contig]
-        lo = min(tstart, start)
-        hi = max(tstart + tmat.shape[0], start + mat.shape[0])
-        if lo == tstart and hi == tstart + tmat.shape[0]:
-            out = tmat  # covered: accumulate in place, zero allocation
-        else:
-            out = np.zeros((hi - lo, 5), dtype=np.int32)
-            out[tstart - lo : tstart - lo + tmat.shape[0]] = tmat
-        out[start - lo : start - lo + mat.shape[0]] += mat
-        target[contig] = (lo, out)
-    return target
-
-
 def pileup_to_columns(pile: dict) -> dict:
     """Convert a pileup partial into the scalar ``dict[(contig, pos) ->
     PileupColumn]`` representation (equivalence tests and interop)."""
@@ -396,53 +360,165 @@ def pileup_to_columns(pile: dict) -> dict:
     return columns
 
 
-def call_from_pileup_arrays(pile: dict, reference, config=None) -> list:
-    """Vectorized analog of :func:`repro.core.varcall.call_from_pileup`.
+#: Reference byte -> pileup matrix column; 5 (no column) for a byte the
+#: matrix does not count, which therefore matches no piled base.
+_REF_COL_LUT = np.full(256, 5, dtype=np.intp)
+_REF_COL_LUT[BASE_BYTES] = np.arange(5)
 
-    Thresholds are applied with integer array comparisons; the few
-    surviving sites recompute fraction/quality in plain Python so the
-    emitted records (floats included) are bit-identical to the scalar
-    caller's.
+
+def first_aligned_start(results) -> "tuple[int, int] | None":
+    """``(contig, position)`` of a chunk's first aligned record — its
+    lowest location when the chunk is location-sorted."""
+    arrays = _ensure_results_arrays(results)
+    aligned = np.flatnonzero(arrays.is_aligned)
+    if aligned.size == 0:
+        return None
+    first = aligned[0]
+    return int(arrays.contig_index[first]), int(arrays.position[first])
+
+
+_NO_ROWS = np.zeros((0, 5), dtype=np.int32)
+
+
+class PileupWindow:
+    """The pileup accumulator and caller (vectorized analog of
+    ``merge_pileups`` + :func:`repro.core.varcall.call_from_pileup`).
+
+    Per contig, one dense int32 ``(capacity, 5)`` count buffer over
+    reference positions ``[start, start + rows)``, grown by doubling.
+    Location-sorted input calls :meth:`flush_below` with each chunk's
+    first aligned start before it adds the chunk: the window then holds
+    O(chunk span + read length) rows, and :attr:`variants` fill, in
+    order, while chunks still stream.  Any other input never flushes
+    early, and the window grows to each contig's covered span.
     """
-    from repro.core.varcall import VarCallConfig
-    from repro.formats.vcf import VariantRecord
 
-    config = config or VarCallConfig()
-    names = reference.names
-    variants: list = []
-    for contig_index in sorted(pile):
-        start, full_mat = pile[contig_index]
-        full_depth = full_mat.sum(axis=1, dtype=np.int64)
-        nz = np.flatnonzero(full_depth)
-        if nz.size == 0:
-            continue
-        pos = start + nz
-        mat = full_mat[nz]
-        depth = full_depth[nz]
-        contig = reference.contig(names[contig_index])
+    def __init__(self, reference, config=None):
+        from repro.core.varcall import VarCallConfig
+
+        self.reference = reference
+        self.config = config or VarCallConfig()
+        self.variants: list = []
+        #: The most rows ever held at once, over all contigs.
+        self.high_water_rows = 0
+        # contig -> (start, rows, buffer); buffer rows >= ``rows`` are zero.
+        self._live: dict = {}
+        # Everything below this (contig, position) is called already.
+        self._low: tuple = (float("-inf"), 0)
+
+    def add(self, partial: dict) -> None:
+        """Fold one :func:`pileup_partial` in.  Every contig is checked
+        before any is touched, so a :class:`ColumnarFallback` leaves the
+        window as it was and the caller can :meth:`drain` it into the
+        scalar representation without double counting."""
+        staged = []
+        for contig, (start, mat) in partial.items():
+            if start < 0:
+                # A malformed record's positions before the contig's
+                # first base: never callable, never indexed.
+                mat, start = mat[-start:], 0
+            if (contig, start) < self._low:
+                raise ValueError(
+                    f"pileup on contig {contig} at position {start} is "
+                    f"below the low-water mark {self._low}: the input is "
+                    f"not location-sorted"
+                )
+            held_start, held_rows, buf = self._live.get(
+                contig, (start, 0, _NO_ROWS))
+            if not held_rows:
+                held_start = start
+            lo = min(start, held_start)
+            hi = max(start + mat.shape[0], held_start + held_rows)
+            if held_rows:
+                _check_dense_span(hi - lo, held_rows + mat.shape[0], contig)
+            if lo < held_start or hi - lo > buf.shape[0]:
+                grown = np.zeros((max(hi - lo, 2 * buf.shape[0]), 5),
+                                 dtype=np.int32)
+                grown[held_start - lo:held_start - lo + held_rows] = \
+                    buf[:held_rows]
+                buf = grown
+            staged.append((contig, lo, hi - lo, buf, start - lo, mat))
+        for contig, lo, rows, buf, at, mat in staged:
+            buf[at:at + mat.shape[0]] += mat
+            self._live[contig] = (lo, rows, buf)
+        self.high_water_rows = max(
+            self.high_water_rows,
+            sum(rows for _, rows, _ in self._live.values()),
+        )
+
+    def flush_below(self, mark: "tuple[int, int]") -> None:
+        """Call and drop every position below the ``(contig, position)``
+        mark; a later mark or partial below it raises ``ValueError``."""
+        if mark < self._low:
+            raise ValueError(
+                f"location {mark} is below the low-water mark {self._low}: "
+                f"the input is not location-sorted"
+            )
+        self._low = mark
+        for contig in sorted(c for c in self._live if c <= mark[0]):
+            start, rows, buf = self._live.pop(contig)
+            done = rows if contig < mark[0] \
+                else min(max(mark[1] - start, 0), rows)
+            self._call_rows(contig, start, buf[:done])
+            if contig == mark[0]:
+                buf[:rows - done] = buf[done:rows]  # overlap-safe in numpy
+                buf[rows - done:rows] = 0
+                self._live[contig] = (start + done, rows - done, buf)
+
+    def finish(self) -> list:
+        """Call everything still held; returns :attr:`variants`."""
+        for contig in sorted(self._live):
+            start, rows, buf = self._live.pop(contig)
+            self._call_rows(contig, start, buf[:rows])
+        return self.variants
+
+    def drain(self) -> dict:
+        """Hand the live rows over as one pileup partial, emptying the
+        window (the mid-stream demotion to the scalar reference)."""
+        live, self._live = self._live, {}
+        return {contig: (start, buf[:rows])
+                for contig, (start, rows, buf) in live.items() if rows}
+
+    def _call_rows(self, contig_index: int, start: int, mat) -> None:
+        """Apply the calling thresholds to rows ``mat`` of reference
+        positions ``start`` (>= 0) onward.  Integer array comparisons
+        pick the rows that can call; the few surviving sites recompute
+        fraction/quality in plain Python, so the emitted records (floats
+        included) are bit-identical to the scalar caller's."""
+        from repro.formats.vcf import VariantRecord
+
+        config = self.config
+        contig = self.reference.contigs[contig_index]
         seq = np.frombuffer(contig.sequence, dtype=np.uint8)
-        ok = (depth >= config.min_depth) & (pos < seq.size)
-        if not ok.any():
-            continue
-        ref_bases = seq[pos[ok].astype(np.int64)]
-        ranked = mat[ok][:, _BYTE_DESC_COLS]
+        mat = mat[:max(0, seq.size - start)]
+        if mat.shape[0] == 0:
+            return
+        depth = mat.sum(axis=1, dtype=np.int64)
+        ref_bases = seq[start:start + depth.size]
+        ref_col = _REF_COL_LUT[ref_bases]
+        ref_count = np.where(
+            ref_col < 5, mat[np.arange(depth.size), np.minimum(ref_col, 4)], 0
+        )
+        # A row whose only base is the reference base cannot call.
+        rows = np.flatnonzero((depth >= config.min_depth) & (depth > ref_count))
+        if rows.size == 0:
+            return
+        ref_bases = ref_bases[rows]
+        ranked = mat[rows][:, _BYTE_DESC_COLS]
         best = np.argmax(ranked, axis=1)
         alt_bytes = _BYTE_DESC_BYTES[best]
         alt_counts = ranked[np.arange(best.size), best]
-        candidates = np.flatnonzero(alt_bytes != ref_bases)
-        ok_pos = pos[ok]
-        ok_depth = depth[ok]
-        for i in candidates:
+        for i in np.flatnonzero(alt_bytes != ref_bases):
             alt_count = int(alt_counts[i])
-            column_depth = int(ok_depth[i])
+            column_depth = int(depth[rows[i]])
             fraction = alt_count / column_depth
             if fraction < config.min_alt_fraction:
                 continue
             quality = min(99.0, 10.0 * alt_count * fraction)
-            variants.append(
+            self.variants.append(
                 VariantRecord(
-                    chrom=names[contig_index],
-                    pos=int(ok_pos[i]) + 1,
+                    chrom=contig.name,
+                    pos=start + int(rows[i]) + 1,
                     ref=chr(int(ref_bases[i])),
                     alt=chr(int(alt_bytes[i])),
                     qual=quality,
@@ -452,13 +528,6 @@ def call_from_pileup_arrays(pile: dict, reference, config=None) -> list:
                     },
                 )
             )
-    return variants
-
-
-def pileup_chunk_arrays_task(shared, payload) -> dict:
-    """Backend task: vectorized pileup over one chunk of parsed records."""
-    config, results, bases_col, quals_col = payload
-    return pileup_partial(results, bases_col, quals_col, config)
 
 
 def pileup_blobs_task(shared, payload) -> dict:
@@ -468,7 +537,7 @@ def pileup_blobs_task(shared, payload) -> dict:
 
     config, results_blob, bases_blob, qual_blob = payload
     return pileup_partial(
-        read_results_arrays(results_blob),
+        read_results_column(results_blob),
         read_column(bases_blob),
         read_column(qual_blob),
         config,

@@ -408,7 +408,8 @@ def _build_stage_graph(
     ``stages`` is the FULL pipeline stage tuple (not just this server's
     group): cross-stage decisions — which columns an align reader must
     fetch, which store dupmark writes, whether the sort's merge leaves
-    the results column to it — depend on the whole workload
+    the results column to it, whether varcall's input arrives in
+    location order — depend on the whole workload
     even when this stage runs on another server.  ``head`` marks the
     stage that reads chunk names and the store directly (the pipeline
     head, or a placed head pulling names from the cluster work edge via
@@ -534,15 +535,25 @@ def _build_stage_graph(
             missing_ok=missing_ok,
         )
     if stage == "varcall":
+        # Dupmark and filter keep the order they are given (head-mode
+        # ones restore manifest order), so varcall's input is location-
+        # sorted iff a location sort runs upstream or, with no sort and
+        # no align stage rewriting locations, the dataset already is.
+        if "sort" in stages:
+            sorted_input = (sort_config or SortConfig()).order == "location"
+        else:
+            sorted_input = "align" not in stages and \
+                manifest.sort_order == "location"
         return build_varcall_graph(
             reference,
             manifest=manifest if head else None,
             input_store=dataset.store if head else None,
             config=varcall_config,
-            backend=backend_obj,
             vectorized=vectorized,
             name_queue=name_queue if head else None,
             passthrough=varcall_passthrough,
+            sorted_input=sorted_input,
+            missing_ok=missing_ok,
         )
     raise ValueError(f"unknown pipeline stage {stage!r}")
 

@@ -356,23 +356,6 @@ def attach_stage_journal(stage: StageGraph, journal) -> None:
                 node.journal = journal
 
 
-def _stage_backend(
-    backend: "str | Backend",
-    workers: int,
-    batch_size: "int | None",
-    stage_name: str,
-) -> "tuple[Backend, bool]":
-    """Make (or adopt) a stage's compute backend; instances stay
-    caller-owned (one backend is typically shared by every stage)."""
-    owned = not isinstance(backend, Backend)
-    made = make_backend(
-        backend, workers=workers, batch_size=batch_size,
-        name=f"{stage_name}.backend",
-    )
-    made.start()
-    return made, owned
-
-
 def build_align_stage(
     manifest: Manifest,
     input_store: ChunkStore,
@@ -469,6 +452,39 @@ def build_align_stage(
     )
 
 
+def _add_head_reader(
+    g: Graph, manifest: Manifest, store: ChunkStore, columns,
+    reader_nodes: int, parser_nodes: int, name_queue: "Queue | None",
+) -> Queue:
+    """The front of a stage that reads the dataset itself: chunk names
+    (the manifest's, or a placed run's ``name_queue``) -> parallel
+    readers of ``columns`` -> parsers.  Returns the parsed-chunk queue."""
+    q_names = g.queue("chunk_names", max(2, reader_nodes))
+    q_raw = g.queue("raw_chunks", max(2, parser_nodes))
+    q_parsed = g.queue("parsed_chunks", 2)
+    if name_queue is not None:
+        g.add(QueueNameSource(name_queue), output=q_names)
+    else:
+        g.add(ChunkNameSource(manifest), output=q_names)
+    g.add(
+        ChunkReaderNode(store, columns=tuple(columns),
+                        parallelism=reader_nodes),
+        input=q_names,
+        output=q_raw,
+    )
+    g.add(AGDParserNode(parallelism=parser_nodes),
+          input=q_raw, output=q_parsed)
+    return q_parsed
+
+
+def _add_resequencer(g: Graph, inlet: Queue, expected, missing_ok) -> Queue:
+    """Restore the ``expected`` chunk-path order behind ``inlet``."""
+    q_ordered = g.queue("ordered_chunks", 2)
+    g.add(ResequencerNode(list(expected), missing_ok=missing_ok),
+          input=inlet, output=q_ordered)
+    return q_ordered
+
+
 def build_sort_graph(
     manifest: Manifest,
     output_store: ChunkStore,
@@ -513,43 +529,26 @@ def build_sort_graph(
     scratch = scratch_store if scratch_store is not None else MemoryStore()
 
     g = Graph(stage_name)
-    backend_obj, owns_backend = _stage_backend(
-        backend, workers, batch_size, stage_name
+    # A backend instance stays caller-owned (typically shared by every
+    # stage); one made here from a name is shut down with the stage.
+    owns_backend = not isinstance(backend, Backend)
+    backend_obj = make_backend(
+        backend, workers=workers, batch_size=batch_size,
+        name=f"{stage_name}.backend",
     )
+    backend_obj.start()
     backend_handle = g.register_resource(f"{stage_name}.executor",
                                          backend_obj)
 
     source: "Queue | None" = None
     if input_store is not None:
-        q_names = g.queue("chunk_names", max(2, reader_nodes))
-        q_raw = g.queue("raw_chunks", max(2, parser_nodes))
-        inlet = g.queue("parsed_chunks", 2)
-        if name_queue is not None:
-            g.add(QueueNameSource(name_queue), output=q_names)
-        else:
-            g.add(ChunkNameSource(manifest), output=q_names)
-        g.add(
-            ChunkReaderNode(
-                input_store,
-                columns=tuple(ordered_columns),
-                parallelism=reader_nodes,
-            ),
-            input=q_names,
-            output=q_raw,
-        )
-        g.add(AGDParserNode(parallelism=parser_nodes),
-              input=q_raw, output=inlet)
+        inlet = _add_head_reader(g, manifest, input_store, ordered_columns,
+                                 reader_nodes, parser_nodes, name_queue)
     else:
         inlet = g.queue("stage_in", 4)
         source = inlet
-
-    q_ordered = g.queue("ordered_chunks", 2)
-    g.add(
-        ResequencerNode([entry.path for entry in manifest.chunks],
-                        missing_ok=missing_ok),
-        input=inlet,
-        output=q_ordered,
-    )
+    q_ordered = _add_resequencer(
+        g, inlet, [entry.path for entry in manifest.chunks], missing_ok)
     merge_partitions = config.resolve_merge_partitions(backend_obj)
     q_runs = g.queue("runs", 2)
     g.add(
@@ -627,35 +626,17 @@ def build_dupmark_graph(
     if not from_queue:
         if manifest is None:
             raise ValueError("head-mode dupmark stage needs a manifest")
-        q_names = g.queue("chunk_names", max(2, reader_nodes))
-        q_raw = g.queue("raw_chunks", max(2, parser_nodes))
-        q_parsed = g.queue("parsed_chunks", 2)
-        if name_queue is not None:
-            g.add(QueueNameSource(name_queue), output=q_names)
-        else:
-            g.add(ChunkNameSource(manifest), output=q_names)
         if "results" not in columns:
             raise ValueError("dupmark stage must read the results column")
-        g.add(
-            ChunkReaderNode(store, columns=tuple(columns),
-                            parallelism=reader_nodes),
-            input=q_names,
-            output=q_raw,
-        )
-        g.add(AGDParserNode(parallelism=parser_nodes),
-              input=q_raw, output=q_parsed)
-        inlet = q_parsed
+        inlet = _add_head_reader(g, manifest, store, columns,
+                                 reader_nodes, parser_nodes, name_queue)
         if reorder is None:
             reorder = [entry.path for entry in manifest.chunks]
     else:
         inlet = g.queue("stage_in", 4)
         source = inlet
-
     if reorder is not None:
-        q_ordered = g.queue("ordered_chunks", 2)
-        g.add(ResequencerNode(list(reorder), missing_ok=missing_ok),
-              input=inlet, output=q_ordered)
-        inlet = q_ordered
+        inlet = _add_resequencer(g, inlet, reorder, missing_ok)
 
     q_out = g.queue("stage_out", 2)
     node = DupmarkNode(store, write_codec=write_codec)
@@ -671,61 +652,50 @@ def build_varcall_graph(
     manifest: "Manifest | None" = None,
     input_store: "ChunkStore | None" = None,
     config=None,
-    backend: "str | Backend" = "serial",
-    workers: int = 4,
-    batch_size: "int | None" = None,
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "varcall",
     vectorized: bool = True,
     name_queue: "Queue | None" = None,
     passthrough: bool = False,
+    sorted_input: bool = False,
+    missing_ok=None,
 ) -> StageGraph:
     """Pileup SNP calling (§2.1) as a terminal dataflow stage.
 
     Head of a pipeline when ``manifest``/``input_store`` are given;
-    otherwise an open inlet consuming the chunks streaming in.  Pileup
-    merging is commutative, so no resequencer is needed.  The collector
-    is the :class:`VarCallNode`; after the run its ``variants`` holds
-    the calls.  ``passthrough=True`` leaves an open outlet that re-emits
-    every processed chunk (placed pipelines append an acknowledging sink
+    otherwise an open inlet consuming the chunks streaming in.
+    ``sorted_input`` declares that those arrive in location order (a
+    location sort upstream), so calls stream out behind a sliding pileup
+    window; a head-mode stage reads it off the manifest's ``sort_order``
+    and then resequences its parallel readers' chunks.  Unsorted input
+    piles up whole (commutative: no resequencer).  The collector is the
+    :class:`VarCallNode` (its ``variants``); the pileup runs on the
+    node's own thread, so the stage has no compute backend.
+    ``passthrough=True`` leaves an open outlet that re-emits every
+    processed chunk (placed pipelines append an acknowledging sink
     there); the default stays terminal.
     """
     g = Graph(stage_name)
-    backend_obj, owns_backend = _stage_backend(
-        backend, workers, batch_size, stage_name
-    )
-    backend_handle = g.register_resource(f"{stage_name}.executor",
-                                         backend_obj)
 
     source: "Queue | None" = None
     if input_store is not None:
         if manifest is None:
             raise ValueError("head-mode varcall stage needs a manifest")
-        q_names = g.queue("chunk_names", max(2, reader_nodes))
-        q_raw = g.queue("raw_chunks", max(2, parser_nodes))
-        inlet = g.queue("parsed_chunks", 2)
-        if name_queue is not None:
-            g.add(QueueNameSource(name_queue), output=q_names)
-        else:
-            g.add(ChunkNameSource(manifest), output=q_names)
-        g.add(
-            ChunkReaderNode(
-                input_store,
-                columns=("results", "bases", "qual"),
-                parallelism=reader_nodes,
-            ),
-            input=q_names,
-            output=q_raw,
-        )
-        g.add(AGDParserNode(parallelism=parser_nodes),
-              input=q_raw, output=inlet)
+        inlet = _add_head_reader(
+            g, manifest, input_store, ("results", "bases", "qual"),
+            reader_nodes, parser_nodes, name_queue)
+        sorted_input = manifest.sort_order == "location"
+        if sorted_input:
+            inlet = _add_resequencer(
+                g, inlet, [entry.path for entry in manifest.chunks],
+                missing_ok)
     else:
         inlet = g.queue("stage_in", 4)
         source = inlet
 
-    node = VarCallNode(reference, config=config,
-                       backend_handle=backend_handle, vectorized=vectorized)
+    node = VarCallNode(reference, config=config, vectorized=vectorized,
+                       sorted_input=sorted_input)
     sink: "Queue | None" = None
     if passthrough:
         sink = g.queue("stage_out", 2)
@@ -733,8 +703,7 @@ def build_varcall_graph(
     else:
         g.add(node, input=inlet)
     return StageGraph(
-        name=stage_name, graph=g, source=source, sink=sink,
-        collector=node, backend=backend_obj, owns_backend=owns_backend,
+        name=stage_name, graph=g, source=source, sink=sink, collector=node,
     )
 
 
@@ -775,32 +744,15 @@ def build_filter_stage(
     if input_store is not None:
         if manifest is None:
             raise ValueError("head-mode filter stage needs a manifest")
-        q_names = g.queue("chunk_names", max(2, reader_nodes))
-        q_raw = g.queue("raw_chunks", max(2, parser_nodes))
-        inlet = g.queue("parsed_chunks", 2)
-        if name_queue is not None:
-            g.add(QueueNameSource(name_queue), output=q_names)
-        else:
-            g.add(ChunkNameSource(manifest), output=q_names)
-        g.add(
-            ChunkReaderNode(input_store, columns=tuple(sorted(columns)),
-                            parallelism=reader_nodes),
-            input=q_names,
-            output=q_raw,
-        )
-        g.add(AGDParserNode(parallelism=parser_nodes),
-              input=q_raw, output=inlet)
+        inlet = _add_head_reader(g, manifest, input_store, sorted(columns),
+                                 reader_nodes, parser_nodes, name_queue)
         if reorder is None:
             reorder = [entry.path for entry in manifest.chunks]
     else:
         inlet = g.queue("stage_in", 4)
         source = inlet
-
     if reorder is not None:
-        q_ordered = g.queue("ordered_chunks", 2)
-        g.add(ResequencerNode(list(reorder), missing_ok=missing_ok),
-              input=inlet, output=q_ordered)
-        inlet = q_ordered
+        inlet = _add_resequencer(g, inlet, reorder, missing_ok)
 
     q_out = g.queue("stage_out", 2)
     node = FilterStageNode(

@@ -122,8 +122,8 @@ def pileup_dataset(
     """Build pileup columns over an aligned (ideally sorted) dataset.
 
     This is the *scalar reference* implementation (dict-of-Counter
-    columns); :func:`pileup_dataset_arrays` is the vectorized fast path
-    that :func:`call_variants` uses by default.
+    columns); :func:`iter_pileup_partials` feeds the vectorized fast
+    path that :func:`call_variants` uses by default.
 
     ``backend`` (a :class:`~repro.dataflow.backends.Backend`) fans the
     per-chunk pileups out across workers; ``None`` keeps the sequential
@@ -159,28 +159,21 @@ def pileup_dataset(
     return columns
 
 
-def pileup_dataset_arrays(
+def iter_pileup_partials(
     dataset: AGDDataset,
     config: "VarCallConfig | None" = None,
     backend=None,
-) -> dict:
-    """Vectorized pileup over a dataset: columns decode straight into
-    numpy arrays and accumulate into per-contig ``(positions,
-    base-count)`` arrays (:mod:`repro.core.columnar`).
-
-    Returns a pileup partial dict (contig -> arrays); merging is
-    commutative, so per-chunk partials fan out across any backend with
-    results identical to the sequential pass — and, via
-    :func:`repro.core.columnar.pileup_to_columns`, identical to the
-    scalar reference.  Raises
-    :class:`~repro.core.columnar.ColumnarFallback` when the input
-    cannot use the columnar encoding (non-ACGTN base bytes, sparse-and-
-    wide coverage) — :func:`call_variants` catches it and reruns the
-    scalar path."""
-    from repro.core.columnar import merge_pileup_partials, pileup_blobs_task
+):
+    """Each chunk's vectorized pileup partial, lazily, in chunk order
+    (:func:`repro.core.columnar.pileup_partial` over the chunk's column
+    blobs); ``backend`` fans inflate + pileup out per chunk.  Raises
+    :class:`~repro.core.columnar.ColumnarFallback` when a chunk cannot
+    use the columnar encoding (non-ACGTN base bytes, sparse-and-wide
+    coverage) — :func:`call_variants` then reruns the scalar path."""
+    from repro.core.columnar import pileup_blobs_task
+    from repro.dataflow.backends import run_in_waves
 
     config = config or VarCallConfig()
-    pile: dict = {}
 
     def chunk_payload(chunk_index: int):
         entry = dataset.manifest.chunks[chunk_index]
@@ -191,20 +184,11 @@ def pileup_dataset_arrays(
             dataset.store.get(entry.chunk_file("qual")),
         )
 
-    if backend is not None:
-        from repro.dataflow.backends import run_in_waves
-
-        for _index, _payload, partial in run_in_waves(
-            backend, pileup_blobs_task, range(dataset.num_chunks),
-            chunk_payload,
-        ):
-            merge_pileup_partials(pile, partial)
-        return pile
-    for chunk_index in range(dataset.num_chunks):
-        merge_pileup_partials(
-            pile, pileup_blobs_task(None, chunk_payload(chunk_index))
-        )
-    return pile
+    chunks = range(dataset.num_chunks)
+    if backend is None:
+        return (pileup_blobs_task(None, chunk_payload(i)) for i in chunks)
+    return (partial for _, _, partial in run_in_waves(
+        backend, pileup_blobs_task, chunks, chunk_payload))
 
 
 def call_from_pileup(
@@ -224,7 +208,9 @@ def call_from_pileup(
         if column.depth < config.min_depth:
             continue
         contig = reference.contig(names[contig_index])
-        if position >= len(contig):
+        # A malformed record can pile positions off either end of the
+        # contig; a negative one must not index it from the back.
+        if not 0 <= position < len(contig):
             continue
         ref_base = contig.sequence[position]
         alt_base, alt_count = max(
@@ -269,11 +255,13 @@ def call_variants(
     """
     config = config or VarCallConfig()
     if vectorized:
-        from repro.core.columnar import ColumnarFallback, call_from_pileup_arrays
+        from repro.core.columnar import ColumnarFallback, PileupWindow
 
+        window = PileupWindow(reference, config)
         try:
-            pile = pileup_dataset_arrays(dataset, config, backend=backend)
-            return call_from_pileup_arrays(pile, reference, config)
+            for partial in iter_pileup_partials(dataset, config, backend):
+                window.add(partial)
+            return window.finish()
         except ColumnarFallback:
             # Input the columnar encoding cannot represent exactly (e.g.
             # lowercase/IUPAC base bytes) or efficiently (sparse-and-wide

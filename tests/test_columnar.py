@@ -10,13 +10,15 @@ pre-marked-duplicate records) and across all three execution backends.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agd.dataset import AGDDataset
-from repro.agd.manifest import Manifest
+from repro.agd.manifest import ChunkEntry, Manifest
 from repro.align.result import AlignmentResult, cigar_operations, make_cigar
 from repro.core import columnar
 from repro.core.dupmark import (
@@ -26,6 +28,7 @@ from repro.core.dupmark import (
     mark_duplicates_results,
 )
 from repro.agd.result_column import ResultsColumn, decode_results_arrays
+from repro.core.ops import ChunkWorkItem, VarCallNode
 from repro.core.sort import SortConfig, sort_dataset
 from repro.core.varcall import (
     VarCallConfig,
@@ -35,6 +38,9 @@ from repro.core.varcall import (
     pileup_records,
 )
 from repro.dataflow.backends import make_backend
+from repro.formats.vcf import write_vcf
+from repro.genome.reference import Contig, ReferenceGenome
+from repro.genome.synthetic import synthetic_reference
 from repro.storage.base import MemoryStore
 from dupmark_oracle import oracle_mark_duplicates
 from row_sort_oracle import oracle_sort_dataset, sort_key_for
@@ -129,7 +135,7 @@ class TestResultsArrays:
 
         results = [t[0] for t in triples]
         blob = write_chunk(results, "results")
-        arrays = columnar.read_results_arrays(blob)
+        arrays = columnar.read_results_column(blob).arrays
         assert len(arrays) == len(results)
         for i, r in enumerate(results):
             assert int(arrays.flag[i]) == r.flag
@@ -139,27 +145,19 @@ class TestResultsArrays:
 
     @given(triple_lists, st.data())
     @settings(max_examples=40, deadline=None)
-    def test_slice_windows_the_decoded_arrays(self, triples, data):
-        """A contiguous slice of a decoded column carries the parent's
-        arrays, rebased — equal to decoding the slice's own block."""
+    def test_slices_and_copies_decode_the_block_they_hold(self, triples,
+                                                          data):
         column = ResultsColumn.from_records([t[0] for t in triples])
-        column.arrays  # decoded (and validated) once, here
+        column.arrays
         lo = data.draw(st.integers(0, len(column) - 1))
         hi = data.draw(st.integers(lo + 1, len(column)))
         window = column[lo:hi]
-        inner = window[1:]  # a slice of a slice
-        for sub in (window, inner):
-            if len(sub):
-                assert "arrays" in sub.__dict__
-            fresh = decode_results_arrays(sub.flat, sub.lengths)
+        for sub in (window, window[1:]):  # a slice, a slice of a slice
             got = sub.arrays
-            assert got.fixed.tobytes() == fresh.fixed.tobytes()
-            assert np.array_equal(got.cigar_starts, fresh.cigar_starts)
-            assert np.array_equal(got.cigar_ends, fresh.cigar_ends)
+            assert got.position.tolist() == [r.position for r in sub]
+            assert got.flag.tolist() == [r.flag for r in sub]
             assert [got.cigar(i) for i in range(len(sub))] == \
                 [r.cigar for r in sub]
-        # A gather or an owned copy has its own buffer: decoded on use.
-        assert "arrays" not in column.take([lo]).__dict__
         frozen = window.flat.view()
         frozen.flags.writeable = False
         borrowed = ResultsColumn(frozen, window.bounds)
@@ -235,30 +233,249 @@ class TestPileupEquivalence:
         config = VarCallConfig(min_mapq=0, min_base_quality=0,
                                skip_duplicates=False)
         whole = columnar.pileup_partial(results, bases, quals, config)
-        merged: dict = {}
+        window = columnar.PileupWindow(None, config)
         for lo in range(0, len(triples), 7):
-            columnar.merge_pileup_partials(
-                merged,
+            window.add(
                 columnar.pileup_partial(
                     results[lo:lo + 7], bases[lo:lo + 7], quals[lo:lo + 7],
                     config,
                 ),
             )
-        assert columnar.pileup_to_columns(merged) == \
+        assert columnar.pileup_to_columns(window.drain()) == \
             columnar.pileup_to_columns(whole)
 
-    def test_call_from_pileup_arrays_identical(self, aligned_dataset,
-                                               reference):
+    def test_windowed_calls_identical(self, aligned_dataset, reference):
         config = VarCallConfig(min_depth=2)
         scalar = call_from_pileup(
             pileup_dataset(aligned_dataset, config), reference, config
         )
-        from repro.core.varcall import pileup_dataset_arrays
+        assert call_variants(aligned_dataset, reference, config) == scalar
 
-        vector = columnar.call_from_pileup_arrays(
-            pileup_dataset_arrays(aligned_dataset, config), reference, config
+
+# ---------------------------------------------------------------------------
+# The sliding pileup window vs the scalar pileup + caller.
+
+#: Three 200-base contigs: the drawn reads (positions <= 150, up to ~70
+#: reference bases each) also overhang a contig's end.
+WINDOW_REFERENCE = synthetic_reference(600, num_contigs=3, seed=5)
+
+
+def reference_span(result) -> int:
+    return sum(n for n, op in cigar_operations(result.cigar) if op in "MDN=X")
+
+
+def cut_chunks(triples, cuts):
+    """``(index, first ordinal, chunk)`` for chunks of the given sizes
+    (the last size repeats)."""
+    lo = index = 0
+    while lo < len(triples):
+        size = cuts[min(index, len(cuts) - 1)]
+        yield index, lo, triples[lo:lo + size]
+        lo += size
+        index += 1
+
+
+def process_chunk(node, index, lo, chunk):
+    node.process(ChunkWorkItem(
+        entry=ChunkEntry(f"world-{index}", lo, len(chunk)),
+        columns={"results": [t[0] for t in chunk],
+                 "bases": [t[1] for t in chunk],
+                 "qual": [t[2] for t in chunk]},
+    ), None)
+
+
+def windowed_node(triples, cuts, config, reference=WINDOW_REFERENCE,
+                  **node_kwargs):
+    """Feed ``triples`` to a VarCallNode chunk by chunk; returns the
+    finalized node."""
+    node = VarCallNode(reference, config=config, **node_kwargs)
+    for index, lo, chunk in cut_chunks(triples, cuts):
+        process_chunk(node, index, lo, chunk)
+    node.finalize(None)
+    return node
+
+
+def scalar_calls(triples, config, reference=WINDOW_REFERENCE):
+    return call_from_pileup(
+        pileup_records([t[0] for t in triples], [t[1] for t in triples],
+                       [t[2] for t in triples], config),
+        reference, config,
+    )
+
+
+def vcf_lines(variants, reference=WINDOW_REFERENCE) -> bytes:
+    buf = io.BytesIO()
+    write_vcf(variants, buf, contigs=reference.manifest_entry())
+    return buf.getvalue()
+
+
+def stacked_reads(n, step=3, lowercase_at=(), start=0):
+    """``n`` forward 8M reads, ``step`` apart on contig 0 from ``start``,
+    whose bases are the reference's shifted by one (nearly every column
+    calls)."""
+    seq = WINDOW_REFERENCE.contigs[0].sequence
+    triples = []
+    for i in range(n):
+        position = start + i * step
+        bases = seq[position + 1:position + 9]
+        if i in lowercase_at:
+            bases = bases.lower()
+        triples.append((
+            AlignmentResult(flag=0, mapq=60, contig_index=0,
+                            position=position, cigar=b"8M"),
+            bases, b"I" * 8,
+        ))
+    return triples
+
+
+LOOSE = VarCallConfig(min_depth=1, min_alt_fraction=0.3, min_mapq=0,
+                      min_base_quality=0)
+
+
+class TestPileupWindow:
+    @given(triple_lists, st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           st.integers(1, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_sorted_stream_matches_scalar_and_stays_a_window(
+        self, triples, cuts, min_depth
+    ):
+        """A drawn location-sorted world (1-3 contigs, both strands,
+        indels and soft clips, duplicates, low-MAPQ and unmapped reads)
+        cut into arbitrary chunks — reads straddle every cut: the calls
+        are the scalar oracle's, and the window never holds more than a
+        chunk's reference span plus one read's."""
+        triples = sorted(triples, key=lambda t: t[0].location_key())
+        config = VarCallConfig(min_depth=min_depth, min_alt_fraction=0.5)
+        node = windowed_node(triples, cuts, config, sorted_input=True)
+        assert node.vectorized, "no fallback on ACGTN input"
+        assert vcf_lines(node.variants) == \
+            vcf_lines(scalar_calls(triples, config))
+        assert all(v.pos >= 1 for v in node.variants)
+
+        chunk_span = longest_read = 0
+        for _, _, chunk in cut_chunks(triples, cuts):
+            ends: dict = {}
+            for result, _, _ in chunk:
+                if not result.is_aligned:
+                    continue
+                span = reference_span(result)
+                longest_read = max(longest_read, span)
+                first, last = ends.get(result.contig_index,
+                                       (result.position, 0))
+                ends[result.contig_index] = (
+                    min(first, result.position),
+                    max(last, result.position + span),
+                )
+            chunk_span = max(chunk_span,
+                             sum(last - first for first, last in ends.values()))
+        assert node.window.high_water_rows <= chunk_span + longest_read
+
+    @given(triple_lists, st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_unsorted_stream_matches_scalar(self, triples, cuts):
+        """Any chunk order through the same class: it never flushes
+        early, and the calls are still the oracle's."""
+        config = VarCallConfig(min_depth=1, min_alt_fraction=0.5)
+        node = windowed_node(triples, cuts, config)
+        assert vcf_lines(node.variants) == \
+            vcf_lines(scalar_calls(triples, config))
+
+    def test_out_of_order_chunk_raises_and_names_the_chunk(self):
+        triples = stacked_reads(12)
+        swapped = triples[8:] + triples[4:8] + triples[:4]
+        with pytest.raises(ValueError, match=r"world-1.*not location-sorted"):
+            windowed_node(swapped, [4], LOOSE, sorted_input=True)
+        # The same chunks in any order are fine when nothing says sorted.
+        assert windowed_node(swapped, [4], LOOSE).variants == \
+            scalar_calls(triples, LOOSE)
+
+    def test_chunk_internally_out_of_order_raises(self):
+        triples = stacked_reads(8)
+        triples[4], triples[6] = triples[6], triples[4]
+        with pytest.raises(ValueError, match=r"world-1.*low-water"):
+            windowed_node(triples, [4], LOOSE, sorted_input=True)
+
+    @pytest.mark.parametrize("sorted_input", [True, False])
+    def test_mid_stream_fallback_keeps_flushed_calls(self, sorted_input):
+        """A lowercase base in chunk 2 demotes the node to the scalar
+        reference from there on: what chunks 0-1 let it call stays as it
+        was, and the total is the scalar run's."""
+        triples = stacked_reads(20, lowercase_at={9})
+        node = VarCallNode(WINDOW_REFERENCE, config=LOOSE,
+                           sorted_input=sorted_input)
+        before = None
+        for index, lo, chunk in cut_chunks(triples, [4]):
+            if index == 2:
+                before = list(node.window.variants)
+                assert bool(before) == sorted_input
+            process_chunk(node, index, lo, chunk)
+            assert node.vectorized == (index < 2)
+        node.finalize(None)
+        assert node.variants[:len(before)] == before
+        scalar = scalar_calls(triples, LOOSE)
+        assert any(v.alt.islower() for v in scalar)
+        assert vcf_lines(node.variants) == vcf_lines(scalar)
+
+    def test_negative_reference_position_never_calls(self):
+        """A malformed record at ``position < 0`` must not read the
+        contig from its end: no row at POS <= 0, on either path, and the
+        in-range part of the read still counts."""
+        seq = WINDOW_REFERENCE.contigs[0].sequence
+        # Mismatches the contig's last 3 bases *and* its first 5.
+        bases = bytes(
+            BASES[(BASES.index(b) + 1) % 4] for b in seq[-3:] + seq[:5]
         )
-        assert vector == scalar
+        triples = [(
+            AlignmentResult(flag=0, mapq=60, contig_index=0, position=-3,
+                            cigar=b"8M"),
+            bases, b"I" * 8,
+        )] + stacked_reads(4, start=40)
+        scalar = scalar_calls(triples, LOOSE)
+        assert [v.pos for v in scalar][:5] == [1, 2, 3, 4, 5]
+        assert all(v.pos >= 1 for v in scalar)
+        for sorted_input in (True, False):
+            node = windowed_node(triples, [2], LOOSE,
+                                 sorted_input=sorted_input)
+            assert node.vectorized
+            assert vcf_lines(node.variants) == vcf_lines(scalar)
+        dataset = AGDDataset.create(
+            "negative",
+            {"results": [t[0] for t in triples],
+             "bases": [t[1] for t in triples],
+             "qual": [t[2] for t in triples]},
+            MemoryStore(), chunk_size=2,
+        )
+        for vectorized in (True, False):
+            assert call_variants(dataset, WINDOW_REFERENCE, LOOSE,
+                                 vectorized=vectorized) == scalar
+
+    def test_rows_with_only_the_reference_base_are_not_ranked(
+        self, monkeypatch
+    ):
+        """Only rows with a non-reference base reach the ranking code —
+        a reference byte outside ACGTN counts as matching nothing."""
+        seq = WINDOW_REFERENCE.contigs[0].sequence
+        reference = ReferenceGenome([
+            Contig("soft", seq[:20].lower() + seq[20:]),
+        ])
+        matching = [(
+            AlignmentResult(flag=0, mapq=60, contig_index=0, position=i * 8,
+                            cigar=b"8M"),
+            seq[i * 8:i * 8 + 8], b"I" * 8,
+        ) for i in range(6)]
+        ranked_rows = []
+        argmax = np.argmax
+
+        def spy(a, *args, **kwargs):
+            ranked_rows.append(a.shape[0])
+            return argmax(a, *args, **kwargs)
+
+        monkeypatch.setattr(columnar.np, "argmax", spy)
+        node = windowed_node(matching, [6], LOOSE, reference=reference)
+        monkeypatch.undo()
+        assert ranked_rows == [20]
+        assert [v.pos for v in node.variants] == list(range(1, 21))
+        assert node.variants == scalar_calls(matching, LOOSE, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +812,21 @@ class TestDuplicateBlobPatch:
         results = [t[0] for t in triples]
         positions = sorted(p for p in raw_positions if p < len(results))
         blob = write_chunk(results, "results", first_ordinal=7)
-        patched = write_chunk(
-            columnar.read_results_column(blob).with_flag(positions,
-                                                         FLAG_DUPLICATE),
-            "results", first_ordinal=7,
-        )
+        column = columnar.read_results_column(blob)
+        flagged = column.with_flag(positions, FLAG_DUPLICATE)
+        patched = write_chunk(flagged, "results", first_ordinal=7)
+        # The decoded arrays carry over, patched alike: field for field
+        # what decoding the patched block afresh gives.
+        assert "arrays" in flagged.__dict__
+        carried = flagged.arrays
+        fresh = decode_results_arrays(flagged.flat, flagged.lengths)
+        for name in fresh.fixed.dtype.names:
+            assert np.array_equal(carried.fixed[name], fresh.fixed[name]), name
+        assert np.array_equal(carried.cigar_starts, fresh.cigar_starts)
+        assert np.array_equal(carried.cigar_ends, fresh.cigar_ends)
+        assert carried.cigar_buf.tobytes() == fresh.cigar_buf.tobytes()
+        assert np.shares_memory(carried.cigar_buf, flagged.flat)
+        assert not np.shares_memory(carried.fixed, column.flat)
         updated = [
             r.with_flag(FLAG_DUPLICATE) if i in positions else r
             for i, r in enumerate(results)
@@ -652,7 +879,7 @@ class TestColumnarFallback:
         def boom(*args, **kwargs):
             raise ColumnarFallback("forced")
 
-        monkeypatch.setattr(varcall_mod, "pileup_dataset_arrays", boom)
+        monkeypatch.setattr(varcall_mod, "iter_pileup_partials", boom)
         assert call_variants(dataset, reference, vectorized=True) == expected
 
     @pytest.mark.parametrize("flag", [0, 0x10])

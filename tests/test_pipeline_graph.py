@@ -26,7 +26,7 @@ from repro.core.subgraphs import (
     build_varcall_graph,
     compose,
 )
-from repro.core.varcall import call_variants
+from repro.core.varcall import VarCallConfig, call_variants
 from repro.dataflow.graph import Graph, GraphError
 from repro.dataflow.node import CollectSink, IterableSource, LambdaNode
 from repro.dataflow.session import Session
@@ -35,6 +35,10 @@ from repro.formats.vcf import write_vcf
 from repro.storage.base import MemoryStore
 
 SORT_CONFIG = SortConfig(chunks_per_superchunk=2)
+#: The session read set carries no planted variants: at these
+#: thresholds its sequencing errors call a few dozen rows, so comparing
+#: calls compares something.
+VARCALL_CONFIG = VarCallConfig(min_depth=2, min_alt_fraction=0.5)
 
 
 @pytest.fixture()
@@ -178,8 +182,9 @@ def eager_downstream(reads, reference, aligned_results):
     assert stats.duplicates_marked > 0
     marked = {key: store.get(key) for key in store.keys()}
     assert marked != sort_only
-    return (sort_only, marked, sorted_ds.manifest.to_json(),
-            call_variants(sorted_ds, reference))
+    variants = call_variants(sorted_ds, reference, VARCALL_CONFIG)
+    assert variants
+    return sort_only, marked, sorted_ds.manifest.to_json(), variants
 
 
 class TestMarksBeforeTheFirstWrite:
@@ -209,8 +214,8 @@ class TestMarksBeforeTheFirstWrite:
         store = PutLogStore()
         outcome = run_pipeline(
             aligned_dataset, stages, reference=reference,
-            sort_config=SORT_CONFIG, output_store=store,
-            backend=backend, workers=2,
+            sort_config=SORT_CONFIG, varcall_config=VARCALL_CONFIG,
+            output_store=store, backend=backend, workers=2,
         )
         self.check(outcome, store, eager_downstream,
                    variants="varcall" in stages)
@@ -225,6 +230,7 @@ class TestMarksBeforeTheFirstWrite:
         outcome = run_placed_pipeline(
             aligned_dataset, PlacementPlan.parse("A=sort;B=dupmark,varcall"),
             reference=reference, sort_config=SORT_CONFIG,
+            varcall_config=VARCALL_CONFIG,
             output_store=store, backend="serial",
         )
         self.check(outcome, store, eager_downstream)
@@ -240,6 +246,129 @@ class TestMarksBeforeTheFirstWrite:
         )
         self.check(outcome, store, eager_downstream, marked=False,
                    variants=False)
+
+
+class TestStreamingVarcall:
+    """Varcall calls behind a sliding window exactly when its input is
+    location-sorted — a property read off the stage tuple (or, for a
+    head-mode stage, the manifest) — and piles up whole otherwise; the
+    calls are the eager ones either way."""
+
+    @pytest.fixture()
+    def sorted_flags(self, monkeypatch):
+        """``sorted_input`` of every VarCallNode built."""
+        from repro.core.ops import VarCallNode
+
+        seen = []
+        init = VarCallNode.__init__
+
+        def spy(node, *args, **kwargs):
+            init(node, *args, **kwargs)
+            seen.append(node.sorted_input)
+
+        monkeypatch.setattr(VarCallNode, "__init__", spy)
+        return seen
+
+    @pytest.fixture()
+    def expected(self, aligned_dataset, reference):
+        calls = call_variants(aligned_dataset, reference, VARCALL_CONFIG)
+        assert calls == call_variants(aligned_dataset, reference,
+                                      VARCALL_CONFIG, vectorized=False)
+        return calls
+
+    @pytest.mark.parametrize("stages, order, streams", [
+        (("sort", "varcall"), "location", True),
+        (("sort", "varcall"), "metadata", False),
+        (("varcall",), None, False),
+    ])
+    def test_sortedness_comes_from_the_stage_tuple(
+        self, stages, order, streams, aligned_dataset, reference, expected,
+        sorted_flags,
+    ):
+        outcome = run_pipeline(
+            aligned_dataset, stages, reference=reference,
+            sort_config=SortConfig(chunks_per_superchunk=2,
+                                   order=order or "location"),
+            varcall_config=VARCALL_CONFIG, backend="serial",
+        )
+        assert sorted_flags == [streams]
+        assert outcome.variants == expected
+
+    def test_an_align_stage_unsorts_a_sorted_dataset(
+        self, fresh_dataset, snap_aligner, reference, sorted_flags
+    ):
+        dataset = fresh_dataset()
+        dataset.manifest.sort_order = "location"
+        run_pipeline(dataset, ("align", "varcall"), aligner=snap_aligner,
+                     reference=reference, backend="serial")
+        assert sorted_flags == [False]
+
+    @pytest.mark.parametrize("stages", [("varcall",), ("dupmark", "varcall")])
+    def test_head_mode_over_a_sorted_manifest_streams(
+        self, stages, aligned_dataset, reference, sorted_flags
+    ):
+        """Parallel readers, so a resequencer restores manifest order
+        ahead of the window (the dupmark head has its own)."""
+        sorted_ds = sort_dataset(aligned_dataset, MemoryStore(), SORT_CONFIG)
+        eager = import_dataset_copy(sorted_ds)
+        if "dupmark" in stages:
+            mark_duplicates(eager)
+        expected = call_variants(eager, reference, VARCALL_CONFIG)
+        assert expected
+        outcome = run_pipeline(sorted_ds, stages, reference=reference,
+                               varcall_config=VARCALL_CONFIG,
+                               backend="serial")
+        assert sorted_flags == [True]
+        assert outcome.variants == expected
+
+    def test_head_mode_window_is_a_window(self, aligned_dataset, reference):
+        from repro.core.ops import ResequencerNode
+
+        sorted_ds = sort_dataset(aligned_dataset, MemoryStore(), SORT_CONFIG)
+        stage = build_varcall_graph(
+            reference, manifest=sorted_ds.manifest,
+            input_store=sorted_ds.store, config=VARCALL_CONFIG,
+            reader_nodes=2,
+        )
+        assert any(isinstance(n, ResequencerNode) for n in stage.graph.nodes)
+        compose(stage).run(timeout=120)
+        node = stage.collector
+        assert node.variants == call_variants(sorted_ds, reference,
+                                              VARCALL_CONFIG)
+        # One 100-read chunk of six spans a sixth of the genome.
+        assert 0 < node.window.high_water_rows < len(reference) // 3
+        unsorted = build_varcall_graph(
+            reference, manifest=aligned_dataset.manifest,
+            input_store=aligned_dataset.store,
+        )
+        assert not unsorted.collector.sorted_input
+        assert not any(isinstance(n, ResequencerNode)
+                       for n in unsorted.graph.nodes)
+
+    def test_a_manifest_that_lies_about_its_order_fails_loudly(
+        self, aligned_dataset, reference
+    ):
+        from repro.dataflow.errors import PipelineError
+
+        aligned_dataset.manifest.sort_order = "location"
+        with pytest.raises(PipelineError,
+                           match="aligned-.*not location-sorted"):
+            run_pipeline(aligned_dataset, ("varcall",), reference=reference,
+                         backend="serial")
+
+    def test_placed_servers_read_the_same_tuple(
+        self, aligned_dataset, reference, eager_downstream, sorted_flags
+    ):
+        from repro.cluster.multiserver import run_placed_pipeline
+        from repro.cluster.placement import PlacementPlan
+
+        outcome = run_placed_pipeline(
+            aligned_dataset, PlacementPlan.parse("A=sort;B=dupmark;C=varcall"),
+            reference=reference, sort_config=SORT_CONFIG,
+            varcall_config=VARCALL_CONFIG, backend="serial",
+        )
+        assert sorted_flags == [True]
+        assert outcome.variants == eager_downstream[3]
 
 
 class TestSingleStagePipelines:
@@ -451,7 +580,7 @@ class TestComposePrimitives:
     def test_compose_rejects_headless_first_stage(
         self, aligned_dataset, reference
     ):
-        stage = build_varcall_graph(reference, backend="serial")
+        stage = build_varcall_graph(reference)
         try:
             with pytest.raises(GraphError, match="upstream"):
                 compose(stage)
@@ -463,7 +592,7 @@ class TestComposePrimitives:
     ):
         var = build_varcall_graph(
             reference, manifest=aligned_dataset.manifest,
-            input_store=aligned_dataset.store, backend="serial",
+            input_store=aligned_dataset.store,
         )
         dup = build_dupmark_graph(None, aligned_dataset.store,
                                   from_queue=True)
