@@ -913,6 +913,9 @@ class LocalBrokerClient:
     Implements :class:`repro.dataflow.queues.QueueTransport`.
     """
 
+    #: Payloads never leave the process (still frozen bytes, see wire.py).
+    shares_memory = True
+
     def __init__(self, broker: Broker):
         self.broker = broker
         self.consumer = broker.register_consumer()
@@ -1653,6 +1656,8 @@ class TcpBrokerClient:
     def shm_active(self) -> bool:
         """True when the same-host handshake verified a shared pool."""
         return self._shm is not None
+
+    shares_memory = shm_active
 
     @property
     def views_active(self) -> bool:

@@ -56,9 +56,9 @@ def queue_factory(client_for):
     def make_queue(server: str, edge: str, kind: str,
                    ack_mode: str) -> RemoteQueue:
         client = client_for(server)
-        # Per-edge codec negotiation: the serializer is chosen per
-        # client, after its shm handshake — same-host edges carry raw
-        # level-0 frames and decode as views, remote edges keep gzip.
+        # Per-edge codec negotiation: the serializer is read off the
+        # client (``shares_memory``) — in-process and shm-verified
+        # same-host edges carry raw level-0 frames, remote edges gzip.
         serializer = entry_serializer() if kind == "names" \
             else edge_item_serializer(client)
         return RemoteQueue(client, edge, serializer, ack_mode=ack_mode)

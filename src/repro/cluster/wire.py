@@ -3,9 +3,14 @@
 Two payload kinds cross broker edges: chunk *names* (manifest entries,
 tiny JSON) and whole *work items* (a chunk's parsed columns mid-
 pipeline).  Work items reuse the AGD chunk serialization — every column
-is one ``write_chunk`` blob, compressed through the existing codec layer
-(§3's per-column compression) at a light level, since edge payloads are
-written once and read once like sort scratch.
+is one ``write_chunk`` blob.  Where both ends reach the same memory (the
+in-process broker, a shm-verified same-host TCP client) the data block
+is framed raw; only a remote TCP edge compresses it, through the codec
+layer (§3's per-column compression) at a light level, since edge
+payloads are written once and read once like sort scratch.  Either way
+the payload is immutable, CRC-checked bytes — never an object reference:
+redelivery, poison quarantine and ``payload_bytes`` accounting need a
+frozen copy the broker can check.
 
 Frames are length-prefixed (``!I`` big-endian) so any transport that
 moves bytes (the TCP broker, a file, a pipe) can carry them.
@@ -17,7 +22,7 @@ import json
 import struct
 from typing import Callable, NamedTuple
 
-from repro.agd.chunk import read_column, write_chunk
+from repro.agd.chunk import read_chunk_header, read_column, write_chunk
 from repro.agd.compression import as_bytes, get_codec, leveled_codec
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import record_type_for_column
@@ -28,16 +33,16 @@ _LEN = struct.Struct("!I")
 #: like sort scratch: cheap level, not the archival default.
 EDGE_CODEC_LEVEL = 1
 
-#: Codec level for shm-verified same-host edges: no compression at all.
-#: Compression on a same-host edge buys nothing (the bytes never cross
-#: a wire) and costs the decode plane its zero-copy property — a chunk
+#: Codec level for edges whose transport ``shares_memory``: no
+#: compression at all.  It buys nothing there (the bytes never cross a
+#: wire) and costs the decode plane its zero-copy property — a chunk
 #: framed at level 0 decodes as views of the mapped segment.
 RAW_EDGE_CODEC_LEVEL = 0
 
 
 def _codec_for_level(codec_level: int):
-    """Level 0 is the identity codec (the raw-shm leg); positive levels
-    are light gzip for TCP edges."""
+    """Level 0 is the identity codec (shared-memory edges); positive
+    levels are light gzip for remote TCP edges."""
     if codec_level <= 0:
         return get_codec("none")
     return leveled_codec("gzip", codec_level)
@@ -194,10 +199,25 @@ def decode_work_item_frames(frames: "list[bytes]"):
     entry = ChunkEntry(header["path"], header["first"], header["count"])
     item = ChunkWorkItem(entry=entry)
     for i, column in enumerate(columns):
-        item.columns[column] = read_column(frames[1 + i])
+        item.columns[column] = _read_column_frame(frames[1 + i], column, entry)
     if header["results"]:
-        item.results = read_column(frames[-1])
+        item.results = _read_column_frame(frames[-1], "results", entry)
     return item
+
+
+def _read_column_frame(frame, column: str, entry: ChunkEntry):
+    """Decode one column frame, checked against the item header (a frame
+    of another chunk or column passes its own CRCs)."""
+    header = read_chunk_header(frame)
+    got = (header.record_type, header.record_count, header.first_ordinal)
+    want = (record_type_for_column(column), entry.record_count,
+            entry.first_ordinal)
+    if got != want:
+        raise WireError(
+            f"work item {entry.path!r}: column {column!r} frame holds "
+            f"(record type, count, first ordinal) {got}, the item header "
+            f"says {want}")
+    return read_column(frame)
 
 
 def decode_work_item(blob: bytes):
@@ -216,16 +236,15 @@ def item_serializer(codec_level: int = EDGE_CODEC_LEVEL) -> PayloadSerializer:
 
 
 def edge_item_serializer(client) -> PayloadSerializer:
-    """Per-edge transport-aware codec negotiation.
+    """The edge's codec, read off its transport.
 
-    The edge's codec is chosen where the transport is known — right
-    after the client's shm handshake: an edge whose client verified
-    same-host shared memory carries columns as *raw* level-0 frames
-    (no gzip on either end; large frames cross as segment descriptors
-    and decode as views), while a remote TCP edge keeps the light
-    level-1 gzip of :data:`EDGE_CODEC_LEVEL`.  Clients without a
-    handshake (in-process transports) also keep the compressed form.
+    A client whose payloads stay in memory both ends can reach
+    (``QueueTransport.shares_memory``: the in-process client, a TCP
+    client whose shm handshake verified the same host) carries columns
+    as *raw* level-0 frames — no deflate on either end; over shm, large
+    frames cross as segment descriptors and decode as views.  A remote
+    TCP edge keeps the light level-1 gzip of :data:`EDGE_CODEC_LEVEL`.
     """
-    if getattr(client, "shm_active", False):
+    if client.shares_memory:
         return item_serializer(RAW_EDGE_CODEC_LEVEL)
     return item_serializer()

@@ -11,7 +11,7 @@ executor, and writers.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -441,19 +441,28 @@ class EdgeSinkNode(Node):
     publish and the upstream acknowledgment happen as ONE broker
     operation — a worker that dies mid-chunk leaves the delivery unacked
     for redelivery, and one that dies after leaves it published exactly
-    once.  ``finalize`` releases this server's producer slot, which is
+    once.  The item crosses restricted to ``columns``, the set the
+    stages placed after this cut read (``subgraphs.columns_read``; None:
+    all).  ``finalize`` releases this server's producer slot, which is
     what lets the downstream edge close once every upstream replica is
     done.
     """
 
-    def __init__(self, remote, ack_source=None, name: str = "edge_sink"):
+    def __init__(self, remote, ack_source=None, name: str = "edge_sink",
+                 columns: "frozenset[str] | None" = None):
         super().__init__(name, parallelism=1)
         self.remote = remote
         self.ack_source = ack_source
+        self.columns = columns
         self.chunks = 0
         self.records = 0
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
+        shipped = item.columns if self.columns is None else {
+            c: v for c, v in item.columns.items() if c in self.columns}
+        self.stats.add_counters(
+            {"columns_pruned": len(item.columns) - len(shipped)})
+        item = replace(item, columns=shipped)
         if self.ack_source is not None:
             self.remote.put_with_ack(item, self.ack_source, item.entry.path)
         else:
@@ -463,6 +472,8 @@ class EdgeSinkNode(Node):
         return None
 
     def finalize(self, ctx: NodeContext):
+        self.stats.add_counters({"edge_frames": self.remote.total_frames,
+                                 "edge_raw_bytes": self.remote.total_bytes})
         self.remote.producer_done()
         return None
 
@@ -629,7 +640,8 @@ def _item_column(item: ChunkWorkItem, column: str, stage: str):
     else:
         raise ValueError(
             f"chunk {item.entry.path!r} lacks column {column!r} "
-            f"needed by the {stage} stage"
+            f"needed by the {stage} stage (a cut upstream ships what "
+            f"subgraphs.STAGE_READS[{stage!r}] declares)"
         )
     return as_column(record_type_for_column(column), records)
 

@@ -47,6 +47,7 @@ from repro.core.subgraphs import (
     build_sort_graph,
     build_standalone_graph,
     build_varcall_graph,
+    columns_read,
     compose,
 )
 from repro.core.varcall import VarCallConfig, call_variants
@@ -483,16 +484,12 @@ def _build_stage_graph(
                 store, ledger, "dupmark",
                 label="output" if "sort" in stages else "dataset",
             )
-        if "filter" in stages:
-            # A downstream filter stage re-chunks every column, so a
-            # head-mode dupmark must read them all.
-            columns = tuple(sorted(set(manifest.columns) | {"results"}))
-        elif "varcall" in stages:
-            # A fused varcall stage downstream needs read bases and
-            # qualities alongside the results.
-            columns = ("results", "bases", "qual")
-        else:
-            columns = ("results",)
+        # A head-mode dupmark reads what it and every stage after it
+        # declare (a filter re-chunks every column).
+        reads = columns_read(stages[stages.index("dupmark"):])
+        columns = tuple(sorted(
+            reads if reads is not None
+            else set(manifest.columns) | {"results"}))
         return build_dupmark_graph(
             manifest if head else None,
             store,
@@ -1103,7 +1100,11 @@ def build_placed_server_graph(
                 f"plan places more stages downstream"
             )
         egress.register_producer()
-        sink = EdgeSinkNode(egress, ack_source=ack_source)
+        # The cut ships only what the stages placed after it read.
+        downstream = pipeline_stages[
+            pipeline_stages.index(server_stages[-1]) + 1:]
+        sink = EdgeSinkNode(egress, ack_source=ack_source,
+                            columns=columns_read(downstream))
     else:
         if outlet is None:
             raise ValueError(

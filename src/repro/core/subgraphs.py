@@ -51,6 +51,24 @@ from repro.storage.base import ChunkStore, MemoryStore
 #: both validate against this tuple.
 STAGE_ORDER = ("align", "sort", "dupmark", "filter", "varcall")
 
+#: Columns each stage reads from an incoming work item (None: every
+#: column — the stage moves or re-chunks whole records).  A head-mode
+#: stage fetches, and a placed cut ships, the union over what follows.
+STAGE_READS: "dict[str, tuple[str, ...] | None]" = {
+    "align": None,
+    "sort": None,
+    "dupmark": ("results",),
+    "filter": None,
+    "varcall": ("results", "bases", "qual"),
+}
+
+
+def columns_read(stages) -> "frozenset[str] | None":
+    """Union of the columns ``stages`` read off a work item; None if
+    any of them reads all."""
+    reads = [STAGE_READS[stage] for stage in stages]
+    return None if None in reads else frozenset().union(*reads)
+
 
 @dataclass
 class AlignGraphConfig:
@@ -594,7 +612,7 @@ def build_dupmark_graph(
     store: ChunkStore,
     reorder: "list[str] | None" = None,
     from_queue: bool = False,
-    columns: "tuple[str, ...]" = ("results",),
+    columns: "tuple[str, ...]" = STAGE_READS["dupmark"],
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "dupmark",
@@ -683,7 +701,7 @@ def build_varcall_graph(
         if manifest is None:
             raise ValueError("head-mode varcall stage needs a manifest")
         inlet = _add_head_reader(
-            g, manifest, input_store, ("results", "bases", "qual"),
+            g, manifest, input_store, STAGE_READS["varcall"],
             reader_nodes, parser_nodes, name_queue)
         sorted_input = manifest.sort_order == "location"
         if sorted_input:

@@ -212,6 +212,10 @@ class QueueTransport(Protocol):
     :mod:`repro.cluster.broker`.
     """
 
+    #: True when payloads stay in memory both ends can reach (in-process,
+    #: verified same-host shm): such edges frame columns uncompressed.
+    shares_memory: bool
+
     def attach_producer(self, edge: str) -> None: ...
 
     def producer_done(self, edge: str) -> None: ...
@@ -285,6 +289,9 @@ class RemoteQueue:
         self._deferred: "tuple[int, Any] | None" = None
         # Mirror of the local Queue metrics surface.
         self.total_enqueued = 0
+        #: Frames / bytes this endpoint encoded for its transport.
+        self.total_frames = 0
+        self.total_bytes = 0
 
     # ------------------------------------------------------------ lifecycle
 
@@ -311,9 +318,12 @@ class RemoteQueue:
         if self.serializer is None:
             return "", bytes(item)
         encode_frames = getattr(self.serializer, "encode_frames", None)
-        if encode_frames is not None:
-            return self.serializer.key(item), encode_frames(item)
-        return self.serializer.key(item), self.serializer.encode(item)
+        if encode_frames is None:
+            return self.serializer.key(item), self.serializer.encode(item)
+        frames = encode_frames(item)
+        self.total_frames += len(frames)
+        self.total_bytes += sum(map(len, frames))
+        return self.serializer.key(item), frames
 
     def _decode(self, payload: Any) -> Any:
         if self.serializer is None:

@@ -164,10 +164,15 @@ class Session:
                     self._failure = (node.name, exc)
             node.stats.errors.append(repr(exc))
             self.graph.abort()
-        except (QueueClosed, PipelineAborted):
-            # Normal shutdown (downstream closed first) or abort in
-            # progress; producer_done below still runs.
+        except QueueClosed:
+            # Normal shutdown (downstream closed first); producer_done
+            # below still runs.
             pass
+        except PipelineAborted:
+            # Possibly another server's abort arriving over a broker
+            # edge: spread it, or kernels upstream of that endpoint
+            # block forever on queues nobody drains.
+            self.graph.abort()
         except BaseException as exc:
             with self._failure_lock:
                 if self._failure is None:

@@ -8,6 +8,7 @@ the cheap factories.
 from __future__ import annotations
 
 import pytest
+from zlib_spy import ZlibSpy
 
 from repro.align.bwa import BwaMemAligner, FMIndex
 from repro.align.snap import SeedIndex, SnapAligner
@@ -92,3 +93,16 @@ def aligned_dataset(reads, reference, aligned_results):
     )
     ds.append_column("results", list(aligned_results))
     return ds
+
+
+@pytest.fixture()
+def codec_spy(monkeypatch):
+    """Spies on the data-block codec: every deflate/inflate the codec
+    layer (``repro.agd.compression``) performs lands in ``.calls``.  A
+    chunk's *index* is deflated by ``repro.agd.chunk`` through its own
+    ``zlib`` import; those land in ``.index.calls`` instead."""
+    spy = ZlibSpy()
+    spy.index = ZlibSpy()
+    monkeypatch.setattr("repro.agd.compression.zlib", spy)
+    monkeypatch.setattr("repro.agd.chunk.zlib", spy.index)
+    return spy

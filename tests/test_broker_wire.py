@@ -14,7 +14,11 @@ The acceptance properties of the zero-copy wire refactor:
   path and to the single-``Session`` run, killed workers included;
 * on ``--resume``, a multi-group plan whose leading group is pure
   align pre-acks journaled chunks AND re-injects their work items so
-  downstream stages still see the full chunk set.
+  downstream stages still see the full chunk set;
+* an edge's codec is a property of its transport: in-process and
+  shm-verified clients frame raw, a remote TCP client at gzip level 1,
+  all three deliver equal items, and column frames are checked against
+  the item header on decode.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import time
 
 import pytest
 
+from repro.agd.chunk import read_chunk_header, read_column
 from repro.align.base import ReadAligner
 from repro.cluster.broker import (
     _FRAME,
@@ -38,14 +43,23 @@ from repro.cluster.broker import (
     Broker,
     BrokerError,
     BrokerServer,
+    LocalBrokerClient,
     TcpBrokerClient,
     _recv_frame,
     _send_frame,
 )
 from repro.cluster.multiserver import run_placed_pipeline
 from repro.cluster.placement import WORK_EDGE, PlacementPlan
-from repro.cluster.wire import WireError
+from repro.cluster.wire import (
+    EDGE_CODEC_LEVEL,
+    RAW_EDGE_CODEC_LEVEL,
+    WireError,
+    decode_work_item_frames,
+    edge_item_serializer,
+    encode_work_item_frames,
+)
 from repro.core.ledger import RunLedger
+from repro.core.ops import ChunkWorkItem
 from repro.core.pipelines import run_pipeline
 from repro.core.sort import SortConfig, verify_sorted
 from repro.dataflow import shm
@@ -495,6 +509,179 @@ class TestShmHandoffDelivery:
 
 
 # ------------------------------------------------- placed-run identity
+
+
+# ------------------------------------------------ edge codec negotiation
+
+
+EDGE = "cut"
+
+
+def _work_item(dataset, index=0) -> ChunkWorkItem:
+    entry = dataset.manifest.chunks[index]
+    return ChunkWorkItem(entry=entry, columns={
+        column: read_column(dataset.store.get(entry.chunk_file(column)))
+        for column in ("bases", "metadata", "qual", "results")
+    })
+
+
+class TestEdgeCodecNegotiation:
+    """The codec is read off the transport (``shares_memory``), never
+    selected: raw where the payload stays in reachable memory, gzip
+    level 1 where it crosses a real wire."""
+
+    def _through(self, producer, consumer, item):
+        """Publish ``item`` over the producer's negotiated serializer and
+        pull it back: (frame codec names, decoded item)."""
+        serializer = edge_item_serializer(producer)
+        producer.attach_producer(EDGE)
+        assert producer.publish(
+            EDGE, "k", serializer.encode_frames(item), timeout=5.0
+        ) == PUBLISH_OK
+        tag, _key, frames = _drain_pull(consumer, EDGE)
+        codecs = [read_chunk_header(f).codec_name for f in frames[1:]]
+        # Decode before the ack: view deliveries alias a leased segment.
+        decoded = edge_item_serializer(consumer).decode_frames(frames)
+        del frames
+        consumer.ack(EDGE, tag)
+        producer.producer_done(EDGE)
+        return codecs, decoded
+
+    def test_three_transports_deliver_equal_items(self, aligned_dataset):
+        item = _work_item(aligned_dataset)
+        delivered = {}
+
+        broker = Broker()
+        broker.create_edge(EDGE, capacity=2, producers=1)
+        local = LocalBrokerClient(broker)
+        assert local.shares_memory
+        delivered["local"] = self._through(local, local, item)
+
+        for name, shm_mode in (("tcp", False), ("shm", None)):
+            if name == "shm" and not shm.shm_available():
+                continue
+            broker = Broker()
+            broker.create_edge(EDGE, capacity=2, producers=1)
+            server = BrokerServer(broker, shm_threshold=512).start()
+            try:
+                producer = TcpBrokerClient(*server.address, shm=shm_mode)
+                consumer = TcpBrokerClient(*server.address, shm=shm_mode)
+                assert producer.shares_memory is (name == "shm")
+                delivered[name] = self._through(producer, consumer, item)
+                producer.close()
+                consumer.close()
+            finally:
+                server.stop()
+
+        assert set(delivered["local"][0]) == {"none"}
+        assert set(delivered["tcp"][0]) == {"gzip"}
+        if "shm" in delivered:
+            assert set(delivered["shm"][0]) == {"none"}
+        for name, (_codecs, decoded) in delivered.items():
+            assert decoded == item, name
+
+    def test_in_process_item_crosses_without_the_data_block_codec(
+        self, aligned_dataset, codec_spy,
+    ):
+        item = _work_item(aligned_dataset)
+        broker = Broker()
+        broker.create_edge(EDGE, capacity=2, producers=1)
+        client = LocalBrokerClient(broker)
+        codec_spy.calls.clear()  # reading the item off the store inflated
+        codec_spy.index.calls.clear()
+        _codecs, decoded = self._through(client, client, item)
+        assert decoded == item
+        assert codec_spy.calls == []
+        # The relative index is still deflated and inflated, per frame.
+        assert [c[1] for c in codec_spy.index.calls] == \
+            ["compress"] * 4 + ["decompressobj"] * 4
+
+    def test_remote_tcp_edge_still_frames_at_level_one(
+        self, aligned_dataset, codec_spy,
+    ):
+        class _Remote:
+            shares_memory = False
+
+        item = _work_item(aligned_dataset)
+        codec_spy.calls.clear()
+        frames = edge_item_serializer(_Remote()).encode_frames(item)
+        assert {read_chunk_header(f).codec_name for f in frames[1:]} \
+            == {"gzip"}
+        deflates = [c for c in codec_spy.calls
+                    if c[1] in ("compress", "compressobj")]
+        assert deflates and {c[2] for c in deflates} == {EDGE_CODEC_LEVEL}
+        assert EDGE_CODEC_LEVEL == 1
+
+    def test_redelivered_raw_payload_is_byte_equal(self, aligned_dataset):
+        """The broker holds a frozen copy, not a reference: a dead
+        consumer's raw delivery comes back byte for byte."""
+        item = _work_item(aligned_dataset)
+        broker = Broker()
+        broker.create_edge(EDGE, capacity=2, producers=1)
+        producer = LocalBrokerClient(broker)
+        frames = edge_item_serializer(producer).encode_frames(item)
+        producer.attach_producer(EDGE)
+        assert producer.publish(EDGE, "k", frames, timeout=5.0) \
+            == PUBLISH_OK
+        dying = LocalBrokerClient(broker)
+        _tag, _key, first = _drain_pull(dying, EDGE)
+        # Mutating what the publisher still holds must not reach the
+        # broker's copy.
+        item.columns.clear()
+        dying.close()
+        survivor = LocalBrokerClient(broker)
+        tag, _key, second = _drain_pull(survivor, EDGE)
+        assert [bytes(f) for f in second] == [bytes(f) for f in first] \
+            == [bytes(f) for f in frames]
+        assert all(isinstance(f, bytes) for f in second)
+        assert broker.stats()[EDGE]["total_redelivered"] == 1
+        survivor.ack(EDGE, tag)
+
+
+class TestWorkItemFrameValidation:
+    """A column frame is intact by its own CRCs even when it belongs to
+    another chunk or column; only the item header can tell."""
+
+    @pytest.mark.parametrize(
+        "level", [RAW_EDGE_CODEC_LEVEL, EDGE_CODEC_LEVEL])
+    def test_frame_from_another_chunk_rejected(self, aligned_dataset, level):
+        import dataclasses
+
+        item = _work_item(aligned_dataset)
+        frames = encode_work_item_frames(item, level)
+        assert decode_work_item_frames(frames) == item
+        qual = sorted(item.columns).index("qual") + 1
+
+        short = dataclasses.replace(
+            item, columns={"qual": item.columns["qual"][:2]})
+        crafted = list(frames)
+        crafted[qual] = encode_work_item_frames(short, level)[1]
+        with pytest.raises(WireError, match=r"'aligned-0'.*'qual'"):
+            decode_work_item_frames(crafted)
+
+        other = _work_item(aligned_dataset, 1)
+        crafted = list(frames)
+        crafted[qual] = encode_work_item_frames(other, level)[qual]
+        with pytest.raises(WireError, match="first ordinal"):
+            decode_work_item_frames(crafted)
+
+        crafted = list(frames)
+        crafted[qual] = frames[sorted(item.columns).index("bases") + 1]
+        with pytest.raises(WireError, match="'qual'.*'bases'"):
+            decode_work_item_frames(crafted)
+
+    def test_attached_results_frame_checked_too(self, aligned_dataset):
+        import dataclasses
+
+        item = _work_item(aligned_dataset)
+        results = item.columns.pop("results")
+        item.results = results
+        frames = encode_work_item_frames(item)
+        assert decode_work_item_frames(frames).results == results
+        short = dataclasses.replace(item, results=results[:2])
+        frames[-1] = encode_work_item_frames(short)[-1]
+        with pytest.raises(WireError, match="'results'"):
+            decode_work_item_frames(frames)
 
 
 def _pull_and_die(host, port, edge):  # pragma: no cover - runs in child

@@ -371,6 +371,177 @@ class TestStreamingVarcall:
         assert outcome.variants == eager_downstream[3]
 
 
+@pytest.fixture()
+def published(monkeypatch):
+    """A recording in-process transport: edge -> the distinct (column
+    set, results attached) shapes of the work items published on it."""
+    import json
+
+    from repro.cluster.broker import LocalBrokerClient
+
+    seen: "dict[str, set]" = {}
+
+    class RecordingClient(LocalBrokerClient):
+        def _record(self, edge, payload):
+            if isinstance(payload, list):  # item edges ship frame lists
+                header = json.loads(bytes(payload[0]))
+                seen.setdefault(edge, set()).add(
+                    (frozenset(header["columns"]), header["results"]))
+
+        def publish(self, edge, key, payload, timeout=0.05):
+            self._record(edge, payload)
+            return super().publish(edge, key, payload, timeout=timeout)
+
+        def publish_ack(self, edge, key, payload, ack_edge, ack_tag,
+                        timeout=0.05):
+            self._record(edge, payload)
+            return super().publish_ack(edge, key, payload, ack_edge,
+                                       ack_tag, timeout=timeout)
+
+    monkeypatch.setattr(
+        "repro.cluster.multiserver.LocalBrokerClient", RecordingClient)
+    return seen
+
+
+class TestColumnPruning:
+    """A cut ships the union of what the stages placed after it declare
+    (``subgraphs.STAGE_READS``), not every column the item holds."""
+
+    VARCALL_READS = (frozenset({"results", "bases", "qual"}), False)
+    EVERYTHING = (frozenset({"results", "bases", "qual", "metadata"}),
+                  False)
+
+    def _placed(self, dataset, plan, reference, **kwargs):
+        from repro.cluster.multiserver import run_placed_pipeline
+        from repro.cluster.placement import PlacementPlan
+
+        return run_placed_pipeline(
+            dataset, PlacementPlan.parse(plan), reference=reference,
+            sort_config=SORT_CONFIG, varcall_config=VARCALL_CONFIG,
+            backend="serial", **kwargs,
+        )
+
+    def test_declared_unions(self):
+        from repro.core.subgraphs import STAGE_ORDER, STAGE_READS, columns_read
+
+        assert set(STAGE_READS) == set(STAGE_ORDER)
+        assert columns_read(("dupmark",)) == {"results"}
+        assert columns_read(("dupmark", "varcall")) == \
+            {"results", "bases", "qual"}
+        assert columns_read(("dupmark", "filter", "varcall")) is None
+        assert columns_read(("sort", "dupmark")) is None
+
+    @pytest.mark.parametrize("plan,edges", [
+        ("A=sort;B=dupmark,varcall", ["sort->dupmark"]),
+        ("A=sort;B=dupmark;C=varcall",
+         ["sort->dupmark", "dupmark->varcall"]),
+    ])
+    def test_metadata_never_crosses_into_dupmark_or_varcall(
+        self, plan, edges, aligned_dataset, reference, eager_downstream,
+        published,
+    ):
+        store = MemoryStore()
+        outcome = self._placed(aligned_dataset, plan, reference,
+                               output_store=store)
+        assert published == {edge: {self.VARCALL_READS} for edge in edges}
+        # Nothing stored changes: the sorted dataset keeps its metadata.
+        _sort_only, marked, manifest_json, variants = eager_downstream
+        assert {key: store.get(key) for key in store.keys()} == marked
+        assert any(key.endswith(".metadata") for key in marked)
+        assert outcome.sorted_dataset.manifest.to_json() == manifest_json
+        assert outcome.variants == variants
+
+    def test_everything_crosses_into_a_sort(
+        self, fresh_dataset, snap_aligner, reference, published,
+    ):
+        self._placed(fresh_dataset(), "A1=align;A2=align;B=sort,dupmark",
+                     reference, aligner=snap_aligner)
+        # The align stage attaches its results beside the columns.
+        assert published == {"align->sort": {
+            (frozenset({"bases", "qual", "metadata"}), True)}}
+
+    def test_everything_crosses_into_a_group_holding_filter(
+        self, aligned_dataset, reference, published,
+    ):
+        from repro.core.filters import by_min_mapq
+
+        self._placed(aligned_dataset, "A=sort;B=dupmark,filter,varcall",
+                     reference, filter_predicate=by_min_mapq(30))
+        assert published == {"sort->dupmark": {self.EVERYTHING}}
+
+    def test_attached_results_cross_a_pruning_cut(
+        self, fresh_dataset, snap_aligner, reference, published,
+    ):
+        single = run_pipeline(
+            fresh_dataset(), ("align", "dupmark"), aligner=snap_aligner,
+            backend="serial",
+        )
+        placed = self._placed(fresh_dataset(), "A=align;B=dupmark",
+                              reference, aligner=snap_aligner)
+        # bases and qual stay behind; item.results is the results column.
+        assert published == {"align->dupmark": {(frozenset(), True)}}
+        assert placed.dupmark_stats.duplicates_marked == \
+            single.dupmark_stats.duplicates_marked > 0
+
+    def test_a_wrong_declaration_fails_with_the_item_column_message(
+        self, aligned_dataset, reference, monkeypatch,
+    ):
+        from repro.core.subgraphs import STAGE_READS
+
+        monkeypatch.setitem(STAGE_READS, "varcall", ("results", "bases"))
+        # B fails while A is still merging: the aborted edge must also
+        # unwind A's session (it once hung until the session timeout).
+        with pytest.raises(Exception) as excinfo:
+            self._placed(aligned_dataset, "A=sort;B=dupmark,varcall",
+                         reference, session_timeout=30.0)
+        cause = excinfo.value
+        while cause.__cause__ is not None:
+            cause = cause.__cause__
+        assert isinstance(cause, ValueError)
+        assert not isinstance(cause, KeyError)
+        assert "lacks column 'qual' needed by the varcall stage" in \
+            str(cause)
+        assert "STAGE_READS['varcall']" in str(cause)
+
+    def test_sink_counters_surface_in_the_stage_report(
+        self, aligned_dataset,
+    ):
+        from repro.cluster.broker import Broker, LocalBrokerClient
+        from repro.cluster.wire import edge_item_serializer
+        from repro.core.pipelines import build_placed_server_graph
+        from repro.dataflow.backends import make_backend
+        from repro.dataflow.queues import PULL_OK, RemoteQueue
+
+        edge = "sort->dupmark"
+        broker = Broker()
+        broker.create_edge(edge, capacity=16, producers=1)
+        client = LocalBrokerClient(broker)
+        server = build_placed_server_graph(
+            aligned_dataset, "A", ("sort",), ("sort", "dupmark", "varcall"),
+            egress=RemoteQueue(client, edge, edge_item_serializer(client)),
+            sort_config=SORT_CONFIG, sort_store=MemoryStore(),
+            backend_obj=make_backend("serial"),
+        )
+        report = Session(server.pipeline.graph).run(timeout=60).report
+        server.close()
+        shipped = []
+        while True:
+            status, tag, _key, frames = client.pull(edge, timeout=0.05)
+            if status != PULL_OK:
+                break
+            client.ack(edge, tag)
+            shipped.append(frames)
+        assert len(shipped) == 6
+        counters = {
+            "columns_pruned": 6,          # metadata, once per chunk
+            "edge_frames": 6 * (1 + 3),   # header + three columns
+            "edge_raw_bytes": sum(len(f) for fs in shipped for f in fs),
+        }
+        assert report["nodes"]["edge_sink"]["counters"] == counters
+        stage = report["stages"]["sort"]["counters"]
+        assert {k: stage[k] for k in counters} == counters
+
+
 class TestSingleStagePipelines:
     def test_sort_only(self, aligned_dataset, eager_chain):
         outcome = run_pipeline(

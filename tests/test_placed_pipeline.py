@@ -9,7 +9,10 @@ The acceptance properties of the placed refactor:
 * every chunk is processed exactly once across servers, even under
   skewed per-chunk costs (self-balancing via the shared work edge);
 * a killed worker's in-flight chunks are redelivered to a surviving
-  replica and completed (at-least-once delivery, idempotent writes).
+  replica and completed (at-least-once delivery, idempotent writes);
+* an in-process cut never runs the data-block codec (raw frames), a
+  remote TCP cut runs it at level 1, and both are byte-identical to the
+  single-session run.
 """
 
 from __future__ import annotations
@@ -421,6 +424,90 @@ class TestPlacedEquivalence:
             backend="serial",
         )
         assert_matches_single(placed, single_session, reference)
+
+
+DOWNSTREAM = ("sort", "dupmark", "varcall")
+
+
+def _downstream_bytes(outcome, reference) -> dict:
+    """Everything a downstream run leaves behind, as bytes."""
+    sorted_ds = outcome.sorted_dataset
+    blobs = {
+        entry.chunk_file(column): sorted_ds.store.get(
+            entry.chunk_file(column))
+        for entry in sorted_ds.manifest.chunks
+        for column in sorted_ds.columns
+    }
+    blobs["manifest"] = sorted_ds.manifest.to_json().encode()
+    blobs["vcf"] = vcf_bytes(outcome.variants, reference)
+    return blobs
+
+
+class TestEdgeCodecNegotiation:
+    """``A=sort;B=dupmark,varcall`` — the suite's ``downstream_placed``
+    cut — over the in-process broker and over TCP with shm off."""
+
+    def _placed(self, dataset, reference, **kwargs):
+        return run_placed_pipeline(
+            dataset,
+            PlacementPlan.parse("A=sort;B=dupmark,varcall"),
+            reference=reference,
+            sort_config=SORT_CONFIG,
+            **kwargs,
+        )
+
+    def test_in_process_edge_runs_no_data_block_codec(
+        self, aligned_dataset, reference, codec_spy,
+    ):
+        placed = self._placed(aligned_dataset, reference)
+        chunks = placed.broker_stats["sort->dupmark"]["total_published"]
+        assert chunks == 6
+        assert codec_spy.on("A.edge_sink") == []
+        assert codec_spy.on("B.edge_source") == []
+        # The spy is live (the merge deflates what it stores) and the
+        # edge threads still deflate / inflate three indexes per chunk.
+        assert any(c[1] == "compress" for c in codec_spy.on("A.sort."))
+        assert [c[1] for c in codec_spy.index.on("A.edge_sink")] \
+            == ["compress"] * (3 * chunks)
+        assert [c[1] for c in codec_spy.index.on("B.edge_source")] \
+            == ["decompressobj"] * (3 * chunks)
+
+    def test_tcp_edge_without_shm_frames_at_level_one(
+        self, aligned_dataset, reference, codec_spy,
+    ):
+        self._placed(aligned_dataset, reference, transport="tcp",
+                     broker_shm=False)
+        deflates = codec_spy.on("A.edge_sink")
+        assert deflates
+        assert {c[1] for c in deflates} <= {"compress", "compressobj"}
+        assert {c[2] for c in deflates} == {1}
+        inflates = codec_spy.on("B.edge_source")
+        assert inflates and {c[1] for c in inflates} == {"decompress"}
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_local_tcp_and_single_session_bytes_agree(
+        self, backend, reads, reference, aligned_results,
+    ):
+        def dataset():
+            ds = import_reads(
+                reads, "aligned", MemoryStore(), chunk_size=100,
+                reference=reference.manifest_entry(),
+            )
+            ds.append_column("results", list(aligned_results))
+            return ds
+
+        single = _downstream_bytes(run_pipeline(
+            dataset(), DOWNSTREAM, reference=reference,
+            sort_config=SORT_CONFIG, backend=backend, workers=2,
+        ), reference)
+        assert len(single) == 6 * 4 + 2
+        for transport in ("local", "tcp"):
+            placed = self._placed(
+                dataset(), reference, backend=backend, workers=2,
+                transport=transport, broker_shm=False,
+            )
+            assert placed.dupmark_stats.duplicates_marked > 0
+            assert _downstream_bytes(placed, reference) == single, transport
 
 
 class TestEdgeAutotuning:

@@ -31,6 +31,7 @@ import pytest
 from repro.agd.chunk import (
     read_chunk,
     read_chunk_data,
+    read_chunk_header,
     write_chunk,
 )
 from repro.agd.columns import BasesColumn, PackedBasesColumn
@@ -38,7 +39,12 @@ from repro.agd.compaction import unpack_column_flat
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import get_record_codec
 from repro.align.result import AlignmentResult
-from repro.cluster.broker import Broker, BrokerServer, TcpBrokerClient
+from repro.cluster.broker import (
+    Broker,
+    BrokerServer,
+    LocalBrokerClient,
+    TcpBrokerClient,
+)
 from repro.cluster.wire import (
     EDGE_CODEC_LEVEL,
     RAW_EDGE_CODEC_LEVEL,
@@ -282,11 +288,15 @@ class TestEdgeCodecNegotiation:
                 f, dtype=np.uint8)) for f in frames)
 
     def test_negotiation_keys_on_shm_handshake(self):
+        # The serializer reads the transport's one protocol member; for
+        # a TCP client that member is the shm handshake's verdict.
+        assert TcpBrokerClient.shares_memory is TcpBrokerClient.shm_active
+
         class _ShmClient:
-            shm_active = True
+            shares_memory = True
 
         class _TcpClient:
-            shm_active = False
+            shares_memory = False
 
         item = self._item()
         raw_frames = edge_item_serializer(_ShmClient()).encode_frames(item)
@@ -297,10 +307,12 @@ class TestEdgeCodecNegotiation:
             len(f) for f in gz_frames
         )
         assert read_chunk(raw_frames[1]).record_type == "bases"
-        # No-handshake clients (in-process transports) keep level 1.
-        assert sum(
-            len(f) for f in edge_item_serializer(object()).encode_frames(item)
-        ) == sum(len(f) for f in gz_frames)
+        assert [read_chunk_header(f).codec_name for f in raw_frames[1:]] \
+            == ["none"] * (len(raw_frames) - 1)
+        assert [read_chunk_header(f).codec_name for f in gz_frames[1:]] \
+            == ["gzip"] * (len(gz_frames) - 1)
+        # The in-process transport shares memory by construction.
+        assert LocalBrokerClient.shares_memory is True
 
     def test_payload_nbytes_counts_memoryview_storage(self):
         arr = np.zeros((10, 10))
