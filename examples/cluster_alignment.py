@@ -1,9 +1,11 @@
-"""Cluster-scale alignment: manifest server, Ceph, and the Fig. 7 curve.
+"""Cluster-scale alignment: the work edge, Ceph, and the Fig. 7 curve.
 
-Part 1 runs the *real* multi-server pipeline in-process: four Persona
-servers pull chunk names from a shared manifest server (§5.2's message
-queue) and align against a simulated Ceph object store, demonstrating
-dynamic work distribution with no chunk lost or duplicated.
+Part 1 runs the *real* placed pipeline in-process: four Persona servers
+(a replicated align group, ``run_placed_pipeline`` under the hood) pull
+chunk names from the broker's shared work edge (§5.2's manifest-server
+message queue) and align against a simulated Ceph object store,
+demonstrating dynamic work distribution with no chunk lost or
+duplicated.
 
 Part 2 runs the discrete-event cluster simulator at the paper's
 calibration (45.45 Mbases/s/node, 6 GB/s Ceph) and prints the Figure 7

@@ -110,25 +110,36 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
-    from repro.core.pipelines import (
-        align_dataset,
-        build_bwa_aligner,
-        build_snap_aligner,
+def _build_aligner(args: argparse.Namespace, reference):
+    """The ``--aligner`` the flags name, over ``reference``."""
+    from repro.core.pipelines import build_bwa_aligner, build_snap_aligner
+
+    builder = {"snap": build_snap_aligner, "bwa": build_bwa_aligner}
+    return builder[args.aligner](reference)
+
+
+def _sort_config(args: argparse.Namespace):
+    """``SortConfig`` from the sort flags this subcommand has."""
+    from repro.core.sort import SortConfig
+
+    return SortConfig(
+        order=args.order,
+        chunks_per_superchunk=args.superchunk,
+        output_codec_level=getattr(args, "codec_level", None),
+        merge_partitions=getattr(args, "merge_partitions", None),
+        raw_scratch=_raw_scratch_arg(args),
     )
+
+
+def _cmd_align(args: argparse.Namespace) -> int:
+    from repro.core.pipelines import align_dataset
     from repro.core.subgraphs import AlignGraphConfig
     from repro.genome.reference import read_fasta
     from repro.metrics.throughput import format_bases_rate
 
     dataset = AGDDataset.open(args.dataset_dir)
     reference = read_fasta(args.reference)
-    if args.aligner == "snap":
-        aligner = build_snap_aligner(reference)
-    elif args.aligner == "bwa":
-        aligner = build_bwa_aligner(reference)
-    else:
-        print(f"unknown aligner {args.aligner!r}", file=sys.stderr)
-        return 2
+    aligner = _build_aligner(args, reference)
     dataset.manifest.reference = reference.manifest_entry()
     config = AlignGraphConfig(
         executor_threads=args.threads,
@@ -165,7 +176,7 @@ def _make_cli_backend(args: argparse.Namespace):
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    from repro.core.sort import SortConfig, sort_dataset
+    from repro.core.sort import sort_dataset
 
     dataset = AGDDataset.open(args.dataset_dir)
     out_store = DirectoryStore(args.output_dir)
@@ -175,13 +186,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         sorted_ds = sort_dataset(
             dataset,
             out_store,
-            SortConfig(
-                order=args.order,
-                chunks_per_superchunk=args.superchunk,
-                output_codec_level=args.codec_level,
-                merge_partitions=args.merge_partitions,
-                raw_scratch=_raw_scratch_arg(args),
-            ),
+            _sort_config(args),
             scratch_store=(DirectoryStore(args.scratch_dir)
                            if args.scratch_dir else None),
             backend=backend,
@@ -201,8 +206,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 def _cmd_dupmark(args: argparse.Namespace) -> int:
     from repro.core.dupmark import mark_duplicates
 
-    # --backend/--kernels are accepted and ignored: there is one dupmark
-    # implementation, and it is too cheap per chunk to dispatch.
     dataset = AGDDataset.open(args.dataset_dir)
     start = time.monotonic()
     stats = mark_duplicates(dataset)
@@ -224,8 +227,7 @@ def _cmd_varcall(args: argparse.Namespace) -> int:
     reference = read_fasta(args.reference)
     backend = _make_cli_backend(args)
     try:
-        variants = call_variants(dataset, reference, backend=backend,
-                                 vectorized=args.kernels == "vectorized")
+        variants = call_variants(dataset, reference, backend=backend)
     finally:
         if backend is not None:
             backend.shutdown()
@@ -234,111 +236,121 @@ def _cmd_varcall(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
+                    output_arg: str = "an output directory"):
+    """The run a ``pipeline`` / ``cluster run`` / ``cluster worker``
+    command line describes, as ``(PipelineSpec, aligner)``.
+
+    ``hosted`` is the stages this process itself runs (a worker's own
+    group; default: all of ``stages``) — it loads only what those need.
+    ``output_arg`` is how this subcommand spells the sorted-dataset
+    directory.  Every user error is a ``ValueError`` carrying the
+    one-line message (callers print it and exit 2).
+    """
     from repro.core.filters import by_min_mapq
-    from repro.core.pipelines import (
-        PIPELINE_STAGES,
-        TUNE_SIDECAR_NAME,
-        build_bwa_aligner,
-        build_snap_aligner,
-        run_pipeline,
-    )
-    from repro.core.sort import SortConfig
+    from repro.core.pipelines import PipelineSpec, validate_stages
     from repro.core.subgraphs import AlignGraphConfig
-    from repro.formats.vcf import write_vcf
     from repro.genome.reference import read_fasta
 
-    stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
-    unknown = [s for s in stages if s not in PIPELINE_STAGES]
-    if unknown:
-        print(f"unknown stages {unknown} "
-              f"(choices: {','.join(PIPELINE_STAGES)})", file=sys.stderr)
-        return 2
-    if "sort" in stages and not args.output_dir:
-        print("an output directory is required when the sort stage runs "
-              "(it receives the sorted dataset)", file=sys.stderr)
-        return 2
-    if "filter" in stages and args.min_mapq is None:
-        print("--min-mapq is required when the filter stage runs",
-              file=sys.stderr)
-        return 2
+    validate_stages(stages)
+    hosted = stages if hosted is None else hosted
+    if "sort" in stages and not args.output_dir \
+            and {"sort", "dupmark"} & set(hosted):
+        raise ValueError(f"{output_arg} is required when the sort stage "
+                         f"runs (it receives the sorted dataset)")
+    if "filter" in hosted and args.min_mapq is None:
+        raise ValueError("--min-mapq is required when the filter stage runs")
+    if {"align", "varcall"} & set(hosted) and not args.reference:
+        raise ValueError("--reference is required for align/varcall stages")
     dataset = AGDDataset.open(args.dataset_dir)
-    aligner = None
-    reference = None
-    if "align" in stages or "varcall" in stages:
-        if not args.reference:
-            print("--reference is required for align/varcall stages",
-                  file=sys.stderr)
-            return 2
-        reference = read_fasta(args.reference)
-    if "align" in stages:
-        builder = {"snap": build_snap_aligner, "bwa": build_bwa_aligner}
-        aligner = builder[args.aligner](reference)
+    reference = read_fasta(args.reference) if args.reference else None
     if reference is not None:
         # Output manifests (sorted dataset, VCF contigs) must name the
         # reference even when this invocation runs no align stage.
         dataset.manifest.reference = reference.manifest_entry()
-    output_store = DirectoryStore(args.output_dir) if "sort" in stages \
-        else None
-    filter_store = DirectoryStore(args.filter_dir) if args.filter_dir \
-        else None
-    if args.tune_cache is not None and not args.autotune_queues:
-        print("--tune-cache only takes effect with --autotune-queues",
-              file=sys.stderr)
-        return 2
+    spec = PipelineSpec(
+        dataset,
+        stages,
+        reference=reference,
+        align_config=AlignGraphConfig(
+            executor_threads=args.workers,
+            aligner_nodes=max(1, args.workers // 2),
+        ),
+        sort_config=_sort_config(args),
+        filter_predicate=(by_min_mapq(args.min_mapq)
+                          if args.min_mapq is not None else None),
+        output_store=(DirectoryStore(args.output_dir)
+                      if args.output_dir and "sort" in stages else None),
+        filter_store=(DirectoryStore(args.filter_dir)
+                      if args.filter_dir else None),
+        ledger=(_open_ledger(args) if hasattr(args, "ledger_dir") else None),
+        backend=args.backend,
+        workers=args.workers,
+        batch_size=args.batch_size,
+        shm=getattr(args, "shm", None),
+    )
+    aligner = _build_aligner(args, reference) if "align" in hosted else None
+    return spec, aligner
+
+
+def _print_outputs(args: argparse.Namespace, outputs, reference) -> None:
+    """Report (and save the manifests / VCF of) what a run's stages left
+    behind: ``outputs`` is any :class:`repro.core.pipelines.
+    StageOutputs` — a pipeline's, a placed run's, or one worker's."""
+    from repro.formats.vcf import write_vcf
+
+    if outputs.dupmark_stats is not None:
+        print(f"  duplicates marked: "
+              f"{outputs.dupmark_stats.duplicates_marked}")
+    if outputs.filter_stats is not None:
+        print(f"  filter kept {outputs.filter_stats.kept} of "
+              f"{outputs.filter_stats.examined} records "
+              f"(mapq >= {args.min_mapq})")
+        if args.filter_dir:
+            outputs.filtered_dataset.save_manifest(args.filter_dir)
+            print(f"  filtered dataset -> {args.filter_dir}")
+    if outputs.variants is not None:
+        if args.vcf:
+            count = write_vcf(outputs.variants, args.vcf,
+                              contigs=reference.manifest_entry())
+            print(f"  called {count} variants -> {args.vcf}")
+        else:
+            print(f"  called {len(outputs.variants)} variants "
+                  f"(pass --vcf to write them)")
+    if outputs.sorted_dataset is not None:
+        outputs.sorted_dataset.save_manifest(args.output_dir)
+        print(f"  sorted dataset -> {args.output_dir}")
+
+
+def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from repro.core.pipelines import TUNE_SIDECAR_NAME, run_pipeline
+
+    stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
     if args.autotune_queues and args.tune_cache is None:
         # Sidecar next to the dataset: repeat runs load the persisted
         # suggestions and skip the probe entirely.
         args.tune_cache = str(Path(args.dataset_dir) / TUNE_SIDECAR_NAME)
     try:
-        ledger = _open_ledger(
-            args,
-            dataset_dir=args.dataset_dir,
-            output_dir=args.output_dir,
-            filter_dir=args.filter_dir,
-        )
+        if args.tune_cache is not None and not args.autotune_queues:
+            raise ValueError(
+                "--tune-cache only takes effect with --autotune-queues")
+        spec, aligner = _spec_from_args(args, stages)
         outcome = run_pipeline(
-            dataset,
-            stages,
             aligner=aligner,
-            reference=reference,
-            align_config=AlignGraphConfig(
-                executor_threads=args.workers,
-                aligner_nodes=max(1, args.workers // 2),
-            ),
-            sort_config=SortConfig(
-                order=args.order,
-                chunks_per_superchunk=args.superchunk,
-                output_codec_level=args.codec_level,
-                merge_partitions=args.merge_partitions,
-                raw_scratch=_raw_scratch_arg(args),
-            ),
-            filter_predicate=(by_min_mapq(args.min_mapq)
-                              if args.min_mapq is not None else None),
-            output_store=output_store,
-            filter_store=filter_store,
             scratch_store=(DirectoryStore(args.scratch_dir)
                            if args.scratch_dir else None),
-            backend=args.backend,
-            workers=args.workers,
-            batch_size=args.batch_size,
             session_timeout=args.timeout,
-            vectorized=args.kernels == "vectorized",
             autotune_queues=args.autotune_queues,
-            tune_path=(args.tune_cache if args.autotune_queues else None),
-            shm=args.shm,
-            ledger=ledger,
+            tune_path=args.tune_cache,
+            **vars(spec),
         )
     except ValueError as exc:
-        # Stage-composition errors (order, duplicates, missing results
-        # column, ...) are user input errors, same class as unknown
-        # stage names above.
+        # Unknown / out-of-order stages, a missing flag, a dataset the
+        # stages cannot run on: user input errors, one line each.
         print(str(exc), file=sys.stderr)
         return 2
     if "align" in stages:
-        dataset.save_manifest(args.dataset_dir)
-    if outcome.sorted_dataset is not None:
-        outcome.sorted_dataset.save_manifest(args.output_dir)
+        spec.dataset.save_manifest(args.dataset_dir)
     print(
         f"pipeline [{' -> '.join(stages)}] over {outcome.total_reads} "
         f"reads ({outcome.chunks} chunks) in {outcome.wall_seconds:.2f}s "
@@ -356,29 +368,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                   else "the probe run's depth traces")
         print(f"  autotuned {len(outcome.report['autotuned_queues'])} "
               f"queue capacities from {source}")
-    if outcome.dupmark_stats is not None:
-        print(f"  duplicates marked: "
-              f"{outcome.dupmark_stats.duplicates_marked}")
-    if outcome.filter_stats is not None:
-        print(f"  filter kept {outcome.filter_stats.kept} of "
-              f"{outcome.filter_stats.examined} records "
-              f"(mapq >= {args.min_mapq})")
-        if args.filter_dir:
-            outcome.filtered_dataset.save_manifest(args.filter_dir)
-            print(f"  filtered dataset -> {args.filter_dir}")
-    if outcome.variants is not None:
-        if args.vcf:
-            count = write_vcf(outcome.variants, args.vcf,
-                              contigs=reference.manifest_entry())
-            print(f"  called {count} variants -> {args.vcf}")
-        else:
-            print(f"  called {len(outcome.variants)} variants "
-                  f"(pass --vcf to write them)")
-    if outcome.sorted_dataset is not None:
-        print(f"  sorted dataset -> {args.output_dir}")
-    if ledger is not None:
-        _print_ledger_summary(ledger)
-        ledger.close()
+    _print_outputs(args, outcome, spec.reference)
+    _close_ledger(spec.ledger)
     return 0
 
 
@@ -391,35 +382,6 @@ def _parse_host_port(spec: str) -> "tuple[str, int]":
         )
     # Accept bracketed IPv6 literals ([::1]:7470).
     return (host.strip("[]") or "127.0.0.1", int(port))
-
-
-def _cluster_reference_and_aligner(args, stages):
-    """Load the reference / build the aligner a stage set needs."""
-    from repro.core.pipelines import build_bwa_aligner, build_snap_aligner
-    from repro.genome.reference import read_fasta
-
-    reference = None
-    aligner = None
-    if "align" in stages or "varcall" in stages:
-        if not args.reference:
-            raise SystemExit("--reference is required for align/varcall "
-                             "stages")
-        reference = read_fasta(args.reference)
-    if "align" in stages:
-        builder = {"snap": build_snap_aligner, "bwa": build_bwa_aligner}
-        aligner = builder[args.aligner](reference)
-    return reference, aligner
-
-
-def _cluster_filter_predicate(args, stages):
-    from repro.core.filters import by_min_mapq
-
-    if "filter" not in stages:
-        return None
-    if args.min_mapq is None:
-        raise SystemExit("--min-mapq is required when the plan places a "
-                         "filter stage")
-    return by_min_mapq(args.min_mapq)
 
 
 def _delivery_deadline(raw: str):
@@ -451,29 +413,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     """All-in-one placed run: broker + every server in one process."""
     from repro.cluster.multiserver import PoisonChunkError, run_placed_pipeline
     from repro.cluster.placement import PlacementPlan
-    from repro.core.sort import SortConfig
-    from repro.formats.vcf import write_vcf
 
-    plan = PlacementPlan.parse(args.plan)
-    stages = plan.stages
-    dataset = AGDDataset.open(args.dataset_dir)
-    reference, aligner = _cluster_reference_and_aligner(args, stages)
-    if reference is not None:
-        dataset.manifest.reference = reference.manifest_entry()
-    if "sort" in stages and not args.output_dir:
-        print("--output-dir is required when the plan places a sort stage",
-              file=sys.stderr)
-        return 2
-    try:
-        ledger = _open_ledger(
-            args,
-            dataset_dir=args.dataset_dir,
-            output_dir=args.output_dir,
-            filter_dir=args.filter_dir,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     scratch_factory = None
     if args.scratch_dir:
         scratch_root = Path(args.scratch_dir)
@@ -481,24 +421,18 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         def scratch_factory(server: str):
             return DirectoryStore(scratch_root / server)
 
+    spec = None
     try:
+        plan = PlacementPlan.parse(args.plan)
+        spec, aligner = _spec_from_args(args, plan.stages)
+        fields = dict(vars(spec))
+        # The plan carries the stages; placed backends keep the shm
+        # default.
+        del fields["stages"], fields["shm"]
         outcome = run_placed_pipeline(
-            dataset,
-            plan,
+            plan=plan,
             aligner=aligner,
-            reference=reference,
-            sort_config=SortConfig(order=args.order,
-                                   chunks_per_superchunk=args.superchunk,
-                                   raw_scratch=_raw_scratch_arg(args)),
-            filter_predicate=_cluster_filter_predicate(args, stages),
-            output_store=(DirectoryStore(args.output_dir)
-                          if args.output_dir else None),
-            filter_store=(DirectoryStore(args.filter_dir)
-                          if args.filter_dir else None),
             scratch_store_factory=scratch_factory,
-            backend=args.backend,
-            workers=args.workers,
-            batch_size=args.batch_size,
             transport=args.transport,
             host=args.host,
             port=args.port,
@@ -506,24 +440,26 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             autotune_edges=args.autotune_edges,
             broker_shm=args.broker_shm,
             session_timeout=args.timeout,
-            vectorized=args.kernels == "vectorized",
-            ledger=ledger,
             delivery_deadline=args.delivery_deadline,
             max_redeliveries=args.max_redeliveries,
             on_poison=args.on_poison,
             spill_dir=args.spill_dir,
             spill_watermark=args.spill_watermark,
+            **fields,
         )
     except PoisonChunkError as exc:
         print(f"poison chunk {exc.key!r} exhausted its redeliveries on "
               f"edge {exc.edge!r} (--on-poison fail)", file=sys.stderr)
-        if ledger is not None:
-            ledger.close()
+        _close_ledger(spec.ledger, summary=False)
         return 1
+    except ValueError as exc:
+        # A bad plan, a missing flag, a dataset the stages cannot run
+        # on: the same one-line messages as `persona pipeline`.
+        print(str(exc), file=sys.stderr)
+        return 2
+    stages = plan.stages
     if "align" in stages:
-        dataset.save_manifest(args.dataset_dir)
-    if outcome.sorted_dataset is not None:
-        outcome.sorted_dataset.save_manifest(args.output_dir)
+        spec.dataset.save_manifest(args.dataset_dir)
     total_chunks = sum(s.chunks for s in outcome.servers)
     print(
         f"placed pipeline [{' -> '.join(stages)}] across "
@@ -545,37 +481,16 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         print(f"  run completed DEGRADED: {outcome.total_quarantined} "
               f"chunk(s) quarantined")
         _print_quarantined(outcome.quarantined)
-    if outcome.dupmark_stats is not None:
-        print(f"  duplicates marked: "
-              f"{outcome.dupmark_stats.duplicates_marked}")
-    if outcome.filter_stats is not None:
-        print(f"  filter kept {outcome.filter_stats.kept} of "
-              f"{outcome.filter_stats.examined} records "
-              f"(mapq >= {args.min_mapq})")
-        if args.filter_dir:
-            outcome.filtered_dataset.save_manifest(args.filter_dir)
-            print(f"  filtered dataset -> {args.filter_dir}")
-    if outcome.variants is not None and args.vcf:
-        count = write_vcf(outcome.variants, args.vcf,
-                          contigs=reference.manifest_entry())
-        print(f"  called {count} variants -> {args.vcf}")
-    elif outcome.variants is not None:
-        print(f"  called {len(outcome.variants)} variants "
-              f"(pass --vcf to write them)")
-    if outcome.sorted_dataset is not None:
-        print(f"  sorted dataset -> {args.output_dir}")
-    if ledger is not None:
-        _print_ledger_summary(ledger)
-        ledger.close()
+    _print_outputs(args, outcome, spec.reference)
+    _close_ledger(spec.ledger)
     return 0
 
 
 def _cmd_cluster_broker(args: argparse.Namespace) -> int:
     """Broker role: serve the plan's edges over TCP and publish names."""
-    from repro.cluster.broker import Broker, BrokerServer, LocalBrokerClient
-    from repro.cluster.placement import WORK_EDGE, PlacementPlan
-    from repro.cluster.wire import entry_serializer
-    from repro.dataflow.queues import RemoteQueue
+    from repro.cluster.broker import Broker, BrokerServer
+    from repro.cluster.multiserver import serve_plan
+    from repro.cluster.placement import PlacementPlan
 
     plan = PlacementPlan.parse(args.plan)
     dataset = AGDDataset.open(args.dataset_dir)
@@ -584,25 +499,13 @@ def _cmd_cluster_broker(args: argparse.Namespace) -> int:
         max_redeliveries=args.max_redeliveries,
         on_poison=args.on_poison,
     )
-    broker.plan_doc = plan.to_doc()
-    for spec in plan.edges():
-        broker.create_edge(
-            spec.name,
-            capacity=(max(1, dataset.num_chunks)
-                      if spec.name == WORK_EDGE else args.edge_capacity),
-            producers=spec.producers,
-        )
     server = BrokerServer(broker, host=args.host, port=args.port,
                           shm=args.broker_shm, spill_dir=args.spill_dir,
-                          spill_watermark=args.spill_watermark).start()
+                          spill_watermark=args.spill_watermark)
+    serve_plan(broker, plan, dataset, edge_capacity=args.edge_capacity,
+               listener=server)
     print(f"broker serving plan [{args.plan}] on "
           f"{server.host}:{server.port}")
-    coordinator = LocalBrokerClient(broker)
-    work_queue = RemoteQueue(coordinator, WORK_EDGE, entry_serializer())
-    work_queue.register_producer()
-    for entry in dataset.manifest.chunks:
-        work_queue.put(entry)
-    work_queue.producer_done()
     print(f"published {dataset.num_chunks} chunk names; waiting for "
           f"workers (timeout {args.timeout}s)")
     done = broker.wait_complete(timeout=args.timeout)
@@ -653,129 +556,76 @@ def _cmd_cluster_broker(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     """Worker role: run one server's placed stage group."""
-    from repro.cluster.broker import TcpBrokerClient
-    from repro.cluster.multiserver import queue_factory
-    from repro.cluster.placement import PlacementPlan
-    from repro.core.pipelines import (
-        build_placed_server_graph,
-        placed_server_endpoints,
+    from repro.cluster.broker import BrokerError, TcpBrokerClient
+    from repro.cluster.multiserver import (
+        build_placed_server,
+        root_cause,
+        run_placed_server,
     )
-    from repro.core.sort import SortConfig
-    from repro.dataflow.backends import make_backend
-    from repro.dataflow.session import Session
-    from repro.formats.vcf import write_vcf
-
-    from repro.cluster.broker import BrokerError
+    from repro.cluster.placement import PlacementPlan
+    from repro.core.pipelines import harvest_outputs
+    from repro.core.subgraphs import ServerSite
+    from repro.dataflow.errors import WorkerFenced
 
     host, port = _parse_host_port(args.connect)
     client = TcpBrokerClient(host, port, shm=args.broker_shm)
-    plan_doc = client.plan()
-    if not plan_doc:
-        print("broker serves no placement plan", file=sys.stderr)
-        return 1
-    if args.join:
-        # Live admission: ask the broker to grow `--join`'s (replicable)
-        # stage group by this server, then run with the updated plan.
-        try:
-            plan_doc = client.admit(args.server, args.join)
-        except BrokerError as exc:
-            print(f"broker refused admission: {exc}", file=sys.stderr)
-            client.close()
-            return 1
-        print(f"admitted into the running plan as a replica of "
-              f"{args.join!r}")
-    plan = PlacementPlan.from_doc(plan_doc)
-    placement = plan.placement_for(args.server)
-    stages = plan.stages
-    dataset = AGDDataset.open(args.dataset_dir)
-    reference, aligner = _cluster_reference_and_aligner(args, placement.stages)
-    if reference is not None:
-        # A sort/varcall-only worker writes the sorted manifest: it
-        # must carry the reference contigs exactly like a single-run
-        # `persona pipeline` output would, or the two diverge.
-        dataset.manifest.reference = reference.manifest_entry()
-    if "sort" in stages and not args.output_dir and (
-            "sort" in placement.stages or "dupmark" in placement.stages):
-        print("--output-dir (the shared sorted-dataset directory) is "
-              "required for sort/dupmark workers when the plan places a "
-              "sort stage", file=sys.stderr)
-        return 2
-    backend_obj = make_backend(args.backend, workers=args.workers,
-                               batch_size=args.batch_size,
-                               name=f"{args.server}.backend")
-    sort_store = DirectoryStore(args.output_dir) if args.output_dir else None
-    work_queue, ingress, egress, manual = placed_server_endpoints(
-        plan, args.server, queue_factory(lambda server: client)
-    )
-    graph = build_placed_server_graph(
-        dataset,
-        args.server,
-        placement.stages,
-        stages,
-        work_queue=work_queue,
-        ingress=ingress,
-        egress=egress,
-        manual_ack=manual,
-        aligner=aligner,
-        reference=reference,
-        sort_config=SortConfig(order=args.order,
-                               chunks_per_superchunk=args.superchunk,
-                               raw_scratch=_raw_scratch_arg(args)),
-        filter_predicate=_cluster_filter_predicate(args, placement.stages),
-        sort_store=sort_store,
-        filter_store=(DirectoryStore(args.filter_dir)
-                      if args.filter_dir else None),
-        backend_obj=backend_obj,
-        vectorized=args.kernels == "vectorized",
-    )
-    print(f"worker {args.server!r} running [{','.join(placement.stages)}] "
-          f"against broker {host}:{port}")
+    site = None
     try:
-        Session(graph.pipeline.graph).run(timeout=args.timeout)
-    except Exception as exc:
-        from repro.cluster.multiserver import _root_cause
-        from repro.dataflow.errors import WorkerFenced
-
-        if isinstance(_root_cause(exc), WorkerFenced):
-            # The broker gave up on us (deadline expiry) and reissued
-            # our work elsewhere; exit without corrupting the run.
-            print(f"worker {args.server!r} was fenced by the broker: "
-                  f"{_root_cause(exc)}", file=sys.stderr)
+        plan_doc = client.plan()
+        if not plan_doc:
+            print("broker serves no placement plan", file=sys.stderr)
             return 1
-        raise
+        if args.join:
+            # Live admission: ask the broker to grow `--join`'s
+            # (replicable) stage group by this server, then run with the
+            # updated plan.
+            try:
+                plan_doc = client.admit(args.server, args.join)
+            except BrokerError as exc:
+                print(f"broker refused admission: {exc}", file=sys.stderr)
+                return 1
+            print(f"admitted into the running plan as a replica of "
+                  f"{args.join!r}")
+        try:
+            plan = PlacementPlan.from_doc(plan_doc)
+            hosted = plan.placement_for(args.server).stages
+            spec, aligner = _spec_from_args(args, plan.stages, hosted,
+                                            output_arg="--output-dir")
+            site = ServerSite(
+                aligner=aligner,
+                backend=spec.make_backend(f"{args.server}.backend"))
+            graph = build_placed_server(spec, plan, args.server, client,
+                                        site)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        print(f"worker {args.server!r} running [{','.join(hosted)}] "
+              f"against broker {host}:{port}")
+        outcome = run_placed_server(graph, args.timeout)
     finally:
-        backend_obj.shutdown()
+        if site is not None:
+            site.backend.shutdown()
         client.close()
-    print(f"  completed {graph.sink.chunks} chunks "
-          f"({graph.sink.records} records)")
-    if "align" in placement.stages:
+    if outcome.killed:
+        # Fenced: the broker gave up on us (deadline expiry) and
+        # reissued our work elsewhere.  Either way the run goes on
+        # without this worker; exit without corrupting it.
+        cause = root_cause(outcome.error)
+        how = "fenced by the broker" if isinstance(cause, WorkerFenced) \
+            else "killed"
+        print(f"worker {args.server!r} was {how}: {cause}", file=sys.stderr)
+        return 1
+    print(f"  completed {outcome.chunks} chunks "
+          f"({outcome.records} records)")
+    if "align" in hosted:
         # Replicated align workers race here harmlessly: each saves the
         # same manifest content (results column + reference entry).
-        if not dataset.manifest.has_column("results"):
-            dataset.manifest.add_column("results")
-        dataset.save_manifest(args.dataset_dir)
+        if not spec.manifest.has_column("results"):
+            spec.manifest.add_column("results")
+        spec.dataset.save_manifest(args.dataset_dir)
         print(f"  results column registered -> {args.dataset_dir}")
-    if "sort" in placement.stages and args.output_dir:
-        sorted_manifest = graph.stage("sort").collector.manifest
-        sorted_manifest.save(args.output_dir)
-        print(f"  sorted dataset -> {args.output_dir}")
-    if "dupmark" in placement.stages:
-        stats = graph.stage("dupmark").collector.dup_stats
-        print(f"  duplicates marked: {stats.duplicates_marked}")
-    if "filter" in placement.stages:
-        fstats = graph.stage("filter").collector.filter_stats
-        print(f"  filter kept {fstats.kept} of {fstats.examined} records")
-        if args.filter_dir:
-            graph.stage("filter").collector.manifest.save(args.filter_dir)
-            print(f"  filtered dataset -> {args.filter_dir}")
-    if "varcall" in placement.stages:
-        variants = graph.stage("varcall").collector.variants
-        if args.vcf:
-            count = write_vcf(variants, args.vcf,
-                              contigs=reference.manifest_entry())
-            print(f"  called {count} variants -> {args.vcf}")
-        else:
-            print(f"  called {len(variants)} variants")
+    _print_outputs(args, harvest_outputs(spec, graph.pipeline.stages),
+                   spec.reference)
     return 0
 
 
@@ -938,6 +788,7 @@ def _add_backend_options(
     p: argparse.ArgumentParser,
     default: str = "thread",
     with_workers: bool = False,
+    with_shm: bool = True,
     runs: str = "the align kernels and the sort's run and merge kernels",
 ) -> None:
     """Attach the shared execution-backend flags to a subcommand;
@@ -956,15 +807,16 @@ def _add_backend_options(
         default=None,
         help="task payloads per IPC message (process backend)",
     )
-    p.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="ship large process-backend payloads/results through the "
-             "shared-memory buffer pool instead of pickled pipes "
-             "(default: auto — on wherever POSIX shared memory works; "
-             "--no-shm forces the pickled path)",
-    )
+    if with_shm:
+        p.add_argument(
+            "--shm",
+            action=argparse.BooleanOptionalAction,
+            default=None,
+            help="ship large process-backend payloads/results through "
+                 "the shared-memory buffer pool instead of pickled pipes "
+                 "(default: auto — on wherever POSIX shared memory works; "
+                 "--no-shm forces the pickled path)",
+        )
     if with_workers:
         p.add_argument(
             "--workers",
@@ -974,20 +826,11 @@ def _add_backend_options(
         )
 
 
-def _add_kernel_options(
+def _add_sort_options(
     p: argparse.ArgumentParser,
     with_merge_partitions: bool = False,
 ) -> None:
-    """Attach the columnar fast-path flags to a subcommand."""
-    p.add_argument(
-        "--kernels",
-        choices=("vectorized", "scalar"),
-        default="vectorized",
-        help="varcall kernel implementation: the numpy columnar fast "
-             "path (default) or the scalar reference path (identical "
-             "output, used for equivalence testing); sort and dupmark "
-             "have one implementation each and ignore this",
-    )
+    """Attach the external-sort flags to a subcommand that sorts."""
     p.add_argument(
         "--raw-scratch",
         choices=("auto", "on", "off"),
@@ -1046,33 +889,40 @@ def _add_ledger_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_ledger(args: argparse.Namespace, **meta_dirs) -> "object | None":
+def _open_ledger(args: argparse.Namespace) -> "object | None":
     """Create or resume the run ledger the flags ask for (None if off)."""
     from repro.core.ledger import RunLedger
 
     if args.resume and not args.ledger_dir:
-        raise SystemExit("--resume requires --ledger-dir")
+        raise ValueError("--resume requires --ledger-dir")
     if not args.ledger_dir:
         return None
     if args.resume:
         return RunLedger.resume(args.ledger_dir, run_id=args.run_id)
+    # `runs verify` resolves journaled store labels through these.
     meta = {
-        key: str(Path(value).resolve())
-        for key, value in meta_dirs.items() if value
+        key: str(Path(getattr(args, key)).resolve())
+        for key in ("dataset_dir", "output_dir", "filter_dir")
+        if getattr(args, key)
     }
     return RunLedger.create(args.ledger_dir, run_id=args.run_id, meta=meta)
 
 
-def _print_ledger_summary(ledger, report: "dict | None" = None) -> None:
-    skips = dict(ledger.skips)
-    line = f"  run ledger: {ledger.run_id} -> {ledger.path}"
-    if ledger.resuming:
-        done = sum(skips.values())
-        line += f" (resumed; {done} journaled steps skipped)"
-    print(line)
-    if skips:
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(skips.items()))
-        print(f"  resume skips: {parts}")
+def _close_ledger(ledger, summary: bool = True) -> None:
+    """Print the run's ledger summary (if it journaled) and close it."""
+    if ledger is None:
+        return
+    if summary:
+        skips = dict(ledger.skips)
+        line = f"  run ledger: {ledger.run_id} -> {ledger.path}"
+        if ledger.resuming:
+            line += f" (resumed; {sum(skips.values())} journaled steps " \
+                    f"skipped)"
+        print(line)
+        if skips:
+            parts = ", ".join(f"{k}={v}" for k, v in sorted(skips.items()))
+            print(f"  resume skips: {parts}")
+    ledger.close()
 
 
 def _add_codec_level_option(p: argparse.ArgumentParser, what: str) -> None:
@@ -1142,14 +992,12 @@ def build_parser() -> argparse.ArgumentParser:
              "see --raw-scratch)",
     )
     _add_backend_options(p, default="serial", with_workers=True)
-    _add_kernel_options(p, with_merge_partitions=True)
+    _add_sort_options(p, with_merge_partitions=True)
     _add_codec_level_option(p, "the sorted output chunks")
     p.set_defaults(fn=_cmd_sort)
 
     p = sub.add_parser("dupmark", help="mark duplicate reads in place")
     p.add_argument("dataset_dir")
-    _add_backend_options(p, default="serial", with_workers=True)
-    _add_kernel_options(p)
     p.set_defaults(fn=_cmd_dupmark)
 
     p = sub.add_parser("varcall", help="call variants to VCF")
@@ -1160,7 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
         p, default="serial", with_workers=True,
         runs="the per-chunk fan-out (inflate + pileup of a chunk's blobs)",
     )
-    _add_kernel_options(p)
     p.set_defaults(fn=_cmd_varcall)
 
     p = sub.add_parser(
@@ -1221,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
              "budget is shared by every fused stage)",
     )
     _add_backend_options(p, with_workers=True)
-    _add_kernel_options(p, with_merge_partitions=True)
+    _add_sort_options(p, with_merge_partitions=True)
     _add_codec_level_option(p, "the sorted output chunks")
     _add_ledger_options(p)
     p.set_defaults(fn=_cmd_pipeline)
@@ -1251,8 +1098,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write called variants here")
         cp.add_argument("--timeout", type=float, default=600.0,
                         help="per-server session deadline in seconds")
-        _add_backend_options(cp, default="serial", with_workers=True)
-        _add_kernel_options(cp)
+        _add_backend_options(cp, default="serial", with_workers=True,
+                             with_shm=False)
+        _add_sort_options(cp)
 
     def _add_fault_options(cp) -> None:
         cp.add_argument("--delivery-deadline", type=_delivery_deadline,

@@ -1,4 +1,4 @@
-"""The manifest server: chunk-granularity work distribution (§5.2).
+"""Chunk-granularity work distribution (§5.2).
 
 "For cluster-wide execution, Persona launches a TensorFlow instance per
 compute server.  Within each server, the first stage in the TensorFlow
@@ -8,68 +8,14 @@ implemented as a simple message queue."
 Servers pulling chunk names from one queue self-balance: a server that
 drew an expensive chunk simply fetches its next name later.  Combined
 with shallow per-server queues this is Persona's whole straggler-avoidance
-story (§4.5) — no work stealing needed.
+story (§4.5) — no work stealing needed.  That queue is the broker's work
+edge (:func:`repro.cluster.multiserver.serve_plan`); what is left here is
+the static alternative it is measured against.
 """
 
 from __future__ import annotations
 
-import threading
-
 from repro.agd.manifest import ChunkEntry, Manifest
-from repro.dataflow.queues import Queue
-
-
-class ManifestServer:
-    """A shared chunk-name message queue over one dataset.
-
-    ``publish`` is idempotent *within an epoch*: the queue fills once
-    and closes when the last entry is in.  A server instance can be
-    reused for a second stage or epoch via :meth:`reset`, which re-arms
-    a fresh queue — without it, the once-and-close publish semantics
-    would make the instance single-use.
-    """
-
-    def __init__(self, manifest: Manifest, name: str = "manifest_server"):
-        self.manifest = manifest
-        self.name = name
-        self._publish_lock = threading.Lock()
-        self._published = False
-        self.epoch = 0
-        self.queue: Queue = self._make_queue()
-
-    def _make_queue(self) -> Queue:
-        return Queue(
-            f"{self.name}.{self.epoch}" if self.epoch else self.name,
-            capacity=max(1, self.manifest.num_chunks),
-        )
-
-    def publish(self) -> int:
-        """Enqueue every chunk entry and close the queue; idempotent
-        until the next :meth:`reset`."""
-        with self._publish_lock:
-            if self._published:
-                return self.manifest.num_chunks
-            self.queue.register_producer()
-            for entry in self.manifest.chunks:
-                self.queue.put(entry)
-            self.queue.producer_done()
-            self._published = True
-        return self.manifest.num_chunks
-
-    def reset(self) -> Queue:
-        """Re-arm for another epoch: replace the (closed) queue with a
-        fresh one and allow publishing again.  Consumers of the previous
-        epoch keep draining their queue object undisturbed; new
-        consumers must take the new :attr:`queue`."""
-        with self._publish_lock:
-            self.epoch += 1
-            self.queue = self._make_queue()
-            self._published = False
-            return self.queue
-
-    @property
-    def remaining(self) -> int:
-        return len(self.queue)
 
 
 def partition_manifest(manifest: Manifest, servers: int) -> list[list[ChunkEntry]]:

@@ -10,6 +10,16 @@ Session over just its placed subgraph (:func:`~repro.core.pipelines.
 split_pipeline`) — pulling from upstream edges, pushing to downstream
 ones, with storage as the shared substrate.
 
+A placed run is four steps, each one function here: *setup* (the
+:class:`~repro.core.pipelines.PipelineSpec` and each server's
+:class:`~repro.core.subgraphs.ServerSite`), *serve*
+(:func:`serve_plan`: the plan's edges on a broker, work published),
+*supervise* (every server's :func:`run_placed_server` loop on its own
+thread) and *collect*.  A worker that joins later or runs in its own
+process (:func:`join_placed_worker`, ``persona cluster worker``) goes
+through the same :func:`build_placed_server` / :func:`run_placed_server`
+pair; ``persona cluster broker`` through the same :func:`serve_plan`.
+
 Within one CPython process the servers share the GIL, so in-process runs
 demonstrate *distribution correctness* (every chunk processed exactly
 once, outputs byte-identical to the single-session run, killed-worker
@@ -23,8 +33,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.agd.chunk import read_column
 from repro.agd.dataset import AGDDataset
 from repro.cluster.broker import (
     Broker,
@@ -34,9 +45,17 @@ from repro.cluster.broker import (
 )
 from repro.cluster.placement import WORK_EDGE, PlacementPlan
 from repro.cluster.wire import edge_item_serializer, entry_serializer
-from repro.core.pipelines import PlacedServerGraph, split_pipeline
-from repro.core.subgraphs import AlignGraphConfig
-from repro.dataflow.backends import Backend, make_backend
+from repro.core.ledger import bind_run_config, blob_digest
+from repro.core.ops import ChunkWorkItem
+from repro.core.pipelines import (
+    PipelineSpec,
+    PlacedServerGraph,
+    StageOutputs,
+    harvest_outputs,
+    split_pipeline,
+)
+from repro.core.subgraphs import AlignGraphConfig, ServerSite
+from repro.dataflow.backends import Backend
 from repro.dataflow.errors import (
     PipelineAborted,
     PipelineError,
@@ -45,24 +64,7 @@ from repro.dataflow.errors import (
 )
 from repro.dataflow.queues import RemoteQueue
 from repro.dataflow.session import Session
-
-
-def queue_factory(client_for):
-    """The standard endpoint factory over broker clients: chunk-name
-    edges carry manifest entries, item edges carry whole work items.
-    ``client_for(server)`` supplies (and caches) each server's transport
-    client; the returned callable matches the ``make_queue`` contract of
-    :func:`repro.core.pipelines.split_pipeline`."""
-    def make_queue(server: str, edge: str, kind: str,
-                   ack_mode: str) -> RemoteQueue:
-        client = client_for(server)
-        # Per-edge codec negotiation: the serializer is read off the
-        # client (``shares_memory``) — in-process and shm-verified
-        # same-host edges carry raw level-0 frames, remote edges gzip.
-        serializer = entry_serializer() if kind == "names" \
-            else edge_item_serializer(client)
-        return RemoteQueue(client, edge, serializer, ack_mode=ack_mode)
-    return make_queue
+from repro.storage.base import StorageError
 
 
 class WorkerKilled(RuntimeError):
@@ -126,24 +128,25 @@ class PlacedServerOutcome:
     chunks: int
     records: int
     wall_seconds: float
-    killed: bool = False
+    #: The session failure that killed it (root cause ``WorkerKilled``
+    #: or ``WorkerFenced``); None for a server that finished.
+    error: "PipelineError | None" = None
     #: The broker consumer id this server ran under (set for workers
     #: joined via :func:`join_placed_worker`; lets tests match the
     #: server to ``broker_stats``'s per-consumer pull counters).
     consumer: "int | None" = None
 
+    @property
+    def killed(self) -> bool:
+        return self.error is not None
+
 
 @dataclass
-class PlacedPipelineOutcome:
+class PlacedPipelineOutcome(StageOutputs):
     """Result of one :func:`run_placed_pipeline` call."""
 
     wall_seconds: float
     servers: "list[PlacedServerOutcome]" = field(default_factory=list)
-    sorted_dataset: "AGDDataset | None" = None
-    dupmark_stats: "object | None" = None
-    variants: "list | None" = None
-    filtered_dataset: "AGDDataset | None" = None
-    filter_stats: "object | None" = None
     #: Broker edge counters after the run (published/redelivered/depth).
     broker_stats: dict = field(default_factory=dict)
     #: Per-edge capacities an ``autotune_edges`` probe applied to this
@@ -194,8 +197,6 @@ def suggest_edge_capacities(
     back via ``run_placed_pipeline(edge_capacities=...)`` (or let
     ``autotune_edges=True`` do the probe-then-apply round trip).
     """
-    from repro.cluster.placement import WORK_EDGE
-
     suggestions: "dict[str, int]" = {}
     for edge, stats in broker_stats.items():
         if edge == WORK_EDGE:
@@ -213,7 +214,7 @@ def suggest_edge_capacities(
     return suggestions
 
 
-def _root_cause(exc: BaseException) -> BaseException:
+def root_cause(exc: BaseException) -> BaseException:
     seen = set()
     while True:
         nxt = exc.__cause__ or exc.__context__
@@ -221,6 +222,358 @@ def _root_cause(exc: BaseException) -> BaseException:
             return exc
         seen.add(id(exc))
         exc = nxt
+
+
+# ---------------------------------------------------------------------------
+# Serve: a plan's edges on a broker.
+
+
+def _verified_align_chunks(dataset: AGDDataset, ledger) -> "list[str]":
+    """Chunk paths whose journaled align results digest still matches
+    what the dataset store holds."""
+    verified = []
+    for entry in dataset.manifest.chunks:
+        key = entry.chunk_file("results")
+        digest = ledger.journaled_digest("align", key)
+        if digest is None:
+            continue
+        try:
+            if blob_digest(dataset.store.get(key)) == digest:
+                verified.append(entry.path)
+        except StorageError:
+            continue
+    return verified
+
+
+def serve_plan(
+    broker: Broker,
+    plan: PlacementPlan,
+    dataset: AGDDataset,
+    *,
+    edge_capacity: int = 4,
+    edge_capacities: "dict[str, int] | None" = None,
+    ledger=None,
+    results_shared: bool = True,
+    listener: "BrokerServer | None" = None,
+) -> "tuple[list[str], str | None]":
+    """Put ``plan`` on ``broker``: create its edges, attach the ledger,
+    publish every chunk name on the work edge (the manifest-server
+    publish, §5.2 — the edge is sized to hold them all, so this never
+    blocks) and start ``listener``, the TCP front, if there is one.
+    Workers may attach (and late ones be admitted) once it returns.
+
+    Resume pre-ack: a plan whose LEADING group is pure align can skip
+    chunks whose journaled results digest still matches the shared store
+    (``results_shared``; per-server results stores cannot) — the
+    aligners never see them again.  When downstream groups exist they
+    must still see the full chunk set (resequencers, merge manifests,
+    dup scans), so the first boundary edge gets one more producer slot
+    for the caller to re-inject those chunks' items through
+    (:func:`reinject`).  Leading groups that aggregate or re-chunk
+    (sort, filter) cannot pre-ack; their stage kernels skip
+    digest-verified writes instead.
+
+    Returns ``(pre_acked chunk paths, the edge to re-inject them on or
+    None)``.
+    """
+    manifest = dataset.manifest
+    pre_acked: "list[str]" = []
+    if ledger is not None and ledger.resuming and results_shared \
+            and plan.groups[0] == ("align",):
+        pre_acked = _verified_align_chunks(dataset, ledger)
+    # First boundary edge (plan.edges() lists the work edge first).
+    inject_edge = plan.edges()[1].name \
+        if pre_acked and len(plan.groups) > 1 else None
+    broker.plan_doc = plan.to_doc()
+    overrides = edge_capacities or {}
+    for edge in plan.edges():
+        broker.create_edge(
+            edge.name,
+            capacity=max(1, manifest.num_chunks) if edge.name == WORK_EDGE
+            else max(1, int(overrides.get(edge.name, edge_capacity))),
+            producers=edge.producers + (edge.name == inject_edge),
+        )
+    if ledger is not None:
+        broker.ack_listener = ledger.edge_ack
+        broker.quarantine_listener = ledger.quarantine
+        if pre_acked:
+            broker.pre_ack(WORK_EDGE, pre_acked)
+            ledger.count_skip("work.pre_acked", len(pre_acked))
+    coordinator = LocalBrokerClient(broker)
+    work_queue = RemoteQueue(coordinator, WORK_EDGE, entry_serializer())
+    work_queue.register_producer()
+    for entry in manifest.chunks:
+        work_queue.put(entry)
+    work_queue.producer_done()
+    coordinator.close()
+    if listener is not None:
+        listener.start()
+    return pre_acked, inject_edge
+
+
+def reinject(broker: Broker, edge: str, dataset: AGDDataset,
+             paths: "list[str]") -> None:
+    """Publish pre-acked chunks' work items on ``edge`` from the
+    digest-verified store, exactly as an align replica would have sent
+    them (the edge serializer normalizes both transports).  Blocks on
+    the edge's capacity, so its consumers must be running."""
+    client = LocalBrokerClient(broker)
+    queue = RemoteQueue(client, edge, edge_item_serializer(client))
+    queue.register_producer()
+    wanted = set(paths)
+    try:
+        for entry in dataset.manifest.chunks:
+            if entry.path not in wanted:
+                continue
+            item = ChunkWorkItem(entry=entry)
+            for column in dataset.manifest.columns:
+                if column != "results":
+                    item.columns[column] = read_column(
+                        dataset.store.get(entry.chunk_file(column)))
+            item.results = read_column(
+                dataset.store.get(entry.chunk_file("results")))
+            queue.put(item)
+    except (PipelineAborted, QueueClosed):
+        # A server failed and aborted the edges mid-publish; its error
+        # (not this symptom) is what the run raises.
+        pass
+    finally:
+        queue.producer_done()
+        client.close()
+
+
+# ---------------------------------------------------------------------------
+# One server: build its cut, run its loop.
+
+
+def queue_factory(client_for):
+    """The standard endpoint factory over broker clients: chunk-name
+    edges carry manifest entries, item edges carry whole work items.
+    ``client_for(server)`` supplies (and caches) each server's transport
+    client; the returned callable matches the ``make_queue`` contract of
+    :func:`repro.core.pipelines.split_pipeline`."""
+    def make_queue(server: str, edge: str, kind: str,
+                   ack_mode: str) -> RemoteQueue:
+        client = client_for(server)
+        # Per-edge codec negotiation: the serializer is read off the
+        # client (``shares_memory``) — in-process and shm-verified
+        # same-host edges carry raw level-0 frames, remote edges gzip.
+        serializer = entry_serializer() if kind == "names" \
+            else edge_item_serializer(client)
+        return RemoteQueue(client, edge, serializer, ack_mode=ack_mode)
+    return make_queue
+
+
+def build_placed_server(
+    spec: PipelineSpec,
+    plan: PlacementPlan,
+    server: str,
+    client,
+    site: ServerSite,
+) -> PlacedServerGraph:
+    """ONE server's cut of ``spec`` under ``plan``, wired to its edges
+    through ``client`` — what a worker outside the coordinator builds.
+    Stage requirements are checked for the stages it hosts."""
+    [graph] = split_pipeline(spec, plan, queue_factory(lambda _: client),
+                             lambda _: site, servers=(server,))
+    return graph
+
+
+def run_placed_server(
+    graph: PlacedServerGraph, session_timeout: "float | None"
+) -> PlacedServerOutcome:
+    """The server loop: run the built cut's Session to completion.
+
+    A session whose root failure is :class:`WorkerKilled` or
+    ``WorkerFenced`` (the broker gave up on it at a delivery deadline)
+    is a dead worker, not a broken pipeline: the outcome comes back
+    ``killed=True`` carrying the error, and once the caller drops the
+    server's broker client its unacked deliveries are requeued for a
+    surviving replica.  Any other failure propagates.
+    """
+    start = time.monotonic()
+    error = None
+    try:
+        Session(graph.pipeline.graph).run(timeout=session_timeout)
+    except PipelineError as exc:
+        if not isinstance(root_cause(exc), (WorkerKilled, WorkerFenced)):
+            raise
+        error = exc
+    return PlacedServerOutcome(
+        server=graph.server,
+        stages=graph.stages,
+        chunks=graph.sink.chunks,
+        records=graph.sink.records,
+        wall_seconds=time.monotonic() - start,
+        error=error,
+    )
+
+
+def _supervise(
+    plan: PlacementPlan,
+    broker: Broker,
+    placed: "list[PlacedServerGraph]",
+    client_for,
+    session_timeout: "float | None",
+    between,
+) -> "tuple[dict[str, PlacedServerOutcome], list[BaseException]]":
+    """Run every built server's loop on its own thread; ``between()``
+    runs on the caller's thread once they are all started.  Returns the
+    per-server outcomes and the failures that must fail the run: a
+    server that broke (every edge is aborted so the others unwind), or a
+    stage group whose last replica died."""
+    outcomes: "dict[str, PlacedServerOutcome]" = {}
+    errors: "list[BaseException]" = []
+    lock = threading.Lock()
+
+    def run_server(graph: PlacedServerGraph) -> None:
+        try:
+            outcome = run_placed_server(graph, session_timeout)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+            broker.abort()
+            return
+        if outcome.killed:
+            # Requeue its unacked deliveries and release its producer
+            # slots so replicas finish the work and edges still close.
+            client_for(graph.server).close()
+        with lock:
+            outcomes[graph.server] = outcome
+            dead = {s for s, o in outcomes.items() if o.killed}
+            stranded = outcome.killed and not [
+                s for s in plan.servers_for(graph.stages)
+                + broker.live_replicas(graph.stages) if s not in dead
+            ]
+            if stranded:
+                # No replica can finish this stage group: fail loudly
+                # instead of returning partial results (or hanging until
+                # the session deadline).
+                errors.append(outcome.error)
+        if stranded:
+            broker.abort()
+
+    threads = [
+        threading.Thread(target=run_server, args=(graph,),
+                         name=f"placed-{graph.server}")
+        for graph in placed
+    ]
+    for t in threads:
+        t.start()
+    try:
+        between()
+    except BaseException:
+        broker.abort()
+        raise
+    finally:
+        for t in threads:
+            t.join()
+    return outcomes, errors
+
+
+def _run_placed_once(
+    spec: PipelineSpec,
+    plan: PlacementPlan,
+    site_for,
+    open_broker,
+    *,
+    edge_capacity: int,
+    edge_capacities: "dict[str, int] | None",
+    session_timeout: "float | None",
+    broker_ready=None,
+) -> "PlacedPipelineOutcome":
+    """Serve, supervise, collect: one placed execution of ``spec``."""
+    dataset, ledger = spec.dataset, spec.ledger
+    broker, listener = open_broker()
+    clients: dict = {}
+
+    def client_for(server: str):
+        if server not in clients:
+            clients[server] = LocalBrokerClient(broker) if listener is None \
+                else TcpBrokerClient(*listener.address)
+        return clients[server]
+
+    def between() -> None:
+        if broker_ready is not None:
+            # Late workers may now join via ``join_placed_worker`` /
+            # ``persona cluster worker --join``.
+            broker_ready(broker, listener)
+        if inject_edge is not None:
+            reinject(broker, inject_edge, dataset, pre_acked)
+
+    sites: "dict[str, ServerSite]" = {}
+    placed: "list[PlacedServerGraph]" = []
+    errors: "list[BaseException]" = []
+    started = time.monotonic()
+    try:
+        for server in plan.servers:
+            sites[server] = site_for(server)
+        # Align results all land in the dataset store, not per server.
+        results_shared = all(site.align_results_store is None
+                             for site in sites.values())
+        pre_acked, inject_edge = serve_plan(
+            broker, plan, dataset, edge_capacity=edge_capacity,
+            edge_capacities=edge_capacities, ledger=ledger,
+            results_shared=results_shared, listener=listener,
+        )
+        # Build every server graph on this thread: process-backend pools
+        # must fork before any session's threads are live.
+        placed = split_pipeline(spec, plan, queue_factory(client_for),
+                                sites.__getitem__)
+        outcomes, errors = _supervise(plan, broker, placed, client_for,
+                                      session_timeout, between)
+    finally:
+        broker_stats = broker.stats()
+        quarantined = broker.quarantined()
+        for client in clients.values():
+            client.close()
+        if listener is not None:
+            listener.stop()
+        for graph in placed:
+            graph.close(wait=False)
+        if spec.owns_backends:
+            for site in sites.values():
+                site.backend.shutdown(wait=not errors)
+    if broker.poison_failure is not None:
+        # The on_poison="fail" policy aborted every edge; the sessions
+        # died of PipelineAborted symptoms — raise the actual disease.
+        raise PoisonChunkError(*broker.poison_failure)
+    if errors:
+        raise errors[0]
+    wall = time.monotonic() - started
+
+    servers = sorted(outcomes.values(), key=lambda s: s.server)
+    if ledger is not None:
+        ledger.complete(
+            wall_seconds=wall,
+            chunks=dataset.num_chunks,
+            records=dataset.total_records,
+            skipped=dict(ledger.skips),
+            servers={
+                s.server: {"chunks": s.chunks, "records": s.records,
+                           "wall_seconds": s.wall_seconds,
+                           "killed": s.killed}
+                for s in servers
+            },
+            broker={
+                edge: {"published": st["total_published"],
+                       "redelivered": st["total_redelivered"],
+                       "preacked": st.get("total_preacked", 0),
+                       "quarantined": st.get("total_quarantined", 0)}
+                for edge, st in broker_stats.items()
+            },
+        )
+    if "align" in spec.stages and results_shared \
+            and not spec.manifest.has_column("results"):
+        spec.manifest.add_column("results")
+    return PlacedPipelineOutcome(
+        wall_seconds=wall,
+        servers=servers,
+        broker_stats=broker_stats,
+        quarantined=quarantined,
+        **vars(harvest_outputs(
+            spec, [st for graph in placed for st in graph.pipeline.stages])),
+    )
 
 
 def run_placed_pipeline(
@@ -247,10 +600,8 @@ def run_placed_pipeline(
     edge_capacity: int = 4,
     edge_capacities: "dict[str, int] | None" = None,
     autotune_edges: bool = False,
-    wire_codec: str = "none",
     broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
-    vectorized: bool = True,
     ledger=None,
     delivery_deadline="auto",
     max_redeliveries: int = 4,
@@ -285,427 +636,82 @@ def run_placed_pipeline(
     per-edge depth stats (explicit ``edge_capacities`` pins win).  The
     applied suggestions land in ``outcome.autotuned_edges``.
 
-    ``wire_codec`` compresses TCP payload segments; ``broker_shm``
-    controls the same-host shared-memory handoff on TCP transports
-    (None probes ``/dev/shm`` and enables it when clients verify the
-    broker's boot token — i.e. they genuinely share the host; False
-    forces the byte-identical copy path).
+    ``broker_shm`` controls the same-host shared-memory handoff on TCP
+    transports (None probes ``/dev/shm`` and enables it when clients
+    verify the broker's boot token — i.e. they genuinely share the
+    host; False forces the byte-identical copy path).
 
     ``ledger`` (:class:`repro.core.ledger.RunLedger`) makes the placed
     run durable: broker acks and per-stage output writes are journaled,
     and a ledger opened with ``RunLedger.resume`` pre-acks work the
-    interrupted attempt completed (plans whose leading group is pure
-    align over the shared dataset store) while stage kernels skip
-    digest-verified outputs — the resumed run is byte-identical to an
-    uninterrupted one.  When downstream stage groups exist, the
-    coordinator re-injects the pre-acked chunks' work items onto the
-    first boundary edge from the digest-verified stored columns, so
-    resequencers and dup scans still see the full chunk set.
+    interrupted attempt completed (see :func:`serve_plan`) while stage
+    kernels skip digest-verified outputs — the resumed run is
+    byte-identical to an uninterrupted one.
     """
-    if autotune_edges:
-        kwargs = dict(
-            aligner=aligner,
-            aligner_factory=aligner_factory,
-            reference=reference,
-            align_config=align_config,
-            sort_config=sort_config,
-            varcall_config=varcall_config,
-            filter_predicate=filter_predicate,
-            output_store=output_store,
-            filter_store=filter_store,
-            scratch_store_factory=scratch_store_factory,
-            align_results_store_factory=align_results_store_factory,
-            backend=backend,
-            workers=workers,
-            batch_size=batch_size,
-            transport=transport,
-            host=host,
-            port=port,
-            edge_capacity=edge_capacity,
-            wire_codec=wire_codec,
-            broker_shm=broker_shm,
-            session_timeout=session_timeout,
-            vectorized=vectorized,
-            delivery_deadline=delivery_deadline,
-            max_redeliveries=max_redeliveries,
-            on_poison=on_poison,
-            spill_dir=spill_dir,
-            spill_watermark=spill_watermark,
-        )
-        # Probe placement: outputs are deterministic and chunk writes
-        # idempotent, so the measured run's inputs stay intact — the
-        # same contract as the in-graph queue autotuner.  Only the
-        # measured run journals to the ledger.
-        probe = run_placed_pipeline(
-            dataset, plan, edge_capacities=edge_capacities, **kwargs
-        )
-        tuned = suggest_edge_capacities(probe.broker_stats)
-        for pinned in (edge_capacities or {}):
-            tuned.pop(pinned, None)
-        merged = dict(tuned)
-        merged.update(edge_capacities or {})
-        outcome = run_placed_pipeline(
-            dataset, plan, edge_capacities=merged, ledger=ledger,
-            broker_ready=broker_ready, **kwargs
-        )
-        outcome.autotuned_edges = tuned
-        return outcome
-
-    manifest = dataset.manifest
-    if ledger is not None:
-        from repro.core.ledger import bind_run_config
-
-        backend_name = backend if isinstance(backend, str) \
-            else getattr(backend, "name", type(backend).__name__)
-        bind_run_config(
-            ledger, manifest, plan.stages,
-            backend=backend_name, workers=workers, transport=transport,
-            vectorized=vectorized, plan=plan.to_doc(),
-        )
-    if aligner_factory is None:
-        def aligner_factory(server):  # noqa: ARG001 - uniform signature
-            return aligner
-
-    from repro.storage.base import MemoryStore
-
-    sort_store = output_store if output_store is not None else MemoryStore()
-    filter_out = filter_store if filter_store is not None else MemoryStore()
-
-    broker = Broker(
-        delivery_deadline=delivery_deadline,
-        max_redeliveries=max_redeliveries,
-        on_poison=on_poison,
+    spec = PipelineSpec(
+        dataset, plan.stages, reference=reference, align_config=align_config,
+        sort_config=sort_config, varcall_config=varcall_config,
+        filter_predicate=filter_predicate, output_store=output_store,
+        filter_store=filter_store, ledger=ledger, backend=backend,
+        workers=workers, batch_size=batch_size,
     )
-    broker.plan_doc = plan.to_doc()
-    work_capacity = max(1, manifest.num_chunks)
-    overrides = edge_capacities or {}
-
-    # Resume pre-ack: a plan whose LEADING group is pure align can skip
-    # chunks whose journaled results digest still matches the shared
-    # store — the aligners never see them again.  Computed before edge
-    # creation because, when downstream groups exist, the coordinator
-    # re-injects those chunks' work items onto the first boundary edge
-    # and needs a producer slot pre-declared there (resequencers, merge
-    # manifests and dup scans still see the full chunk set).  Leading
-    # groups that aggregate or re-chunk (sort, filter) and plans with
-    # per-server results stores cannot pre-ack; their stage kernels
-    # skip digest-verified writes instead.
-    pre_acked: "list[str]" = []
-    if ledger is not None and ledger.resuming \
-            and plan.groups[0] == ("align",) \
-            and align_results_store_factory is None:
-        from repro.core.ledger import blob_digest
-        from repro.storage.base import StorageError
-
-        for entry in manifest.chunks:
-            key = entry.chunk_file("results")
-            digest = ledger.journaled_digest("align", key)
-            if digest is None:
-                continue
-            try:
-                if blob_digest(dataset.store.get(key)) == digest:
-                    pre_acked.append(entry.path)
-            except StorageError:
-                continue
-    inject_edge: "str | None" = None
-    if pre_acked and len(plan.groups) > 1:
-        # First boundary edge (plan.edges() lists the work edge first).
-        inject_edge = plan.edges()[1].name
-
-    for spec in plan.edges():
-        broker.create_edge(
-            spec.name,
-            capacity=work_capacity if spec.name == WORK_EDGE
-            else max(1, int(overrides.get(spec.name, edge_capacity))),
-            # One extra slot for the coordinator's re-injected items.
-            producers=spec.producers + (1 if spec.name == inject_edge
-                                        else 0),
-        )
-
-    if ledger is not None:
-        broker.ack_listener = ledger.edge_ack
-        broker.quarantine_listener = ledger.quarantine
-        if pre_acked:
-            broker.pre_ack(WORK_EDGE, pre_acked)
-            ledger.count_skip("work.pre_acked", len(pre_acked))
-
-    server_tcp: "BrokerServer | None" = None
-    if transport == "tcp":
-        server_tcp = BrokerServer(
-            broker, host=host, port=port, shm=broker_shm,
-            spill_dir=spill_dir, spill_watermark=spill_watermark,
-        ).start()
-    elif transport != "local":
+    if transport not in ("local", "tcp"):
         raise ValueError(f"unknown transport {transport!r} "
                          f"(choices: local, tcp)")
-
-    clients: dict[str, object] = {}
-
-    def client_for(server: str):
-        if server not in clients:
-            if server_tcp is not None:
-                clients[server] = TcpBrokerClient(
-                    server_tcp.host, server_tcp.port,
-                    wire_codec=wire_codec, shm=broker_shm,
-                )
-            else:
-                clients[server] = LocalBrokerClient(broker)
-        return clients[server]
-
-    make_queue = queue_factory(client_for)
-
-    backends: dict[str, Backend] = {}
-    owns_backends = not isinstance(backend, Backend)
-
-    def backend_for(server: str) -> Backend:
-        if server not in backends:
-            backends[server] = make_backend(
-                backend, workers=workers, batch_size=batch_size,
-                name=f"{server}.backend",
-            )
-        return backends[server]
-
-    def scratch_for(server: str):
-        if scratch_store_factory is not None:
-            return scratch_store_factory(server)
-        return None
-
-    outcomes: dict[str, PlacedServerOutcome] = {}
-    errors: list[BaseException] = []
-    dead: set[str] = set()
-    lock = threading.Lock()
-    started = time.monotonic()
-    placed: "list[PlacedServerGraph]" = []
-    try:
-        # Build every server graph in the main thread: process-backend
-        # pools must fork before any session's threads are live.
-        placed = split_pipeline(
-            dataset,
-            plan,
-            make_queue,
-            aligner_for=aligner_factory,
-            backend_for=backend_for,
-            scratch_for=scratch_for,
-            align_results_store_for=align_results_store_factory,
-            reference=reference,
-            align_config=align_config,
-            sort_config=sort_config,
-            varcall_config=varcall_config,
-            filter_predicate=filter_predicate,
-            sort_store=sort_store,
-            filter_store=filter_out,
-            vectorized=vectorized,
-            ledger=ledger,
-        )
-
-        def run_server(server_graph: PlacedServerGraph) -> None:
-            start = time.monotonic()
-            try:
-                Session(server_graph.pipeline.graph).run(
-                    timeout=session_timeout
-                )
-            except BaseException as exc:
-                wall = time.monotonic() - start
-                cause = _root_cause(exc)
-                if isinstance(exc, PipelineError) and \
-                        isinstance(cause, (WorkerKilled, WorkerFenced)):
-                    # A dead worker (or one the broker fenced for
-                    # missing a delivery deadline), not a broken
-                    # pipeline: requeue its unacked deliveries and
-                    # release its producer slots so replicas finish the
-                    # work and edges still close.
-                    client_for(server_graph.server).close()
-                    with lock:
-                        dead.add(server_graph.server)
-                        survivors = [
-                            p.server for p in plan.placements
-                            if p.stages == server_graph.stages
-                            and p.server not in dead
-                        ] + [
-                            s for s in broker.live_replicas(
-                                server_graph.stages)
-                            if s not in dead
-                        ]
-                        outcomes[server_graph.server] = PlacedServerOutcome(
-                            server=server_graph.server,
-                            stages=server_graph.stages,
-                            chunks=server_graph.sink.chunks,
-                            records=server_graph.sink.records,
-                            wall_seconds=wall,
-                            killed=True,
-                        )
-                        if not survivors:
-                            # No replica can finish this stage group: the
-                            # run cannot produce complete output.  Fail
-                            # loudly instead of returning partial results
-                            # (or hanging until the session deadline).
-                            errors.append(exc)
-                    if not survivors:
-                        broker.abort()
-                    return
-                with lock:
-                    errors.append(exc)
-                broker.abort()
-                return
-            wall = time.monotonic() - start
-            with lock:
-                outcomes[server_graph.server] = PlacedServerOutcome(
-                    server=server_graph.server,
-                    stages=server_graph.stages,
-                    chunks=server_graph.sink.chunks,
-                    records=server_graph.sink.records,
-                    wall_seconds=wall,
-                )
-
-        threads = [
-            threading.Thread(target=run_server, args=(sg,),
-                             name=f"placed-{sg.server}")
-            for sg in placed
-        ]
-        for t in threads:
-            t.start()
-
-        if broker_ready is not None:
-            # Edges exist, the plan is served, the TCP listener (if
-            # any) is accepting: late workers may now join via
-            # ``join_placed_worker`` / ``persona cluster worker --join``.
-            broker_ready(broker, server_tcp)
-
-        # The coordinator is the work edge's one producer: publish every
-        # chunk name, then close it (the manifest-server publish, §5.2).
-        coordinator = LocalBrokerClient(broker) if server_tcp is None \
-            else TcpBrokerClient(server_tcp.host, server_tcp.port,
-                                 wire_codec=wire_codec, shm=broker_shm)
-        work_queue = RemoteQueue(coordinator, WORK_EDGE, entry_serializer())
-        work_queue.register_producer()
-        try:
-            for entry in manifest.chunks:
-                work_queue.put(entry)
-        except (PipelineAborted, QueueClosed):
-            # A worker failed and aborted the edges mid-publish; the
-            # root error is in `errors` — keep going so the threads are
-            # joined and that error (not this symptom) is raised.
-            pass
-        finally:
-            work_queue.producer_done()
-
-        if inject_edge is not None:
-            # Re-inject the pre-acked chunks' work items from the
-            # digest-verified store so downstream groups see every
-            # chunk, exactly as an align replica would have sent them
-            # (the edge serializer normalizes both transports).
-            from repro.agd.chunk import read_column
-            from repro.core.ops import ChunkWorkItem
-
-            inject_queue = RemoteQueue(
-                coordinator, inject_edge, edge_item_serializer(coordinator)
-            )
-            inject_queue.register_producer()
-            inject_columns = tuple(
-                c for c in manifest.columns if c != "results"
-            )
-            try:
-                done_set = set(pre_acked)
-                for entry in manifest.chunks:
-                    if entry.path not in done_set:
-                        continue
-                    item = ChunkWorkItem(entry=entry)
-                    for column in inject_columns:
-                        item.columns[column] = read_column(
-                            dataset.store.get(entry.chunk_file(column))
-                        )
-                    item.results = read_column(
-                        dataset.store.get(entry.chunk_file("results"))
-                    )
-                    inject_queue.put(item)
-            except (PipelineAborted, QueueClosed):
-                pass
-            finally:
-                inject_queue.producer_done()
-
-        for t in threads:
-            t.join()
-        coordinator.close()
-    finally:
-        broker_stats = broker.stats()
-        quarantined = broker.quarantined()
-        poison_failure = broker.poison_failure
-        for client in clients.values():
-            client.close()
-        if server_tcp is not None:
-            server_tcp.stop()
-        for sg in placed:
-            sg.close(wait=False)
-        if owns_backends:
-            for b in backends.values():
-                b.shutdown(wait=not errors)
-    if poison_failure is not None:
-        # The on_poison="fail" policy aborted every edge; the sessions
-        # died of PipelineAborted symptoms — raise the actual disease.
-        raise PoisonChunkError(*poison_failure)
-    if errors:
-        raise errors[0]
-    wall = time.monotonic() - started
-
     if ledger is not None:
-        ledger.complete(
-            wall_seconds=wall,
-            chunks=manifest.num_chunks,
-            records=dataset.total_records,
-            skipped=dict(ledger.skips),
-            servers={
-                s.server: {"chunks": s.chunks, "records": s.records,
-                           "wall_seconds": s.wall_seconds,
-                           "killed": s.killed}
-                for s in outcomes.values()
-            },
-            broker={
-                edge: {"published": st["total_published"],
-                       "redelivered": st["total_redelivered"],
-                       "preacked": st.get("total_preacked", 0),
-                       "quarantined": st.get("total_quarantined", 0)}
-                for edge, st in broker_stats.items()
-            },
+        bind_run_config(
+            ledger, spec.manifest, spec.stages, backend=spec.backend_name,
+            workers=workers, transport=transport, plan=plan.to_doc(),
         )
 
-    if "align" in plan.stages and align_results_store_factory is None \
-            and not manifest.has_column("results"):
-        manifest.add_column("results")
+    def site_for(server: str) -> ServerSite:
+        # An aligner usually means loading a reference index: only
+        # align-hosting servers get one.
+        hosts_align = "align" in plan.placement_for(server).stages
+        return ServerSite(
+            aligner=(aligner_factory(server) if aligner_factory is not None
+                     else aligner) if hosts_align else None,
+            backend=spec.make_backend(f"{server}.backend"),
+            scratch_store=(scratch_store_factory(server)
+                           if scratch_store_factory is not None else None),
+            align_results_store=(
+                align_results_store_factory(server)
+                if align_results_store_factory is not None else None),
+        )
 
-    def collector_for(stage: str):
-        for sg in placed:
-            if stage in sg.stages:
-                return sg.pipeline.stage(stage).collector
-        return None
+    def open_broker():
+        broker = Broker(delivery_deadline=delivery_deadline,
+                        max_redeliveries=max_redeliveries,
+                        on_poison=on_poison)
+        listener = BrokerServer(
+            broker, host=host, port=port, shm=broker_shm,
+            spill_dir=spill_dir, spill_watermark=spill_watermark,
+        ) if transport == "tcp" else None
+        return broker, listener
 
-    sort_collector = collector_for("sort")
-    dupmark_collector = collector_for("dupmark")
-    filter_collector = collector_for("filter")
-    varcall_collector = collector_for("varcall")
-    return PlacedPipelineOutcome(
-        wall_seconds=wall,
-        servers=sorted(outcomes.values(), key=lambda s: s.server),
-        sorted_dataset=(
-            AGDDataset(sort_collector.manifest, sort_store)
-            if sort_collector is not None else None
-        ),
-        dupmark_stats=(dupmark_collector.dup_stats
-                       if dupmark_collector is not None else None),
-        variants=(varcall_collector.variants
-                  if varcall_collector is not None else None),
-        filtered_dataset=(
-            AGDDataset(filter_collector.manifest, filter_out)
-            if filter_collector is not None else None
-        ),
-        filter_stats=(filter_collector.filter_stats
-                      if filter_collector is not None else None),
-        broker_stats=broker_stats,
-        quarantined=quarantined,
-    )
+    def once(spec, capacities, ready=None):
+        return _run_placed_once(
+            spec, plan, site_for, open_broker, edge_capacity=edge_capacity,
+            edge_capacities=capacities, session_timeout=session_timeout,
+            broker_ready=ready)
+
+    if not autotune_edges:
+        return once(spec, edge_capacities, broker_ready)
+    # Probe placement: outputs are deterministic and chunk writes
+    # idempotent, so the measured run's inputs stay intact — the same
+    # contract as the in-graph queue autotuner.  Only the measured run
+    # journals to the ledger.
+    probe = once(replace(spec, ledger=None), edge_capacities)
+    tuned = suggest_edge_capacities(probe.broker_stats)
+    for pinned in (edge_capacities or {}):
+        tuned.pop(pinned, None)
+    outcome = once(spec, {**tuned, **(edge_capacities or {})}, broker_ready)
+    outcome.autotuned_edges = tuned
+    return outcome
 
 
 def join_placed_worker(
-    dataset: AGDDataset,
+    spec: PipelineSpec,
     server: str,
     like: str,
     *,
@@ -713,25 +719,21 @@ def join_placed_worker(
     host: "str | None" = None,
     port: "int | None" = None,
     aligner=None,
-    reference=None,
-    align_config: "AlignGraphConfig | None" = None,
     align_results_store=None,
-    backend: "str | Backend" = "serial",
-    workers: int = 2,
-    batch_size: "int | None" = None,
-    wire_codec: str = "none",
     broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
-    vectorized: bool = True,
 ) -> PlacedServerOutcome:
     """Attach a NEW worker to a placed pipeline that is already running.
 
-    The worker is admitted as a replica of ``like``'s stage group (only
-    the pure align group is replicable) via :meth:`Broker.admit_worker`:
-    the group's egress edge gains a producer slot, the plan document
-    grows the replica, and — because the work edge is pull-based — the
-    newcomer starts draining outstanding chunk deliveries immediately.
-    Pass either an in-process ``broker`` or the TCP coordinates
+    ``spec`` describes the run being joined (the same dataset and stage
+    tuple the coordinator was given; the worker brings its own
+    ``aligner`` and, optionally, its own results store).  The worker is
+    admitted as a replica of ``like``'s stage group (only the pure align
+    group is replicable) via :meth:`Broker.admit_worker`: the group's
+    egress edge gains a producer slot, the plan document grows the
+    replica, and — because the work edge is pull-based — the newcomer
+    starts draining outstanding chunk deliveries immediately.  Pass
+    either an in-process ``broker`` or the TCP coordinates
     (``host``/``port``) of a running :class:`BrokerServer`.
 
     Returns this worker's :class:`PlacedServerOutcome` once the run
@@ -740,68 +742,25 @@ def join_placed_worker(
     fenced mid-run returns with ``killed=True`` — its in-flight chunks
     were requeued, exactly like an original replica's.
     """
-    from repro.core.pipelines import (
-        build_placed_server_graph,
-        placed_server_endpoints,
-    )
-
     if (broker is None) == (host is None):
         raise ValueError("pass exactly one of broker= or host=/port=")
     client = LocalBrokerClient(broker) if broker is not None \
-        else TcpBrokerClient(host, port, wire_codec=wire_codec,
-                             shm=broker_shm)
-    owns_backend = not isinstance(backend, Backend)
-    backend_obj = make_backend(
-        backend, workers=workers, batch_size=batch_size,
-        name=f"{server}.backend",
-    ) if owns_backend else backend
-    started = time.monotonic()
-    killed = False
+        else TcpBrokerClient(host, port, shm=broker_shm)
+    site = ServerSite(aligner=aligner,
+                      backend=spec.make_backend(f"{server}.backend"),
+                      align_results_store=align_results_store)
     try:
         plan = PlacementPlan.from_doc(client.admit(server, like))
-        placement = plan.placement_for(server)
-        work_queue, ingress, egress, manual = placed_server_endpoints(
-            plan, server, queue_factory(lambda s: client)
-        )
-        graph = build_placed_server_graph(
-            dataset,
-            server,
-            placement.stages,
-            plan.stages,
-            work_queue=work_queue,
-            ingress=ingress,
-            egress=egress,
-            manual_ack=manual,
-            aligner=aligner,
-            reference=reference,
-            align_config=align_config,
-            align_results_store=align_results_store,
-            backend_obj=backend_obj,
-            vectorized=vectorized,
-        )
+        graph = build_placed_server(spec, plan, server, client, site)
         try:
-            Session(graph.pipeline.graph).run(timeout=session_timeout)
-        except BaseException as exc:
-            if isinstance(exc, PipelineError) and isinstance(
-                    _root_cause(exc), (WorkerKilled, WorkerFenced)):
-                killed = True
-            else:
-                raise
+            outcome = run_placed_server(graph, session_timeout)
         finally:
             graph.close(wait=False)
-        return PlacedServerOutcome(
-            server=server,
-            stages=placement.stages,
-            chunks=graph.sink.chunks,
-            records=graph.sink.records,
-            wall_seconds=time.monotonic() - started,
-            killed=killed,
-            consumer=getattr(client, "consumer", None),
-        )
+        return replace(outcome, consumer=getattr(client, "consumer", None))
     finally:
         client.close()
-        if owns_backend:
-            backend_obj.shutdown()
+        if spec.owns_backends:
+            site.backend.shutdown()
 
 
 def run_multi_server_alignment(

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.subgraphs import STAGE_ORDER
+from repro.core.subgraphs import ONE_TO_ONE_STAGES, STAGE_ORDER
 
 #: The name of the chunk-name edge feeding the head stage group (the
 #: generalized manifest server).
 WORK_EDGE = "work"
-
-#: Stage groups that preserve chunk identity one-to-one end to end; only
-#: these can carry manual (ack-on-completion) delivery, and only the
-#: align group can be replicated across servers.
-_ONE_TO_ONE_STAGES = frozenset({"align", "dupmark", "varcall"})
 
 
 class PlacementError(ValueError):
@@ -65,7 +60,7 @@ class StagePlacement:
         """True when every stage maps each input chunk to one output
         chunk (no re-chunking), so deliveries can be acked on completion
         and redelivered if the server dies mid-chunk."""
-        return all(s in _ONE_TO_ONE_STAGES for s in self.stages)
+        return all(s in ONE_TO_ONE_STAGES for s in self.stages)
 
 
 @dataclass(frozen=True)

@@ -1021,7 +1021,6 @@ class VarCallNode(Node):
         reference,
         config=None,
         name: str = "varcall",
-        vectorized: bool = True,
         sorted_input: bool = False,
     ):
         from collections import defaultdict
@@ -1031,12 +1030,12 @@ class VarCallNode(Node):
 
         super().__init__(name, parallelism=1)
         self.reference = reference
-        self.vectorized = vectorized
+        #: False once a chunk demoted the stream to the scalar reference.
+        self.vectorized = True
         self.sorted_input = sorted_input
         self.window = PileupWindow(reference, config)
         self.config = self.window.config
-        # The scalar reference's accumulators (``vectorized=False``, or
-        # after a mid-stream demotion).
+        # The scalar reference's accumulators (after a demotion).
         self._columns: dict = defaultdict(PileupColumn)
         self.variants: "list | None" = None
 

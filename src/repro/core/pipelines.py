@@ -24,29 +24,19 @@ from repro.align.bwa import BwaConfig, BwaMemAligner, FMIndex
 from repro.align.snap import SeedIndex, SnapAligner, SnapConfig
 from repro.core.dupmark import DupmarkStats, mark_duplicates
 from repro.core.filters import FilterStats
-from repro.core.ledger import (
-    JournaledStore,
-    RunLedger,
-    SpillJournal,
-    StageJournal,
-    bind_run_config,
-)
+from repro.core.ledger import RunLedger, bind_run_config
 from repro.core.ops import AckSinkNode, EdgeSinkNode, QueueNameSource
 from repro.core.sort import SortConfig, sort_dataset
 from repro.core.subgraphs import (
+    STAGE_BUILDERS,
     STAGE_ORDER,
     AlignGraphConfig,
     ComposedPipeline,
-    PipelineBuilder,
+    ServerEndpoints,
+    ServerSite,
     StageGraph,
-    attach_stage_journal,
     build_align_graph,
-    build_align_stage,
-    build_dupmark_graph,
-    build_filter_stage,
-    build_sort_graph,
     build_standalone_graph,
-    build_varcall_graph,
     columns_read,
     compose,
 )
@@ -63,14 +53,20 @@ __all__ = [
     "AlignOutcome",
     "PIPELINE_STAGES",
     "PipelineOutcome",
+    "PipelineSpec",
     "PlacedServerGraph",
     "RunLedger",
+    "ServerEndpoints",
+    "ServerSite",
     "StageBreakdown",
+    "StageOutputs",
     "TUNE_SIDECAR_NAME",
     "align_dataset",
     "align_standalone",
     "build_snap_aligner",
     "build_bwa_aligner",
+    "build_placed_server_graph",
+    "harvest_outputs",
     "load_tuned_capacities",
     "save_tuned_capacities",
     "mark_duplicates",
@@ -79,6 +75,7 @@ __all__ = [
     "sort_dataset",
     "split_pipeline",
     "suggest_queue_capacities",
+    "validate_stages",
     "SortConfig",
     "DupmarkStats",
     "call_variants",
@@ -270,6 +267,151 @@ def align_standalone(
 PIPELINE_STAGES = STAGE_ORDER
 
 
+def validate_stages(stages: "tuple[str, ...]") -> None:
+    if not stages:
+        raise ValueError("run_pipeline needs at least one stage")
+    unknown = [s for s in stages if s not in PIPELINE_STAGES]
+    if unknown:
+        raise ValueError(
+            f"unknown pipeline stages {unknown} "
+            f"(choices: {', '.join(PIPELINE_STAGES)})"
+        )
+    if len(set(stages)) != len(stages):
+        raise ValueError(f"duplicate pipeline stages in {list(stages)}")
+    indices = [PIPELINE_STAGES.index(s) for s in stages]
+    if indices != sorted(indices):
+        raise ValueError(
+            f"stages must follow the order {list(PIPELINE_STAGES)}; "
+            f"got {list(stages)}"
+        )
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """What a run *is*: everything equal on every server executing it.
+
+    ``run_pipeline`` and ``run_placed_pipeline`` build one from their
+    keywords; the stage builders (:data:`~repro.core.subgraphs.
+    STAGE_BUILDERS`), the placed cut and every worker of a placed run
+    interpret it, each adding only its own :class:`~repro.core.subgraphs.
+    ServerSite`.  ``stages`` is the FULL stage tuple, not one server's
+    group: the cross-stage facts below depend on the whole workload even
+    when the stages they concern run on different servers.
+
+    Frozen: a probe run is ``dataclasses.replace(spec, ledger=None)``,
+    never a mutation.  Omitted configs and stores are filled in once,
+    here, so every reader sees the same ones.
+    """
+
+    dataset: AGDDataset
+    stages: "tuple[str, ...]"
+    reference: "ReferenceGenome | None" = None
+    align_config: "AlignGraphConfig | None" = None
+    sort_config: "SortConfig | None" = None
+    varcall_config: "VarCallConfig | None" = None
+    filter_predicate: Any = None
+    #: Receives the sorted dataset / the filtered dataset (default: a
+    #: fresh in-memory store each).
+    output_store: "ChunkStore | None" = None
+    filter_store: "ChunkStore | None" = None
+    ledger: "RunLedger | None" = None
+    #: The compute-backend recipe: a name (each server makes its own) or
+    #: a pre-built instance (shared, caller-owned).
+    backend: "str | Backend" = "thread"
+    workers: int = 4
+    batch_size: "int | None" = None
+    shm: "bool | None" = None
+
+    def __post_init__(self) -> None:
+        fill = object.__setattr__
+        fill(self, "stages", tuple(self.stages))
+        validate_stages(self.stages)
+        for name, default in (("align_config", AlignGraphConfig),
+                              ("sort_config", SortConfig),
+                              ("output_store", MemoryStore),
+                              ("filter_store", MemoryStore)):
+            if getattr(self, name) is None:
+                fill(self, name, default())
+
+    @property
+    def manifest(self) -> Manifest:
+        return self.dataset.manifest
+
+    @property
+    def backend_name(self) -> str:
+        return self.backend if isinstance(self.backend, str) \
+            else getattr(self.backend, "name", type(self.backend).__name__)
+
+    @property
+    def owns_backends(self) -> bool:
+        """False when the caller handed in a backend instance (and so
+        keeps its lifecycle)."""
+        return not isinstance(self.backend, Backend)
+
+    def make_backend(self, name: str) -> Backend:
+        """One server's compute backend (the instance itself when the
+        recipe is one)."""
+        return make_backend(self.backend, workers=self.workers,
+                            batch_size=self.batch_size, name=name,
+                            shm=self.shm)
+
+    @property
+    def marks_first_write(self) -> bool:
+        """Dupmark directly after sort marks before the first write: the
+        merge leaves the results column to the dupmark node, which
+        encodes it once, flagged."""
+        return "sort" in self.stages and \
+            self.stages[self.stages.index("sort") + 1:][:1] == ("dupmark",)
+
+    @property
+    def sorted_input(self) -> bool:
+        """Whether the varcall stage's input arrives in location order.
+        Dupmark and filter keep the order they are given (head-mode ones
+        restore manifest order), so it does iff a location sort runs
+        upstream or, with no sort and no align stage rewriting
+        locations, the dataset already is."""
+        if "sort" in self.stages:
+            return self.sort_config.order == "location"
+        return "align" not in self.stages and \
+            self.manifest.sort_order == "location"
+
+    @property
+    def filter_output(self) -> "tuple[str, int, str]":
+        """The (dataset name, chunk size, sort order) the filter stage
+        must emit to match the eager ``filter_dataset`` run over the
+        pipeline's output (the sorted dataset when a sort stage runs,
+        else the input)."""
+        manifest = self.manifest
+        base_chunk = manifest.chunks[0].record_count if manifest.chunks else 1
+        if "sort" in self.stages:
+            return (
+                f"{manifest.name}-sorted-filtered",
+                self.sort_config.output_chunk_size or base_chunk,
+                self.sort_config.order,
+            )
+        return (f"{manifest.name}-filtered", base_chunk, manifest.sort_order)
+
+
+def _check_stage_requirements(
+    spec: PipelineSpec, aligner, hosted: "tuple[str, ...] | None" = None
+) -> None:
+    """``hosted``: the stages this process itself builds (default: all
+    of them; one worker of a placed run brings only what its own need)."""
+    hosted = spec.stages if hosted is None else hosted
+    if "align" in hosted and aligner is None:
+        raise ValueError("an align stage needs aligner=")
+    if "varcall" in hosted and spec.reference is None:
+        raise ValueError("a varcall stage needs reference=")
+    if "filter" in hosted and spec.filter_predicate is None:
+        raise ValueError("a filter stage needs filter_predicate=")
+    if "align" not in spec.stages and \
+            not spec.manifest.has_column("results"):
+        raise ValueError(
+            f"stages {list(spec.stages)} need alignment results; include "
+            f"an align stage or align the dataset first"
+        )
+
+
 @dataclass
 class StageBreakdown:
     """One stage's share of a pipeline run.
@@ -292,8 +434,37 @@ class StageBreakdown:
         return self.records / self.busy_seconds if self.busy_seconds else 0.0
 
 
+@dataclass(kw_only=True)
+class StageOutputs:
+    """What a run's stages leave behind (None: that stage did not run)."""
+
+    sorted_dataset: "AGDDataset | None" = None
+    dupmark_stats: "DupmarkStats | None" = None
+    variants: "list | None" = None
+    filtered_dataset: "AGDDataset | None" = None
+    filter_stats: "FilterStats | None" = None
+
+
+def harvest_outputs(spec: PipelineSpec, stage_graphs) -> StageOutputs:
+    """Read a finished run's outputs off its stage collectors —
+    ``stage_graphs`` from one session or from every server of a placed
+    run (or one worker's own: stages it did not host stay None)."""
+    collectors = {st.name: st.collector for st in stage_graphs}
+    sort, dupmark, filt, varcall = (
+        collectors.get(s) for s in ("sort", "dupmark", "filter", "varcall"))
+    return StageOutputs(
+        sorted_dataset=(AGDDataset(sort.manifest, spec.output_store)
+                        if sort is not None else None),
+        dupmark_stats=dupmark.dup_stats if dupmark is not None else None,
+        variants=varcall.variants if varcall is not None else None,
+        filtered_dataset=(AGDDataset(filt.manifest, spec.filter_store)
+                          if filt is not None else None),
+        filter_stats=filt.filter_stats if filt is not None else None,
+    )
+
+
 @dataclass
-class PipelineOutcome:
+class PipelineOutcome(StageOutputs):
     """Result of one ``run_pipeline`` call."""
 
     wall_seconds: float
@@ -303,11 +474,6 @@ class PipelineOutcome:
     #: The run's primary output dataset: the sorted dataset when a sort
     #: stage ran, otherwise the (possibly newly aligned) input dataset.
     dataset: AGDDataset
-    sorted_dataset: "AGDDataset | None" = None
-    dupmark_stats: "DupmarkStats | None" = None
-    variants: "list | None" = None
-    filtered_dataset: "AGDDataset | None" = None
-    filter_stats: "FilterStats | None" = None
     report: dict = field(default_factory=dict)
 
     def stage(self, name: str) -> StageBreakdown:
@@ -320,239 +486,6 @@ class PipelineOutcome:
     def records_per_second(self) -> float:
         return self.total_reads / self.wall_seconds if self.wall_seconds \
             else 0.0
-
-
-def _validate_stages(stages: "tuple[str, ...]") -> None:
-    if not stages:
-        raise ValueError("run_pipeline needs at least one stage")
-    unknown = [s for s in stages if s not in PIPELINE_STAGES]
-    if unknown:
-        raise ValueError(
-            f"unknown pipeline stages {unknown} "
-            f"(choices: {', '.join(PIPELINE_STAGES)})"
-        )
-    if len(set(stages)) != len(stages):
-        raise ValueError(f"duplicate pipeline stages in {list(stages)}")
-    indices = [PIPELINE_STAGES.index(s) for s in stages]
-    if indices != sorted(indices):
-        raise ValueError(
-            f"stages must follow the order {list(PIPELINE_STAGES)}; "
-            f"got {list(stages)}"
-        )
-
-
-def _check_stage_requirements(
-    stages: "tuple[str, ...]",
-    manifest: Manifest,
-    aligner,
-    reference,
-    filter_predicate,
-) -> None:
-    if "align" in stages and aligner is None:
-        raise ValueError("an align stage needs aligner=")
-    if "varcall" in stages and reference is None:
-        raise ValueError("a varcall stage needs reference=")
-    if "filter" in stages and filter_predicate is None:
-        raise ValueError("a filter stage needs filter_predicate=")
-    if "align" not in stages and not manifest.has_column("results"):
-        raise ValueError(
-            f"stages {list(stages)} need alignment results; include an "
-            f"align stage or align the dataset first"
-        )
-
-
-def _filter_output_spec(
-    manifest: Manifest,
-    stages: "tuple[str, ...]",
-    sort_config: "SortConfig | None",
-) -> "tuple[str, int, str]":
-    """The (dataset name, chunk size, sort order) the filter stage must
-    emit to match the eager ``filter_dataset`` run over the pipeline's
-    output (the sorted dataset when a sort stage runs, else the input)."""
-    base_chunk = manifest.chunks[0].record_count if manifest.chunks else 1
-    if "sort" in stages:
-        sort_config = sort_config or SortConfig()
-        return (
-            f"{manifest.name}-sorted-filtered",
-            sort_config.output_chunk_size or base_chunk,
-            sort_config.order,
-        )
-    return (f"{manifest.name}-filtered", base_chunk, manifest.sort_order)
-
-
-def _build_stage_graph(
-    stage: str,
-    *,
-    head: bool,
-    previous: "str | None",
-    stages: "tuple[str, ...]",
-    dataset: AGDDataset,
-    aligner=None,
-    reference=None,
-    align_config: "AlignGraphConfig | None" = None,
-    sort_config: "SortConfig | None" = None,
-    varcall_config: "VarCallConfig | None" = None,
-    filter_predicate=None,
-    sort_store: "ChunkStore | None" = None,
-    filter_store: "ChunkStore | None" = None,
-    scratch_store: "ChunkStore | None" = None,
-    backend_obj: "Backend | None" = None,
-    vectorized: bool = True,
-    name_queue: "Queue | None" = None,
-    varcall_passthrough: bool = False,
-    align_results_store: "ChunkStore | None" = None,
-    ledger: "RunLedger | None" = None,
-    missing_ok=None,
-) -> StageGraph:
-    """Build ONE pipeline stage subgraph.
-
-    ``stages`` is the FULL pipeline stage tuple (not just this server's
-    group): cross-stage decisions — which columns an align reader must
-    fetch, which store dupmark writes, whether the sort's merge leaves
-    the results column to it, whether varcall's input arrives in
-    location order — depend on the whole workload
-    even when this stage runs on another server.  ``head`` marks the
-    stage that reads chunk names and the store directly (the pipeline
-    head, or a placed head pulling names from the cluster work edge via
-    ``name_queue``); ``previous`` is the stage immediately upstream in
-    the full pipeline, used to decide whether arrival order must be
-    restored.
-
-    With a ``ledger``, the stage's output store is wrapped for
-    idempotent journaled writes, and resumable kernels (aligner, sort
-    runs) get journal hooks so a resumed run skips verified work.
-    """
-    manifest = dataset.manifest
-    # Dupmark directly after sort marks before the first write: the merge
-    # leaves the results column to the dupmark node, which encodes it
-    # once, flagged.  Read off the full stage tuple, so the servers of a
-    # placed run that split the two stages decide alike.
-    marks_first_write = "sort" in stages and \
-        stages[stages.index("sort") + 1:][:1] == ("dupmark",)
-    if stage == "align":
-        config = align_config or AlignGraphConfig()
-        config = replace(config, backend=backend_obj)
-        # A following sort or filter stage moves every column, so the
-        # align reader must fetch the ones it skips by default.
-        extra = tuple(
-            c for c in manifest.columns
-            if c not in ("bases", "qual", "results")
-        ) if ("sort" in stages or "filter" in stages) else ()
-        results_store = (align_results_store if align_results_store
-                         is not None else dataset.store)
-        if ledger is not None:
-            results_store = JournaledStore(
-                results_store, ledger, "align", label="dataset"
-            )
-        built = build_align_stage(
-            manifest, dataset.store, results_store, aligner,
-            config=config, extra_columns=extra, name_queue=name_queue,
-        )
-        if ledger is not None:
-            attach_stage_journal(
-                built, StageJournal(ledger, "align", results_store)
-            )
-        return built
-    if stage == "sort":
-        stage_sort_store = sort_store
-        if ledger is not None and sort_store is not None:
-            stage_sort_store = JournaledStore(
-                sort_store, ledger, "sort", label="output"
-            )
-        built = build_sort_graph(
-            manifest,
-            stage_sort_store,
-            input_store=dataset.store if head else None,
-            config=sort_config,
-            columns=(sorted(set(manifest.columns) | {"results"})
-                     if "align" in stages else None),
-            scratch_store=scratch_store,
-            backend=backend_obj,
-            name_queue=name_queue if head else None,
-            missing_ok=missing_ok,
-            deferred_columns=("results",) if marks_first_write else (),
-        )
-        if ledger is not None and scratch_store is not None:
-            # Spills only survive a restart in a durable scratch store;
-            # a per-run MemoryStore scratch simply recomputes its runs.
-            attach_stage_journal(built, SpillJournal(ledger, scratch_store))
-        return built
-    if stage == "dupmark":
-        store = sort_store if "sort" in stages else dataset.store
-        if ledger is not None:
-            store = JournaledStore(
-                store, ledger, "dupmark",
-                label="output" if "sort" in stages else "dataset",
-            )
-        # A head-mode dupmark reads what it and every stage after it
-        # declare (a filter re-chunks every column).
-        reads = columns_read(stages[stages.index("dupmark"):])
-        columns = tuple(sorted(
-            reads if reads is not None
-            else set(manifest.columns) | {"results"}))
-        return build_dupmark_graph(
-            manifest if head else None,
-            store,
-            # After a parallel align stage (no sort between), chunk
-            # order is nondeterministic; resequence so the first-
-            # fragment-wins scan matches the eager path.
-            reorder=([e.path for e in manifest.chunks]
-                     if previous == "align" else None),
-            from_queue=not head,
-            columns=columns,
-            name_queue=name_queue if head else None,
-            missing_ok=missing_ok,
-            write_codec=((sort_config or SortConfig()).output_codec()
-                         if marks_first_write else None),
-        )
-    if stage == "filter":
-        filter_name, out_chunk, order = _filter_output_spec(
-            manifest, stages, sort_config
-        )
-        stage_filter_store = (
-            filter_store if filter_store is not None else MemoryStore()
-        )
-        if ledger is not None and filter_store is not None:
-            stage_filter_store = JournaledStore(
-                filter_store, ledger, "filter", label="filter"
-            )
-        return build_filter_stage(
-            filter_predicate,
-            stage_filter_store,
-            filter_name,
-            out_chunk,
-            sorted(set(manifest.columns) | {"results"}),
-            manifest=manifest if head else None,
-            input_store=dataset.store if head else None,
-            reorder=([e.path for e in manifest.chunks]
-                     if previous == "align" else None),
-            reference=manifest.reference,
-            sort_order=order,
-            name_queue=name_queue if head else None,
-            missing_ok=missing_ok,
-        )
-    if stage == "varcall":
-        # Dupmark and filter keep the order they are given (head-mode
-        # ones restore manifest order), so varcall's input is location-
-        # sorted iff a location sort runs upstream or, with no sort and
-        # no align stage rewriting locations, the dataset already is.
-        if "sort" in stages:
-            sorted_input = (sort_config or SortConfig()).order == "location"
-        else:
-            sorted_input = "align" not in stages and \
-                manifest.sort_order == "location"
-        return build_varcall_graph(
-            reference,
-            manifest=manifest if head else None,
-            input_store=dataset.store if head else None,
-            config=varcall_config,
-            vectorized=vectorized,
-            name_queue=name_queue if head else None,
-            passthrough=varcall_passthrough,
-            sorted_input=sorted_input,
-            missing_ok=missing_ok,
-        )
-    raise ValueError(f"unknown pipeline stage {stage!r}")
 
 
 def run_pipeline(
@@ -573,7 +506,6 @@ def run_pipeline(
     batch_size: "int | None" = None,
     session_timeout: "float | None" = None,
     name: str = "pipeline",
-    vectorized: bool = True,
     queue_sample_interval: "float | None" = 0.02,
     queue_capacities: "dict[str, int] | None" = None,
     autotune_queues: bool = False,
@@ -611,13 +543,10 @@ def run_pipeline(
     single-stage calls, one budget here covers every fused stage, so a
     fixed cap would abort workloads whose individual stages are fine.
 
-    ``vectorized`` selects the numpy fast path for the varcall kernel
-    (the default; False runs its scalar reference path — outputs are
-    identical; sort and dupmark have one implementation each).  ``queue_sample_interval``
-    samples every queue's depth on that period during the run; the
-    per-stage traces land in ``report["queue_trace"]`` and each stage's
-    ``stage_report`` entry (§4.6's "current queue states").  None
-    disables sampling.
+    ``queue_sample_interval`` samples every queue's depth on that period
+    during the run; the per-stage traces land in
+    ``report["queue_trace"]`` and each stage's ``stage_report`` entry
+    (§4.6's "current queue states").  None disables sampling.
 
     ``queue_capacities`` overrides individual queue depths by fully-
     qualified name (e.g. ``{"align.parsed_chunks": 6}``) before the run.
@@ -642,60 +571,38 @@ def run_pipeline(
     to an uninterrupted one.  Per-stage skip counts land in
     ``report["resume"]``.
     """
-    stages = tuple(stages)
-    _validate_stages(stages)
-    _check_stage_requirements(stages, dataset.manifest, aligner, reference,
-                              filter_predicate)
-    if ledger is not None:
-        backend_name = backend if isinstance(backend, str) \
-            else getattr(backend, "name", type(backend).__name__)
-        bind_run_config(
-            ledger, dataset.manifest, stages,
-            backend=backend_name, workers=workers, vectorized=vectorized,
-            shm=shm,
-        )
-    kwargs = dict(
-        aligner=aligner,
-        reference=reference,
-        align_config=align_config,
-        sort_config=sort_config,
-        varcall_config=varcall_config,
-        filter_predicate=filter_predicate,
-        output_store=output_store,
-        filter_store=filter_store,
-        scratch_store=scratch_store,
-        backend=backend,
-        workers=workers,
-        batch_size=batch_size,
-        session_timeout=session_timeout,
-        name=name,
-        vectorized=vectorized,
-        queue_sample_interval=queue_sample_interval,
-        shm=shm,
-        ledger=ledger,
+    spec = PipelineSpec(
+        dataset, stages, reference=reference, align_config=align_config,
+        sort_config=sort_config, varcall_config=varcall_config,
+        filter_predicate=filter_predicate, output_store=output_store,
+        filter_store=filter_store, ledger=ledger, backend=backend,
+        workers=workers, batch_size=batch_size, shm=shm,
     )
+    _check_stage_requirements(spec, aligner)
+    if ledger is not None:
+        bind_run_config(ledger, spec.manifest, spec.stages,
+                        backend=spec.backend_name, workers=workers, shm=shm)
+
+    def once(spec, capacities, sample=queue_sample_interval):
+        return _run_pipeline_once(
+            spec, aligner, scratch_store, name=name,
+            session_timeout=session_timeout, queue_sample_interval=sample,
+            queue_capacities=capacities)
+
     if not autotune_queues:
-        return _run_pipeline_once(dataset, stages,
-                                  queue_capacities=queue_capacities,
-                                  **kwargs)
-    tune_key = _tune_key(stages, backend, workers)
+        return once(spec, queue_capacities)
+    tune_key = _tune_key(spec.stages, spec.backend_name, workers)
     tuned = load_tuned_capacities(tune_path, tune_key) \
         if tune_path is not None else None
     cache = "hit" if tuned is not None else None
     if tuned is None:
-        # Probe run: sampling must be on to produce the depth traces the
-        # suggester reads.  Stage outputs are deterministic and chunk
-        # writes idempotent, so the probe leaves the measured run's
-        # inputs intact.
-        probe_kwargs = dict(kwargs)
-        if probe_kwargs["queue_sample_interval"] is None:
-            probe_kwargs["queue_sample_interval"] = 0.02
-        # The probe must not journal: only the measured run's progress
-        # belongs in the durable ledger.
-        probe_kwargs["ledger"] = None
-        probe = _run_pipeline_once(dataset, stages,
-                                   queue_capacities=queue_capacities,
-                                   **probe_kwargs)
+        # Probe run.  Stage outputs are deterministic and chunk writes
+        # idempotent, so the probe leaves the measured run's inputs
+        # intact; it must sample (the suggester reads the depth traces)
+        # and must not journal (only the measured run's progress belongs
+        # in the durable ledger).
+        probe = once(replace(spec, ledger=None), queue_capacities,
+                     sample=queue_sample_interval or 0.02)
         tuned = suggest_queue_capacities(probe.report)
         if tune_path is not None:
             save_tuned_capacities(tune_path, tune_key, tuned)
@@ -704,10 +611,7 @@ def run_pipeline(
     # suggestion is a heuristic.
     for pinned in (queue_capacities or {}):
         tuned.pop(pinned, None)
-    merged = dict(tuned)
-    merged.update(queue_capacities or {})
-    outcome = _run_pipeline_once(dataset, stages, queue_capacities=merged,
-                                 **kwargs)
+    outcome = once(spec, {**tuned, **(queue_capacities or {})})
     outcome.report["autotuned_queues"] = tuned
     if cache is not None:
         outcome.report["autotune_cache"] = cache
@@ -715,72 +619,28 @@ def run_pipeline(
 
 
 def _run_pipeline_once(
-    dataset: AGDDataset,
-    stages: "tuple[str, ...]",
-    aligner=None,
-    reference: "ReferenceGenome | None" = None,
-    align_config: "AlignGraphConfig | None" = None,
-    sort_config: "SortConfig | None" = None,
-    varcall_config: "VarCallConfig | None" = None,
-    filter_predicate=None,
-    output_store: "ChunkStore | None" = None,
-    filter_store: "ChunkStore | None" = None,
-    scratch_store: "ChunkStore | None" = None,
-    backend: "str | Backend" = "thread",
-    workers: int = 4,
-    batch_size: "int | None" = None,
-    session_timeout: "float | None" = None,
-    name: str = "pipeline",
-    vectorized: bool = True,
-    queue_sample_interval: "float | None" = 0.02,
-    queue_capacities: "dict[str, int] | None" = None,
-    shm: "bool | None" = None,
-    ledger: "RunLedger | None" = None,
+    spec: PipelineSpec,
+    aligner,
+    scratch_store: "ChunkStore | None",
+    *,
+    name: str,
+    session_timeout: "float | None",
+    queue_sample_interval: "float | None",
+    queue_capacities: "dict[str, int] | None",
 ) -> PipelineOutcome:
-    manifest = dataset.manifest
-    backend_obj = make_backend(
-        backend, workers=workers, batch_size=batch_size,
-        name=f"{name}.backend", shm=shm,
-    )
-    owns_backend = not isinstance(backend, Backend)
-    if "align" in stages and not backend_obj.shares_caller_memory:
-        backend_obj.register_shared("aligner", aligner)
-    backend_obj.start()
-
-    sort_store = output_store if output_store is not None else MemoryStore()
-    filter_out = filter_store if filter_store is not None else MemoryStore()
+    dataset, manifest, ledger = spec.dataset, spec.manifest, spec.ledger
+    backend = spec.make_backend(f"{name}.backend")
+    if "align" in spec.stages and not backend.shares_caller_memory:
+        backend.register_shared("aligner", aligner)
+    backend.start()
+    site = ServerSite(aligner=aligner, backend=backend,
+                      scratch_store=scratch_store)
     built: list[StageGraph] = []
-    by_stage: dict[str, StageGraph] = {}
     start = time.monotonic()
     try:
-        previous: "str | None" = None
-        for stage in stages:
-            stage_graph = _build_stage_graph(
-                stage,
-                head=previous is None,
-                previous=previous,
-                stages=stages,
-                dataset=dataset,
-                aligner=aligner,
-                reference=reference,
-                align_config=align_config,
-                sort_config=sort_config,
-                varcall_config=varcall_config,
-                filter_predicate=filter_predicate,
-                sort_store=sort_store,
-                filter_store=filter_out,
-                scratch_store=scratch_store,
-                backend_obj=backend_obj,
-                vectorized=vectorized,
-                ledger=ledger,
-            )
-            built.append(stage_graph)
-            by_stage[stage] = stage_graph
-            previous = stage
-        pipeline = PipelineBuilder(name)
-        for stage_graph in built:
-            pipeline.add(stage_graph)
-        composed = pipeline.build()
+        for stage in spec.stages:
+            built.append(STAGE_BUILDERS[stage](spec, site))
+        composed = compose(*built, name=name)
         if queue_capacities:
             for q in composed.graph.queues:
                 override = queue_capacities.get(q.name)
@@ -791,37 +651,22 @@ def _run_pipeline_once(
     finally:
         for stage_graph in built:
             stage_graph.close()
-        if owns_backend:
-            backend_obj.shutdown()
+        if spec.owns_backends:
+            backend.shutdown()
     wall = time.monotonic() - start
 
-    if "align" in stages and not manifest.has_column("results"):
+    if "align" in spec.stages and not manifest.has_column("results"):
         manifest.add_column("results")
-    sort_stage = by_stage.get("sort")
-    dupmark_stage = by_stage.get("dupmark")
-    filter_stage = by_stage.get("filter")
-    varcall_stage = by_stage.get("varcall")
-    sorted_dataset = None
-    if sort_stage is not None:
-        sorted_dataset = AGDDataset(sort_stage.collector.manifest, sort_store)
-    filtered_dataset = None
-    if filter_stage is not None:
-        filtered_dataset = AGDDataset(filter_stage.collector.manifest,
-                                      filter_out)
+    idle = {"busy_seconds": 0.0, "wait_seconds": 0.0,
+            "items_in": 0, "items_out": 0}
+    stage_reports = result.report.get("stages", {})
     breakdowns = [
         StageBreakdown(
             name=stage,
-            busy_seconds=agg["busy_seconds"],
-            wait_seconds=agg["wait_seconds"],
-            items_in=agg["items_in"],
-            items_out=agg["items_out"],
             records=dataset.total_records,
+            **{key: stage_reports.get(stage, idle)[key] for key in idle},
         )
-        for stage in stages
-        for agg in [result.report.get("stages", {}).get(stage, {
-            "busy_seconds": 0.0, "wait_seconds": 0.0,
-            "items_in": 0, "items_out": 0,
-        })]
+        for stage in spec.stages
     ]
     if ledger is not None:
         result.report["resume"] = dict(ledger.skips)
@@ -838,21 +683,15 @@ def _run_pipeline_once(
                 for b in breakdowns
             },
         )
+    outputs = harvest_outputs(spec, built)
     return PipelineOutcome(
         wall_seconds=wall,
         total_reads=dataset.total_records,
         chunks=dataset.num_chunks,
         stages=breakdowns,
-        dataset=sorted_dataset if sorted_dataset is not None else dataset,
-        sorted_dataset=sorted_dataset,
-        dupmark_stats=(dupmark_stage.collector.dup_stats
-                       if dupmark_stage is not None else None),
-        variants=(varcall_stage.collector.variants
-                  if varcall_stage is not None else None),
-        filtered_dataset=filtered_dataset,
-        filter_stats=(filter_stage.collector.filter_stats
-                      if filter_stage is not None else None),
+        dataset=outputs.sorted_dataset or dataset,
         report=result.report,
+        **vars(outputs),
     )
 
 
@@ -863,12 +702,11 @@ def _run_pipeline_once(
 TUNE_SIDECAR_NAME = ".persona-tune.json"
 
 
-def _tune_key(stages: "tuple[str, ...]", backend, workers: int) -> str:
+def _tune_key(stages: "tuple[str, ...]", backend_name: str,
+              workers: int) -> str:
     """Cache key for persisted suggestions: capacities probed for one
     (stage set, backend kind, worker count) are meaningless for
     another."""
-    backend_name = backend if isinstance(backend, str) \
-        else getattr(backend, "name", type(backend).__name__)
     return f"{','.join(stages)}|{backend_name}|w{workers}"
 
 
@@ -991,10 +829,6 @@ class PlacedServerGraph:
     #: The server's terminal node (EdgeSinkNode or AckSinkNode): its
     #: ``chunks``/``records`` counters are the server's completion tally.
     sink: "EdgeSinkNode | AckSinkNode"
-    manual_ack: bool
-    work_queue: "Queue | None" = None
-    ingress: "Queue | None" = None
-    egress: "Queue | None" = None
 
     def stage(self, name: str) -> StageGraph:
         return self.pipeline.stage(name)
@@ -1004,140 +838,68 @@ class PlacedServerGraph:
 
 
 def build_placed_server_graph(
-    dataset: AGDDataset,
+    spec: PipelineSpec,
     server: str,
     server_stages: "tuple[str, ...]",
-    pipeline_stages: "tuple[str, ...]",
-    *,
-    work_queue: "Queue | None" = None,
-    ingress: "Queue | None" = None,
-    egress: "Queue | None" = None,
-    manual_ack: bool = False,
-    aligner=None,
-    reference=None,
-    align_config: "AlignGraphConfig | None" = None,
-    sort_config: "SortConfig | None" = None,
-    varcall_config: "VarCallConfig | None" = None,
-    filter_predicate=None,
-    sort_store: "ChunkStore | None" = None,
-    filter_store: "ChunkStore | None" = None,
-    scratch_store: "ChunkStore | None" = None,
-    backend_obj: "Backend | None" = None,
-    vectorized: bool = True,
-    align_results_store: "ChunkStore | None" = None,
-    ledger: "RunLedger | None" = None,
+    site: ServerSite,
 ) -> PlacedServerGraph:
     """Assemble ONE server's subgraph of a placed pipeline.
 
     The server's stage group composes exactly like a single-session
-    pipeline, then the cut points are wired to queue endpoints instead
-    of fused: a head group pulls chunk *names* from ``work_queue`` (the
-    generalized manifest server), a later group pulls whole work items
-    from ``ingress``, and a non-terminal group publishes its outlet to
-    ``egress``.  With ``manual_ack``, ingress deliveries are
-    acknowledged only at this server's terminal point (atomically with
-    the egress publish when there is one), so chunks in flight on a
-    dying server get redelivered to a surviving replica.
+    pipeline, then the cut points are wired to ``site.endpoints``
+    instead of fused: a head group pulls chunk *names* from
+    ``work_queue`` (the generalized manifest server), a later group
+    pulls whole work items from ``ingress``, and a non-terminal group
+    publishes its outlet to ``egress``.  With ``manual_ack``, ingress
+    deliveries are acknowledged only at this server's terminal point
+    (atomically with the egress publish when there is one), so chunks in
+    flight on a dying server get redelivered to a surviving replica.
     """
     server_stages = tuple(server_stages)
-    pipeline_stages = tuple(pipeline_stages)
-    head_group = server_stages[0] == pipeline_stages[0]
-    # Chunks the broker dead-lettered never arrive; let downstream
-    # resequencers release around those holes so the run completes
-    # degraded instead of wedging on a poison chunk.
-    feed = ingress if ingress is not None else work_queue
-    missing_ok = getattr(getattr(feed, "client", None),
-                         "quarantined_keys", None)
-    built: list[StageGraph] = []
-    for stage in server_stages:
-        position = pipeline_stages.index(stage)
-        previous = pipeline_stages[position - 1] if position > 0 else None
-        head = head_group and stage == server_stages[0]
-        built.append(_build_stage_graph(
-            stage,
-            head=head,
-            previous=previous,
-            stages=pipeline_stages,
-            dataset=dataset,
-            aligner=aligner,
-            reference=reference,
-            align_config=align_config,
-            sort_config=sort_config,
-            varcall_config=varcall_config,
-            filter_predicate=filter_predicate,
-            sort_store=sort_store,
-            filter_store=filter_store,
-            scratch_store=scratch_store,
-            backend_obj=backend_obj,
-            vectorized=vectorized,
-            name_queue=work_queue if head else None,
-            varcall_passthrough=(stage == "varcall"),
-            align_results_store=align_results_store,
-            ledger=ledger,
-            missing_ok=missing_ok,
-        ))
+    ends = site.endpoints
+    head_group = server_stages[0] == spec.stages[0]
+    built = [STAGE_BUILDERS[stage](spec, site) for stage in server_stages]
     composed = compose(*built, name=server, open_inlet=not head_group,
                        terminal=False)
     graph = composed.graph
     ack_source = None
-    if manual_ack:
-        ack_source = work_queue if head_group else ingress
+    if ends.manual_ack:
+        ack_source = ends.work_queue if head_group else ends.ingress
     if not head_group:
-        if ingress is None:
+        if ends.ingress is None:
             raise ValueError(
                 f"server {server!r} heads no group and needs an ingress "
                 f"endpoint"
             )
-        source_node = QueueNameSource(ingress, name="edge_source")
+        source_node = QueueNameSource(ends.ingress, name="edge_source")
         graph.add(source_node, output=built[0].source)
         graph.node_stages[source_node.name] = server_stages[0]
-    outlet = built[-1].sink
     sink: "EdgeSinkNode | AckSinkNode"
-    if egress is not None:
-        if outlet is None:
-            raise ValueError(
-                f"server {server!r} ends in a terminal stage but the "
-                f"plan places more stages downstream"
-            )
-        egress.register_producer()
+    if ends.egress is not None:
+        ends.egress.register_producer()
         # The cut ships only what the stages placed after it read.
-        downstream = pipeline_stages[
-            pipeline_stages.index(server_stages[-1]) + 1:]
-        sink = EdgeSinkNode(egress, ack_source=ack_source,
+        downstream = spec.stages[spec.stages.index(server_stages[-1]) + 1:]
+        sink = EdgeSinkNode(ends.egress, ack_source=ack_source,
                             columns=columns_read(downstream))
     else:
-        if outlet is None:
-            raise ValueError(
-                f"server {server!r}: terminal stage left no outlet to "
-                f"count completions on"
-            )
         sink = AckSinkNode(ack_source=ack_source)
-    graph.add(sink, input=outlet)
+    graph.add(sink, input=built[-1].sink)
     graph.node_stages[sink.name] = server_stages[-1]
-    for endpoint in (work_queue, ingress, egress):
+    for endpoint in (ends.work_queue, ends.ingress, ends.egress):
         if endpoint is not None:
             graph.attach_endpoint(endpoint)
-    return PlacedServerGraph(
-        server=server,
-        stages=server_stages,
-        pipeline=composed,
-        sink=sink,
-        manual_ack=manual_ack,
-        work_queue=work_queue,
-        ingress=ingress,
-        egress=egress,
-    )
+    return PlacedServerGraph(server=server, stages=server_stages,
+                             pipeline=composed, sink=sink)
 
 
-def placed_server_endpoints(plan, server: str, make_queue):
+def placed_server_endpoints(plan, server: str, make_queue) -> ServerEndpoints:
     """One server's queue endpoints under a placement plan.
 
     The single point deciding a server's delivery wiring — which edge it
     pulls from, which it pushes to, and whether deliveries are acked on
     completion (``manual``, one-to-one stage groups) or on receipt
     (``auto``, re-chunking groups).  ``make_queue(server, edge_name,
-    kind, ack_mode)`` supplies the transport-specific endpoint.  Returns
-    ``(work_queue, ingress, egress, manual_ack)``.
+    kind, ack_mode)`` supplies the transport-specific endpoint.
     """
     from repro.cluster.placement import WORK_EDGE
 
@@ -1147,33 +909,23 @@ def placed_server_endpoints(plan, server: str, make_queue):
     head_group = placement.stages == plan.groups[0]
     ingress_name = plan.ingress_edge(server)
     egress_name = plan.egress_edge(server)
-    work_queue = make_queue(server, WORK_EDGE, "names", ack_mode) \
-        if head_group else None
-    ingress = make_queue(server, ingress_name, "items", ack_mode) \
-        if ingress_name is not None else None
-    egress = make_queue(server, egress_name, "items", "auto") \
-        if egress_name is not None else None
-    return work_queue, ingress, egress, manual_ack
+    return ServerEndpoints(
+        work_queue=(make_queue(server, WORK_EDGE, "names", ack_mode)
+                    if head_group else None),
+        ingress=(make_queue(server, ingress_name, "items", ack_mode)
+                 if ingress_name is not None else None),
+        egress=(make_queue(server, egress_name, "items", "auto")
+                if egress_name is not None else None),
+        manual_ack=manual_ack,
+    )
 
 
 def split_pipeline(
-    dataset: AGDDataset,
+    spec: PipelineSpec,
     plan,
     make_queue,
-    *,
-    aligner_for=None,
-    backend_for=None,
-    scratch_for=None,
-    align_results_store_for=None,
-    reference=None,
-    align_config: "AlignGraphConfig | None" = None,
-    sort_config: "SortConfig | None" = None,
-    varcall_config: "VarCallConfig | None" = None,
-    filter_predicate=None,
-    sort_store: "ChunkStore | None" = None,
-    filter_store: "ChunkStore | None" = None,
-    vectorized: bool = True,
-    ledger: "RunLedger | None" = None,
+    site_for,
+    servers: "tuple[str, ...] | None" = None,
 ) -> "list[PlacedServerGraph]":
     """Cut the composed pipeline into per-server subgraphs per ``plan``.
 
@@ -1182,65 +934,35 @@ def split_pipeline(
     boundaries *between stage groups* become broker edges and each
     server gets its own composed subgraph over just its placed stages.
 
-    ``plan`` is a :class:`repro.cluster.placement.PlacementPlan`;
-    ``make_queue(server, edge_name, kind, ack_mode)`` returns the
-    server's queue endpoint for a named edge (the transport decision —
-    in-process or TCP — lives entirely in that factory);
-    ``aligner_for(server)``/``backend_for(server)``/
-    ``scratch_for(server)`` supply per-server resources; ``aligner_for``
-    is consulted once per *align-hosting* server only (building an
-    aligner usually means loading a reference index).
+    ``plan`` is a :class:`repro.cluster.placement.PlacementPlan` over
+    ``spec.stages``; ``make_queue(server, edge_name, kind, ack_mode)``
+    returns the server's queue endpoint for a named edge (the transport
+    decision — in-process or TCP — lives entirely in that factory);
+    ``site_for(server)`` supplies that server's :class:`ServerSite`
+    (called once per server; its endpoints are filled in here).
+    ``servers`` restricts the cut to the named ones — a worker process
+    building only its own — and the stage requirements to what they
+    host.
     """
-    pipeline_stages = plan.stages
-    _validate_stages(pipeline_stages)
-    aligners: dict[str, Any] = {}
-
-    def aligner_for_server(server: str):
-        if aligner_for is None:
-            return None
-        if server not in aligners:
-            aligners[server] = aligner_for(server)
-        return aligners[server]
-
-    align_servers = [p.server for p in plan.placements
-                     if "align" in p.stages]
-    _check_stage_requirements(
-        pipeline_stages, dataset.manifest,
-        aligner_for_server(align_servers[0]) if align_servers else None,
-        reference, filter_predicate,
-    )
-    servers: list[PlacedServerGraph] = []
-    for placement in plan.placements:
-        work_queue, ingress, egress, manual_ack = placed_server_endpoints(
-            plan, placement.server, make_queue
+    if spec.stages != plan.stages:
+        raise ValueError(
+            f"plan places {list(plan.stages)} but the spec runs "
+            f"{list(spec.stages)}"
         )
-        servers.append(build_placed_server_graph(
-            dataset,
-            placement.server,
-            placement.stages,
-            pipeline_stages,
-            work_queue=work_queue,
-            ingress=ingress,
-            egress=egress,
-            manual_ack=manual_ack,
-            aligner=(aligner_for_server(placement.server)
-                     if "align" in placement.stages else None),
-            reference=reference,
-            align_config=align_config,
-            sort_config=sort_config,
-            varcall_config=varcall_config,
-            filter_predicate=filter_predicate,
-            sort_store=sort_store,
-            filter_store=filter_store,
-            scratch_store=scratch_for(placement.server) if scratch_for
-            else None,
-            backend_obj=backend_for(placement.server) if backend_for
-            else None,
-            vectorized=vectorized,
-            align_results_store=(
-                align_results_store_for(placement.server)
-                if align_results_store_for else None
-            ),
-            ledger=ledger,
-        ))
-    return servers
+    placements = [p for p in plan.placements
+                  if servers is None or p.server in servers]
+    sites = {p.server: site_for(p.server) for p in placements}
+    _check_stage_requirements(
+        spec,
+        next((sites[p.server].aligner for p in placements
+              if "align" in p.stages), None),
+        hosted=tuple(s for p in placements for s in p.stages),
+    )
+    return [
+        build_placed_server_graph(
+            spec, p.server, p.stages,
+            replace(sites[p.server], endpoints=placed_server_endpoints(
+                plan, p.server, make_queue)),
+        )
+        for p in placements
+    ]

@@ -14,10 +14,11 @@ memory and avoid stragglers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any
 
 from repro.agd.manifest import Manifest
+from repro.core.ledger import JournaledStore, SpillJournal, StageJournal
 from repro.core.ops import (
     AGDParserNode,
     AlignerNode,
@@ -45,6 +46,9 @@ from repro.dataflow.session import Session, SessionResult
 from repro.formats.sam import SamHeader
 from repro.storage.base import ChunkStore, MemoryStore
 
+if TYPE_CHECKING:
+    from repro.core.pipelines import PipelineSpec
+
 #: Canonical pipeline stage order (§2.1's workload sequence).  The
 #: single-session composer (:func:`repro.core.pipelines.run_pipeline`)
 #: and the cluster placement layer (:mod:`repro.cluster.placement`)
@@ -61,6 +65,12 @@ STAGE_READS: "dict[str, tuple[str, ...] | None]" = {
     "filter": None,
     "varcall": ("results", "bases", "qual"),
 }
+
+
+#: Stages that map each input chunk to one output chunk (no
+#: re-chunking): only groups of these can carry manual
+#: (ack-on-completion) delivery.
+ONE_TO_ONE_STAGES = frozenset({"align", "dupmark", "varcall"})
 
 
 def columns_read(stages) -> "frozenset[str] | None":
@@ -175,82 +185,22 @@ def build_align_graph(
     name_queue: "Queue | None" = None,
     graph_name: str = "align",
 ) -> AlignGraph:
-    """Assemble the Figure 3 alignment pipeline over AGD input.
+    """Assemble the Figure 3 alignment pipeline over AGD input: the
+    align stage (:func:`build_align_stage`) closed by a counting sink.
 
     ``aligner`` is a shared read-only aligner object (SNAP- or BWA-style);
     ``name_queue`` switches the source from the local manifest to a shared
     manifest-server queue (cluster mode, §5.2).
     """
-    config = config or AlignGraphConfig()
-    g = Graph(graph_name)
-    busy = BusyCounter()
-    backend, owns_backend = _build_compute_backend(
-        config, graph_name, busy, aligner
-    )
-    aligner_handle = g.register_resource("aligner", aligner)
-    backend_handle = g.register_resource("executor", backend)
-
-    depth = config.queue_depth
-    q_names = g.queue("chunk_names", depth or max(2, config.reader_nodes))
-    q_raw = g.queue("raw_chunks", depth or max(2, config.parser_nodes))
-    q_parsed = g.queue("parsed_chunks", depth or max(2, config.aligner_nodes))
-    q_aligned = g.queue("aligned_chunks", depth or max(2, config.writer_nodes))
-    q_written = g.queue("written_chunks", depth or 2)
-
-    if name_queue is not None:
-        g.add(QueueNameSource(name_queue), output=q_names)
-    else:
-        g.add(ChunkNameSource(manifest), output=q_names)
-    g.add(
-        ChunkReaderNode(
-            input_store,
-            columns=("bases", "qual"),
-            parallelism=config.reader_nodes,
-        ),
-        input=q_names,
-        output=q_raw,
-    )
-    g.add(
-        AGDParserNode(parallelism=config.parser_nodes),
-        input=q_raw,
-        output=q_parsed,
-    )
-    if config.paired:
-        g.add(
-            PairedAlignerNode(
-                aligner_handle,
-                backend_handle,
-                subchunk_size=max(1, config.subchunk_size // 2),
-                parallelism=config.aligner_nodes,
-            ),
-            input=q_parsed,
-            output=q_aligned,
-        )
-    else:
-        g.add(
-            AlignerNode(
-                aligner_handle,
-                backend_handle,
-                subchunk_size=config.subchunk_size,
-                parallelism=config.aligner_nodes,
-            ),
-            input=q_parsed,
-            output=q_aligned,
-        )
-    g.add(
-        ColumnWriterNode(
-            output_store,
-            column="results",
-            record_type="results",
-            parallelism=config.writer_nodes,
-        ),
-        input=q_aligned,
-        output=q_written,
+    stage = build_align_stage(
+        manifest, input_store, output_store, aligner, config=config,
+        stage_name=graph_name, name_queue=name_queue,
     )
     sink = NullSinkNode()
-    g.add(sink, input=q_written)
-    return AlignGraph(graph=g, sink=sink, executor=backend,
-                      busy_counter=busy, owns_executor=owns_backend)
+    stage.graph.add(sink, input=stage.sink)
+    return AlignGraph(graph=stage.graph, sink=sink, executor=stage.backend,
+                      busy_counter=stage.busy_counter,
+                      owns_executor=stage.owns_backend)
 
 
 def build_standalone_graph(
@@ -350,6 +300,8 @@ class StageGraph:
     #: True when the builder created the backend (shut down via close);
     #: False for a shared instance whose lifecycle the caller owns.
     owns_backend: bool = False
+    #: The utilization counter a stage-made backend reports to (Fig. 5).
+    busy_counter: "BusyCounter | None" = None
 
     def close(self, wait: bool = True) -> None:
         if self.owns_backend and self.backend is not None:
@@ -466,7 +418,7 @@ def build_align_stage(
     )
     return StageGraph(
         name=stage_name, graph=g, source=None, sink=q_out,
-        backend=backend, owns_backend=owns_backend,
+        backend=backend, owns_backend=owns_backend, busy_counter=busy,
     )
 
 
@@ -673,7 +625,6 @@ def build_varcall_graph(
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "varcall",
-    vectorized: bool = True,
     name_queue: "Queue | None" = None,
     passthrough: bool = False,
     sorted_input: bool = False,
@@ -712,8 +663,7 @@ def build_varcall_graph(
         inlet = g.queue("stage_in", 4)
         source = inlet
 
-    node = VarCallNode(reference, config=config, vectorized=vectorized,
-                       sorted_input=sorted_input)
+    node = VarCallNode(reference, config=config, sorted_input=sorted_input)
     sink: "Queue | None" = None
     if passthrough:
         sink = g.queue("stage_out", 2)
@@ -788,6 +738,194 @@ def build_filter_stage(
         name=stage_name, graph=g, source=source, sink=q_out,
         collector=node, backend=None, owns_backend=False,
     )
+
+# ---------------------------------------------------------------------------
+# A stage of a run: the builders above, read off a PipelineSpec.  What
+# is equal on every server comes from the spec; what one server brings
+# comes from its ServerSite.
+
+
+@dataclass
+class ServerEndpoints:
+    """One placed server's broker wiring: the chunk-name work edge a
+    head group pulls from, the item edges it consumes and feeds, and
+    whether deliveries are acked at the server's terminal point."""
+
+    work_queue: "Queue | None" = None
+    ingress: "Queue | None" = None
+    egress: "Queue | None" = None
+    manual_ack: bool = False
+
+
+@dataclass
+class ServerSite:
+    """What one server brings to a :class:`PipelineSpec`: its aligner
+    (usually its own copy of the reference index), its compute backend
+    instance, its sort scratch store, where its align results land (None:
+    the dataset store) and — on a placed run only — its endpoints."""
+
+    aligner: Any = None
+    backend: "Backend | None" = None
+    scratch_store: "ChunkStore | None" = None
+    align_results_store: "ChunkStore | None" = None
+    endpoints: "ServerEndpoints | None" = None
+
+    @property
+    def name_queue(self) -> "Queue | None":
+        """Where the run's head stage pulls chunk names from (None: the
+        manifest itself)."""
+        return self.endpoints.work_queue if self.endpoints else None
+
+    @property
+    def missing_ok(self):
+        """Chunks the broker dead-lettered never arrive; resequencers
+        release around those holes so the run completes degraded instead
+        of wedging on a poison chunk."""
+        ends = self.endpoints
+        if ends is None:
+            return None
+        feed = ends.ingress if ends.ingress is not None else ends.work_queue
+        return getattr(getattr(feed, "client", None), "quarantined_keys",
+                       None)
+
+
+def _arrival_order(spec: "PipelineSpec", stage: str) -> "list[str] | None":
+    """Directly after a parallel align stage chunk order is
+    nondeterministic: the manifest order a resequencer must restore so
+    first-fragment-wins scans and re-chunking match the eager path."""
+    position = spec.stages.index(stage)
+    if position == 0 or spec.stages[position - 1] != "align":
+        return None
+    return [entry.path for entry in spec.manifest.chunks]
+
+
+def _journaled(spec: "PipelineSpec", store: ChunkStore, stage: str,
+               label: str) -> ChunkStore:
+    """``store`` as ``stage`` writes to it: on a durable run, wrapped
+    for idempotent journaled writes."""
+    if spec.ledger is None:
+        return store
+    return JournaledStore(store, spec.ledger, stage, label=label)
+
+
+def _align_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    manifest = spec.manifest
+    # A following sort or filter stage moves every column, so the align
+    # reader must fetch the ones it skips by default.
+    extra = tuple(
+        c for c in manifest.columns if c not in ("bases", "qual", "results")
+    ) if ("sort" in spec.stages or "filter" in spec.stages) else ()
+    results_store = _journaled(
+        spec,
+        site.align_results_store if site.align_results_store is not None
+        else spec.dataset.store,
+        "align", "dataset")
+    built = build_align_stage(
+        manifest, spec.dataset.store, results_store, site.aligner,
+        config=replace(spec.align_config, backend=site.backend),
+        extra_columns=extra, name_queue=site.name_queue,
+    )
+    if spec.ledger is not None:
+        attach_stage_journal(
+            built, StageJournal(spec.ledger, "align", results_store)
+        )
+    return built
+
+
+def _sort_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    manifest = spec.manifest
+    head = spec.stages[0] == "sort"
+    built = build_sort_graph(
+        manifest,
+        _journaled(spec, spec.output_store, "sort", "output"),
+        input_store=spec.dataset.store if head else None,
+        config=spec.sort_config,
+        columns=(sorted(set(manifest.columns) | {"results"})
+                 if "align" in spec.stages else None),
+        scratch_store=site.scratch_store,
+        backend=site.backend,
+        name_queue=site.name_queue,
+        missing_ok=site.missing_ok,
+        deferred_columns=("results",) if spec.marks_first_write else (),
+    )
+    if spec.ledger is not None and site.scratch_store is not None:
+        # Spills only survive a restart in a durable scratch store; a
+        # per-run MemoryStore scratch simply recomputes its runs.
+        attach_stage_journal(
+            built, SpillJournal(spec.ledger, site.scratch_store))
+    return built
+
+
+def _dupmark_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    manifest = spec.manifest
+    head = spec.stages[0] == "dupmark"
+    store = _journaled(spec, spec.output_store, "dupmark", "output") \
+        if "sort" in spec.stages \
+        else _journaled(spec, spec.dataset.store, "dupmark", "dataset")
+    # A head-mode dupmark reads what it and every stage after it declare
+    # (a filter re-chunks every column).
+    reads = columns_read(spec.stages[spec.stages.index("dupmark"):])
+    return build_dupmark_graph(
+        manifest if head else None,
+        store,
+        reorder=_arrival_order(spec, "dupmark"),
+        from_queue=not head,
+        columns=tuple(sorted(
+            reads if reads is not None
+            else set(manifest.columns) | {"results"})),
+        name_queue=site.name_queue,
+        missing_ok=site.missing_ok,
+        write_codec=(spec.sort_config.output_codec()
+                     if spec.marks_first_write else None),
+    )
+
+
+def _filter_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    manifest = spec.manifest
+    head = spec.stages[0] == "filter"
+    dataset_name, out_chunk_size, sort_order = spec.filter_output
+    return build_filter_stage(
+        spec.filter_predicate,
+        _journaled(spec, spec.filter_store, "filter", "filter"),
+        dataset_name,
+        out_chunk_size,
+        sorted(set(manifest.columns) | {"results"}),
+        manifest=manifest if head else None,
+        input_store=spec.dataset.store if head else None,
+        reorder=_arrival_order(spec, "filter"),
+        reference=manifest.reference,
+        sort_order=sort_order,
+        name_queue=site.name_queue,
+        missing_ok=site.missing_ok,
+    )
+
+
+def _varcall_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    head = spec.stages[0] == "varcall"
+    return build_varcall_graph(
+        spec.reference,
+        manifest=spec.manifest if head else None,
+        input_store=spec.dataset.store if head else None,
+        config=spec.varcall_config,
+        name_queue=site.name_queue,
+        # A placed server appends an acknowledging sink to the outlet.
+        passthrough=site.endpoints is not None,
+        sorted_input=spec.sorted_input,
+        missing_ok=site.missing_ok,
+    )
+
+
+#: stage -> ``builder(spec, site)``: one stage of ``spec`` as a
+#: :class:`StageGraph` on the server ``site`` describes.  The stage that
+#: heads the whole run (``spec.stages[0]``) reads the dataset itself;
+#: every other one consumes the chunks streaming in.
+STAGE_BUILDERS = {
+    "align": _align_stage,
+    "sort": _sort_stage,
+    "dupmark": _dupmark_stage,
+    "filter": _filter_stage,
+    "varcall": _varcall_stage,
+}
 
 
 @dataclass

@@ -243,29 +243,28 @@ def call_variants(
     reference: ReferenceGenome,
     config: "VarCallConfig | None" = None,
     backend=None,
-    vectorized: bool = True,
 ) -> list[VariantRecord]:
     """Call SNPs against the reference; returns VCF records in order.
 
     ``backend`` fans the pileup phase out per chunk (the calling pass
-    itself is a cheap sorted sweep and stays on the caller).
-    ``vectorized`` selects the numpy fast path (the default); the scalar
-    reference path produces byte-identical VCF output and remains the
-    ground truth the fast path is equivalence-tested against.
+    itself is a cheap sorted sweep and stays on the caller).  The pileup
+    runs on the numpy fast path; the scalar reference path
+    (:func:`pileup_dataset` + :func:`call_from_pileup`) produces
+    byte-identical VCF output, is the ground truth the fast path is
+    equivalence-tested against, and takes over by itself for input the
+    columnar encoding cannot represent.
     """
-    config = config or VarCallConfig()
-    if vectorized:
-        from repro.core.columnar import ColumnarFallback, PileupWindow
+    from repro.core.columnar import ColumnarFallback, PileupWindow
 
-        window = PileupWindow(reference, config)
-        try:
-            for partial in iter_pileup_partials(dataset, config, backend):
-                window.add(partial)
-            return window.finish()
-        except ColumnarFallback:
-            # Input the columnar encoding cannot represent exactly (e.g.
-            # lowercase/IUPAC base bytes) or efficiently (sparse-and-wide
-            # coverage): rerun on the scalar reference path.
-            pass
-    columns = pileup_dataset(dataset, config, backend=backend)
-    return call_from_pileup(columns, reference, config)
+    config = config or VarCallConfig()
+    window = PileupWindow(reference, config)
+    try:
+        for partial in iter_pileup_partials(dataset, config, backend):
+            window.add(partial)
+        return window.finish()
+    except ColumnarFallback:
+        # Input the columnar encoding cannot represent exactly (e.g.
+        # lowercase/IUPAC base bytes) or efficiently (sparse-and-wide
+        # coverage): rerun on the scalar reference path.
+        columns = pileup_dataset(dataset, config, backend=backend)
+        return call_from_pileup(columns, reference, config)

@@ -38,7 +38,6 @@ import itertools
 import os
 import secrets
 import threading
-import warnings
 from dataclasses import dataclass, is_dataclass, replace
 from typing import Any
 
@@ -544,59 +543,28 @@ class BufferPool:
             return replace(ref, token=token)
 
     def read_ref(self, ref: ShmRef) -> "bytes | None":
-        """Copy a leased payload back out (for peers that cannot attach
-        the segment — the socket copy path — and for spilled payloads,
-        whose only home is their disk file).
-
-        .. deprecated:: on hot paths.  Every mappable (non-spilled)
-           lease should be read through :meth:`view_ref`, which aliases
-           the segment with zero copies — calling ``read_ref`` on one
-           emits a :class:`DeprecationWarning`.  ``read_ref`` remains
-           the right (warning-free) call only for spilled payloads;
-           same-host re-staging of those goes through
-           :meth:`restage_ref` (one ``readinto`` copy) instead of
-           ``read_ref`` + :meth:`put_bytes` (two)."""
-        path = None
+        """Copy a *spilled* payload back out of its disk file — its only
+        home — for a peer that cannot attach a segment (the socket copy
+        path; same-host peers get :meth:`restage_ref`).  None for
+        anything else: a mappable lease is read through
+        :meth:`view_ref`, zero-copy."""
         with self._lock:
             spilled = self._spilled.get(ref.token)
-            if spilled is not None:
-                path = spilled.path
-            else:
-                holder = self._adopted.get(ref.token)
-                if holder is not None:
-                    warnings.warn(
-                        "BufferPool.read_ref on a mappable segment copies; "
-                        "use view_ref (zero-copy) instead",
-                        DeprecationWarning, stacklevel=2,
-                    )
-                    buf = holder.shm.buf
-                    return bytes(buf[ref.offset:ref.offset + ref.length])
-                slab = self._leases.get(ref.token)
-                if slab is not None:
-                    warnings.warn(
-                        "BufferPool.read_ref on a mappable segment copies; "
-                        "use view_ref (zero-copy) instead",
-                        DeprecationWarning, stacklevel=2,
-                    )
-                    buf = slab.shm.buf
-                    return bytes(buf[ref.offset:ref.offset + ref.length])
-        if path is not None:
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(ref.offset)
-                    data = fh.read(ref.length)
-                if len(data) == ref.length:
-                    return data
-            except OSError:  # pragma: no cover - spill file vanished
-                pass
-        return None
+        if spilled is None:
+            return None
+        try:
+            with open(spilled.path, "rb") as fh:
+                fh.seek(ref.offset)
+                data = fh.read(ref.length)
+        except OSError:  # pragma: no cover - spill file vanished
+            return None
+        return data if len(data) == ref.length else None
 
     def view_ref(self, ref: ShmRef) -> "PooledView | None":
         """Zero-copy read of a leased payload: a read-only window over
         the backing slab or adopted segment, guarded by its own lease
         (taken via :meth:`incref`) so the pool cannot rewind or unlink
-        the bytes under the view.  The hot-path replacement for
-        :meth:`read_ref`.
+        the bytes under the view.
 
         Returns None for spilled payloads (their bytes live in a disk
         file, not a mappable segment — fall back to the ``read_ref``

@@ -1,0 +1,75 @@
+"""A ratchet on the control surface: parameter counts and CLI options
+can shrink, not silently regrow.  The limits are today's numbers — lower
+them when a change earns it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+from pathlib import Path
+
+from repro.cli import build_parser
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: The keyword entry points: everything a run can be told, spelled out
+#: once.  Below them a run travels as a ``PipelineSpec``.
+ENTRY_POINTS = {"run_pipeline": 22, "run_placed_pipeline": 31}
+#: Where the spec is interpreted, nothing re-lists its fields.
+SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
+SPEC_MODULE_LIMIT = 12
+#: Everywhere else: ``build_filter_stage``'s 16.
+LIMIT = 16
+CLI_OPTION_LIMIT = 107
+RUN_PLACED_PIPELINE_LINES = 160
+
+
+def _functions():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                count = (len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
+                         + (a.vararg is not None) + (a.kwarg is not None))
+                yield path.relative_to(SRC).as_posix(), node, count
+
+
+def test_parameter_counts():
+    over = []
+    for module, node, count in _functions():
+        limit = ENTRY_POINTS.get(node.name, SPEC_MODULE_LIMIT) \
+            if module in SPEC_MODULES else LIMIT
+        if count > limit:
+            over.append(f"{module}:{node.lineno} {node.name} takes {count} "
+                        f"parameters (limit {limit})")
+    assert not over, "\n".join(over)
+
+
+def test_run_placed_pipeline_stays_four_steps():
+    [node] = [n for m, n, _ in _functions()
+              if m == "cluster/multiserver.py"
+              and n.name == "run_placed_pipeline"]
+    assert node.end_lineno - node.lineno + 1 <= RUN_PLACED_PIPELINE_LINES
+
+
+def _leaf_parsers(parser, prefix=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def test_cli_option_count():
+    """Exposed (subcommand, option) pairs, ``-h`` aside."""
+    pairs = [
+        (command, action.option_strings[0])
+        for command, parser in _leaf_parsers(build_parser())
+        for action in parser._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+    ]
+    assert len(pairs) <= CLI_OPTION_LIMIT, sorted(pairs)

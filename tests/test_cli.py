@@ -246,3 +246,130 @@ class TestImportSamAndRechunk:
         rechunked = AGDDataset.open(out_dir)
         assert rechunked.total_records == len(reads)
         assert rechunked.manifest.chunks[0].record_count == 37
+
+
+class TestClusterErrorsMatchPipeline:
+    """`cluster run` / `cluster worker` reject what `pipeline` rejects,
+    with the same one-line message and exit 2 — never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def unaligned(self, workspace):
+        root, _, _ = workspace
+        ds_dir = root / "unaligned-ds"
+        assert main(["import-fastq", str(root / "reads.fastq"), str(ds_dir),
+                     "--chunk-size", "100"]) == 0
+        return root, ds_dir
+
+    def _both(self, capsys, root, ds_dir, stages, plan, *extra):
+        out = str(root / "err-out")
+        rc = main(["pipeline", str(ds_dir), out, "--stages", stages, *extra])
+        pipeline_err = capsys.readouterr().err
+        assert rc == 2
+        rc = main(["cluster", "run", str(ds_dir), out, "--plan", plan,
+                   *extra])
+        cluster_err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in cluster_err
+        assert cluster_err == pipeline_err
+        assert len(cluster_err.strip().splitlines()) == 1
+        return cluster_err
+
+    def test_stages_that_need_alignment_results(self, unaligned, capsys):
+        err = self._both(capsys, *unaligned, "sort,dupmark",
+                         "A=sort;B=dupmark")
+        assert "need alignment results" in err
+
+    def test_varcall_without_reference(self, unaligned, capsys):
+        err = self._both(capsys, *unaligned, "sort,varcall",
+                         "A=sort;B=varcall")
+        assert "--reference is required" in err
+
+    def test_filter_without_min_mapq(self, unaligned, capsys):
+        err = self._both(capsys, *unaligned, "sort,filter",
+                         "A=sort;B=filter")
+        assert "--min-mapq is required" in err
+
+    def test_required_messages_name_arguments_that_exist(
+        self, unaligned, capsys,
+    ):
+        root, ds_dir = unaligned
+        assert main(["cluster", "run", str(ds_dir),
+                     "--plan", "A=sort;B=dupmark"]) == 2
+        err = capsys.readouterr().err
+        assert "an output directory is required" in err
+        assert "--output-dir" not in err  # positional on `cluster run`
+
+    def test_bad_plan_is_a_one_line_error(self, unaligned, capsys):
+        root, ds_dir = unaligned
+        assert main(["cluster", "run", str(ds_dir), str(root / "x"),
+                     "--plan", "A=dupmark;B=sort"]) == 2
+        assert "pipeline order" in capsys.readouterr().err
+
+    def test_deleted_selectors_are_gone(self, unaligned):
+        root, ds_dir = unaligned
+        for argv in (
+            ["dupmark", str(ds_dir), "--backend", "thread"],
+            ["varcall", str(ds_dir), "x.vcf", "--reference", "r",
+             "--kernels", "scalar"],
+            ["cluster", "run", str(ds_dir), "--plan", "A=align", "--shm"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+
+class TestClusterWorkerCli:
+    """`persona cluster worker` in-process against a served plan."""
+
+    @pytest.fixture()
+    def served(self, workspace):
+        from repro.agd.dataset import AGDDataset
+        from repro.cluster.broker import Broker, BrokerServer
+        from repro.cluster.multiserver import serve_plan
+        from repro.cluster.placement import PlacementPlan
+
+        root, _, _ = workspace
+        ds_dir = root / "worker-ds"
+        assert main(["import-fastq", str(root / "reads.fastq"), str(ds_dir),
+                     "--chunk-size", "100"]) == 0
+        broker = Broker()
+        listener = BrokerServer(broker)
+        serve_plan(broker, PlacementPlan.parse("A=align;B=sort,dupmark"),
+                   AGDDataset.open(ds_dir), listener=listener)
+        yield root, ds_dir, listener
+        listener.stop()
+
+    def _worker(self, root, ds_dir, listener, server, *extra):
+        return main([
+            "cluster", "worker", str(ds_dir), "--server", server,
+            "--connect", f"127.0.0.1:{listener.port}", "--timeout", "60",
+            "--reference", str(root / "ref.fasta"), *extra,
+        ])
+
+    def test_killed_worker_reports_like_a_fenced_one(
+        self, served, capsys, monkeypatch,
+    ):
+        """The server loop's classification is the shared one: a
+        ``WorkerKilled`` root cause is a message and exit 1."""
+        import repro.cli as cli
+        from repro.align.base import ReadAligner
+        from repro.cluster.multiserver import WorkerKilled
+
+        class Dying(ReadAligner):
+            def align_read(self, bases):
+                raise WorkerKilled("host lost")
+
+        monkeypatch.setattr(cli, "_build_aligner", lambda *_: Dying())
+        assert self._worker(*served, "A") == 1
+        err = capsys.readouterr().err
+        assert "worker 'A' was killed: host lost" in err
+        assert "Traceback" not in err
+
+    def test_missing_output_dir_names_the_flag(self, served, capsys):
+        assert self._worker(*served, "B") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--output-dir is required")
+
+    def test_unknown_server_is_a_one_line_error(self, served, capsys):
+        assert self._worker(*served, "nobody") == 2
+        assert "no server 'nobody'" in capsys.readouterr().err

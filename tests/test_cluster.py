@@ -3,7 +3,7 @@ discrete-event simulation, thread scaling, and the TCO model."""
 
 import pytest
 
-from repro.cluster.manifest_server import ManifestServer, partition_manifest
+from repro.cluster.manifest_server import partition_manifest
 from repro.cluster.multiserver import run_multi_server_alignment
 from repro.cluster.simulation import (
     ClusterSimParams,
@@ -30,40 +30,6 @@ from repro.storage.base import MemoryStore
 
 
 class TestManifestServer:
-    def test_publish_and_drain(self, dataset):
-        server = ManifestServer(dataset.manifest)
-        assert server.publish() == dataset.num_chunks
-        drained = list(server.queue)
-        assert drained == dataset.manifest.chunks
-
-    def test_publish_idempotent(self, dataset):
-        server = ManifestServer(dataset.manifest)
-        server.publish()
-        server.publish()
-        assert len(list(server.queue)) == dataset.num_chunks
-
-    def test_reset_rearms_for_second_epoch(self, dataset):
-        """Regression: the once-and-close publish used to make a server
-        instance single-use; reset() re-arms it per stage/epoch."""
-        server = ManifestServer(dataset.manifest)
-        server.publish()
-        first_queue = server.queue
-        assert len(list(first_queue)) == dataset.num_chunks
-        fresh = server.reset()
-        assert fresh is server.queue and fresh is not first_queue
-        assert server.publish() == dataset.num_chunks
-        assert len(list(server.queue)) == dataset.num_chunks
-        # Old-epoch consumers see their (drained, closed) queue.
-        assert first_queue.closed and len(first_queue) == 0
-
-    def test_publish_after_reset_is_idempotent_within_epoch(self, dataset):
-        server = ManifestServer(dataset.manifest)
-        server.publish()
-        server.reset()
-        server.publish()
-        server.publish()
-        assert len(list(server.queue)) == dataset.num_chunks
-
     def test_partition_static(self, dataset):
         parts = partition_manifest(dataset.manifest, 3)
         assert sum(len(p) for p in parts) == dataset.num_chunks

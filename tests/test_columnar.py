@@ -445,9 +445,9 @@ class TestPileupWindow:
              "qual": [t[2] for t in triples]},
             MemoryStore(), chunk_size=2,
         )
-        for vectorized in (True, False):
-            assert call_variants(dataset, WINDOW_REFERENCE, LOOSE,
-                                 vectorized=vectorized) == scalar
+        assert call_variants(dataset, WINDOW_REFERENCE, LOOSE) == scalar
+        assert call_from_pileup(pileup_dataset(dataset, LOOSE),
+                                WINDOW_REFERENCE, LOOSE) == scalar
 
     def test_rows_with_only_the_reference_base_are_not_ranked(
         self, monkeypatch
@@ -655,12 +655,12 @@ class TestBackendEquivalence:
         from repro.formats.vcf import write_vcf
 
         config = VarCallConfig(min_depth=2)
-        scalar = call_variants(aligned_dataset, reference, config,
-                               vectorized=False)
+        scalar = call_from_pileup(pileup_dataset(aligned_dataset, config),
+                                  reference, config)
         backend = make_backend(backend_kind, workers=2)
         try:
             vector = call_variants(aligned_dataset, reference, config,
-                                   backend=backend, vectorized=True)
+                                   backend=backend)
         finally:
             backend.shutdown()
         assert vector == scalar
@@ -874,13 +874,14 @@ class TestColumnarFallback:
              "qual": [b"IIIIII"] * n},
             MemoryStore(), chunk_size=5,
         )
-        expected = call_variants(dataset, reference, vectorized=False)
+        expected = call_from_pileup(pileup_dataset(dataset, VarCallConfig()),
+                                    reference, VarCallConfig())
 
         def boom(*args, **kwargs):
             raise ColumnarFallback("forced")
 
         monkeypatch.setattr(varcall_mod, "iter_pileup_partials", boom)
-        assert call_variants(dataset, reference, vectorized=True) == expected
+        assert call_variants(dataset, reference) == expected
 
     @pytest.mark.parametrize("flag", [0, 0x10])
     def test_cigar_read_overrun_raises(self, flag):
@@ -970,19 +971,14 @@ class TestColumnarFallback:
 
     def test_sort_has_no_scalar_twin(self, aligned_dataset):
         """The columnar sort is the only sort: no ``vectorized`` field to
-        select a second implementation, and ``--kernels scalar`` (the
-        pipeline-wide flag) still sorts — to the same bytes."""
+        select a second implementation, and no pipeline-wide selector
+        either (an unknown keyword is a ``TypeError``)."""
         from repro.core.pipelines import run_pipeline
 
         assert "vectorized" not in SortConfig.__dataclass_fields__
-        stores = []
-        for vectorized in (True, False):
-            store = MemoryStore()
+        with pytest.raises(TypeError, match="vectorized"):
             run_pipeline(aligned_dataset, stages=("sort",),
-                         output_store=store, backend="serial",
-                         vectorized=vectorized)
-            stores.append(_store_blobs(store))
-        assert stores[0] == stores[1]
+                         backend="serial", vectorized=False)
 
 
 class TestQueueTelemetry:

@@ -45,7 +45,7 @@ from repro.core.sort import (
     sort_dataset,
     verify_sorted,
 )
-from repro.core.varcall import VarCallConfig, call_variants
+from repro.core.varcall import VarCallConfig, call_from_pileup, pileup_dataset
 from repro.dataflow import shm as shm_plane
 from repro.dataflow.backends import make_backend
 from repro.formats.converters import import_reads
@@ -503,8 +503,8 @@ def oracle_digest(reads, reference, aligned_results):
     sorted_dataset = oracle_sort_dataset(dataset, MemoryStore(), SORT_CONFIG)
     stats = oracle_mark_duplicates(sorted_dataset)
     assert stats.duplicates_marked > 0
-    variants = call_variants(sorted_dataset, reference, VARCALL,
-                             vectorized=False)
+    variants = call_from_pileup(pileup_dataset(sorted_dataset, VARCALL),
+                                reference, VARCALL)
     return output_digest(sorted_dataset, variants)
 
 

@@ -26,7 +26,12 @@ from repro.core.subgraphs import (
     build_varcall_graph,
     compose,
 )
-from repro.core.varcall import VarCallConfig, call_variants
+from repro.core.varcall import (
+    VarCallConfig,
+    call_from_pileup,
+    call_variants,
+    pileup_dataset,
+)
 from repro.dataflow.graph import Graph, GraphError
 from repro.dataflow.node import CollectSink, IterableSource, LambdaNode
 from repro.dataflow.session import Session
@@ -272,8 +277,9 @@ class TestStreamingVarcall:
     @pytest.fixture()
     def expected(self, aligned_dataset, reference):
         calls = call_variants(aligned_dataset, reference, VARCALL_CONFIG)
-        assert calls == call_variants(aligned_dataset, reference,
-                                      VARCALL_CONFIG, vectorized=False)
+        assert calls == call_from_pileup(
+            pileup_dataset(aligned_dataset, VARCALL_CONFIG), reference,
+            VARCALL_CONFIG)
         return calls
 
     @pytest.mark.parametrize("stages, order, streams", [
@@ -508,7 +514,12 @@ class TestColumnPruning:
     ):
         from repro.cluster.broker import Broker, LocalBrokerClient
         from repro.cluster.wire import edge_item_serializer
-        from repro.core.pipelines import build_placed_server_graph
+        from repro.core.pipelines import (
+            PipelineSpec,
+            ServerEndpoints,
+            ServerSite,
+            build_placed_server_graph,
+        )
         from repro.dataflow.backends import make_backend
         from repro.dataflow.queues import PULL_OK, RemoteQueue
 
@@ -517,10 +528,14 @@ class TestColumnPruning:
         broker.create_edge(edge, capacity=16, producers=1)
         client = LocalBrokerClient(broker)
         server = build_placed_server_graph(
-            aligned_dataset, "A", ("sort",), ("sort", "dupmark", "varcall"),
-            egress=RemoteQueue(client, edge, edge_item_serializer(client)),
-            sort_config=SORT_CONFIG, sort_store=MemoryStore(),
-            backend_obj=make_backend("serial"),
+            PipelineSpec(aligned_dataset, ("sort", "dupmark", "varcall"),
+                         sort_config=SORT_CONFIG),
+            "A", ("sort",),
+            ServerSite(
+                backend=make_backend("serial"),
+                endpoints=ServerEndpoints(egress=RemoteQueue(
+                    client, edge, edge_item_serializer(client))),
+            ),
         )
         report = Session(server.pipeline.graph).run(timeout=60).report
         server.close()

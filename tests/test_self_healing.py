@@ -46,7 +46,7 @@ from repro.cluster.multiserver import (
 )
 from repro.cluster.placement import WORK_EDGE, PlacementPlan
 from repro.core.ledger import CHAOS_MODE_ENV, CRASH_ENV, RunLedger
-from repro.core.pipelines import run_pipeline
+from repro.core.pipelines import PipelineSpec, run_pipeline
 from repro.core.sort import SortConfig, verify_sorted
 from repro.core.subgraphs import AlignGraphConfig
 from repro.dataflow import shm as shm_plane
@@ -369,8 +369,9 @@ class TestBacklogSpill:
             # the bytes no longer live in any attachable segment.
             assert pool.incref(ref2) is None
             assert pool.read_ref(ref2) == data2
-            with pytest.warns(DeprecationWarning, match="view_ref"):
-                assert pool.read_ref(ref1) == data1
+            assert pool.read_ref(ref1) is None  # mappable: view it
+            with pool.view_ref(ref1) as view:
+                assert bytes(view.view) == data1
 
             pool.release(ref2)
             assert not list(tmp_path.glob(f"{pool.prefix}-spill-*"))
@@ -768,6 +769,7 @@ class TestSelfHealingPlaced:
             sort_config=SORT_CONFIG,
             backend="serial",
         )
+        plan = PlacementPlan.parse("A=align;B=sort,dupmark,varcall")
         joined: dict = {}
         threads: list = []
 
@@ -775,10 +777,13 @@ class TestSelfHealingPlaced:
             def join():
                 try:
                     joined["outcome"] = join_placed_worker(
-                        dataset, "late", "A",
+                        PipelineSpec(
+                            dataset, plan.stages, reference=reference,
+                            align_config=SHALLOW_ALIGN, backend="serial",
+                        ),
+                        "late", "A",
                         host=server_tcp.host, port=server_tcp.port,
-                        aligner=snap_aligner, reference=reference,
-                        align_config=SHALLOW_ALIGN, backend="serial",
+                        aligner=snap_aligner,
                     )
                 except BaseException as exc:  # surfaced by the test body
                     joined["error"] = exc
@@ -788,7 +793,7 @@ class TestSelfHealingPlaced:
 
         placed = run_placed_pipeline(
             dataset,
-            PlacementPlan.parse("A=align;B=sort,dupmark,varcall"),
+            plan,
             # The planned replica is slow, so the newcomer has plenty of
             # outstanding chunk names to steal from the work edge.
             aligner_factory=lambda server: _SlowAligner(

@@ -17,7 +17,6 @@ import gc
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,32 +327,11 @@ class TestProcessBackendResultViews:
         assert set(shm_plane.list_segments("psna-")) == before
 
 
-# ------------------------------------------------- read_ref deprecation
+# ------------------------------------------------------ spilled payloads
 
 
 @needs_shm
 class TestReadRefDeprecation:
-    def test_mappable_read_warns_spilled_does_not(self, tmp_path):
-        pool = shm_plane.BufferPool(spill_dir=tmp_path, spill_watermark=1)
-        try:
-            small = pool.put_bytes(b"mappable-bytes")
-            assert small is not None
-            with pytest.warns(DeprecationWarning, match="view_ref"):
-                assert pool.read_ref(small) == b"mappable-bytes"
-
-            name = f"{pool.prefix}-spillme"
-            assert shm_plane.create_segment(name, b"s" * 64)
-            spilled = pool.adopt_segment(name, 0, 64)
-            assert spilled is not None
-            assert pool.incref(spilled) is None  # past watermark: on disk
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                assert pool.read_ref(spilled) == b"s" * 64
-            pool.release(spilled)
-            pool.release(small)
-        finally:
-            pool.close()
-
     def test_restage_ref_rehydrates_spilled_bytes(self, tmp_path):
         pool = shm_plane.BufferPool(spill_dir=tmp_path, spill_watermark=1)
         try:
