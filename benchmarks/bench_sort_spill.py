@@ -8,19 +8,20 @@ on the way back.  Two measurements:
 
 spill cycle (gated)
     encode + store every run, then restore + decode every spilled
-    chunk — the exact byte path phase 2's merge kernels pay, with the
-    scratch codec as the *only* differing compute.  Gate:
+    chunk — the exact byte path phase 2's merge pays, with the scratch
+    codec as the *only* differing compute.  Gate:
     ``spill_cycle_speedup >= 1.5x`` (armed on >= 2 CPUs, recorded in
     the JSON either way).
 
 end-to-end external sort (informational)
-    ``sort_dataset`` wall time in both modes.  Run sorting and merging
+    ``sort_dataset`` wall time on a directory scratch (raw frames) and
+    on a memory scratch (gzip).  Run sorting and merging
     dominate and are identical in both, so this row shows the deployed
     effect, not the gated ratio.
 
 Always-on shape checks: sorted output byte-identical raw vs gzip,
 ``decode_copies == 0`` on the view row (every restore was an in-place
-view), zero ``/dev/shm`` leaks, and both scratch directories fully
+view), zero ``/dev/shm`` leaks, and every scratch directory fully
 removable afterwards (no pinned mappings, no stray spill files).
 
 Run:  pytest benchmarks/bench_sort_spill.py --benchmark-json=BENCH_sort_spill.json
@@ -36,15 +37,15 @@ import numpy as np
 import pytest
 
 from repro.agd.chunk import read_chunk_header, read_column
+from repro.agd.compression import SCRATCH_CODEC_LEVEL, leveled_codec
 from repro.agd.dataset import AGDDataset
 from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import AlignmentResult
 from repro.core.sort import (
     SortConfig,
-    SpillFileRef,
+    SpillLease,
     encode_run_spill,
     local_scratch_root,
-    open_spill_ref,
     sort_dataset,
     store_run_spill,
     verify_sorted,
@@ -106,8 +107,8 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
     """One full spill cycle: encode + store every run, restore + decode
     every spilled chunk.  Returns (best wall seconds, restore counters).
 
-    Restore follows the merge-kernel byte path for each mode: raw
-    frames are mapped under a :class:`SpillLease` and decoded in place;
+    Restore follows the merge's byte path for each mode: raw frames
+    are mapped under a :class:`SpillLease` and decoded in place;
     gzip frames come back through ``scratch.get`` and inflate into an
     owned copy.
     """
@@ -115,6 +116,7 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
     rows = _make_rows(rng)
     run_rows = [rows[i:i + PER_SUPER * CHUNK]
                 for i in range(0, len(rows), PER_SUPER * CHUNK)]
+    codec = leveled_codec(codec_name, SCRATCH_CODEC_LEVEL)
     best = None
     counters: dict = {}
     for round_index in range(ROUNDS):
@@ -127,8 +129,7 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
         spilled = [
             store_run_spill(
                 scratch, index,
-                encode_run_spill(_run_columns(run), None, 1, None, 1,
-                                 scratch_codec=codec_name),
+                encode_run_spill(_run_columns(run), codec),
             )
             for index, run in enumerate(run_rows)
         ]
@@ -140,9 +141,8 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
                     path = root / chunk_file
                     lease = None
                     if codec_name == "none":
-                        ref = SpillFileRef(str(path),
-                                           os.path.getsize(path))
-                        buf, lease = open_spill_ref(ref)
+                        lease = SpillLease(path)
+                        buf = lease.buf
                     else:
                         buf = scratch.get(chunk_file)
                     header = read_chunk_header(buf)
@@ -154,6 +154,7 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
                     else:
                         counters["decode_copies"] += 1
                     if lease is not None:
+                        del buf
                         assert lease.release()
         wall = time.monotonic() - start
         assert decoded_records == len(COLUMNS) * RECORDS
@@ -172,22 +173,24 @@ def _sorted_bytes(out_store, dataset) -> "dict[str, bytes]":
     }
 
 
-def _end_to_end(raw: bool, scratch_dir) -> "tuple[float, dict, dict]":
+def _end_to_end(scratch_dir) -> "tuple[float, dict, dict]":
+    """``scratch_dir`` None: a memory scratch (gzip frames)."""
     rng = np.random.default_rng(4242)
     dataset = _make_dataset(_make_rows(rng))
-    scratch = DirectoryStore(scratch_dir)
+    scratch = DirectoryStore(scratch_dir) if scratch_dir is not None \
+        else MemoryStore()
     out_store = MemoryStore()
     counters: dict = {}
     start = time.monotonic()
     out = sort_dataset(
-        dataset, out_store,
-        SortConfig(chunks_per_superchunk=PER_SUPER, raw_scratch=raw),
+        dataset, out_store, SortConfig(chunks_per_superchunk=PER_SUPER),
         scratch_store=scratch, counters=counters,
     )
     wall = time.monotonic() - start
     assert verify_sorted(out)
     blobs = _sorted_bytes(out_store, out)
-    shutil.rmtree(scratch_dir)  # removable only if every lease released
+    if scratch_dir is not None:
+        shutil.rmtree(scratch_dir)  # removable only if every lease released
     return wall, blobs, counters
 
 
@@ -198,10 +201,8 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
     before = set(shm.list_segments("psna-"))
     gzip_wall, gzip_counters = _spill_cycle("gzip", tmp_path)
     raw_wall, raw_counters = _spill_cycle("none", tmp_path)
-    gz_e2e, gz_blobs, gz_sort_counters = \
-        _end_to_end(False, tmp_path / "e2e-gzip")
-    raw_e2e, raw_blobs, raw_sort_counters = \
-        _end_to_end(True, tmp_path / "e2e-raw")
+    gz_e2e, gz_blobs, gz_sort_counters = _end_to_end(None)
+    raw_e2e, raw_blobs, raw_sort_counters = _end_to_end(tmp_path / "e2e-raw")
     leaked = sorted(set(shm.list_segments("psna-")) - before)
 
     speedup = gzip_wall / raw_wall if raw_wall else 0.0

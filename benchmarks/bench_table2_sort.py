@@ -43,15 +43,13 @@ def aligned_world(bench_reads, bench_reference, bench_aligner):
     return dataset, sam_buf.getvalue()
 
 
-def test_table2_sort_comparison(benchmark, aligned_world, report,
-                                bench_compute_backend):
+def test_table2_sort_comparison(benchmark, aligned_world, report):
     dataset, sam_blob = aligned_world
     timings = {}
 
     start = time.monotonic()
     sorted_ds = sort_dataset(dataset, MemoryStore(),
-                             SortConfig(chunks_per_superchunk=4),
-                             backend=bench_compute_backend)
+                             SortConfig(chunks_per_superchunk=4))
     timings["persona"] = time.monotonic() - start
     assert verify_sorted(sorted_ds)
 

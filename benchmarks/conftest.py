@@ -19,7 +19,7 @@ import pytest
 
 from repro.align.base import ReadAligner
 from repro.align.snap import SeedIndex, SnapAligner
-from repro.dataflow.backends import BACKEND_CHOICES, make_backend, noop_task
+from repro.dataflow.backends import BACKEND_CHOICES
 from repro.formats.converters import import_reads
 from repro.genome.synthetic import ReadSimulator, synthetic_reference
 from repro.storage.base import MemoryStore
@@ -76,24 +76,6 @@ def backendize(bench_backend_kind, bench_batch_size):
 
     return apply
 
-
-@pytest.fixture()
-def bench_compute_backend(bench_backend_kind, bench_batch_size, bench_workers):
-    """A standalone Backend for kernels invoked outside a graph (sort,
-    dupmark); None for the serial default so the sequential path runs."""
-    if bench_backend_kind == "serial":
-        yield None
-        return
-    backend = make_backend(
-        bench_backend_kind,
-        workers=bench_workers,
-        batch_size=bench_batch_size,
-    )
-    # Warm the worker pool so one-time startup cost (fork + shared-state
-    # pickling) stays out of every benchmark's timed region.
-    backend.run_chunk(noop_task, [None])
-    yield backend
-    backend.shutdown()
 
 BENCH_GENOME = 150_000
 BENCH_READS = 4_000

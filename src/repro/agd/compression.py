@@ -71,9 +71,9 @@ def _identity(data: bytes) -> bytes:
     # ``memoryview`` out, which is what makes the ``none`` codec the
     # zero-copy leg of the view-native decode plane — a chunk framed at
     # codec level 0 decodes into views of the transport buffer.  The
-    # external sort writes local-disk scratch in this framing so merge
-    # kernels restore spilled runs as mmap views instead of inflating
-    # gzip blocks (``SortConfig.raw_scratch``).
+    # external sort writes local-disk scratch in this framing so the
+    # merge restores spilled runs as mmap views instead of inflating
+    # gzip blocks (:func:`repro.core.sort.scratch_codec`).
     return data
 
 

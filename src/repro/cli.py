@@ -126,8 +126,6 @@ def _sort_config(args: argparse.Namespace):
         order=args.order,
         chunks_per_superchunk=args.superchunk,
         output_codec_level=getattr(args, "codec_level", None),
-        merge_partitions=getattr(args, "merge_partitions", None),
-        raw_scratch=_raw_scratch_arg(args),
     )
 
 
@@ -159,41 +157,19 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_cli_backend(args: argparse.Namespace):
-    """Build the compute backend a sort/varcall subcommand asked for.
-
-    Returns ``None`` for the serial default (the sequential in-line code
-    path needs no backend object at all).
-    """
-    from repro.dataflow.backends import make_backend
-
-    if args.backend == "serial":
-        return None
-    return make_backend(
-        args.backend, workers=args.workers, batch_size=args.batch_size,
-        shm=args.shm,
-    )
-
-
 def _cmd_sort(args: argparse.Namespace) -> int:
     from repro.core.sort import sort_dataset
 
     dataset = AGDDataset.open(args.dataset_dir)
     out_store = DirectoryStore(args.output_dir)
-    backend = _make_cli_backend(args)
     start = time.monotonic()
-    try:
-        sorted_ds = sort_dataset(
-            dataset,
-            out_store,
-            _sort_config(args),
-            scratch_store=(DirectoryStore(args.scratch_dir)
-                           if args.scratch_dir else None),
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.shutdown()
+    sorted_ds = sort_dataset(
+        dataset,
+        out_store,
+        _sort_config(args),
+        scratch_store=(DirectoryStore(args.scratch_dir)
+                       if args.scratch_dir else None),
+    )
     sorted_ds.save_manifest(args.output_dir)
     elapsed = time.monotonic() - start
     print(
@@ -225,12 +201,7 @@ def _cmd_varcall(args: argparse.Namespace) -> int:
 
     dataset = AGDDataset.open(args.dataset_dir)
     reference = read_fasta(args.reference)
-    backend = _make_cli_backend(args)
-    try:
-        variants = call_variants(dataset, reference, backend=backend)
-    finally:
-        if backend is not None:
-            backend.shutdown()
+    variants = call_variants(dataset, reference)
     count = write_vcf(variants, args.output, contigs=reference.manifest_entry())
     print(f"called {count} variants -> {args.output}")
     return 0
@@ -593,7 +564,7 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
                                             output_arg="--output-dir")
             site = ServerSite(
                 aligner=aligner,
-                backend=spec.make_backend(f"{args.server}.backend"))
+                backend=spec.make_backend(args.server, hosted))
             graph = build_placed_server(spec, plan, args.server, client,
                                         site)
         except ValueError as exc:
@@ -604,7 +575,7 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
         outcome = run_placed_server(graph, args.timeout)
     finally:
         if site is not None:
-            site.backend.shutdown()
+            spec.shutdown_backend(site.backend)
         client.close()
     if outcome.killed:
         # Fenced: the broker gave up on us (deadline expiry) and
@@ -789,17 +760,16 @@ def _add_backend_options(
     default: str = "thread",
     with_workers: bool = False,
     with_shm: bool = True,
-    runs: str = "the align kernels and the sort's run and merge kernels",
 ) -> None:
-    """Attach the shared execution-backend flags to a subcommand;
-    ``runs`` says, for the help text, what it dispatches there."""
+    """Attach the execution-backend flags to a subcommand that aligns
+    (only the align kernels dispatch to a backend)."""
     from repro.dataflow.backends import BACKEND_CHOICES
 
     p.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
         default=default,
-        help=f"execution backend for {runs} (default: {default})",
+        help=f"execution backend for the align kernels (default: {default})",
     )
     p.add_argument(
         "--batch-size",
@@ -812,7 +782,7 @@ def _add_backend_options(
             "--shm",
             action=argparse.BooleanOptionalAction,
             default=None,
-            help="ship large process-backend payloads/results through "
+            help="ship large process-backend payloads through "
                  "the shared-memory buffer pool instead of pickled pipes "
                  "(default: auto — on wherever POSIX shared memory works; "
                  "--no-shm forces the pickled path)",
@@ -824,36 +794,6 @@ def _add_backend_options(
             default=4,
             help="worker count for thread/process backends",
         )
-
-
-def _add_sort_options(
-    p: argparse.ArgumentParser,
-    with_merge_partitions: bool = False,
-) -> None:
-    """Attach the external-sort flags to a subcommand that sorts."""
-    p.add_argument(
-        "--raw-scratch",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="sort-spill scratch framing: 'on' writes runs raw "
-             "(identity codec) so the merge restores them as zero-copy "
-             "mmap views, 'off' gzips scratch, 'auto' (default) picks "
-             "raw when the scratch store is a local directory",
-    )
-    if with_merge_partitions:
-        p.add_argument(
-            "--merge-partitions",
-            type=int,
-            default=None,
-            help="partitioned sort-merge kernels for phase 2 of the "
-                 "external sort (default: one per backend worker)",
-        )
-
-
-def _raw_scratch_arg(args: argparse.Namespace) -> "bool | None":
-    """Map the ``--raw-scratch`` tri-state to ``SortConfig.raw_scratch``."""
-    value = getattr(args, "raw_scratch", "auto")
-    return None if value == "auto" else value == "on"
 
 
 def _add_ledger_options(p: argparse.ArgumentParser) -> None:
@@ -988,11 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="spill superchunk runs under DIR instead of in memory "
-             "(a local directory arms the zero-copy raw-scratch path; "
-             "see --raw-scratch)",
+             "(spills to a local directory are written raw and restored "
+             "as zero-copy mmap views; in-memory spills are gzipped)",
     )
-    _add_backend_options(p, default="serial", with_workers=True)
-    _add_sort_options(p, with_merge_partitions=True)
     _add_codec_level_option(p, "the sorted output chunks")
     p.set_defaults(fn=_cmd_sort)
 
@@ -1004,10 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset_dir")
     p.add_argument("output")
     p.add_argument("--reference", required=True)
-    _add_backend_options(
-        p, default="serial", with_workers=True,
-        runs="the per-chunk fan-out (inflate + pileup of a chunk's blobs)",
-    )
     p.set_defaults(fn=_cmd_varcall)
 
     p = sub.add_parser(
@@ -1068,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
              "budget is shared by every fused stage)",
     )
     _add_backend_options(p, with_workers=True)
-    _add_sort_options(p, with_merge_partitions=True)
     _add_codec_level_option(p, "the sorted output chunks")
     _add_ledger_options(p)
     p.set_defaults(fn=_cmd_pipeline)
@@ -1100,7 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-server session deadline in seconds")
         _add_backend_options(cp, default="serial", with_workers=True,
                              with_shm=False)
-        _add_sort_options(cp)
 
     def _add_fault_options(cp) -> None:
         cp.add_argument("--delivery-deadline", type=_delivery_deadline,

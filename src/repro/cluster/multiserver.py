@@ -531,9 +531,8 @@ def _run_placed_once(
             listener.stop()
         for graph in placed:
             graph.close(wait=False)
-        if spec.owns_backends:
-            for site in sites.values():
-                site.backend.shutdown(wait=not errors)
+        for site in sites.values():
+            spec.shutdown_backend(site.backend, wait=not errors)
     if broker.poison_failure is not None:
         # The on_poison="fail" policy aborted every edge; the sessions
         # died of PipelineAborted symptoms — raise the actual disease.
@@ -612,8 +611,9 @@ def run_placed_pipeline(
 ) -> PlacedPipelineOutcome:
     """Run the composed pipeline across the plan's servers.
 
-    Every server runs its placed stage group in its own Session (and its
-    own compute backend built from ``backend``/``workers``); chunk names
+    Every server runs its placed stage group in its own Session (a
+    server hosting ``align`` also gets its own compute backend built
+    from ``backend``/``workers``; no other stage dispatches); chunk names
     flow from the coordinator through the work edge, work items cross
     stage boundaries through broker edges, and storage
     (``dataset.store``, ``output_store``, ``filter_store``) is the
@@ -667,11 +667,11 @@ def run_placed_pipeline(
     def site_for(server: str) -> ServerSite:
         # An aligner usually means loading a reference index: only
         # align-hosting servers get one.
-        hosts_align = "align" in plan.placement_for(server).stages
+        hosted = plan.placement_for(server).stages
         return ServerSite(
             aligner=(aligner_factory(server) if aligner_factory is not None
-                     else aligner) if hosts_align else None,
-            backend=spec.make_backend(f"{server}.backend"),
+                     else aligner) if "align" in hosted else None,
+            backend=spec.make_backend(server, hosted),
             scratch_store=(scratch_store_factory(server)
                            if scratch_store_factory is not None else None),
             align_results_store=(
@@ -746,8 +746,9 @@ def join_placed_worker(
         raise ValueError("pass exactly one of broker= or host=/port=")
     client = LocalBrokerClient(broker) if broker is not None \
         else TcpBrokerClient(host, port, shm=broker_shm)
+    # Only the pure align group admits replicas.
     site = ServerSite(aligner=aligner,
-                      backend=spec.make_backend(f"{server}.backend"),
+                      backend=spec.make_backend(server, ("align",)),
                       align_results_store=align_results_store)
     try:
         plan = PlacementPlan.from_doc(client.admit(server, like))
@@ -759,8 +760,7 @@ def join_placed_worker(
         return replace(outcome, consumer=getattr(client, "consumer", None))
     finally:
         client.close()
-        if spec.owns_backends:
-            site.backend.shutdown()
+        spec.shutdown_backend(site.backend)
 
 
 def run_multi_server_alignment(

@@ -530,20 +530,6 @@ class PileupWindow:
             )
 
 
-def pileup_blobs_task(shared, payload) -> dict:
-    """Backend task: vectorized pileup straight from column blobs —
-    all three decode to columns and pile up entirely in numpy."""
-    from repro.agd.chunk import read_column
-
-    config, results_blob, bases_blob, qual_blob = payload
-    return pileup_partial(
-        read_results_column(results_blob),
-        read_column(bases_blob),
-        read_column(qual_blob),
-        config,
-    )
-
-
 # --------------------------------------------------------------------------
 # Sort keys and permutations (what repro.core.sort orders columns by).
 

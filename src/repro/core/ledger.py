@@ -6,7 +6,7 @@ whole run from scratch.  This module lifts that ledger onto disk: every run
 journals, via atomic append-only writes next to the output dataset,
 
 * per-stage progress — output chunks written (with digests), sort runs
-  spilled (with their scratch paths and partition boundaries),
+  spilled (with their scratch paths),
 * per-edge broker acks — which work items finished end-to-end,
 * provenance — the input dataset fingerprint, stage configs,
   backend/worker settings, and per-stage busy/wait timings.
@@ -524,11 +524,13 @@ class StageJournal:
 class SpillJournal:
     """Spill re-adoption hook for sort-run nodes.
 
-    A spill record journals which input chunks fed the run, the scratch
-    entries it produced (whole superchunk or per-partition parts), the
-    partition boundaries, and the node's post-flush partition count.
-    On resume, a run whose input group matches and whose scratch files
-    all survive is re-adopted without re-sorting or re-spilling.
+    A spill record journals which input chunks fed the run and the
+    scratch entries it produced.  On resume, a run whose input group
+    matches and whose scratch files all survive is re-adopted without
+    re-sorting or re-spilling.  (Records an older version wrote for a
+    run spilled by key range carry ``partitions`` / ``boundaries`` /
+    ``spill_partitions`` keys too; ``entries`` already lists that run's
+    sub-chunks in row order, so those keys are ignored.)
     """
 
     def __init__(self, ledger: RunLedger, scratch: ChunkStore):
@@ -543,10 +545,7 @@ class SpillJournal:
         record = self.ledger.state.spills.get(run_index)
         if record is None or record.get("chunks") != list(chunk_paths):
             return None
-        parts = record.get("partitions")
-        entry_docs = list(record.get("entries") or [])
-        if parts is not None:
-            entry_docs = [e for e in parts if e is not None]
+        entry_docs = record.get("entries")
         if not entry_docs:
             return None
         for path, _first, _count in entry_docs:
@@ -556,20 +555,7 @@ class SpillJournal:
         self.ledger.count_skip("sort.spill")
         return record
 
-    def record(
-        self,
-        run_index: int,
-        chunk_paths,
-        spilled,
-        boundaries_doc: "dict | None",
-        spill_partitions: int,
-    ) -> None:
-        partitions = None
-        if spilled.partitions is not None:
-            partitions = [
-                None if e is None else [e.path, e.first_ordinal, e.record_count]
-                for e in spilled.partitions
-            ]
+    def record(self, run_index: int, chunk_paths, spilled) -> None:
         self.ledger.append(
             {
                 "t": "spill",
@@ -579,8 +565,5 @@ class SpillJournal:
                     [e.path, e.first_ordinal, e.record_count]
                     for e in spilled.entries
                 ],
-                "partitions": partitions,
-                "boundaries": boundaries_doc,
-                "spill_partitions": spill_partitions,
             }
         )

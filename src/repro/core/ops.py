@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.agd.chunk import read_chunk_header, read_column, write_chunk
 from repro.agd.columns import RaggedColumn
-from repro.agd.compression import DEFAULT_CODEC, Codec
+from repro.agd.compression import DEFAULT_CODEC, SCRATCH_CODEC_LEVEL, Codec
 from repro.agd.manifest import ChunkEntry, Manifest
 from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import FLAG_DUPLICATE
@@ -222,8 +222,7 @@ class AlignerNode(Node):
         subchunk_results = backend.run_chunk(
             align_subchunk_task, payloads, shared=ctx.resources
         )
-        # Owned storage: a process backend's result views are only
-        # leased until this thread's next dispatch.
+        # Owned, writable storage whichever backend returned the blocks.
         item.results = ResultsColumn.concat(subchunk_results).materialize()
         return [item]
 
@@ -265,8 +264,7 @@ class PairedAlignerNode(Node):
         subchunk_results = backend.run_chunk(
             align_pairs_task, payloads, shared=ctx.resources
         )
-        # Owned storage: a process backend's result views are only
-        # leased until this thread's next dispatch.
+        # Owned, writable storage whichever backend returned the blocks.
         item.results = ResultsColumn.concat(subchunk_results).materialize()
         return [item]
 
@@ -714,14 +712,11 @@ class SortRunNode(Node):
 
     The streaming analog of the eager sort's phase 1: every
     ``chunks_per_superchunk`` chunks, the buffered columns are sorted
-    and framed (:func:`repro.core.sort.sort_run_task`, dispatched
-    through the execution backend) and spilled to the scratch store, so
-    only a single group of chunks is ever resident.
-    With ``merge_partitions >= 2`` runs spill as per-key-range
-    sub-chunks at boundaries fixed by the first run (see
-    :func:`repro.core.sort.encode_run_spill`).  Parallelism is 1: run
-    grouping must follow arrival order to reproduce the eager path's
-    runs exactly.
+    and framed (:func:`repro.core.sort.sort_run_task`, on this node's
+    own thread) and spilled to the scratch store, so only a single
+    group of chunks is ever resident.  Parallelism is 1: run grouping
+    must follow arrival order to reproduce the eager path's runs
+    exactly.
     """
 
     def __init__(
@@ -729,37 +724,18 @@ class SortRunNode(Node):
         ordered_columns: "list[str]",
         order: str,
         scratch,
-        backend_handle: str,
         chunks_per_superchunk: int = 4,
         name: str = "sort_runs",
-        scratch_codec_level: "int | None" = None,
-        merge_partitions: int = 1,
-        raw_scratch: "bool | None" = None,
+        scratch_codec_level: int = SCRATCH_CODEC_LEVEL,
     ):
-        from repro.agd.compression import SCRATCH_CODEC_LEVEL
-        from repro.core.sort import local_scratch_root
+        from repro.core.sort import scratch_codec
 
         super().__init__(name, parallelism=1)
-        if chunks_per_superchunk <= 0:
-            raise ValueError("chunks_per_superchunk must be positive")
         self.ordered_columns = list(ordered_columns)
         self.order = order
         self.scratch = scratch
-        self.backend_handle = backend_handle
         self.chunks_per_superchunk = chunks_per_superchunk
-        self.scratch_codec_level = (
-            SCRATCH_CODEC_LEVEL if scratch_codec_level is None
-            else scratch_codec_level
-        )
-        # Raw-scratch negotiation (write side; mirrors
-        # SortConfig.resolve_scratch_codec): spill raw frames when the
-        # scratch store is a local directory the merge can mmap.
-        if raw_scratch is None:
-            raw_scratch = local_scratch_root(scratch) is not None
-        self.scratch_codec_name = "none" if raw_scratch else "gzip"
-        self.merge_partitions = merge_partitions
-        self._spill_partitions = merge_partitions
-        self._boundaries = None
+        self.scratch_codec = scratch_codec(scratch, scratch_codec_level)
         #: The current group's chunks, ``{column: decoded column}`` each.
         self._chunks: "list[dict]" = []
         self._runs_emitted = 0
@@ -769,32 +745,20 @@ class SortRunNode(Node):
         self._group_paths: "list[str]" = []
 
     def _adopt_run(self, record: dict):
-        """Rebuild a SpilledRun from a journaled spill without re-sorting."""
-        from repro.core.sort import SpilledRun, decode_boundaries
+        """Rebuild a SpilledRun from a journaled spill without re-sorting.
 
-        parts_doc = record.get("partitions")
-        if parts_doc is not None:
-            partitions = [
-                None if doc is None else ChunkEntry(*doc) for doc in parts_doc
-            ]
-            entries = [e for e in partitions if e is not None]
-        else:
-            partitions = None
-            entries = [ChunkEntry(*record["entries"][0])]
-        if self._spill_partitions >= 2 and self._boundaries is None:
-            self._spill_partitions = int(
-                record.get("spill_partitions", self._spill_partitions)
-            )
-            self._boundaries = decode_boundaries(record.get("boundaries"))
-        return SpilledRun(entries=entries, partitions=partitions,
-                          index=self._runs_emitted)
+        From every journaled entry, in row order: a run an older version
+        spilled by key range lists its sub-chunks there, and the merge
+        concatenates a run's entries."""
+        from repro.core.sort import SpilledRun
 
-    def _flush_run(self, ctx: NodeContext):
-        from repro.core.sort import (
-            encode_boundaries,
-            sort_run_task,
-            store_run_spill,
+        return SpilledRun(
+            entries=[ChunkEntry(*doc) for doc in record["entries"]],
+            index=self._runs_emitted,
         )
+
+    def _flush_run(self):
+        from repro.core.sort import sort_run_task, store_run_spill
 
         group_paths, self._group_paths = self._group_paths, []
         chunks, self._chunks = self._chunks, []
@@ -806,31 +770,16 @@ class SortRunNode(Node):
                 run = self._adopt_run(record)
                 self._runs_emitted += 1
                 return run
-        backend = ctx.backend(self.backend_handle)
-        # One payload by design: a run sort is a single stable sort over
-        # the whole group (splitting it would change the algorithm);
-        # cross-run parallelism comes from the stages up- and downstream
-        # of this kernel running concurrently.
-        [spill] = backend.run_chunk(
-            sort_run_task,
-            [(self.order, self.ordered_columns, chunks,
-              self.scratch_codec_level, self._boundaries,
-              self._spill_partitions, self.scratch_codec_name)],
-            shared=ctx.resources,
+        # One stable sort over the whole group (splitting it would
+        # change the algorithm); cross-run parallelism comes from the
+        # stages up- and downstream of this kernel running concurrently.
+        spilled = store_run_spill(
+            self.scratch, self._runs_emitted,
+            sort_run_task(self.order, self.ordered_columns, chunks,
+                          self.scratch_codec),
         )
-        if self._spill_partitions >= 2 and self._boundaries is None:
-            if spill["boundaries"] is None:
-                # Unpackable keys: the first run defined no shared
-                # ranges, so no later run may invent its own.
-                self._spill_partitions = 1
-            else:
-                self._boundaries = spill["boundaries"]
-        spilled = store_run_spill(self.scratch, self._runs_emitted, spill)
         if self.journal is not None:
-            self.journal.record(
-                self._runs_emitted, group_paths, spilled,
-                encode_boundaries(self._boundaries), self._spill_partitions,
-            )
+            self.journal.record(self._runs_emitted, group_paths, spilled)
         self.stats.add_counters({"spill_bytes": spilled.nbytes})
         self._runs_emitted += 1
         return spilled
@@ -842,12 +791,12 @@ class SortRunNode(Node):
         })
         self._group_paths.append(item.entry.path)
         if len(self._chunks) >= self.chunks_per_superchunk:
-            return [self._flush_run(ctx)]
+            return [self._flush_run()]
         return None
 
     def finalize(self, ctx: NodeContext):
         if self._chunks:
-            return [self._flush_run(ctx)]
+            return [self._flush_run()]
         return None
 
 
@@ -860,15 +809,7 @@ class SuperchunkMergeNode(Node):
     columns, so a following dupmark/varcall stage starts while later
     chunks are still being gathered and written.  After the run,
     :attr:`manifest` describes the sorted dataset (identical to
-    ``sort_dataset``'s).
-
-    With ``merge_partitions >= 2`` (and a ``backend_handle``), the merge
-    itself runs as partitioned key-range kernels dispatched through the
-    execution backend, with output bytes identical to the single-kernel
-    merge.  The trade: partitioned merging emits only after all
-    partitions finish, where the single kernel gathers one output chunk
-    at a time — which is why the auto default partitions only on
-    multi-worker backends.
+    ``sort_dataset``'s).  The merge runs on this node's own thread.
     """
 
     def __init__(
@@ -882,8 +823,6 @@ class SuperchunkMergeNode(Node):
         out_chunk_size: int,
         reference: "list[dict] | None" = None,
         name: str = "sort_merge",
-        backend_handle: "str | None" = None,
-        merge_partitions: int = 1,
         output_codec: "Codec | str" = DEFAULT_CODEC,
         deferred_columns: "tuple[str, ...]" = (),
     ):
@@ -898,8 +837,6 @@ class SuperchunkMergeNode(Node):
         self.dataset_name = dataset_name
         self.out_chunk_size = out_chunk_size
         self.reference = reference or []
-        self.backend_handle = backend_handle
-        self.merge_partitions = merge_partitions
         self.output_codec = output_codec
         self.deferred_columns = tuple(deferred_columns)
         self._runs: list = []
@@ -914,24 +851,15 @@ class SuperchunkMergeNode(Node):
         # A generator: chunks are written and emitted one at a time, so
         # downstream stages consume under queue flow control while the
         # merge is still running.
-        backend = None
-        if self.backend_handle is not None and self.merge_partitions >= 2:
-            backend = ctx.backend(self.backend_handle)
-        return self._merge_and_emit(backend)
-
-    def _merge_and_emit(self, backend=None):
         from repro.core.sort import build_sorted_manifest, iter_merged_chunks
 
-        # Partition-spilled runs merge via per-range blob kernels
-        # (spill locality), whole-run spills in one kernel here.
         runs = sorted(self._runs, key=lambda r: r.index)
-        # Restore-side memory-plane accounting lands directly in this
-        # node's counters (spill_view_bytes / decode_copies / backend
-        # result-path deltas) and surfaces through stage_report.
+        # Restore-side accounting lands directly in this node's counters
+        # (spill_view_bytes / decode_copies) and surfaces through
+        # stage_report.
         for entry, columns in iter_merged_chunks(
             self.scratch, runs, self.ordered_columns, self.order,
             self.out_chunk_size, self.dataset_name, self.output_store,
-            backend=backend, merge_partitions=self.merge_partitions,
             out_codec=self.output_codec, counters=self.stats.counters,
             deferred_columns=self.deferred_columns,
         ):

@@ -348,12 +348,25 @@ class PipelineSpec:
         keeps its lifecycle)."""
         return not isinstance(self.backend, Backend)
 
-    def make_backend(self, name: str) -> Backend:
-        """One server's compute backend (the instance itself when the
-        recipe is one)."""
+    def make_backend(self, server: str,
+                     hosted: "tuple[str, ...]") -> "Backend | None":
+        """The compute backend of the server hosting the stages
+        ``hosted`` (the instance itself when the recipe is one).  Only
+        the aligner dispatches, so a server without an align stage gets
+        None; the align stage's builder hands the backend its aligner
+        and starts it."""
+        if "align" not in hosted:
+            return None
         return make_backend(self.backend, workers=self.workers,
-                            batch_size=self.batch_size, name=name,
-                            shm=self.shm)
+                            batch_size=self.batch_size,
+                            name=f"{server}.backend", shm=self.shm)
+
+    def shutdown_backend(self, backend: "Backend | None",
+                         wait: bool = True) -> None:
+        """Release what :meth:`make_backend` made (an instance the
+        caller handed in stays the caller's)."""
+        if backend is not None and self.owns_backends:
+            backend.shutdown(wait=wait)
 
     @property
     def marks_first_write(self) -> bool:
@@ -525,10 +538,12 @@ def run_pipeline(
     ``mark_duplicates``, ``filter_dataset``, ``call_variants``) one
     after another.
 
-    One compute backend is shared by every stage: ``backend`` (a name or
-    a pre-built instance; a pre-built process backend must not have
-    started its pool when an align stage is requested), ``workers`` and
-    ``batch_size`` configure it.  ``output_store`` receives the sorted
+    The align stage dispatches its subchunks to a compute backend:
+    ``backend`` (a name or a pre-built instance; a pre-built process
+    backend must not have started its pool), ``workers`` and
+    ``batch_size`` configure it.  Every other stage computes on its own
+    node threads, and a run without an align stage makes no backend at
+    all.  ``output_store`` receives the sorted
     dataset (default: a fresh in-memory store); ``scratch_store`` holds
     the external sort's superchunk runs; ``filter_store`` receives the
     filtered dataset a ``filter`` stage materializes (its row predicate
@@ -629,17 +644,16 @@ def _run_pipeline_once(
     queue_capacities: "dict[str, int] | None",
 ) -> PipelineOutcome:
     dataset, manifest, ledger = spec.dataset, spec.manifest, spec.ledger
-    backend = spec.make_backend(f"{name}.backend")
-    if "align" in spec.stages and not backend.shares_caller_memory:
-        backend.register_shared("aligner", aligner)
-    backend.start()
-    site = ServerSite(aligner=aligner, backend=backend,
+    site = ServerSite(aligner=aligner,
+                      backend=spec.make_backend(name, spec.stages),
                       scratch_store=scratch_store)
     built: list[StageGraph] = []
-    start = time.monotonic()
     try:
         for stage in spec.stages:
             built.append(STAGE_BUILDERS[stage](spec, site))
+        # The align builder started the worker pool; the clock does not
+        # cover that.
+        start = time.monotonic()
         composed = compose(*built, name=name)
         if queue_capacities:
             for q in composed.graph.queues:
@@ -651,8 +665,7 @@ def _run_pipeline_once(
     finally:
         for stage_graph in built:
             stage_graph.close()
-        if spec.owns_backends:
-            backend.shutdown()
+        spec.shutdown_backend(site.backend)
     wall = time.monotonic() - start
 
     if "align" in spec.stages and not manifest.has_column("results"):

@@ -462,9 +462,6 @@ def build_sort_graph(
     config: "SortConfig | None" = None,
     columns: "list[str] | None" = None,
     scratch_store: "ChunkStore | None" = None,
-    backend: "str | Backend" = "serial",
-    workers: int = 4,
-    batch_size: "int | None" = None,
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "sort",
@@ -480,8 +477,10 @@ def build_sort_graph(
     manifest order first, so run grouping — and therefore every output
     byte — matches the eager :func:`repro.core.sort.sort_dataset`.
 
-    The collector is the :class:`SuperchunkMergeNode`; after the run its
-    ``manifest`` describes the sorted dataset in ``output_store``.
+    Both sort kernels run on their own node threads, so the stage has no
+    compute backend.  The collector is the :class:`SuperchunkMergeNode`;
+    after the run its ``manifest`` describes the sorted dataset in
+    ``output_store``.
     ``deferred_columns`` are streamed downstream but not written: the
     next stage must put them (see :func:`build_dupmark_graph`).
     """
@@ -499,17 +498,6 @@ def build_sort_graph(
     scratch = scratch_store if scratch_store is not None else MemoryStore()
 
     g = Graph(stage_name)
-    # A backend instance stays caller-owned (typically shared by every
-    # stage); one made here from a name is shut down with the stage.
-    owns_backend = not isinstance(backend, Backend)
-    backend_obj = make_backend(
-        backend, workers=workers, batch_size=batch_size,
-        name=f"{stage_name}.backend",
-    )
-    backend_obj.start()
-    backend_handle = g.register_resource(f"{stage_name}.executor",
-                                         backend_obj)
-
     source: "Queue | None" = None
     if input_store is not None:
         inlet = _add_head_reader(g, manifest, input_store, ordered_columns,
@@ -519,20 +507,14 @@ def build_sort_graph(
         source = inlet
     q_ordered = _add_resequencer(
         g, inlet, [entry.path for entry in manifest.chunks], missing_ok)
-    merge_partitions = config.resolve_merge_partitions(backend_obj)
     q_runs = g.queue("runs", 2)
     g.add(
         SortRunNode(
             ordered_columns,
             config.order,
             scratch,
-            backend_handle,
             chunks_per_superchunk=config.chunks_per_superchunk,
             scratch_codec_level=config.scratch_codec_level,
-            # Partitioned merges read partition-spilled runs: each
-            # phase-2 kernel decodes only its own key range (locality).
-            merge_partitions=merge_partitions,
-            raw_scratch=config.raw_scratch,
         ),
         input=q_ordered,
         output=q_runs,
@@ -547,15 +529,13 @@ def build_sort_graph(
         manifest.name,
         out_chunk_size,
         reference=manifest.reference,
-        backend_handle=backend_handle,
-        merge_partitions=merge_partitions,
         output_codec=config.output_codec(),
         deferred_columns=deferred_columns,
     )
     g.add(merge, input=q_runs, output=q_sorted)
     return StageGraph(
         name=stage_name, graph=g, source=source, sink=q_sorted,
-        collector=merge, backend=backend_obj, owns_backend=owns_backend,
+        collector=merge,
     )
 
 
@@ -760,9 +740,11 @@ class ServerEndpoints:
 @dataclass
 class ServerSite:
     """What one server brings to a :class:`PipelineSpec`: its aligner
-    (usually its own copy of the reference index), its compute backend
-    instance, its sort scratch store, where its align results land (None:
-    the dataset store) and — on a placed run only — its endpoints."""
+    (usually its own copy of the reference index) and the compute backend
+    instance its align stage dispatches to (both None on a server that
+    hosts no align stage), its sort scratch store, where its align
+    results land (None: the dataset store) and — on a placed run only —
+    its endpoints."""
 
     aligner: Any = None
     backend: "Backend | None" = None
@@ -843,7 +825,6 @@ def _sort_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
         columns=(sorted(set(manifest.columns) | {"results"})
                  if "align" in spec.stages else None),
         scratch_store=site.scratch_store,
-        backend=site.backend,
         name_queue=site.name_queue,
         missing_ok=site.missing_ok,
         deferred_columns=("results",) if spec.marks_first_write else (),

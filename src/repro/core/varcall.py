@@ -103,51 +103,18 @@ def merge_pileups(
     return target
 
 
-def pileup_chunk_task(shared, payload) -> "dict[tuple[int, int], PileupColumn]":
-    """Backend task: pile up one chunk's records.
-
-    Module-level (hence picklable) so the process backend can fan per-
-    chunk pileups out across workers; the returned partial pileups merge
-    commutatively on the caller.
-    """
-    config, results, bases_col, quals_col = payload
-    return dict(pileup_records(results, bases_col, quals_col, config))
-
-
 def pileup_dataset(
     dataset: AGDDataset,
     config: "VarCallConfig | None" = None,
-    backend=None,
 ) -> "dict[tuple[int, int], PileupColumn]":
     """Build pileup columns over an aligned (ideally sorted) dataset.
 
     This is the *scalar reference* implementation (dict-of-Counter
     columns); :func:`iter_pileup_partials` feeds the vectorized fast
     path that :func:`call_variants` uses by default.
-
-    ``backend`` (a :class:`~repro.dataflow.backends.Backend`) fans the
-    per-chunk pileups out across workers; ``None`` keeps the sequential
-    path.  Results are identical either way — merging is commutative.
     """
     config = config or VarCallConfig()
     columns: dict[tuple[int, int], PileupColumn] = defaultdict(PileupColumn)
-    if backend is not None:
-        from repro.dataflow.backends import run_in_waves
-
-        def chunk_payload(chunk_index: int):
-            return (
-                config,
-                dataset.read_chunk("results", chunk_index).records,
-                dataset.read_chunk("bases", chunk_index).records,
-                dataset.read_chunk("qual", chunk_index).records,
-            )
-
-        for _index, _payload, partial in run_in_waves(
-            backend, pileup_chunk_task, range(dataset.num_chunks),
-            chunk_payload,
-        ):
-            merge_pileups(columns, partial)
-        return columns
     for chunk_index in range(dataset.num_chunks):
         pileup_records(
             dataset.read_chunk("results", chunk_index).records,
@@ -162,33 +129,26 @@ def pileup_dataset(
 def iter_pileup_partials(
     dataset: AGDDataset,
     config: "VarCallConfig | None" = None,
-    backend=None,
 ):
-    """Each chunk's vectorized pileup partial, lazily, in chunk order
-    (:func:`repro.core.columnar.pileup_partial` over the chunk's column
-    blobs); ``backend`` fans inflate + pileup out per chunk.  Raises
-    :class:`~repro.core.columnar.ColumnarFallback` when a chunk cannot
-    use the columnar encoding (non-ACGTN base bytes, sparse-and-wide
-    coverage) — :func:`call_variants` then reruns the scalar path."""
-    from repro.core.columnar import pileup_blobs_task
-    from repro.dataflow.backends import run_in_waves
+    """Each chunk's vectorized pileup partial, lazily, in chunk order:
+    the chunk's three column blobs decode to columns and pile up
+    entirely in numpy (:func:`repro.core.columnar.pileup_partial`).
+    Raises :class:`~repro.core.columnar.ColumnarFallback` when a chunk
+    cannot use the columnar encoding (non-ACGTN base bytes,
+    sparse-and-wide coverage) — :func:`call_variants` then reruns the
+    scalar path."""
+    from repro.agd.chunk import read_column
+    from repro.core.columnar import pileup_partial, read_results_column
 
     config = config or VarCallConfig()
-
-    def chunk_payload(chunk_index: int):
-        entry = dataset.manifest.chunks[chunk_index]
-        return (
+    for entry in dataset.manifest.chunks:
+        yield pileup_partial(
+            read_results_column(
+                dataset.store.get(entry.chunk_file("results"))),
+            read_column(dataset.store.get(entry.chunk_file("bases"))),
+            read_column(dataset.store.get(entry.chunk_file("qual"))),
             config,
-            dataset.store.get(entry.chunk_file("results")),
-            dataset.store.get(entry.chunk_file("bases")),
-            dataset.store.get(entry.chunk_file("qual")),
         )
-
-    chunks = range(dataset.num_chunks)
-    if backend is None:
-        return (pileup_blobs_task(None, chunk_payload(i)) for i in chunks)
-    return (partial for _, _, partial in run_in_waves(
-        backend, pileup_blobs_task, chunks, chunk_payload))
 
 
 def call_from_pileup(
@@ -242,13 +202,10 @@ def call_variants(
     dataset: AGDDataset,
     reference: ReferenceGenome,
     config: "VarCallConfig | None" = None,
-    backend=None,
 ) -> list[VariantRecord]:
     """Call SNPs against the reference; returns VCF records in order.
 
-    ``backend`` fans the pileup phase out per chunk (the calling pass
-    itself is a cheap sorted sweep and stays on the caller).  The pileup
-    runs on the numpy fast path; the scalar reference path
+    The pileup runs on the numpy fast path; the scalar reference path
     (:func:`pileup_dataset` + :func:`call_from_pileup`) produces
     byte-identical VCF output, is the ground truth the fast path is
     equivalence-tested against, and takes over by itself for input the
@@ -259,12 +216,12 @@ def call_variants(
     config = config or VarCallConfig()
     window = PileupWindow(reference, config)
     try:
-        for partial in iter_pileup_partials(dataset, config, backend):
+        for partial in iter_pileup_partials(dataset, config):
             window.add(partial)
         return window.finish()
     except ColumnarFallback:
         # Input the columnar encoding cannot represent exactly (e.g.
         # lowercase/IUPAC base bytes) or efficiently (sparse-and-wide
         # coverage): rerun on the scalar reference path.
-        columns = pileup_dataset(dataset, config, backend=backend)
+        columns = pileup_dataset(dataset, config)
         return call_from_pileup(columns, reference, config)

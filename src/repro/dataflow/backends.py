@@ -79,13 +79,7 @@ def payload_nbytes(payload: Any, _depth: int = 0) -> int:
     their containers — dict *keys* as well as values); scalars and small
     objects round to a nominal cost.  A :class:`ShmRef` counts as the
     reference it is (~100 bytes), not the data it points to — that data
-    never crosses the pipe.  Spill-view payloads
-    (:class:`~repro.core.sort.SpillFileRef`,
-    :class:`~repro.core.sort.SpilledRun`, mmap-backed views) carry an
-    ``nbytes`` attribute naming their *mapped* size and are counted by
-    it — the work a kernel does scales with the mapped frame, so
-    byte-batching must weigh it, not the ~100-byte pickled ref.
-    Recursion is capped at ``_NBYTES_MAX_DEPTH`` container levels.
+    never crosses the pipe.  Recursion is capped at ``_NBYTES_MAX_DEPTH`` container levels.
     This is a *batching heuristic*, not an exact pickle size.
     """
     if isinstance(payload, ShmRef):
@@ -177,14 +171,6 @@ class Backend(abc.ABC):
         in-process backends).  Call from a single-threaded context: a
         process pool forked lazily from inside a running multithreaded
         graph can inherit locks held mid-operation by other threads."""
-
-    def payload_pool(self) -> "tuple[Any, int]":
-        """The ``(BufferPool, threshold)`` payloads may be leased into
-        ahead of :meth:`run_chunk`, or ``(None, 0)`` for backends whose
-        workers share the caller's memory (nothing to lease).  Streaming
-        callers (:func:`run_in_waves`) adopt payloads per in-flight wave
-        and release the leases as the wave's results drain."""
-        return None, 0
 
     def shutdown(self, wait: bool = True) -> None:
         """Release worker threads/processes (idempotent)."""
@@ -334,32 +320,25 @@ _WORKER_SHARED: dict[str, Any] = {}
 _WORKER_SHM: bool = False
 
 
-def _process_worker_init(
-    shared_blob: bytes, shm_spec: "tuple[str, int] | None" = None
-) -> None:
+def _process_worker_init(shared_blob: bytes, shm: bool = False) -> None:
     """Pool initializer: unpickle the shared registry once per worker.
 
-    ``shm_spec`` (segment-name prefix, export threshold) arms the
-    zero-copy plane: incoming ShmRef payloads resolve against attached
-    segments, and large results export as one-shot segments under the
-    same prefix (so the owning pool's close() can sweep strays).
+    ``shm`` arms the zero-copy payload plane: incoming ShmRef payloads
+    resolve against attached segments.
     """
     global _WORKER_SHARED, _WORKER_SHM
     _WORKER_SHARED = pickle.loads(shared_blob)
-    _WORKER_SHM = shm_spec is not None
-    if shm_spec is not None:
-        shm_plane.configure_export(*shm_spec)
+    _WORKER_SHM = shm
 
 
 def _run_payload_batch(fn: TaskFn, batch: "list[Any]") -> list:
     """Execute one batch of payloads inside a worker process."""
     if not _WORKER_SHM:
         return [fn(_WORKER_SHARED, payload) for payload in batch]
-    results = [
+    return [
         fn(_WORKER_SHARED, shm_plane.resolve_payload(payload))
         for payload in batch
     ]
-    return shm_plane.export_results(results)
 
 
 def noop_task(shared, payload):
@@ -409,30 +388,17 @@ class ProcessBackend(Backend):
     use the serial or thread backend when per-aligner instrumentation
     (the Fig. 8 op-mix profiling) must observe the run.
 
-    Zero-copy mode (``shm``): payloads and results at or above
-    ``shm_threshold`` bytes cross the process boundary as
+    Zero-copy mode (``shm``): payloads at or above ``shm_threshold``
+    bytes cross the process boundary as
     :class:`~repro.dataflow.shm.ShmRef` references into a shared-memory
     :class:`~repro.dataflow.shm.BufferPool` instead of pickled copies —
     workers attach each segment once and map arrays with zero copy.
     ``shm=None`` (the default) enables it wherever POSIX shared memory
     works; pool exhaustion falls back to pickling per payload, and the
     pickled path remains the reference semantics (outputs are byte-
-    identical either way).
-
-    Raw-framed results (``result_views``, default on, effective only
-    with ``shm``): large task results a worker exported into a one-shot
-    segment are *mapped and decoded in place* by the coordinator — a
-    read-only view for bytes payloads, an ``np.frombuffer`` array for
-    array payloads — instead of copied out, so worker→coordinator is
-    the worker's single memcpy into shared memory.  Each ``run_chunk``
-    call's result leases are released at the calling thread's *next*
-    dispatch (and at :meth:`shutdown`) — the deferred-ack discipline of
-    ``RemoteQueue.get`` — so callers consume or materialize a call's
-    results before their next call, which every streaming kernel
-    already does.  Segment names are unlinked at attach, so deferral
-    can never leak ``/dev/shm`` entries.  ``result_stats`` counts
-    ``result_view_bytes``/``result_segments`` (view path) and
-    ``result_copies`` (copy fallback).
+    identical either way).  Results always return pickled: the only
+    dispatching kernel, the aligner, returns one small results block
+    per subchunk.
     """
 
     name = "process"
@@ -450,7 +416,6 @@ class ProcessBackend(Backend):
         shm_threshold: int = shm_plane.DEFAULT_SHM_THRESHOLD,
         shm_slab_bytes: int = shm_plane.DEFAULT_SLAB_BYTES,
         shm_max_bytes: int = shm_plane.DEFAULT_MAX_BYTES,
-        result_views: bool = True,
     ):
         super().__init__()
         if workers is None:
@@ -475,23 +440,10 @@ class ProcessBackend(Backend):
         self.shm_threshold = shm_threshold
         self.shm_slab_bytes = shm_slab_bytes
         self.shm_max_bytes = shm_max_bytes
-        self.result_views = bool(result_views) and self.shm
-        #: Result-direction accounting (see class docstring); sort
-        #: kernels fold per-call deltas into their node counters.
-        self.result_stats: dict = {
-            "result_view_bytes": 0,
-            "result_segments": 0,
-            "result_copies": 0,
-        }
         self._shm_pool: "shm_plane.BufferPool | None" = None
         self._pool = None
         self._pool_lock = threading.Lock()
         self._busy_counter = busy_counter
-        # Deferred result leases, keyed by calling thread: a thread's
-        # leases from its previous run_chunk release at its next call
-        # (RemoteQueue.get's deferred-ack discipline) and at shutdown.
-        self._result_leases: "dict[int, list]" = {}
-        self._result_lock = threading.Lock()
 
     def _make_batches(self, payloads: Sequence[Any]) -> "list[list[Any]]":
         """Group payloads into IPC batches, size- and byte-bounded.
@@ -528,18 +480,16 @@ class ProcessBackend(Backend):
         # two first-chunk calls would each fork a pool and leak one.
         with self._pool_lock:
             if self._pool is None:
-                shm_spec = None
                 if self.shm:
                     self._shm_pool = shm_plane.BufferPool(
                         slab_bytes=self.shm_slab_bytes,
                         max_bytes=self.shm_max_bytes,
                     )
-                    shm_spec = (self._shm_pool.prefix, self.shm_threshold)
                 ctx = multiprocessing.get_context(self.start_method)
                 self._pool = ctx.Pool(
                     processes=self.workers,
                     initializer=_process_worker_init,
-                    initargs=(pickle.dumps(self._shared), shm_spec),
+                    initargs=(pickle.dumps(self._shared), self.shm),
                 )
             return self._pool
 
@@ -561,12 +511,6 @@ class ProcessBackend(Backend):
     def start(self) -> None:
         self._ensure_pool()
 
-    def payload_pool(self) -> "tuple[Any, int]":
-        if not self.shm:
-            return None, 0
-        self._ensure_pool()
-        return self._shm_pool, self.shm_threshold
-
     # ------------------------------------------------------------------ run
 
     def run_chunk(
@@ -580,9 +524,6 @@ class ProcessBackend(Backend):
         # worker processes by construction; only register_shared state is.
         if not payloads:
             return []
-        # Deferred-ack: this thread's previous call is consumed by now —
-        # release its result leases before mapping new ones.
-        self._flush_result_leases(threading.get_ident())
         pool = self._ensure_pool()
         shm_pool = self._shm_pool
         # Adopt BEFORE batching: a payload that became a ~100-byte
@@ -603,28 +544,11 @@ class ProcessBackend(Backend):
         batches = self._make_batches(payloads)
         batch_results: list = [None] * len(batches)
         completion = ChunkCompletion(len(batches))
-        # View-mode result leases for THIS call, appended by the pool's
-        # single result-handler thread and registered for deferred
-        # release once the call completes.
-        result_leases: "list | None" = [] if self.result_views else None
 
         def make_callbacks(index: int, leases: list):
             def on_done(result: list) -> None:
-                # Resolution runs in the pool's result-handler thread:
-                # one-shot result segments are mapped in place (view
-                # mode — names unlinked at attach) or materialized and
-                # unlinked (copy fallback) before the waiting kernel
-                # sees the batch.
+                batch_results[index] = result
                 try:
-                    if shm_pool is not None:
-                        result = shm_plane.resolve_results(
-                            result, leases=result_leases,
-                            stats=self.result_stats,
-                        )
-                    batch_results[index] = result
-                except BaseException as exc:  # noqa: BLE001 - relayed
-                    completion.task_done(exc)
-                else:
                     completion.task_done()
                 finally:
                     if shm_pool is not None:
@@ -665,33 +589,9 @@ class ProcessBackend(Backend):
         finally:
             if self._busy_counter is not None:
                 self._busy_counter.exit()
-            if result_leases:
-                # Register this call's leases for release at the
-                # calling thread's next dispatch (or shutdown).
-                with self._result_lock:
-                    self._result_leases.setdefault(
-                        threading.get_ident(), []
-                    ).extend(result_leases)
         return [result for batch in batch_results for result in batch]
 
-    def _flush_result_leases(self, thread_id: "int | None") -> None:
-        """Release deferred result leases — one thread's, or all
-        (``None``, at shutdown).  A lease still pinned by live views
-        parks itself in the zombie registry on finalization and is
-        retried by later sweeps; the segment name was unlinked at
-        attach either way, so nothing can leak."""
-        with self._result_lock:
-            if thread_id is None:
-                pending = [lease for leases in self._result_leases.values()
-                           for lease in leases]
-                self._result_leases.clear()
-            else:
-                pending = self._result_leases.pop(thread_id, [])
-        for lease in pending:
-            lease.release()
-
     def shutdown(self, wait: bool = True) -> None:
-        self._flush_result_leases(None)
         with self._pool_lock:
             pool, self._pool = self._pool, None
             shm_pool, self._shm_pool = self._shm_pool, None
@@ -702,61 +602,8 @@ class ProcessBackend(Backend):
                 pool.terminate()
             pool.join()
         if shm_pool is not None:
-            # After the workers are gone: unlink every slab and sweep
-            # one-shot result segments a dead worker left behind.
+            # After the workers are gone: unlink every slab.
             shm_pool.close()
-
-
-def run_in_waves(
-    backend: Backend,
-    fn: TaskFn,
-    items: Sequence[Any],
-    make_payload: Callable[[Any], Any],
-    wave_factor: int = 2,
-):
-    """Yield ``(item, payload, result)``, bounding payloads in flight.
-
-    Building every payload up front would materialize the whole input
-    (defeating bounded-memory kernels like the external sort); a wave
-    holds ``wave_factor`` payloads per worker in flight and drops them
-    before the next wave starts.  The payload is yielded alongside the
-    result so callers can reuse it (e.g. decode an already-fetched
-    blob) without re-reading storage.
-
-    When the backend exposes a payload pool (:meth:`Backend.payload_pool`),
-    each wave's payloads are *leased* into shared memory as they are
-    built — the heap originals drop immediately, the payloads the caller
-    sees back are ~100-byte :class:`~repro.dataflow.shm.ShmRef`\\ s, and
-    the leases release (rewinding the slab) once the wave's results have
-    drained from the generator.  Peak shm footprint is therefore one
-    wave regardless of pool size; callers that reuse the yielded payload
-    must resolve refs lazily via
-    :func:`~repro.dataflow.shm.resolve_payload`.
-    """
-    wave = max(1, wave_factor * max(1, backend.workers))
-    pool, threshold = backend.payload_pool()
-    for start in range(0, len(items), wave):
-        wave_items = items[start:start + wave]
-        if pool is None:
-            payloads = [make_payload(item) for item in wave_items]
-            results = backend.run_chunk(fn, payloads)
-            yield from zip(wave_items, payloads, results)
-            continue
-        leases: list = []
-        try:
-            # Adopt as each payload is built so at most one heap
-            # original is alive at a time; run_chunk passes existing
-            # ShmRefs through without re-leasing them.
-            payloads = [
-                shm_plane.adopt_payload(
-                    pool, make_payload(item), threshold, leases
-                )
-                for item in wave_items
-            ]
-            results = backend.run_chunk(fn, payloads)
-            yield from zip(wave_items, payloads, results)
-        finally:
-            pool.release_all(leases)
 
 
 # --------------------------------------------------------------------------

@@ -21,11 +21,9 @@ This module supplies the zero-copy alternative:
     length, and (for arrays) dtype/shape.  A ~100-byte pickle regardless
     of payload size.
 
-Result direction: workers export large return values into one-shot
-segments (``export_results``); the caller materializes and unlinks them
-on receipt (``resolve_results``).  Segment names share the pool's unique
-prefix, so ``BufferPool.close()`` can sweep stragglers left by a worker
-that died mid-flight — no ``/dev/shm`` leaks survive a backend shutdown.
+Segments a broker publisher hands over share the pool's unique prefix,
+so ``BufferPool.close()`` can sweep stragglers left by a peer that died
+mid-flight — no ``/dev/shm`` leaks survive a shutdown.
 
 Availability is probed, not assumed: where POSIX shared memory is absent
 (or ``/dev/shm`` is unwritable) ``shm_available()`` is False and process
@@ -54,17 +52,13 @@ __all__ = [
     "DEFAULT_SLAB_BYTES",
     "BufferPool",
     "PooledView",
-    "ResultLease",
     "SegmentLease",
     "ShmRef",
     "adopt_payload",
-    "configure_export",
     "create_segment",
-    "export_results",
     "list_segments",
     "read_segment",
     "resolve_payload",
-    "resolve_results",
     "shm_available",
     "sweep_segments",
     "unlink_segment",
@@ -99,10 +93,9 @@ class ShmRef:
 
     ``descr`` is a numpy dtype descr (``np.lib.format.dtype_to_descr``)
     when the payload is an array — structured dtypes included — and
-    ``None`` for raw bytes.  ``own_segment`` marks one-shot result
-    segments the consumer must unlink after reading; payload refs leave
-    the segment to the owning :class:`BufferPool`.  ``token`` identifies
-    the pool lease backing a payload ref.
+    ``None`` for raw bytes.  The segment belongs to the owning
+    :class:`BufferPool`; ``token`` identifies the pool lease backing the
+    ref.
     """
 
     segment: str
@@ -110,7 +103,6 @@ class ShmRef:
     length: int
     descr: Any = None
     shape: "tuple[int, ...] | None" = None
-    own_segment: bool = False
     token: int = -1
 
 
@@ -151,8 +143,8 @@ def list_segments(prefix: str = "") -> "list[str]":
 def sweep_segments(prefix: str) -> int:
     """Unlink every live segment whose name starts with ``prefix``.
 
-    Covers one-shot result segments stranded by a worker that died after
-    writing but before its result reached the caller.  Returns the
+    Covers one-shot segments stranded by a publisher that died after
+    writing but before the pool adopted them.  Returns the
     number of segments removed.  A no-op (0) off Linux — there the
     resource tracker remains the last line of defense.
     """
@@ -683,7 +675,7 @@ class BufferPool:
 
     def close(self) -> int:
         """Unlink every slab and sweep stale same-prefix segments
-        (one-shot result segments a dead worker left behind).  Returns
+        (one-shot segments a dead publisher left behind).  Returns
         the number of swept stragglers.  Idempotent."""
         with self._lock:
             if self._closed:
@@ -824,13 +816,10 @@ class SegmentLease:
         sweep_zombie_leases()
         self.name = name
         self._seg = _shared_memory.SharedMemory(name=name)
-        self._settle_tracking()
-        self._mv = self._seg.buf.toreadonly()
-
-    def _settle_tracking(self) -> None:
         # An attacher is not an owner: keep the resource tracker out of
         # it so this process's exit never unlinks the creator's segment.
         _untrack(self._seg)
+        self._mv = self._seg.buf.toreadonly()
 
     @property
     def nbytes(self) -> int:
@@ -1063,176 +1052,12 @@ def resolve_payload(payload: Any) -> Any:
 
     Pooled array refs resolve to zero-copy views of the attached
     segment (valid until the producer releases the lease, i.e. after
-    this task's result returns); one-shot refs are consumed.
+    this task's result returns).
     """
 
     def swap(obj):
         if not isinstance(obj, ShmRef):
             return obj
-        if obj.own_segment:
-            return _take_own_segment(obj)
         return _ref_view(obj, _attach(obj.segment).buf)
 
     return _walk(payload, swap)
-
-
-# ---------------------------------------------------------------------------
-# Result direction: workers export large return values into one-shot
-# segments; the caller materializes and unlinks them.
-
-_EXPORT = {"prefix": None, "threshold": DEFAULT_SHM_THRESHOLD}
-_EXPORT_COUNTER = itertools.count()
-
-
-def configure_export(prefix: "str | None", threshold: int) -> None:
-    """Arm (or disarm, prefix None) result export in this process."""
-    _EXPORT["prefix"] = prefix
-    _EXPORT["threshold"] = threshold
-
-
-def _export_segment(data, descr, shape) -> "ShmRef | None":
-    """Write one result payload into a fresh one-shot segment.
-
-    ``data`` may be ``bytes`` or a contiguous ``np.ndarray`` — arrays
-    are copied straight into the mapping (``np.copyto``), never
-    round-tripped through ``tobytes()``, so the worker-side cost is the
-    single unavoidable memcpy into shared memory."""
-    name = (f"{_EXPORT['prefix']}-r{os.getpid()}"
-            f"-{next(_EXPORT_COUNTER)}")
-    is_array = isinstance(data, np.ndarray)
-    nbytes = data.nbytes if is_array else len(data)
-    try:
-        seg = _shared_memory.SharedMemory(create=True, size=max(1, nbytes),
-                                          name=name)
-    except OSError:
-        return None  # no shm space: the value travels pickled
-    if is_array:
-        dst = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
-        np.copyto(dst, data)
-        del dst
-    else:
-        seg.buf[:nbytes] = data
-    # Ownership passes to the coordinator, which attaches and unlinks
-    # (:class:`ResultLease`, :func:`_take_own_segment`); a registration
-    # left here would be unregistered twice.
-    _untrack(seg)
-    seg.close()
-    return ShmRef(segment=name, offset=0, length=nbytes, descr=descr,
-                  shape=shape, own_segment=True)
-
-
-def export_results(results: Any) -> Any:
-    """Worker side: swap large bytes/arrays in results for one-shot
-    segment refs.  No-op unless :func:`configure_export` armed it."""
-    if _EXPORT["prefix"] is None:
-        return results
-    threshold = _EXPORT["threshold"]
-
-    def swap(obj):
-        if isinstance(obj, ShmRef):
-            return obj
-        if isinstance(obj, (bytes, bytearray)):
-            if len(obj) < threshold:
-                return obj
-            ref = _export_segment(bytes(obj), None, None)
-        else:
-            if obj.nbytes < threshold or obj.dtype.hasobject:
-                return obj
-            arr = np.ascontiguousarray(obj)
-            ref = _export_segment(
-                arr,
-                np.lib.format.dtype_to_descr(arr.dtype),
-                tuple(arr.shape),
-            )
-        return obj if ref is None else ref
-
-    return _walk(results, swap)
-
-
-def _take_own_segment(ref: ShmRef) -> Any:
-    """Materialize and destroy a one-shot result segment."""
-    seg = _shared_memory.SharedMemory(name=ref.segment)
-    try:
-        if ref.descr is None:
-            value = bytes(seg.buf[ref.offset:ref.offset + ref.length])
-        else:
-            value = np.ndarray(
-                ref.shape, dtype=np.lib.format.descr_to_dtype(ref.descr),
-                buffer=seg.buf, offset=ref.offset,
-            ).copy()
-    finally:
-        seg.close()
-    try:
-        seg.unlink()
-    except OSError:  # pragma: no cover - raced the sweep
-        pass
-    return value
-
-
-class ResultLease(SegmentLease):
-    """A one-shot result segment mapped for in-place decode.
-
-    The result-direction counterpart of the broker's delivery lease:
-    the coordinator attaches the segment a worker exported and decodes
-    the payload straight out of the mapping — the worker's single write
-    into shared memory is the only memcpy on the path.  The name is
-    unlinked *at attach*: POSIX keeps unlinked-but-mapped bytes alive
-    until the last mapping drops, so however long the caller defers
-    :meth:`release` (and even if it never runs), ``/dev/shm`` cannot
-    leak the entry.
-    """
-
-    def _settle_tracking(self) -> None:
-        # The exporting worker handed its registration over
-        # (:func:`_export_segment`), so the attach just made and this
-        # unlink are the name's only register/unregister pair.
-        try:
-            self._seg.unlink()
-        except OSError:  # pragma: no cover - raced the sweep
-            pass
-
-
-def resolve_results(results: Any, leases: "list | None" = None,
-                    stats: "dict | None" = None) -> Any:
-    """Caller side: resolve one-shot result refs out of ``results``.
-
-    Default (``leases=None``): each exported segment is copied out and
-    unlinked, exactly the pre-view behavior.
-
-    View mode (``leases`` a list): each segment is mapped under a
-    :class:`ResultLease` appended to ``leases`` and the returned values
-    *alias* the mapping — a read-only ``memoryview`` for bytes
-    payloads, a zero-copy ``np.frombuffer`` array for array payloads.
-    The caller owns the deferred release (mirror of
-    ``RemoteQueue.get``'s deferred-ack discipline): consume or
-    materialize the values, then release the leases — typically at the
-    *next* dispatch, the way :class:`~repro.dataflow.backends
-    .ProcessBackend` does.
-
-    ``stats`` (optional dict) accumulates ``result_view_bytes`` /
-    ``result_segments`` (view mode) and ``result_copies`` (copy mode).
-    """
-
-    def swap(obj):
-        if not (isinstance(obj, ShmRef) and obj.own_segment):
-            return obj
-        if leases is None:
-            value = _take_own_segment(obj)
-            if stats is not None:
-                stats["result_copies"] = stats.get("result_copies", 0) + 1
-            return value
-        lease = ResultLease(obj.segment)
-        leases.append(lease)
-        if stats is not None:
-            stats["result_segments"] = stats.get("result_segments", 0) + 1
-            stats["result_view_bytes"] = (
-                stats.get("result_view_bytes", 0) + obj.length
-            )
-        if obj.descr is None:
-            return lease.view(obj.offset, obj.length)
-        return np.frombuffer(
-            lease.view(obj.offset, obj.length),
-            dtype=np.lib.format.descr_to_dtype(obj.descr),
-        ).reshape(obj.shape)
-
-    return _walk(results, swap)

@@ -15,7 +15,6 @@ import heapq
 from bisect import bisect_left
 
 from repro.agd.chunk import read_chunk, write_chunk
-from repro.agd.compression import leveled_codec
 from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import record_type_for_column
@@ -23,6 +22,7 @@ from repro.core.sort import (
     SortConfig,
     SpilledRun,
     build_sorted_manifest,
+    scratch_codec,
 )
 from repro.storage.base import MemoryStore
 
@@ -89,13 +89,15 @@ def write_rows(rows, ordered_columns, codec, first_ordinal=0):
 def oracle_spill_runs(dataset: AGDDataset, scratch, config: SortConfig,
                       partitions: int = 1) -> "list[SpilledRun]":
     """Phase 1: sorted runs written to ``scratch`` in the on-scratch
-    layout (``superchunk-<run>`` or ``superchunk-<run>-part<p>`` files)."""
+    layout: ``superchunk-<run>`` files, or — ``partitions >= 2``, the
+    per-key-range layout ``repro.core.sort`` wrote before it kept one
+    merge, which a resumed run may still find in its scratch —
+    ``superchunk-<run>-part<p>`` files."""
     manifest = dataset.manifest
     ordered = key_first_columns(list(manifest.columns))
     meta_index = metadata_row_index(ordered)
     key_fn = sort_key_for(config.order, meta_index)
-    codec = leveled_codec(config.resolve_scratch_codec(scratch),
-                          config.scratch_codec_level)
+    codec = scratch_codec(scratch, config.scratch_codec_level)
     runs: "list[SpilledRun]" = []
     boundaries = None
     step = config.chunks_per_superchunk
@@ -134,9 +136,7 @@ def oracle_spill_runs(dataset: AGDDataset, scratch, config: SortConfig,
                                            codec).items():
                 scratch.put(entry.chunk_file(column), blob)
             parts.append(entry)
-        runs.append(SpilledRun(
-            entries=[e for e in parts if e is not None], partitions=parts,
-        ))
+        runs.append(SpilledRun(entries=[e for e in parts if e is not None]))
     return runs
 
 

@@ -239,9 +239,13 @@ def test_alignment_backend_instance_reuse(dataset, snap_aligner):
 def test_sort_and_dupmark_backend_equivalence(
     reads, reference, aligned_results
 ):
-    """Sort runs through the process backend give a byte-identical
-    dataset to the sequential path, and marking it the same stats."""
+    """A ``sort,dupmark`` run handed a process backend gives a
+    byte-identical dataset and the same stats as the eager path — and,
+    hosting no align stage, never forks the backend's pool."""
+    import multiprocessing
+
     from repro.core.dupmark import mark_duplicates
+    from repro.core.pipelines import run_pipeline
     from repro.core.sort import sort_dataset, verify_sorted
     from repro.formats.converters import import_reads
     from repro.storage.base import MemoryStore
@@ -254,16 +258,18 @@ def test_sort_and_dupmark_backend_equivalence(
         ds.append_column("results", list(aligned_results))
         return ds
 
-    sequential_ds, backend_ds = make_aligned(), make_aligned()
+    sorted_seq = sort_dataset(make_aligned(), MemoryStore())
+    stats_seq = mark_duplicates(sorted_seq)
+    children = multiprocessing.active_children()
     backend = ProcessBackend(workers=2, batch_size=2)
     try:
-        sorted_seq = sort_dataset(sequential_ds, MemoryStore())
-        sorted_bknd = sort_dataset(backend_ds, MemoryStore(),
-                                   backend=backend)
-        stats_seq = mark_duplicates(sorted_seq)
-        stats_bknd = mark_duplicates(sorted_bknd)
+        outcome = run_pipeline(make_aligned(), ("sort", "dupmark"),
+                               backend=backend)
+        assert backend._pool is None
+        assert multiprocessing.active_children() == children
     finally:
         backend.shutdown()
+    sorted_bknd, stats_bknd = outcome.sorted_dataset, outcome.dupmark_stats
     assert verify_sorted(sorted_bknd)
     for column in sorted_seq.manifest.columns:
         assert (sorted_seq.read_column(column)

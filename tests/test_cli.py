@@ -202,19 +202,6 @@ class TestPipelineCommand:
             "pipeline", str(ds_dir), str(root / "x"),
         ]) == 2
 
-    def test_varcall_backend_flags_match_serial(self, pipelined):
-        root, _, out_dir, _ = pipelined
-        serial_vcf = root / "serial.vcf"
-        threaded_vcf = root / "threaded.vcf"
-        base = ["varcall", str(out_dir), "--reference",
-                str(root / "ref.fasta")]
-        assert main(base[:2] + [str(serial_vcf)] + base[2:]) == 0
-        assert main(
-            base[:2] + [str(threaded_vcf)] + base[2:]
-            + ["--backend", "thread", "--workers", "2"]
-        ) == 0
-        assert serial_vcf.read_text() == threaded_vcf.read_text()
-
 
 class TestImportSamAndRechunk:
     def test_import_sam_roundtrip(self, imported, workspace):
@@ -312,6 +299,13 @@ class TestClusterErrorsMatchPipeline:
             ["varcall", str(ds_dir), "x.vcf", "--reference", "r",
              "--kernels", "scalar"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align", "--shm"],
+            # Only the aligner dispatches; one merge; framing by store.
+            ["sort", str(ds_dir), str(root / "x"), "--backend", "thread"],
+            ["varcall", str(ds_dir), "x.vcf", "--reference", "r",
+             "--workers", "2"],
+            ["pipeline", str(ds_dir), "--merge-partitions", "2"],
+            ["cluster", "run", str(ds_dir), "--plan", "A=align",
+             "--raw-scratch", "on"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -37,7 +37,6 @@ from repro.core.varcall import (
     pileup_dataset,
     pileup_records,
 )
-from repro.dataflow.backends import make_backend
 from repro.formats.vcf import write_vcf
 from repro.genome.reference import Contig, ReferenceGenome
 from repro.genome.synthetic import synthetic_reference
@@ -633,36 +632,37 @@ def test_dupmark_dataset_bytes_match_the_object_specification(
 
 @pytest.mark.parametrize("backend_kind", ["serial", "thread", "process"])
 class TestBackendEquivalence:
+    """Sort and varcall run on their node threads whatever backend the
+    run names: a one-stage pipeline on each kind matches the oracle."""
+
     def test_sort_bytes_identical(self, aligned_dataset, backend_kind):
+        from repro.core.pipelines import run_pipeline
+
         scalar_store = MemoryStore()
         oracle_sort_dataset(aligned_dataset, scalar_store,
                             SortConfig(chunks_per_superchunk=3))
-        backend = make_backend(backend_kind, workers=2)
-        try:
-            vector_store = MemoryStore()
-            sorted_ds = sort_dataset(
-                aligned_dataset, vector_store,
-                SortConfig(chunks_per_superchunk=3, merge_partitions=3),
-                backend=backend,
-            )
-        finally:
-            backend.shutdown()
+        vector_store = MemoryStore()
+        outcome = run_pipeline(
+            aligned_dataset, ("sort",),
+            sort_config=SortConfig(chunks_per_superchunk=3),
+            output_store=vector_store, backend=backend_kind, workers=2,
+        )
         assert _store_blobs(vector_store) == _store_blobs(scalar_store)
-        assert sorted_ds.manifest.sort_order == "location"
+        assert outcome.sorted_dataset.manifest.sort_order == "location"
 
     def test_varcall_vcf_identical(self, aligned_dataset, reference,
                                    backend_kind, tmp_path):
+        from repro.core.pipelines import run_pipeline
         from repro.formats.vcf import write_vcf
 
         config = VarCallConfig(min_depth=2)
         scalar = call_from_pileup(pileup_dataset(aligned_dataset, config),
                                   reference, config)
-        backend = make_backend(backend_kind, workers=2)
-        try:
-            vector = call_variants(aligned_dataset, reference, config,
-                                   backend=backend)
-        finally:
-            backend.shutdown()
+        assert call_variants(aligned_dataset, reference, config) == scalar
+        vector = run_pipeline(
+            aligned_dataset, ("varcall",), reference=reference,
+            varcall_config=config, backend=backend_kind, workers=2,
+        ).variants
         assert vector == scalar
         scalar_path = tmp_path / "scalar.vcf"
         vector_path = tmp_path / "vector.vcf"
@@ -672,39 +672,13 @@ class TestBackendEquivalence:
 
 
 class TestPartitionedMerge:
-    def test_partitioned_merge_uses_backend_kernels(self, aligned_dataset):
-        """>= 2 partition kernels actually dispatch through the backend."""
-        from repro.core.sort import merge_partition_blobs_task
-        from repro.dataflow.backends import SerialBackend
-
-        calls: list = []
-
-        class CountingBackend(SerialBackend):
-            def run_chunk(self, fn, payloads, shared=None, timeout=300.0):
-                if fn is merge_partition_blobs_task:
-                    calls.append(len(payloads))
-                return super().run_chunk(fn, payloads, shared=shared,
-                                         timeout=timeout)
-
-        single_store = MemoryStore()
-        oracle_sort_dataset(aligned_dataset, single_store,
-                            SortConfig(chunks_per_superchunk=3))
-        backend = CountingBackend()
-        part_store = MemoryStore()
-        scratch = MemoryStore()
-        sort_dataset(aligned_dataset, part_store,
-                     SortConfig(chunks_per_superchunk=3, merge_partitions=4),
-                     scratch_store=scratch, backend=backend)
-        assert calls and calls[0] >= 2, \
-            "partitioned merge did not dispatch >= 2 kernels"
-        # Spill locality: phase 1 spilled per-partition sub-chunks, not
-        # whole-run superchunks.
-        assert any("-part" in key for key in scratch.keys()), \
-            "runs were not spilled as per-partition sub-chunks"
-        assert _store_blobs(part_store) == _store_blobs(single_store)
-
     def test_single_contig_still_partitions(self):
-        """Key-range splits work inside one contig too."""
+        """Key-range sub-chunks inside one contig — the layout an older
+        version spilled, which a resumed run still adopts — merge to the
+        whole-run spills' bytes."""
+        from repro.core.sort import iter_merged_chunks
+        from row_sort_oracle import oracle_spill_runs
+
         n = 60
         results = [
             AlignmentResult(flag=0, contig_index=0, position=(n - i) * 3,
@@ -717,14 +691,15 @@ class TestPartitionedMerge:
              "metadata": [f"r{i}".encode() for i in range(n)]},
             MemoryStore(), chunk_size=10,
         )
+        config = SortConfig(chunks_per_superchunk=2)
         single = MemoryStore()
-        oracle_sort_dataset(dataset, single,
-                            SortConfig(chunks_per_superchunk=2))
-        backend = make_backend("serial")
+        oracle_sort_dataset(dataset, single, config)
+        scratch = MemoryStore()
+        runs = oracle_spill_runs(dataset, scratch, config, partitions=3)
+        assert any(len(run.entries) > 1 for run in runs)
         part = MemoryStore()
-        sort_dataset(dataset, part,
-                     SortConfig(chunks_per_superchunk=2, merge_partitions=3),
-                     backend=backend)
+        list(iter_merged_chunks(scratch, runs, ["results", "metadata"],
+                                "location", 10, dataset.manifest.name, part))
         assert _store_blobs(part) == _store_blobs(single)
 
 
@@ -916,31 +891,6 @@ class TestColumnarFallback:
         config = VarCallConfig(min_mapq=0, min_base_quality=0)
         with pytest.raises(ColumnarFallback):
             columnar.pileup_partial(results, bases, quals, config)
-
-    def test_auto_partitioning_only_on_shared_memory_workers(self):
-        """Auto merge partitioning engages only on multi-worker backends
-        sharing caller memory: serial streams, thread partitions, and a
-        process pool (whole-row IPC payloads) stays streaming unless the
-        caller opts in explicitly."""
-        from repro.dataflow.backends import (
-            ProcessBackend,
-            SerialBackend,
-            ThreadBackend,
-        )
-
-        config = SortConfig()
-        assert config.resolve_merge_partitions(None) == 1
-        serial = SerialBackend()
-        assert config.resolve_merge_partitions(serial) == 1
-        process = ProcessBackend(workers=2)  # pool never started
-        assert config.resolve_merge_partitions(process) == 1
-        explicit = SortConfig(merge_partitions=4)
-        assert explicit.resolve_merge_partitions(process) == 4
-        thread = ThreadBackend(workers=3)
-        try:
-            assert config.resolve_merge_partitions(thread) == 3
-        finally:
-            thread.shutdown()
 
     def test_metadata_sort_without_results_column(self):
         """Metadata-order sort of an unaligned dataset must key on the

@@ -4,9 +4,9 @@
 permutation, one gather per column); ``row_sort_oracle`` is the sort as
 it was before — decoded objects, row tuples, ``list.sort``,
 ``heapq.merge``.  Every scratch blob and every output chunk must agree
-byte for byte, across key shapes, run and partition boundaries, scratch
-framings and backends; spills the oracle wrote (the previous on-scratch
-format) must merge identically (resume compatibility); and whole
+byte for byte, across key shapes, run boundaries and scratch framings;
+spills the oracle wrote (the previous on-scratch formats, whole-run and
+by key range) must merge identically (resume compatibility); and whole
 pipelines — single-session on every backend, and placed — must produce
 the oracle chain's digest while leaking nothing.
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agd.chunk import read_chunk, read_column, write_chunk
@@ -47,7 +47,6 @@ from repro.core.sort import (
 )
 from repro.core.varcall import VarCallConfig, call_from_pileup, pileup_dataset
 from repro.dataflow import shm as shm_plane
-from repro.dataflow.backends import make_backend
 from repro.formats.converters import import_reads
 from repro.storage.base import DirectoryStore, MemoryStore
 from dupmark_oracle import oracle_mark_duplicates
@@ -58,16 +57,6 @@ from row_sort_oracle import (
 )
 
 BACKENDS = ("serial", "thread", "process")
-
-
-@pytest.fixture(scope="module")
-def backends():
-    """One backend of each kind for the whole module (forking a process
-    pool per Hypothesis example would dominate the run)."""
-    made = {kind: make_backend(kind, workers=2) for kind in BACKENDS}
-    yield made
-    for backend in made.values():
-        backend.shutdown()
 
 
 def store_blobs(store) -> "dict[str, bytes]":
@@ -96,7 +85,7 @@ reads = st.text(alphabet="ACGTN", min_size=0, max_size=30).map(str.encode)
 @st.composite
 def records(draw, huge: bool, nul: bool):
     """One row: (result, metadata, bases, qual) with a small key space,
-    so equal keys are common and straddle run/partition boundaries."""
+    so equal keys are common and straddle run boundaries."""
     kind = draw(st.sampled_from(["mapped"] * 5 + ["unmapped", "no_cigar"]))
     if kind == "unmapped":
         result = AlignmentResult()
@@ -137,7 +126,6 @@ def sort_cases(draw):
         order=draw(st.sampled_from(["location", "metadata"])),
         chunks_per_superchunk=draw(st.integers(1, 4)),
         output_chunk_size=draw(st.sampled_from([None, 1, 5, 64])),
-        merge_partitions=draw(st.sampled_from([1, 2, 4])),
     )
     return dataset, config
 
@@ -146,12 +134,9 @@ def sort_cases(draw):
 # The differential.
 
 class TestSortEqualsOracle:
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=sort_cases(), kind=st.sampled_from(BACKENDS),
-           raw=st.booleans())
-    def test_every_scratch_blob_and_output_chunk(self, backends, case,
-                                                 kind, raw):
+    @settings(max_examples=60, deadline=None)
+    @given(case=sort_cases(), raw=st.booleans())
+    def test_every_scratch_blob_and_output_chunk(self, case, raw):
         dataset, config = case
         with tempfile.TemporaryDirectory() as tmp:
             def scratch(name):
@@ -160,19 +145,17 @@ class TestSortEqualsOracle:
 
             expect_scratch, got_scratch = scratch("oracle"), scratch("got")
             expect_out, got_out = MemoryStore(), MemoryStore()
-            oracle_sort_dataset(dataset, expect_out, config, expect_scratch,
-                                partitions=config.merge_partitions)
-            got = sort_dataset(dataset, got_out, config, got_scratch,
-                               backend=backends[kind])
+            oracle_sort_dataset(dataset, expect_out, config, expect_scratch)
+            got = sort_dataset(dataset, got_out, config, got_scratch)
             assert store_blobs(got_scratch) == store_blobs(expect_scratch)
             assert store_blobs(got_out) == store_blobs(expect_out)
             assert verify_sorted(got, config.order)
             assert got.total_records == dataset.total_records
             assert got.manifest.sort_order == config.order
 
-    def test_all_keys_equal_straddle_every_boundary(self, backends):
-        """One key everywhere: every run and partition boundary cuts a
-        tie, and input order must survive (stability = merge order)."""
+    def test_all_keys_equal_straddle_every_boundary(self):
+        """One key everywhere: every run boundary cuts a tie, and input
+        order must survive (stability = merge order)."""
         n = 47
         dataset = AGDDataset.create(
             "ties",
@@ -182,25 +165,20 @@ class TestSortEqualsOracle:
              "bases": [b"ACGT"] * n, "qual": [b"IIII"] * n},
             MemoryStore(), chunk_size=5,
         )
-        for partitions in (1, 2, 4):
-            config = SortConfig(chunks_per_superchunk=2,
-                                merge_partitions=partitions)
-            expect, got = MemoryStore(), MemoryStore()
-            oracle_sort_dataset(dataset, expect, config,
-                                partitions=partitions)
-            out = sort_dataset(dataset, got, config,
-                               backend=backends["serial"])
-            assert store_blobs(got) == store_blobs(expect)
-            assert out.read_column("metadata") == \
-                dataset.read_column("metadata")
+        config = SortConfig(chunks_per_superchunk=2)
+        expect, got = MemoryStore(), MemoryStore()
+        oracle_sort_dataset(dataset, expect, config)
+        out = sort_dataset(dataset, got, config)
+        assert store_blobs(got) == store_blobs(expect)
+        assert out.read_column("metadata") == \
+            dataset.read_column("metadata")
 
     @pytest.mark.parametrize("order", ["location", "metadata"])
-    def test_unpackable_keys_keep_ties_in_input_order(self, backends,
-                                                      order):
+    def test_unpackable_keys_keep_ties_in_input_order(self, order):
         """Positions >= 2**32 and NUL bytes in metadata change how the
         permutation is computed (lexsort / Python-keyed index sort) —
         never the order: ties stay in input order within and across
-        runs, and no run is spilled by key range."""
+        runs."""
         n = 60
         dataset = AGDDataset.create(
             "unpackable",
@@ -214,16 +192,12 @@ class TestSortEqualsOracle:
              "qual": [b"IIIII"[: i % 5] for i in range(n)]},
             MemoryStore(), chunk_size=7,
         )
-        config = SortConfig(order=order, chunks_per_superchunk=2,
-                            merge_partitions=2)
+        config = SortConfig(order=order, chunks_per_superchunk=2)
         expect, got = MemoryStore(), MemoryStore()
         expect_scratch, got_scratch = MemoryStore(), MemoryStore()
-        oracle_sort_dataset(dataset, expect, config, expect_scratch,
-                            partitions=2)
-        out = sort_dataset(dataset, got, config, got_scratch,
-                           backend=backends["thread"])
+        oracle_sort_dataset(dataset, expect, config, expect_scratch)
+        out = sort_dataset(dataset, got, config, got_scratch)
         assert store_blobs(got_scratch) == store_blobs(expect_scratch)
-        assert not any("-part" in key for key in got_scratch.keys())
         assert store_blobs(got) == store_blobs(expect)
         assert verify_sorted(out, order)
 
@@ -243,6 +217,20 @@ class TestSortEqualsOracle:
         sort_dataset(dataset, got, config, got_scratch)
         assert store_blobs(got_scratch) == store_blobs(expect_scratch)
         assert store_blobs(got) == store_blobs(expect)
+
+
+class TestSortConfigValidation:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"order": "bogus"}, "unknown sort order"),
+        ({"chunks_per_superchunk": 0}, "chunks_per_superchunk"),
+    ])
+    def test_bad_config_fails_before_any_work(self, kwargs, message):
+        """Construction is where a bad config dies — the same
+        ``ValueError`` for ``sort_dataset`` and ``run_pipeline``, before
+        either has read a chunk (a pipeline used to fail mid-run as a
+        ``PipelineError`` from the sort-run node)."""
+        with pytest.raises(ValueError, match=message):
+            SortConfig(**kwargs)
 
 
 class TestVerifySorted:
@@ -265,15 +253,15 @@ class TestVerifySorted:
 # Resume compatibility: phase 2 over spills in the previous format.
 
 class TestOracleSpillsMerge:
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=sort_cases(), raw=st.booleans())
-    def test_new_phase_two_merges_old_spills(self, backends, case, raw):
+    @settings(max_examples=40, deadline=None)
+    @given(case=sort_cases(), raw=st.booleans(),
+           partitions=st.sampled_from([1, 2, 4]))
+    def test_new_phase_two_merges_old_spills(self, case, raw, partitions):
         dataset, config = case
         with tempfile.TemporaryDirectory() as tmp:
             scratch = DirectoryStore(tmp) if raw else MemoryStore()
             runs = oracle_spill_runs(dataset, scratch, config,
-                                     partitions=config.merge_partitions)
+                                     partitions=partitions)
             expect = MemoryStore()
             oracle_merge(dataset, scratch, runs, expect, config)
             got = MemoryStore()
@@ -284,14 +272,12 @@ class TestOracleSpillsMerge:
                 config.output_chunk_size
                 or dataset.manifest.chunks[0].record_count,
                 dataset.manifest.name, got,
-                backend=backends["serial"],
-                merge_partitions=config.merge_partitions,
             ))
             assert store_blobs(got) == store_blobs(expect)
 
-    def test_mixed_whole_and_partitioned_runs(self, backends):
-        """A resumed run that changed its partition setting: some runs
-        spilled whole, some by key range — merged in one kernel."""
+    def test_mixed_whole_and_partitioned_runs(self):
+        """A resumed run whose scratch an older version half filled:
+        some runs spilled whole, some by key range — one merge."""
         results = [AlignmentResult(flag=0, contig_index=0,
                                    position=(13 * i) % 50, cigar=b"4M")
                    for i in range(48)]
@@ -317,8 +303,7 @@ class TestOracleSpillsMerge:
         oracle_merge(dataset, scratch, whole, expect, config)
         list(iter_merged_chunks(
             scratch, runs, ["results", "metadata"], "location", 6,
-            dataset.manifest.name, got, backend=backends["serial"],
-            merge_partitions=3,
+            dataset.manifest.name, got,
         ))
         assert store_blobs(got) == store_blobs(expect)
 

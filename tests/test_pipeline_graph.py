@@ -796,7 +796,7 @@ class TestComposePrimitives:
         sort_stage = build_sort_graph(
             aligned_dataset.manifest, out_store,
             input_store=aligned_dataset.store,
-            config=SORT_CONFIG, backend="serial",
+            config=SORT_CONFIG,
         )
         dup_stage = build_dupmark_graph(None, out_store, from_queue=True)
         pipeline = (PipelineBuilder("mini")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import multiprocessing
 import threading
 import time
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.core.pipelines import (
 )
 from repro.core.sort import SortConfig
 from repro.core.subgraphs import STAGE_ORDER
+from repro.dataflow import shm as shm_plane
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
 from repro.genome.reference import (
@@ -217,6 +219,71 @@ class TestOneSpecEveryServerLoop:
         assert_same_bytes(work, "roles", single)
 
 
+# ------------------------------------------- who owns a compute backend
+
+
+class _CensusStore(DirectoryStore):
+    """Counts this process's children at every put (mid-run, from a
+    node thread)."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.children: "list[int]" = []
+
+    def put(self, key, data):
+        self.children.append(len(multiprocessing.active_children()))
+        super().put(key, data)
+
+
+class TestOnlyTheAlignServerMakesABackend:
+    """Only the aligner dispatches: a run, or a placed server, without an
+    align stage forks nothing — and what is forked is still shut down."""
+
+    def test_downstream_process_run_forks_no_child(self, world, single):
+        work, reference, _ = world
+        ds_single, out_single, vcf_single = single
+        dataset = AGDDataset.open(ds_single)
+        if not dataset.manifest.has_column("results"):
+            dataset.manifest.add_column("results")
+        assert multiprocessing.active_children() == []
+        before = set(shm_plane.list_segments("psna-"))
+        out = _CensusStore(work / "out-downstream")
+        outcome = run_pipeline(
+            dataset, ("sort", "dupmark", "varcall"), reference=reference,
+            output_store=out, backend="process", workers=2,
+        )
+        assert out.children and set(out.children) == {0}
+        assert multiprocessing.active_children() == []
+        assert set(shm_plane.list_segments("psna-")) == before
+        _save(outcome, reference, work / "out-downstream",
+              work / "downstream.vcf")
+        assert _tree(work / "out-downstream") == _tree(out_single)
+        assert (work / "downstream.vcf").read_bytes() == \
+            vcf_single.read_bytes()
+
+    def test_placed_process_run_forks_the_align_server_only(
+        self, world, make_dataset, single,
+    ):
+        work, reference, _ = world
+        assert multiprocessing.active_children() == []
+        before = set(shm_plane.list_segments("psna-"))
+        in_flight: list = []
+        placed = run_placed_pipeline(
+            make_dataset("ds-forks"),
+            PlacementPlan.parse("A=align;B=sort;C=dupmark,varcall"),
+            aligner=build_snap_aligner(reference), reference=reference,
+            output_store=DirectoryStore(work / "out-forks"),
+            backend="process", workers=2, session_timeout=120.0,
+            broker_ready=lambda broker, listener: in_flight.append(
+                len(multiprocessing.active_children())),
+        )
+        assert in_flight == [2]  # A's two workers; B and C have none
+        assert multiprocessing.active_children() == []
+        assert set(shm_plane.list_segments("psna-")) == before
+        _save(placed, reference, work / "out-forks", work / "forks.vcf")
+        assert_same_bytes(work, "forks", single)
+
+
 # ------------------------------------------------- what the spec derives
 
 
@@ -273,7 +340,10 @@ class TestPipelineSpecProperties:
             shared = PipelineSpec(dataset, ("align",), backend=instance)
             assert shared.backend_name == instance.name
             assert not shared.owns_backends
-            assert shared.make_backend("x.backend") is instance
+            assert shared.make_backend("x", ("align",)) is instance
+            # Only the aligner dispatches: no other server gets one.
+            assert shared.make_backend("x", ("sort", "dupmark")) is None
+            assert named.make_backend("x", ("varcall",)) is None
         finally:
             instance.shutdown()
 

@@ -192,8 +192,9 @@ class TestBufferPool:
         pool.close()  # idempotent
 
     def test_close_sweeps_stale_result_segments(self):
-        """A worker that died after exporting a result leaves a one-shot
-        segment behind; the owning pool's close() must remove it."""
+        """A publisher that died after writing a one-shot segment under
+        the pool's prefix leaves it behind; the owning pool's close()
+        must remove it."""
         from multiprocessing import shared_memory
 
         pool = BufferPool()
@@ -339,17 +340,14 @@ class TestPipelineEquivalence:
 
 @needs_shm
 def test_process_backend_run_leaves_stderr_and_dev_shm_clean():
-    """One-shot result segments change hands worker → coordinator: the
-    resource tracker must see one register/unregister pair per name (a
-    second unregister prints a ``KeyError`` traceback per segment), and
-    nothing may be left in ``/dev/shm``."""
-    import json
-
+    """Payload slabs are attached by every worker: the resource tracker
+    must see one register/unregister pair per name (a second unregister
+    prints a ``KeyError`` traceback per segment), and nothing may be
+    left in ``/dev/shm``."""
     from run_wgs_pipeline import launch
 
     before = set(shm.list_segments("psna"))
     proc = launch("process")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result_segments"] > 0
     assert proc.stderr == ""
     assert set(shm.list_segments("psna")) == before

@@ -1,13 +1,10 @@
-"""Zero-copy spill & result plane: view-adopted sort spills and
-raw-framed process-backend results.
+"""Zero-copy spill plane: view-adopted sort spills.
 
-Raw (identity-codec) scratch framing lets phase 2 of the external sort
-``mmap`` spill files and decode them in place (``spill_view_bytes``
-grows, ``decode_copies`` stays 0); the gzip fallback remains
-byte-identical.  ``ProcessBackend`` with shm maps large task results in
-place instead of copying them out of their one-shot segments, releasing
-the leases one dispatch later (the deferred-ack discipline).  Both
-planes must leak nothing: no ``/dev/shm`` entries, no pinned scratch
+The scratch store decides the spill framing: a local directory gets raw
+(identity-codec) frames that phase 2 of the external sort ``mmap``s and
+decodes in place (``spill_view_bytes`` grows, ``decode_copies`` stays
+0); any other store gets gzip, byte-identical in what the merge emits.
+The plane must leak nothing: no ``/dev/shm`` entries, no pinned scratch
 mappings.
 """
 
@@ -19,7 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.agd.chunk import read_chunk, write_chunk
@@ -28,20 +24,13 @@ from repro.align.result import AlignmentResult
 from repro.agd.dataset import AGDDataset
 from repro.core.sort import (
     SortConfig,
-    SpillFileRef,
     SpillLease,
     local_scratch_root,
-    open_spill_ref,
+    scratch_codec,
     sort_dataset,
     verify_sorted,
 )
 from repro.dataflow import shm as shm_plane
-from repro.dataflow.backends import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    payload_nbytes,
-)
 from repro.storage.base import DirectoryStore, MemoryStore
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -97,16 +86,8 @@ class TestRawScratchNegotiation:
         assert local_scratch_root(MemoryStore()) is None
 
     def test_auto_picks_raw_only_on_local_scratch(self, tmp_path):
-        config = SortConfig()
-        assert config.resolve_scratch_codec(DirectoryStore(tmp_path)) == \
-            "none"
-        assert config.resolve_scratch_codec(MemoryStore()) == "gzip"
-
-    def test_explicit_override_beats_auto(self, tmp_path):
-        on = SortConfig(raw_scratch=True)
-        off = SortConfig(raw_scratch=False)
-        assert on.resolve_scratch_codec(MemoryStore()) == "none"
-        assert off.resolve_scratch_codec(DirectoryStore(tmp_path)) == "gzip"
+        assert scratch_codec(DirectoryStore(tmp_path)).name == "none"
+        assert scratch_codec(MemoryStore()).name == "gzip"
 
 
 # -------------------------------------------------------- spill views
@@ -122,13 +103,14 @@ class TestSpillLease:
 
     def test_decoded_records_match_and_lease_releases(self, tmp_path):
         path, records = self._raw_spill(tmp_path)
-        ref = SpillFileRef(str(path), path.stat().st_size)
-        buf, lease = open_spill_ref(ref)
+        lease = SpillLease(path)
+        buf = lease.buf
         assert isinstance(buf, memoryview)
         assert buf.readonly
         decoded = read_chunk(buf)
         assert list(decoded.records) == records
         # read_chunk materialized the rows, so nothing pins the mapping.
+        del buf
         assert lease.release()
         assert lease.release()  # idempotent
 
@@ -149,27 +131,21 @@ class TestSpillLease:
             assert bytes(lease.buf) == raw
 
 
-class TestPayloadNbytes:
-    def test_spill_file_ref_counts_mapped_size(self, tmp_path):
-        ref = SpillFileRef(str(tmp_path / "x"), 1 << 20)
-        assert payload_nbytes(ref) == 1 << 20
-        # Nested in a task payload tuple, same accounting.
-        assert payload_nbytes(("merge", [ref, ref])) >= 2 << 20
-
-
 # ------------------------------------------------------ byte identity
 
 
 class TestByteIdentity:
-    def _sorted_bytes(self, scratch, config, backend=None, counters=None):
+    def _sorted_bytes(self, scratch, config, counters=None):
         ds = make_aligned_dataset(POSITIONS, chunk_size=5)
         out_store = MemoryStore()
         out = sort_dataset(ds, out_store, config, scratch_store=scratch,
-                           backend=backend, counters=counters)
+                           counters=counters)
         assert verify_sorted(out)
         return store_bytes(out_store, out)
 
     def test_raw_scratch_output_matches_gzip(self, tmp_path):
+        """The path is chosen by the store: a directory scratch spills
+        raw frames and restores them as views, a memory scratch gzips."""
         config = SortConfig(chunks_per_superchunk=3)
         raw_counters: dict = {}
         gzip_counters: dict = {}
@@ -180,36 +156,86 @@ class TestByteIdentity:
         assert raw == gz
         assert raw_counters["spill_view_bytes"] > 0
         assert raw_counters.get("decode_copies", 0) == 0
-        assert gzip_counters["decode_copies"] > 0
+        assert gzip_counters["decode_copies"] == \
+            gzip_counters["spill_restores"] > 0
         assert gzip_counters.get("spill_view_bytes", 0) == 0
 
     def test_forced_raw_on_memory_store_still_correct(self):
-        # raw_scratch=True on a non-mappable store: no mmap restore, but
-        # the identity frames round-trip through scratch.get unchanged.
-        config = SortConfig(chunks_per_superchunk=3, raw_scratch=True)
-        baseline = SortConfig(chunks_per_superchunk=3, raw_scratch=False)
-        assert self._sorted_bytes(MemoryStore(), config) == \
-            self._sorted_bytes(MemoryStore(), baseline)
+        """Raw frames in a non-mappable store (a resumed run whose
+        scratch moved, here forced by writing them): no mmap restore,
+        but the identity frames round-trip through ``scratch.get``
+        unchanged — next to gzip runs, since every spill's header names
+        its own codec."""
+        from repro.agd.compression import leveled_codec
+        from repro.core.sort import (
+            _key_first_columns,
+            iter_merged_chunks,
+            sort_run_task,
+            store_run_spill,
+        )
 
-    @pytest.mark.parametrize("make_backend", [
-        lambda: SerialBackend(),
-        lambda: ThreadBackend(workers=2),
-        lambda: ProcessBackend(workers=2, start_method="fork"),
+        ds = make_aligned_dataset(POSITIONS, chunk_size=5)
+        ordered = _key_first_columns(list(ds.manifest.columns))
+        scratch, runs = MemoryStore(), []
+        for start in range(0, ds.manifest.num_chunks, 3):
+            codec = leveled_codec("none" if len(runs) % 2 == 0 else "gzip", 1)
+            chunks = [{c: ds.store.get(e.chunk_file(c)) for c in ordered}
+                      for e in ds.manifest.chunks[start:start + 3]]
+            runs.append(store_run_spill(
+                scratch, len(runs),
+                sort_run_task("location", ordered, chunks, codec)))
+        got, counters = MemoryStore(), {}
+        entries = [entry for entry, _ in iter_merged_chunks(
+            scratch, runs, ordered, "location", 5, ds.manifest.name, got,
+            counters=counters)]
+        baseline = self._sorted_bytes(MemoryStore(),
+                                      SortConfig(chunks_per_superchunk=3))
+        assert {e.chunk_file(c): bytes(got.get(e.chunk_file(c)))
+                for e in entries for c in ds.manifest.columns} == baseline
+        assert counters["spill_view_bytes"] > 0
+        assert counters["decode_copies"] > 0
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", 1), ("thread", 2), ("process", 2),
     ], ids=["serial", "thread", "process"])
-    def test_backends_agree_raw_vs_gzip(self, tmp_path, make_backend):
-        config = SortConfig(chunks_per_superchunk=3, merge_partitions=2)
-        backend = make_backend()
-        try:
-            raw = self._sorted_bytes(
-                DirectoryStore(tmp_path / "scratch"), config,
-                backend=backend,
+    def test_backends_agree_raw_vs_gzip(self, tmp_path, reads, reference,
+                                        snap_aligner, backend, workers):
+        """Whole ``align,sort,dupmark,varcall`` runs, backend x scratch:
+        every cell byte-identical to the eager chain."""
+        from repro.core.dupmark import mark_duplicates
+        from repro.core.pipelines import align_dataset, run_pipeline
+        from repro.core.varcall import VarCallConfig, call_variants
+        from repro.formats.converters import import_reads
+
+        varcall = VarCallConfig(min_depth=2, min_alt_fraction=0.5)
+        config = SortConfig(chunks_per_superchunk=3)
+
+        def fresh():
+            return import_reads(reads, "fixture", MemoryStore(),
+                                chunk_size=100,
+                                reference=reference.manifest_entry())
+
+        eager = fresh()
+        align_dataset(eager, snap_aligner, backend="serial")
+        eager_sorted = sort_dataset(eager, MemoryStore(), config)
+        mark_duplicates(eager_sorted)
+        expect = (store_bytes(eager_sorted.store, eager_sorted),
+                  call_variants(eager_sorted, reference, varcall))
+        assert expect[1], "fixture calls no variants"
+
+        before = set(shm_plane.list_segments("psna-"))
+        for scratch in (DirectoryStore(tmp_path / "scratch"),
+                        MemoryStore()):
+            outcome = run_pipeline(
+                fresh(), ("align", "sort", "dupmark", "varcall"),
+                aligner=snap_aligner, reference=reference,
+                sort_config=config, varcall_config=varcall,
+                scratch_store=scratch, backend=backend, workers=workers,
             )
-            gz = self._sorted_bytes(
-                MemoryStore(), config, backend=backend,
-            )
-        finally:
-            backend.shutdown()
-        assert raw == gz
+            got = (store_bytes(outcome.sorted_dataset.store,
+                               outcome.sorted_dataset), outcome.variants)
+            assert got == expect
+        assert set(shm_plane.list_segments("psna-")) == before
 
     def test_raw_scratch_leaves_no_pinned_mappings(self, tmp_path):
         scratch_dir = tmp_path / "scratch"
@@ -222,108 +248,31 @@ class TestByteIdentity:
             p.unlink()
         scratch_dir.rmdir()
 
-    @needs_shm
-    def test_process_backend_sort_reports_zero_copies(self, tmp_path):
-        before = set(shm_plane.list_segments("psna-"))
-        config = SortConfig(chunks_per_superchunk=3, merge_partitions=2)
-        counters: dict = {}
-        backend = ProcessBackend(workers=2, start_method="fork",
-                                 shm=True, shm_threshold=64)
-        try:
-            raw = self._sorted_bytes(
-                DirectoryStore(tmp_path / "scratch"), config,
-                backend=backend, counters=counters,
-            )
-        finally:
-            backend.shutdown()
-        serial = self._sorted_bytes(MemoryStore(), config)
-        assert raw == serial
-        # The whole sort memory plane moved on views: spill restore and
-        # the worker->coordinator result direction.
-        assert counters["spill_view_bytes"] > 0
-        assert counters["result_view_bytes"] > 0
-        assert counters["result_segments"] > 0
-        assert counters.get("decode_copies", 0) == 0
-        assert set(shm_plane.list_segments("psna-")) == before
 
-
-# --------------------------------------------------- raw-framed results
+# ------------------------------------------------ large pickled results
 
 
 def _big_result_task(shared, payload) -> bytes:
     return bytes(payload) * 1024
 
 
-def _array_result_task(shared, payload) -> np.ndarray:
-    return np.arange(int(payload), dtype=np.int64)
-
-
 @needs_shm
 class TestProcessBackendResultViews:
-    def test_large_results_arrive_as_views(self):
-        backend = ProcessBackend(workers=2, start_method="fork",
-                                 shm=True, shm_threshold=64)
-        try:
-            results = backend.run_chunk(
-                _big_result_task, [b"a", b"b"]
-            )
-            assert [bytes(r[:4]) for r in results] == [b"aaaa", b"bbbb"]
-            assert all(isinstance(r, memoryview) for r in results)
-            stats = backend.result_stats
-            assert stats["result_segments"] == 2
-            assert stats["result_view_bytes"] == 2 * 1024
-            assert stats["result_copies"] == 0
-        finally:
-            backend.shutdown()
-
-    def test_array_results_map_in_place(self):
-        backend = ProcessBackend(workers=2, start_method="fork",
-                                 shm=True, shm_threshold=64)
-        try:
-            [arr] = backend.run_chunk(_array_result_task, [512])
-            assert isinstance(arr, np.ndarray)
-            assert arr.dtype == np.int64
-            assert int(arr.sum()) == 512 * 511 // 2
-            assert backend.result_stats["result_segments"] == 1
-        finally:
-            backend.shutdown()
-
-    def test_views_stay_valid_until_next_dispatch(self):
-        backend = ProcessBackend(workers=1, start_method="fork",
-                                 shm=True, shm_threshold=64)
-        try:
-            [first] = backend.run_chunk(_big_result_task, [b"x"])
-            # Names are unlinked at attach: nothing to leak even while
-            # the lease is deferred.
-            assert first[:1] == b"x"
-            [second] = backend.run_chunk(_big_result_task, [b"y"])
-            # The first call's lease was flushed by the second dispatch;
-            # the second view is live, the backend tracked both.
-            assert second[:1] == b"y"
-            assert backend.result_stats["result_segments"] == 2
-        finally:
-            backend.shutdown()
-
-    def test_copy_fallback_counts_copies(self):
-        backend = ProcessBackend(workers=1, start_method="fork",
-                                 shm=True, shm_threshold=64,
-                                 result_views=False)
-        try:
-            [result] = backend.run_chunk(_big_result_task, [b"z"])
-            assert isinstance(result, bytes)
-            assert backend.result_stats["result_copies"] == 1
-            assert backend.result_stats["result_segments"] == 0
-        finally:
-            backend.shutdown()
+    """There is no result-view plane: results past the shm threshold
+    return pickled, whole, and leave nothing behind."""
 
     def test_shutdown_leaves_no_segments(self):
+        from repro.dataflow.backends import ProcessBackend
+
         before = set(shm_plane.list_segments("psna-"))
         backend = ProcessBackend(workers=2, start_method="fork",
                                  shm=True, shm_threshold=64)
         try:
-            backend.run_chunk(_big_result_task, [b"a", b"b", b"c"])
+            results = backend.run_chunk(_big_result_task,
+                                        [b"a", b"b", b"c"])
         finally:
             backend.shutdown()
+        assert results == [b"a" * 1024, b"b" * 1024, b"c" * 1024]
         assert set(shm_plane.list_segments("psna-")) == before
 
 
@@ -366,7 +315,6 @@ class TestStageReportCounters:
             ds.manifest, out_store, input_store=ds.store,
             config=SortConfig(chunks_per_superchunk=3),
             scratch_store=DirectoryStore(tmp_path / "scratch"),
-            backend="serial",
         )
         pipeline = PipelineBuilder("mini").add(stage).build()
         try:
@@ -388,7 +336,6 @@ class TestStageReportCounters:
         stage = build_sort_graph(
             ds.manifest, MemoryStore(), input_store=ds.store,
             config=SortConfig(chunks_per_superchunk=3),
-            backend="serial",
         )
         pipeline = PipelineBuilder("mini").add(stage).build()
         try:
@@ -396,8 +343,72 @@ class TestStageReportCounters:
         finally:
             pipeline.close()
         counters = result.stage_report["sort"]["counters"]
-        assert counters["decode_copies"] > 0
+        assert counters["decode_copies"] == counters["spill_restores"] > 0
         assert counters.get("spill_view_bytes", 0) == 0
+
+
+# ------------------------------------------- ledgers from older versions
+
+
+class TestLegacyPartitionedSpillResumes:
+    def test_partition_spilled_ledger_adopts_and_merges_identically(
+        self, tmp_path
+    ):
+        """A ledger an older version wrote for runs spilled by key
+        range (``partitions`` / ``boundaries`` / ``spill_partitions``
+        keys, ``superchunk-<run>-part<p>`` files in scratch): every run
+        is adopted from its ``entries`` — all of them, in row order —
+        and the one merge reproduces a fresh run byte for byte."""
+        from repro.core.ledger import RunLedger, bind_run_config
+        from repro.core.pipelines import run_pipeline
+        from row_sort_oracle import oracle_spill_runs
+
+        config = SortConfig(chunks_per_superchunk=3)
+
+        def dataset():
+            return make_aligned_dataset(POSITIONS, chunk_size=5)
+
+        def run(**kwargs):
+            out_store = MemoryStore()
+            outcome = run_pipeline(dataset(), ("sort",), sort_config=config,
+                                   output_store=out_store, backend="serial",
+                                   **kwargs)
+            return store_bytes(out_store, outcome.sorted_dataset)
+
+        fresh = run(scratch_store=DirectoryStore(tmp_path / "fresh"))
+
+        ds = dataset()
+        scratch = DirectoryStore(tmp_path / "scratch")
+        runs = oracle_spill_runs(ds, scratch, config, partitions=3)
+        assert any(len(r.entries) > 1 for r in runs)
+        ledger = RunLedger.create(tmp_path / "runs", run_id="legacy")
+        bind_run_config(ledger, ds.manifest, ("sort",), backend="serial",
+                        workers=4)
+        for index, spilled in enumerate(runs):
+            docs = [[e.path, e.first_ordinal, e.record_count]
+                    for e in spilled.entries]
+            ledger.append({
+                "t": "spill", "run": index,
+                "chunks": [e.path for e in ds.manifest.chunks[
+                    index * 3:index * 3 + 3]],
+                "entries": docs,
+                "partitions": docs + [None],
+                "boundaries": {"dtype": "<u8", "data": "AAAAAAAAAAA="},
+                "spill_partitions": 3,
+            })
+        ledger.close()
+
+        resumed = RunLedger.resume(tmp_path / "runs", run_id="legacy")
+        try:
+            got = run(scratch_store=scratch, ledger=resumed)
+            assert resumed.skips["sort.spill"] == len(runs)
+        finally:
+            resumed.close()
+        assert got == fresh
+        # Nothing was re-spilled next to the adopted sub-chunks.
+        assert not any(p.name.split(".")[0] in
+                       {f"superchunk-{i}" for i in range(len(runs))}
+                       for p in (tmp_path / "scratch").iterdir())
 
 
 # --------------------------------------------------- crash mid-merge
