@@ -26,6 +26,7 @@ that knows the layout; everything else reads through
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -153,6 +154,16 @@ class Chunk:
         return len(self.records)
 
 
+@functools.lru_cache(maxsize=8)
+def _deflate_index(index_bytes: bytes) -> bytes:
+    """The stored form of a relative index.  Memoised by its bytes:
+    fixed-length reads give every chunk's ``bases`` and ``qual`` columns
+    the same index, and each deflate costs zlib's whole set-up.  A few
+    entries are enough — the other columns' indexes pass through between
+    two uses of the shared one."""
+    return zlib.compress(index_bytes, INDEX_LEVEL)
+
+
 def write_chunk(
     records: Sequence,
     record_type: str,
@@ -165,7 +176,7 @@ def write_chunk(
     record_codec = get_record_codec(record_type)
     data, lengths = record_codec.encode(records)
     index_bytes = RelativeIndex(lengths).to_bytes()
-    stored_index = zlib.compress(index_bytes, INDEX_LEVEL)
+    stored_index = _deflate_index(index_bytes)
     compressed = codec.compress(data)
     header = ChunkHeader(
         record_type=record_type,

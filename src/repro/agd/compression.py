@@ -26,12 +26,18 @@ class Codec(NamedTuple):
 PROBE_BYTES = 4096
 
 
-def _huffman_only(data, level: int) -> bytes:
-    # wbits/memLevel are zlib.compress's own: only the strategy differs.
+#: Window bits of the probe's deflaters: 8 KiB, the smallest window in
+#: which every match distance a :data:`PROBE_BYTES` sample can hold is
+#: legal (zlib caps distances at window - 262), so a probe's size is
+#: what the default 32 KiB window would give — for a third of the
+#: set-up (zlib allocates and zeroes the window before the first byte).
+_PROBE_WBITS = 13
+
+
+def _deflate(data, level: int, strategy: int,
+             wbits: int = zlib.MAX_WBITS) -> bytes:
     deflater = zlib.compressobj(
-        level, zlib.DEFLATED, zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
-        zlib.Z_HUFFMAN_ONLY,
-    )
+        level, zlib.DEFLATED, wbits, zlib.DEF_MEM_LEVEL, strategy)
     return deflater.compress(data) + deflater.flush()
 
 
@@ -41,16 +47,20 @@ def _probed_deflate(data, level: int = 6) -> bytes:
     Deflate the block's first :data:`PROBE_BYTES` both ways at ``level``;
     if the Huffman-only output is no larger, LZ77 is finding nothing
     there (base qualities: ~5x the CPU for a *larger* result) and the
-    whole block is encoded with ``Z_HUFFMAN_ONLY``.  Blocks that fit in
-    the probe, and level 0 (stored), skip it.  The choice is a pure
-    function of the block's bytes — no state, no option — so equal
+    whole block is encoded with ``Z_HUFFMAN_ONLY`` (wbits/memLevel are
+    ``zlib.compress``'s own: only the strategy differs).  Blocks that
+    fit in the probe, and level 0 (stored), skip it.  The choice is a
+    pure function of the block's bytes — no state, no option — so equal
     blocks encode to equal bytes wherever and whenever they are written,
     and either way the output is a plain zlib stream.
     """
     if level and len(data) > PROBE_BYTES:
         head = memoryview(data)[:PROBE_BYTES]
-        if len(_huffman_only(head, level)) <= len(zlib.compress(head, level)):
-            return _huffman_only(data, level)
+        huffman, lz77 = (
+            len(_deflate(head, level, strategy, _PROBE_WBITS))
+            for strategy in (zlib.Z_HUFFMAN_ONLY, zlib.Z_DEFAULT_STRATEGY))
+        if huffman <= lz77:
+            return _deflate(data, level, zlib.Z_HUFFMAN_ONLY)
     return zlib.compress(data, level)
 
 

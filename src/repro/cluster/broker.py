@@ -1616,6 +1616,13 @@ class TcpBrokerClient:
         # response always arrives promptly unless the broker is gone.
         self._sock.settimeout(60.0)
         self._lock = threading.Lock()
+        #: Held while queueing for ``_lock``.  A plain lock is not fair:
+        #: a source looping on 50 ms long-polls re-takes it microseconds
+        #: after each release, and a publish or ack from another thread
+        #: starves for seconds.  Whoever waits for ``_lock`` holds
+        #: ``_queue``, so the thread that just released cannot re-enter
+        #: ahead of it.
+        self._queue = threading.Lock()
         self._closed = False
         self._shm = None
         self._shm_counter = itertools.count()
@@ -1666,11 +1673,15 @@ class TcpBrokerClient:
 
     def _request(self, header: dict,
                  segments=()) -> "tuple[dict, list]":
-        with self._lock:
+        with self._queue:
+            self._lock.acquire()
+        try:
             if self._closed:
                 raise ConnectionError("broker client closed")
             _send_frame(self._sock, header, segments)
             reply, body, _wire = _recv_frame(self._sock)
+        finally:
+            self._lock.release()
         if reply.get("status") == "error":
             raise BrokerError(reply.get("error", "broker error"))
         return reply, body

@@ -23,6 +23,7 @@ from repro.agd.manifest import ChunkEntry, Manifest
 from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import FLAG_DUPLICATE
 from repro.agd.result_column import ResultsColumn
+from repro.dataflow.lane import Ticket
 from repro.dataflow.node import Node
 from repro.dataflow.queues import Queue
 from repro.dataflow.errors import QueueClosed
@@ -42,7 +43,9 @@ class ChunkWorkItem:
     ``AlignmentResult`` from a results column).  Kernels also accept
     plain record lists there and wrap them once.  ``codecs`` names the
     codec each column parsed from ``raw`` was stored with, for a kernel
-    that rewrites the chunk in place.
+    that rewrites the chunk in place.  ``stored`` is the write-behind
+    ticket of a chunk whose columns may still be on their way to the
+    store (a sort merge's output): acknowledge only after waiting on it.
     """
 
     entry: ChunkEntry
@@ -50,6 +53,11 @@ class ChunkWorkItem:
     columns: dict = field(default_factory=dict)
     results: "ResultsColumn | None" = None
     codecs: "dict[str, str]" = field(default_factory=dict)
+    stored: "Ticket | None" = None
+
+    def wait_stored(self) -> None:
+        if self.stored is not None:
+            self.stored.wait()
 
     @property
     def record_count(self) -> int:
@@ -462,6 +470,7 @@ class EdgeSinkNode(Node):
             {"columns_pruned": len(item.columns) - len(shipped)})
         item = replace(item, columns=shipped)
         if self.ack_source is not None:
+            item.wait_stored()
             self.remote.put_with_ack(item, self.ack_source, item.entry.path)
         else:
             self.remote.put(item)
@@ -493,6 +502,7 @@ class AckSinkNode(Node):
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
         if self.ack_source is not None:
+            item.wait_stored()
             self.ack_source.ack_key(item.entry.path)
         self.chunks += 1
         self.records += item.record_count
@@ -809,7 +819,8 @@ class SuperchunkMergeNode(Node):
     columns, so a following dupmark/varcall stage starts while later
     chunks are still being gathered and written.  After the run,
     :attr:`manifest` describes the sorted dataset (identical to
-    ``sort_dataset``'s).  The merge runs on this node's own thread.
+    ``sort_dataset``'s).  The merge runs on this node's thread; each
+    chunk's encode and puts run behind it on the session's lane.
     """
 
     def __init__(
@@ -857,14 +868,14 @@ class SuperchunkMergeNode(Node):
         # Restore-side accounting lands directly in this node's counters
         # (spill_view_bytes / decode_copies) and surfaces through
         # stage_report.
-        for entry, columns in iter_merged_chunks(
+        for entry, columns, stored in iter_merged_chunks(
             self.scratch, runs, self.ordered_columns, self.order,
             self.out_chunk_size, self.dataset_name, self.output_store,
             out_codec=self.output_codec, counters=self.stats.counters,
-            deferred_columns=self.deferred_columns,
+            deferred_columns=self.deferred_columns, lane=ctx.lane,
         ):
             self.entries.append(entry)
-            yield ChunkWorkItem(entry=entry, columns=columns)
+            yield ChunkWorkItem(entry=entry, columns=columns, stored=stored)
         self.manifest = build_sorted_manifest(
             self.dataset_name, self.columns, self.entries,
             self.reference, self.order,
@@ -921,11 +932,12 @@ class DupmarkNode(Node):
         if dup_positions or self.write_codec is not None:
             codec = self.write_codec or item.codecs.get("results",
                                                         DEFAULT_CODEC)
-            self.store.put(
-                item.entry.chunk_file("results"),
-                write_chunk(records, "results", codec=codec,
-                            first_ordinal=item.entry.first_ordinal),
-            )
+            blob = write_chunk(records, "results", codec=codec,
+                               first_ordinal=item.entry.first_ordinal)
+            # A merge's other columns first, as when it wrote them
+            # itself: a chunk's puts keep their order in a ledger.
+            item.wait_stored()
+            self.store.put(item.entry.chunk_file("results"), blob)
         return [item]
 
 

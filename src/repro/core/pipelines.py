@@ -795,7 +795,8 @@ def suggest_queue_capacities(
       it) grows by ``growth_factor``;
     * a queue whose 95th-percentile depth sat below capacity shrinks to
       that depth plus ``headroom`` (never below ``min_capacity``);
-    * queues already sized right are omitted.
+    * queues already sized right are omitted, and so are queues the
+      session elided (``"inline"``: they have no capacity to tune).
 
     Returns ``{queue_name: capacity}`` suitable for
     ``run_pipeline(queue_capacities=...)``.
@@ -806,7 +807,7 @@ def suggest_queue_capacities(
     suggestions: dict[str, int] = {}
     for queue_name, info in queues.items():
         capacity = info.get("capacity", 0)
-        if capacity <= 0:
+        if capacity <= 0 or info.get("inline"):
             continue
         series = depth_series.get(queue_name) or []
         max_depth = info.get("max_depth", 0)

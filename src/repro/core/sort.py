@@ -59,6 +59,7 @@ from repro.agd.manifest import ChunkEntry, Manifest
 from repro.agd.records import get_record_codec, record_type_for_column
 from repro.align.result import AlignmentResult
 from repro.core.columnar import sort_keys, sort_permutation
+from repro.dataflow.lane import WriteBehindLane
 from repro.storage.base import ChunkStore, MemoryStore
 
 
@@ -401,7 +402,7 @@ def sort_dataset(
     )
     entries = [
         entry
-        for entry, _columns in iter_merged_chunks(
+        for entry, _columns, _stored in iter_merged_chunks(
             scratch, runs, ordered_columns, config.order,
             out_chunk_size, manifest.name, output_store,
             out_codec=config.output_codec(),
@@ -474,6 +475,16 @@ def _rechunk(batches, size: int, first_column: str):
         }
 
 
+def _store_chunk(store: ChunkStore, entry: ChunkEntry,
+                 columns: "dict[str, RaggedColumn]", codec) -> None:
+    """Encode and put one output chunk's columns (a lane job: deflate
+    and file writes, nothing that needs the interpreter for long)."""
+    for column, blob in _encode_columns(
+        columns, codec, first_ordinal=entry.first_ordinal
+    ).items():
+        store.put(entry.chunk_file(column), blob)
+
+
 def iter_merged_chunks(
     scratch: ChunkStore,
     runs: "list[SpilledRun]",
@@ -485,19 +496,26 @@ def iter_merged_chunks(
     out_codec: "Codec | str" = DEFAULT_CODEC,
     counters: "dict | None" = None,
     deferred_columns: "tuple[str, ...]" = (),
+    lane: "WriteBehindLane | None" = None,
 ):
     """Phase 2 of the external sort: merge sorted runs and write final
-    chunks; yields ``(entry, columns)`` per chunk written.
+    chunks; yields ``(entry, columns, stored)`` per chunk.
     ``deferred_columns`` are merged and yielded but neither encoded nor
     put: the stage that consumes the stream writes them (a dupmark stage
     directly downstream flags the results column before its only write).
 
     Shared by the eager :func:`sort_dataset` and the streaming
     :class:`~repro.core.ops.SuperchunkMergeNode` so the two paths'
-    chunk naming, ordinals, and bytes cannot drift apart.  A generator:
-    each output chunk is gathered, written and yielded before the next
-    is touched.  ``counters`` accumulates the restore-side accounting
-    (see :func:`_credit_spill`).
+    chunk naming, ordinals, and bytes cannot drift apart.  A generator,
+    one chunk ahead of its consumer: chunk *k*'s encode and puts are
+    handed to ``lane`` (the session's; None: one of this call's own),
+    chunk *k+1* is gathered while they run, and only then is *k*
+    yielded — ``stored`` is its :class:`~repro.dataflow.lane.Ticket`,
+    which whatever must not precede the write (another column's put, an
+    acknowledgment) waits on, by then rarely for long.  The lane is
+    drained, and a failed write re-raised here, before the generator
+    returns.  ``counters`` accumulates the restore-side accounting (see
+    :func:`_credit_spill`).
     """
     sorted_name = f"{dataset_name}-sorted"
     total = 0
@@ -505,20 +523,32 @@ def iter_merged_chunks(
         scratch, runs, ordered_columns, order, out_chunk_size,
         counters=counters,
     )
-    for index, columns in enumerate(
-        _rechunk(batches, out_chunk_size, ordered_columns[0])
-    ):
-        entry = ChunkEntry(
-            f"{sorted_name}-{index}", total, len(columns[ordered_columns[0]])
-        )
-        written = {name: column for name, column in columns.items()
-                   if name not in deferred_columns}
-        for column, blob in _encode_columns(
-            written, out_codec, first_ordinal=total
-        ).items():
-            output_store.put(entry.chunk_file(column), blob)
-        total += entry.record_count
-        yield entry, columns
+    own_lane = lane is None
+    if own_lane:
+        lane = WriteBehindLane("sort.lane")
+    try:
+        behind = None
+        for index, columns in enumerate(
+            _rechunk(batches, out_chunk_size, ordered_columns[0])
+        ):
+            entry = ChunkEntry(
+                f"{sorted_name}-{index}", total,
+                len(columns[ordered_columns[0]]),
+            )
+            written = {name: column for name, column in columns.items()
+                       if name not in deferred_columns}
+            stored = lane.submit(_store_chunk, output_store, entry, written,
+                                 out_codec)
+            total += entry.record_count
+            if behind is not None:
+                yield behind
+            behind = entry, columns, stored
+        if behind is not None:
+            yield behind
+        lane.drain()
+    finally:
+        if own_lane:
+            lane.close()
 
 
 def build_sorted_manifest(

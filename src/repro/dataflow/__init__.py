@@ -33,7 +33,6 @@ from repro.dataflow.pools import Buffer, BufferPool, ObjectPool
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import Handle, ResourceManager
 from repro.dataflow.session import NodeContext, Session, SessionResult
-from repro.dataflow.stealing import StealingStats, WorkStealingExecutor
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -67,6 +66,4 @@ __all__ = [
     "ResourceManager",
     "Session",
     "SessionResult",
-    "StealingStats",
-    "WorkStealingExecutor",
 ]

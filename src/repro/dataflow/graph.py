@@ -234,6 +234,9 @@ class Graph:
                 "wait_seconds": round(node.stats.wait_seconds, 6),
                 "replicas": node.parallelism,
             }
+            if getattr(node.input, "inline", False):
+                # Runs on its producer's thread: no input wait to report.
+                report["nodes"][node.name]["inline"] = True
             # Memory-plane counters ride along only when a node recorded
             # any, so reports (and tests comparing them) are unchanged
             # for nodes outside the view plane.
@@ -247,6 +250,8 @@ class Graph:
                 "total_enqueued": q.total_enqueued,
                 "max_depth": q.max_depth,
             }
+            if q.inline:
+                report["queues"][q.name]["inline"] = True
         if self.node_stages:
             stages: dict[str, dict] = {}
             for node in self.nodes:

@@ -5,11 +5,16 @@ management — are separated into dataflow kernels.  Each kernel can be
 mapped to available hardware resources."  A :class:`Node` is one kernel;
 the session runs ``parallelism`` replicas of it, each pulling items from
 the node's input queue and pushing results downstream.  "Dataflow
-semantics mean that independent tasks always execute in parallel."
+semantics mean that independent tasks always execute in parallel" — but
+kernels that hold the GIL cannot, so a node whose output queue the
+session elided (:attr:`Node.inline_next`) hands each item straight to
+its consumer's ``process`` on its own thread: the stage boundary stays,
+the thread boundary goes.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -21,9 +26,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.session import NodeContext
 
 
+_thread = threading.local()
+
+
+def bind_thread(ctx) -> None:
+    """Declare that the calling thread runs kernels under ``ctx`` (a
+    :class:`~repro.dataflow.session.NodeContext`, or anything else with
+    an ``executing`` attribute)."""
+    _thread.ctx = ctx
+
+
+def executing_node() -> "Node | None":
+    """The node whose ``process`` / ``finalize`` (or write-behind job)
+    the calling thread is running; None outside a session."""
+    return getattr(getattr(_thread, "ctx", None), "executing", None)
+
+
 @dataclass
 class NodeStats:
-    """Per-node runtime statistics (TF-style node-level profiling, §4.6)."""
+    """Per-node runtime statistics (TF-style node-level profiling, §4.6).
+
+    ``busy_seconds`` is time inside the node's own ``process`` /
+    ``finalize`` calls — self time, also for a node chained onto its
+    producer's thread.  ``wait_seconds`` is time blocked on the node's
+    queues; a chained node has no input queue to wait on.
+    """
 
     items_in: int = 0
     items_out: int = 0
@@ -70,6 +97,9 @@ class Node:
         self.parallelism = parallelism
         self.input: "Queue | None" = None
         self.output: "Queue | None" = None
+        #: The consumer of ``output`` when the session elided that queue
+        #: (``Session.run``): its ``process`` runs on this node's thread.
+        self.inline_next: "Node | None" = None
         self.stats = NodeStats(replicas=parallelism)
 
     # --------------------------------------------------------- subclass API
@@ -95,9 +125,20 @@ class Node:
 
     # ----------------------------------------------------------- run loops
 
+    def chain(self) -> "Iterator[Node]":
+        """This node and the nodes chained behind it, head first."""
+        node: "Node | None" = self
+        while node is not None:
+            yield node
+            node = node.inline_next
+
     def run_replica(self, ctx: "NodeContext") -> None:
-        """One replica's main loop (invoked on a session thread)."""
-        self.setup(ctx)
+        """One replica's main loop (invoked on a session thread); a
+        chain head runs its whole chain."""
+        for node in self.chain():
+            ctx.executing = node
+            node.setup(ctx)
+        ctx.executing = self
         if self.input is None:
             self._run_source(ctx)
         else:
@@ -111,9 +152,15 @@ class Node:
                 raise RuntimeError(
                     f"node {self.name!r} emitted an item but has no output"
                 )
-            wait_start = time.monotonic()
-            self.output.put(item)
-            self._add_wait(time.monotonic() - wait_start)
+            if self.inline_next is not None:
+                self.output.total_enqueued += 1
+                self.inline_next._accept(item, ctx)
+                # Back in this node (``items`` may be its generator).
+                ctx.executing = self
+            else:
+                wait_start = time.monotonic()
+                self.output.put(item)
+                self._add_wait(time.monotonic() - wait_start)
             with ctx.stats_lock:
                 self.stats.items_out += 1
 
@@ -129,6 +176,37 @@ class Node:
             with ctx.stats_lock:
                 self.stats.items_in += 1
 
+    def _accept(self, item: Any, ctx: "NodeContext") -> None:
+        """One item through ``process`` and on downstream: the body of a
+        replica's loop, and what a chained producer calls where it would
+        have queued the item.  ``ctx.executing`` is left on the node
+        that raised, which is how a failure inside a chain is
+        attributed."""
+        with ctx.stats_lock:
+            self.stats.items_in += 1
+        ctx.executing = self
+        busy_start = time.monotonic()
+        ctx.busy_counter.enter()
+        try:
+            out = self.process(item, ctx)
+        finally:
+            ctx.busy_counter.exit()
+            self._add_busy(time.monotonic() - busy_start)
+        self._emit(ctx, out)
+
+    def _finish(self, ctx: "NodeContext") -> None:
+        """``finalize`` this node, then the chain behind it: each node
+        flushes only after everything upstream of it has."""
+        ctx.executing = self
+        busy_start = time.monotonic()
+        try:
+            tail = self.finalize(ctx)
+        finally:
+            self._add_busy(time.monotonic() - busy_start)
+        self._emit(ctx, tail)
+        if self.inline_next is not None:
+            self.inline_next._finish(ctx)
+
     def _run_transform(self, ctx: "NodeContext") -> None:
         assert self.input is not None
         while True:
@@ -139,22 +217,8 @@ class Node:
                 self._add_wait(time.monotonic() - wait_start)
                 break
             self._add_wait(time.monotonic() - wait_start)
-            with ctx.stats_lock:
-                self.stats.items_in += 1
-            busy_start = time.monotonic()
-            ctx.busy_counter.enter()
-            try:
-                out = self.process(item, ctx)
-            finally:
-                ctx.busy_counter.exit()
-                self._add_busy(time.monotonic() - busy_start)
-            self._emit(ctx, out)
-        busy_start = time.monotonic()
-        try:
-            tail = self.finalize(ctx)
-        finally:
-            self._add_busy(time.monotonic() - busy_start)
-        self._emit(ctx, tail)
+            self._accept(item, ctx)
+        self._finish(ctx)
 
 
 class LambdaNode(Node):

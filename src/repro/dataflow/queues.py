@@ -64,6 +64,10 @@ class Queue(Generic[T]):
         # Metrics (§4.6: TF exposes "current queue states"; so do we).
         self.total_enqueued = 0
         self.max_depth = 0
+        #: True once a session elided this queue: its consumer runs on
+        #: its producer's thread and items never rest here (they are
+        #: still counted in ``total_enqueued``).
+        self.inline = False
 
     # ------------------------------------------------------------ lifecycle
 

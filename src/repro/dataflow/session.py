@@ -1,9 +1,21 @@
 """Session: executes a dataflow graph on worker threads (§4, §5.2).
 
 "All execution uses the TensorFlow direct session, unmodified."  Our
-direct-session analog maps every kernel replica onto a thread, propagates
-queue closure from sources to sinks, aborts the whole graph on the first
-kernel error, and returns per-node statistics.
+direct-session analog propagates queue closure from sources to sinks,
+aborts the whole graph on the first kernel error, and returns per-node
+statistics.
+
+Threads go to what can run in parallel.  Kernels hold the GIL, so two of
+them on two threads take turns and pay for every hand-off; a queue with
+one producer and one consumer, both single-replica, is therefore elided
+at :meth:`Session.run` and the consumer runs on the producer's thread
+(:attr:`Node.inline_next`): a *chain*, one thread, named after its head.
+Sources keep their thread and their queue — they block on the outside
+world, and the queue is their prefetch buffer — and so does every
+replicated kernel.  The one stretch of a run that needs no interpreter,
+deflating and writing the merge's output chunks, goes to the session's
+:class:`~repro.dataflow.lane.WriteBehindLane`.  The graph alone decides
+all of this.
 """
 
 from __future__ import annotations
@@ -20,7 +32,8 @@ from repro.dataflow.errors import (
 )
 from repro.dataflow.executor import BusyCounter
 from repro.dataflow.graph import Graph
-from repro.dataflow.node import Node
+from repro.dataflow.lane import WriteBehindLane
+from repro.dataflow.node import Node, bind_thread
 from repro.dataflow.resources import ResourceManager
 
 
@@ -32,6 +45,11 @@ class NodeContext:
     busy_counter: BusyCounter
     stats_lock: threading.Lock
     replica: int = 0
+    #: The session's write-behind lane (None outside a session).
+    lane: "WriteBehindLane | None" = None
+    #: The node running on this replica's thread right now; after a
+    #: failure, the node that raised.
+    executing: "Node | None" = None
 
     def backend(self, handle: str = "executor"):
         """Resolve an execution backend from the session resource registry.
@@ -150,7 +168,38 @@ class Session:
         self._failure: "tuple[str, BaseException] | None" = None
         self._failure_lock = threading.Lock()
 
+    def _fail(self, node: Node, exc: BaseException) -> None:
+        """Record the run's first failure, against ``node``, and abort."""
+        with self._failure_lock:
+            if self._failure is None:
+                self._failure = (node.name, exc)
+        node.stats.errors.append(repr(exc))
+        self.graph.abort()
+
+    def _chain(self) -> "list[Node]":
+        """Elide every queue that cannot buy parallelism — one producer
+        and one consumer, single-replica both, the producer not a source
+        — by chaining its consumer onto its producer.  Returns the nodes
+        that still get threads: sources, replicated kernels, chain
+        heads."""
+        nodes = self.graph.nodes
+        inlined: "set[int]" = set()
+        for q in self.graph.queues:
+            producers = [n for n in nodes if n.output is q]
+            consumers = [n for n in nodes if n.input is q]
+            if len(producers) != 1 or len(consumers) != 1:
+                continue
+            producer, consumer = producers[0], consumers[0]
+            if producer.parallelism == consumer.parallelism == 1 \
+                    and producer.input is not None \
+                    and producer is not consumer:
+                producer.inline_next = consumer
+                q.inline = True
+                inlined.add(id(consumer))
+        return [n for n in nodes if id(n) not in inlined]
+
     def _replica_main(self, node: Node, ctx: NodeContext) -> None:
+        bind_thread(ctx)
         try:
             node.run_replica(ctx)
         except WorkerFenced as exc:
@@ -159,11 +208,7 @@ class Session:
             # way), a fence is a *failure* of this session: record it
             # and abort, or kernels upstream of the fenced endpoint
             # would block forever on queues nobody drains.
-            with self._failure_lock:
-                if self._failure is None:
-                    self._failure = (node.name, exc)
-            node.stats.errors.append(repr(exc))
-            self.graph.abort()
+            self._fail(ctx.executing or node, exc)
         except QueueClosed:
             # Normal shutdown (downstream closed first); producer_done
             # below still runs.
@@ -174,37 +219,40 @@ class Session:
             # block forever on queues nobody drains.
             self.graph.abort()
         except BaseException as exc:
-            with self._failure_lock:
-                if self._failure is None:
-                    self._failure = (node.name, exc)
-            node.stats.errors.append(repr(exc))
-            self.graph.abort()
+            self._fail(ctx.executing or node, exc)
         finally:
-            if node.output is not None:
-                try:
-                    node.output.producer_done()
-                except RuntimeError:
-                    pass  # queue force-closed during abort
+            for member in node.chain():
+                if member.output is not None:
+                    try:
+                        member.output.producer_done()
+                    except RuntimeError:
+                        pass  # queue force-closed during abort
 
     def run(self, timeout: "float | None" = None) -> SessionResult:
         """Execute until all kernels finish; raises PipelineError on failure."""
         self.graph.validate()
+        heads = self._chain()
         sampler: "_QueueDepthSampler | None" = None
         if self.queue_sample_interval is not None:
+            # An elided queue holds nothing to sample.
             sampler = _QueueDepthSampler(
-                self.graph.queues, self.queue_sample_interval
+                [q for q in self.graph.queues if not q.inline],
+                self.queue_sample_interval,
             )
         stats_lock = threading.Lock()
-        threads: list[threading.Thread] = []
+        lane = WriteBehindLane(f"{self.graph.name}.lane",
+                               on_error=self._fail)
+        threads: "list[tuple[threading.Thread, NodeContext]]" = []
         started_at = time.time()  # wall clock, for provenance records
         start = time.monotonic()
-        for node in self.graph.nodes:
+        for node in heads:
             for replica in range(node.parallelism):
                 ctx = NodeContext(
                     resources=self.graph.resources,
                     busy_counter=self.busy_counter,
                     stats_lock=stats_lock,
                     replica=replica,
+                    lane=lane,
                 )
                 thread = threading.Thread(
                     target=self._replica_main,
@@ -212,14 +260,14 @@ class Session:
                     name=f"{self.graph.name}.{node.name}.{replica}",
                     daemon=True,
                 )
-                threads.append(thread)
+                threads.append((thread, ctx))
         if sampler is not None:
             sampler.start()
         try:
-            for thread in threads:
+            for thread, _ctx in threads:
                 thread.start()
             deadline = None if timeout is None else start + timeout
-            for thread in threads:
+            for thread, ctx in threads:
                 remaining = None if deadline is None \
                     else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -229,13 +277,17 @@ class Session:
                     )
                 thread.join(remaining)
                 if thread.is_alive():
+                    stuck = ctx.executing
                     self.graph.abort()
                     thread.join(5.0)
                     raise TimeoutError(
                         f"session {self.graph.name!r} exceeded {timeout}s "
-                        f"(stuck in {thread.name})"
+                        f"(stuck in {thread.name}"
+                        + (f", node {stuck.name!r})" if stuck else ")")
                     )
         finally:
+            # Every chain is done or aborted; nothing submits any more.
+            lane.close(timeout=5.0)
             if sampler is not None:
                 sampler.stop()
         wall = time.monotonic() - start

@@ -67,9 +67,12 @@ class DirectoryStore:
         # chunk under the real key (durable-run resume trusts that an
         # existing chunk file is complete).
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # first chunk under a new directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
         os.replace(tmp, path)
 
     def exists(self, key: str) -> bool:

@@ -100,9 +100,15 @@ def codec_spy(monkeypatch):
     """Spies on the data-block codec: every deflate/inflate the codec
     layer (``repro.agd.compression``) performs lands in ``.calls``.  A
     chunk's *index* is deflated by ``repro.agd.chunk`` through its own
-    ``zlib`` import; those land in ``.index.calls`` instead."""
+    ``zlib`` import; those land in ``.index.calls`` instead — one per
+    chunk image written: the memo in front of that deflate is bypassed,
+    so equal indexes are not hidden from the count."""
+    from repro.agd import chunk
+
     spy = ZlibSpy()
     spy.index = ZlibSpy()
     monkeypatch.setattr("repro.agd.compression.zlib", spy)
-    monkeypatch.setattr("repro.agd.chunk.zlib", spy.index)
+    monkeypatch.setattr(chunk, "zlib", spy.index)
+    monkeypatch.setattr(chunk, "_deflate_index",
+                        chunk._deflate_index.__wrapped__)
     return spy

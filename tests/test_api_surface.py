@@ -23,6 +23,12 @@ SPEC_MODULE_LIMIT = 12
 LIMIT = 16
 CLI_OPTION_LIMIT = 93
 RUN_PLACED_PIPELINE_LINES = 160
+#: ``Session(graph, queue_sample_interval)``: what is chained and what
+#: the write-behind lane carries is read off the graph, never passed in.
+SESSION_INIT_PARAMETERS = 3
+#: ``os.environ`` reads under ``src/repro`` (the ledger's two chaos
+#: hooks): no behaviour hides behind an environment variable.
+ENVIRON_READS = 2
 
 
 def _functions():
@@ -44,6 +50,16 @@ def test_parameter_counts():
             over.append(f"{module}:{node.lineno} {node.name} takes {count} "
                         f"parameters (limit {limit})")
     assert not over, "\n".join(over)
+
+
+def test_no_switch_for_the_thread_model():
+    [count] = [c for m, n, c in _functions()
+               if m == "dataflow/session.py" and n.name == "__init__"
+               and n.args.args[1].arg == "graph"]
+    assert count <= SESSION_INIT_PARAMETERS
+    reads = sum(path.read_text().count("os.environ")
+                for path in SRC.rglob("*.py"))
+    assert reads <= ENVIRON_READS
 
 
 def test_run_placed_pipeline_stays_four_steps():

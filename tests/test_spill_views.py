@@ -185,7 +185,7 @@ class TestByteIdentity:
                 scratch, len(runs),
                 sort_run_task("location", ordered, chunks, codec)))
         got, counters = MemoryStore(), {}
-        entries = [entry for entry, _ in iter_merged_chunks(
+        entries = [entry for entry, *_ in iter_merged_chunks(
             scratch, runs, ordered, "location", 5, ds.manifest.name, got,
             counters=counters)]
         baseline = self._sorted_bytes(MemoryStore(),

@@ -6,11 +6,16 @@ from __future__ import annotations
 import threading
 import zlib
 
+from repro.dataflow.node import executing_node
+
 
 class ZlibSpy:
     """Stands in for the ``zlib`` module one repro module sees: records
-    ``(thread name, function, level)`` per deflate/inflate call and
-    passes everything through to the real module."""
+    ``(where, function, level)`` per deflate/inflate call and passes
+    everything through to the real module.  ``where`` is
+    ``<graph>.<node>`` for a call made while a session node executes
+    (also on a thread that node shares with others, or on the session's
+    write-behind lane on its behalf), the thread name otherwise."""
 
     _SPIED = {"compress": 1, "compressobj": 0,
               "decompress": None, "decompressobj": None}
@@ -28,12 +33,15 @@ class ZlibSpy:
             level = kwargs.get("level")
             if level_arg is not None and len(args) > level_arg:
                 level = args[level_arg]
-            self.calls.append(
-                (threading.current_thread().name, name, level))
+            node = executing_node()
+            thread = threading.current_thread().name
+            where = thread if node is None \
+                else f"{thread.split('.')[0]}.{node.name}"
+            self.calls.append((where, name, level))
             return real(*args, **kwargs)
 
         return spied
 
-    def on(self, thread: str) -> "list[tuple[str, str, int | None]]":
-        """Calls made on threads whose name contains ``thread``."""
-        return [call for call in self.calls if thread in call[0]]
+    def on(self, where: str) -> "list[tuple[str, str, int | None]]":
+        """Calls whose ``where`` contains the given text."""
+        return [call for call in self.calls if where in call[0]]
