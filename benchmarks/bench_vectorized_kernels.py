@@ -3,8 +3,9 @@
 The columnar fast path (repro.core.columnar) rewrites the three hottest
 per-record loops — pileup accumulation, sort-key extraction + ordering,
 and duplicate-signature extraction + scanning — as numpy array programs
-over AGD columns.  This benchmark times each kernel pair on the same
-aligned workload and asserts:
+over AGD columns, and the read generator (repro.genome.synthetic) draws
+reads a block at a time.  This benchmark times each kernel pair on the
+same aligned workload and asserts:
 
 * **byte-identical outputs**: same VCF records, same sorted dataset
   bytes, same duplicate marks and stats;
@@ -15,7 +16,10 @@ aligned workload and asserts:
   at least 2x faster than the row sort it replaced (the test oracle in
   ``tests/row_sort_oracle.py``), and the array dupmark at least 2x
   faster than the object-level specification driven over the dataset
-  (``tests/dupmark_oracle.py``) — single-thread ratios on one box, so
+  (``tests/dupmark_oracle.py``), and the array read generator at least
+  5x faster than the per-read one (``tests/read_sim_oracle.py``; equal
+  in law, not in bytes — ``tests/test_synthetic.py`` holds both to the
+  same distributions) — single-thread ratios on one box, so
   the gates are armed on any CPU count (CI's perf-smoke job runs this
   file, so a silent fallback to per-record work fails the build).
 
@@ -46,16 +50,20 @@ from repro.core.varcall import (
     pileup_dataset,
 )
 from repro.formats.converters import import_reads
+from repro.genome.synthetic import ReadSimulator
 from repro.storage.base import DirectoryStore, MemoryStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from dupmark_oracle import oracle_mark_duplicates  # noqa: E402
+from read_sim_oracle import OracleReadSimulator  # noqa: E402
 from row_sort_oracle import oracle_sort_dataset  # noqa: E402
 
 #: The columnar sort must beat the row oracle by at least this factor.
 SORT_SPEEDUP_GATE = 2.0
 #: The array dupmark must beat the object-level specification by this.
 DUPMARK_SPEEDUP_GATE = 2.0
+#: The array read generator must beat the per-read one by this.
+GENERATOR_SPEEDUP_GATE = 5.0
 #: The sorted-input pileup window must hold at least this many times
 #: fewer rows than the contigs span (an accumulate-then-call pileup
 #: holds all of them: 1x).  The sorted world is four 1000-record chunks,
@@ -286,3 +294,45 @@ def test_vectorized_dupmark_speedup(benchmark, sorted_world, report):
         lambda: mark_duplicates(fresh_copy(), DupmarkStats()),
         rounds=1, iterations=1,
     )
+
+
+def test_array_generator_speedup(benchmark, bench_reference, bench_reads,
+                                 report):
+    # The session read set's own size and parameters (BENCH_READS).
+    count, read_length = bench_reads.bases.shape
+
+    def simulate(simulator_class):
+        return simulator_class(
+            bench_reference, read_length=read_length,
+            duplicate_fraction=0.12, seed=7002,
+        ).simulate(count)
+
+    (_, oracle_origins), oracle_s = _timed(
+        lambda: simulate(OracleReadSimulator), repeats=3)
+    (reads, origins), array_s = _timed(
+        lambda: simulate(ReadSimulator), repeats=3)
+    assert len(reads) == len(origins) == len(oracle_origins) == count
+
+    speedup = oracle_s / array_s if array_s else float("inf")
+    rep = report("vectorized_kernels_generator",
+                 "Array-at-a-time read generator vs the per-read oracle")
+    rep.row("per-read oracle (scalar draws, one ReadRecord per read)",
+            "baseline", f"{oracle_s * 1e3:.1f} ms")
+    rep.row("array generator (block draws into a ReadBatch)",
+            f">= {GENERATOR_SPEEDUP_GATE:g}x",
+            f"{array_s * 1e3:.1f} ms ({speedup:.1f}x)")
+    rep.metric("oracle_seconds", oracle_s)
+    rep.metric("array_seconds", array_s)
+    rep.metric("speedup", speedup)
+    rep.metric("reads", count)
+    rep.metric("reads_per_second", count / array_s)
+    rep.add()
+    rep.add("shape checks:")
+    # Single-threaded on both sides, same parameters: armed on any CPU
+    # count.
+    rep.gate("array generator speedup over the per-read oracle",
+             GENERATOR_SPEEDUP_GATE, speedup, armed=True)
+    rep.finish()
+
+    benchmark.pedantic(lambda: simulate(ReadSimulator),
+                       rounds=1, iterations=1)

@@ -11,6 +11,7 @@ re-emitting bases, qualities, and metadata in text form.
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -52,7 +53,7 @@ class AlignmentResult:
             raise ValueError(f"flag {self.flag:#x} out of uint16 range")
         if not 0 <= self.mapq <= 255:
             raise ValueError(f"mapq {self.mapq} out of uint8 range")
-        cigar_operations(self.cigar)  # raises ValueError if malformed
+        _validate_cigar(self.cigar)
 
     # ---------------------------------------------------------------- flags
 
@@ -178,6 +179,15 @@ def cigar_operations(cigar: bytes) -> list[tuple[int, str]]:
     if pos != len(cigar):
         raise ValueError(f"malformed CIGAR {cigar!r}")
     return ops
+
+
+@functools.lru_cache(maxsize=1024)
+def _validate_cigar(cigar: bytes) -> None:
+    """Raise ValueError if ``cigar`` is malformed.  A well-formed string's
+    verdict is remembered — a results column repeats a handful of CIGARs
+    (``101M`` on nearly every read) — while a malformed one raises on
+    every call, since an exception is never cached."""
+    cigar_operations(cigar)
 
 
 def cigar_reference_span(cigar: bytes) -> int:

@@ -13,6 +13,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
+import numpy as np
+
+from repro.agd.columns import BasesColumn, TextColumn
 from repro.agd.dataset import DEFAULT_CHUNK_SIZE, AGDDataset
 from repro.align.result import AlignmentResult
 from repro.formats.bam import BamWriter, iter_bam
@@ -24,7 +27,7 @@ from repro.formats.sam import (
     iter_sam,
     record_from_alignment,
 )
-from repro.genome.reads import ReadRecord
+from repro.genome.reads import ReadBatch, ReadRecord
 from repro.storage.base import ChunkStore
 
 #: The three raw-read columns produced by import (§3: "Persona uses three
@@ -44,16 +47,28 @@ def import_reads(
     """Materialize an iterable of reads as an AGD dataset.
 
     ``codec`` (a :class:`~repro.agd.compression.Codec` or name) applies
-    to every column; None keeps the per-column defaults.
+    to every column; None keeps the per-column defaults.  A
+    :class:`~repro.genome.reads.ReadBatch` is stored from its matrices:
+    the chunk writer slices and packs column buffers, and no read becomes
+    an object on the way.
     """
-    all_reads = list(reads)
-    if not all_reads:
+    if isinstance(reads, ReadBatch):
+        bounds = np.arange(len(reads) + 1, dtype=np.int64) \
+            * reads.bases.shape[1]
+        columns = {
+            "bases": BasesColumn(reads.bases.reshape(-1), bounds),
+            "qual": TextColumn(reads.qualities.reshape(-1), bounds),
+            "metadata": TextColumn.from_records(reads.names),
+        }
+    else:
+        all_reads = list(reads)
+        columns = {
+            "bases": [r.bases for r in all_reads],
+            "qual": [r.qualities for r in all_reads],
+            "metadata": [r.metadata for r in all_reads],
+        }
+    if not len(columns["metadata"]):
         raise ValueError("cannot import an empty read set")
-    columns = {
-        "bases": [r.bases for r in all_reads],
-        "qual": [r.qualities for r in all_reads],
-        "metadata": [r.metadata for r in all_reads],
-    }
     return AGDDataset.create(
         name,
         columns,

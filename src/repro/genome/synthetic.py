@@ -16,12 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.genome.reads import ReadOrigin, ReadRecord
+from repro.genome.reads import ReadBatch, ReadOrigin
 from repro.genome.reference import Contig, ReferenceGenome
-from repro.genome.sequence import reverse_complement
+from repro.genome.sequence import COMPLEMENT_LUT
 
 _ACGT = np.frombuffer(b"ACGT", dtype=np.uint8)
+#: Rank of every byte among ``ACGT`` (what ``searchsorted`` would say).
+_ACGT_RANK = np.searchsorted(_ACGT, np.arange(256)).astype(np.uint8)
+
+#: Reads drawn per array block: a run of any size holds one block's
+#: ``(reads, read_length)`` float draws at a time, not the whole set's.
+_BLOCK_READS = 65_536
 
 
 def synthetic_reference(
@@ -110,6 +117,8 @@ class ReadSimulator:
                     f"2 x read_length ({min_insert})"
                 )
         self._rng = np.random.default_rng(self.seed)
+        self._genome = np.frombuffer(self.reference.concatenated(),
+                                     dtype=np.uint8)
 
     # ------------------------------------------------------------------ API
 
@@ -119,144 +128,161 @@ class ReadSimulator:
 
     def simulate(
         self, num_reads: int, sample_name: str = "sample"
-    ) -> tuple[list[ReadRecord], list[ReadOrigin]]:
+    ) -> tuple[ReadBatch, list[ReadOrigin]]:
         """Generate ``num_reads`` reads with ground-truth origins.
 
         For paired mode ``num_reads`` must be even; mates are adjacent in
         the output (R1 then R2), mirroring interleaved FASTQ.
+
+        An array program: every decision is drawn for a block of reads
+        at once and the reads are born as rows of the returned batch's
+        matrices (``tests/read_sim_oracle.py`` is the same law one read
+        at a time).
         """
         if num_reads <= 0:
             raise ValueError("num_reads must be positive")
         if self.paired and num_reads % 2:
             raise ValueError("paired simulation needs an even read count")
-        reads: list[ReadRecord] = []
-        origins: list[ReadOrigin] = []
-        num_fragments = num_reads // 2 if self.paired else num_reads
-        fragment_index = 0
+        shape = (num_reads, self.read_length)
+        bases = np.empty(shape, dtype=np.uint8)
+        qualities = np.empty(shape, dtype=np.uint8)
+        position = np.empty(num_reads, dtype=np.int64)
+        reverse = np.empty(num_reads, dtype=bool)
+        duplicate = np.empty(num_reads, dtype=bool)
+        mate = np.empty(num_reads, dtype=np.int64)
+        errors = np.empty(num_reads, dtype=np.int64)
+        per_fragment = 2 if self.paired else 1
         last_fragment: "tuple[int, bool, int] | None" = None
-        while fragment_index < num_fragments:
-            duplicate = bool(
-                last_fragment is not None
-                and self._rng.random() < self.duplicate_fraction
-            )
-            if duplicate:
-                # A PCR duplicate re-reads the *same physical fragment*:
-                # identical coordinates (including insert length),
-                # independent sequencing errors.
-                pos, reverse, insert = last_fragment
-            else:
-                pos, reverse = self._random_origin()
-                insert = min(self._fragment_span(),
-                             len(self.reference) - pos)
-            self._emit_fragment(
-                fragment_index, pos, reverse, duplicate, insert,
-                reads, origins, sample_name,
-            )
-            last_fragment = (pos, reverse, insert)
-            fragment_index += 1
-        return reads, origins
+        for lo in range(0, num_reads, _BLOCK_READS):
+            count = min(_BLOCK_READS, num_reads - lo)
+            block = slice(lo, lo + count)
+            start, strand, insert, copied = self._draw_fragments(
+                count // per_fragment, last_fragment)
+            last_fragment = (start[-1], strand[-1], insert[-1])
+            duplicate[block] = np.repeat(copied, per_fragment)
+            position[block], reverse[block], mate[block] = \
+                self._lay_out_reads(start, strand, insert)
+            bases[block], errors[block] = self._sequence_reads(
+                position[block], reverse[block])
+            qualities[block] = self._draw_qualities(count)
+        fragments = range(num_reads // per_fragment)
+        if self.paired:
+            names = [f"{sample_name}.{i}/{m}".encode()
+                     for i in fragments for m in (1, 2)]
+        else:
+            names = [f"{sample_name}.{i}".encode() for i in fragments]
+        origins = list(map(
+            ReadOrigin, position.tolist(), reverse.tolist(),
+            duplicate.tolist(), mate.tolist(), errors.tolist(),
+        ))
+        return ReadBatch(bases, qualities, names), origins
 
     # ------------------------------------------------------------- internals
 
-    def _random_origin(self) -> tuple[int, bool]:
-        span = self._fragment_span()
-        limit = len(self.reference) - span
-        pos = int(self._rng.integers(0, limit + 1))
-        reverse = bool(self._rng.integers(0, 2))
-        return pos, reverse
+    def _draw_fragments(self, count: int, last_fragment):
+        """``count`` fragments as ``(start, reverse, insert, duplicate)``
+        arrays, continuing after ``last_fragment`` (None at the start).
 
-    def _fragment_span(self) -> int:
-        if not self.paired:
-            return self.read_length
-        return max(
-            2 * self.read_length,
-            int(self._rng.normal(self.insert_size_mean, self.insert_size_sd)),
-        )
+        A PCR duplicate re-reads the *same physical fragment*: identical
+        coordinates (including insert length), independent sequencing
+        errors — so it copies the fragment before it, which may itself
+        be a duplicate.
+        """
+        genome = len(self.reference)
+        start = self._rng.integers(0, genome - self._draw_spans(count) + 1)
+        reverse = self._rng.integers(0, 2, size=count).astype(bool)
+        insert = np.minimum(self._draw_spans(count), genome - start)
+        duplicate = self._rng.random(count) < self.duplicate_fraction
+        if last_fragment is None:
+            duplicate[0] = False
+        elif duplicate[0]:
+            start[0], reverse[0], insert[0] = last_fragment
+        # Forward-fill: each fragment reads from the last non-duplicate
+        # at or before it (slot 0 now stands for the carried-in one).
+        source = np.maximum.accumulate(
+            np.where(duplicate, 0, np.arange(count)))
+        return start[source], reverse[source], insert[source], duplicate
 
-    def _emit_fragment(
-        self,
-        fragment_index: int,
-        pos: int,
-        reverse: bool,
-        duplicate: bool,
-        insert: int,
-        reads: list[ReadRecord],
-        origins: list[ReadOrigin],
-        sample_name: str,
-    ) -> None:
+    def _draw_spans(self, count: int) -> np.ndarray:
+        """Fragment lengths: the read itself, or a pair's insert size."""
         if not self.paired:
-            record, errors = self._sequence_read(pos, reverse,
-                                                 f"{sample_name}.{fragment_index}")
-            reads.append(record)
-            origins.append(ReadOrigin(pos, reverse, duplicate, -1, errors))
-            return
+            return np.full(count, self.read_length, dtype=np.int64)
+        spans = self._rng.normal(
+            self.insert_size_mean, self.insert_size_sd, size=count)
+        return np.maximum(2 * self.read_length, spans.astype(np.int64))
+
+    def _lay_out_reads(self, start, reverse, insert):
+        """Per-read ``(position, reverse, mate position)`` of fragments."""
+        if not self.paired:
+            return start, reverse, np.full(start.size, -1, dtype=np.int64)
         # Illumina FR geometry: the leftmost read is always forward, the
         # rightmost reverse (mates face inward).  ``reverse`` selects which
         # fragment strand R1 was sequenced from, i.e. whether R1 is the
         # left/forward or right/reverse read.
-        left_pos = pos
-        right_pos = pos + insert - self.read_length
-        name = f"{sample_name}.{fragment_index}"
-        if not reverse:
-            r1_pos, r1_rev = left_pos, False
-            r2_pos, r2_rev = right_pos, True
-        else:
-            r1_pos, r1_rev = right_pos, True
-            r2_pos, r2_rev = left_pos, False
-        r1, e1 = self._sequence_read(r1_pos, r1_rev, f"{name}/1")
-        r2, e2 = self._sequence_read(r2_pos, r2_rev, f"{name}/2")
-        reads.extend((r1, r2))
-        origins.append(ReadOrigin(r1_pos, r1_rev, duplicate, r2_pos, e1))
-        origins.append(ReadOrigin(r2_pos, r2_rev, duplicate, r1_pos, e2))
+        right = start + insert - self.read_length
+        r1 = np.where(reverse, right, start)
+        r2 = np.where(reverse, start, right)
+        return (np.stack([r1, r2], axis=1).reshape(-1),
+                np.stack([reverse, ~reverse], axis=1).reshape(-1),
+                np.stack([r2, r1], axis=1).reshape(-1))
 
-    def _sequence_read(
-        self, pos: int, reverse: bool, name: str
-    ) -> tuple[ReadRecord, int]:
-        fragment = bytearray(self.reference.fetch(pos, self.read_length))
+    def _sequence_reads(self, position: np.ndarray, reverse: np.ndarray):
+        """The ``(n, L)`` base matrix read at ``position`` off strand
+        ``reverse``, with sequencing errors, and the per-read error count."""
         model = self.error_model
-        errors = 0
+        shape = (position.size, self.read_length)
+        rows = sliding_window_view(self._genome, self.read_length)[position]
+        errors = np.zeros(position.size, dtype=np.int64)
         # One optional short indel per read.
-        if model.indel_rate and self._rng.random() < model.indel_rate:
-            errors += self._apply_indel(fragment, pos)
-        arr = np.frombuffer(bytes(fragment), dtype=np.uint8).copy()
-        sub_mask = self._rng.random(arr.size) < model.substitution_rate
-        if sub_mask.any():
-            shifts = self._rng.integers(1, 4, size=int(sub_mask.sum()))
-            originals = arr[sub_mask]
-            # Rotate within ACGT so the substituted base always differs.
-            idx = np.searchsorted(_ACGT, originals)
-            arr[sub_mask] = _ACGT[(idx + shifts) % 4]
-            errors += int(sub_mask.sum())
-        n_mask = self._rng.random(arr.size) < model.n_rate
-        if n_mask.any():
-            arr[n_mask] = ord("N")
-            errors += int(n_mask.sum())
-        bases = arr.tobytes()
-        if reverse:
-            bases = reverse_complement(bases)
-        quals = self._qualities(arr.size)
-        return ReadRecord(name.encode(), bases, quals), errors
+        if model.indel_rate:
+            hit = np.flatnonzero(self._rng.random(position.size)
+                                 < model.indel_rate)
+            errors[hit] = self._apply_indels(rows, hit, position[hit])
+        sub_mask = self._rng.random(shape) < model.substitution_rate
+        # Rotate within ACGT so the substituted base always differs.
+        shifts = self._rng.integers(
+            1, 4, size=np.count_nonzero(sub_mask), dtype=np.uint8)
+        rows[sub_mask] = _ACGT[(_ACGT_RANK[rows[sub_mask]] + shifts) % 4]
+        n_mask = self._rng.random(shape) < model.n_rate
+        rows[n_mask] = ord("N")
+        # A base hit by both masks is one mismatch.
+        errors += (sub_mask | n_mask).sum(axis=1)
+        rows[reverse] = COMPLEMENT_LUT[rows[reverse, ::-1]]
+        return rows, errors
 
-    def _apply_indel(self, fragment: bytearray, pos: int) -> int:
-        length = int(self._rng.integers(1, self.error_model.max_indel_length + 1))
-        at = int(self._rng.integers(1, max(2, len(fragment) - length)))
-        if self._rng.integers(0, 2):  # insertion of random bases
-            insert = _ACGT[self._rng.integers(0, 4, size=length)].tobytes()
-            fragment[at:at] = insert
-            del fragment[self.read_length:]
-        else:  # deletion; re-fill from downstream reference
-            del fragment[at : at + length]
-            tail = self.reference.fetch(pos + self.read_length, length)
-            fragment.extend(tail)
-            # Near the genome end the refill may come up short; pad with A.
-            fragment.extend(b"A" * (self.read_length - len(fragment)))
+    def _apply_indels(self, rows, hit, position) -> np.ndarray:
+        """Give each of ``rows[hit]`` one short indel; returns the indel
+        lengths.  The few reads that have one are edited row by row."""
+        read_length = self.read_length
+        length = self._rng.integers(
+            1, self.error_model.max_indel_length + 1, size=hit.size)
+        at = self._rng.integers(1, np.maximum(2, read_length - length))
+        insertion = self._rng.integers(0, 2, size=hit.size).astype(bool)
+        inserted = _ACGT[self._rng.integers(
+            0, 4, size=(hit.size, self.error_model.max_indel_length))]
+        for index, pos, n, a, ins, new in zip(
+            hit.tolist(), position.tolist(), length.tolist(), at.tolist(),
+            insertion.tolist(), inserted,
+        ):
+            row = rows[index]
+            if ins:  # random bases pushed in; the read's end falls off
+                edited = np.concatenate([row[:a], new[:n], row[a:]])
+            else:  # bases dropped; re-filled from downstream reference
+                tail = self._genome[pos + read_length:pos + read_length + n]
+                # Near the genome end the refill comes up short: pad with A.
+                edited = np.concatenate([
+                    row[:a], row[a + n:], tail,
+                    np.full(n - tail.size, ord("A"), dtype=np.uint8)])
+            rows[index] = edited[:read_length]
         return length
 
-    def _qualities(self, n: int) -> bytes:
+    def _draw_qualities(self, count: int) -> np.ndarray:
         model = self.error_model
-        scores = self._rng.normal(model.quality_mean, model.quality_sd, size=n)
-        scores = np.clip(np.round(scores), 2, 41).astype(np.uint8)
-        return (scores + 33).tobytes()
+        scores = self._rng.normal(model.quality_mean, model.quality_sd,
+                                  size=(count, self.read_length))
+        np.clip(np.rint(scores, out=scores), 2, 41, out=scores)
+        scores += 33  # Phred+33
+        return scores.astype(np.uint8)
 
 
 def synthetic_dataset(
@@ -267,7 +293,7 @@ def synthetic_dataset(
     num_contigs: int = 1,
     duplicate_fraction: float = 0.0,
     paired: bool = False,
-) -> tuple[ReferenceGenome, list[ReadRecord], list[ReadOrigin]]:
+) -> tuple[ReferenceGenome, ReadBatch, list[ReadOrigin]]:
     """One-call convenience: reference + reads + ground truth."""
     reference = synthetic_reference(genome_length, num_contigs, seed=seed)
     simulator = ReadSimulator(

@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 from repro.cli import build_parser
+from repro.genome.synthetic import ReadSimulator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -109,3 +112,20 @@ def test_only_the_aligner_dispatches():
     assert sites == {("ops.py", "AlignerNode"),
                      ("ops.py", "PairedAlignerNode"),
                      ("paired_bwa.py", "BwaPairedAlignerNode")}
+
+
+def test_one_read_generator():
+    """``ReadSimulator`` has one implementation and no switch for it: the
+    array program, with the signature the per-read one had.  The per-read
+    code lives in ``tests/read_sim_oracle.py`` only."""
+    assert str(inspect.signature(ReadSimulator.simulate)) == (
+        "(self, num_reads: 'int', sample_name: 'str' = 'sample') -> "
+        "'tuple[ReadBatch, list[ReadOrigin]]'"
+    )
+    assert [f.name for f in dataclasses.fields(ReadSimulator)] == [
+        "reference", "read_length", "error_model", "duplicate_fraction",
+        "paired", "insert_size_mean", "insert_size_sd", "seed",
+    ]
+    source = (SRC / "genome" / "synthetic.py").read_text()
+    for gone in ("_sequence_read(", "_emit_fragment(", "vectorized"):
+        assert gone not in source

@@ -47,6 +47,21 @@ class TestAlignmentResult:
         with pytest.raises(ValueError):
             AlignmentResult(cigar=b"garbage")
 
+    def test_cigar_verdict_is_remembered_and_rejection_is_not(self):
+        """A well-formed CIGAR is parsed once however many results carry
+        it; a malformed one raises on every construction."""
+        from repro.align import result
+
+        result._validate_cigar.cache_clear()
+        for _ in range(3):
+            AlignmentResult(cigar=b"77M2I22M")
+            with pytest.raises(ValueError, match="malformed CIGAR"):
+                AlignmentResult(cigar=b"77M2")
+            with pytest.raises(ValueError, match="zero-length"):
+                AlignmentResult(cigar=b"0M")
+        info = result._validate_cigar.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (7, 2, 1)
+
     def test_serialization_roundtrip(self):
         r = AlignmentResult(
             flag=FLAG_REVERSE, mapq=37, contig_index=3, position=123456,
