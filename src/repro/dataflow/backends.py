@@ -19,33 +19,35 @@ Three backends ship here:
     numpy) and for overlap of I/O with compute.
 
 ``ProcessBackend``
-    A ``multiprocessing`` pool with chunk-level *batching* to amortize
-    IPC cost: payloads are grouped into batches, each batch crosses the
-    process boundary as one message.  Shared read-only resources (e.g.
-    a multi-gigabyte aligner index) are pickled **once** per worker at
-    pool start, never per task.  This is the backend that shows real
-    multi-core speedup for pure-Python compute.
+    Forked worker processes, one pipe each, with chunk-level *batching*
+    to amortize IPC cost: each batch crosses the process boundary as one
+    message.  Shared read-only resources (e.g. a multi-gigabyte aligner
+    index) are inherited at ``fork`` (pickled once per worker under
+    ``spawn``), never shipped per task.  The one backend that can put
+    pure-Python compute on a second core.
 
 The task contract is deliberately data-oriented so every backend can run
 the same work: ``fn(shared, payload) -> result`` where ``fn`` is a
 module-level (importable, hence picklable) function, ``payload`` is a
 picklable value, and ``shared`` is a mapping of pre-registered resources.
 Results come back in payload order; the first task error re-raises in the
-caller via the same :class:`~repro.dataflow.executor.ChunkCompletion`
-latch the thread executor uses — including across process boundaries.
+caller — across process boundaries too, where a worker that *dies* is an
+error as well (see :class:`ProcessBackend`).
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 import multiprocessing
 import os
-import pickle
+import queue
 import threading
+import time
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.dataflow import shm as shm_plane
-from repro.dataflow.executor import BusyCounter, ChunkCompletion, Executor
+from repro.dataflow.executor import BusyCounter, Executor
 from repro.dataflow.shm import ShmRef
 
 BACKEND_CHOICES = ("serial", "thread", "process")
@@ -131,10 +133,9 @@ class Backend(abc.ABC):
     def register_shared(self, key: str, resource: Any) -> str:
         """Make ``resource`` visible to task functions under ``key``.
 
-        For in-process backends this is a plain dict entry; for the
-        process backend the registered objects are shipped to each
-        worker exactly once, when the pool starts.  Must therefore be
-        called before the first :meth:`run_chunk`.
+        For in-process backends this is a plain dict entry; the process
+        backend's workers take the registry as it is when they start.
+        Must therefore be called before the first :meth:`run_chunk`.
         """
         self._shared[key] = resource
         return key
@@ -168,8 +169,8 @@ class Backend(abc.ABC):
 
     def start(self) -> None:
         """Bring workers up now instead of on the first chunk (no-op for
-        in-process backends).  Call from a single-threaded context: a
-        process pool forked lazily from inside a running multithreaded
+        in-process backends).  Call from a single-threaded context:
+        workers forked lazily from inside a running multithreaded
         graph can inherit locks held mid-operation by other threads."""
 
     def shutdown(self, wait: bool = True) -> None:
@@ -316,33 +317,53 @@ class ThreadBackend(Backend):
 # Process backend: module-level worker machinery (must be picklable /
 # importable from the child process under both fork and spawn).
 
-_WORKER_SHARED: dict[str, Any] = {}
-_WORKER_SHM: bool = False
+#: How long ``shutdown`` waits for a worker to leave by itself before it
+#: is terminated.
+_SHUTDOWN_GRACE_S = 5.0
 
 
-def _process_worker_init(shared_blob: bytes, shm: bool = False) -> None:
-    """Pool initializer: unpickle the shared registry once per worker.
+class RemoteTraceback(Exception):
+    """``__cause__`` of a task error re-raised in the caller: the
+    traceback text as the worker formatted it."""
 
-    ``shm`` arms the zero-copy payload plane: incoming ShmRef payloads
-    resolve against attached segments.
+
+def _worker_main(conn, inherited, shared: Mapping[str, Any], shm: bool) -> None:
+    """A worker: one ``(fn, batch)`` in, one ``(ok, value, traceback)`` out.
+
+    ``inherited`` are the parent-side pipe ends a forked worker holds
+    copies of (its own included): while one is open the parent's death
+    never reads as EOF here, and the worker would outlive it.  ``shm``
+    arms the zero-copy plane: ShmRef payloads resolve against segments.
     """
-    global _WORKER_SHARED, _WORKER_SHM
-    _WORKER_SHARED = pickle.loads(shared_blob)
-    _WORKER_SHM = shm
+    for parent_end in inherited:
+        parent_end.close()
+    resolve = shm_plane.resolve_payload if shm else (lambda payload: payload)
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # the parent is gone
+            return
+        if message is None:
+            return
+        fn, batch = message
+        try:
+            reply = (True, [fn(shared, resolve(p)) for p in batch], "")
+        except Exception as error:
+            import traceback  # only a failing task pays for it
 
-
-def _run_payload_batch(fn: TaskFn, batch: "list[Any]") -> list:
-    """Execute one batch of payloads inside a worker process."""
-    if not _WORKER_SHM:
-        return [fn(_WORKER_SHARED, payload) for payload in batch]
-    return [
-        fn(_WORKER_SHARED, shm_plane.resolve_payload(payload))
-        for payload in batch
-    ]
+            reply = (False, error, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+        except Exception as error:  # pickling failed: nothing was written
+            conn.send((False, RuntimeError(
+                f"{reply[1]!r} could not cross the process boundary: "
+                f"{error!r}"), reply[2]))
 
 
 def noop_task(shared, payload):
-    """Identity task: used to warm a process pool before timed regions."""
+    """Identity task: used to warm the workers before timed regions."""
     return payload
 
 
@@ -368,19 +389,30 @@ def resolve_start_method(preferred: "str | None" = None) -> str:
 
 
 class ProcessBackend(Backend):
-    """Compute on a ``multiprocessing`` pool with chunk-level batching.
+    """Compute on forked worker processes, one duplex pipe each.
 
-    Payloads are grouped into batches of ``batch_size``; each batch is
-    one ``apply_async`` call, i.e. one pickled message to a worker and
-    one pickled reply.  Completion and error propagation reuse
-    :class:`ChunkCompletion`: worker exceptions surface through the
-    pool's error callback and re-raise in the waiting kernel thread,
-    exactly like the thread executor — but across a process boundary.
+    Payloads are grouped into batches of ``batch_size``; a batch is one
+    ``send`` down an idle worker's pipe and one reply back.  Idle
+    workers sit in one LIFO shared by every caller, and the thread that
+    sends is the thread that waits (``connection.wait`` on the pipes it
+    holds): no dispatcher, no helper threads.
 
-    The pool starts lazily on the first :meth:`run_chunk` so that
-    :meth:`register_shared` can be called first; the registered
-    resources are pickled once and installed in every worker by the
-    pool initializer.
+    Workers start on :meth:`start` (or lazily on the first
+    :meth:`run_chunk`) so that :meth:`register_shared` can be called
+    first.  Under ``fork`` the registry and the task functions reach a
+    worker by inheritance — nothing pickled, nothing unpickled; under
+    ``spawn`` ``multiprocessing`` pickles the same arguments once.
+
+    A task error re-raises in the caller as itself, the worker's
+    traceback as its ``__cause__``, once the call's other in-flight
+    batches have answered; one that will not pickle (or such a result)
+    comes back as a ``RuntimeError`` carrying its ``repr``.  The worker
+    lives on.  A worker that *dies* mid-batch reads as EOF: ``run_chunk``
+    raises a ``RuntimeError`` naming its pid and exit code, and — as
+    after any call that leaves with a reply still due (``timeout``) —
+    the backend is broken: later calls raise the same, ``shutdown``
+    terminates instead of waiting.  Workers leave on EOF themselves, so
+    none outlives a killed parent.
 
     Workers hold *copies* of shared resources: only task return values
     travel back.  Caller-side mutable state on a shared object (e.g. an
@@ -441,8 +473,12 @@ class ProcessBackend(Backend):
         self.shm_slab_bytes = shm_slab_bytes
         self.shm_max_bytes = shm_max_bytes
         self._shm_pool: "shm_plane.BufferPool | None" = None
-        self._pool = None
-        self._pool_lock = threading.Lock()
+        #: ``(process, parent-side connection)`` per worker; the idle
+        #: ones are also in ``_idle``.
+        self._workers: list = []
+        self._idle: queue.LifoQueue = queue.LifoQueue()
+        self._broken: "str | None" = None
+        self._lock = threading.Lock()
         self._busy_counter = busy_counter
 
     def _make_batches(self, payloads: Sequence[Any]) -> "list[list[Any]]":
@@ -473,43 +509,49 @@ class ProcessBackend(Backend):
             batches.append(current)
         return batches
 
-    # ----------------------------------------------------------- pool mgmt
+    # --------------------------------------------------------- worker mgmt
 
-    def _ensure_pool(self):
+    def start(self) -> None:
         # Multiple kernel replicas share one backend; without the lock
-        # two first-chunk calls would each fork a pool and leak one.
-        with self._pool_lock:
-            if self._pool is None:
-                if self.shm:
-                    self._shm_pool = shm_plane.BufferPool(
-                        slab_bytes=self.shm_slab_bytes,
-                        max_bytes=self.shm_max_bytes,
-                    )
-                ctx = multiprocessing.get_context(self.start_method)
-                self._pool = ctx.Pool(
-                    processes=self.workers,
-                    initializer=_process_worker_init,
-                    initargs=(pickle.dumps(self._shared), self.shm),
+        # two first-chunk calls would each fork a set of workers.
+        with self._lock:
+            if self._workers:
+                return
+            if self.shm:
+                self._shm_pool = shm_plane.BufferPool(
+                    slab_bytes=self.shm_slab_bytes,
+                    max_bytes=self.shm_max_bytes,
                 )
-            return self._pool
+            ctx = multiprocessing.get_context(self.start_method)
+            for _ in range(self.workers):
+                conn, child_end = ctx.Pipe()
+                process = ctx.Process(
+                    target=_worker_main,
+                    args=(child_end, [c for _, c in self._workers] + [conn],
+                          self._shared, self.shm),
+                    daemon=True,
+                )
+                process.start()
+                # Only the worker may hold its end, or its death would
+                # not read as EOF here.
+                child_end.close()
+                self._workers.append((process, conn))
+                self._idle.put((process, conn))
 
     def register_shared(self, key: str, resource: Any) -> str:
-        # Under the pool lock: a concurrent first run_chunk could fork
-        # the pool mid-registration and silently strand the resource on
-        # the caller side (workers snapshot _shared at pool start).
-        with self._pool_lock:
-            if self._pool is not None:
+        # Under the lock: a concurrent first run_chunk could fork the
+        # workers mid-registration and silently strand the resource on
+        # the caller side (workers take _shared as it is at start).
+        with self._lock:
+            if self._workers:
                 if self._shared.get(key) is resource:
-                    return key  # same object, already shipped to workers
+                    return key  # same object, already with the workers
                 raise RuntimeError(
                     f"backend {self.name!r}: register_shared({key!r}) "
-                    f"after the worker pool started; register all "
+                    f"after the workers started; register all "
                     f"resources first"
                 )
             return super().register_shared(key, resource)
-
-    def start(self) -> None:
-        self._ensure_pool()
 
     # ------------------------------------------------------------------ run
 
@@ -524,16 +566,27 @@ class ProcessBackend(Backend):
         # worker processes by construction; only register_shared state is.
         if not payloads:
             return []
-        pool = self._ensure_pool()
+        from multiprocessing import connection  # not the serial path's cost
+
+        self.start()
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def time_left() -> "float | None":
+            if deadline is None:
+                return None
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"backend {self.name!r}: chunk timed out")
+            return left
+
         shm_pool = self._shm_pool
         # Adopt BEFORE batching: a payload that became a ~100-byte
         # ShmRef must count as one (payload_nbytes knows ShmRefs), so
         # large adopted payloads still group up to batch_size per IPC
         # message instead of each closing its own batch.
-        payload_leases: "list[list] | None" = None
+        payload_leases: "list[list]" = []
         if shm_pool is not None:
             adopted: list = []
-            payload_leases = []
             for payload in payloads:
                 leases: list = []
                 adopted.append(shm_plane.adopt_payload(
@@ -542,65 +595,90 @@ class ProcessBackend(Backend):
                 payload_leases.append(leases)
             payloads = adopted
         batches = self._make_batches(payloads)
+        # Batches partition the payload list in order, so batch k's
+        # leases are the groups from starts[k] to starts[k + 1].
+        starts = list(itertools.accumulate(map(len, batches), initial=0))
         batch_results: list = [None] * len(batches)
-        completion = ChunkCompletion(len(batches))
-
-        def make_callbacks(index: int, leases: list):
-            def on_done(result: list) -> None:
-                batch_results[index] = result
-                try:
-                    completion.task_done()
-                finally:
-                    if shm_pool is not None:
-                        shm_pool.release_all(leases)
-
-            def on_error(error: BaseException) -> None:
-                if shm_pool is not None:
-                    shm_pool.release_all(leases)
-                completion.task_done(error)
-
-            return on_done, on_error
-
+        first_error: "BaseException | None" = None
+        flying: dict = {}  # connection -> (its process, batch index)
+        sent = 0
         if self._busy_counter is not None:
             self._busy_counter.enter()
         try:
-            position = 0
-            for index, batch in enumerate(batches):
-                if payload_leases is not None:
-                    # Batches partition the payload list in order, so
-                    # this batch's leases are the next len(batch) groups.
-                    batch_leases = [
-                        lease
-                        for group in payload_leases[
-                            position:position + len(batch)]
-                        for lease in group
-                    ]
-                else:
-                    batch_leases = []
-                position += len(batch)
-                on_done, on_error = make_callbacks(index, batch_leases)
-                pool.apply_async(
-                    _run_payload_batch,
-                    (fn, batch),
-                    callback=on_done,
-                    error_callback=on_error,
-                )
-            completion.wait(timeout)
+            while flying or sent < len(batches):
+                if sent < len(batches):
+                    # Block for a worker only while holding none.
+                    try:
+                        process, conn = self._idle.get(not flying, time_left())
+                    except queue.Empty:
+                        pass
+                    else:
+                        try:
+                            if self._broken is not None:
+                                raise RuntimeError(self._broken)
+                            conn.send((fn, batches[sent]))
+                        except BaseException:  # nothing written: still idle
+                            self._idle.put((process, conn))
+                            raise
+                        flying[conn] = (process, sent)
+                        sent += 1
+                        continue
+                for conn in connection.wait(list(flying), time_left()):
+                    process, index = flying[conn]
+                    try:
+                        ok, value, remote = conn.recv()
+                    except (EOFError, OSError):
+                        process.join(1.0)
+                        raise RuntimeError(
+                            f"worker pid {process.pid} died mid-batch "
+                            f"(exit code {process.exitcode})") from None
+                    del flying[conn]
+                    self._idle.put((process, conn))
+                    if shm_pool is not None:
+                        shm_pool.release_all(itertools.chain.from_iterable(
+                            payload_leases[starts[index]:starts[index + 1]]))
+                    if ok:
+                        batch_results[index] = value
+                    elif first_error is None:
+                        value.__cause__ = RemoteTraceback(remote)
+                        first_error = value
+                        sent = len(batches)  # send no more; drain the rest
+        except BaseException as error:
+            if flying and self._broken is None:
+                # A reply is still due: that pipe is out of step for good.
+                self._broken = f"backend {self.name!r} is broken: {error!r}"
+            raise
         finally:
             if self._busy_counter is not None:
                 self._busy_counter.exit()
+            if shm_pool is not None:  # whatever no reply released
+                shm_pool.release_all(
+                    itertools.chain.from_iterable(payload_leases))
+            for conn, (process, _) in flying.items():
+                self._idle.put((process, conn))  # wakes a blocked caller
+        if first_error is not None:
+            raise first_error
         return [result for batch in batch_results for result in batch]
 
     def shutdown(self, wait: bool = True) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
+        with self._lock:
+            workers, self._workers = self._workers, []
             shm_pool, self._shm_pool = self._shm_pool, None
-        if pool is not None:
+            self._idle = queue.LifoQueue()
+            wait = wait and self._broken is None
+            self._broken = None
+        for process, conn in workers:
+            try:
+                conn.send(None)
+            except OSError:  # that worker is already gone
+                pass
+        for process, conn in workers:
             if wait:
-                pool.close()
-            else:
-                pool.terminate()
-            pool.join()
+                process.join(_SHUTDOWN_GRACE_S)
+            if process.is_alive():
+                process.terminate()
+                process.join()
+            conn.close()
         if shm_pool is not None:
             # After the workers are gone: unlink every slab.
             shm_pool.close()

@@ -2,16 +2,24 @@
 
 The contract every backend must honor: ``run_chunk(fn, payloads)``
 returns per-payload results in order, the first task error re-raises in
-the caller (via ChunkCompletion — including across process boundaries),
-and all backends produce identical results for the same task payloads.
+the caller (including across process boundaries, where a dead worker is
+an error too), and all backends produce identical results for the same
+task payloads.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import signal
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
+import run_backend_kill
 
 from repro.core.pipelines import align_dataset
 from repro.core.subgraphs import AlignGraphConfig
@@ -51,6 +59,48 @@ def explode_on_seven(shared, payload):
     if payload == 7:
         raise ExplodingPayloadError(f"payload {payload} exploded")
     return payload
+
+
+def nap_then_square(shared, payload):
+    """Early payloads take longest, so replies arrive out of order."""
+    time.sleep(0.02 * max(0, 4 - payload))
+    return payload * payload
+
+
+def explode_or_nap(shared, payload):
+    if payload == 7:
+        raise ExplodingPayloadError(f"payload {payload} exploded")
+    time.sleep(0.3)
+    return payload
+
+
+class Unpicklable:
+    """Reaches a forked worker by inheritance or not at all."""
+
+    offset = 100
+
+    def __reduce__(self):
+        raise TypeError("Unpicklable must not be pickled")
+
+
+def unpicklable_offset_task(shared, payload):
+    return shared["resource"].offset + payload
+
+
+def unpicklable_result_task(shared, payload):
+    return Unpicklable() if payload == 1 else payload
+
+
+def unpicklable_error_task(shared, payload):
+    error = ExplodingPayloadError("carries a lock")
+    error.lock = threading.Lock()
+    raise error
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork start method on this platform",
+)
 
 
 @pytest.fixture(params=ALL_BACKENDS)
@@ -171,6 +221,11 @@ class TestProcessBackend:
             assert backend.run_chunk(square_task, list(range(11))) == [
                 i * i for i in range(11)
             ]
+            # More batches than workers, replies out of order.
+            backend.batch_size = 1
+            assert backend.run_chunk(nap_then_square, list(range(7))) == [
+                i * i for i in range(7)
+            ]
         finally:
             backend.shutdown()
 
@@ -182,13 +237,13 @@ class TestProcessBackend:
         assert ProcessBackend().batch_size == DEFAULT_BATCH_SIZE
 
     def test_error_crosses_process_boundary(self):
-        """ChunkCompletion error propagation across the process boundary:
-        the worker's exception re-raises in the waiting caller thread."""
+        """Error propagation across the process boundary: the worker's
+        exception re-raises in the waiting caller thread."""
         backend = ProcessBackend(workers=2, batch_size=2)
         try:
             with pytest.raises(ExplodingPayloadError, match="exploded"):
                 backend.run_chunk(explode_on_seven, list(range(10)))
-            # Pool survives; later chunks still run.
+            # The workers survive; later chunks still run.
             assert backend.run_chunk(square_task, [6]) == [36]
         finally:
             backend.shutdown()
@@ -203,10 +258,178 @@ class TestProcessBackend:
             backend.shutdown()
 
     def test_shutdown_idempotent(self):
+        for wait in (True, False):
+            backend = ProcessBackend(workers=1)
+            backend.run_chunk(square_task, [1])
+            backend.shutdown(wait)
+            backend.shutdown(wait)
+            assert multiprocessing.active_children() == []
+
+    def test_concurrent_callers_share_the_idle_set(self):
+        """Two callers, two workers, 50 rounds each: every result is the
+        caller's own and every worker is back in the idle set."""
+        backend = ProcessBackend(workers=2, batch_size=2)
+        failures: list = []
+
+        def caller(base: int) -> None:
+            try:
+                for round_ in range(50):
+                    payloads = [base + round_ * 10 + i for i in range(5)]
+                    got = backend.run_chunk(square_task, payloads,
+                                            timeout=30)
+                    if got != [p * p for p in payloads]:
+                        failures.append((payloads, got))
+            except BaseException as error:
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            backend.start()
+            threads = [threading.Thread(target=caller, args=(base,))
+                       for base in (0, 10_000, 20_000)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert backend._idle.qsize() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            backend.shutdown()
+
+    def test_error_drains_in_flight_replies(self):
+        """The error arrives while the other worker is still busy: the
+        call raises only once that reply is in, so the next chunk cannot
+        read a stale one."""
+        backend = ProcessBackend(workers=2, batch_size=1)
+        try:
+            backend.start()
+            started = time.monotonic()
+            with pytest.raises(ExplodingPayloadError) as caught:
+                backend.run_chunk(explode_or_nap, [1, 7, 2])
+            assert time.monotonic() - started >= 0.3
+            assert "explode_or_nap" in str(caught.value.__cause__)
+            assert backend._idle.qsize() == 2
+            assert backend.run_chunk(square_task, [3, 4]) == [9, 16]
+        finally:
+            backend.shutdown()
+
+    def test_unpicklable_result_and_error_come_back_as_runtime_errors(self):
         backend = ProcessBackend(workers=1)
-        backend.run_chunk(square_task, [1])
-        backend.shutdown()
-        backend.shutdown()
+        try:
+            with pytest.raises(RuntimeError, match="Unpicklable object"):
+                backend.run_chunk(unpicklable_result_task, [0, 1])
+            with pytest.raises(RuntimeError, match="carries a lock"):
+                backend.run_chunk(unpicklable_error_task, [0])
+            assert backend.run_chunk(square_task, [5]) == [25]
+        finally:
+            backend.shutdown()
+
+    def test_timeout_is_one_deadline_and_breaks_the_backend(self):
+        backend = ProcessBackend(workers=1, batch_size=1)
+        try:
+            backend.start()
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                backend.run_chunk(explode_or_nap, [1, 2, 3], timeout=0.4)
+            assert time.monotonic() - started < 0.6
+            # A reply is still due on that pipe: no later chunk may read it.
+            with pytest.raises(RuntimeError, match="broken"):
+                backend.run_chunk(square_task, [3])
+        finally:
+            backend.shutdown()
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_fork_inherits_resources_and_adds_no_thread(self):
+        backend = ProcessBackend(workers=2, start_method="fork")
+        backend.register_shared("resource", Unpicklable())
+        threads = threading.active_count()
+        try:
+            backend.start()
+            assert backend.run_chunk(
+                unpicklable_offset_task, list(range(6))
+            ) == [100 + i for i in range(6)]
+            assert threading.active_count() == threads
+        finally:
+            backend.shutdown()
+
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="no spawn start method on this platform",
+    )
+    def test_spawn_gives_the_same_results(self):
+        backend = ProcessBackend(workers=2, batch_size=2,
+                                 start_method="spawn")
+        backend.register_shared("offset", 1000)
+        try:
+            assert backend.run_chunk(offset_task, list(range(7))) == [
+                1000 + i for i in range(7)
+            ]
+            with pytest.raises(ExplodingPayloadError, match="exploded"):
+                backend.run_chunk(explode_on_seven, list(range(10)))
+        finally:
+            backend.shutdown()
+
+
+def _alive(pid: int) -> bool:
+    """A zombie nobody reaps is not alive."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@needs_fork
+def test_worker_lost_is_an_error_within_a_second():
+    """A worker SIGKILLed mid-batch fails its ``run_chunk`` with its pid
+    and signal, releases the leases, breaks the backend, and leaves
+    nothing for the resource tracker to complain about."""
+    from repro.dataflow import shm
+
+    process = run_backend_kill.popen("worker_lost")
+    out, err = process.communicate(timeout=60)
+    assert process.returncode == 0, err
+    report = json.loads(out)
+    assert "died mid-batch (exit code -9)" in report["error"]
+    assert "worker pid" in report["error"]
+    assert report["elapsed_s"] < 2.0
+    assert report["error"] in report["later_error"]
+    assert report["shutdown_s"] < 2.0 and report["children"] == 0
+    if report["prefix"] is not None:
+        assert report["live_leases"] == 0
+        assert shm.list_segments(report["prefix"]) == []
+    assert "resource_tracker" not in err and "Traceback" not in err
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["parent_killed", "parent_killed_idle"])
+def test_parent_killed_leaves_no_worker(mode):
+    process = run_backend_kill.popen(mode)
+    workers: list = []
+    try:
+        workers = json.loads(process.stdout.readline())
+        assert len(workers) == 2 and all(map(_alive, workers))
+        time.sleep(0.3)  # mid-chunk
+        process.send_signal(signal.SIGKILL)
+        process.wait(10)
+        deadline = time.monotonic() + 2.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        process.kill()
+        for pid in workers:  # a failing run leaves none behind either
+            try:
+                if b"run_backend_kill" in Path(
+                        f"/proc/{pid}/cmdline").read_bytes():
+                    os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        process.communicate(timeout=10)
 
 
 @pytest.mark.parametrize("kind", ALL_BACKENDS)
@@ -241,7 +464,7 @@ def test_sort_and_dupmark_backend_equivalence(
 ):
     """A ``sort,dupmark`` run handed a process backend gives a
     byte-identical dataset and the same stats as the eager path — and,
-    hosting no align stage, never forks the backend's pool."""
+    hosting no align stage, never forks the backend's workers."""
     import multiprocessing
 
     from repro.core.dupmark import mark_duplicates
@@ -265,7 +488,7 @@ def test_sort_and_dupmark_backend_equivalence(
     try:
         outcome = run_pipeline(make_aligned(), ("sort", "dupmark"),
                                backend=backend)
-        assert backend._pool is None
+        assert not backend._workers
         assert multiprocessing.active_children() == children
     finally:
         backend.shutdown()
