@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipelines import align_standalone, stage_fastq_shards
-from repro.core.subgraphs import (
-    AlignGraphConfig,
-    build_align_graph,
-    build_standalone_graph,
+from repro.agd.dataset import AGDDataset
+from repro.core.ops import NullSinkNode
+from repro.core.pipelines import (
+    PipelineSpec,
+    align_standalone,
+    stage_fastq_shards,
 )
+from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite
+from repro.dataflow.backends import make_backend
+from repro.dataflow.executor import BusyCounter
 from repro.dataflow.session import Session
 from repro.metrics.cputrace import UtilizationSampler
 from repro.storage.base import MemoryStore
@@ -45,14 +49,41 @@ def fig5_config(backendize):
     return backendize(CONFIG)
 
 
-def _run_with_trace(build_fn):
-    built = build_fn()
-    with UtilizationSampler(
-        [built.busy_counter], capacity=1, interval=0.01
-    ) as sampler:
-        Session(built.graph).run(timeout=300)
-    built.close(wait=False)
+def _run_with_trace(run, config):
+    """Trace ``run(backend)`` on a backend of ``config``'s kind that
+    reports to a busy counter the sampler reads."""
+    busy = BusyCounter()
+    backend = make_backend(config.backend, workers=config.executor_threads,
+                           batch_size=config.batch_size, busy_counter=busy,
+                           shm=config.shm)
+    try:
+        with UtilizationSampler([busy], capacity=1, interval=0.01) as sampler:
+            run(backend)
+    finally:
+        backend.shutdown(wait=False)
     return sampler.trace
+
+
+def _standalone(manifest, store, aligner, contigs, config):
+    return lambda backend: align_standalone(
+        manifest, store, store, aligner, contigs, config=config,
+        backend=backend, session_timeout=300,
+    )
+
+
+def _persona(manifest, store, aligner, config):
+    """The align stage over ``store`` closed by a counting sink — the
+    graph ``align_dataset`` runs, without its base-count pre-pass, which
+    would read the modeled disk inside the trace."""
+    def run(backend):
+        stage = STAGES["align"].build(
+            PipelineSpec(AGDDataset(manifest, store), ("align",),
+                         align_config=config),
+            ServerSite(aligner=aligner, backend=backend),
+        )
+        stage.graph.add(NullSinkNode(), input=stage.sink)
+        Session(stage.graph).run(timeout=300)
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -89,37 +120,24 @@ def test_fig5_cpu_utilization(
             dirty_limit=max(32 * 1024, sam_bytes // 8),
         )
 
+    manifest = dataset.manifest
     traces = {}
     # Standalone, single disk: the Fig. 5a cyclical pattern.
     store = ModeledDiskStore(single_disk(), backing=fastq_staging)
-    traces["standalone/single"] = _run_with_trace(
-        lambda: build_standalone_graph(
-            dataset.manifest, store, store, bench_aligner, contigs,
-            config=fig5_config,
-        )
-    )
+    traces["standalone/single"] = _run_with_trace(_standalone(
+        manifest, store, bench_aligner, contigs, fig5_config), fig5_config)
     # Persona, single disk.
     pstore = ModeledDiskStore(single_disk(), backing=dataset.store)
-    traces["persona/single"] = _run_with_trace(
-        lambda: build_align_graph(
-            dataset.manifest, pstore, pstore, bench_aligner, config=fig5_config,
-        )
-    )
+    traces["persona/single"] = _run_with_trace(_persona(
+        manifest, pstore, bench_aligner, fig5_config), fig5_config)
     # Standalone, RAID0.
     rstore = ModeledDiskStore(raid0(6, single_bw), backing=fastq_staging)
-    traces["standalone/raid0"] = _run_with_trace(
-        lambda: build_standalone_graph(
-            dataset.manifest, rstore, rstore, bench_aligner, contigs,
-            config=fig5_config,
-        )
-    )
+    traces["standalone/raid0"] = _run_with_trace(_standalone(
+        manifest, rstore, bench_aligner, contigs, fig5_config), fig5_config)
     # Persona, RAID0.
     prstore = ModeledDiskStore(raid0(6, single_bw), backing=dataset.store)
-    traces["persona/raid0"] = _run_with_trace(
-        lambda: build_align_graph(
-            dataset.manifest, prstore, prstore, bench_aligner, config=fig5_config,
-        )
-    )
+    traces["persona/raid0"] = _run_with_trace(_persona(
+        manifest, prstore, bench_aligner, fig5_config), fig5_config)
 
     rep = report("fig5_cpu_utilization",
                  "Figure 5 — CPU utilization, single disk vs RAID0")

@@ -219,11 +219,11 @@ def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
     one-line message (callers print it and exit 2).
     """
     from repro.core.filters import by_min_mapq
-    from repro.core.pipelines import PipelineSpec, validate_stages
-    from repro.core.subgraphs import AlignGraphConfig
+    from repro.core.pipelines import PipelineSpec
+    from repro.core.subgraphs import AlignGraphConfig, check_stages
     from repro.genome.reference import read_fasta
 
-    validate_stages(stages)
+    check_stages(stages)
     hosted = stages if hosted is None else hosted
     if "sort" in stages and not args.output_dir \
             and {"sort", "dupmark"} & set(hosted):
@@ -876,6 +876,8 @@ def _add_codec_level_option(p: argparse.ArgumentParser, what: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.subgraphs import STAGES
+
     parser = argparse.ArgumentParser(
         prog="persona",
         description="Persona bioinformatics framework (USENIX ATC '17 reproduction)",
@@ -959,8 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stages",
         default="align,sort,dupmark,varcall",
-        help="comma-separated ordered subset of "
-             "align,sort,dupmark,filter,varcall",
+        help=f"comma-separated ordered subset of {','.join(STAGES)}",
     )
     p.add_argument("--aligner", choices=("snap", "bwa"), default="snap")
     p.add_argument("--vcf", default=None, help="write called variants here")

@@ -54,7 +54,7 @@ from repro.core.pipelines import (
     harvest_outputs,
     split_pipeline,
 )
-from repro.core.subgraphs import AlignGraphConfig, ServerSite
+from repro.core.subgraphs import AlignGraphConfig, ServerSite, replicable
 from repro.dataflow.backends import Backend
 from repro.dataflow.errors import (
     PipelineAborted,
@@ -262,16 +262,16 @@ def serve_plan(
     blocks) and start ``listener``, the TCP front, if there is one.
     Workers may attach (and late ones be admitted) once it returns.
 
-    Resume pre-ack: a plan whose LEADING group is pure align can skip
-    chunks whose journaled results digest still matches the shared store
-    (``results_shared``; per-server results stores cannot) — the
-    aligners never see them again.  When downstream groups exist they
-    must still see the full chunk set (resequencers, merge manifests,
-    dup scans), so the first boundary edge gets one more producer slot
-    for the caller to re-inject those chunks' items through
-    (:func:`reinject`).  Leading groups that aggregate or re-chunk
-    (sort, filter) cannot pre-ack; their stage kernels skip
-    digest-verified writes instead.
+    Resume pre-ack: a plan whose LEADING group is replicable (the align
+    group, ``Stage.replicable``) can skip chunks whose journaled results
+    digest still matches the shared store (``results_shared``;
+    per-server results stores cannot) — the aligners never see them
+    again.  When downstream groups exist they must still see the full
+    chunk set (resequencers, merge manifests, dup scans), so the first
+    boundary edge gets one more producer slot for the caller to
+    re-inject those chunks' items through (:func:`reinject`).  Leading
+    groups that aggregate or re-chunk (sort, filter) cannot pre-ack;
+    their stage kernels skip digest-verified writes instead.
 
     Returns ``(pre_acked chunk paths, the edge to re-inject them on or
     None)``.
@@ -279,7 +279,7 @@ def serve_plan(
     manifest = dataset.manifest
     pre_acked: "list[str]" = []
     if ledger is not None and ledger.resuming and results_shared \
-            and plan.groups[0] == ("align",):
+            and replicable(plan.groups[0]):
         pre_acked = _verified_align_chunks(dataset, ledger)
     # First boundary edge (plan.edges() lists the work edge first).
     inject_edge = plan.edges()[1].name \
@@ -516,8 +516,8 @@ def _run_placed_once(
             edge_capacities=edge_capacities, ledger=ledger,
             results_shared=results_shared, listener=listener,
         )
-        # Build every server graph on this thread: process-backend pools
-        # must fork before any session's threads are live.
+        # Build every server graph on this thread: process-backend
+        # workers must fork before any session's threads are live.
         placed = split_pipeline(spec, plan, queue_factory(client_for),
                                 sites.__getitem__)
         outcomes, errors = _supervise(plan, broker, placed, client_for,
@@ -529,8 +529,6 @@ def _run_placed_once(
             client.close()
         if listener is not None:
             listener.stop()
-        for graph in placed:
-            graph.close(wait=False)
         for site in sites.values():
             spec.shutdown_backend(site.backend, wait=not errors)
     if broker.poison_failure is not None:
@@ -728,8 +726,8 @@ def join_placed_worker(
     ``spec`` describes the run being joined (the same dataset and stage
     tuple the coordinator was given; the worker brings its own
     ``aligner`` and, optionally, its own results store).  The worker is
-    admitted as a replica of ``like``'s stage group (only the pure align
-    group is replicable) via :meth:`Broker.admit_worker`: the group's
+    admitted as a replica of ``like``'s stage group (only the align group
+    is replicable) via :meth:`Broker.admit_worker`: the group's
     egress edge gains a producer slot, the plan document grows the
     replica, and — because the work edge is pull-based — the newcomer
     starts draining outstanding chunk deliveries immediately.  Pass
@@ -746,17 +744,14 @@ def join_placed_worker(
         raise ValueError("pass exactly one of broker= or host=/port=")
     client = LocalBrokerClient(broker) if broker is not None \
         else TcpBrokerClient(host, port, shm=broker_shm)
-    # Only the pure align group admits replicas.
+    # Only the align group admits replicas.
     site = ServerSite(aligner=aligner,
                       backend=spec.make_backend(server, ("align",)),
                       align_results_store=align_results_store)
     try:
         plan = PlacementPlan.from_doc(client.admit(server, like))
         graph = build_placed_server(spec, plan, server, client, site)
-        try:
-            outcome = run_placed_server(graph, session_timeout)
-        finally:
-            graph.close(wait=False)
+        outcome = run_placed_server(graph, session_timeout)
         return replace(outcome, consumer=getattr(client, "consumer", None))
     finally:
         client.close()

@@ -4,20 +4,21 @@ The paper's cluster story places one alignment graph per compute server,
 all fed from a manifest-server message queue.  A :class:`PlacementPlan`
 generalizes that to the *whole* composed workload: every server is
 assigned a contiguous group of pipeline stages, consecutive groups are
-connected by named broker edges, and a group consisting of just the
-align stage may be replicated across servers (chunk-granularity
+connected by named broker edges, and a group of replicable stages (the
+align stage) may be replicated across servers (chunk-granularity
 self-balancing, exactly like the paper's many-servers-one-queue mode).
 
 Order-sensitive stages (sort's run grouping, dupmark's first-fragment
 scan) are single-consumer, so their groups cannot be replicated; the
-plan validates this statically instead of letting a run corrupt output.
+plan validates this statically, off :data:`repro.core.subgraphs.STAGES`,
+instead of letting a run corrupt output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.subgraphs import ONE_TO_ONE_STAGES, STAGE_ORDER
+from repro.core.subgraphs import STAGES, check_stages, replicable
 
 #: The name of the chunk-name edge feeding the head stage group (the
 #: generalized manifest server).
@@ -38,29 +39,17 @@ class StagePlacement:
     def __post_init__(self) -> None:
         if not self.server:
             raise PlacementError("server name must be non-empty")
-        if not self.stages:
-            raise PlacementError(
-                f"server {self.server!r} must run at least one stage"
-            )
-        unknown = [s for s in self.stages if s not in STAGE_ORDER]
-        if unknown:
-            raise PlacementError(
-                f"server {self.server!r}: unknown stages {unknown} "
-                f"(choices: {', '.join(STAGE_ORDER)})"
-            )
-        indices = [STAGE_ORDER.index(s) for s in self.stages]
-        if indices != sorted(set(indices)):
-            raise PlacementError(
-                f"server {self.server!r}: stages {list(self.stages)} must "
-                f"be distinct and follow the order {list(STAGE_ORDER)}"
-            )
+        try:
+            check_stages(self.stages)
+        except ValueError as exc:
+            raise PlacementError(f"server {self.server!r}: {exc}") from exc
 
     @property
     def one_to_one(self) -> bool:
         """True when every stage maps each input chunk to one output
         chunk (no re-chunking), so deliveries can be acked on completion
         and redelivered if the server dies mid-chunk."""
-        return all(s in ONE_TO_ONE_STAGES for s in self.stages)
+        return all(STAGES[s].one_to_one for s in self.stages)
 
 
 @dataclass(frozen=True)
@@ -100,20 +89,18 @@ class PlacementPlan:
                 f"stage groups {groups} overlap; every stage must be "
                 f"placed on exactly one group"
             )
-        indices = [STAGE_ORDER.index(s) for s in flat]
-        if indices != sorted(indices):
-            raise PlacementError(
-                f"stage groups {groups} are not in pipeline order "
-                f"{list(STAGE_ORDER)}"
-            )
+        try:
+            check_stages(flat)
+        except ValueError as exc:
+            raise PlacementError(f"stage groups {groups}: {exc}") from exc
         for g in groups:
-            replicas = [p for p in placements if p.stages == g]
-            if len(replicas) > 1 and g != ("align",):
+            replicas = [p.server for p in placements if p.stages == g]
+            if len(replicas) > 1 and not replicable(g):
                 raise PlacementError(
-                    f"stage group {g} is placed on "
-                    f"{[p.server for p in replicas]}, but only the pure "
-                    f"align group may be replicated (sort/dupmark/"
-                    f"varcall/filter are order-sensitive single consumers)"
+                    f"stage group {g} is placed on {replicas}, but only "
+                    f"replicable stages may be replicated: "
+                    f"{[s for s in g if not STAGES[s].replicable]} are "
+                    f"order-sensitive single consumers"
                 )
         self.placements = list(placements)
         self.groups = groups
@@ -222,7 +209,7 @@ class PlacementPlan:
         stage group (live worker admission).
 
         The group must be replicable — the :class:`PlacementPlan`
-        constructor re-validates, so only the pure align group passes —
+        constructor re-validates, so only the align group passes —
         and ``server`` must not already be placed.
         """
         template = self.placement_for(like)

@@ -11,8 +11,8 @@ offline, so we reimplement each baseline's *cost structure* faithfully:
 * :class:`SamblasterLike` — §5.6's duplicate marker: streaming SAM text,
   full row parse per read even though only alignment fields matter.
 * The "standalone SNAP" baseline for Table 1 / Fig. 5 is a pipeline, not
-  a class: see ``repro.core.subgraphs.build_standalone_graph`` (gzip'd
-  FASTQ in, SAM text out).
+  a class: see ``repro.core.pipelines.align_standalone`` (the align
+  stage's Figure 3 wiring with gzip'd FASTQ in and SAM text out).
 """
 
 from __future__ import annotations

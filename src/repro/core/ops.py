@@ -199,6 +199,7 @@ class AlignerNode(Node):
         subchunk_size: int = 512,
         name: str = "aligner",
         parallelism: int = 2,
+        journal=None,
     ):
         super().__init__(name, parallelism)
         if subchunk_size <= 0:
@@ -208,7 +209,7 @@ class AlignerNode(Node):
         self.subchunk_size = subchunk_size
         # Durable-run hook (ledger.StageJournal): lets a resumed run adopt
         # journaled, digest-verified results instead of re-aligning.
-        self.journal = None
+        self.journal = journal
 
     @property
     def executor_handle(self) -> str:
@@ -245,12 +246,13 @@ class PairedAlignerNode(Node):
         subchunk_size: int = 256,
         name: str = "paired_aligner",
         parallelism: int = 2,
+        journal=None,
     ):
         super().__init__(name, parallelism)
         self.paired_handle = paired_handle
         self.backend_handle = backend_handle
         self.subchunk_size = subchunk_size
-        self.journal = None  # durable-run hook, see AlignerNode
+        self.journal = journal  # durable-run hook, see AlignerNode
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
         if self.journal is not None:
@@ -649,7 +651,7 @@ def _item_column(item: ChunkWorkItem, column: str, stage: str):
         raise ValueError(
             f"chunk {item.entry.path!r} lacks column {column!r} "
             f"needed by the {stage} stage (a cut upstream ships what "
-            f"subgraphs.STAGE_READS[{stage!r}] declares)"
+            f"STAGES[{stage!r}].reads declares)"
         )
     return as_column(record_type_for_column(column), records)
 
@@ -737,6 +739,7 @@ class SortRunNode(Node):
         chunks_per_superchunk: int = 4,
         name: str = "sort_runs",
         scratch_codec_level: int = SCRATCH_CODEC_LEVEL,
+        journal=None,
     ):
         from repro.core.sort import scratch_codec
 
@@ -751,7 +754,7 @@ class SortRunNode(Node):
         self._runs_emitted = 0
         # Durable-run hook (ledger.SpillJournal): lets a resumed run
         # re-adopt journaled spills whose scratch files survive.
-        self.journal = None
+        self.journal = journal
         self._group_paths: "list[str]" = []
 
     def _adopt_run(self, record: dict):

@@ -25,33 +25,42 @@ from repro.align.snap import SeedIndex, SnapAligner, SnapConfig
 from repro.core.dupmark import DupmarkStats, mark_duplicates
 from repro.core.filters import FilterStats
 from repro.core.ledger import RunLedger, bind_run_config
-from repro.core.ops import AckSinkNode, EdgeSinkNode, QueueNameSource
+from repro.core.ops import (
+    AckSinkNode,
+    ChunkNameSource,
+    EdgeSinkNode,
+    FastqParserNode,
+    GzipFastqReaderNode,
+    NullSinkNode,
+    QueueNameSource,
+    SamWriterNode,
+)
 from repro.core.sort import SortConfig, sort_dataset
 from repro.core.subgraphs import (
-    STAGE_BUILDERS,
-    STAGE_ORDER,
+    STAGES,
     AlignGraphConfig,
     ComposedPipeline,
     ServerEndpoints,
     ServerSite,
     StageGraph,
-    build_align_graph,
-    build_standalone_graph,
+    aligner_node,
+    check_stages,
     columns_read,
     compose,
+    figure3,
 )
 from repro.core.varcall import VarCallConfig, call_variants
 from repro.dataflow.backends import Backend, make_backend
-from repro.dataflow.queues import Queue
+from repro.dataflow.graph import Graph
 from repro.dataflow.session import Session
 from repro.formats.fastq import format_fastq_record
+from repro.formats.sam import SamHeader
 from repro.genome.reads import ReadRecord
 from repro.genome.reference import ReferenceGenome
 from repro.storage.base import ChunkStore, MemoryStore
 
 __all__ = [
     "AlignOutcome",
-    "PIPELINE_STAGES",
     "PipelineOutcome",
     "PipelineSpec",
     "PlacedServerGraph",
@@ -75,7 +84,6 @@ __all__ = [
     "sort_dataset",
     "split_pipeline",
     "suggest_queue_capacities",
-    "validate_stages",
     "SortConfig",
     "DupmarkStats",
     "call_variants",
@@ -153,12 +161,12 @@ def align_dataset(
     aligner,
     config: "AlignGraphConfig | None" = None,
     output_store: "ChunkStore | None" = None,
-    name_queue: "Queue | None" = None,
     session_timeout: "float | None" = 600.0,
     backend: "str | Backend | None" = None,
     batch_size: "int | None" = None,
 ) -> AlignOutcome:
-    """Align a dataset, appending a results column (Figure 3 end to end).
+    """Align a dataset, appending a results column (Figure 3 end to end):
+    the align stage closed by a counting sink.
 
     When ``output_store`` is omitted, results land next to the input
     columns and the manifest gains a ``results`` column — the paper's
@@ -169,34 +177,37 @@ def align_dataset(
     overrides ``config.backend``; ``batch_size`` likewise tunes the
     process backend's IPC batching.
     """
-    config = _apply_backend_choice(config, backend, batch_size)
-    output_store = output_store if output_store is not None else dataset.store
-    built = build_align_graph(
-        dataset.manifest,
-        dataset.store,
-        output_store,
-        aligner,
-        config=config,
-        name_queue=name_queue,
-    )
+    config = _apply_backend_choice(config, backend, batch_size) \
+        or AlignGraphConfig()
+    spec = PipelineSpec(dataset, ("align",), align_config=config,
+                        backend=config.backend,
+                        workers=config.executor_threads,
+                        batch_size=config.batch_size, shm=config.shm)
+    site = ServerSite(aligner=aligner,
+                      backend=spec.make_backend("align", spec.stages),
+                      align_results_store=output_store)
     try:
+        stage = STAGES["align"].build(spec, site)
+        sink = NullSinkNode()
+        stage.graph.add(sink, input=stage.sink)
         # Outside the timed region: this pre-pass reads the bases-column
         # index only and is not part of the measured alignment run.
         total_bases = _count_dataset_bases(dataset)
         start = time.monotonic()
-        result = Session(built.graph).run(timeout=session_timeout)
+        result = Session(stage.graph).run(timeout=session_timeout)
     finally:
-        # Errors must not leak a worker pool (each process backend
-        # worker holds its own copy of the aligner index).
-        built.close()
+        # Errors must not leak worker processes (each holds its own copy
+        # of the aligner index).
+        spec.shutdown_backend(site.backend)
     wall = time.monotonic() - start
-    if output_store is dataset.store and not dataset.manifest.has_column("results"):
+    if (output_store is None or output_store is dataset.store) \
+            and not dataset.manifest.has_column("results"):
         dataset.manifest.add_column("results")
     return AlignOutcome(
         wall_seconds=wall,
-        total_reads=built.sink.records,
+        total_reads=sink.records,
         total_bases=total_bases,
-        chunks=built.sink.chunks,
+        chunks=sink.chunks,
         report=result.report,
     )
 
@@ -236,26 +247,44 @@ def align_standalone(
     backend: "str | Backend | None" = None,
     batch_size: "int | None" = None,
 ) -> AlignOutcome:
-    """Run the standalone-tool baseline: gzip'd FASTQ in, SAM text out."""
-    config = _apply_backend_choice(config, backend, batch_size)
-    built = build_standalone_graph(
-        manifest, shard_store, output_store, aligner, contigs, config=config
-    )
-    start = time.monotonic()
+    """Run the standalone-tool baseline (Table 1): gzip'd FASTQ in, SAM
+    text out.  The Figure 3 wiring of the align stage with its reader,
+    parser and writer swapped for row-oriented ones — the extra read and
+    (especially) write volume Table 1 quantifies."""
+    config = _apply_backend_choice(config, backend, batch_size) \
+        or AlignGraphConfig()
+    made = make_backend(config.backend, workers=config.executor_threads,
+                        batch_size=config.batch_size,
+                        name="standalone.backend", shm=config.shm)
     try:
-        result = Session(built.graph).run(timeout=session_timeout)
+        g = Graph("standalone")
+        # Row-oriented FASTQ has no per-record index to pre-count bases
+        # from (AGD does, see _count_dataset_bases); the parse is the
+        # first point the baseline knows its base volume, so the parser
+        # tallies it.
+        parser = FastqParserNode(parallelism=config.parser_nodes)
+        outlet = figure3(g, [
+            ChunkNameSource(manifest),
+            GzipFastqReaderNode(shard_store, parallelism=config.reader_nodes),
+            parser,
+            aligner_node(g, config, aligner, made),
+            SamWriterNode(output_store, [c["name"] for c in contigs],
+                          header=SamHeader(contigs=contigs),
+                          parallelism=config.writer_nodes),
+        ], config.queue_depth, "written_chunks")
+        sink = NullSinkNode()
+        g.add(sink, input=outlet)
+        start = time.monotonic()
+        result = Session(g).run(timeout=session_timeout)
     finally:
-        built.close()
+        if made is not config.backend:  # an instance stays the caller's
+            made.shutdown()
     wall = time.monotonic() - start
-    # Row-oriented FASTQ has no per-record index to pre-count bases from
-    # (AGD does, see _count_dataset_bases); the parse is the first point
-    # the baseline knows its base volume, so the parser tallies it.
-    total_bases = built.parser.total_bases if built.parser is not None else 0
     return AlignOutcome(
         wall_seconds=wall,
-        total_reads=built.sink.records,
-        total_bases=total_bases,
-        chunks=built.sink.chunks,
+        total_reads=sink.records,
+        total_bases=parser.total_bases,
+        chunks=sink.chunks,
         report=result.report,
     )
 
@@ -263,36 +292,15 @@ def align_standalone(
 # ---------------------------------------------------------------------------
 # One-graph pipelines: several stages, one Session.run (§4.1, §4.5).
 
-#: Canonical stage order; ``run_pipeline`` accepts any ordered subset.
-PIPELINE_STAGES = STAGE_ORDER
-
-
-def validate_stages(stages: "tuple[str, ...]") -> None:
-    if not stages:
-        raise ValueError("run_pipeline needs at least one stage")
-    unknown = [s for s in stages if s not in PIPELINE_STAGES]
-    if unknown:
-        raise ValueError(
-            f"unknown pipeline stages {unknown} "
-            f"(choices: {', '.join(PIPELINE_STAGES)})"
-        )
-    if len(set(stages)) != len(stages):
-        raise ValueError(f"duplicate pipeline stages in {list(stages)}")
-    indices = [PIPELINE_STAGES.index(s) for s in stages]
-    if indices != sorted(indices):
-        raise ValueError(
-            f"stages must follow the order {list(PIPELINE_STAGES)}; "
-            f"got {list(stages)}"
-        )
-
 
 @dataclass(frozen=True)
 class PipelineSpec:
     """What a run *is*: everything equal on every server executing it.
 
     ``run_pipeline`` and ``run_placed_pipeline`` build one from their
-    keywords; the stage builders (:data:`~repro.core.subgraphs.
-    STAGE_BUILDERS`), the placed cut and every worker of a placed run
+    keywords; the stage builders (``STAGES[stage].build``, see
+    :data:`~repro.core.subgraphs.STAGES`), the placed cut and every
+    worker of a placed run
     interpret it, each adding only its own :class:`~repro.core.subgraphs.
     ServerSite`.  ``stages`` is the FULL stage tuple, not one server's
     group: the cross-stage facts below depend on the whole workload even
@@ -325,7 +333,7 @@ class PipelineSpec:
     def __post_init__(self) -> None:
         fill = object.__setattr__
         fill(self, "stages", tuple(self.stages))
-        validate_stages(self.stages)
+        check_stages(self.stages)
         for name, default in (("align_config", AlignGraphConfig),
                               ("sort_config", SortConfig),
                               ("output_store", MemoryStore),
@@ -540,7 +548,7 @@ def run_pipeline(
 
     The align stage dispatches its subchunks to a compute backend:
     ``backend`` (a name or a pre-built instance; a pre-built process
-    backend must not have started its pool), ``workers`` and
+    backend must not have started its workers), ``workers`` and
     ``batch_size`` configure it.  Every other stage computes on its own
     node threads, and a run without an align stage makes no backend at
     all.  ``output_store`` receives the sorted
@@ -650,9 +658,9 @@ def _run_pipeline_once(
     built: list[StageGraph] = []
     try:
         for stage in spec.stages:
-            built.append(STAGE_BUILDERS[stage](spec, site))
-        # The align builder started the worker pool; the clock does not
-        # cover that.
+            built.append(STAGES[stage].build(spec, site))
+        # The align builder started the backend's workers; the clock
+        # does not cover that.
         start = time.monotonic()
         composed = compose(*built, name=name)
         if queue_capacities:
@@ -663,8 +671,6 @@ def _run_pipeline_once(
         result = composed.run(timeout=session_timeout,
                               queue_sample_interval=queue_sample_interval)
     finally:
-        for stage_graph in built:
-            stage_graph.close()
         spec.shutdown_backend(site.backend)
     wall = time.monotonic() - start
 
@@ -847,9 +853,6 @@ class PlacedServerGraph:
     def stage(self, name: str) -> StageGraph:
         return self.pipeline.stage(name)
 
-    def close(self, wait: bool = True) -> None:
-        self.pipeline.close(wait=wait)
-
 
 def build_placed_server_graph(
     spec: PipelineSpec,
@@ -872,7 +875,7 @@ def build_placed_server_graph(
     server_stages = tuple(server_stages)
     ends = site.endpoints
     head_group = server_stages[0] == spec.stages[0]
-    built = [STAGE_BUILDERS[stage](spec, site) for stage in server_stages]
+    built = [STAGES[stage].build(spec, site) for stage in server_stages]
     composed = compose(*built, name=server, open_inlet=not head_group,
                        terminal=False)
     graph = composed.graph

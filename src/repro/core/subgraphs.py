@@ -2,20 +2,29 @@
 these nodes together into optimized subgraphs for common I/O patterns and
 bioinformatics functions."
 
-The standard alignment graph (Figure 3):
+Every pipeline stage is declared once, in :data:`STAGES`: the columns it
+reads off a work item, whether it maps each chunk to one chunk, whether
+its group may be replicated, and its one builder ``build(spec, site)``.
+The spec's validation (:func:`check_stages`), placement, a placed cut's
+column pruning (:func:`columns_read`) and resume pre-ack read that
+table; :func:`compose` fuses built stages into one graph.
+
+The align stage is the standard alignment graph (Figure 3):
 
     chunk names -> reader -> AGD parser -> [central queue] -> aligner
     -> writer -> sink
 
-Queue capacities follow §4.5: "default queue lengths are set to the
-number of parallel downstream nodes they feed" — shallow queues bound
-memory and avoid stragglers.
+and the Table 1 standalone baseline is the same wiring
+(:func:`figure3`) with gzip'd FASTQ read in and SAM written out.  Queue
+capacities follow §4.5: "default queue lengths are set to the number of
+parallel downstream nodes they feed" — shallow queues bound memory and
+avoid stragglers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.agd.manifest import Manifest
 from repro.core.ledger import JournaledStore, SpillJournal, StageJournal
@@ -26,58 +35,25 @@ from repro.core.ops import (
     ChunkReaderNode,
     ColumnWriterNode,
     DupmarkNode,
-    FastqParserNode,
     FilterStageNode,
-    GzipFastqReaderNode,
     NullSinkNode,
     PairedAlignerNode,
     QueueNameSource,
     ResequencerNode,
-    SamWriterNode,
     SortRunNode,
     SuperchunkMergeNode,
     VarCallNode,
 )
-from repro.dataflow.backends import Backend, make_backend
-from repro.dataflow.executor import BusyCounter
+from repro.core.sort import _key_first_columns
+from repro.dataflow.backends import Backend
 from repro.dataflow.graph import Graph, GraphError
+from repro.dataflow.node import Node
 from repro.dataflow.queues import Queue
 from repro.dataflow.session import Session, SessionResult
-from repro.formats.sam import SamHeader
 from repro.storage.base import ChunkStore, MemoryStore
 
 if TYPE_CHECKING:
     from repro.core.pipelines import PipelineSpec
-
-#: Canonical pipeline stage order (§2.1's workload sequence).  The
-#: single-session composer (:func:`repro.core.pipelines.run_pipeline`)
-#: and the cluster placement layer (:mod:`repro.cluster.placement`)
-#: both validate against this tuple.
-STAGE_ORDER = ("align", "sort", "dupmark", "filter", "varcall")
-
-#: Columns each stage reads from an incoming work item (None: every
-#: column — the stage moves or re-chunks whole records).  A head-mode
-#: stage fetches, and a placed cut ships, the union over what follows.
-STAGE_READS: "dict[str, tuple[str, ...] | None]" = {
-    "align": None,
-    "sort": None,
-    "dupmark": ("results",),
-    "filter": None,
-    "varcall": ("results", "bases", "qual"),
-}
-
-
-#: Stages that map each input chunk to one output chunk (no
-#: re-chunking): only groups of these can carry manual
-#: (ack-on-completion) delivery.
-ONE_TO_ONE_STAGES = frozenset({"align", "dupmark", "varcall"})
-
-
-def columns_read(stages) -> "frozenset[str] | None":
-    """Union of the columns ``stages`` read off a work item; None if
-    any of them reads all."""
-    reads = [STAGE_READS[stage] for stage in stages]
-    return None if None in reads else frozenset().union(*reads)
 
 
 @dataclass
@@ -94,11 +70,11 @@ class AlignGraphConfig:
     paired: bool = False
     #: Execution substrate for the compute kernels: "serial", "thread",
     #: "process", or a pre-built Backend instance (owned by the caller).
-    #: Instance caveats: a pre-built ProcessBackend must not have started
-    #: its pool yet (the graph ships the aligner to workers at pool
-    #: start), and instance backends bypass the graph's BusyCounter, so
-    #: utilization traces (Fig. 5 machinery) read zero for their work —
-    #: construct them with your own busy_counter if you need traces.
+    #: Whoever runs the graph makes the backend (``make_backend``) and
+    #: shuts it down; the align stage registers its aligner on it and
+    #: starts it, so a pre-built process backend must not have started
+    #: its workers yet.  For utilization traces (Fig. 5), pass an
+    #: instance made with ``make_backend(..., busy_counter=...)``.
     backend: "str | Backend" = "thread"
     #: Payloads per IPC message (process backend only; None = default).
     batch_size: "int | None" = None
@@ -106,177 +82,6 @@ class AlignGraphConfig:
     #: payloads/results as shared-memory references (None = auto where
     #: POSIX shared memory works; False forces the pickled path).
     shm: "bool | None" = None
-
-
-@dataclass
-class AlignGraph:
-    """A wired alignment graph plus the handles its caller may inspect."""
-
-    graph: Graph
-    sink: NullSinkNode
-    executor: Backend
-    busy_counter: BusyCounter
-    #: False when the caller supplied a pre-built Backend instance; the
-    #: pipeline then leaves its lifecycle to the caller.
-    owns_executor: bool = True
-    #: The parser node, when the graph has one worth inspecting (the
-    #: standalone baseline reads row-oriented FASTQ, so parsed-base
-    #: counts exist only on its parser).
-    parser: "FastqParserNode | None" = None
-
-    @property
-    def backend(self) -> Backend:
-        """The compute backend (``executor`` predates pluggable backends)."""
-        return self.executor
-
-    def close(self, wait: bool = True) -> None:
-        """Release the compute backend, unless the caller owns it."""
-        if self.owns_executor:
-            self.executor.shutdown(wait=wait)
-
-
-def _build_compute_backend(
-    config: AlignGraphConfig,
-    graph_name: str,
-    busy: BusyCounter,
-    aligner,
-) -> "tuple[Backend, bool]":
-    """Make (or adopt) the graph's compute backend.  Returns
-    ``(backend, owned)``: pre-built instances stay caller-owned.
-
-    In-process backends resolve the aligner through the graph's own
-    resource registry at run time (so a backend shared between graphs
-    never leaks one graph's aligner into another); only backends whose
-    workers cannot see caller memory (the process pool) get the aligner
-    shipped via ``register_shared`` — once, at pool start."""
-    owned = not isinstance(config.backend, Backend)
-    backend = make_backend(
-        config.backend,
-        workers=config.executor_threads,
-        batch_size=config.batch_size,
-        busy_counter=busy,
-        name=f"{graph_name}.backend",
-        shm=config.shm,
-    )
-    if not backend.shares_caller_memory:
-        try:
-            backend.register_shared("aligner", aligner)
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"graph {graph_name!r}: a pre-built {backend.name!r} "
-                f"backend must be passed before its worker pool starts "
-                f"(workers receive the aligner at pool start) — build "
-                f"the graph first, or register the aligner yourself "
-                f"before warming the pool"
-            ) from exc
-    # Start workers here, while graph construction is single-threaded:
-    # forking a pool lazily from a node thread of a running session risks
-    # inheriting locks held mid-operation by sibling threads.
-    backend.start()
-    return backend, owned
-
-
-def build_align_graph(
-    manifest: Manifest,
-    input_store: ChunkStore,
-    output_store: ChunkStore,
-    aligner,
-    config: "AlignGraphConfig | None" = None,
-    name_queue: "Queue | None" = None,
-    graph_name: str = "align",
-) -> AlignGraph:
-    """Assemble the Figure 3 alignment pipeline over AGD input: the
-    align stage (:func:`build_align_stage`) closed by a counting sink.
-
-    ``aligner`` is a shared read-only aligner object (SNAP- or BWA-style);
-    ``name_queue`` switches the source from the local manifest to a shared
-    manifest-server queue (cluster mode, §5.2).
-    """
-    stage = build_align_stage(
-        manifest, input_store, output_store, aligner, config=config,
-        stage_name=graph_name, name_queue=name_queue,
-    )
-    sink = NullSinkNode()
-    stage.graph.add(sink, input=stage.sink)
-    return AlignGraph(graph=stage.graph, sink=sink, executor=stage.backend,
-                      busy_counter=stage.busy_counter,
-                      owns_executor=stage.owns_backend)
-
-
-def build_standalone_graph(
-    manifest: Manifest,
-    input_store: ChunkStore,
-    output_store: ChunkStore,
-    aligner,
-    contigs: "list[dict]",
-    config: "AlignGraphConfig | None" = None,
-    graph_name: str = "standalone",
-) -> AlignGraph:
-    """The Table 1 baseline: gzip'd FASTQ in, SAM text out.
-
-    Structurally the same pipeline, but the reader pulls whole row-
-    oriented FASTQ shards and the writer re-emits every field as SAM —
-    the extra read and (especially) write volume Table 1 quantifies.
-    """
-    config = config or AlignGraphConfig()
-    g = Graph(graph_name)
-    busy = BusyCounter()
-    backend, owns_backend = _build_compute_backend(
-        config, graph_name, busy, aligner
-    )
-    aligner_handle = g.register_resource("aligner", aligner)
-    backend_handle = g.register_resource("executor", backend)
-
-    q_names = g.queue("chunk_names", max(2, config.reader_nodes))
-    q_raw = g.queue("raw_chunks", max(2, config.parser_nodes))
-    q_parsed = g.queue("parsed_chunks", max(2, config.aligner_nodes))
-    q_aligned = g.queue("aligned_chunks", max(2, config.writer_nodes))
-    q_written = g.queue("written_chunks", 2)
-
-    g.add(ChunkNameSource(manifest), output=q_names)
-    g.add(
-        GzipFastqReaderNode(input_store, parallelism=config.reader_nodes),
-        input=q_names,
-        output=q_raw,
-    )
-    fastq_parser = FastqParserNode(parallelism=config.parser_nodes)
-    g.add(fastq_parser, input=q_raw, output=q_parsed)
-    g.add(
-        AlignerNode(
-            aligner_handle,
-            backend_handle,
-            subchunk_size=config.subchunk_size,
-            parallelism=config.aligner_nodes,
-        ),
-        input=q_parsed,
-        output=q_aligned,
-    )
-    contig_names = [c["name"] for c in contigs]
-    g.add(
-        SamWriterNode(
-            output_store,
-            contig_names,
-            header=SamHeader(contigs=contigs),
-            parallelism=config.writer_nodes,
-        ),
-        input=q_aligned,
-        output=q_written,
-    )
-    sink = NullSinkNode()
-    g.add(sink, input=q_written)
-    return AlignGraph(graph=g, sink=sink, executor=backend,
-                      busy_counter=busy, owns_executor=owns_backend,
-                      parser=fastq_parser)
-
-
-# ---------------------------------------------------------------------------
-# One-graph pipelines (§4.1): sort, dupmark, and varcall as composable
-# stage subgraphs.  Each builder returns a StageGraph — a Graph plus its
-# open "ports" — and compose() stitches consecutive stages together by
-# fusing each stage's sink queue into the next stage's source queue, so
-# a whole workload (align -> sort -> dupmark -> varcall) executes in ONE
-# Session.run with chunks streaming through bounded queues end to end
-# (§4.5 flow control), instead of five sequential passes over the store.
 
 
 @dataclass
@@ -288,7 +93,7 @@ class StageGraph:
     ``sink`` the open outlet (None when the stage is terminal).
     ``collector`` is the stage's result holder — the merge node for
     sort (its ``manifest``/``entries``), the dupmark node (``stats``),
-    the varcall node (``variants``).
+    the filter node (``manifest``), the varcall node (``variants``).
     """
 
     name: str
@@ -296,433 +101,66 @@ class StageGraph:
     source: "Queue | None"
     sink: "Queue | None"
     collector: Any = None
-    backend: "Backend | None" = None
-    #: True when the builder created the backend (shut down via close);
-    #: False for a shared instance whose lifecycle the caller owns.
-    owns_backend: bool = False
-    #: The utilization counter a stage-made backend reports to (Fig. 5).
-    busy_counter: "BusyCounter | None" = None
 
-    def close(self, wait: bool = True) -> None:
-        if self.owns_backend and self.backend is not None:
-            self.backend.shutdown(wait=wait)
-
-
-def attach_stage_journal(stage: StageGraph, journal) -> None:
-    """Attach a durable-run journal hook to a built stage's kernels.
-
-    Dispatches on the journal's interface: a results journal
-    (``cached_results``, :class:`repro.core.ledger.StageJournal`) lands
-    on aligner nodes, a spill journal (``adopt``,
-    :class:`repro.core.ledger.SpillJournal`) on sort-run nodes.  Stages
-    without a matching kernel are left untouched.
-    """
-    for node in stage.graph.nodes:
-        if isinstance(node, (AlignerNode, PairedAlignerNode)):
-            if hasattr(journal, "cached_results"):
-                node.journal = journal
-        elif isinstance(node, SortRunNode):
-            if hasattr(journal, "adopt"):
-                node.journal = journal
-
-
-def build_align_stage(
-    manifest: Manifest,
-    input_store: ChunkStore,
-    results_store: ChunkStore,
-    aligner,
-    config: "AlignGraphConfig | None" = None,
-    extra_columns: "tuple[str, ...]" = (),
-    stage_name: str = "align",
-    name_queue: "Queue | None" = None,
-) -> StageGraph:
-    """The Figure 3 alignment pipeline as a composable stage.
-
-    Like :func:`build_align_graph` but ending in an open outlet: aligned
-    chunks (results written to ``results_store``, parsed columns still
-    attached) flow on to whatever stage is fused downstream.
-    ``extra_columns`` widens the read set beyond ``bases``/``qual`` when
-    a downstream stage needs more (a sort stage needs ``metadata``).
-    ``name_queue`` switches the source from the local manifest to a
-    shared chunk-name queue (the cluster work edge, §5.2), so replicas
-    of this stage on several servers self-balance at chunk granularity.
-    """
-    config = config or AlignGraphConfig()
-    g = Graph(stage_name)
-    busy = BusyCounter()
-    backend, owns_backend = _build_compute_backend(
-        config, stage_name, busy, aligner
-    )
-    aligner_handle = g.register_resource("aligner", aligner)
-    # Stage-qualified handle: per-stage backends must not collide when
-    # stages merge into one namespace (a shared instance simply gets
-    # registered once per stage under distinct names).
-    backend_handle = g.register_resource(f"{stage_name}.executor", backend)
-
-    depth = config.queue_depth
-    q_names = g.queue("chunk_names", depth or max(2, config.reader_nodes))
-    q_raw = g.queue("raw_chunks", depth or max(2, config.parser_nodes))
-    q_parsed = g.queue("parsed_chunks", depth or max(2, config.aligner_nodes))
-    q_aligned = g.queue("aligned_chunks", depth or max(2, config.writer_nodes))
-    q_out = g.queue("stage_out", depth or 2)
-
-    if name_queue is not None:
-        g.add(QueueNameSource(name_queue), output=q_names)
-    else:
-        g.add(ChunkNameSource(manifest), output=q_names)
-    g.add(
-        ChunkReaderNode(
-            input_store,
-            columns=("bases", "qual") + tuple(extra_columns),
-            parallelism=config.reader_nodes,
-        ),
-        input=q_names,
-        output=q_raw,
-    )
-    g.add(
-        AGDParserNode(parallelism=config.parser_nodes),
-        input=q_raw,
-        output=q_parsed,
-    )
-    if config.paired:
-        g.add(
-            PairedAlignerNode(
-                aligner_handle,
-                backend_handle,
-                subchunk_size=max(1, config.subchunk_size // 2),
-                parallelism=config.aligner_nodes,
-            ),
-            input=q_parsed,
-            output=q_aligned,
-        )
-    else:
-        g.add(
-            AlignerNode(
-                aligner_handle,
-                backend_handle,
-                subchunk_size=config.subchunk_size,
-                parallelism=config.aligner_nodes,
-            ),
-            input=q_parsed,
-            output=q_aligned,
-        )
-    g.add(
-        ColumnWriterNode(
-            results_store,
-            column="results",
-            record_type="results",
-            parallelism=config.writer_nodes,
-        ),
-        input=q_aligned,
-        output=q_out,
-    )
-    return StageGraph(
-        name=stage_name, graph=g, source=None, sink=q_out,
-        backend=backend, owns_backend=owns_backend, busy_counter=busy,
-    )
-
-
-def _add_head_reader(
-    g: Graph, manifest: Manifest, store: ChunkStore, columns,
-    reader_nodes: int, parser_nodes: int, name_queue: "Queue | None",
-) -> Queue:
-    """The front of a stage that reads the dataset itself: chunk names
-    (the manifest's, or a placed run's ``name_queue``) -> parallel
-    readers of ``columns`` -> parsers.  Returns the parsed-chunk queue."""
-    q_names = g.queue("chunk_names", max(2, reader_nodes))
-    q_raw = g.queue("raw_chunks", max(2, parser_nodes))
-    q_parsed = g.queue("parsed_chunks", 2)
-    if name_queue is not None:
-        g.add(QueueNameSource(name_queue), output=q_names)
-    else:
-        g.add(ChunkNameSource(manifest), output=q_names)
-    g.add(
-        ChunkReaderNode(store, columns=tuple(columns),
-                        parallelism=reader_nodes),
-        input=q_names,
-        output=q_raw,
-    )
-    g.add(AGDParserNode(parallelism=parser_nodes),
-          input=q_raw, output=q_parsed)
-    return q_parsed
-
-
-def _add_resequencer(g: Graph, inlet: Queue, expected, missing_ok) -> Queue:
-    """Restore the ``expected`` chunk-path order behind ``inlet``."""
-    q_ordered = g.queue("ordered_chunks", 2)
-    g.add(ResequencerNode(list(expected), missing_ok=missing_ok),
-          input=inlet, output=q_ordered)
-    return q_ordered
-
-
-def build_sort_graph(
-    manifest: Manifest,
-    output_store: ChunkStore,
-    input_store: "ChunkStore | None" = None,
-    config: "SortConfig | None" = None,
-    columns: "list[str] | None" = None,
-    scratch_store: "ChunkStore | None" = None,
-    reader_nodes: int = 2,
-    parser_nodes: int = 2,
-    stage_name: str = "sort",
-    name_queue: "Queue | None" = None,
-    missing_ok=None,
-    deferred_columns: "tuple[str, ...]" = (),
-) -> StageGraph:
-    """The external merge sort (§4.3) as a dataflow stage.
-
-    With ``input_store`` the stage reads the dataset itself (head of a
-    pipeline); without it the stage exposes an open inlet and sorts the
-    parsed chunks that stream in.  Either way a resequencer restores
-    manifest order first, so run grouping — and therefore every output
-    byte — matches the eager :func:`repro.core.sort.sort_dataset`.
-
-    Both sort kernels run on their own node threads, so the stage has no
-    compute backend.  The collector is the :class:`SuperchunkMergeNode`;
-    after the run its ``manifest`` describes the sorted dataset in
-    ``output_store``.
-    ``deferred_columns`` are streamed downstream but not written: the
-    next stage must put them (see :func:`build_dupmark_graph`).
-    """
-    from repro.core.sort import SortConfig, _key_first_columns
-
-    config = config or SortConfig()
-    columns = sorted(set(columns if columns is not None
-                         else manifest.columns))
-    if config.order == "location" and "results" not in columns:
-        raise ValueError("location sort needs a results column; align first")
-    ordered_columns = _key_first_columns(columns)
-    out_chunk_size = config.output_chunk_size or (
-        manifest.chunks[0].record_count if manifest.chunks else 1
-    )
-    scratch = scratch_store if scratch_store is not None else MemoryStore()
-
-    g = Graph(stage_name)
-    source: "Queue | None" = None
-    if input_store is not None:
-        inlet = _add_head_reader(g, manifest, input_store, ordered_columns,
-                                 reader_nodes, parser_nodes, name_queue)
-    else:
-        inlet = g.queue("stage_in", 4)
-        source = inlet
-    q_ordered = _add_resequencer(
-        g, inlet, [entry.path for entry in manifest.chunks], missing_ok)
-    q_runs = g.queue("runs", 2)
-    g.add(
-        SortRunNode(
-            ordered_columns,
-            config.order,
-            scratch,
-            chunks_per_superchunk=config.chunks_per_superchunk,
-            scratch_codec_level=config.scratch_codec_level,
-        ),
-        input=q_ordered,
-        output=q_runs,
-    )
-    q_sorted = g.queue("sorted_chunks", 2)
-    merge = SuperchunkMergeNode(
-        scratch,
-        output_store,
-        ordered_columns,
-        columns,
-        config.order,
-        manifest.name,
-        out_chunk_size,
-        reference=manifest.reference,
-        output_codec=config.output_codec(),
-        deferred_columns=deferred_columns,
-    )
-    g.add(merge, input=q_runs, output=q_sorted)
-    return StageGraph(
-        name=stage_name, graph=g, source=source, sink=q_sorted,
-        collector=merge,
-    )
-
-
-def build_dupmark_graph(
-    manifest: "Manifest | None",
-    store: ChunkStore,
-    reorder: "list[str] | None" = None,
-    from_queue: bool = False,
-    columns: "tuple[str, ...]" = STAGE_READS["dupmark"],
-    reader_nodes: int = 2,
-    parser_nodes: int = 2,
-    stage_name: str = "dupmark",
-    name_queue: "Queue | None" = None,
-    missing_ok=None,
-    write_codec=None,
-) -> StageGraph:
-    """Samblaster-style duplicate marking (§5.6) as a dataflow stage.
-
-    Head of a pipeline (``from_queue=False``): reads *only* the results
-    column of ``manifest`` from ``store`` — the selective-column I/O
-    advantage §5.6 measures — and rewrites dirty chunks in place.
-    ``columns`` widens that read set when a downstream stage needs more
-    (a fused varcall stage needs ``bases``/``qual`` too).
-    Fused mode (``from_queue=True``): marks the chunks streaming in;
-    ``reorder`` (a list of expected chunk paths) inserts a resequencer
-    when the upstream emits out of order (e.g. a parallel align stage) —
-    leave it None after a sort stage, whose merge already emits in
-    order.  ``write_codec`` is the sort's output codec when that merge
-    defers the results column to this stage (``deferred_columns`` of
-    :func:`build_sort_graph`): every chunk's results are then written
-    here, once, instead of dirty chunks being rewritten.  The collector
-    is the :class:`DupmarkNode` (its ``dup_stats``); the marking runs on
-    the node's own thread, so the stage has no compute backend.
-    """
-    g = Graph(stage_name)
-
-    source: "Queue | None" = None
-    if not from_queue:
-        if manifest is None:
-            raise ValueError("head-mode dupmark stage needs a manifest")
-        if "results" not in columns:
-            raise ValueError("dupmark stage must read the results column")
-        inlet = _add_head_reader(g, manifest, store, columns,
-                                 reader_nodes, parser_nodes, name_queue)
-        if reorder is None:
-            reorder = [entry.path for entry in manifest.chunks]
-    else:
-        inlet = g.queue("stage_in", 4)
-        source = inlet
-    if reorder is not None:
-        inlet = _add_resequencer(g, inlet, reorder, missing_ok)
-
-    q_out = g.queue("stage_out", 2)
-    node = DupmarkNode(store, write_codec=write_codec)
-    g.add(node, input=inlet, output=q_out)
-    return StageGraph(
-        name=stage_name, graph=g, source=source, sink=q_out,
-        collector=node,
-    )
-
-
-def build_varcall_graph(
-    reference,
-    manifest: "Manifest | None" = None,
-    input_store: "ChunkStore | None" = None,
-    config=None,
-    reader_nodes: int = 2,
-    parser_nodes: int = 2,
-    stage_name: str = "varcall",
-    name_queue: "Queue | None" = None,
-    passthrough: bool = False,
-    sorted_input: bool = False,
-    missing_ok=None,
-) -> StageGraph:
-    """Pileup SNP calling (§2.1) as a terminal dataflow stage.
-
-    Head of a pipeline when ``manifest``/``input_store`` are given;
-    otherwise an open inlet consuming the chunks streaming in.
-    ``sorted_input`` declares that those arrive in location order (a
-    location sort upstream), so calls stream out behind a sliding pileup
-    window; a head-mode stage reads it off the manifest's ``sort_order``
-    and then resequences its parallel readers' chunks.  Unsorted input
-    piles up whole (commutative: no resequencer).  The collector is the
-    :class:`VarCallNode` (its ``variants``); the pileup runs on the
-    node's own thread, so the stage has no compute backend.
-    ``passthrough=True`` leaves an open outlet that re-emits every
-    processed chunk (placed pipelines append an acknowledging sink
-    there); the default stays terminal.
-    """
-    g = Graph(stage_name)
-
-    source: "Queue | None" = None
-    if input_store is not None:
-        if manifest is None:
-            raise ValueError("head-mode varcall stage needs a manifest")
-        inlet = _add_head_reader(
-            g, manifest, input_store, STAGE_READS["varcall"],
-            reader_nodes, parser_nodes, name_queue)
-        sorted_input = manifest.sort_order == "location"
-        if sorted_input:
-            inlet = _add_resequencer(
-                g, inlet, [entry.path for entry in manifest.chunks],
-                missing_ok)
-    else:
-        inlet = g.queue("stage_in", 4)
-        source = inlet
-
-    node = VarCallNode(reference, config=config, sorted_input=sorted_input)
-    sink: "Queue | None" = None
-    if passthrough:
-        sink = g.queue("stage_out", 2)
-        g.add(node, input=inlet, output=sink)
-    else:
-        g.add(node, input=inlet)
-    return StageGraph(
-        name=stage_name, graph=g, source=source, sink=sink, collector=node,
-    )
-
-
-def build_filter_stage(
-    predicate,
-    output_store: ChunkStore,
-    dataset_name: str,
-    out_chunk_size: int,
-    columns: "list[str]",
-    manifest: "Manifest | None" = None,
-    input_store: "ChunkStore | None" = None,
-    reorder: "list[str] | None" = None,
-    reference: "list[dict] | None" = None,
-    sort_order: str = "unsorted",
-    stats: "object | None" = None,
-    reader_nodes: int = 2,
-    parser_nodes: int = 2,
-    stage_name: str = "filter",
-    name_queue: "Queue | None" = None,
-    missing_ok=None,
-) -> StageGraph:
-    """Dataset filtering (§2.1) as a streaming dataflow stage.
-
-    Wraps :mod:`repro.core.filters` row predicates (``by_min_mapq`` and
-    friends) as a :class:`~repro.core.ops.FilterStageNode`, so
-    ``filter_dataset`` joins the one-graph path and is placeable like
-    any other stage.  Head of a pipeline when ``manifest``/
-    ``input_store`` are given (reads every listed column from the
-    store); otherwise filters the chunks streaming in.  ``reorder``
-    inserts a resequencer when the upstream emits out of order (heads
-    and parallel align stages); leave it None after a sort stage.
-    The collector is the node: after the run, its ``manifest`` describes
-    the filtered dataset in ``output_store`` — byte-identical to the
-    eager :func:`~repro.core.filters.filter_dataset`.
-    """
-    g = Graph(stage_name)
-    source: "Queue | None" = None
-    if input_store is not None:
-        if manifest is None:
-            raise ValueError("head-mode filter stage needs a manifest")
-        inlet = _add_head_reader(g, manifest, input_store, sorted(columns),
-                                 reader_nodes, parser_nodes, name_queue)
-        if reorder is None:
-            reorder = [entry.path for entry in manifest.chunks]
-    else:
-        inlet = g.queue("stage_in", 4)
-        source = inlet
-    if reorder is not None:
-        inlet = _add_resequencer(g, inlet, reorder, missing_ok)
-
-    q_out = g.queue("stage_out", 2)
-    node = FilterStageNode(
-        predicate,
-        output_store,
-        dataset_name,
-        out_chunk_size,
-        columns,
-        reference=reference,
-        sort_order=sort_order,
-        stats=stats,
-    )
-    g.add(node, input=inlet, output=q_out)
-    return StageGraph(
-        name=stage_name, graph=g, source=source, sink=q_out,
-        collector=node, backend=None, owns_backend=False,
-    )
 
 # ---------------------------------------------------------------------------
-# A stage of a run: the builders above, read off a PipelineSpec.  What
-# is equal on every server comes from the spec; what one server brings
-# comes from its ServerSite.
+# Figure 3: the alignment wiring, shared by the align stage and the
+# standalone baseline.
+
+#: The queues between Figure 3's five kernels, in order.
+FIGURE3_QUEUES = ("chunk_names", "raw_chunks", "parsed_chunks",
+                  "aligned_chunks")
+
+
+def aligner_node(g: Graph, config: AlignGraphConfig, aligner,
+                 backend: Backend, journal=None) -> Node:
+    """Figure 3's aligner kernel, dispatching subchunks to ``backend``.
+
+    The caller made ``backend`` and shuts it down; this hands it the
+    aligner and starts it, here, while graph construction is still
+    single-threaded (forking workers from a node thread of a running
+    session risks inheriting locks held mid-operation by sibling
+    threads).  Backends whose workers cannot see caller memory get the
+    aligner via ``register_shared``, at worker start; in-process ones
+    resolve it through the graph's own registry at run time, so a
+    backend shared between graphs never leaks one graph's aligner into
+    another.  ``journal`` is a durable run's
+    :class:`~repro.core.ledger.StageJournal`."""
+    if not backend.shares_caller_memory:
+        backend.register_shared("aligner", aligner)
+    backend.start()
+    handles = (g.register_resource("aligner", aligner),
+               # Graph-qualified: per-stage backends must not collide
+               # when stages merge into one namespace.
+               g.register_resource(f"{g.name}.executor", backend))
+    if config.paired:
+        return PairedAlignerNode(
+            *handles, subchunk_size=max(1, config.subchunk_size // 2),
+            parallelism=config.aligner_nodes, journal=journal)
+    return AlignerNode(*handles, subchunk_size=config.subchunk_size,
+                       parallelism=config.aligner_nodes, journal=journal)
+
+
+def figure3(g: Graph, nodes: "list[Node]", depth: "int | None",
+            outlet: str) -> Queue:
+    """Wire Figure 3's source, reader, parser, aligner and writer
+    ``nodes`` into ``g`` in a line; returns the writer's queue, named
+    ``outlet``.  Each queue is as deep as the parallelism it feeds
+    (§4.5), or ``depth`` when that is set."""
+    queues = [g.queue(name, depth or max(2, consumer.parallelism))
+              for name, consumer in zip(FIGURE3_QUEUES, nodes[1:])]
+    queues.append(g.queue(outlet, depth or 2))
+    inlet = None
+    for node, out in zip(nodes, queues):
+        g.add(node, input=inlet, output=out)
+        inlet = out
+    return inlet
+
+
+# ---------------------------------------------------------------------------
+# One stage of a run, read off a PipelineSpec.  What is equal on every
+# server comes from the spec; what one server brings comes from its
+# ServerSite.
 
 
 @dataclass
@@ -771,12 +209,56 @@ class ServerSite:
                        None)
 
 
+#: Readers and parsers of a stage that reads the dataset itself.
+HEAD_PARALLELISM = 2
+
+
+def _name_source(manifest: Manifest, site: ServerSite) -> Node:
+    """Chunk names from the manifest, or — the cluster work edge (§5.2)
+    — from the shared queue replicas on several servers pull from, so
+    they self-balance at chunk granularity."""
+    if site.name_queue is not None:
+        return QueueNameSource(site.name_queue)
+    return ChunkNameSource(manifest)
+
+
+def _inlet(g: Graph, spec: "PipelineSpec", site: ServerSite, stage: str,
+           columns) -> "tuple[Queue, Queue | None]":
+    """Where ``stage``'s chunks come from: off the dataset — chunk
+    names, parallel readers of ``columns``, parsers — when it heads the
+    run, else an open inlet the upstream stage is fused onto.  Returns
+    ``(inlet, source)``, ``source`` being the open inlet or None."""
+    if spec.stages[0] != stage:
+        inlet = g.queue("stage_in", 4)
+        return inlet, inlet
+    q_names = g.queue("chunk_names", HEAD_PARALLELISM)
+    q_raw = g.queue("raw_chunks", HEAD_PARALLELISM)
+    q_parsed = g.queue("parsed_chunks", 2)
+    g.add(_name_source(spec.manifest, site), output=q_names)
+    g.add(ChunkReaderNode(spec.dataset.store, columns=tuple(columns),
+                          parallelism=HEAD_PARALLELISM),
+          input=q_names, output=q_raw)
+    g.add(AGDParserNode(parallelism=HEAD_PARALLELISM),
+          input=q_raw, output=q_parsed)
+    return q_parsed, None
+
+
+def _add_resequencer(g: Graph, inlet: Queue, expected, missing_ok) -> Queue:
+    """Restore the ``expected`` chunk-path order behind ``inlet``."""
+    q_ordered = g.queue("ordered_chunks", 2)
+    g.add(ResequencerNode(list(expected), missing_ok=missing_ok),
+          input=inlet, output=q_ordered)
+    return q_ordered
+
+
 def _arrival_order(spec: "PipelineSpec", stage: str) -> "list[str] | None":
-    """Directly after a parallel align stage chunk order is
-    nondeterministic: the manifest order a resequencer must restore so
-    first-fragment-wins scans and re-chunking match the eager path."""
+    """The manifest order a resequencer must restore ahead of an
+    order-sensitive ``stage`` (first-fragment-wins scans, re-chunking)
+    whose chunks arrive out of it — from its own parallel readers when
+    it heads the run, or directly after a parallel align stage; None
+    when they arrive in order."""
     position = spec.stages.index(stage)
-    if position == 0 or spec.stages[position - 1] != "align":
+    if position and spec.stages[position - 1] != "align":
         return None
     return [entry.path for entry in spec.manifest.chunks]
 
@@ -790,8 +272,11 @@ def _journaled(spec: "PipelineSpec", store: ChunkStore, stage: str,
     return JournaledStore(store, spec.ledger, stage, label=label)
 
 
-def _align_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
-    manifest = spec.manifest
+def _build_align(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    """The Figure 3 alignment pipeline, ending in an open outlet: aligned
+    chunks (results written, parsed columns still attached) flow on to
+    whatever stage is fused downstream."""
+    manifest, config = spec.manifest, spec.align_config
     # A following sort or filter stage moves every column, so the align
     # reader must fetch the ones it skips by default.
     extra = tuple(
@@ -802,111 +287,235 @@ def _align_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
         site.align_results_store if site.align_results_store is not None
         else spec.dataset.store,
         "align", "dataset")
-    built = build_align_stage(
-        manifest, spec.dataset.store, results_store, site.aligner,
-        config=replace(spec.align_config, backend=site.backend),
-        extra_columns=extra, name_queue=site.name_queue,
+    g = Graph("align")
+    outlet = figure3(g, [
+        _name_source(manifest, site),
+        ChunkReaderNode(spec.dataset.store, columns=("bases", "qual") + extra,
+                        parallelism=config.reader_nodes),
+        AGDParserNode(parallelism=config.parser_nodes),
+        aligner_node(
+            g, config, site.aligner, site.backend,
+            journal=(StageJournal(spec.ledger, "align", results_store)
+                     if spec.ledger is not None else None)),
+        ColumnWriterNode(results_store, column="results",
+                         record_type="results",
+                         parallelism=config.writer_nodes),
+    ], config.queue_depth, "stage_out")
+    return StageGraph(name="align", graph=g, source=None, sink=outlet)
+
+
+def _build_sort(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    """The external merge sort (§4.3).  A resequencer restores manifest
+    order first, so run grouping — and therefore every output byte —
+    matches the eager :func:`repro.core.sort.sort_dataset`.  The
+    collector is the :class:`SuperchunkMergeNode`; after the run its
+    ``manifest`` describes the sorted dataset in ``spec.output_store``.
+    When dupmark follows, the merge streams the results column on
+    without writing it: the dupmark node puts it, once."""
+    manifest, config = spec.manifest, spec.sort_config
+    columns = sorted(set(manifest.columns)
+                     | ({"results"} if "align" in spec.stages else set()))
+    if config.order == "location" and "results" not in columns:
+        raise ValueError("location sort needs a results column; align first")
+    ordered_columns = _key_first_columns(columns)
+    scratch = site.scratch_store if site.scratch_store is not None \
+        else MemoryStore()
+    g = Graph("sort")
+    inlet, source = _inlet(g, spec, site, "sort", ordered_columns)
+    q_ordered = _add_resequencer(
+        g, inlet, [entry.path for entry in manifest.chunks], site.missing_ok)
+    q_runs = g.queue("runs", 2)
+    g.add(
+        SortRunNode(
+            ordered_columns, config.order, scratch,
+            chunks_per_superchunk=config.chunks_per_superchunk,
+            scratch_codec_level=config.scratch_codec_level,
+            # Spills only survive a restart in a durable scratch store;
+            # a per-run MemoryStore scratch simply recomputes its runs.
+            journal=(SpillJournal(spec.ledger, site.scratch_store)
+                     if spec.ledger is not None
+                     and site.scratch_store is not None else None),
+        ),
+        input=q_ordered,
+        output=q_runs,
     )
-    if spec.ledger is not None:
-        attach_stage_journal(
-            built, StageJournal(spec.ledger, "align", results_store)
-        )
-    return built
-
-
-def _sort_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
-    manifest = spec.manifest
-    head = spec.stages[0] == "sort"
-    built = build_sort_graph(
-        manifest,
+    q_sorted = g.queue("sorted_chunks", 2)
+    merge = SuperchunkMergeNode(
+        scratch,
         _journaled(spec, spec.output_store, "sort", "output"),
-        input_store=spec.dataset.store if head else None,
-        config=spec.sort_config,
-        columns=(sorted(set(manifest.columns) | {"results"})
-                 if "align" in spec.stages else None),
-        scratch_store=site.scratch_store,
-        name_queue=site.name_queue,
-        missing_ok=site.missing_ok,
+        ordered_columns,
+        columns,
+        config.order,
+        manifest.name,
+        config.output_chunk_size or (
+            manifest.chunks[0].record_count if manifest.chunks else 1),
+        reference=manifest.reference,
+        output_codec=config.output_codec(),
         deferred_columns=("results",) if spec.marks_first_write else (),
     )
-    if spec.ledger is not None and site.scratch_store is not None:
-        # Spills only survive a restart in a durable scratch store; a
-        # per-run MemoryStore scratch simply recomputes its runs.
-        attach_stage_journal(
-            built, SpillJournal(spec.ledger, site.scratch_store))
-    return built
+    g.add(merge, input=q_runs, output=q_sorted)
+    return StageGraph(name="sort", graph=g, source=source, sink=q_sorted,
+                      collector=merge)
 
 
-def _dupmark_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+def _build_dupmark(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    """Samblaster-style duplicate marking (§5.6).  A head stage reads
+    only the columns it and every stage after it declare — the
+    selective-column I/O §5.6 measures — and rewrites dirty chunks in
+    place; directly after a sort it writes every chunk's results, once.
+    The collector is the :class:`DupmarkNode` (its ``dup_stats``)."""
     manifest = spec.manifest
-    head = spec.stages[0] == "dupmark"
     store = _journaled(spec, spec.output_store, "dupmark", "output") \
         if "sort" in spec.stages \
         else _journaled(spec, spec.dataset.store, "dupmark", "dataset")
-    # A head-mode dupmark reads what it and every stage after it declare
-    # (a filter re-chunks every column).
+    # A filter after it re-chunks every column.
     reads = columns_read(spec.stages[spec.stages.index("dupmark"):])
-    return build_dupmark_graph(
-        manifest if head else None,
-        store,
-        reorder=_arrival_order(spec, "dupmark"),
-        from_queue=not head,
-        columns=tuple(sorted(
-            reads if reads is not None
-            else set(manifest.columns) | {"results"})),
-        name_queue=site.name_queue,
-        missing_ok=site.missing_ok,
-        write_codec=(spec.sort_config.output_codec()
-                     if spec.marks_first_write else None),
-    )
+    g = Graph("dupmark")
+    inlet, source = _inlet(g, spec, site, "dupmark", sorted(
+        reads if reads is not None else set(manifest.columns) | {"results"}))
+    reorder = _arrival_order(spec, "dupmark")
+    if reorder is not None:
+        inlet = _add_resequencer(g, inlet, reorder, site.missing_ok)
+    q_out = g.queue("stage_out", 2)
+    node = DupmarkNode(store, write_codec=(spec.sort_config.output_codec()
+                                           if spec.marks_first_write
+                                           else None))
+    g.add(node, input=inlet, output=q_out)
+    return StageGraph(name="dupmark", graph=g, source=source, sink=q_out,
+                      collector=node)
 
 
-def _filter_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+def _build_filter(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    """Dataset filtering (§2.1): ``spec.filter_predicate`` over each
+    chunk's results, survivors re-chunked into ``spec.filter_store``.
+    The collector is the :class:`FilterStageNode`: after the run, its
+    ``manifest`` describes the filtered dataset — byte-identical to the
+    eager :func:`~repro.core.filters.filter_dataset` over the run's
+    output."""
     manifest = spec.manifest
-    head = spec.stages[0] == "filter"
     dataset_name, out_chunk_size, sort_order = spec.filter_output
-    return build_filter_stage(
+    columns = sorted(set(manifest.columns) | {"results"})
+    g = Graph("filter")
+    inlet, source = _inlet(g, spec, site, "filter", columns)
+    reorder = _arrival_order(spec, "filter")
+    if reorder is not None:
+        inlet = _add_resequencer(g, inlet, reorder, site.missing_ok)
+    q_out = g.queue("stage_out", 2)
+    node = FilterStageNode(
         spec.filter_predicate,
         _journaled(spec, spec.filter_store, "filter", "filter"),
         dataset_name,
         out_chunk_size,
-        sorted(set(manifest.columns) | {"results"}),
-        manifest=manifest if head else None,
-        input_store=spec.dataset.store if head else None,
-        reorder=_arrival_order(spec, "filter"),
+        columns,
         reference=manifest.reference,
         sort_order=sort_order,
-        name_queue=site.name_queue,
-        missing_ok=site.missing_ok,
     )
+    g.add(node, input=inlet, output=q_out)
+    return StageGraph(name="filter", graph=g, source=source, sink=q_out,
+                      collector=node)
 
 
-def _varcall_stage(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
-    head = spec.stages[0] == "varcall"
-    return build_varcall_graph(
-        spec.reference,
-        manifest=spec.manifest if head else None,
-        input_store=spec.dataset.store if head else None,
-        config=spec.varcall_config,
-        name_queue=site.name_queue,
+def _build_varcall(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
+    """Pileup SNP calling (§2.1), terminal.  Over location-sorted input
+    (``spec.sorted_input``) calls stream out behind a sliding pileup
+    window — a head stage then resequences its parallel readers' chunks;
+    unsorted input piles up whole (commutative: no resequencer).  The
+    collector is the :class:`VarCallNode` (its ``variants``)."""
+    g = Graph("varcall")
+    inlet, source = _inlet(g, spec, site, "varcall", STAGES["varcall"].reads)
+    if source is None and spec.sorted_input:
+        inlet = _add_resequencer(
+            g, inlet, [entry.path for entry in spec.manifest.chunks],
+            site.missing_ok)
+    node = VarCallNode(spec.reference, config=spec.varcall_config,
+                       sorted_input=spec.sorted_input)
+    outlet: "Queue | None" = None
+    if site.endpoints is not None:
         # A placed server appends an acknowledging sink to the outlet.
-        passthrough=site.endpoints is not None,
-        sorted_input=spec.sorted_input,
-        missing_ok=site.missing_ok,
-    )
+        outlet = g.queue("stage_out", 2)
+    g.add(node, input=inlet, output=outlet)
+    return StageGraph(name="varcall", graph=g, source=source, sink=outlet,
+                      collector=node)
 
 
-#: stage -> ``builder(spec, site)``: one stage of ``spec`` as a
-#: :class:`StageGraph` on the server ``site`` describes.  The stage that
-#: heads the whole run (``spec.stages[0]``) reads the dataset itself;
-#: every other one consumes the chunks streaming in.
-STAGE_BUILDERS = {
-    "align": _align_stage,
-    "sort": _sort_stage,
-    "dupmark": _dupmark_stage,
-    "filter": _filter_stage,
-    "varcall": _varcall_stage,
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared once."""
+
+    #: Columns it reads off an incoming work item (None: every column —
+    #: it moves or re-chunks whole records).  A head stage fetches, and
+    #: a placed cut ships, the union over what follows
+    #: (:func:`columns_read`).
+    reads: "tuple[str, ...] | None"
+    #: Maps each input chunk to one output chunk (no re-chunking): only
+    #: groups of these can carry manual (ack-on-completion) delivery.
+    one_to_one: bool
+    #: Keeps no state across chunks, so a group of only such stages may
+    #: run on several servers at once — self-balancing at chunk
+    #: granularity, the paper's §5.2 cluster mode — and a resumed run
+    #: may pre-ack its journaled chunks.  The others are order-sensitive
+    #: single consumers.
+    replicable: bool
+    #: ``build(spec, site)``: this stage of ``spec`` as a
+    #: :class:`StageGraph` on the server ``site`` describes.  The stage
+    #: heading the run reads the dataset itself; every other one
+    #: consumes the chunks streaming in.
+    build: "Callable[[PipelineSpec, ServerSite], StageGraph]"
+
+
+#: Every stage, in pipeline order (§2.1's workload sequence); a run is
+#: any ordered subset (:func:`check_stages`).
+STAGES: "dict[str, Stage]" = {
+    "align": Stage(reads=None, one_to_one=True, replicable=True,
+                   build=_build_align),
+    "sort": Stage(reads=None, one_to_one=False, replicable=False,
+                  build=_build_sort),
+    "dupmark": Stage(reads=("results",), one_to_one=True, replicable=False,
+                     build=_build_dupmark),
+    "filter": Stage(reads=None, one_to_one=False, replicable=False,
+                    build=_build_filter),
+    "varcall": Stage(reads=("results", "bases", "qual"), one_to_one=True,
+                     replicable=False, build=_build_varcall),
 }
+
+
+def check_stages(stages) -> None:
+    """Reject a stage tuple that is not an ordered subset of
+    :data:`STAGES`: empty, unknown, repeated or out of order."""
+    order = list(STAGES)
+    if not stages:
+        raise ValueError("at least one stage is required")
+    unknown = [s for s in stages if s not in STAGES]
+    if unknown:
+        raise ValueError(
+            f"unknown stages {unknown} (choices: {', '.join(order)})")
+    if len(set(stages)) != len(stages):
+        raise ValueError(f"duplicate stages in {list(stages)}")
+    positions = [order.index(s) for s in stages]
+    if positions != sorted(positions):
+        raise ValueError(f"stages {list(stages)} must follow the pipeline "
+                         f"order {order}")
+
+
+def replicable(stages) -> bool:
+    """Whether a group of ``stages`` may run on several servers at once."""
+    return all(STAGES[stage].replicable for stage in stages)
+
+
+def columns_read(stages) -> "frozenset[str] | None":
+    """Union of the columns ``stages`` read off a work item; None if
+    any of them reads all."""
+    reads = [STAGES[stage].reads for stage in stages]
+    return None if None in reads else frozenset().union(*reads)
+
+
+# ---------------------------------------------------------------------------
+# One-graph pipelines (§4.1): compose() stitches consecutive stages
+# together by fusing each stage's sink queue into the next stage's source
+# queue, so a whole workload (align -> sort -> dupmark -> varcall)
+# executes in ONE Session.run with chunks streaming through bounded
+# queues end to end (§4.5 flow control), instead of five sequential
+# passes over the store.
 
 
 @dataclass
@@ -932,10 +541,6 @@ class ComposedPipeline:
         return Session(
             self.graph, queue_sample_interval=queue_sample_interval
         ).run(timeout=timeout)
-
-    def close(self, wait: bool = True) -> None:
-        for st in self.stages:
-            st.close(wait=wait)
 
 
 def compose(
@@ -989,29 +594,3 @@ def compose(
         g.node_stages[sink.name] = last.name
     return ComposedPipeline(name=name, graph=g, stages=list(stages),
                             sink=sink)
-
-
-class PipelineBuilder:
-    """Fluent assembly of stage subgraphs into one composed pipeline.
-
-    The Python-API embodiment of §4.1's "stitched together ... however
-    the user desires"::
-
-        pipeline = (PipelineBuilder("wgs")
-                    .add(build_align_stage(...))
-                    .add(build_sort_graph(...))
-                    .add(build_dupmark_graph(..., from_queue=True))
-                    .build())
-        result = pipeline.run()
-    """
-
-    def __init__(self, name: str = "pipeline"):
-        self.name = name
-        self._stages: list[StageGraph] = []
-
-    def add(self, stage: StageGraph) -> "PipelineBuilder":
-        self._stages.append(stage)
-        return self
-
-    def build(self) -> ComposedPipeline:
-        return compose(*self._stages, name=self.name)

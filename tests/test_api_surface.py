@@ -9,6 +9,7 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 from repro.cli import build_parser
@@ -22,8 +23,8 @@ ENTRY_POINTS = {"run_pipeline": 22, "run_placed_pipeline": 31}
 #: Where the spec is interpreted, nothing re-lists its fields.
 SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
-#: Everywhere else: ``build_filter_stage``'s 16.
-LIMIT = 16
+#: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
+LIMIT = 12
 CLI_OPTION_LIMIT = 93
 RUN_PLACED_PIPELINE_LINES = 160
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
@@ -129,3 +130,40 @@ def test_one_read_generator():
     source = (SRC / "genome" / "synthetic.py").read_text()
     for gone in ("_sequence_read(", "_emit_fragment(", "vectorized"):
         assert gone not in source
+
+
+#: A stage is one ``subgraphs.STAGES`` record with one ``(spec, site)``
+#: builder: the per-stage tables, the keyword builders beside it and the
+#: second backend lifecycle are gone, and must not grow back.
+REMOVED_NAMES = (
+    "STAGE_ORDER", "STAGE_READS", "ONE_TO_ONE_STAGES", "STAGE_BUILDERS",
+    "PIPELINE_STAGES", "build_align_graph", "build_align_stage",
+    "build_sort_graph", "build_dupmark_graph", "build_varcall_graph",
+    "build_filter_stage", "build_standalone_graph", "AlignGraph",
+    "PipelineBuilder", "attach_stage_journal", "owns_backend",
+    "validate_stages", "partition_manifest",
+)
+
+
+def test_one_stage_table():
+    pattern = re.compile(rf"\b({'|'.join(REMOVED_NAMES)})\b")
+    found = [
+        f"{path.relative_to(SRC)}:{n}: {match.group(0)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for match in pattern.finditer(line)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_replicability_is_read_off_the_stage_table():
+    """No ``== ("align",)`` / ``!= ("align",)`` decides a placement:
+    ``Stage.replicable`` does."""
+    pattern = re.compile(r"[!=]=\s*\(\s*[\"']align[\"']\s*,\s*\)")
+    found = [
+        f"{path.relative_to(SRC)}:{n}"
+        for path in sorted((SRC / "cluster").rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, found

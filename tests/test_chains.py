@@ -19,9 +19,9 @@ import pytest
 from repro.core.dupmark import mark_duplicates
 from repro.core.ledger import JournaledStore, RunLedger
 from repro.core.ops import AckSinkNode
-from repro.core.pipelines import run_pipeline
+from repro.core.pipelines import PipelineSpec, run_pipeline
 from repro.core.sort import SortConfig, sort_dataset
-from repro.core.subgraphs import AlignGraphConfig, build_sort_graph
+from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite
 from repro.core.varcall import VarCallConfig, call_variants
 from repro.dataflow.errors import PipelineError
 from repro.dataflow.errors import PipelineAborted
@@ -362,8 +362,11 @@ class AckLog:
 def sort_then_ack(dataset, store, log):
     """A sort stage whose sorted chunks end in an acknowledging sink —
     the shape of a placed group that hosts ``sort``."""
-    stage = build_sort_graph(dataset.manifest, store,
-                             input_store=dataset.store, config=SORT_CONFIG)
+    stage = STAGES["sort"].build(
+        PipelineSpec(dataset, ("sort",), sort_config=SORT_CONFIG,
+                     output_store=store),
+        ServerSite(),
+    )
     stage.graph.add(AckSinkNode(ack_source=AckLog(log)), input=stage.sink)
     return stage.graph
 

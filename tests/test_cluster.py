@@ -3,7 +3,7 @@ discrete-event simulation, thread scaling, and the TCO model."""
 
 import pytest
 
-from repro.cluster.manifest_server import partition_manifest
+from repro.agd.manifest import ChunkEntry, Manifest
 from repro.cluster.multiserver import run_multi_server_alignment
 from repro.cluster.simulation import (
     ClusterSimParams,
@@ -27,6 +27,19 @@ from repro.cluster.tco import (
 )
 from repro.core.subgraphs import AlignGraphConfig
 from repro.storage.base import MemoryStore
+
+
+def partition_manifest(manifest: Manifest,
+                       servers: int) -> "list[list[ChunkEntry]]":
+    """Static round-robin partition: the non-queue alternative the
+    broker's work edge (one chunk-name queue every server pulls from,
+    §5.2) is measured against on skew."""
+    if servers <= 0:
+        raise ValueError("servers must be positive")
+    parts: "list[list[ChunkEntry]]" = [[] for _ in range(servers)]
+    for i, entry in enumerate(manifest.chunks):
+        parts[i % servers].append(entry)
+    return parts
 
 
 class TestManifestServer:

@@ -13,11 +13,12 @@ from repro.core.ops import (
     QueueNameSource,
     SamWriterNode,
 )
-from repro.core.subgraphs import AlignGraphConfig, build_align_graph
+from repro.core.pipelines import align_dataset
+from repro.core.subgraphs import AlignGraphConfig
 from repro.dataflow.executor import Executor
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import ResourceManager
-from repro.dataflow.session import NodeContext, Session
+from repro.dataflow.session import NodeContext
 from repro.dataflow.executor import BusyCounter
 import threading
 
@@ -163,26 +164,20 @@ class TestSources:
 class TestFullGraph:
     def test_align_graph_end_to_end(self, dataset, snap_aligner):
         out_store = MemoryStore()
-        built = build_align_graph(
-            dataset.manifest, dataset.store, out_store, snap_aligner,
+        outcome = align_dataset(
+            dataset, snap_aligner, output_store=out_store,
             config=AlignGraphConfig(executor_threads=2, aligner_nodes=2),
         )
-        Session(built.graph).run(timeout=120)
-        built.close()
-        assert built.sink.chunks == dataset.num_chunks
-        assert built.sink.records == dataset.total_records
+        assert outcome.chunks == dataset.num_chunks
+        assert outcome.total_reads == dataset.total_records
         for entry in dataset.manifest.chunks:
             assert out_store.exists(entry.chunk_file("results"))
 
     def test_results_row_aligned_with_input(self, dataset, snap_aligner, reads):
         """Results chunk i row j corresponds to input read i*chunk+j."""
         out_store = MemoryStore()
-        built = build_align_graph(
-            dataset.manifest, dataset.store, out_store, snap_aligner,
-            config=AlignGraphConfig(executor_threads=2),
-        )
-        Session(built.graph).run(timeout=120)
-        built.close()
+        align_dataset(dataset, snap_aligner, output_store=out_store,
+                      config=AlignGraphConfig(executor_threads=2))
         from repro.agd.chunk import read_chunk
 
         entry = dataset.manifest.chunks[1]

@@ -15,17 +15,9 @@ import pytest
 
 from repro.agd.dataset import AGDDataset
 from repro.core.dupmark import mark_duplicates
-from repro.core.pipelines import align_dataset, run_pipeline
+from repro.core.pipelines import PipelineSpec, align_dataset, run_pipeline
 from repro.core.sort import SortConfig, sort_dataset, verify_sorted
-from repro.core.subgraphs import (
-    AlignGraphConfig,
-    PipelineBuilder,
-    build_align_stage,
-    build_dupmark_graph,
-    build_sort_graph,
-    build_varcall_graph,
-    compose,
-)
+from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite, compose
 from repro.core.varcall import (
     VarCallConfig,
     call_from_pileup,
@@ -331,10 +323,10 @@ class TestStreamingVarcall:
         from repro.core.ops import ResequencerNode
 
         sorted_ds = sort_dataset(aligned_dataset, MemoryStore(), SORT_CONFIG)
-        stage = build_varcall_graph(
-            reference, manifest=sorted_ds.manifest,
-            input_store=sorted_ds.store, config=VARCALL_CONFIG,
-            reader_nodes=2,
+        stage = STAGES["varcall"].build(
+            PipelineSpec(sorted_ds, ("varcall",), reference=reference,
+                         varcall_config=VARCALL_CONFIG),
+            ServerSite(),
         )
         assert any(isinstance(n, ResequencerNode) for n in stage.graph.nodes)
         compose(stage).run(timeout=120)
@@ -343,9 +335,9 @@ class TestStreamingVarcall:
                                               VARCALL_CONFIG)
         # One 100-read chunk of six spans a sixth of the genome.
         assert 0 < node.window.high_water_rows < len(reference) // 3
-        unsorted = build_varcall_graph(
-            reference, manifest=aligned_dataset.manifest,
-            input_store=aligned_dataset.store,
+        unsorted = STAGES["varcall"].build(
+            PipelineSpec(aligned_dataset, ("varcall",), reference=reference),
+            ServerSite(),
         )
         assert not unsorted.collector.sorted_input
         assert not any(isinstance(n, ResequencerNode)
@@ -411,7 +403,7 @@ def published(monkeypatch):
 
 class TestColumnPruning:
     """A cut ships the union of what the stages placed after it declare
-    (``subgraphs.STAGE_READS``), not every column the item holds."""
+    (``STAGES[stage].reads``), not every column the item holds."""
 
     VARCALL_READS = (frozenset({"results", "bases", "qual"}), False)
     EVERYTHING = (frozenset({"results", "bases", "qual", "metadata"}),
@@ -428,9 +420,10 @@ class TestColumnPruning:
         )
 
     def test_declared_unions(self):
-        from repro.core.subgraphs import STAGE_ORDER, STAGE_READS, columns_read
+        from repro.core.subgraphs import columns_read
 
-        assert set(STAGE_READS) == set(STAGE_ORDER)
+        assert list(STAGES) == ["align", "sort", "dupmark", "filter",
+                                "varcall"]
         assert columns_read(("dupmark",)) == {"results"}
         assert columns_read(("dupmark", "varcall")) == \
             {"results", "bases", "qual"}
@@ -492,9 +485,10 @@ class TestColumnPruning:
     def test_a_wrong_declaration_fails_with_the_item_column_message(
         self, aligned_dataset, reference, monkeypatch,
     ):
-        from repro.core.subgraphs import STAGE_READS
+        import dataclasses
 
-        monkeypatch.setitem(STAGE_READS, "varcall", ("results", "bases"))
+        monkeypatch.setitem(STAGES, "varcall", dataclasses.replace(
+            STAGES["varcall"], reads=("results", "bases")))
         # B fails while A is still merging: the aborted edge must also
         # unwind A's session (it once hung until the session timeout).
         with pytest.raises(Exception) as excinfo:
@@ -507,7 +501,7 @@ class TestColumnPruning:
         assert not isinstance(cause, KeyError)
         assert "lacks column 'qual' needed by the varcall stage" in \
             str(cause)
-        assert "STAGE_READS['varcall']" in str(cause)
+        assert "STAGES['varcall'].reads" in str(cause)
 
     def test_sink_counters_surface_in_the_stage_report(
         self, aligned_dataset,
@@ -538,7 +532,6 @@ class TestColumnPruning:
             ),
         )
         report = Session(server.pipeline.graph).run(timeout=60).report
-        server.close()
         shipped = []
         while True:
             status, tag, _key, frames = client.pull(edge, timeout=0.05)
@@ -766,47 +759,34 @@ class TestComposePrimitives:
     def test_compose_rejects_headless_first_stage(
         self, aligned_dataset, reference
     ):
-        stage = build_varcall_graph(reference)
-        try:
-            with pytest.raises(GraphError, match="upstream"):
-                compose(stage)
-        finally:
-            stage.close()
+        stage = STAGES["varcall"].build(
+            PipelineSpec(aligned_dataset, ("dupmark", "varcall"),
+                         reference=reference),
+            ServerSite(),
+        )
+        with pytest.raises(GraphError, match="upstream"):
+            compose(stage)
 
     def test_compose_rejects_stage_after_terminal(
         self, aligned_dataset, reference
     ):
-        var = build_varcall_graph(
-            reference, manifest=aligned_dataset.manifest,
-            input_store=aligned_dataset.store,
+        var = STAGES["varcall"].build(
+            PipelineSpec(aligned_dataset, ("varcall",), reference=reference),
+            ServerSite(),
         )
-        dup = build_dupmark_graph(None, aligned_dataset.store,
-                                  from_queue=True)
-        try:
-            with pytest.raises(GraphError, match="terminal"):
-                compose(var, dup)
-        finally:
-            var.close()
-            dup.close()
+        dup = STAGES["dupmark"].build(
+            PipelineSpec(aligned_dataset, ("sort", "dupmark")), ServerSite())
+        with pytest.raises(GraphError, match="terminal"):
+            compose(var, dup)
 
-    def test_pipeline_builder_end_to_end(
-        self, aligned_dataset, reference
-    ):
+    def test_compose_end_to_end(self, aligned_dataset):
         out_store = MemoryStore()
-        sort_stage = build_sort_graph(
-            aligned_dataset.manifest, out_store,
-            input_store=aligned_dataset.store,
-            config=SORT_CONFIG,
-        )
-        dup_stage = build_dupmark_graph(None, out_store, from_queue=True)
-        pipeline = (PipelineBuilder("mini")
-                    .add(sort_stage)
-                    .add(dup_stage)
-                    .build())
-        try:
-            result = pipeline.run(timeout=120)
-        finally:
-            pipeline.close()
+        spec = PipelineSpec(aligned_dataset, ("sort", "dupmark"),
+                            sort_config=SORT_CONFIG, output_store=out_store)
+        sort_stage, dup_stage = (STAGES[stage].build(spec, ServerSite())
+                                 for stage in spec.stages)
+        pipeline = compose(sort_stage, dup_stage, name="mini")
+        result = pipeline.run(timeout=120)
         assert set(result.stage_report) == {"sort", "dupmark"}
         sorted_ds = AGDDataset(sort_stage.collector.manifest, out_store)
         assert verify_sorted(sorted_ds)

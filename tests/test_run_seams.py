@@ -30,7 +30,7 @@ from repro.core.pipelines import (
     run_pipeline,
 )
 from repro.core.sort import SortConfig
-from repro.core.subgraphs import STAGE_ORDER
+from repro.core.subgraphs import STAGES as STAGE_TABLE
 from repro.dataflow import shm as shm_plane
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
@@ -288,8 +288,8 @@ class TestOnlyTheAlignServerMakesABackend:
 
 
 def _ordered_subsets():
-    for size in range(1, len(STAGE_ORDER) + 1):
-        yield from itertools.combinations(STAGE_ORDER, size)
+    for size in range(1, len(STAGE_TABLE) + 1):
+        yield from itertools.combinations(STAGE_TABLE, size)
 
 
 class TestPipelineSpecProperties:
@@ -320,7 +320,7 @@ class TestPipelineSpecProperties:
             assert spec.sorted_input == sorted_input, stages
             assert spec.filter_output == triple, stages
             checked += 1
-        assert checked == 2 ** len(STAGE_ORDER) - 1
+        assert checked == 2 ** len(STAGE_TABLE) - 1
 
     def test_filter_chunk_size_defaults_to_the_input_chunk_size(
         self, dataset,

@@ -306,21 +306,26 @@ class TestReadRefDeprecation:
 
 
 class TestStageReportCounters:
+    @staticmethod
+    def sort_stage(ds, out_store, scratch_store=None):
+        from repro.core.pipelines import PipelineSpec
+        from repro.core.subgraphs import STAGES, ServerSite
+
+        return STAGES["sort"].build(
+            PipelineSpec(ds, ("sort",),
+                         sort_config=SortConfig(chunks_per_superchunk=3),
+                         output_store=out_store),
+            ServerSite(scratch_store=scratch_store),
+        )
+
     def test_streaming_sort_surfaces_memory_plane_counters(self, tmp_path):
-        from repro.core.subgraphs import PipelineBuilder, build_sort_graph
+        from repro.core.subgraphs import compose
 
         ds = make_aligned_dataset(POSITIONS, chunk_size=5)
         out_store = MemoryStore()
-        stage = build_sort_graph(
-            ds.manifest, out_store, input_store=ds.store,
-            config=SortConfig(chunks_per_superchunk=3),
-            scratch_store=DirectoryStore(tmp_path / "scratch"),
-        )
-        pipeline = PipelineBuilder("mini").add(stage).build()
-        try:
-            result = pipeline.run(timeout=120)
-        finally:
-            pipeline.close()
+        stage = self.sort_stage(ds, out_store,
+                                DirectoryStore(tmp_path / "scratch"))
+        result = compose(stage, name="mini").run(timeout=120)
         counters = result.stage_report["sort"]["counters"]
         assert counters["spill_bytes"] > 0
         assert counters["spill_view_bytes"] > 0
@@ -330,18 +335,11 @@ class TestStageReportCounters:
         assert verify_sorted(sorted_ds)
 
     def test_gzip_scratch_counts_decode_copies(self):
-        from repro.core.subgraphs import PipelineBuilder, build_sort_graph
+        from repro.core.subgraphs import compose
 
         ds = make_aligned_dataset(POSITIONS, chunk_size=5)
-        stage = build_sort_graph(
-            ds.manifest, MemoryStore(), input_store=ds.store,
-            config=SortConfig(chunks_per_superchunk=3),
-        )
-        pipeline = PipelineBuilder("mini").add(stage).build()
-        try:
-            result = pipeline.run(timeout=120)
-        finally:
-            pipeline.close()
+        stage = self.sort_stage(ds, MemoryStore())
+        result = compose(stage, name="mini").run(timeout=120)
         counters = result.stage_report["sort"]["counters"]
         assert counters["decode_copies"] == counters["spill_restores"] > 0
         assert counters.get("spill_view_bytes", 0) == 0
