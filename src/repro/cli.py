@@ -294,25 +294,16 @@ def _print_outputs(args: argparse.Namespace, outputs, reference) -> None:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.core.pipelines import TUNE_SIDECAR_NAME, run_pipeline
+    from repro.core.pipelines import run_pipeline
 
     stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
-    if args.autotune_queues and args.tune_cache is None:
-        # Sidecar next to the dataset: repeat runs load the persisted
-        # suggestions and skip the probe entirely.
-        args.tune_cache = str(Path(args.dataset_dir) / TUNE_SIDECAR_NAME)
     try:
-        if args.tune_cache is not None and not args.autotune_queues:
-            raise ValueError(
-                "--tune-cache only takes effect with --autotune-queues")
         spec, aligner = _spec_from_args(args, stages)
         outcome = run_pipeline(
             aligner=aligner,
             scratch_store=(DirectoryStore(args.scratch_dir)
                            if args.scratch_dir else None),
             session_timeout=args.timeout,
-            autotune_queues=args.autotune_queues,
-            tune_path=args.tune_cache,
             **vars(spec),
         )
     except ValueError as exc:
@@ -333,12 +324,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             f"wait {stage.wait_seconds:8.3f}s  "
             f"{stage.records_per_second:>12,.0f} records/s"
         )
-    if outcome.report.get("autotuned_queues"):
-        source = ("the persisted tune sidecar"
-                  if outcome.report.get("autotune_cache") == "hit"
-                  else "the probe run's depth traces")
-        print(f"  autotuned {len(outcome.report['autotuned_queues'])} "
-              f"queue capacities from {source}")
     _print_outputs(args, outcome, spec.reference)
     _close_ledger(spec.ledger)
     return 0
@@ -407,8 +392,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             transport=args.transport,
             host=args.host,
             port=args.port,
-            edge_capacity=args.edge_capacity,
-            autotune_edges=args.autotune_edges,
             broker_shm=args.broker_shm,
             session_timeout=args.timeout,
             delivery_deadline=args.delivery_deadline,
@@ -437,9 +420,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         f"{len(outcome.servers)} servers ({args.transport} transport) "
         f"in {outcome.wall_seconds:.2f}s"
     )
-    if outcome.autotuned_edges:
-        print(f"  autotuned {len(outcome.autotuned_edges)} broker edge "
-              f"capacities from the probe run's depth stats")
     for server in outcome.servers:
         marker = " [KILLED]" if server.killed else ""
         print(f"  {server.server:<10} {','.join(server.stages):<28} "
@@ -473,8 +453,7 @@ def _cmd_cluster_broker(args: argparse.Namespace) -> int:
     server = BrokerServer(broker, host=args.host, port=args.port,
                           shm=args.broker_shm, spill_dir=args.spill_dir,
                           spill_watermark=args.spill_watermark)
-    serve_plan(broker, plan, dataset, edge_capacity=args.edge_capacity,
-               listener=server)
+    serve_plan(broker, plan, dataset, listener=server)
     print(f"broker serving plan [{args.plan}] on "
           f"{server.host}:{server.port}")
     print(f"published {dataset.num_chunks} chunk names; waiting for "
@@ -982,20 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
              "memory, only stats reported)",
     )
     p.add_argument(
-        "--autotune-queues",
-        action="store_true",
-        help="run a sampling probe first, then re-run with per-queue "
-             "capacities suggested from its depth traces",
-    )
-    p.add_argument(
-        "--tune-cache",
-        default=None,
-        metavar="PATH",
-        help="sidecar file persisting autotuned queue capacities "
-             "(default: <dataset-dir>/.persona-tune.json); repeat runs "
-             "load it and skip the probe",
-    )
-    p.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -1080,13 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "TCP broker")
     cp.add_argument("--host", default="127.0.0.1")
     cp.add_argument("--port", type=int, default=0)
-    cp.add_argument("--edge-capacity", type=int, default=4,
-                    help="stage-boundary edge depth (chunks in flight "
-                         "per cut)")
-    cp.add_argument("--autotune-edges", action="store_true",
-                    help="run a probe placement first, then re-run with "
-                         "per-edge capacities suggested from its broker "
-                         "depth stats")
     cp.add_argument("--broker-shm", action=argparse.BooleanOptionalAction,
                     default=None,
                     help="hand large TCP edge payloads to same-host "
@@ -1109,9 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--plan", required=True)
     cp.add_argument("--host", default="0.0.0.0")
     cp.add_argument("--port", type=int, default=7470)
-    cp.add_argument("--edge-capacity", type=int, default=4,
-                    help="stage-boundary edge depth (chunks in flight "
-                         "per cut)")
     cp.add_argument("--timeout", type=float, default=3600.0,
                     help="how long to wait for workers to drain the run")
     cp.add_argument("--broker-shm", action=argparse.BooleanOptionalAction,

@@ -43,7 +43,7 @@ from repro.cluster.broker import (
     LocalBrokerClient,
     TcpBrokerClient,
 )
-from repro.cluster.placement import WORK_EDGE, PlacementPlan
+from repro.cluster.placement import EDGE_CAPACITY, WORK_EDGE, PlacementPlan
 from repro.cluster.wire import edge_item_serializer, entry_serializer
 from repro.core.ledger import bind_run_config, blob_digest
 from repro.core.ops import ChunkWorkItem
@@ -149,9 +149,6 @@ class PlacedPipelineOutcome(StageOutputs):
     servers: "list[PlacedServerOutcome]" = field(default_factory=list)
     #: Broker edge counters after the run (published/redelivered/depth).
     broker_stats: dict = field(default_factory=dict)
-    #: Per-edge capacities an ``autotune_edges`` probe applied to this
-    #: run (empty when autotuning was off or nothing needed changing).
-    autotuned_edges: "dict[str, int]" = field(default_factory=dict)
     #: edge -> quarantine records for keys that exhausted their
     #: redelivery budget; a non-empty dict marks a *degraded* run whose
     #: outputs exclude those chunks.
@@ -177,41 +174,6 @@ class PlacedPipelineOutcome(StageOutputs):
         if not live:
             return 0.0
         return max(live) / min(live) if min(live) > 0 else float("inf")
-
-
-def suggest_edge_capacities(
-    broker_stats: "dict[str, dict]",
-    headroom: int = 1,
-    min_capacity: int = 2,
-    growth_factor: int = 2,
-) -> "dict[str, int]":
-    """Propose per-edge broker capacities from a placed run's stats.
-
-    The cluster-scale mirror of
-    :func:`repro.core.pipelines.suggest_queue_capacities`: an edge whose
-    high-water depth hit capacity (producers repeatedly blocked on it)
-    grows by ``growth_factor``; an edge that never came close shrinks to
-    its observed high-water plus ``headroom`` (never below
-    ``min_capacity``); right-sized edges are omitted.  The work edge is
-    skipped — it is sized to the chunk count by design.  Feed the result
-    back via ``run_placed_pipeline(edge_capacities=...)`` (or let
-    ``autotune_edges=True`` do the probe-then-apply round trip).
-    """
-    suggestions: "dict[str, int]" = {}
-    for edge, stats in broker_stats.items():
-        if edge == WORK_EDGE:
-            continue
-        capacity = stats.get("capacity", 0)
-        if capacity <= 0:
-            continue
-        max_depth = stats.get("max_depth", 0)
-        if max_depth >= capacity:
-            suggested = capacity * growth_factor
-        else:
-            suggested = max(min_capacity, max_depth + headroom)
-        if suggested != capacity:
-            suggestions[edge] = suggested
-    return suggestions
 
 
 def root_cause(exc: BaseException) -> BaseException:
@@ -250,8 +212,6 @@ def serve_plan(
     plan: PlacementPlan,
     dataset: AGDDataset,
     *,
-    edge_capacity: int = 4,
-    edge_capacities: "dict[str, int] | None" = None,
     ledger=None,
     results_shared: bool = True,
     listener: "BrokerServer | None" = None,
@@ -259,7 +219,8 @@ def serve_plan(
     """Put ``plan`` on ``broker``: create its edges, attach the ledger,
     publish every chunk name on the work edge (the manifest-server
     publish, §5.2 — the edge is sized to hold them all, so this never
-    blocks) and start ``listener``, the TCP front, if there is one.
+    blocks; every boundary edge holds :data:`EDGE_CAPACITY`) and start
+    ``listener``, the TCP front, if there is one.
     Workers may attach (and late ones be admitted) once it returns.
 
     Resume pre-ack: a plan whose LEADING group is replicable (the align
@@ -285,12 +246,11 @@ def serve_plan(
     inject_edge = plan.edges()[1].name \
         if pre_acked and len(plan.groups) > 1 else None
     broker.plan_doc = plan.to_doc()
-    overrides = edge_capacities or {}
     for edge in plan.edges():
         broker.create_edge(
             edge.name,
             capacity=max(1, manifest.num_chunks) if edge.name == WORK_EDGE
-            else max(1, int(overrides.get(edge.name, edge_capacity))),
+            else EDGE_CAPACITY,
             producers=edge.producers + (edge.name == inject_edge),
         )
     if ledger is not None:
@@ -477,8 +437,6 @@ def _run_placed_once(
     site_for,
     open_broker,
     *,
-    edge_capacity: int,
-    edge_capacities: "dict[str, int] | None",
     session_timeout: "float | None",
     broker_ready=None,
 ) -> "PlacedPipelineOutcome":
@@ -512,8 +470,7 @@ def _run_placed_once(
         results_shared = all(site.align_results_store is None
                              for site in sites.values())
         pre_acked, inject_edge = serve_plan(
-            broker, plan, dataset, edge_capacity=edge_capacity,
-            edge_capacities=edge_capacities, ledger=ledger,
+            broker, plan, dataset, ledger=ledger,
             results_shared=results_shared, listener=listener,
         )
         # Build every server graph on this thread: process-backend
@@ -594,9 +551,6 @@ def run_placed_pipeline(
     transport: str = "local",
     host: str = "127.0.0.1",
     port: int = 0,
-    edge_capacity: int = 4,
-    edge_capacities: "dict[str, int] | None" = None,
-    autotune_edges: bool = False,
     broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
     ledger=None,
@@ -624,15 +578,8 @@ def run_placed_pipeline(
     chunk writes: a server whose failure root-causes to
     :class:`WorkerKilled` is dropped, its unacked chunks are redelivered
     to surviving replicas, and the run completes; any other failure
-    aborts every edge and re-raises.
-
-    ``edge_capacity`` sizes every stage-boundary broker edge uniformly;
-    ``edge_capacities`` overrides individual edges by name (e.g.
-    ``{"sort->dupmark": 8}``).  ``autotune_edges=True`` runs the
-    placement twice — a probe, then the measured run with capacities
-    suggested by :func:`suggest_edge_capacities` from the probe's
-    per-edge depth stats (explicit ``edge_capacities`` pins win).  The
-    applied suggestions land in ``outcome.autotuned_edges``.
+    aborts every edge and re-raises.  Every stage-boundary edge holds
+    :data:`~repro.cluster.placement.EDGE_CAPACITY` chunks in flight.
 
     ``broker_shm`` controls the same-host shared-memory handoff on TCP
     transports (None probes ``/dev/shm`` and enables it when clients
@@ -687,25 +634,9 @@ def run_placed_pipeline(
         ) if transport == "tcp" else None
         return broker, listener
 
-    def once(spec, capacities, ready=None):
-        return _run_placed_once(
-            spec, plan, site_for, open_broker, edge_capacity=edge_capacity,
-            edge_capacities=capacities, session_timeout=session_timeout,
-            broker_ready=ready)
-
-    if not autotune_edges:
-        return once(spec, edge_capacities, broker_ready)
-    # Probe placement: outputs are deterministic and chunk writes
-    # idempotent, so the measured run's inputs stay intact — the same
-    # contract as the in-graph queue autotuner.  Only the measured run
-    # journals to the ledger.
-    probe = once(replace(spec, ledger=None), edge_capacities)
-    tuned = suggest_edge_capacities(probe.broker_stats)
-    for pinned in (edge_capacities or {}):
-        tuned.pop(pinned, None)
-    outcome = once(spec, {**tuned, **(edge_capacities or {})}, broker_ready)
-    outcome.autotuned_edges = tuned
-    return outcome
+    return _run_placed_once(
+        spec, plan, site_for, open_broker,
+        session_timeout=session_timeout, broker_ready=broker_ready)
 
 
 def join_placed_worker(

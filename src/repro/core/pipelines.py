@@ -10,11 +10,8 @@ second, a read-length agnostic measure", §2.1).
 from __future__ import annotations
 
 import gzip
-import json
-import os
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any
 
 from repro.agd.chunk import read_chunk_index
@@ -69,21 +66,17 @@ __all__ = [
     "ServerSite",
     "StageBreakdown",
     "StageOutputs",
-    "TUNE_SIDECAR_NAME",
     "align_dataset",
     "align_standalone",
     "build_snap_aligner",
     "build_bwa_aligner",
     "build_placed_server_graph",
     "harvest_outputs",
-    "load_tuned_capacities",
-    "save_tuned_capacities",
     "mark_duplicates",
     "placed_server_endpoints",
     "run_pipeline",
     "sort_dataset",
     "split_pipeline",
-    "suggest_queue_capacities",
     "SortConfig",
     "DupmarkStats",
     "call_variants",
@@ -306,8 +299,8 @@ class PipelineSpec:
     group: the cross-stage facts below depend on the whole workload even
     when the stages they concern run on different servers.
 
-    Frozen: a probe run is ``dataclasses.replace(spec, ledger=None)``,
-    never a mutation.  Omitted configs and stores are filled in once,
+    Frozen: a variant is ``dataclasses.replace(spec, ...)``, never a
+    mutation.  Omitted configs and stores are filled in once,
     here, so every reader sees the same ones.
     """
 
@@ -527,10 +520,7 @@ def run_pipeline(
     batch_size: "int | None" = None,
     session_timeout: "float | None" = None,
     name: str = "pipeline",
-    queue_sample_interval: "float | None" = 0.02,
-    queue_capacities: "dict[str, int] | None" = None,
-    autotune_queues: bool = False,
-    tune_path: "str | Path | None" = None,
+    queue_sample_interval: "float | None" = None,
     shm: "bool | None" = None,
     ledger: "RunLedger | None" = None,
 ) -> PipelineOutcome:
@@ -566,22 +556,12 @@ def run_pipeline(
     single-stage calls, one budget here covers every fused stage, so a
     fixed cap would abort workloads whose individual stages are fine.
 
-    ``queue_sample_interval`` samples every queue's depth on that period
-    during the run; the per-stage traces land in
+    Every queue keeps the capacity its stage builder gives it (§4.5).
+    ``queue_sample_interval`` opts into a depth trace: every queue's
+    depth is sampled on that period, and the per-stage traces land in
     ``report["queue_trace"]`` and each stage's ``stage_report`` entry
-    (§4.6's "current queue states").  None disables sampling.
-
-    ``queue_capacities`` overrides individual queue depths by fully-
-    qualified name (e.g. ``{"align.parsed_chunks": 6}``) before the run.
-    ``autotune_queues=True`` runs the pipeline twice: a sampling probe
-    first, then the measured run with capacities suggested by
-    :func:`suggest_queue_capacities` from the probe's depth traces (the
-    §4.5 capacity guidance, derived from data instead of hand-tuning).
-    The applied suggestions land in ``report["autotuned_queues"]``.
-    With ``tune_path`` the suggestions persist to a ``.persona-tune.json``
-    sidecar keyed by (stages, backend, workers): a repeat run loads them
-    and skips the probe entirely (``report["autotune_cache"]`` says
-    which happened).
+    (§4.6's "current queue states").  The default, None, starts no
+    sampler.
 
     ``shm`` selects the process backend's zero-copy payload plane
     (None = auto where POSIX shared memory works; False forces the
@@ -605,40 +585,10 @@ def run_pipeline(
     if ledger is not None:
         bind_run_config(ledger, spec.manifest, spec.stages,
                         backend=spec.backend_name, workers=workers, shm=shm)
-
-    def once(spec, capacities, sample=queue_sample_interval):
-        return _run_pipeline_once(
-            spec, aligner, scratch_store, name=name,
-            session_timeout=session_timeout, queue_sample_interval=sample,
-            queue_capacities=capacities)
-
-    if not autotune_queues:
-        return once(spec, queue_capacities)
-    tune_key = _tune_key(spec.stages, spec.backend_name, workers)
-    tuned = load_tuned_capacities(tune_path, tune_key) \
-        if tune_path is not None else None
-    cache = "hit" if tuned is not None else None
-    if tuned is None:
-        # Probe run.  Stage outputs are deterministic and chunk writes
-        # idempotent, so the probe leaves the measured run's inputs
-        # intact; it must sample (the suggester reads the depth traces)
-        # and must not journal (only the measured run's progress belongs
-        # in the durable ledger).
-        probe = once(replace(spec, ledger=None), queue_capacities,
-                     sample=queue_sample_interval or 0.02)
-        tuned = suggest_queue_capacities(probe.report)
-        if tune_path is not None:
-            save_tuned_capacities(tune_path, tune_key, tuned)
-            cache = "miss"
-    # Explicit pins win: a caller-supplied capacity is a decision, the
-    # suggestion is a heuristic.
-    for pinned in (queue_capacities or {}):
-        tuned.pop(pinned, None)
-    outcome = once(spec, {**tuned, **(queue_capacities or {})})
-    outcome.report["autotuned_queues"] = tuned
-    if cache is not None:
-        outcome.report["autotune_cache"] = cache
-    return outcome
+    return _run_pipeline_once(
+        spec, aligner, scratch_store, name=name,
+        session_timeout=session_timeout,
+        queue_sample_interval=queue_sample_interval)
 
 
 def _run_pipeline_once(
@@ -649,7 +599,6 @@ def _run_pipeline_once(
     name: str,
     session_timeout: "float | None",
     queue_sample_interval: "float | None",
-    queue_capacities: "dict[str, int] | None",
 ) -> PipelineOutcome:
     dataset, manifest, ledger = spec.dataset, spec.manifest, spec.ledger
     site = ServerSite(aligner=aligner,
@@ -663,11 +612,6 @@ def _run_pipeline_once(
         # does not cover that.
         start = time.monotonic()
         composed = compose(*built, name=name)
-        if queue_capacities:
-            for q in composed.graph.queues:
-                override = queue_capacities.get(q.name)
-                if override is not None:
-                    q.resize(max(1, int(override)))
         result = composed.run(timeout=session_timeout,
                               queue_sample_interval=queue_sample_interval)
     finally:
@@ -712,125 +656,6 @@ def _run_pipeline_once(
         report=result.report,
         **vars(outputs),
     )
-
-
-# ---------------------------------------------------------------------------
-# Queue-capacity autotuning (§4.5): consume the queue-depth traces.
-
-#: Default sidecar filename for persisted queue-capacity suggestions.
-TUNE_SIDECAR_NAME = ".persona-tune.json"
-
-
-def _tune_key(stages: "tuple[str, ...]", backend_name: str,
-              workers: int) -> str:
-    """Cache key for persisted suggestions: capacities probed for one
-    (stage set, backend kind, worker count) are meaningless for
-    another."""
-    return f"{','.join(stages)}|{backend_name}|w{workers}"
-
-
-def load_tuned_capacities(
-    tune_path: "str | Path", key: str
-) -> "dict[str, int] | None":
-    """Load persisted queue capacities for ``key`` from a sidecar.
-
-    Returns None — probe as usual — when the file is missing, malformed,
-    or holds no entry for this key; a stale sidecar must never be able
-    to break a run.
-    """
-    try:
-        doc = json.loads(Path(tune_path).read_text())
-        entry = doc["entries"][key]["capacities"]
-        return {str(name): int(capacity)
-                for name, capacity in entry.items()}
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def save_tuned_capacities(
-    tune_path: "str | Path", key: str, capacities: "dict[str, int]"
-) -> bool:
-    """Persist one probe's suggestions, merging with existing entries
-    (other stage/backend combinations keep theirs).
-
-    Best-effort, like the load side: an unwritable path (read-only
-    dataset directory) returns False instead of failing a pipeline run
-    whose probe already succeeded.  The write goes through a temp file
-    + rename so concurrent runs cannot interleave a corrupt sidecar.
-    """
-    path = Path(tune_path)
-    doc: dict = {"version": 1, "entries": {}}
-    try:
-        existing = json.loads(path.read_text())
-        if isinstance(existing.get("entries"), dict):
-            doc["entries"] = existing["entries"]
-    except (OSError, ValueError):
-        pass
-    doc["entries"][key] = {
-        "capacities": {name: int(c) for name, c in capacities.items()},
-        "saved_at": time.time(),
-    }
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
-        return True
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return False
-
-
-def suggest_queue_capacities(
-    report: dict,
-    headroom: int = 1,
-    min_capacity: int = 2,
-    growth_factor: int = 2,
-) -> "dict[str, int]":
-    """Propose per-queue capacities from a sampled pipeline report.
-
-    §4.5 wants queues deep enough that "there is always data to feed the
-    process subgraph" but shallow enough that servers "do not have too
-    many AGD chunks in their pipelines".  The heuristic reads the depth
-    trace (``report["queue_trace"]``, recorded when the run sampled
-    queue depths) plus each queue's high-water mark:
-
-    * a queue that filled to capacity (producers repeatedly blocked on
-      it) grows by ``growth_factor``;
-    * a queue whose 95th-percentile depth sat below capacity shrinks to
-      that depth plus ``headroom`` (never below ``min_capacity``);
-    * queues already sized right are omitted, and so are queues the
-      session elided (``"inline"``: they have no capacity to tune).
-
-    Returns ``{queue_name: capacity}`` suitable for
-    ``run_pipeline(queue_capacities=...)``.
-    """
-    queues = report.get("queues", {})
-    trace = report.get("queue_trace") or {}
-    depth_series = trace.get("depths", {})
-    suggestions: dict[str, int] = {}
-    for queue_name, info in queues.items():
-        capacity = info.get("capacity", 0)
-        if capacity <= 0 or info.get("inline"):
-            continue
-        series = depth_series.get(queue_name) or []
-        max_depth = info.get("max_depth", 0)
-        if max_depth >= capacity:
-            suggested = capacity * growth_factor
-        else:
-            if series:
-                ordered = sorted(series)
-                p95 = ordered[min(len(ordered) - 1,
-                                  int(0.95 * len(ordered)))]
-                observed = max(p95, 0)
-            else:
-                observed = max_depth
-            suggested = max(min_capacity, observed + headroom)
-        if suggested != capacity:
-            suggestions[queue_name] = suggested
-    return suggestions
 
 
 # ---------------------------------------------------------------------------

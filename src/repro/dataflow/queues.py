@@ -98,24 +98,6 @@ class Queue(Generic[T]):
             self._not_empty.notify_all()
             self._not_full.notify_all()
 
-    def resize(self, capacity: int) -> None:
-        """Change the queue's capacity (the §4.5 tuning knob).
-
-        Growth wakes producers already blocked on a full queue; the
-        autotuners apply persisted or suggested capacities through this
-        instead of poking the attribute, so a resize mid-run cannot
-        strand a waiter.
-        """
-        if capacity <= 0:
-            raise ValueError(
-                f"queue {self.name!r} capacity must be positive"
-            )
-        with self._lock:
-            grew = capacity > self.capacity
-            self.capacity = capacity
-            if grew:
-                self._not_full.notify_all()
-
     def abort(self) -> None:
         """Error path: wake all waiters with PipelineAborted."""
         with self._lock:

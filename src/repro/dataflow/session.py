@@ -85,11 +85,6 @@ class SessionResult:
         """
         return self.report.get("stages", {})
 
-    @property
-    def queue_trace(self) -> "dict | None":
-        """The whole-graph queue-depth trace, when sampling was on."""
-        return self.report.get("queue_trace")
-
 
 class _QueueDepthSampler:
     """Samples every queue's depth over time (§4.6: TF exposes "current
@@ -153,8 +148,8 @@ class Session:
     ``queue_sample_interval`` enables per-queue depth sampling for the
     duration of the run; the trace lands in ``report["queue_trace"]``
     and is sliced per stage into ``report["stages"]`` (composed
-    pipelines), powering backpressure analysis and queue-capacity
-    autotuning.
+    pipelines), for backpressure analysis.  None (the default) starts
+    no sampler thread.
     """
 
     def __init__(

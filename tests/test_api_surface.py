@@ -19,14 +19,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The keyword entry points: everything a run can be told, spelled out
 #: once.  Below them a run travels as a ``PipelineSpec``.
-ENTRY_POINTS = {"run_pipeline": 22, "run_placed_pipeline": 31}
+ENTRY_POINTS = {"run_pipeline": 19, "run_placed_pipeline": 28}
 #: Where the spec is interpreted, nothing re-lists its fields.
 SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
 #: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
 LIMIT = 12
-CLI_OPTION_LIMIT = 93
-RUN_PLACED_PIPELINE_LINES = 160
+CLI_OPTION_LIMIT = 88
+RUN_PLACED_PIPELINE_LINES = 107
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
 #: the write-behind lane carries is read off the graph, never passed in.
 SESSION_INIT_PARAMETERS = 3
@@ -145,14 +145,35 @@ REMOVED_NAMES = (
 )
 
 
-def test_one_stage_table():
-    pattern = re.compile(rf"\b({'|'.join(REMOVED_NAMES)})\b")
-    found = [
+def _occurrences(pattern: str) -> "list[str]":
+    """``path:line: match`` for every match of ``pattern`` under
+    ``src/repro``."""
+    regex = re.compile(pattern)
+    return [
         f"{path.relative_to(SRC)}:{n}: {match.group(0)}"
         for path in sorted(SRC.rglob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        for match in pattern.finditer(line)
+        for match in regex.finditer(line)
     ]
+
+
+def test_one_stage_table():
+    found = _occurrences(rf"\b({'|'.join(REMOVED_NAMES)})\b")
+    assert not found, "\n".join(found)
+
+
+#: Queue and edge capacities are constants (each builder's, and
+#: ``placement.EDGE_CAPACITY``): the depth-driven tuners, their sidecar
+#: and the override maps are gone, and must not grow back.
+TUNER_NAMES = (
+    "suggest_queue_capacities", "suggest_edge_capacities",
+    "load_tuned_capacities", "save_tuned_capacities", "TUNE_SIDECAR_NAME",
+    "persona-tune", "autotune", "queue_capacities", "edge_capacities",
+)
+
+
+def test_no_capacity_tuner():
+    found = _occurrences(rf"\b({'|'.join(TUNER_NAMES)})\b|\bresize\(")
     assert not found, "\n".join(found)
 
 

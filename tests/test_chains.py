@@ -299,9 +299,7 @@ class TestThreadBudget:
         outcome = run_pipeline(
             dataset, stages, reference=reference, sort_config=SORT_CONFIG,
             varcall_config=VARCALL_CONFIG, output_store=out,
-            scratch_store=DirectoryStore(tmp_path / "scratch"),
-            queue_sample_interval=None,  # the sampler is one more thread
-            **kw)
+            scratch_store=DirectoryStore(tmp_path / "scratch"), **kw)
         blobs = {key: out.get(key) for key in out.keys()}
         blobs["manifest"] = outcome.sorted_dataset.manifest.to_json()
         blobs["vcf"] = vcf_lines(outcome.variants, reference)

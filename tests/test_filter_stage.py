@@ -1,11 +1,7 @@
-"""Filter as a streaming dataflow stage, plus queue-capacity autotuning.
+"""Filter as a streaming dataflow stage.
 
 The filter stage must reproduce :func:`repro.core.filters.filter_dataset`
-byte for byte when fused into the one-graph pipeline (closing the
-ROADMAP "filter stage as a dataflow node" item), and
-``suggest_queue_capacities`` must turn the PR-3 queue-depth traces into
-capacities a second run can apply (first consumer of the autotuning
-item).
+byte for byte when fused into the one-graph pipeline.
 """
 
 from __future__ import annotations
@@ -16,11 +12,7 @@ import pytest
 
 from repro.core.dupmark import mark_duplicates
 from repro.core.filters import by_min_mapq, drop_duplicates, filter_dataset
-from repro.core.pipelines import (
-    align_dataset,
-    run_pipeline,
-    suggest_queue_capacities,
-)
+from repro.core.pipelines import align_dataset, run_pipeline
 from repro.core.sort import SortConfig, sort_dataset
 from repro.core.subgraphs import AlignGraphConfig
 from repro.core.varcall import call_variants
@@ -149,140 +141,3 @@ class TestFilterStage:
             run_pipeline(aligned_dataset, ("varcall", "filter"),
                          filter_predicate=drop_duplicates())
 
-
-class TestQueueAutotuning:
-    def test_suggest_grows_saturated_and_shrinks_idle(self):
-        report = {
-            "queues": {
-                "align.parsed": {"capacity": 4, "max_depth": 4},
-                "align.raw": {"capacity": 8, "max_depth": 2},
-                "sort.runs": {"capacity": 2, "max_depth": 1},
-            },
-            "queue_trace": {
-                "depths": {
-                    "align.parsed": [4, 4, 3, 4],
-                    "align.raw": [0, 1, 2, 1],
-                    "sort.runs": [1, 1, 0, 1],
-                },
-            },
-        }
-        suggestions = suggest_queue_capacities(report)
-        assert suggestions["align.parsed"] == 8  # pinned at capacity: grow
-        assert suggestions["align.raw"] == 3  # p95 depth 2 + headroom 1
-        assert "sort.runs" not in suggestions  # already right-sized
-
-    def test_suggest_handles_missing_trace(self):
-        report = {"queues": {"q": {"capacity": 4, "max_depth": 1}}}
-        assert suggest_queue_capacities(report) == {"q": 2}
-
-    def test_autotuned_run_matches_untuned_output(
-        self, fresh_dataset, snap_aligner, reference
-    ):
-        baseline = run_pipeline(
-            fresh_dataset(), ("align", "sort", "dupmark", "varcall"),
-            aligner=snap_aligner, reference=reference,
-            sort_config=SORT_CONFIG, backend="serial",
-        )
-        tuned = run_pipeline(
-            fresh_dataset(), ("align", "sort", "dupmark", "varcall"),
-            aligner=snap_aligner, reference=reference,
-            sort_config=SORT_CONFIG, backend="serial",
-            autotune_queues=True,
-        )
-        assert "autotuned_queues" in tuned.report
-        assert isinstance(tuned.report["autotuned_queues"], dict)
-        # Capacities changed; bytes did not.
-        for column in baseline.sorted_dataset.columns:
-            assert (tuned.sorted_dataset.read_column(column)
-                    == baseline.sorted_dataset.read_column(column)), column
-        assert vcf_bytes(tuned.variants, reference) == \
-            vcf_bytes(baseline.variants, reference)
-
-    def test_explicit_queue_capacities_applied(
-        self, aligned_dataset, reference
-    ):
-        outcome = run_pipeline(
-            aligned_dataset, ("varcall",),
-            reference=reference,
-            backend="serial",
-            queue_capacities={"varcall.raw_chunks": 7},
-        )
-        assert outcome.report["queues"]["varcall.raw_chunks"]["capacity"] \
-            == 7
-
-
-class TestTuneSidecar:
-    """Persisted autotune suggestions: probe once, reuse forever."""
-
-    def test_sidecar_roundtrip(self, tmp_path):
-        from repro.core.pipelines import (
-            load_tuned_capacities,
-            save_tuned_capacities,
-        )
-
-        path = tmp_path / ".persona-tune.json"
-        assert load_tuned_capacities(path, "k") is None  # missing file
-        save_tuned_capacities(path, "k", {"align.parsed": 8})
-        save_tuned_capacities(path, "other", {"sort.runs": 3})
-        assert load_tuned_capacities(path, "k") == {"align.parsed": 8}
-        assert load_tuned_capacities(path, "other") == {"sort.runs": 3}
-        assert load_tuned_capacities(path, "absent") is None
-        path.write_text("{not json")
-        assert load_tuned_capacities(path, "k") is None  # never raises
-
-    def test_repeat_run_skips_probe_and_matches(
-        self, fresh_dataset, snap_aligner, reference, tmp_path, monkeypatch
-    ):
-        tune_path = tmp_path / ".persona-tune.json"
-        kwargs = dict(
-            aligner=snap_aligner, reference=reference,
-            sort_config=SORT_CONFIG, backend="serial",
-            autotune_queues=True, tune_path=tune_path,
-        )
-        first = run_pipeline(
-            fresh_dataset(), ("align", "sort", "dupmark", "varcall"),
-            **kwargs,
-        )
-        assert first.report["autotune_cache"] == "miss"
-        assert tune_path.exists()
-
-        # The second run must consume the sidecar, not probe again.
-        import repro.core.pipelines as pipelines_mod
-
-        def no_probe(*args, **kw):  # pragma: no cover - failure path
-            raise AssertionError("probe ran despite a cached sidecar")
-
-        monkeypatch.setattr(pipelines_mod, "suggest_queue_capacities",
-                            no_probe)
-        second = run_pipeline(
-            fresh_dataset(), ("align", "sort", "dupmark", "varcall"),
-            **kwargs,
-        )
-        assert second.report["autotune_cache"] == "hit"
-        assert second.report["autotuned_queues"] == \
-            first.report["autotuned_queues"]
-        for column in first.sorted_dataset.columns:
-            assert (second.sorted_dataset.read_column(column)
-                    == first.sorted_dataset.read_column(column)), column
-        assert vcf_bytes(second.variants, reference) == \
-            vcf_bytes(first.variants, reference)
-
-    def test_unwritable_sidecar_never_fails_the_run(self, tmp_path):
-        from repro.core.pipelines import save_tuned_capacities
-
-        target = tmp_path / "missing-dir" / "tune.json"
-        assert save_tuned_capacities(target, "k", {"q": 2}) is False
-
-    def test_key_mismatch_reprobes(self, tmp_path):
-        from repro.core.pipelines import (
-            _tune_key,
-            load_tuned_capacities,
-            save_tuned_capacities,
-        )
-
-        serial_key = _tune_key(("align", "sort"), "serial", 2)
-        thread_key = _tune_key(("align", "sort"), "thread", 2)
-        assert serial_key != thread_key
-        path = tmp_path / "tune.json"
-        save_tuned_capacities(path, serial_key, {"q": 4})
-        assert load_tuned_capacities(path, thread_key) is None

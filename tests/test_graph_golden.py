@@ -4,9 +4,9 @@ For every graph: its nodes in order (name, class, replicas, input and
 output queue, the settings its builder gave it), its queues (name,
 capacity), the node -> stage map and the chains ``Session.run`` would
 form — taken at the start of ``Session.run``, which is then abandoned,
-so nothing executes.  Queue names are the keys of ``queue_capacities``
-and of the ``.persona-tune.json`` sidecar, so a refactor of how graphs
-are built must leave all of this where it was.
+so nothing executes.  Queue names and capacities are what a run's
+``report["queues"]`` and depth trace are keyed and bounded by, so a
+refactor of how graphs are built must leave all of this where it was.
 
 Covered: the composed graph of every ordered subset of the stages, plus
 a head varcall over a location-sorted manifest and a durable run of all

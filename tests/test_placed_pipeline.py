@@ -32,6 +32,7 @@ from repro.cluster.broker import (
     TcpBrokerClient,
 )
 from repro.cluster.placement import (
+    EDGE_CAPACITY,
     WORK_EDGE,
     PlacementError,
     PlacementPlan,
@@ -511,58 +512,29 @@ class TestEdgeCodecNegotiation:
 
 
 class TestEdgeAutotuning:
-    """Broker-edge capacity autotuning: the §4.5 heuristic, cluster-scale."""
-
-    def test_suggest_grows_saturated_and_shrinks_idle(self):
-        from repro.cluster.multiserver import suggest_edge_capacities
-        from repro.cluster.placement import WORK_EDGE
-
-        stats = {
-            WORK_EDGE: {"capacity": 64, "max_depth": 64},  # by-design size
-            "align->sort": {"capacity": 4, "max_depth": 4},
-            "sort->dupmark": {"capacity": 16, "max_depth": 2},
-            "dupmark->varcall": {"capacity": 4, "max_depth": 3},
-        }
-        tuned = suggest_edge_capacities(stats)
-        assert WORK_EDGE not in tuned
-        assert tuned["align->sort"] == 8  # saturated: grow
-        assert tuned["sort->dupmark"] == 3  # idle: shrink to high-water + 1
-        assert "dupmark->varcall" not in tuned  # right-sized
+    """Broker-edge capacities are a constant, not tuned: every
+    stage-boundary edge holds ``EDGE_CAPACITY`` chunks in flight."""
 
     def test_explicit_edge_capacities_applied(
         self, fresh_dataset, snap_aligner, reference, single_session
     ):
-        plan = PlacementPlan.parse("A=align,sort;B=dupmark,varcall")
+        dataset = fresh_dataset()
+        plan = PlacementPlan.parse("A=align;B=sort;C=dupmark,varcall")
         placed = run_placed_pipeline(
-            fresh_dataset(),
+            dataset,
             plan,
             aligner=snap_aligner,
             reference=reference,
             sort_config=SORT_CONFIG,
             backend="serial",
-            edge_capacities={"sort->dupmark": 9},
         )
-        assert placed.broker_stats["sort->dupmark"]["capacity"] == 9
-        assert_matches_single(placed, single_session, reference)
-
-    def test_autotuned_run_matches_untuned_output(
-        self, fresh_dataset, snap_aligner, reference, single_session
-    ):
-        plan = PlacementPlan.parse("A=align,sort;B=dupmark,varcall")
-        placed = run_placed_pipeline(
-            fresh_dataset(),
-            plan,
-            aligner=snap_aligner,
-            reference=reference,
-            sort_config=SORT_CONFIG,
-            backend="serial",
-            edge_capacity=2,  # deliberately shallow: probe should grow it
-            autotune_edges=True,
-        )
-        assert isinstance(placed.autotuned_edges, dict)
-        # Capacities the probe suggested were actually applied.
-        for edge, capacity in placed.autotuned_edges.items():
-            assert placed.broker_stats[edge]["capacity"] == capacity
+        capacities = {edge: stats["capacity"]
+                      for edge, stats in placed.broker_stats.items()}
+        assert capacities == {
+            WORK_EDGE: dataset.num_chunks,
+            "align->sort": EDGE_CAPACITY,
+            "sort->dupmark": EDGE_CAPACITY,
+        }
         assert_matches_single(placed, single_session, reference)
 
 

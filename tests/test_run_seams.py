@@ -2,8 +2,8 @@
 by the single session, by the coordinator's placed servers, by a worker
 admitted mid-run and by the ``persona cluster broker`` / ``worker``
 subprocess roles must leave the same bytes behind; the facts the spec
-derives from the stage tuple must agree with their definitions; and an
-autotune probe must neither journal nor touch the caller's spec.
+derives from the stage tuple must agree with their definitions; and one
+entry-point call must run, and journal, exactly once.
 """
 
 from __future__ import annotations
@@ -369,6 +369,10 @@ class TestPipelineSpecProperties:
 
 
 class TestProbesNeverJournal:
+    """There is no probe run: one entry-point call runs the pipeline
+    once, with the caller's dataset and ledger in one frozen spec, and
+    journals that run alone."""
+
     def _spy(self, monkeypatch, module, name):
         seen = []
         real = getattr(module, name)
@@ -380,49 +384,37 @@ class TestProbesNeverJournal:
         monkeypatch.setattr(module, name, spy)
         return seen
 
-    def _assert_probe_then_measured(self, seen, ledger):
-        probe, measured = seen
-        assert probe.ledger is None and measured.ledger is ledger
-        assert probe is not measured
-        assert dataclasses.replace(probe, ledger=ledger) == measured
+    def _assert_one_run(self, seen, dataset, ledger):
+        [spec] = seen
+        assert spec.dataset is dataset and spec.ledger is ledger
         with pytest.raises(dataclasses.FrozenInstanceError):
-            measured.ledger = None
-
-    def _journaled(self, path) -> "dict[str, int]":
-        return dict(RunLedger.replay(path).stage_counts)
+            spec.ledger = None
+        state = RunLedger.replay(ledger.path)
+        assert state.status == "complete" and state.attempts == 1
+        return state
 
     def test_queue_autotune_probe(self, dataset, snap_aligner, reference,
                                   monkeypatch, tmp_path):
         seen = self._spy(monkeypatch, pipelines, "_run_pipeline_once")
-        ledger = RunLedger.create(tmp_path, run_id="tuned")
-        outcome = run_pipeline(
-            dataset, STAGES, aligner=snap_aligner, reference=reference,
-            backend="serial", autotune_queues=True, ledger=ledger,
-        )
-        ledger.close()
-        assert "autotuned_queues" in outcome.report
-        self._assert_probe_then_measured(seen, ledger)
-        plain = RunLedger.create(tmp_path, run_id="plain")
+        ledger = RunLedger.create(tmp_path, run_id="once")
         run_pipeline(
             dataset, STAGES, aligner=snap_aligner, reference=reference,
-            backend="serial", ledger=plain,
+            backend="serial", ledger=ledger,
         )
-        plain.close()
-        assert self._journaled(ledger.path) == self._journaled(plain.path)
+        ledger.close()
+        state = self._assert_one_run(seen, dataset, ledger)
+        assert state.stage_counts["align"] == dataset.num_chunks
 
     def test_edge_autotune_probe(self, dataset, snap_aligner, reference,
                                  monkeypatch, tmp_path):
         seen = self._spy(monkeypatch, multiserver, "_run_placed_once")
-        ledger = RunLedger.create(tmp_path, run_id="tuned")
+        ledger = RunLedger.create(tmp_path, run_id="once")
         plan = PlacementPlan.parse("A=align,sort;B=dupmark,varcall")
         run_placed_pipeline(
             dataset, plan, aligner=snap_aligner, reference=reference,
-            edge_capacity=1, autotune_edges=True, ledger=ledger,
+            ledger=ledger,
         )
         ledger.close()
-        self._assert_probe_then_measured(seen, ledger)
-        state = RunLedger.replay(ledger.path)
-        assert state.status == "complete" and state.attempts == 1
-        # One measured run's worth of acks: every chunk once per edge.
-        assert {edge: len(keys) for edge, keys in state.edge_acks.items()
-                }["work"] == dataset.num_chunks
+        state = self._assert_one_run(seen, dataset, ledger)
+        assert state.edge_acks["work"] == {
+            entry.path for entry in dataset.manifest.chunks}
