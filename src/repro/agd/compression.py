@@ -81,9 +81,9 @@ def _identity(data: bytes) -> bytes:
     # ``memoryview`` out, which is what makes the ``none`` codec the
     # zero-copy leg of the view-native decode plane — a chunk framed at
     # codec level 0 decodes into views of the transport buffer.  The
-    # external sort writes local-disk scratch in this framing so the
-    # merge restores spilled runs as mmap views instead of inflating
-    # gzip blocks (:func:`repro.core.sort.scratch_codec`).
+    # external sort frames runs it spills to a local directory this way
+    # so the merge restores them as mmap views instead of inflating
+    # gzip blocks (:func:`repro.core.sort.scratch_kind`).
     return data
 
 
@@ -116,9 +116,8 @@ def leveled_codec(name: str, level: int) -> Codec:
     The returned codec keeps the *base name* (``gzip``/``lzma``), so any
     reader decodes its output — levels only trade write-side CPU for
     ratio ("tradeoffs between compressed file size and decompression
-    time", §3).  Level 1 gzip is the sort-scratch default: superchunk
-    spills are written once and read back once, so heavy compression on
-    the sort critical path is wasted CPU.
+    time", §3).  Level 1 gzip frames the sort's remote-scratch spills
+    (``SCRATCH_CODEC_LEVEL``).
     """
     if name == "none":
         return NONE
@@ -143,8 +142,10 @@ def leveled_codec(name: str, level: int) -> Codec:
     )
 
 
-#: Codec for externally-sorted superchunk spills (scratch blobs are read
-#: back exactly once; level 6 would waste CPU on the sort critical path).
+#: Gzip level of sort runs spilled to a remote scratch store (each blob
+#: is read back exactly once; level 6 would waste CPU on the sort path).
+#: A memory scratch's runs are never encoded, a local directory's are
+#: raw (:func:`repro.core.sort.scratch_kind`).
 SCRATCH_CODEC_LEVEL = 1
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.agd.chunk import read_chunk_header, read_column, write_chunk
 from repro.agd.columns import RaggedColumn
-from repro.agd.compression import DEFAULT_CODEC, SCRATCH_CODEC_LEVEL, Codec
+from repro.agd.compression import DEFAULT_CODEC, Codec
 from repro.agd.manifest import ChunkEntry, Manifest
 from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import FLAG_DUPLICATE
@@ -724,11 +724,11 @@ class SortRunNode(Node):
 
     The streaming analog of the eager sort's phase 1: every
     ``chunks_per_superchunk`` chunks, the buffered columns are sorted
-    and framed (:func:`repro.core.sort.sort_run_task`, on this node's
-    own thread) and spilled to the scratch store, so only a single
-    group of chunks is ever resident.  Parallelism is 1: run grouping
-    must follow arrival order to reproduce the eager path's runs
-    exactly.
+    into a run (:func:`repro.core.sort.sort_run`, on this node's own
+    thread) — held as columns for a memory scratch, spilled to any
+    other — so only a single group of input chunks is ever resident.
+    Parallelism is 1: run grouping must follow arrival order to
+    reproduce the eager path's runs exactly.
     """
 
     def __init__(
@@ -738,17 +738,13 @@ class SortRunNode(Node):
         scratch,
         chunks_per_superchunk: int = 4,
         name: str = "sort_runs",
-        scratch_codec_level: int = SCRATCH_CODEC_LEVEL,
         journal=None,
     ):
-        from repro.core.sort import scratch_codec
-
         super().__init__(name, parallelism=1)
         self.ordered_columns = list(ordered_columns)
         self.order = order
         self.scratch = scratch
         self.chunks_per_superchunk = chunks_per_superchunk
-        self.scratch_codec = scratch_codec(scratch, scratch_codec_level)
         #: The current group's chunks, ``{column: decoded column}`` each.
         self._chunks: "list[dict]" = []
         self._runs_emitted = 0
@@ -771,7 +767,7 @@ class SortRunNode(Node):
         )
 
     def _flush_run(self):
-        from repro.core.sort import sort_run_task, store_run_spill
+        from repro.core.sort import sort_run
 
         group_paths, self._group_paths = self._group_paths, []
         chunks, self._chunks = self._chunks, []
@@ -786,16 +782,14 @@ class SortRunNode(Node):
         # One stable sort over the whole group (splitting it would
         # change the algorithm); cross-run parallelism comes from the
         # stages up- and downstream of this kernel running concurrently.
-        spilled = store_run_spill(
-            self.scratch, self._runs_emitted,
-            sort_run_task(self.order, self.ordered_columns, chunks,
-                          self.scratch_codec),
-        )
-        if self.journal is not None:
-            self.journal.record(self._runs_emitted, group_paths, spilled)
-        self.stats.add_counters({"spill_bytes": spilled.nbytes})
+        run = sort_run(self.scratch, self._runs_emitted, self.order,
+                       self.ordered_columns, chunks)
+        # A held run (columns, no entries) survives no restart.
+        if self.journal is not None and run.entries:
+            self.journal.record(self._runs_emitted, group_paths, run)
+        self.stats.add_counters({"spill_bytes": run.nbytes})
         self._runs_emitted += 1
-        return spilled
+        return run
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
         self._chunks.append({

@@ -14,9 +14,10 @@ column, computes one stable permutation, and gathers every column's
 buffer through it (Table 2's advantage: records never leave their
 columnar encoding).
 
-* Phase 1 (:func:`sort_run_task`, once per run, on the caller's thread):
+* Phase 1 (:func:`sort_run`, once per run, on the caller's thread):
   concatenate the group's columns, ``argsort`` the packed keys (stable),
-  ``take`` each column, frame the spill.
+  ``take`` each column, then keep the run as the scratch store's kind
+  asks (:func:`scratch_kind`).
 * Phase 2 (:func:`iter_merged_chunks`): concatenate the runs' columns and
   apply one stable ``argsort`` over the concatenated keys — ties keep run
   order, which is exactly a k-way merge's tie-break — gathering one
@@ -31,13 +32,14 @@ Keys that do not pack (positions >= 2**32, NUL bytes in metadata) change
 only how the permutation is computed
 (:func:`repro.core.columnar.sort_permutation`), never the data path.
 
-Spill framing follows the scratch store (:func:`scratch_codec`): a local
-directory gets the *raw* (identity-codec) chunk frame layout, restored
-by ``mmap`` under a :class:`SpillLease` guard and decoded straight from
-the mapped pages (no ``scratch.get`` copy, no inflate); any other store
-gets gzip at ``SortConfig.scratch_codec_level``.  The chunk header is
-self-describing, so a resumed run whose scratch holds both framings
-restores byte-identically.
+A run is serialized only when it leaves the process
+(:func:`scratch_kind`): a memory scratch holds each sorted run as its
+columns, never encoded or put; a local directory gets the *raw*
+(identity-codec) chunk frame layout, restored by ``mmap`` under a
+:class:`SpillLease` guard and decoded straight from the mapped pages (no
+``scratch.get`` copy, no inflate); any other store gets gzip at
+``SCRATCH_CODEC_LEVEL``.  The chunk header is self-describing, so a
+resumed run whose scratch holds both framings restores byte-identically.
 """
 
 from __future__ import annotations
@@ -60,19 +62,18 @@ from repro.agd.records import get_record_codec, record_type_for_column
 from repro.align.result import AlignmentResult
 from repro.core.columnar import sort_keys, sort_permutation
 from repro.dataflow.lane import WriteBehindLane
-from repro.storage.base import ChunkStore, MemoryStore
+from repro.storage.base import ChunkStore, DirectoryStore, MemoryStore
+from repro.storage.local import ModeledDiskStore
 
 
 @dataclass
 class SortConfig:
-    """External sort parameters."""
+    """External sort parameters (how a run is kept is not one: the
+    scratch store's kind decides, :func:`scratch_kind`)."""
 
     chunks_per_superchunk: int = 4
     output_chunk_size: "int | None" = None  # default: input chunk size
     order: str = "location"  # or "metadata"
-    #: Compression level for superchunk spills (gzip).  Scratch blobs are
-    #: read back exactly once, so the default is the cheap level 1.
-    scratch_codec_level: int = SCRATCH_CODEC_LEVEL
     #: Compression level for the sorted output chunks (None = default
     #: codec, gzip level 6).
     output_codec_level: "int | None" = None
@@ -142,57 +143,84 @@ def _take_columns(columns: "dict[str, RaggedColumn]",
     return {name: column.take(index) for name, column in columns.items()}
 
 
-def sort_run_task(order: str, ordered_columns: "list[str]",
-                  chunks: "list[dict]", codec: Codec) -> dict:
-    """Sort one superchunk run and encode its spill.
+def sort_run(scratch: ChunkStore, run_index: int, order: str,
+             ordered_columns: "list[str]",
+             chunks: "list[dict]") -> "SpilledRun":
+    """Sort one superchunk run and keep it for the merge: held as its
+    columns when the scratch is memory (framing runs for a dict in this
+    process only makes the merge undo it), spilled otherwise.  Both sort
+    paths build their runs here.
 
     ``chunks`` holds, per input chunk, ``{column: chunk blob}`` (the
     eager sort reads blobs) or ``{column: decoded column}`` (chunks that
     arrived through a pipeline queue).  One key array, one stable
-    permutation, one gather per column; the caller writes the returned
-    spill via :func:`store_run_spill`.
+    permutation, one gather per column.
     """
     columns = _concat_columns(ordered_columns, chunks)
     perm, _keys = sort_permutation(order, columns[key_column(order)])
-    return encode_run_spill(_take_columns(columns, perm), codec)
+    columns = _take_columns(columns, perm)
+    if scratch_kind(scratch) == "memory":
+        return SpilledRun(entries=[], index=run_index, columns=columns)
+    return store_run_spill(scratch, run_index,
+                           encode_run_spill(columns, scratch_codec(scratch)))
 
 
 # ---------------------------------------------------------------------------
-# Spill-as-views: local raw-framed spills restored through mmap leases.
+# Scratch kinds; local raw-framed spills restored through mmap leases.
+
+
+def _scratch_base(store):
+    """``store`` under its pass-through wrappers (whatever exposes the
+    store it wraps as ``backing`` — ``CountingStore`` — or ``store`` —
+    ``JournaledStore``), but never under a ``ModeledDiskStore``: its
+    traffic is what it models."""
+    while not isinstance(store, ModeledDiskStore):
+        inner = getattr(store, "backing", None) or getattr(store, "store",
+                                                          None)
+        if inner is None:
+            break
+        store = inner
+    return store
+
+
+def scratch_kind(store) -> str:
+    """Where a scratch store keeps sort runs, which decides how a run is
+    kept (:func:`sort_run`) and restored (:func:`iter_merged_chunks`):
+
+    * ``"memory"`` — a ``MemoryStore``: runs never leave the process, so
+      each is held as its sorted columns, never encoded or put;
+    * ``"local"`` — a ``DirectoryStore``: raw frames, restored by mmap;
+    * ``"remote"`` — anything else (a modeled disk, an object store):
+      gzip frames at ``SCRATCH_CODEC_LEVEL``, restored through ``get``.
+
+    Pass-through wrappers (:func:`_scratch_base`) do not change a kind.
+    """
+    base = _scratch_base(store)
+    if isinstance(base, MemoryStore):
+        return "memory"
+    return "local" if isinstance(base, DirectoryStore) else "remote"
 
 
 def local_scratch_root(store) -> "Path | None":
-    """Directory behind a scratch store, if it has one.
-
-    Unwraps the repo's store wrappers (``JournaledStore.store``,
-    ``LocalCacheStore``/``CountingStore`` ``.backing``) down to a
-    :class:`~repro.storage.base.DirectoryStore` ``root``; None for
-    in-memory or otherwise non-mappable stores.  A local directory means
-    phase 2 can ``mmap`` spill files instead of copying blobs out of the
-    store.
-    """
-    seen: set[int] = set()
-    while store is not None and id(store) not in seen:
-        seen.add(id(store))
-        root = getattr(store, "root", None)
-        if root is not None:
-            return Path(root)
-        store = getattr(store, "backing", None) or getattr(store, "store",
-                                                          None)
-    return None
+    """The directory a *local* scratch (:func:`scratch_kind`) keeps its
+    spill files in, which phase 2 maps instead of copying blobs out of
+    the store; None for any other kind."""
+    return _scratch_base(store).root if scratch_kind(store) == "local" \
+        else None
 
 
-def scratch_codec(scratch, level: int = SCRATCH_CODEC_LEVEL) -> Codec:
-    """The codec spills to ``scratch`` are framed with: the raw
-    (identity) layout phase 2 can mmap and decode in place when the
-    store is a local directory, gzip at ``level`` otherwise.
+def scratch_codec(scratch) -> Codec:
+    """The codec a run stored in ``scratch`` is framed with: the raw
+    (identity) layout phase 2 can mmap and decode in place for a local
+    scratch, gzip at ``SCRATCH_CODEC_LEVEL`` otherwise (a memory scratch
+    stores no run).
 
     Write-side only: restore reads whatever codec each spill's header
     declares, so mixed scratch (a resumed run whose scratch store
     changed) still merges byte-identically.
     """
-    name = "none" if local_scratch_root(scratch) is not None else "gzip"
-    return leveled_codec(name, level)
+    name = "none" if scratch_kind(scratch) == "local" else "gzip"
+    return leveled_codec(name, SCRATCH_CODEC_LEVEL)
 
 
 class SpillLease:
@@ -278,19 +306,23 @@ def _credit_spill(counters: "dict | None", header) -> None:
 
 @dataclass
 class SpilledRun:
-    """One sorted run in the scratch store (phase 1's product).
+    """One sorted run (phase 1's product), stored or held.
 
-    ``entries`` lists the run's chunk entries in row order: one jumbo
-    superchunk — or, for a run adopted from a ledger an older version
-    wrote, its key-range sub-chunks; concatenating them reproduces the
-    sorted run either way.  ``nbytes`` is the total stored frame size (0
-    when unknown, e.g. a ledger-adopted run).  ``index`` is the run's
-    position in spill order.
+    A stored run's ``entries`` list its chunk entries in the scratch
+    store, in row order: one jumbo superchunk — or, for a run adopted
+    from a ledger an older version wrote, its key-range sub-chunks;
+    concatenating them reproduces the sorted run either way.  A held run
+    (memory scratch) has no entries: ``columns`` holds its sorted
+    columns until the merge concatenates, and drops, each one.
+    ``nbytes`` is the total stored frame size (0 when held or unknown,
+    e.g. a ledger-adopted run).  ``index`` is the run's position in
+    spill order.
     """
 
     entries: "list[ChunkEntry]"
     nbytes: int = 0
     index: int = 0
+    columns: "dict[str, RaggedColumn] | None" = None
 
 
 def _encode_columns(columns: "dict[str, RaggedColumn]", codec: Codec,
@@ -365,9 +397,9 @@ def sort_dataset(
 ) -> AGDDataset:
     """Sort a dataset into ``output_store``; returns the sorted dataset.
 
-    Phase 1 reads ``chunks_per_superchunk`` chunks at a time, sorts
-    their columns (:func:`sort_run_task`), and writes each sorted run as
-    a *superchunk* into the scratch store.  Phase 2 merges the runs and
+    Phase 1 reads ``chunks_per_superchunk`` chunks at a time and sorts
+    them into a run (:func:`sort_run`): held in memory, or a
+    *superchunk* in the scratch store.  Phase 2 merges the runs and
     emits final chunks (:func:`iter_merged_chunks`).
 
     ``counters`` (optional dict) accumulates the spill-restore
@@ -383,18 +415,14 @@ def sort_dataset(
     ordered_columns = _key_first_columns(columns)
 
     # ---------------------------------------------------- phase 1: runs
-    codec = scratch_codec(scratch, config.scratch_codec_level)
-    runs: "list[SpilledRun]" = []
-    for start in range(0, manifest.num_chunks, config.chunks_per_superchunk):
-        group = manifest.chunks[start:start + config.chunks_per_superchunk]
-        spill = sort_run_task(
-            config.order, ordered_columns,
-            [{column: dataset.store.get(entry.chunk_file(column))
-              for column in ordered_columns}
-             for entry in group],
-            codec,
-        )
-        runs.append(store_run_spill(scratch, len(runs), spill))
+    step = config.chunks_per_superchunk
+    runs = [
+        sort_run(scratch, index, config.order, ordered_columns,
+                 [{column: dataset.store.get(entry.chunk_file(column))
+                   for column in ordered_columns}
+                  for entry in manifest.chunks[start:start + step]])
+        for index, start in enumerate(range(0, manifest.num_chunks, step))
+    ]
 
     # --------------------------------------------------- phase 2: merge
     out_chunk_size = config.output_chunk_size or (
@@ -424,22 +452,27 @@ def _merged_batches(
     counters: "dict | None" = None,
 ):
     """The runs' records in globally sorted order, as a stream of column
-    batches (``{column: RaggedColumn}``): decode every run, one stable
-    permutation over the concatenated keys — ties keep run order, a
-    merge heap's tie-break — and one gather per ``batch_size`` records;
-    a batch is only built when the consumer asks for it.
+    batches (``{column: RaggedColumn}``): restore every stored run (a
+    held run already is its columns), one stable permutation over the
+    concatenated keys — ties keep run order, a merge heap's tie-break —
+    and one gather per ``batch_size`` records; a batch is only built
+    when the consumer asks for it.
     """
     root = local_scratch_root(scratch)
-    entries = [entry for run in runs for entry in run.entries]
-    # Column by column: a run's decoded column is dropped as soon as it
-    # is concatenated, so one column's runs are resident at a time.
-    columns = {
-        column: _concat_column(column, (
-            _restore_spill(scratch, root, entry.chunk_file(column), counters)
-            for entry in entries
-        ))
-        for column in ordered_columns
-    }
+
+    def parts(column):
+        for run in runs:
+            if run.columns is not None:
+                yield run.columns.pop(column)
+            for entry in run.entries:
+                yield _restore_spill(scratch, root, entry.chunk_file(column),
+                                     counters)
+
+    # Column by column: a run's column (restored or held) is dropped as
+    # soon as it is concatenated, so one column's runs are resident at
+    # a time beside the columns still held.
+    columns = {column: _concat_column(column, parts(column))
+               for column in ordered_columns}
     perm, _keys = sort_permutation(order, columns[key_column(order)])
     for lo in range(0, perm.size, batch_size):
         yield _take_columns(columns, perm[lo:lo + batch_size])
@@ -506,7 +539,8 @@ def iter_merged_chunks(
 
     Shared by the eager :func:`sort_dataset` and the streaming
     :class:`~repro.core.ops.SuperchunkMergeNode` so the two paths'
-    chunk naming, ordinals, and bytes cannot drift apart.  A generator,
+    chunk naming, ordinals, and bytes cannot drift apart (and
+    :func:`sort_run` builds both paths' runs).  A generator,
     one chunk ahead of its consumer: chunk *k*'s encode and puts are
     handed to ``lane`` (the session's; None: one of this call's own),
     chunk *k+1* is gathered while they run, and only then is *k*
@@ -514,8 +548,10 @@ def iter_merged_chunks(
     which whatever must not precede the write (another column's put, an
     acknowledgment) waits on, by then rarely for long.  The lane is
     drained, and a failed write re-raised here, before the generator
-    returns.  ``counters`` accumulates the restore-side accounting (see
-    :func:`_credit_spill`).
+    returns.  A held run is merged from its columns, each dropped once
+    concatenated (so ``runs`` merge once); a stored run is restored from
+    ``scratch``, and ``counters`` accumulates that restore-side
+    accounting (see :func:`_credit_spill`).
     """
     sorted_name = f"{dataset_name}-sorted"
     total = 0

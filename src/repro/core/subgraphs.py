@@ -329,7 +329,6 @@ def _build_sort(spec: "PipelineSpec", site: ServerSite) -> StageGraph:
         SortRunNode(
             ordered_columns, config.order, scratch,
             chunks_per_superchunk=config.chunks_per_superchunk,
-            scratch_codec_level=config.scratch_codec_level,
             # Spills only survive a restart in a durable scratch store;
             # a per-run MemoryStore scratch simply recomputes its runs.
             journal=(SpillJournal(spec.ledger, site.scratch_store)

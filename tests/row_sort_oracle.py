@@ -25,8 +25,19 @@ from repro.core.sort import (
     scratch_codec,
 )
 from repro.storage.base import MemoryStore
+from repro.storage.diskmodel import DiskModel
+from repro.storage.local import ModeledDiskStore
 
 UNMAPPED_PACKED_KEY = (1 << 64) - 1
+
+
+def remote_scratch() -> ModeledDiskStore:
+    """A scratch store of the *remote* kind (``scratch_kind``): an
+    unthrottled modeled disk over memory.  The sort spills to it gzip at
+    ``SCRATCH_CODEC_LEVEL`` and restores through ``get``, so its blobs
+    can be compared with the oracle's."""
+    return ModeledDiskStore(DiskModel(read_bandwidth=float("inf")),
+                            MemoryStore())
 
 
 def sort_key_for(order: str, meta_index: int = 1):
@@ -97,7 +108,7 @@ def oracle_spill_runs(dataset: AGDDataset, scratch, config: SortConfig,
     ordered = key_first_columns(list(manifest.columns))
     meta_index = metadata_row_index(ordered)
     key_fn = sort_key_for(config.order, meta_index)
-    codec = scratch_codec(scratch, config.scratch_codec_level)
+    codec = scratch_codec(scratch)
     runs: "list[SpilledRun]" = []
     boundaries = None
     step = config.chunks_per_superchunk

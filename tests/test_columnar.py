@@ -718,24 +718,27 @@ class TestCodecLevels:
         assert read_chunk(default).records == records
 
     def test_scratch_spills_use_level(self, aligned_dataset):
-        """Superchunk spills compress at the configured scratch level."""
-        scratch = MemoryStore()
-        sort_dataset(aligned_dataset, MemoryStore(),
-                     SortConfig(chunks_per_superchunk=3,
-                                scratch_codec_level=1),
-                     scratch_store=scratch)
-        heavy = MemoryStore()
-        sort_dataset(aligned_dataset, MemoryStore(),
-                     SortConfig(chunks_per_superchunk=3,
-                                scratch_codec_level=9),
-                     scratch_store=heavy)
-        key = next(k for k in scratch.keys() if "results" in k)
-        assert len(scratch.get(key)) >= len(heavy.get(key))
-        # Both decode fine: the chunk header still names plain gzip.
-        from repro.agd.chunk import read_chunk
+        """A remote scratch gets superchunk spills gzipped at
+        ``SCRATCH_CODEC_LEVEL`` (cheaper and larger than level 9), and
+        they decode."""
+        from repro.agd.chunk import read_chunk, read_column, write_chunk
+        from repro.agd.compression import SCRATCH_CODEC_LEVEL, leveled_codec
+        from row_sort_oracle import remote_scratch
 
-        assert len(read_chunk(scratch.get(key))) == \
-            len(read_chunk(heavy.get(key)))
+        scratch = remote_scratch()
+        sort_dataset(aligned_dataset, MemoryStore(),
+                     SortConfig(chunks_per_superchunk=3),
+                     scratch_store=scratch)
+        key = next(k for k in scratch.keys() if "results" in k)
+        column = read_column(scratch.get(key))
+        assert scratch.get(key) == write_chunk(
+            column, "results",
+            codec=leveled_codec("gzip", SCRATCH_CODEC_LEVEL))
+        heavy = write_chunk(column, "results",
+                            codec=leveled_codec("gzip", 9))
+        assert len(scratch.get(key)) >= len(heavy)
+        # Both decode fine: the chunk header still names plain gzip.
+        assert len(read_chunk(scratch.get(key))) == len(read_chunk(heavy))
 
     def test_output_codec_level(self, aligned_dataset):
         light = MemoryStore()

@@ -54,6 +54,7 @@ from row_sort_oracle import (
     oracle_merge,
     oracle_sort_dataset,
     oracle_spill_runs,
+    remote_scratch,
 )
 
 BACKENDS = ("serial", "thread", "process")
@@ -141,7 +142,7 @@ class TestSortEqualsOracle:
         with tempfile.TemporaryDirectory() as tmp:
             def scratch(name):
                 return DirectoryStore(Path(tmp) / name) if raw \
-                    else MemoryStore()
+                    else remote_scratch()
 
             expect_scratch, got_scratch = scratch("oracle"), scratch("got")
             expect_out, got_out = MemoryStore(), MemoryStore()
@@ -194,7 +195,7 @@ class TestSortEqualsOracle:
         )
         config = SortConfig(order=order, chunks_per_superchunk=2)
         expect, got = MemoryStore(), MemoryStore()
-        expect_scratch, got_scratch = MemoryStore(), MemoryStore()
+        expect_scratch, got_scratch = remote_scratch(), remote_scratch()
         oracle_sort_dataset(dataset, expect, config, expect_scratch)
         out = sort_dataset(dataset, got, config, got_scratch)
         assert store_blobs(got_scratch) == store_blobs(expect_scratch)
@@ -212,7 +213,7 @@ class TestSortEqualsOracle:
         )
         config = SortConfig(chunks_per_superchunk=3)
         expect, got = MemoryStore(), MemoryStore()
-        expect_scratch, got_scratch = MemoryStore(), MemoryStore()
+        expect_scratch, got_scratch = remote_scratch(), remote_scratch()
         oracle_sort_dataset(dataset, expect, config, expect_scratch)
         sort_dataset(dataset, got, config, got_scratch)
         assert store_blobs(got_scratch) == store_blobs(expect_scratch)

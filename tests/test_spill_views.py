@@ -1,11 +1,12 @@
-"""Zero-copy spill plane: view-adopted sort spills.
+"""Zero-copy spill plane: held runs and view-adopted sort spills.
 
-The scratch store decides the spill framing: a local directory gets raw
-(identity-codec) frames that phase 2 of the external sort ``mmap``s and
-decodes in place (``spill_view_bytes`` grows, ``decode_copies`` stays
-0); any other store gets gzip, byte-identical in what the merge emits.
-The plane must leak nothing: no ``/dev/shm`` entries, no pinned scratch
-mappings.
+The scratch store's kind decides how a sorted run is kept: a memory
+store holds it as columns (nothing encoded, put or restored); a local
+directory gets raw (identity-codec) frames that phase 2 of the external
+sort ``mmap``s and decodes in place (``spill_view_bytes`` grows,
+``decode_copies`` stays 0); any other store gets gzip — all
+byte-identical in what the merge emits.  The plane must leak nothing:
+no ``/dev/shm`` entries, no pinned scratch mappings.
 """
 
 from __future__ import annotations
@@ -27,11 +28,17 @@ from repro.core.sort import (
     SpillLease,
     local_scratch_root,
     scratch_codec,
+    scratch_kind,
     sort_dataset,
     verify_sorted,
 )
+from repro.core.ledger import JournaledStore, RunLedger
 from repro.dataflow import shm as shm_plane
 from repro.storage.base import DirectoryStore, MemoryStore
+from repro.storage.ceph import CephStore, SimulatedCephCluster
+from repro.storage.diskmodel import DiskModel
+from repro.storage.local import CountingStore, ModeledDiskStore
+from row_sort_oracle import remote_scratch
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -87,7 +94,49 @@ class TestRawScratchNegotiation:
 
     def test_auto_picks_raw_only_on_local_scratch(self, tmp_path):
         assert scratch_codec(DirectoryStore(tmp_path)).name == "none"
-        assert scratch_codec(MemoryStore()).name == "gzip"
+        assert scratch_codec(remote_scratch()).name == "gzip"
+
+    @pytest.mark.parametrize("make,kind", [
+        (lambda d: MemoryStore(), "memory"),
+        (lambda d: CountingStore(MemoryStore()), "memory"),
+        (lambda d: CountingStore(CountingStore()), "memory"),
+        (lambda d: JournaledStore(MemoryStore(), None, "sort"), "memory"),
+        (lambda d: DirectoryStore(d), "local"),
+        (lambda d: CountingStore(DirectoryStore(d)), "local"),
+        (lambda d: JournaledStore(CountingStore(DirectoryStore(d)), None,
+                                  "sort"), "local"),
+        (lambda d: ModeledDiskStore(DiskModel(1e9), MemoryStore()),
+         "remote"),
+        (lambda d: ModeledDiskStore(DiskModel(1e9), DirectoryStore(d)),
+         "remote"),
+        (lambda d: CountingStore(ModeledDiskStore(DiskModel(1e9))),
+         "remote"),
+        (lambda d: CephStore(SimulatedCephCluster()), "remote"),
+    ], ids=["memory", "counting-memory", "counting-counting-memory",
+            "journaled-memory", "directory", "counting-directory",
+            "journaled-counting-directory", "modeled-memory",
+            "modeled-directory", "counting-modeled", "ceph"])
+    def test_scratch_kinds(self, tmp_path, make, kind):
+        """Pass-through wrappers keep the kind of what they wrap; a
+        modeled disk is remote whatever backs it, since its traffic is
+        what it models."""
+        store = make(tmp_path)
+        assert scratch_kind(store) == kind
+        assert (local_scratch_root(store) == tmp_path) == (kind == "local")
+
+    def test_modeled_disk_pays_for_spill_restores(self, tmp_path):
+        """Every spill byte written through a modeled disk is read back
+        through it: the merge never maps the files underneath."""
+        scratch = ModeledDiskStore(DiskModel(1e12),
+                                   DirectoryStore(tmp_path / "scratch"))
+        ds = make_aligned_dataset(
+            [((i * 7919) % 3, (i * 104729) % 100_000) for i in range(200)],
+            chunk_size=20)
+        out = sort_dataset(ds, MemoryStore(),
+                           SortConfig(chunks_per_superchunk=3),
+                           scratch_store=scratch)
+        assert verify_sorted(out)
+        assert scratch.bytes_read == scratch.bytes_written > 0
 
 
 # -------------------------------------------------------- spill views
@@ -145,13 +194,13 @@ class TestByteIdentity:
 
     def test_raw_scratch_output_matches_gzip(self, tmp_path):
         """The path is chosen by the store: a directory scratch spills
-        raw frames and restores them as views, a memory scratch gzips."""
+        raw frames and restores them as views, a remote scratch gzips."""
         config = SortConfig(chunks_per_superchunk=3)
         raw_counters: dict = {}
         gzip_counters: dict = {}
         raw = self._sorted_bytes(DirectoryStore(tmp_path / "raw"),
                                  config, counters=raw_counters)
-        gz = self._sorted_bytes(MemoryStore(), config,
+        gz = self._sorted_bytes(remote_scratch(), config,
                                 counters=gzip_counters)
         assert raw == gz
         assert raw_counters["spill_view_bytes"] > 0
@@ -159,6 +208,21 @@ class TestByteIdentity:
         assert gzip_counters["decode_copies"] == \
             gzip_counters["spill_restores"] > 0
         assert gzip_counters.get("spill_view_bytes", 0) == 0
+
+    @pytest.mark.parametrize("wrap", [lambda s: s, CountingStore],
+                             ids=["bare", "counting"])
+    def test_memory_scratch_holds_runs(self, tmp_path, wrap):
+        """A memory scratch is never written: every run stays columns,
+        nothing is restored, and the output is the stored runs' bytes."""
+        config = SortConfig(chunks_per_superchunk=3)
+        scratch, counters = wrap(MemoryStore()), {}
+        held = self._sorted_bytes(scratch, config, counters=counters)
+        assert held == self._sorted_bytes(DirectoryStore(tmp_path / "raw"),
+                                          config)
+        assert held == self._sorted_bytes(remote_scratch(), config)
+        assert not list(scratch.keys())
+        assert "spill_restores" not in counters
+        assert "decode_copies" not in counters
 
     def test_forced_raw_on_memory_store_still_correct(self):
         """Raw frames in a non-mappable store (a resumed run whose
@@ -169,8 +233,9 @@ class TestByteIdentity:
         from repro.agd.compression import leveled_codec
         from repro.core.sort import (
             _key_first_columns,
+            encode_run_spill,
             iter_merged_chunks,
-            sort_run_task,
+            sort_run,
             store_run_spill,
         )
 
@@ -181,9 +246,10 @@ class TestByteIdentity:
             codec = leveled_codec("none" if len(runs) % 2 == 0 else "gzip", 1)
             chunks = [{c: ds.store.get(e.chunk_file(c)) for c in ordered}
                       for e in ds.manifest.chunks[start:start + 3]]
+            held = sort_run(MemoryStore(), len(runs), "location", ordered,
+                            chunks)
             runs.append(store_run_spill(
-                scratch, len(runs),
-                sort_run_task("location", ordered, chunks, codec)))
+                scratch, len(runs), encode_run_spill(held.columns, codec)))
         got, counters = MemoryStore(), {}
         entries = [entry for entry, *_ in iter_merged_chunks(
             scratch, runs, ordered, "location", 5, ds.manifest.name, got,
@@ -200,8 +266,9 @@ class TestByteIdentity:
     ], ids=["serial", "thread", "process"])
     def test_backends_agree_raw_vs_gzip(self, tmp_path, reads, reference,
                                         snap_aligner, backend, workers):
-        """Whole ``align,sort,dupmark,varcall`` runs, backend x scratch:
-        every cell byte-identical to the eager chain."""
+        """Whole ``align,sort,dupmark,varcall`` runs, backend x scratch
+        kind: every cell byte-identical to the eager chain, and a memory
+        scratch, bare or counted, never written or restored from."""
         from repro.core.dupmark import mark_duplicates
         from repro.core.pipelines import align_dataset, run_pipeline
         from repro.core.varcall import VarCallConfig, call_variants
@@ -225,7 +292,8 @@ class TestByteIdentity:
 
         before = set(shm_plane.list_segments("psna-"))
         for scratch in (DirectoryStore(tmp_path / "scratch"),
-                        MemoryStore()):
+                        remote_scratch(), MemoryStore(),
+                        CountingStore(MemoryStore())):
             outcome = run_pipeline(
                 fresh(), ("align", "sort", "dupmark", "varcall"),
                 aligner=snap_aligner, reference=reference,
@@ -235,7 +303,49 @@ class TestByteIdentity:
             got = (store_bytes(outcome.sorted_dataset.store,
                                outcome.sorted_dataset), outcome.variants)
             assert got == expect
+            counters = outcome.report["stages"]["sort"]["counters"]
+            held = scratch_kind(scratch) == "memory"
+            assert bool(list(scratch.keys())) != held
+            assert ("spill_restores" in counters) != held
+            assert ("decode_copies" in counters) == \
+                (scratch_kind(scratch) == "remote")
         assert set(shm_plane.list_segments("psna-")) == before
+
+    def test_placed_memory_scratch_holds_runs(self, tmp_path,
+                                              aligned_dataset, reference):
+        """A placed run whose ``scratch_store_factory`` hands out memory
+        stores writes none of them, and its sorted chunks and calls
+        match local- and remote-scratch runs."""
+        from repro.cluster.multiserver import run_placed_pipeline
+        from repro.cluster.placement import PlacementPlan
+        from repro.core.varcall import VarCallConfig
+
+        varcall = VarCallConfig(min_depth=2, min_alt_fraction=0.5)
+        kinds = {"memory": MemoryStore, "remote": remote_scratch,
+                 "local": lambda: DirectoryStore(tmp_path / "scratch")}
+        got = {}
+        for kind, make in kinds.items():
+            made = []
+
+            def factory(_server):
+                made.append(make())
+                return made[-1]
+
+            outcome = run_placed_pipeline(
+                aligned_dataset,
+                PlacementPlan.parse("A=sort;B=dupmark,varcall"),
+                reference=reference,
+                sort_config=SortConfig(chunks_per_superchunk=3),
+                varcall_config=varcall, output_store=MemoryStore(),
+                scratch_store_factory=factory, backend="serial",
+            )
+            got[kind] = (store_bytes(outcome.sorted_dataset.store,
+                                     outcome.sorted_dataset),
+                         outcome.variants)
+            assert made and all(scratch_kind(s) == kind for s in made)
+            assert any(list(s.keys()) for s in made) != (kind == "memory")
+        assert got["memory"][1], "fixture calls no variants"
+        assert got["memory"] == got["local"] == got["remote"]
 
     def test_raw_scratch_leaves_no_pinned_mappings(self, tmp_path):
         scratch_dir = tmp_path / "scratch"
@@ -338,7 +448,7 @@ class TestStageReportCounters:
         from repro.core.subgraphs import compose
 
         ds = make_aligned_dataset(POSITIONS, chunk_size=5)
-        stage = self.sort_stage(ds, MemoryStore())
+        stage = self.sort_stage(ds, MemoryStore(), remote_scratch())
         result = compose(stage, name="mini").run(timeout=120)
         counters = result.stage_report["sort"]["counters"]
         assert counters["decode_copies"] == counters["spill_restores"] > 0
@@ -407,6 +517,51 @@ class TestLegacyPartitionedSpillResumes:
         assert not any(p.name.split(".")[0] in
                        {f"superchunk-{i}" for i in range(len(runs))}
                        for p in (tmp_path / "scratch").iterdir())
+
+
+# ------------------------------------------------ held runs and ledgers
+
+
+class TestHeldRunsResume:
+    def test_memory_scratch_journals_no_spill_and_resumes(self, tmp_path):
+        """A held run survives no restart, so a ledgered run with a
+        memory scratch journals no ``spill`` for it; resumed after a
+        crash that left one sorted chunk written, it re-sorts every run
+        and lands on the uninterrupted bytes."""
+        from repro.core.pipelines import run_pipeline
+
+        def run(out_store, **kwargs):
+            outcome = run_pipeline(
+                make_aligned_dataset(POSITIONS, chunk_size=5), ("sort",),
+                sort_config=SortConfig(chunks_per_superchunk=3),
+                output_store=out_store, scratch_store=MemoryStore(),
+                backend="serial", **kwargs)
+            return store_bytes(out_store, outcome.sorted_dataset)
+
+        fresh = run(MemoryStore())
+        first = MemoryStore()
+        ledger = RunLedger.create(tmp_path / "runs", run_id="held")
+        try:
+            assert run(first, ledger=ledger) == fresh
+        finally:
+            ledger.close()
+        state = RunLedger.replay(tmp_path / "runs" / "held.jsonl")
+        assert not state.spills
+        assert state.stage_counts["sort"] == len(fresh)
+
+        # What a crash after the first sorted chunk leaves behind.
+        crashed = MemoryStore()
+        for key in first.keys():
+            if "-sorted-0." in key:
+                crashed.put(key, first.get(key))
+        written = len(list(crashed.keys()))
+        resumed = RunLedger.resume(tmp_path / "runs", run_id="held")
+        try:
+            assert run(crashed, ledger=resumed) == fresh
+            assert resumed.skips["sort"] == written > 0
+            assert "sort.spill" not in resumed.skips
+        finally:
+            resumed.close()
 
 
 # --------------------------------------------------- crash mid-merge
