@@ -54,8 +54,7 @@ def _run_with_trace(run, config):
     reports to a busy counter the sampler reads."""
     busy = BusyCounter()
     backend = make_backend(config.backend, workers=config.executor_threads,
-                           batch_size=config.batch_size, busy_counter=busy,
-                           shm=config.shm)
+                           batch_size=config.batch_size, busy_counter=busy)
     try:
         with UtilizationSampler([busy], capacity=1, interval=0.01) as sampler:
             run(backend)

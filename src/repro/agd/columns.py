@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class RaggedColumn:
     say what a record *is* (:meth:`_record`); everything that moves
     records is here and never looks inside one.
     """
-
-    #: Large fields ride the shared-memory plane (see repro.dataflow.shm).
-    __shm_payload__: ClassVar[bool] = True
 
     flat: np.ndarray
     bounds: np.ndarray  # int64, len(column) + 1 exclusive prefix bounds

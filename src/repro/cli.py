@@ -144,7 +144,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
         aligner_nodes=max(1, args.threads // 2),
         backend=args.backend,
         batch_size=args.batch_size,
-        shm=args.shm,
     )
     outcome = align_dataset(dataset, aligner, config=config)
     dataset.save_manifest(args.dataset_dir)
@@ -258,7 +257,6 @@ def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
         backend=args.backend,
         workers=args.workers,
         batch_size=args.batch_size,
-        shm=getattr(args, "shm", None),
     )
     aligner = _build_aligner(args, reference) if "align" in hosted else None
     return spec, aligner
@@ -382,9 +380,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         plan = PlacementPlan.parse(args.plan)
         spec, aligner = _spec_from_args(args, plan.stages)
         fields = dict(vars(spec))
-        # The plan carries the stages; placed backends keep the shm
-        # default.
-        del fields["stages"], fields["shm"]
+        del fields["stages"]  # the plan carries them
         outcome = run_placed_pipeline(
             plan=plan,
             aligner=aligner,
@@ -738,7 +734,6 @@ def _add_backend_options(
     p: argparse.ArgumentParser,
     default: str = "thread",
     with_workers: bool = False,
-    with_shm: bool = True,
 ) -> None:
     """Attach the execution-backend flags to a subcommand that aligns
     (only the align kernels dispatch to a backend)."""
@@ -756,16 +751,6 @@ def _add_backend_options(
         default=None,
         help="task payloads per IPC message (process backend)",
     )
-    if with_shm:
-        p.add_argument(
-            "--shm",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="ship large process-backend payloads through "
-                 "the shared-memory buffer pool instead of pickled pipes "
-                 "(default: auto — on wherever POSIX shared memory works; "
-                 "--no-shm forces the pickled path)",
-        )
     if with_workers:
         p.add_argument(
             "--workers",
@@ -997,8 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write called variants here")
         cp.add_argument("--timeout", type=float, default=600.0,
                         help="per-server session deadline in seconds")
-        _add_backend_options(cp, default="serial", with_workers=True,
-                             with_shm=False)
+        _add_backend_options(cp, default="serial", with_workers=True)
 
     def _add_fault_options(cp) -> None:
         cp.add_argument("--delivery-deadline", type=_delivery_deadline,

@@ -1793,12 +1793,9 @@ class TcpBrokerClient:
                     # Materialize NOW: the broker releases this lease
                     # as soon as the delivery is acked, so the bytes
                     # must leave shared memory before this pull
-                    # returns.  No caching — adopted publisher segments
-                    # are one-shot names and a cached mapping per chunk
-                    # would leak.
+                    # returns.
                     segments.append(shm_plane.read_segment(
-                        name, off, length, cache=False,
-                    ))
+                        name, off, length))
                     copies += 1
         else:
             segments = body

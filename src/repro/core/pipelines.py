@@ -175,7 +175,7 @@ def align_dataset(
     spec = PipelineSpec(dataset, ("align",), align_config=config,
                         backend=config.backend,
                         workers=config.executor_threads,
-                        batch_size=config.batch_size, shm=config.shm)
+                        batch_size=config.batch_size)
     site = ServerSite(aligner=aligner,
                       backend=spec.make_backend("align", spec.stages),
                       align_results_store=output_store)
@@ -248,7 +248,7 @@ def align_standalone(
         or AlignGraphConfig()
     made = make_backend(config.backend, workers=config.executor_threads,
                         batch_size=config.batch_size,
-                        name="standalone.backend", shm=config.shm)
+                        name="standalone.backend")
     try:
         g = Graph("standalone")
         # Row-oriented FASTQ has no per-record index to pre-count bases
@@ -321,7 +321,6 @@ class PipelineSpec:
     backend: "str | Backend" = "thread"
     workers: int = 4
     batch_size: "int | None" = None
-    shm: "bool | None" = None
 
     def __post_init__(self) -> None:
         fill = object.__setattr__
@@ -360,7 +359,7 @@ class PipelineSpec:
             return None
         return make_backend(self.backend, workers=self.workers,
                             batch_size=self.batch_size,
-                            name=f"{server}.backend", shm=self.shm)
+                            name=f"{server}.backend")
 
     def shutdown_backend(self, backend: "Backend | None",
                          wait: bool = True) -> None:
@@ -521,7 +520,6 @@ def run_pipeline(
     session_timeout: "float | None" = None,
     name: str = "pipeline",
     queue_sample_interval: "float | None" = None,
-    shm: "bool | None" = None,
     ledger: "RunLedger | None" = None,
 ) -> PipelineOutcome:
     """Run several workload stages as ONE streaming dataflow graph.
@@ -563,10 +561,6 @@ def run_pipeline(
     (§4.6's "current queue states").  The default, None, starts no
     sampler.
 
-    ``shm`` selects the process backend's zero-copy payload plane
-    (None = auto where POSIX shared memory works; False forces the
-    pickled IPC path — outputs are byte-identical either way).
-
     ``ledger`` makes the run durable (:class:`repro.core.ledger.
     RunLedger`): output writes journal their digests, and a ledger
     opened with ``RunLedger.resume`` skips digest-verified work from the
@@ -579,12 +573,12 @@ def run_pipeline(
         sort_config=sort_config, varcall_config=varcall_config,
         filter_predicate=filter_predicate, output_store=output_store,
         filter_store=filter_store, ledger=ledger, backend=backend,
-        workers=workers, batch_size=batch_size, shm=shm,
+        workers=workers, batch_size=batch_size,
     )
     _check_stage_requirements(spec, aligner)
     if ledger is not None:
         bind_run_config(ledger, spec.manifest, spec.stages,
-                        backend=spec.backend_name, workers=workers, shm=shm)
+                        backend=spec.backend_name, workers=workers)
     return _run_pipeline_once(
         spec, aligner, scratch_store, name=name,
         session_timeout=session_timeout,

@@ -78,10 +78,6 @@ class AlignGraphConfig:
     backend: "str | Backend" = "thread"
     #: Payloads per IPC message (process backend only; None = default).
     batch_size: "int | None" = None
-    #: Zero-copy payload plane for the process backend: ship large
-    #: payloads/results as shared-memory references (None = auto where
-    #: POSIX shared memory works; False forces the pickled path).
-    shm: "bool | None" = None
 
 
 @dataclass

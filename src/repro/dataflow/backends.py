@@ -38,7 +38,6 @@ error as well (see :class:`ProcessBackend`).
 from __future__ import annotations
 
 import abc
-import itertools
 import multiprocessing
 import os
 import queue
@@ -46,9 +45,7 @@ import threading
 import time
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.dataflow import shm as shm_plane
 from repro.dataflow.executor import BusyCounter, Executor
-from repro.dataflow.shm import ShmRef
 
 BACKEND_CHOICES = ("serial", "thread", "process")
 
@@ -61,10 +58,6 @@ DEFAULT_BATCH_SIZE = 4
 #: blob payloads where grouping only adds latency and peak memory, so a
 #: batch closes early once it holds this many estimated bytes.
 DEFAULT_BATCH_BYTES = 1 << 20
-
-#: Serialized cost of a ShmRef: a ~100-byte reference regardless of how
-#: many megabytes the segment behind it holds.
-_SHM_REF_NBYTES = 96
 
 #: Containers nested deeper than this stop being walked and round to the
 #: nominal object cost — payload estimation must stay O(payload), even
@@ -79,13 +72,10 @@ def payload_nbytes(payload: Any, _depth: int = 0) -> int:
 
     Counts the dominant bulk carriers (numpy arrays, byte strings, and
     their containers — dict *keys* as well as values); scalars and small
-    objects round to a nominal cost.  A :class:`ShmRef` counts as the
-    reference it is (~100 bytes), not the data it points to — that data
-    never crosses the pipe.  Recursion is capped at ``_NBYTES_MAX_DEPTH`` container levels.
-    This is a *batching heuristic*, not an exact pickle size.
+    objects round to a nominal cost.  Recursion is capped at
+    ``_NBYTES_MAX_DEPTH`` container levels.  This is a *batching
+    heuristic*, not an exact pickle size.
     """
-    if isinstance(payload, ShmRef):
-        return _SHM_REF_NBYTES
     if isinstance(payload, memoryview):
         # len() counts first-axis items, which undercounts any view
         # that is multi-dimensional or wider than one byte per item.
@@ -327,17 +317,15 @@ class RemoteTraceback(Exception):
     traceback text as the worker formatted it."""
 
 
-def _worker_main(conn, inherited, shared: Mapping[str, Any], shm: bool) -> None:
+def _worker_main(conn, inherited, shared: Mapping[str, Any]) -> None:
     """A worker: one ``(fn, batch)`` in, one ``(ok, value, traceback)`` out.
 
     ``inherited`` are the parent-side pipe ends a forked worker holds
     copies of (its own included): while one is open the parent's death
-    never reads as EOF here, and the worker would outlive it.  ``shm``
-    arms the zero-copy plane: ShmRef payloads resolve against segments.
+    never reads as EOF here, and the worker would outlive it.
     """
     for parent_end in inherited:
         parent_end.close()
-    resolve = shm_plane.resolve_payload if shm else (lambda payload: payload)
     while True:
         try:
             message = conn.recv()
@@ -347,7 +335,7 @@ def _worker_main(conn, inherited, shared: Mapping[str, Any], shm: bool) -> None:
             return
         fn, batch = message
         try:
-            reply = (True, [fn(shared, resolve(p)) for p in batch], "")
+            reply = (True, [fn(shared, p) for p in batch], "")
         except Exception as error:
             import traceback  # only a failing task pays for it
 
@@ -420,17 +408,12 @@ class ProcessBackend(Backend):
     use the serial or thread backend when per-aligner instrumentation
     (the Fig. 8 op-mix profiling) must observe the run.
 
-    Zero-copy mode (``shm``): payloads at or above ``shm_threshold``
-    bytes cross the process boundary as
-    :class:`~repro.dataflow.shm.ShmRef` references into a shared-memory
-    :class:`~repro.dataflow.shm.BufferPool` instead of pickled copies —
-    workers attach each segment once and map arrays with zero copy.
-    ``shm=None`` (the default) enables it wherever POSIX shared memory
-    works; pool exhaustion falls back to pickling per payload, and the
-    pickled path remains the reference semantics (outputs are byte-
-    identical either way).  Results always return pickled: the only
-    dispatching kernel, the aligner, returns one small results block
-    per subchunk.
+    Payloads and results both travel pickled down the pipe; nothing else
+    carries them.  The only dispatching kernel, the aligner, sends at
+    most ``subchunk_size`` reads of packed bases (about 20 KB at 101 bp)
+    and gets one small results block back: no bulk worth moving by
+    reference, and without a shared-memory segment a run starts no
+    resource-tracker process.
     """
 
     name = "process"
@@ -444,10 +427,6 @@ class ProcessBackend(Backend):
         start_method: "str | None" = None,
         busy_counter: "BusyCounter | None" = None,
         batch_bytes: int = DEFAULT_BATCH_BYTES,
-        shm: "bool | None" = None,
-        shm_threshold: int = shm_plane.DEFAULT_SHM_THRESHOLD,
-        shm_slab_bytes: int = shm_plane.DEFAULT_SLAB_BYTES,
-        shm_max_bytes: int = shm_plane.DEFAULT_MAX_BYTES,
     ):
         super().__init__()
         if workers is None:
@@ -458,21 +437,10 @@ class ProcessBackend(Backend):
             raise ValueError("batch_size must be positive")
         if batch_bytes <= 0:
             raise ValueError("batch_bytes must be positive")
-        if shm_threshold <= 0:
-            raise ValueError("shm_threshold must be positive")
         self.workers = workers
         self.batch_size = batch_size
         self.batch_bytes = batch_bytes
         self.start_method = resolve_start_method(start_method)
-        # None = auto: zero-copy wherever POSIX shared memory actually
-        # works (probed, not assumed); explicit True degrades to the
-        # pickled path on hosts without it rather than failing.
-        self.shm = shm_plane.shm_available() if shm is None \
-            else bool(shm) and shm_plane.shm_available()
-        self.shm_threshold = shm_threshold
-        self.shm_slab_bytes = shm_slab_bytes
-        self.shm_max_bytes = shm_max_bytes
-        self._shm_pool: "shm_plane.BufferPool | None" = None
         #: ``(process, parent-side connection)`` per worker; the idle
         #: ones are also in ``_idle``.
         self._workers: list = []
@@ -517,18 +485,13 @@ class ProcessBackend(Backend):
         with self._lock:
             if self._workers:
                 return
-            if self.shm:
-                self._shm_pool = shm_plane.BufferPool(
-                    slab_bytes=self.shm_slab_bytes,
-                    max_bytes=self.shm_max_bytes,
-                )
             ctx = multiprocessing.get_context(self.start_method)
             for _ in range(self.workers):
                 conn, child_end = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
                     args=(child_end, [c for _, c in self._workers] + [conn],
-                          self._shared, self.shm),
+                          self._shared),
                     daemon=True,
                 )
                 process.start()
@@ -579,25 +542,7 @@ class ProcessBackend(Backend):
                 raise TimeoutError(f"backend {self.name!r}: chunk timed out")
             return left
 
-        shm_pool = self._shm_pool
-        # Adopt BEFORE batching: a payload that became a ~100-byte
-        # ShmRef must count as one (payload_nbytes knows ShmRefs), so
-        # large adopted payloads still group up to batch_size per IPC
-        # message instead of each closing its own batch.
-        payload_leases: "list[list]" = []
-        if shm_pool is not None:
-            adopted: list = []
-            for payload in payloads:
-                leases: list = []
-                adopted.append(shm_plane.adopt_payload(
-                    shm_pool, payload, self.shm_threshold, leases
-                ))
-                payload_leases.append(leases)
-            payloads = adopted
         batches = self._make_batches(payloads)
-        # Batches partition the payload list in order, so batch k's
-        # leases are the groups from starts[k] to starts[k + 1].
-        starts = list(itertools.accumulate(map(len, batches), initial=0))
         batch_results: list = [None] * len(batches)
         first_error: "BaseException | None" = None
         flying: dict = {}  # connection -> (its process, batch index)
@@ -634,9 +579,6 @@ class ProcessBackend(Backend):
                             f"(exit code {process.exitcode})") from None
                     del flying[conn]
                     self._idle.put((process, conn))
-                    if shm_pool is not None:
-                        shm_pool.release_all(itertools.chain.from_iterable(
-                            payload_leases[starts[index]:starts[index + 1]]))
                     if ok:
                         batch_results[index] = value
                     elif first_error is None:
@@ -651,9 +593,6 @@ class ProcessBackend(Backend):
         finally:
             if self._busy_counter is not None:
                 self._busy_counter.exit()
-            if shm_pool is not None:  # whatever no reply released
-                shm_pool.release_all(
-                    itertools.chain.from_iterable(payload_leases))
             for conn, (process, _) in flying.items():
                 self._idle.put((process, conn))  # wakes a blocked caller
         if first_error is not None:
@@ -663,7 +602,6 @@ class ProcessBackend(Backend):
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
             workers, self._workers = self._workers, []
-            shm_pool, self._shm_pool = self._shm_pool, None
             self._idle = queue.LifoQueue()
             wait = wait and self._broken is None
             self._broken = None
@@ -679,9 +617,6 @@ class ProcessBackend(Backend):
                 process.terminate()
                 process.join()
             conn.close()
-        if shm_pool is not None:
-            # After the workers are gone: unlink every slab.
-            shm_pool.close()
 
 
 # --------------------------------------------------------------------------
@@ -694,7 +629,6 @@ def make_backend(
     batch_size: "int | None" = None,
     busy_counter: "BusyCounter | None" = None,
     name: str = "backend",
-    shm: "bool | None" = None,
 ) -> Backend:
     """Build a backend from a CLI-style name (or pass one through)."""
     if isinstance(kind, Backend):
@@ -713,7 +647,6 @@ def make_backend(
                         else batch_size),
             name=name,
             busy_counter=busy_counter,
-            shm=shm,
         )
     raise ValueError(
         f"unknown backend {kind!r} (choices: {', '.join(BACKEND_CHOICES)})"

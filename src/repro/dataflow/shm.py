@@ -1,24 +1,25 @@
-"""Zero-copy data plane: a shared-memory buffer pool for process backends.
+"""Shared-memory plane for the broker's same-host handoff.
 
-Persona's performance rests on buffer-managed, zero-copy dataflow: chunks
-move between stages by reference, never re-serialized, so "all cores run
-continuously doing meaningful work" (§4.3).  The pickled IPC path of the
-process backend violates that — every large column array or blob is
-copied four times (pickle, pipe write, pipe read, unpickle) per crossing.
-This module supplies the zero-copy alternative:
+Persona moves chunks between stages by reference, never re-serialized,
+so "all cores run continuously doing meaningful work" (§4.3).  Between
+servers on one host that means a payload crosses ``/dev/shm`` instead of
+the socket: the publisher writes a segment once, the broker adopts it
+without copying, and a consumer reads it through a zero-copy view.
+Between a process backend and its forked workers there is no such plane:
+the aligner's payloads (about 20 KB of packed bases at 101 bp) go down
+the pipe.
 
 ``BufferPool``
-    A slab allocator over ``multiprocessing.shared_memory``.  Large task
-    payloads are copied ONCE into a pooled slab; workers attach each
-    segment a single time and map arrays straight out of it with zero
-    copy.  Allocations are refcounted *leases*: the producer holds the
-    lease until the worker's result returns, then the slab space
-    recycles.  Exhaustion is not an error — allocation returns ``None``
-    and the caller ships the payload pickled (never a deadlock).
+    The broker's slab allocator over ``multiprocessing.shared_memory``:
+    adopted publisher segments, re-staged spills and copies of inline
+    payloads live here as refcounted *leases*; the last lease out
+    rewinds the slab or unlinks the segment.  Exhaustion is not an
+    error — allocation returns ``None`` and the caller ships the bytes
+    inline (never a deadlock).
 
 ``ShmRef``
-    The reference that actually crosses the pipe: segment name, offset,
-    length, and (for arrays) dtype/shape.  A ~100-byte pickle regardless
+    The reference that actually crosses the socket: segment name,
+    offset, length and lease token.  A ~100-byte descriptor regardless
     of payload size.
 
 Segments a broker publisher hands over share the pool's unique prefix,
@@ -26,8 +27,8 @@ so ``BufferPool.close()`` can sweep stragglers left by a peer that died
 mid-flight — no ``/dev/shm`` leaks survive a shutdown.
 
 Availability is probed, not assumed: where POSIX shared memory is absent
-(or ``/dev/shm`` is unwritable) ``shm_available()`` is False and process
-backends silently keep the pickled path.
+(or ``/dev/shm`` is unwritable) ``shm_available()`` is False and the
+broker keeps the copy path.
 """
 
 from __future__ import annotations
@@ -36,10 +37,7 @@ import itertools
 import os
 import secrets
 import threading
-from dataclasses import dataclass, is_dataclass, replace
-from typing import Any
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 try:  # pragma: no cover - import guard for exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -54,11 +52,9 @@ __all__ = [
     "PooledView",
     "SegmentLease",
     "ShmRef",
-    "adopt_payload",
     "create_segment",
     "list_segments",
     "read_segment",
-    "resolve_payload",
     "shm_available",
     "sweep_segments",
     "unlink_segment",
@@ -68,20 +64,16 @@ __all__ = [
 DEFAULT_SLAB_BYTES = 8 << 20
 
 #: Total byte budget across a pool's slabs; allocation beyond it returns
-#: None (the caller falls back to pickling).
+#: None (the caller ships the bytes inline).
 DEFAULT_MAX_BYTES = 256 << 20
 
 #: Payloads at or above this many bytes ship as ShmRefs; smaller ones
-#: pickle faster than a segment round-trip.
+#: cross the socket faster than a segment round-trip.
 DEFAULT_SHM_THRESHOLD = 64 << 10
 
 #: Slab allocations are aligned so array views never straddle dtype
 #: alignment requirements.
 _ALIGN = 64
-
-#: Containers deeper than this are not walked for bulk payloads (guards
-#: against pathological nesting; real task payloads are 2-3 levels).
-_MAX_WALK_DEPTH = 6
 
 #: Where POSIX shared memory segments appear as files (Linux).
 SHM_DIR = "/dev/shm"
@@ -91,18 +83,13 @@ SHM_DIR = "/dev/shm"
 class ShmRef:
     """A reference to bytes living in a named shared-memory segment.
 
-    ``descr`` is a numpy dtype descr (``np.lib.format.dtype_to_descr``)
-    when the payload is an array — structured dtypes included — and
-    ``None`` for raw bytes.  The segment belongs to the owning
-    :class:`BufferPool`; ``token`` identifies the pool lease backing the
-    ref.
+    The segment belongs to the owning :class:`BufferPool`; ``token``
+    identifies the pool lease backing the ref.
     """
 
     segment: str
     offset: int
     length: int
-    descr: Any = None
-    shape: "tuple[int, ...] | None" = None
     token: int = -1
 
 
@@ -185,7 +172,7 @@ def _untrack(seg) -> None:
 class _Slab:
     """One pooled segment: bump allocation + live-lease count.
 
-    Leases are short-lived (one batch round-trip), so a region/arena
+    Leases are short-lived (one delivery), so a region/arena
     reset — rewind the bump pointer when the last lease returns — beats
     a free list: no fragmentation bookkeeping, O(1) everything.
     """
@@ -238,7 +225,7 @@ class BufferPool:
 
     Producer-owned: only the creating process allocates; consumers
     attach segments read-only by name.  All methods are thread-safe
-    (kernels lease from worker threads concurrently).
+    (broker connection threads lease concurrently).
     """
 
     def __init__(
@@ -383,27 +370,6 @@ class BufferPool:
             if isinstance(data, memoryview) else data
         return ShmRef(segment=slab.shm.name, offset=offset, length=n,
                       token=token)
-
-    def put_array(self, arr: np.ndarray) -> "ShmRef | None":
-        """Copy a contiguous array into a slab; None when the array is
-        non-contiguous, holds objects, or the pool is exhausted."""
-        if arr.dtype.hasobject or not arr.flags.c_contiguous:
-            return None
-        got = self._alloc(arr.nbytes)
-        if got is None:
-            return None
-        slab, offset, token = got
-        dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=slab.shm.buf,
-                         offset=offset)
-        np.copyto(dst, arr)
-        return ShmRef(
-            segment=slab.shm.name,
-            offset=offset,
-            length=arr.nbytes,
-            descr=np.lib.format.dtype_to_descr(arr.dtype),
-            shape=tuple(arr.shape),
-            token=token,
-        )
 
     # ---------------------------------------------------------- adoption
 
@@ -894,23 +860,18 @@ def create_segment(name: str, data, transfer: bool = False) -> bool:
     return True
 
 
-def read_segment(name: str, offset: int, length: int,
-                 cache: bool = False) -> bytes:
-    """Copy ``length`` bytes out of a named segment.
+def read_segment(name: str, offset: int, length: int) -> bytes:
+    """Copy ``length`` bytes out of a named one-shot segment.
 
-    ``cache=True`` keeps the attachment mapped (right for pooled slabs a
-    peer reads from repeatedly); one-shot segments should pass False so
-    the mapping drops immediately.  Raises OSError when the segment does
-    not exist — same-host handoffs treat that as a protocol error.
+    Raises OSError when the segment does not exist — same-host handoffs
+    treat that as a protocol error.
 
-    The uncached path reads the ``/dev/shm`` file directly where it
-    exists: cheaper than an mmap attach per chunk, and it keeps the
-    resource tracker out of it entirely — an attach would register a
-    segment this process does not own (and its unregister would race
-    the owner's when both sides share a forked tracker).
+    Reads the ``/dev/shm`` file directly where it exists: cheaper than
+    an mmap attach per chunk, and it keeps the resource tracker out of
+    it entirely — an attach would register a segment this process does
+    not own (and its unregister would race the owner's when both sides
+    share a forked tracker).
     """
-    if cache:
-        return bytes(_attach(name).buf[offset:offset + length])
     try:
         with open(os.path.join(SHM_DIR, name), "rb") as fh:
             fh.seek(offset)
@@ -941,123 +902,3 @@ def unlink_segment(name: str) -> bool:
     except OSError:  # pragma: no cover - raced another cleaner
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Consumer-side attachment (worker processes): attach once per segment.
-
-_ATTACH_LOCK = threading.Lock()
-_ATTACHED: "dict[str, Any]" = {}
-
-
-def _attach(name: str):
-    """Attach a pooled segment, cached so each worker maps it once."""
-    with _ATTACH_LOCK:
-        seg = _ATTACHED.get(name)
-        if seg is None:
-            seg = _shared_memory.SharedMemory(name=name)
-            _ATTACHED[name] = seg
-        return seg
-
-
-def _ref_view(ref: ShmRef, buf) -> Any:
-    """Materialize one ShmRef from an attached segment buffer.
-
-    Arrays come back as zero-copy views over the mapping; raw payloads
-    materialize as ``bytes`` (kernels concatenate and slice them as
-    bytes, which memoryviews cannot interoperate with).
-    """
-    if ref.descr is None:
-        return bytes(buf[ref.offset:ref.offset + ref.length])
-    return np.ndarray(
-        ref.shape, dtype=np.lib.format.descr_to_dtype(ref.descr),
-        buffer=buf, offset=ref.offset,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Payload walking: swap large bulk carriers for ShmRefs (and back).
-# Containers rebuild only when a child actually changed, so the common
-# small-payload case allocates nothing.
-
-
-def _walk(obj: Any, swap, depth: int = 0) -> Any:
-    if isinstance(obj, (bytes, bytearray, np.ndarray, ShmRef)):
-        return swap(obj)
-    if depth >= _MAX_WALK_DEPTH:
-        return obj
-    if isinstance(obj, tuple):
-        items = [_walk(item, swap, depth + 1) for item in obj]
-        if all(new is old for new, old in zip(items, obj)):
-            return obj
-        if hasattr(obj, "_fields"):  # namedtuple
-            return type(obj)(*items)
-        return tuple(items)
-    if isinstance(obj, list):
-        items = [_walk(item, swap, depth + 1) for item in obj]
-        if all(new is old for new, old in zip(items, obj)):
-            return obj
-        return items
-    if isinstance(obj, dict):
-        changed = False
-        out = {}
-        for key, value in obj.items():
-            new = _walk(value, swap, depth + 1)
-            changed = changed or new is not value
-            out[key] = new
-        return out if changed else obj
-    if is_dataclass(obj) and getattr(type(obj), "__shm_payload__", False):
-        updates = {}
-        for name in obj.__dataclass_fields__:
-            value = getattr(obj, name)
-            new = _walk(value, swap, depth + 1)
-            if new is not value:
-                updates[name] = new
-        return replace(obj, **updates) if updates else obj
-    return obj
-
-
-def adopt_payload(pool: BufferPool, payload: Any, threshold: int,
-                  leases: list) -> Any:
-    """Producer side: move large bytes/arrays into the pool.
-
-    Swapped items become :class:`ShmRef`\\ s whose leases are appended to
-    ``leases`` (release them when the consumer's result returns).  Items
-    the pool cannot take — exhaustion, non-contiguous arrays — stay in
-    place and travel pickled: the fallback is per-item, never all-or-
-    nothing.
-    """
-
-    def swap(obj):
-        if isinstance(obj, ShmRef):
-            return obj
-        if isinstance(obj, (bytes, bytearray)):
-            if len(obj) < threshold:
-                return obj
-            ref = pool.put_bytes(obj)
-        else:
-            if obj.nbytes < threshold:
-                return obj
-            ref = pool.put_array(obj)
-        if ref is None:
-            return obj
-        leases.append(ref)
-        return ref
-
-    return _walk(payload, swap)
-
-
-def resolve_payload(payload: Any) -> Any:
-    """Consumer side: materialize every ShmRef in a task payload.
-
-    Pooled array refs resolve to zero-copy views of the attached
-    segment (valid until the producer releases the lease, i.e. after
-    this task's result returns).
-    """
-
-    def swap(obj):
-        if not isinstance(obj, ShmRef):
-            return obj
-        return _ref_view(obj, _attach(obj.segment).buf)
-
-    return _walk(payload, swap)

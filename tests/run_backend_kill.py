@@ -1,7 +1,9 @@
-"""``python run_backend_kill.py worker_lost|parent_killed[_idle]``: a process
-backend in an interpreter of its own, for the two kill tests — what a
-SIGKILL leaves behind (a live worker, a ``/dev/shm`` segment, a
-``resource_tracker`` complaint at exit) shows only from outside."""
+"""``python run_backend_kill.py worker_lost|parent_killed[_idle]|one_chunk``:
+a process backend in an interpreter of its own, for the two kill tests
+and the start-up check — what a SIGKILL leaves behind (a live worker, a
+``resource_tracker`` complaint at exit) and what a run starts (a
+resource-tracker process, a shared-memory segment) show only from a
+fresh interpreter."""
 
 from __future__ import annotations
 
@@ -36,17 +38,20 @@ def die_on_three(shared, payload):
     return len(blob)
 
 
+def length_task(shared, payload):
+    return len(payload)
+
+
 def nap_task(shared, payload):
     time.sleep(0.2)
     return payload
 
 
 def worker_lost() -> dict:
-    """One payload SIGKILLs its worker; shm is on and the payloads are
-    large enough to travel as leases."""
-    backend = ProcessBackend(workers=2, batch_size=1, shm_threshold=1024)
+    """One payload SIGKILLs its worker."""
+    backend = ProcessBackend(workers=2, batch_size=1)
     backend.start()
-    report = {"prefix": backend._shm_pool.prefix if backend.shm else None}
+    report = {}
     started = time.monotonic()
     try:
         backend.run_chunk(die_on_three,
@@ -54,8 +59,6 @@ def worker_lost() -> dict:
     except RuntimeError as error:
         report["error"] = str(error)
     report["elapsed_s"] = time.monotonic() - started
-    if backend.shm:
-        report["live_leases"] = backend._shm_pool.live_leases
     try:
         backend.run_chunk(nap_task, [1])
     except RuntimeError as error:
@@ -65,6 +68,33 @@ def worker_lost() -> dict:
     report["shutdown_s"] = time.monotonic() - started
     report["children"] = len(multiprocessing.active_children())
     return report
+
+
+def one_chunk() -> dict:
+    """One ``run_chunk`` of payloads above the broker's shm threshold,
+    then shutdown: which shared-memory segments were created, and
+    whether a resource-tracker process was started."""
+    from multiprocessing import resource_tracker, shared_memory
+
+    created = []
+    init = shared_memory.SharedMemory.__init__
+
+    def recording_init(self, name=None, create=False, size=0, **kwargs):
+        init(self, name=name, create=create, size=size, **kwargs)
+        if create:
+            created.append(self.name)
+
+    shared_memory.SharedMemory.__init__ = recording_init
+    backend = ProcessBackend(workers=2)
+    try:
+        lengths = backend.run_chunk(length_task, [b"x" * 100_000] * 3)
+    finally:
+        backend.shutdown()
+    return {
+        "lengths": lengths,
+        "created": created,
+        "tracker_pid": resource_tracker._resource_tracker._pid,
+    }
 
 
 def parent_killed(mid_chunk: bool) -> None:
@@ -82,5 +112,7 @@ def parent_killed(mid_chunk: bool) -> None:
 if __name__ == "__main__":
     if sys.argv[1] == "worker_lost":
         print(json.dumps(worker_lost()))
+    elif sys.argv[1] == "one_chunk":
+        print(json.dumps(one_chunk()))
     else:
         parent_killed(mid_chunk=sys.argv[1] == "parent_killed")

@@ -19,13 +19,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The keyword entry points: everything a run can be told, spelled out
 #: once.  Below them a run travels as a ``PipelineSpec``.
-ENTRY_POINTS = {"run_pipeline": 19, "run_placed_pipeline": 28}
+ENTRY_POINTS = {"run_pipeline": 18, "run_placed_pipeline": 28}
 #: Where the spec is interpreted, nothing re-lists its fields.
 SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
 #: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
 LIMIT = 12
-CLI_OPTION_LIMIT = 88
+CLI_OPTION_LIMIT = 86
 RUN_PLACED_PIPELINE_LINES = 107
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
 #: the write-behind lane carries is read off the graph, never passed in.
@@ -174,6 +174,20 @@ TUNER_NAMES = (
 
 def test_no_capacity_tuner():
     found = _occurrences(rf"\b({'|'.join(TUNER_NAMES)})\b|\bresize\(")
+    assert not found, "\n".join(found)
+
+
+#: Process-backend payloads go down the pipe and nowhere else: the
+#: worker-payload shm plane (adoption, resolution, array slabs, the
+#: backend's pool) is gone, and must not grow back.
+PAYLOAD_PLANE_NAMES = (
+    "adopt_payload", "resolve_payload", "put_array", "__shm_payload__",
+    "_shm_pool",
+)
+
+
+def test_no_worker_payload_plane():
+    found = _occurrences(rf"\b({'|'.join(PAYLOAD_PLANE_NAMES)})\b")
     assert not found, "\n".join(found)
 
 

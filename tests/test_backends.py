@@ -386,10 +386,8 @@ def _alive(pid: int) -> bool:
 @needs_fork
 def test_worker_lost_is_an_error_within_a_second():
     """A worker SIGKILLed mid-batch fails its ``run_chunk`` with its pid
-    and signal, releases the leases, breaks the backend, and leaves
-    nothing for the resource tracker to complain about."""
-    from repro.dataflow import shm
-
+    and signal, breaks the backend, and leaves nothing for the resource
+    tracker to complain about."""
     process = run_backend_kill.popen("worker_lost")
     out, err = process.communicate(timeout=60)
     assert process.returncode == 0, err
@@ -399,10 +397,22 @@ def test_worker_lost_is_an_error_within_a_second():
     assert report["elapsed_s"] < 2.0
     assert report["error"] in report["later_error"]
     assert report["shutdown_s"] < 2.0 and report["children"] == 0
-    if report["prefix"] is not None:
-        assert report["live_leases"] == 0
-        assert shm.list_segments(report["prefix"]) == []
     assert "resource_tracker" not in err and "Traceback" not in err
+
+
+@needs_fork
+def test_process_run_starts_no_tracker_and_no_segment():
+    """Payloads go down the pipe, whatever their size: a run creates no
+    shared-memory segment, so CPython never starts its resource-tracker
+    process (a second interpreter, inside whoever's timed region)."""
+    process = run_backend_kill.popen("one_chunk")
+    out, err = process.communicate(timeout=60)
+    assert process.returncode == 0, err
+    report = json.loads(out)
+    assert report["lengths"] == [100_000] * 3
+    assert report["created"] == []
+    assert report["tracker_pid"] is None
+    assert err == ""
 
 
 @needs_fork

@@ -299,6 +299,9 @@ class TestClusterErrorsMatchPipeline:
             ["varcall", str(ds_dir), "x.vcf", "--reference", "r",
              "--kernels", "scalar"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align", "--shm"],
+            # Process-backend payloads go down the pipe only.
+            ["align", str(ds_dir), "--reference", "r", "--shm"],
+            ["pipeline", str(ds_dir), "--no-shm"],
             # Only the aligner dispatches; one merge; framing by store.
             ["sort", str(ds_dir), str(root / "x"), "--backend", "thread"],
             ["varcall", str(ds_dir), "x.vcf", "--reference", "r",

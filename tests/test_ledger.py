@@ -11,9 +11,11 @@ different (but reproducible) kill site.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,21 @@ def _tree_bytes(root: Path) -> "dict[str, bytes]":
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def _record_in_run_config(journal: Path, **meta) -> None:
+    """Rewrite a journal's ``run_config`` record with ``meta`` added, as
+    an older tree that recorded more settings would have written it."""
+    lines = []
+    for line in journal.read_bytes().splitlines():
+        payload = line.split(b" ", 1)[1]
+        record = json.loads(payload)
+        if record.get("t") == "run_config":
+            record["meta"].update(meta)
+            payload = json.dumps(record, sort_keys=True,
+                                 separators=(",", ":")).encode()
+        lines.append(b"%08x " % zlib.crc32(payload) + payload + b"\n")
+    journal.write_bytes(b"".join(lines))
 
 
 def _assert_identical_trees(ref: Path, got: Path) -> None:
@@ -219,6 +236,12 @@ class TestCrashResume:
             run_args, env={CRASH_ENV: f"align:{CRASH_AFTER}"}
         )
         _assert_killed(crashed)
+        # A ledger from a tree that still had the process backend's shm
+        # payload plane recorded the setting; a resume validates only
+        # the stages and the dataset fingerprint.
+        journal = tmp_path / "runs" / "crashed.jsonl"
+        assert "shm" not in RunLedger.replay(journal).meta
+        _record_in_run_config(journal, shm=True)
 
         resumed = _run_cli(run_args + ["--resume"])
         assert resumed.returncode == 0, resumed.stderr
@@ -229,8 +252,9 @@ class TestCrashResume:
         assert (tmp_path / "ref.vcf").read_bytes() == \
             (tmp_path / "run.vcf").read_bytes()
 
-        state = RunLedger.replay(tmp_path / "runs" / "crashed.jsonl")
+        state = RunLedger.replay(journal)
         assert state.status == "complete"
+        assert state.meta["shm"] is True
         assert state.attempts == 2
         skipped = state.complete.get("skipped", {})
         assert skipped.get("align", 0) >= CRASH_AFTER

@@ -361,7 +361,7 @@ class TestPipelineSpecProperties:
         single = set(inspect.signature(run_pipeline).parameters)
         placed = set(inspect.signature(run_placed_pipeline).parameters)
         assert fields <= single
-        assert fields - placed == {"stages", "shm"}  # the plan; no flag
+        assert fields - placed == {"stages"}  # the plan carries them
         assert "spec" not in single | placed
 
 

@@ -1,10 +1,9 @@
-"""Zero-copy data plane tests.
+"""Shared-memory plane tests.
 
-BufferPool lifecycle (lease/release refcounting, exhaustion fallback,
-segment hygiene), ShmRef payload estimation, and process-backend
-equivalence: the shm and pickled paths must produce byte-identical
-results, and no ``/dev/shm`` segment may survive a backend shutdown —
-including one-shot result segments stranded by a dead worker.
+BufferPool lifecycle (lease/release refcounting, exhaustion, segment
+hygiene), payload estimation, and the process backend's place beside
+it: its payloads go down the pipe, so a process-backend run matches the
+serial one byte for byte and leaves ``/dev/shm`` as it found it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 
 from repro.dataflow import shm
 from repro.dataflow.backends import ProcessBackend, payload_nbytes
-from repro.dataflow.shm import BufferPool, ShmRef
+from repro.dataflow.shm import BufferPool
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory unavailable"
@@ -33,21 +32,8 @@ def echo_task(shared, payload):
     return payload
 
 
-def stats_task(shared, payload):
-    arr, blob = payload
-    return (arr * 2, blob[:8], int(arr.sum()))
-
-
-class ShmTaskError(RuntimeError):
-    pass
-
-
-def explode_task(shared, payload):
-    raise ShmTaskError("boom")
-
-
 # ---------------------------------------------------------------------------
-# payload_nbytes: ShmRef, dict keys, recursion cap, structured arrays.
+# payload_nbytes: dict keys, recursion cap, structured arrays.
 
 
 class TestPayloadNbytes:
@@ -56,12 +42,6 @@ class TestPayloadNbytes:
         value_heavy = {b"k": b"v" * 1000}
         assert payload_nbytes(key_heavy) >= 1000
         assert payload_nbytes(value_heavy) >= 1000
-
-    def test_shm_ref_counts_as_reference_not_data(self):
-        small = ShmRef("seg", 0, 10)
-        huge = ShmRef("seg", 0, 1 << 30)
-        assert payload_nbytes(small) == payload_nbytes(huge)
-        assert payload_nbytes(huge) < 1 << 10
 
     def test_structured_array(self):
         arr = np.zeros(100, dtype=SIG_DTYPE)
@@ -108,23 +88,11 @@ class TestBufferPool:
         with BufferPool(slab_bytes=1 << 16) as pool:
             data = bytes(range(256)) * 8
             ref = pool.put_bytes(data)
-            assert ref is not None and ref.descr is None
-            view = shm.resolve_payload(ref)
-            assert view == data
+            assert ref is not None
+            with pool.view_ref(ref) as view:
+                assert view.materialize() == data
             pool.release(ref)
-
-    def test_array_roundtrip_zero_copy(self):
-        with BufferPool(slab_bytes=1 << 20) as pool:
-            arr = np.zeros(64, dtype=SIG_DTYPE)
-            arr["c1"] = np.arange(64)
-            ref = pool.put_array(arr)
-            assert ref is not None and ref.shape == (64,)
-            out = shm.resolve_payload(ref)
-            assert out.dtype == SIG_DTYPE
-            assert np.array_equal(out, arr)
-            # A zero-copy view, not a copy.
-            assert not out.flags.owndata
-            pool.release(ref)
+            assert pool.live_leases == 0
 
     def test_lease_refcount_recycles_slab(self):
         with BufferPool(slab_bytes=1 << 14, max_bytes=1 << 14) as pool:
@@ -146,11 +114,6 @@ class TestBufferPool:
             for _ in range(10):
                 assert pool.put_bytes(b"y" * 3000) is None
 
-    def test_non_contiguous_array_declined(self):
-        with BufferPool() as pool:
-            arr = np.arange(10_000, dtype=np.int64)[::2]
-            assert pool.put_array(arr) is None
-
     def test_concurrent_lease_release(self):
         pool = BufferPool(slab_bytes=1 << 16, max_bytes=1 << 20)
         errors: list = []
@@ -163,8 +126,9 @@ class TestBufferPool:
                     ref = pool.put_bytes(data)
                     if ref is None:
                         continue  # transient exhaustion is legal
-                    if shm.resolve_payload(ref) != data:
-                        raise AssertionError("lease returned wrong bytes")
+                    with pool.view_ref(ref) as view:
+                        if view.materialize() != data:
+                            raise AssertionError("lease returned wrong bytes")
                     pool.release(ref)
             except BaseException as exc:  # noqa: BLE001 - collected
                 errors.append(exc)
@@ -210,96 +174,30 @@ class TestBufferPool:
 
 
 # ---------------------------------------------------------------------------
-# ProcessBackend: shm mode vs the pickled reference path.
+# ProcessBackend: payloads go down the pipe, never through a segment.
 
 
-def _run_both(payloads, task=stats_task, **shm_kwargs):
-    shm_backend = ProcessBackend(workers=2, shm=True, **shm_kwargs)
-    try:
-        via_shm = shm_backend.run_chunk(task, payloads)
-    finally:
-        shm_backend.shutdown()
-    pickled_backend = ProcessBackend(workers=2, shm=False)
-    try:
-        via_pickle = pickled_backend.run_chunk(task, payloads)
-    finally:
-        pickled_backend.shutdown()
-    return via_shm, via_pickle
-
-
-@needs_shm
 class TestProcessBackendShm:
-    def test_large_payloads_identical_to_pickled(self):
-        arr = np.arange(50_000, dtype=np.int64)
-        blob = b"ACGT" * 50_000
-        payloads = [(arr + i, blob) for i in range(5)]
-        via_shm, via_pickle = _run_both(payloads, shm_threshold=1024)
-        for (sa, sb, sc), (pa, pb, pc) in zip(via_shm, via_pickle):
-            assert np.array_equal(sa, pa)
-            assert sb == pb
-            assert sc == pc
-
-    def test_exhausted_pool_falls_back_to_pickling(self):
-        arr = np.arange(50_000, dtype=np.int64)
-        blob = b"ACGT" * 50_000
-        payloads = [(arr, blob)] * 6
-        via_shm, via_pickle = _run_both(
-            payloads, shm_threshold=1024,
-            shm_slab_bytes=1 << 12, shm_max_bytes=1 << 12,
-        )
-        for (sa, sb, sc), (pa, pb, pc) in zip(via_shm, via_pickle):
-            assert np.array_equal(sa, pa)
-            assert sb == pb and sc == pc
-
     def test_no_segments_leak_after_shutdown(self):
+        """Not one ``psna-`` segment appears, even for payloads above
+        the broker's shm threshold."""
         before = set(shm.list_segments("psna-"))
-        backend = ProcessBackend(workers=2, shm=True, shm_threshold=1024)
-        backend.run_chunk(
-            echo_task, [np.arange(20_000, dtype=np.int64)] * 4
-        )
-        backend.shutdown()
+        backend = ProcessBackend(workers=2)
+        big = np.arange(20_000, dtype=np.int64)
+        assert big.nbytes >= shm.DEFAULT_SHM_THRESHOLD
+        try:
+            out = backend.run_chunk(echo_task, [big] * 4)
+            assert set(shm.list_segments("psna-")) == before
+        finally:
+            backend.shutdown()
+        assert all(np.array_equal(o, big) for o in out)
         assert set(shm.list_segments("psna-")) == before
-
-    def test_worker_error_releases_leases(self):
-        backend = ProcessBackend(workers=2, shm=True, shm_threshold=1024)
-        try:
-            with pytest.raises(ShmTaskError):
-                backend.run_chunk(explode_task, [b"x" * 100_000] * 3)
-            assert backend._shm_pool is not None
-            assert backend._shm_pool.live_leases == 0
-            # Backend stays usable on the zero-copy path after an error.
-            assert backend.run_chunk(echo_task, [b"y" * 100_000]) == \
-                [b"y" * 100_000]
-        finally:
-            backend.shutdown()
-
-    def test_stale_worker_segment_swept_on_shutdown(self):
-        from multiprocessing import shared_memory
-
-        backend = ProcessBackend(workers=2, shm=True)
-        backend.start()
-        prefix = backend._shm_pool.prefix
-        stale = shared_memory.SharedMemory(
-            create=True, size=64, name=f"{prefix}-r12345-7"
-        )
-        stale.close()
-        backend.shutdown()
-        assert shm.list_segments(prefix) == []
-
-    def test_shm_explicit_false_stays_pickled(self):
-        backend = ProcessBackend(workers=1, shm=False)
-        try:
-            backend.run_chunk(echo_task, [b"z" * 200_000])
-            assert backend._shm_pool is None
-        finally:
-            backend.shutdown()
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: the whole pipeline, shm vs pickled, byte-identical.
+# End-to-end: the whole pipeline, process vs serial, byte-identical.
 
 
-@needs_shm
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("stages", [
         ("align", "sort", "dupmark", "varcall"),
@@ -318,32 +216,31 @@ class TestPipelineEquivalence:
                 reference=reference.manifest_entry(),
             )
 
-        def run(shm_mode):
+        def run(backend):
             return run_pipeline(
                 fresh(), stages,
                 aligner=snap_aligner, reference=reference,
                 sort_config=SortConfig(chunks_per_superchunk=2),
-                backend="process", workers=2, shm=shm_mode,
+                backend=backend, workers=2,
             )
 
         before = set(shm.list_segments("psna-"))
-        with_shm = run(True)
-        without = run(False)
+        process = run("process")
+        serial = run("serial")
         assert set(shm.list_segments("psna-")) == before
-        for column in without.sorted_dataset.columns:
-            assert (with_shm.sorted_dataset.read_column(column)
-                    == without.sorted_dataset.read_column(column)), column
-        assert with_shm.variants == without.variants
-        assert (with_shm.dupmark_stats.duplicates_marked
-                == without.dupmark_stats.duplicates_marked)
+        for column in serial.sorted_dataset.columns:
+            assert (process.sorted_dataset.read_column(column)
+                    == serial.sorted_dataset.read_column(column)), column
+        assert process.variants == serial.variants
+        assert (process.dupmark_stats.duplicates_marked
+                == serial.dupmark_stats.duplicates_marked)
 
 
 @needs_shm
 def test_process_backend_run_leaves_stderr_and_dev_shm_clean():
-    """Payload slabs are attached by every worker: the resource tracker
-    must see one register/unregister pair per name (a second unregister
-    prints a ``KeyError`` traceback per segment), and nothing may be
-    left in ``/dev/shm``."""
+    """A whole process-backend pipeline in a fresh interpreter: nothing
+    on stderr (no resource-tracker complaint) and nothing left in
+    ``/dev/shm``."""
     from run_wgs_pipeline import launch
 
     before = set(shm.list_segments("psna"))

@@ -368,15 +368,14 @@ def _big_result_task(shared, payload) -> bytes:
 
 @needs_shm
 class TestProcessBackendResultViews:
-    """There is no result-view plane: results past the shm threshold
-    return pickled, whole, and leave nothing behind."""
+    """There is no result-view plane: large results return pickled,
+    whole, and leave nothing behind."""
 
     def test_shutdown_leaves_no_segments(self):
         from repro.dataflow.backends import ProcessBackend
 
         before = set(shm_plane.list_segments("psna-"))
-        backend = ProcessBackend(workers=2, start_method="fork",
-                                 shm=True, shm_threshold=64)
+        backend = ProcessBackend(workers=2, start_method="fork")
         try:
             results = backend.run_chunk(_big_result_task,
                                         [b"a", b"b", b"c"])
