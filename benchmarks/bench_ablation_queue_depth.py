@@ -30,11 +30,11 @@ def test_ablation_queue_depth(benchmark, bench_reads, bench_reference,
             reference=bench_reference.manifest_entry(),
         )
         config = AlignGraphConfig(
-            executor_threads=1, aligner_nodes=1, reader_nodes=1,
-            parser_nodes=1, queue_depth=depth,
+            aligner_nodes=1, reader_nodes=1, parser_nodes=1,
+            queue_depth=depth,
         )
         outcome = align_dataset(dataset, bench_aligner, config=config,
-                                output_store=MemoryStore())
+                                output_store=MemoryStore(), workers=1)
         queues = outcome.report["queues"]
         peak_in_flight = sum(q["max_depth"] for q in queues.values())
         rows.append({

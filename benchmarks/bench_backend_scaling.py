@@ -57,8 +57,7 @@ def smoke_world(bench_reads, bench_reference):
     return fresh_dataset
 
 
-def _run(fresh_dataset, aligner, backend_kind, workers, batch_size=None,
-         rounds=1):
+def _run(fresh_dataset, aligner, backend_kind, workers, rounds=1):
     """Align the workload; with rounds > 1, keep the best wall-clock.
 
     Best-of-N damps scheduling noise on oversubscribed CI runners so
@@ -66,20 +65,18 @@ def _run(fresh_dataset, aligner, backend_kind, workers, batch_size=None,
     neighbor's workload.
     """
     config = AlignGraphConfig(
-        executor_threads=workers,
         aligner_nodes=2,
         reader_nodes=1,
         parser_nodes=1,
         writer_nodes=1,
         subchunk_size=SUBCHUNK,
-        backend=backend_kind,
-        batch_size=batch_size,
     )
     best_wall, results = None, None
     for _ in range(rounds):
         dataset = fresh_dataset()
         start = time.monotonic()
-        align_dataset(dataset, aligner, config=config)
+        align_dataset(dataset, aligner, config=config,
+                      backend=backend_kind, workers=workers)
         wall = time.monotonic() - start
         if best_wall is None or wall < best_wall:
             best_wall = wall
@@ -88,7 +85,7 @@ def _run(fresh_dataset, aligner, backend_kind, workers, batch_size=None,
 
 
 def test_backend_scaling_smoke(
-    benchmark, smoke_world, bench_aligner, bench_batch_size, report,
+    benchmark, smoke_world, bench_aligner, report,
 ):
     cpus = os.cpu_count() or 1
     timed_rounds = 2 if cpus >= 2 else 1  # best-of-2 when asserting
@@ -99,8 +96,7 @@ def test_backend_scaling_smoke(
         smoke_world, bench_aligner, "thread", WORKERS
     )
     process_wall, process_results = _run(
-        smoke_world, bench_aligner, "process", WORKERS,
-        batch_size=bench_batch_size, rounds=timed_rounds,
+        smoke_world, bench_aligner, "process", WORKERS, rounds=timed_rounds,
     )
 
     rep = report("backend_scaling",

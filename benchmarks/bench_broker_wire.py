@@ -51,7 +51,7 @@ from repro.cluster.broker import (
 from repro.cluster.wire import edge_item_serializer, item_serializer
 from repro.core.ops import ChunkWorkItem
 from repro.core.pipelines import align_dataset
-from repro.core.subgraphs import AlignGraphConfig, columns_read
+from repro.core.subgraphs import columns_read
 from repro.dataflow import shm
 from repro.dataflow.queues import PUBLISH_OK, PULL_OK
 from repro.formats.converters import import_reads
@@ -220,7 +220,7 @@ def test_in_process_edge_codec(report, monkeypatch, bench_reads,
         chunk_size=ITEM_RECORDS, reference=bench_reference.manifest_entry(),
     )
     align_dataset(dataset, bench_aligner,
-                  config=AlignGraphConfig(executor_threads=1))
+                  workers=1)
     keep = columns_read(("dupmark", "varcall"))
     item = ChunkWorkItem(
         entry=dataset.manifest.chunks[0],

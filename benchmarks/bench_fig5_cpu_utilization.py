@@ -30,9 +30,8 @@ from repro.storage.base import MemoryStore
 from repro.storage.diskmodel import WritebackDiskModel, raid0
 from repro.storage.local import CountingStore, ModeledDiskStore
 
-CONFIG = AlignGraphConfig(
-    executor_threads=1, aligner_nodes=1, reader_nodes=1, parser_nodes=1,
-)
+CONFIG = AlignGraphConfig(aligner_nodes=1, reader_nodes=1, parser_nodes=1)
+WORKERS = 1
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +43,11 @@ def bench_aligner(bench_per_read_aligner):
     return bench_per_read_aligner
 
 
-@pytest.fixture(scope="module")
-def fig5_config(backendize):
-    return backendize(CONFIG)
-
-
-def _run_with_trace(run, config):
-    """Trace ``run(backend)`` on a backend of ``config``'s kind that
-    reports to a busy counter the sampler reads."""
+def _run_with_trace(run, kind):
+    """Trace ``run(backend)`` on a backend of ``kind`` that reports to a
+    busy counter the sampler reads."""
     busy = BusyCounter()
-    backend = make_backend(config.backend, workers=config.executor_threads,
-                           batch_size=config.batch_size, busy_counter=busy)
+    backend = make_backend(kind, workers=WORKERS, busy_counter=busy)
     try:
         with UtilizationSampler([busy], capacity=1, interval=0.01) as sampler:
             run(backend)
@@ -63,21 +56,21 @@ def _run_with_trace(run, config):
     return sampler.trace
 
 
-def _standalone(manifest, store, aligner, contigs, config):
+def _standalone(manifest, store, aligner, contigs):
     return lambda backend: align_standalone(
-        manifest, store, store, aligner, contigs, config=config,
+        manifest, store, store, aligner, contigs, config=CONFIG,
         backend=backend, session_timeout=300,
     )
 
 
-def _persona(manifest, store, aligner, config):
+def _persona(manifest, store, aligner):
     """The align stage over ``store`` closed by a counting sink — the
     graph ``align_dataset`` runs, without its base-count pre-pass, which
     would read the modeled disk inside the trace."""
     def run(backend):
         stage = STAGES["align"].build(
             PipelineSpec(AGDDataset(manifest, store), ("align",),
-                         align_config=config),
+                         align_config=CONFIG),
             ServerSite(aligner=aligner, backend=backend),
         )
         stage.graph.add(NullSinkNode(), input=stage.sink)
@@ -86,7 +79,7 @@ def _persona(manifest, store, aligner, config):
 
 
 @pytest.fixture(scope="module")
-def world(bench_reads, bench_reference, bench_aligner, fig5_config):
+def world(bench_reads, bench_reference, bench_aligner, bench_backend_kind):
     from repro.formats.converters import import_reads
 
     dataset = import_reads(
@@ -99,7 +92,8 @@ def world(bench_reads, bench_reference, bench_aligner, fig5_config):
     counting = CountingStore(staging)
     pure = align_standalone(
         dataset.manifest, counting, counting, bench_aligner,
-        bench_reference.manifest_entry(), config=fig5_config,
+        bench_reference.manifest_entry(), config=CONFIG,
+        backend=bench_backend_kind, workers=WORKERS,
     )
     io_bytes = counting.bytes_read + counting.bytes_written
     single_bw = io_bytes / (1.8 * pure.wall_seconds)
@@ -107,7 +101,8 @@ def world(bench_reads, bench_reference, bench_aligner, fig5_config):
 
 
 def test_fig5_cpu_utilization(
-    benchmark, world, bench_aligner, bench_reference, report, fig5_config,
+    benchmark, world, bench_aligner, bench_reference, report,
+    bench_backend_kind,
 ):
     dataset, fastq_staging, single_bw, sam_bytes = world
     contigs = bench_reference.manifest_entry()
@@ -124,19 +119,19 @@ def test_fig5_cpu_utilization(
     # Standalone, single disk: the Fig. 5a cyclical pattern.
     store = ModeledDiskStore(single_disk(), backing=fastq_staging)
     traces["standalone/single"] = _run_with_trace(_standalone(
-        manifest, store, bench_aligner, contigs, fig5_config), fig5_config)
+        manifest, store, bench_aligner, contigs), bench_backend_kind)
     # Persona, single disk.
     pstore = ModeledDiskStore(single_disk(), backing=dataset.store)
     traces["persona/single"] = _run_with_trace(_persona(
-        manifest, pstore, bench_aligner, fig5_config), fig5_config)
+        manifest, pstore, bench_aligner), bench_backend_kind)
     # Standalone, RAID0.
     rstore = ModeledDiskStore(raid0(6, single_bw), backing=fastq_staging)
     traces["standalone/raid0"] = _run_with_trace(_standalone(
-        manifest, rstore, bench_aligner, contigs, fig5_config), fig5_config)
+        manifest, rstore, bench_aligner, contigs), bench_backend_kind)
     # Persona, RAID0.
     prstore = ModeledDiskStore(raid0(6, single_bw), backing=dataset.store)
     traces["persona/raid0"] = _run_with_trace(_persona(
-        manifest, prstore, bench_aligner, fig5_config), fig5_config)
+        manifest, prstore, bench_aligner), bench_backend_kind)
 
     rep = report("fig5_cpu_utilization",
                  "Figure 5 — CPU utilization, single disk vs RAID0")

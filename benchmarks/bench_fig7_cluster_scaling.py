@@ -27,7 +27,6 @@ from repro.cluster.simulation import (
     scaling_series,
     simulate_cluster,
 )
-from repro.core.subgraphs import AlignGraphConfig
 from repro.storage.ceph import CephConfig, CephStore, SimulatedCephCluster
 
 
@@ -52,7 +51,7 @@ def test_fig7_cluster_scaling(
         aligner_factory=lambda sid: bench_aligner,
         output_store_factory=lambda sid: CephStore(ceph, prefix="out/"),
         num_servers=4,
-        config=AlignGraphConfig(executor_threads=1),
+        workers=1,
     )
     chunk_counts = sorted(s.chunks for s in outcome.servers)
     rep.add("part 1 — actual 4-server run over simulated Ceph:")

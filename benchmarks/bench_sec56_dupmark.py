@@ -21,7 +21,6 @@ from repro.align.result import FLAG_DUPLICATE
 from repro.core.baselines import SamblasterLike, SamblasterReport
 from repro.core.dupmark import DupmarkStats, mark_duplicates
 from repro.core.pipelines import align_dataset
-from repro.core.subgraphs import AlignGraphConfig
 from repro.formats.converters import export_sam
 from repro.formats.sam import read_sam
 from repro.storage.base import MemoryStore
@@ -37,7 +36,7 @@ def marked_world(bench_reads, bench_reference, bench_aligner):
         reference=bench_reference.manifest_entry(),
     )
     align_dataset(dataset, bench_aligner,
-                  config=AlignGraphConfig(executor_threads=1))
+                  workers=1)
     sam_buf = io.BytesIO()
     export_sam(dataset, sam_buf)
     return dataset, sam_buf.getvalue()

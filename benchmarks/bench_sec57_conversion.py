@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.core.pipelines import align_dataset
-from repro.core.subgraphs import AlignGraphConfig
 from repro.formats.converters import (
     export_bam,
     export_fastq,
@@ -38,7 +37,7 @@ def conversion_world(bench_reads, bench_reference, bench_aligner):
         reference=bench_reference.manifest_entry(),
     )
     align_dataset(aligned, bench_aligner,
-                  config=AlignGraphConfig(executor_threads=1))
+                  workers=1)
     return fastq_blob, aligned
 
 

@@ -44,9 +44,9 @@ from repro.storage.local import CountingStore, ModeledDiskStore
 # queues) still operates exactly as in the paper.  ``--backend`` swaps
 # the compute substrate (see conftest) without touching this shape.
 CONFIG = AlignGraphConfig(
-    executor_threads=1, aligner_nodes=1, reader_nodes=1, parser_nodes=1,
-    writer_nodes=1,
+    aligner_nodes=1, reader_nodes=1, parser_nodes=1, writer_nodes=1,
 )
+WORKERS = 1
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +58,6 @@ def bench_aligner(bench_per_read_aligner):
     return bench_per_read_aligner
 
 
-@pytest.fixture(scope="module")
-def table1_config(backendize):
-    return backendize(CONFIG)
-
-
 def _agd_input_keys(dataset):
     return [
         entry.chunk_file(column)
@@ -71,22 +66,25 @@ def _agd_input_keys(dataset):
     ]
 
 
-def _persona_run(dataset, aligner, store, config=CONFIG):
+def _persona_run(dataset, aligner, store, backend):
     modeled = AGDDataset(dataset.manifest, store)
-    outcome = align_dataset(modeled, aligner, config=config,
-                            output_store=store)
+    outcome = align_dataset(modeled, aligner, config=CONFIG,
+                            output_store=store, backend=backend,
+                            workers=WORKERS)
     return outcome
 
 
-def _standalone_run(dataset, aligner, reference, store, config=CONFIG):
+def _standalone_run(dataset, aligner, reference, store, backend):
     return align_standalone(
         dataset.manifest, store, store, aligner,
-        reference.manifest_entry(), config=config,
+        reference.manifest_entry(), config=CONFIG, backend=backend,
+        workers=WORKERS,
     )
 
 
 @pytest.fixture(scope="module")
-def calibration(bench_reads, bench_reference, bench_aligner, table1_config):
+def calibration(bench_reads, bench_reference, bench_aligner,
+                bench_backend_kind):
     """Unmetered reference runs: compute walls and true byte volumes."""
     from repro.formats.converters import import_reads
 
@@ -97,14 +95,14 @@ def calibration(bench_reads, bench_reference, bench_aligner, table1_config):
     # Persona pure-compute run (counting I/O volumes as a side effect).
     persona_store = CountingStore(dataset.store)
     persona_pure = _persona_run(dataset, bench_aligner, persona_store,
-                                table1_config)
+                                bench_backend_kind)
     # Standalone pure-compute run.
     staging = MemoryStore()
     staged_bytes = stage_fastq_shards(dataset, staging)
     standalone_store = CountingStore(staging)
     standalone_pure = _standalone_run(
         dataset, bench_aligner, bench_reference, standalone_store,
-        table1_config,
+        bench_backend_kind,
     )
     return {
         "dataset": dataset,
@@ -120,7 +118,7 @@ def calibration(bench_reads, bench_reference, bench_aligner, table1_config):
 
 def test_table1_single_server_alignment(
     benchmark, bench_aligner, bench_reference, calibration, report,
-    table1_config,
+    bench_backend_kind,
 ):
     cal = calibration
     dataset = cal["dataset"]
@@ -143,10 +141,10 @@ def test_table1_single_server_alignment(
     stage_fastq_shards(dataset, staging)
     sa_store = ModeledDiskStore(single_disk(), backing=staging)
     sa = _standalone_run(dataset, bench_aligner, bench_reference, sa_store,
-                         table1_config)
+                         bench_backend_kind)
     sa_store.flush()
     pe_store = ModeledDiskStore(single_disk(), backing=dataset.store)
-    pe = _persona_run(dataset, bench_aligner, pe_store, table1_config)
+    pe = _persona_run(dataset, bench_aligner, pe_store, bench_backend_kind)
     pe_store.flush()
     results["single"] = (sa.wall_seconds, pe.wall_seconds)
 
@@ -155,9 +153,9 @@ def test_table1_single_server_alignment(
     stage_fastq_shards(dataset, staging)
     sa_store = ModeledDiskStore(raid0(6, single_bw), backing=staging)
     sa = _standalone_run(dataset, bench_aligner, bench_reference, sa_store,
-                         table1_config)
+                         bench_backend_kind)
     pe_store = ModeledDiskStore(raid0(6, single_bw), backing=dataset.store)
-    pe = _persona_run(dataset, bench_aligner, pe_store, table1_config)
+    pe = _persona_run(dataset, bench_aligner, pe_store, bench_backend_kind)
     results["raid"] = (sa.wall_seconds, pe.wall_seconds)
 
     # --- Network (Ceph-like object store) -----------------------------------
@@ -174,12 +172,12 @@ def test_table1_single_server_alignment(
     for key in staging.keys():
         c1._objects.put("sa/" + key, staging.get(key))
     sa = _standalone_run(dataset, bench_aligner, bench_reference,
-                         CephStore(c1, prefix="sa/"), table1_config)
+                         CephStore(c1, prefix="sa/"), bench_backend_kind)
     c2 = cluster()
     for key in _agd_input_keys(dataset):
         c2._objects.put("pe/" + key, dataset.store.get(key))
     pe = _persona_run(dataset, bench_aligner, CephStore(c2, prefix="pe/"),
-                      table1_config)
+                      bench_backend_kind)
     results["network"] = (sa.wall_seconds, pe.wall_seconds)
 
     # ---------------------------------------------------------------- report
@@ -216,7 +214,7 @@ def test_table1_single_server_alignment(
         lambda: _persona_run(
             dataset, bench_aligner,
             ModeledDiskStore(raid0(6, single_bw), backing=dataset.store),
-            table1_config,
+            bench_backend_kind,
         ),
         rounds=1, iterations=1,
     )

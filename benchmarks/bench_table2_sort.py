@@ -22,7 +22,6 @@ import pytest
 from repro.core.baselines import PicardLikeSorter, SamtoolsLikeSorter
 from repro.core.pipelines import align_dataset
 from repro.core.sort import SortConfig, sort_dataset, verify_sorted
-from repro.core.subgraphs import AlignGraphConfig
 from repro.formats.bam import read_bam
 from repro.formats.converters import export_sam
 from repro.storage.base import MemoryStore
@@ -37,7 +36,7 @@ def aligned_world(bench_reads, bench_reference, bench_aligner):
         reference=bench_reference.manifest_entry(),
     )
     align_dataset(dataset, bench_aligner,
-                  config=AlignGraphConfig(executor_threads=1))
+                  workers=1)
     sam_buf = io.BytesIO()
     export_sam(dataset, sam_buf)
     return dataset, sam_buf.getvalue()

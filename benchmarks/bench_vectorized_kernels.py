@@ -43,7 +43,6 @@ from repro.core.dupmark import DupmarkStats, mark_duplicates
 from repro.core.ops import ChunkWorkItem, VarCallNode
 from repro.core.pipelines import align_dataset
 from repro.core.sort import SortConfig, sort_dataset
-from repro.core.subgraphs import AlignGraphConfig
 from repro.core.varcall import (
     VarCallConfig,
     call_from_pileup,
@@ -79,7 +78,7 @@ def aligned_world(bench_reads, bench_reference, bench_aligner):
         reference=bench_reference.manifest_entry(),
     )
     align_dataset(dataset, bench_aligner,
-                  config=AlignGraphConfig(executor_threads=1))
+                  workers=1)
     return dataset
 
 

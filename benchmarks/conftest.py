@@ -12,7 +12,6 @@ our measured value, and the *shape* property that must hold.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,12 +36,6 @@ def pytest_addoption(parser):
              "(default: thread)",
     )
     group.addoption(
-        "--bench-batch-size",
-        type=int,
-        default=None,
-        help="process-backend payloads per IPC message",
-    )
-    group.addoption(
         "--bench-workers",
         type=int,
         default=2,
@@ -56,25 +49,8 @@ def bench_backend_kind(request) -> str:
 
 
 @pytest.fixture(scope="session")
-def bench_batch_size(request) -> "int | None":
-    return request.config.getoption("--bench-batch-size")
-
-
-@pytest.fixture(scope="session")
 def bench_workers(request) -> int:
     return request.config.getoption("--bench-workers")
-
-
-@pytest.fixture(scope="session")
-def backendize(bench_backend_kind, bench_batch_size):
-    """Rewrite an AlignGraphConfig to the backend selected on the CLI."""
-
-    def apply(config):
-        return replace(
-            config, backend=bench_backend_kind, batch_size=bench_batch_size
-        )
-
-    return apply
 
 
 BENCH_GENOME = 150_000

@@ -21,7 +21,7 @@ from repro.cluster import (
     saturation_point,
     scaling_series,
 )
-from repro.core import AlignGraphConfig, build_snap_aligner
+from repro.core import build_snap_aligner
 from repro.formats import import_reads
 from repro.genome import synthetic_dataset
 from repro.storage import CephConfig, CephStore, SimulatedCephCluster
@@ -51,7 +51,7 @@ def main() -> None:
         aligner_factory=lambda sid: aligner,
         output_store_factory=lambda sid: CephStore(ceph, prefix="out/"),
         num_servers=4,
-        config=AlignGraphConfig(executor_threads=1),
+        workers=1,
     )
     for server in outcome.servers:
         print(f"  server {server.server_id}: {server.chunks} chunks, "

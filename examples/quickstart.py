@@ -7,7 +7,7 @@ dataflow engine, and prints throughput in the paper's units.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import AlignGraphConfig, align_dataset, build_snap_aligner
+from repro.core import align_dataset, build_snap_aligner
 from repro.formats import import_reads
 from repro.genome import synthetic_dataset
 from repro.metrics import format_bases_rate
@@ -37,7 +37,7 @@ def main() -> None:
     # and run the Figure 3 pipeline: reader -> parser -> aligner -> writer.
     aligner = build_snap_aligner(reference)
     outcome = align_dataset(
-        dataset, aligner, config=AlignGraphConfig(executor_threads=2)
+        dataset, aligner, workers=2
     )
     print(f"aligned {outcome.total_reads:,} reads "
           f"({outcome.total_bases:,} bases) in {outcome.wall_seconds:.2f}s "

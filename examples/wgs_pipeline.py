@@ -103,8 +103,7 @@ def main() -> None:
         stages=("align", "sort", "dupmark", "varcall"),
         aligner=aligner,
         reference=reference,
-        align_config=AlignGraphConfig(executor_threads=2, paired=True,
-                                      subchunk_size=128),
+        align_config=AlignGraphConfig(paired=True, subchunk_size=128),
         sort_config=SortConfig(chunks_per_superchunk=4),
         varcall_config=VarCallConfig(min_mapq=20),
         backend="thread",

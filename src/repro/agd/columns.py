@@ -136,10 +136,6 @@ class RaggedColumn:
         """Byte length of each record in ``flat``."""
         return self.bounds[1:] - self.bounds[:-1]
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.flat.nbytes) + int(self.bounds.nbytes)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             lo, hi, step = index.indices(len(self))

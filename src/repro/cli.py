@@ -139,13 +139,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
     reference = read_fasta(args.reference)
     aligner = _build_aligner(args, reference)
     dataset.manifest.reference = reference.manifest_entry()
-    config = AlignGraphConfig(
-        executor_threads=args.threads,
-        aligner_nodes=max(1, args.threads // 2),
-        backend=args.backend,
-        batch_size=args.batch_size,
-    )
-    outcome = align_dataset(dataset, aligner, config=config)
+    config = AlignGraphConfig(aligner_nodes=max(1, args.threads // 2))
+    outcome = align_dataset(dataset, aligner, config=config,
+                            backend=args.backend, workers=args.threads)
     dataset.save_manifest(args.dataset_dir)
     print(
         f"aligned {outcome.total_reads} reads "
@@ -243,9 +239,7 @@ def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
         stages,
         reference=reference,
         align_config=AlignGraphConfig(
-            executor_threads=args.workers,
-            aligner_nodes=max(1, args.workers // 2),
-        ),
+            aligner_nodes=max(1, args.workers // 2)),
         sort_config=_sort_config(args),
         filter_predicate=(by_min_mapq(args.min_mapq)
                           if args.min_mapq is not None else None),
@@ -256,7 +250,6 @@ def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
         ledger=(_open_ledger(args) if hasattr(args, "ledger_dir") else None),
         backend=args.backend,
         workers=args.workers,
-        batch_size=args.batch_size,
     )
     aligner = _build_aligner(args, reference) if "align" in hosted else None
     return spec, aligner
@@ -744,12 +737,6 @@ def _add_backend_options(
         choices=BACKEND_CHOICES,
         default=default,
         help=f"execution backend for the align kernels (default: {default})",
-    )
-    p.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="task payloads per IPC message (process backend)",
     )
     if with_workers:
         p.add_argument(

@@ -547,7 +547,6 @@ def run_placed_pipeline(
     align_results_store_factory=None,
     backend: "str | Backend" = "serial",
     workers: int = 2,
-    batch_size: "int | None" = None,
     transport: str = "local",
     host: str = "127.0.0.1",
     port: int = 0,
@@ -598,7 +597,7 @@ def run_placed_pipeline(
         sort_config=sort_config, varcall_config=varcall_config,
         filter_predicate=filter_predicate, output_store=output_store,
         filter_store=filter_store, ledger=ledger, backend=backend,
-        workers=workers, batch_size=batch_size,
+        workers=workers,
     )
     if transport not in ("local", "tcp"):
         raise ValueError(f"unknown transport {transport!r} "
@@ -696,6 +695,7 @@ def run_multi_server_alignment(
     num_servers: int,
     config: "AlignGraphConfig | None" = None,
     session_timeout: float = 600.0,
+    workers: int = 4,
 ) -> MultiServerOutcome:
     """Align one dataset across ``num_servers`` in-process servers.
 
@@ -707,11 +707,11 @@ def run_multi_server_alignment(
     ``aligner_factory(server_id)`` returns the per-server aligner (in
     reality each server loads its own copy of the reference index);
     ``output_store_factory(server_id)`` returns that server's handle to
-    the shared output store.
+    the shared output store.  Each server aligns on its own thread
+    backend of ``workers`` threads.
     """
     if num_servers <= 0:
         raise ValueError("need at least one server")
-    config = config or AlignGraphConfig()
     plan = PlacementPlan.replicated_align(num_servers)
 
     def server_id(server: str) -> int:
@@ -725,9 +725,8 @@ def run_multi_server_alignment(
             server_id(server)
         ),
         align_config=config,
-        backend=config.backend,
-        workers=config.executor_threads,
-        batch_size=config.batch_size,
+        backend="thread",
+        workers=workers,
         session_timeout=session_timeout,
     )
     result = MultiServerOutcome(wall_seconds=outcome.wall_seconds)

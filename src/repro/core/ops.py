@@ -188,8 +188,7 @@ class AlignerNode(Node):
     queue."
 
     The backend (serial, thread, or process) comes from the session
-    resource registry; a legacy raw :class:`Executor` resource is
-    adapted transparently.
+    resource registry.
     """
 
     def __init__(
@@ -210,11 +209,6 @@ class AlignerNode(Node):
         # Durable-run hook (ledger.StageJournal): lets a resumed run adopt
         # journaled, digest-verified results instead of re-aligning.
         self.journal = journal
-
-    @property
-    def executor_handle(self) -> str:
-        """Pre-backend name for :attr:`backend_handle` (compatibility)."""
-        return self.backend_handle
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
         if self.journal is not None:

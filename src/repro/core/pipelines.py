@@ -133,30 +133,14 @@ def _count_dataset_bases(dataset: AGDDataset) -> int:
     return total
 
 
-def _apply_backend_choice(
-    config: "AlignGraphConfig | None",
-    backend: "str | Backend | None",
-    batch_size: "int | None",
-) -> "AlignGraphConfig | None":
-    """Fold explicit ``backend=`` / ``batch_size=`` args into a config."""
-    if backend is None and batch_size is None:
-        return config
-    config = replace(config) if config is not None else AlignGraphConfig()
-    if backend is not None:
-        config.backend = backend
-    if batch_size is not None:
-        config.batch_size = batch_size
-    return config
-
-
 def align_dataset(
     dataset: AGDDataset,
     aligner,
     config: "AlignGraphConfig | None" = None,
     output_store: "ChunkStore | None" = None,
     session_timeout: "float | None" = 600.0,
-    backend: "str | Backend | None" = None,
-    batch_size: "int | None" = None,
+    backend: "str | Backend" = "thread",
+    workers: int = 4,
 ) -> AlignOutcome:
     """Align a dataset, appending a results column (Figure 3 end to end):
     the align stage closed by a counting sink.
@@ -166,16 +150,14 @@ def align_dataset(
     "unified storage of all genomic data for a given patient" (§1).
 
     ``backend`` selects the compute substrate (``"serial"``,
-    ``"thread"``, ``"process"``, or a :class:`Backend` instance) and
-    overrides ``config.backend``; ``batch_size`` likewise tunes the
-    process backend's IPC batching.
+    ``"thread"`` or ``"process"``, made with ``workers`` workers and
+    shut down here) or is a pre-built :class:`Backend` instance, which
+    stays the caller's and must not have started its workers yet (the
+    align stage registers the aligner on it).  For utilization traces
+    (Fig. 5), pass one made with ``make_backend(..., busy_counter=...)``.
     """
-    config = _apply_backend_choice(config, backend, batch_size) \
-        or AlignGraphConfig()
     spec = PipelineSpec(dataset, ("align",), align_config=config,
-                        backend=config.backend,
-                        workers=config.executor_threads,
-                        batch_size=config.batch_size)
+                        backend=backend, workers=workers)
     site = ServerSite(aligner=aligner,
                       backend=spec.make_backend("align", spec.stages),
                       align_results_store=output_store)
@@ -237,17 +219,16 @@ def align_standalone(
     contigs: "list[dict]",
     config: "AlignGraphConfig | None" = None,
     session_timeout: "float | None" = 600.0,
-    backend: "str | Backend | None" = None,
-    batch_size: "int | None" = None,
+    backend: "str | Backend" = "thread",
+    workers: int = 4,
 ) -> AlignOutcome:
     """Run the standalone-tool baseline (Table 1): gzip'd FASTQ in, SAM
     text out.  The Figure 3 wiring of the align stage with its reader,
     parser and writer swapped for row-oriented ones — the extra read and
-    (especially) write volume Table 1 quantifies."""
-    config = _apply_backend_choice(config, backend, batch_size) \
-        or AlignGraphConfig()
-    made = make_backend(config.backend, workers=config.executor_threads,
-                        batch_size=config.batch_size,
+    (especially) write volume Table 1 quantifies.  ``backend`` and
+    ``workers`` as for :func:`align_dataset`."""
+    config = config or AlignGraphConfig()
+    made = make_backend(backend, workers=workers,
                         name="standalone.backend")
     try:
         g = Graph("standalone")
@@ -270,7 +251,7 @@ def align_standalone(
         start = time.monotonic()
         result = Session(g).run(timeout=session_timeout)
     finally:
-        if made is not config.backend:  # an instance stays the caller's
+        if made is not backend:  # an instance stays the caller's
             made.shutdown()
     wall = time.monotonic() - start
     return AlignOutcome(
@@ -320,7 +301,6 @@ class PipelineSpec:
     #: a pre-built instance (shared, caller-owned).
     backend: "str | Backend" = "thread"
     workers: int = 4
-    batch_size: "int | None" = None
 
     def __post_init__(self) -> None:
         fill = object.__setattr__
@@ -358,7 +338,6 @@ class PipelineSpec:
         if "align" not in hosted:
             return None
         return make_backend(self.backend, workers=self.workers,
-                            batch_size=self.batch_size,
                             name=f"{server}.backend")
 
     def shutdown_backend(self, backend: "Backend | None",
@@ -516,7 +495,6 @@ def run_pipeline(
     scratch_store: "ChunkStore | None" = None,
     backend: "str | Backend" = "thread",
     workers: int = 4,
-    batch_size: "int | None" = None,
     session_timeout: "float | None" = None,
     name: str = "pipeline",
     queue_sample_interval: "float | None" = None,
@@ -536,8 +514,8 @@ def run_pipeline(
 
     The align stage dispatches its subchunks to a compute backend:
     ``backend`` (a name or a pre-built instance; a pre-built process
-    backend must not have started its workers), ``workers`` and
-    ``batch_size`` configure it.  Every other stage computes on its own
+    backend must not have started its workers) and ``workers`` name it;
+    nothing else does.  Every other stage computes on its own
     node threads, and a run without an align stage makes no backend at
     all.  ``output_store`` receives the sorted
     dataset (default: a fresh in-memory store); ``scratch_store`` holds
@@ -573,7 +551,7 @@ def run_pipeline(
         sort_config=sort_config, varcall_config=varcall_config,
         filter_predicate=filter_predicate, output_store=output_store,
         filter_store=filter_store, ledger=ledger, backend=backend,
-        workers=workers, batch_size=batch_size,
+        workers=workers,
     )
     _check_stage_requirements(spec, aligner)
     if ledger is not None:

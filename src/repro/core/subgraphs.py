@@ -58,9 +58,13 @@ if TYPE_CHECKING:
 
 @dataclass
 class AlignGraphConfig:
-    """Knobs for the standard alignment graph."""
+    """Knobs for the standard alignment graph: its shape, nothing else.
 
-    executor_threads: int = 4
+    The compute backend the aligner dispatches to is not a graph knob:
+    the entry point that runs the graph names it, by ``backend=`` and
+    ``workers=``, makes it and shuts it down.
+    """
+
     aligner_nodes: int = 2
     reader_nodes: int = 2
     parser_nodes: int = 2
@@ -68,16 +72,6 @@ class AlignGraphConfig:
     subchunk_size: int = 512
     queue_depth: "int | None" = None  # default: downstream parallelism
     paired: bool = False
-    #: Execution substrate for the compute kernels: "serial", "thread",
-    #: "process", or a pre-built Backend instance (owned by the caller).
-    #: Whoever runs the graph makes the backend (``make_backend``) and
-    #: shuts it down; the align stage registers its aligner on it and
-    #: starts it, so a pre-built process backend must not have started
-    #: its workers yet.  For utilization traces (Fig. 5), pass an
-    #: instance made with ``make_backend(..., busy_counter=...)``.
-    backend: "str | Backend" = "thread"
-    #: Payloads per IPC message (process backend only; None = default).
-    batch_size: "int | None" = None
 
 
 @dataclass

@@ -6,7 +6,6 @@ from repro.dataflow.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    as_backend,
     make_backend,
 )
 from repro.dataflow.errors import (
@@ -40,7 +39,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
-    "as_backend",
     "make_backend",
     "Buffer",
     "BufferPool",

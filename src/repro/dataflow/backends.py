@@ -19,12 +19,13 @@ Three backends ship here:
     numpy) and for overlap of I/O with compute.
 
 ``ProcessBackend``
-    Forked worker processes, one pipe each, with chunk-level *batching*
-    to amortize IPC cost: each batch crosses the process boundary as one
-    message.  Shared read-only resources (e.g. a multi-gigabyte aligner
-    index) are inherited at ``fork`` (pickled once per worker under
-    ``spawn``), never shipped per task.  The one backend that can put
-    pure-Python compute on a second core.
+    Forked worker processes, one pipe each; up to
+    :data:`DEFAULT_BATCH_SIZE` payloads cross the process boundary as
+    one message, amortizing IPC cost on large chunks.  Shared read-only
+    resources (e.g. a multi-gigabyte aligner index) are inherited at
+    ``fork`` (pickled once per worker under ``spawn``), never shipped
+    per task.  The one backend that can put pure-Python compute on a
+    second core.
 
 The task contract is deliberately data-oriented so every backend can run
 the same work: ``fn(shared, payload) -> result`` where ``fn`` is a
@@ -33,6 +34,9 @@ picklable value, and ``shared`` is a mapping of pre-registered resources.
 Results come back in payload order; the first task error re-raises in the
 caller — across process boundaries too, where a worker that *dies* is an
 error as well (see :class:`ProcessBackend`).
+
+A run names its backend once, by ``backend=`` and ``workers=`` on its
+entry point; :func:`make_backend` turns that recipe into an instance.
 """
 
 from __future__ import annotations
@@ -53,51 +57,7 @@ BACKEND_CHOICES = ("serial", "thread", "process")
 #: and pipe round-trips; one subchunk payload is typically a few KB).
 DEFAULT_BATCH_SIZE = 4
 
-#: Byte budget per IPC batch.  Batching exists to amortize per-message
-#: overhead for *small* payloads; vectorized kernels ship large array or
-#: blob payloads where grouping only adds latency and peak memory, so a
-#: batch closes early once it holds this many estimated bytes.
-DEFAULT_BATCH_BYTES = 1 << 20
-
-#: Containers nested deeper than this stop being walked and round to the
-#: nominal object cost — payload estimation must stay O(payload), even
-#: for pathologically nested inputs.
-_NBYTES_MAX_DEPTH = 8
-
 TaskFn = Callable[[Mapping[str, Any], Any], Any]
-
-
-def payload_nbytes(payload: Any, _depth: int = 0) -> int:
-    """Estimated serialized size of a task payload.
-
-    Counts the dominant bulk carriers (numpy arrays, byte strings, and
-    their containers — dict *keys* as well as values); scalars and small
-    objects round to a nominal cost.  Recursion is capped at
-    ``_NBYTES_MAX_DEPTH`` container levels.  This is a *batching
-    heuristic*, not an exact pickle size.
-    """
-    if isinstance(payload, memoryview):
-        # len() counts first-axis items, which undercounts any view
-        # that is multi-dimensional or wider than one byte per item.
-        return payload.nbytes
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload)
-    nbytes = getattr(payload, "nbytes", None)
-    if nbytes is not None:  # numpy arrays (and anything array-like)
-        return int(nbytes)
-    if _depth >= _NBYTES_MAX_DEPTH:
-        return 64
-    if isinstance(payload, (tuple, list, set, frozenset)):
-        return 16 + sum(payload_nbytes(item, _depth + 1)
-                        for item in payload)
-    if isinstance(payload, dict):
-        return 16 + sum(
-            payload_nbytes(k, _depth + 1) + payload_nbytes(v, _depth + 1)
-            for k, v in payload.items()
-        )
-    return 64
 
 
 class Backend(abc.ABC):
@@ -166,12 +126,6 @@ class Backend(abc.ABC):
     def shutdown(self, wait: bool = True) -> None:
         """Release worker threads/processes (idempotent)."""
 
-    # ---------------------------------------------------------------- sugar
-
-    def map(self, fn: TaskFn, payloads: Sequence[Any], **kwargs) -> list:
-        """Alias for :meth:`run_chunk` (the map-like mental model)."""
-        return self.run_chunk(fn, payloads, **kwargs)
-
     def __enter__(self) -> "Backend":
         return self
 
@@ -237,12 +191,8 @@ class SerialBackend(Backend):
 
 
 class ThreadBackend(Backend):
-    """The paper's fine-grain thread executor behind the backend API.
-
-    Either owns a fresh :class:`Executor` or wraps an existing one
-    (``executor=``) without taking ownership — the latter is how legacy
-    code that registered a raw ``Executor`` resource keeps working.
-    """
+    """The paper's fine-grain thread executor behind the backend API:
+    owns one :class:`Executor` of ``workers`` threads."""
 
     name = "thread"
 
@@ -250,33 +200,12 @@ class ThreadBackend(Backend):
         self,
         workers: int = 4,
         name: str = "thread-backend",
-        executor: "Executor | None" = None,
         busy_counter: "BusyCounter | None" = None,
-        queue_depth: "int | None" = None,
     ):
         super().__init__()
-        if executor is not None:
-            if busy_counter is not None or queue_depth is not None:
-                raise ValueError(
-                    "busy_counter/queue_depth cannot be applied to an "
-                    "existing executor; configure them on the Executor "
-                    "itself"
-                )
-            self.executor = executor
-            self._owns_executor = False
-        else:
-            self.executor = Executor(
-                workers,
-                name=f"{name}.executor",
-                queue_depth=queue_depth,
-                busy_counter=busy_counter,
-            )
-            self._owns_executor = True
+        self.executor = Executor(workers, name=f"{name}.executor",
+                                 busy_counter=busy_counter)
         self.workers = self.executor.num_threads
-
-    @property
-    def stats(self):
-        return self.executor.stats
 
     def run_chunk(
         self,
@@ -299,8 +228,7 @@ class ThreadBackend(Backend):
         return results
 
     def shutdown(self, wait: bool = True) -> None:
-        if self._owns_executor:
-            self.executor.shutdown(wait=wait)
+        self.executor.shutdown(wait=wait)
 
 
 # --------------------------------------------------------------------------
@@ -379,11 +307,12 @@ def resolve_start_method(preferred: "str | None" = None) -> str:
 class ProcessBackend(Backend):
     """Compute on forked worker processes, one duplex pipe each.
 
-    Payloads are grouped into batches of ``batch_size``; a batch is one
-    ``send`` down an idle worker's pipe and one reply back.  Idle
-    workers sit in one LIFO shared by every caller, and the thread that
-    sends is the thread that waits (``connection.wait`` on the pipes it
-    holds): no dispatcher, no helper threads.
+    Payloads are grouped into batches of ``batch_size`` (a constant,
+    :data:`DEFAULT_BATCH_SIZE`, everywhere but the backend's own tests);
+    a batch is one ``send`` down an idle worker's pipe and one reply
+    back.  Idle workers sit in one LIFO shared by every caller, and the
+    thread that sends is the thread that waits (``connection.wait`` on
+    the pipes it holds): no dispatcher, no helper threads.
 
     Workers start on :meth:`start` (or lazily on the first
     :meth:`run_chunk`) so that :meth:`register_shared` can be called
@@ -426,7 +355,6 @@ class ProcessBackend(Backend):
         name: str = "process-backend",
         start_method: "str | None" = None,
         busy_counter: "BusyCounter | None" = None,
-        batch_bytes: int = DEFAULT_BATCH_BYTES,
     ):
         super().__init__()
         if workers is None:
@@ -435,11 +363,8 @@ class ProcessBackend(Backend):
             raise ValueError("process backend needs at least one worker")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if batch_bytes <= 0:
-            raise ValueError("batch_bytes must be positive")
         self.workers = workers
         self.batch_size = batch_size
-        self.batch_bytes = batch_bytes
         self.start_method = resolve_start_method(start_method)
         #: ``(process, parent-side connection)`` per worker; the idle
         #: ones are also in ``_idle``.
@@ -449,33 +374,11 @@ class ProcessBackend(Backend):
         self._lock = threading.Lock()
         self._busy_counter = busy_counter
 
-    def _make_batches(self, payloads: Sequence[Any]) -> "list[list[Any]]":
-        """Group payloads into IPC batches, size- and byte-bounded.
-
-        Small payloads group up to ``batch_size`` per message (amortizing
-        pickling and pipe round-trips); a batch also closes once its
-        estimated bytes reach ``batch_bytes``, so large array/blob
-        payloads from vectorized kernels ship one (or few) per message
-        and start executing immediately instead of queueing behind their
-        batch-mates.
-        """
-        batches: list[list[Any]] = []
-        current: list[Any] = []
-        current_bytes = 0
-        for payload in payloads:
-            size = payload_nbytes(payload)
-            if current and (
-                len(current) >= self.batch_size
-                or current_bytes + size > self.batch_bytes
-            ):
-                batches.append(current)
-                current = []
-                current_bytes = 0
-            current.append(payload)
-            current_bytes += size
-        if current:
-            batches.append(current)
-        return batches
+    def _make_batches(self, payloads: Sequence[Any]) -> "list[Sequence]":
+        """Consecutive slices of ``batch_size`` payloads, one per IPC
+        message."""
+        return [payloads[lo:lo + self.batch_size]
+                for lo in range(0, len(payloads), self.batch_size)]
 
     # --------------------------------------------------------- worker mgmt
 
@@ -626,7 +529,6 @@ class ProcessBackend(Backend):
 def make_backend(
     kind: "str | Backend",
     workers: int = 4,
-    batch_size: "int | None" = None,
     busy_counter: "BusyCounter | None" = None,
     name: str = "backend",
 ) -> Backend:
@@ -641,29 +543,9 @@ def make_backend(
         )
     if kind == "process":
         return ProcessBackend(
-            workers=workers,
-            # None means default; 0 must reach the validator, not coalesce.
-            batch_size=(DEFAULT_BATCH_SIZE if batch_size is None
-                        else batch_size),
-            name=name,
-            busy_counter=busy_counter,
+            workers=workers, name=name, busy_counter=busy_counter
         )
     raise ValueError(
         f"unknown backend {kind!r} (choices: {', '.join(BACKEND_CHOICES)})"
     )
 
-
-def as_backend(resource: Any) -> Backend:
-    """Adapt a session resource into a :class:`Backend`.
-
-    Graphs built before the backend abstraction registered a raw
-    :class:`Executor` under the ``"executor"`` handle; kernels adapt it
-    on the fly so both old and new resources work.
-    """
-    if isinstance(resource, Backend):
-        return resource
-    if isinstance(resource, Executor):
-        return ThreadBackend(executor=resource)
-    raise TypeError(
-        f"cannot use {type(resource).__name__} as an execution backend"
-    )

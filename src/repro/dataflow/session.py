@@ -24,6 +24,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.dataflow.backends import Backend
 from repro.dataflow.errors import (
     PipelineAborted,
     PipelineError,
@@ -51,19 +52,21 @@ class NodeContext:
     #: failure, the node that raised.
     executing: "Node | None" = None
 
-    def backend(self, handle: str = "executor"):
+    def backend(self, handle: str = "executor") -> Backend:
         """Resolve an execution backend from the session resource registry.
 
-        Compute kernels are backend-agnostic: the registry may hold any
-        :class:`~repro.dataflow.backends.Backend` (serial, thread,
-        process) or a legacy raw :class:`~repro.dataflow.executor.
-        Executor`, which is adapted on the fly.  In-process backends
-        additionally see the whole resource registry as their shared
-        mapping, so task functions can look up resources by handle.
+        Compute kernels are backend-agnostic: the registry holds a
+        :class:`~repro.dataflow.backends.Backend` (serial, thread or
+        process), returned as is; anything else is a ``TypeError``.
+        In-process backends additionally see the whole resource registry
+        as their shared mapping, so task functions can look up resources
+        by handle.
         """
-        from repro.dataflow.backends import as_backend
-
-        return as_backend(self.resources.get(handle))
+        resource = self.resources.get(handle)
+        if not isinstance(resource, Backend):
+            raise TypeError(f"cannot use {type(resource).__name__} as an "
+                            f"execution backend")
+        return resource
 
 
 @dataclass

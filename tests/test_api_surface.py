@@ -12,6 +12,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser
 from repro.genome.synthetic import ReadSimulator
 
@@ -19,13 +21,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The keyword entry points: everything a run can be told, spelled out
 #: once.  Below them a run travels as a ``PipelineSpec``.
-ENTRY_POINTS = {"run_pipeline": 18, "run_placed_pipeline": 28}
+ENTRY_POINTS = {"run_pipeline": 17, "run_placed_pipeline": 27}
 #: Where the spec is interpreted, nothing re-lists its fields.
 SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
 #: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
 LIMIT = 12
-CLI_OPTION_LIMIT = 86
+CLI_OPTION_LIMIT = 82
 RUN_PLACED_PIPELINE_LINES = 107
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
 #: the write-behind lane carries is read off the graph, never passed in.
@@ -189,6 +191,33 @@ PAYLOAD_PLANE_NAMES = (
 def test_no_worker_payload_plane():
     found = _occurrences(rf"\b({'|'.join(PAYLOAD_PLANE_NAMES)})\b")
     assert not found, "\n".join(found)
+
+
+#: The compute backend is named once, by ``backend=``/``workers=`` on the
+#: entry point: no batch-size knob or its byte estimator, no backend
+#: fields on the graph config, no adapter for a raw ``Executor``.
+BACKEND_KNOB_NAMES = ("batch_bytes", "payload_nbytes", "as_backend",
+                      "_apply_backend_choice")
+
+
+def test_backend_is_named_once():
+    from repro.core.ops import AlignerNode
+    from repro.core.paired_bwa import BwaPairedAlignerNode
+    from repro.core.pipelines import PipelineSpec
+    from repro.core.subgraphs import AlignGraphConfig
+
+    config_fields = {f.name for f in dataclasses.fields(AlignGraphConfig)}
+    assert not config_fields & {"backend", "executor_threads", "batch_size"}
+    with pytest.raises(TypeError):
+        AlignGraphConfig(backend="process")
+    assert "batch_size" not in {f.name for f in dataclasses.fields(
+        PipelineSpec)}
+    found = _occurrences(rf"\b({'|'.join(BACKEND_KNOB_NAMES)})\b")
+    assert not found, "\n".join(found)
+    assert not hasattr(AlignerNode, "executor_handle")
+    # The paired BWA node's executor is a real handle, not an alias.
+    assert "executor_handle" in inspect.signature(
+        BwaPairedAlignerNode).parameters
 
 
 def test_replicability_is_read_off_the_stage_table():

@@ -30,11 +30,12 @@ from repro.dataflow.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    as_backend,
     make_backend,
     resolve_start_method,
 )
-from repro.dataflow.executor import BusyCounter, Executor
+from repro.dataflow.executor import BusyCounter
+from repro.dataflow.resources import ResourceManager
+from repro.dataflow.session import NodeContext
 
 ALL_BACKENDS = list(BACKEND_CHOICES)
 
@@ -105,7 +106,10 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(params=ALL_BACKENDS)
 def any_backend(request):
-    backend = make_backend(request.param, workers=2, batch_size=2)
+    # Process: two payloads per message, so a chunk is several batches.
+    backend = (ProcessBackend(workers=2, batch_size=2)
+               if request.param == "process"
+               else make_backend(request.param, workers=2))
     yield backend
     backend.shutdown()
 
@@ -135,7 +139,7 @@ class TestBackendContract:
     def test_identical_results_across_backends(self):
         results = {}
         for kind in ALL_BACKENDS:
-            backend = make_backend(kind, workers=2, batch_size=3)
+            backend = make_backend(kind, workers=2)
             try:
                 results[kind] = backend.run_chunk(square_task, list(range(25)))
             finally:
@@ -165,24 +169,17 @@ class TestMakeBackend:
         backend = SerialBackend()
         assert make_backend(backend) is backend
 
-    def test_as_backend_wraps_legacy_executor(self):
-        executor = Executor(2)
-        try:
-            backend = as_backend(executor)
-            assert isinstance(backend, ThreadBackend)
-            assert backend.executor is executor
-            assert backend.run_chunk(square_task, [4]) == [16]
-            # Wrapper does not own the executor: shutdown leaves it alive.
-            backend.shutdown()
-            assert backend.run_chunk(square_task, [5]) == [25]
-        finally:
-            executor.shutdown()
-
     def test_as_backend_passthrough_and_rejection(self):
+        """A kernel's ``ctx.backend`` returns the registered Backend
+        itself and rejects anything else."""
+        resources = ResourceManager()
+        ctx = NodeContext(resources, BusyCounter(), threading.Lock())
         backend = SerialBackend()
-        assert as_backend(backend) is backend
+        resources.register("executor", backend)
+        assert ctx.backend() is backend
+        resources.register("other", object())
         with pytest.raises(TypeError):
-            as_backend(object())
+            ctx.backend("other")
 
 
 class TestSerialBackend:
@@ -448,12 +445,17 @@ def test_alignment_pipeline_per_backend(
 ):
     """The acceptance property: align_dataset(backend=...) produces the
     same alignment results on the synthetic genome for every backend."""
-    config = AlignGraphConfig(
-        executor_threads=2, aligner_nodes=2, subchunk_size=32, batch_size=2,
-    )
-    outcome = align_dataset(
-        dataset, snap_aligner, config=config, backend=kind
-    )
+    config = AlignGraphConfig(aligner_nodes=2, subchunk_size=32)
+    # Process: two subchunks per message, so a chunk is several batches.
+    backend = ProcessBackend(workers=2, batch_size=2) \
+        if kind == "process" else kind
+    try:
+        outcome = align_dataset(
+            dataset, snap_aligner, config=config, backend=backend, workers=2
+        )
+    finally:
+        if kind == "process":
+            backend.shutdown()
     assert outcome.total_reads == dataset.total_records
     assert dataset.read_column("results") == aligned_results
 

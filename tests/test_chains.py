@@ -21,7 +21,7 @@ from repro.core.ledger import JournaledStore, RunLedger
 from repro.core.ops import AckSinkNode
 from repro.core.pipelines import PipelineSpec, run_pipeline
 from repro.core.sort import SortConfig, sort_dataset
-from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite
+from repro.core.subgraphs import STAGES, ServerSite
 from repro.core.varcall import VarCallConfig, call_variants
 from repro.dataflow.errors import PipelineError
 from repro.dataflow.errors import PipelineAborted
@@ -326,8 +326,7 @@ class TestThreadBudget:
             reference=reference.manifest_entry())
         threads, blobs = self.run(
             dataset, ("align", "sort", "dupmark", "varcall"), reference,
-            tmp_path, monkeypatch, aligner=snap_aligner, backend="serial",
-            align_config=AlignGraphConfig(executor_threads=2))
+            tmp_path, monkeypatch, aligner=snap_aligner, backend="serial")
         assert len(threads) <= 9, threads
         assert blobs == eager_bytes(aligned_on_disk, reference)
 

@@ -309,6 +309,11 @@ class TestClusterErrorsMatchPipeline:
             ["pipeline", str(ds_dir), "--merge-partitions", "2"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align",
              "--raw-scratch", "on"],
+            # The backend is named by --backend/--workers alone.
+            ["align", str(ds_dir), "--reference", "r", "--batch-size", "2"],
+            ["pipeline", str(ds_dir), "--batch-size", "2"],
+            ["cluster", "run", str(ds_dir), "--plan", "A=align",
+             "--batch-size", "2"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -759,25 +759,9 @@ class TestPayloadBatching:
     def test_small_payloads_batch_by_count(self):
         from repro.dataflow.backends import ProcessBackend
 
-        backend = ProcessBackend(workers=1, batch_size=4)
+        backend = ProcessBackend(workers=1)  # DEFAULT_BATCH_SIZE: 4
         batches = backend._make_batches([b"x"] * 10)
         assert [len(b) for b in batches] == [4, 4, 2]
-
-    def test_large_array_payloads_split(self):
-        from repro.dataflow.backends import ProcessBackend
-
-        backend = ProcessBackend(workers=1, batch_size=4,
-                                 batch_bytes=1 << 16)
-        big = np.zeros(1 << 15, dtype=np.int64)  # 256 KiB each
-        batches = backend._make_batches([big, big, big])
-        assert [len(b) for b in batches] == [1, 1, 1]
-
-    def test_payload_nbytes_walks_containers(self):
-        from repro.dataflow.backends import payload_nbytes
-
-        arr = np.zeros(100, dtype=np.int64)
-        assert payload_nbytes(arr) == 800
-        assert payload_nbytes((b"abc", [arr, arr])) >= 1600 + 3
 
 
 class TestDuplicateBlobPatch:

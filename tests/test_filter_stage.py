@@ -14,7 +14,6 @@ from repro.core.dupmark import mark_duplicates
 from repro.core.filters import by_min_mapq, drop_duplicates, filter_dataset
 from repro.core.pipelines import align_dataset, run_pipeline
 from repro.core.sort import SortConfig, sort_dataset
-from repro.core.subgraphs import AlignGraphConfig
 from repro.core.varcall import call_variants
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
@@ -42,7 +41,7 @@ def eager_filtered_chain(reads, reference, snap_aligner):
         reference=reference.manifest_entry(),
     )
     align_dataset(dataset, snap_aligner,
-                  config=AlignGraphConfig(executor_threads=2))
+                  workers=2)
     sorted_ds = sort_dataset(dataset, MemoryStore(), SORT_CONFIG)
     mark_duplicates(sorted_ds)
     filtered = filter_dataset(sorted_ds, by_min_mapq(PREDICATE_MAPQ),

@@ -10,7 +10,6 @@ from repro.core.dupmark import mark_duplicates
 from repro.core.filters import by_min_mapq, filter_dataset
 from repro.core.pipelines import align_dataset, build_snap_aligner
 from repro.core.sort import SortConfig, sort_dataset, verify_sorted
-from repro.core.subgraphs import AlignGraphConfig
 from repro.core.varcall import call_variants
 from repro.formats.converters import export_sam, import_fastq_stream
 from repro.formats.fastq import fastq_bytes
@@ -43,7 +42,7 @@ class TestFullWorkflow:
         # 2. Align.
         aligner = build_snap_aligner(reference)
         outcome = align_dataset(
-            dataset, aligner, config=AlignGraphConfig(executor_threads=2)
+            dataset, aligner, workers=2
         )
         assert outcome.total_reads == len(reads)
         # 3. Sort by location.
@@ -80,7 +79,7 @@ class TestFullWorkflow:
         dataset.manifest.reference = reference.manifest_entry()
         aligner = build_snap_aligner(reference)
         align_dataset(dataset, aligner,
-                      config=AlignGraphConfig(executor_threads=2))
+                      workers=2)
         results = dataset.read_column("results")
         exact = 0
         for result, origin in zip(results, origins):
@@ -105,7 +104,7 @@ class TestCephIntegration:
         assert dataset.read_column("bases") == [r.bases for r in reads]
         aligner = build_snap_aligner(reference)
         outcome = align_dataset(
-            dataset, aligner, config=AlignGraphConfig(executor_threads=2)
+            dataset, aligner, workers=2
         )
         assert outcome.total_reads == len(reads)
         assert cluster.bytes_read > 0
@@ -126,7 +125,7 @@ class TestCephIntegration:
             aligner_factory=lambda sid: aligner,
             output_store_factory=lambda sid: CephStore(cluster, prefix="out/"),
             num_servers=2,
-            config=AlignGraphConfig(executor_threads=1),
+            workers=1,
         )
         assert outcome.total_chunks == dataset.num_chunks
         assert outcome.completion_imbalance < 50  # both servers participated

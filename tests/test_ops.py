@@ -15,7 +15,7 @@ from repro.core.ops import (
 )
 from repro.core.pipelines import align_dataset
 from repro.core.subgraphs import AlignGraphConfig
-from repro.dataflow.executor import Executor
+from repro.dataflow.backends import ThreadBackend
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext
@@ -64,8 +64,8 @@ class TestAlignerNode:
     def test_aligns_chunk(self, dataset, snap_aligner, reads):
         resources = ResourceManager()
         resources.register("aligner", snap_aligner)
-        executor = Executor(2)
-        resources.register("executor", executor)
+        backend = ThreadBackend(workers=2)
+        resources.register("executor", backend)
         node = AlignerNode("aligner", "executor", subchunk_size=16)
         entry = dataset.manifest.chunks[0]
         item = ChunkWorkItem(
@@ -77,14 +77,14 @@ class TestAlignerNode:
         assert all(r is not None for r in out.results)
         aligned = sum(1 for r in out.results if r.is_aligned)
         assert aligned >= 98
-        executor.shutdown()
+        backend.shutdown()
 
     def test_subchunk_boundaries(self, dataset, snap_aligner, reads):
         """Results identical regardless of subchunk size (Figure 4)."""
         resources = ResourceManager()
         resources.register("aligner", snap_aligner)
-        executor = Executor(3)
-        resources.register("executor", executor)
+        backend = ThreadBackend(workers=3)
+        resources.register("executor", backend)
         entry = dataset.manifest.chunks[0]
         outputs = []
         for size in (7, 100):
@@ -97,7 +97,7 @@ class TestAlignerNode:
             [out] = node.process(item, make_ctx(resources))
             outputs.append(out.results)
         assert outputs[0] == outputs[1]
-        executor.shutdown()
+        backend.shutdown()
 
     def test_invalid_subchunk_size(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestFullGraph:
         out_store = MemoryStore()
         outcome = align_dataset(
             dataset, snap_aligner, output_store=out_store,
-            config=AlignGraphConfig(executor_threads=2, aligner_nodes=2),
+            config=AlignGraphConfig(aligner_nodes=2), workers=2,
         )
         assert outcome.chunks == dataset.num_chunks
         assert outcome.total_reads == dataset.total_records
@@ -177,7 +177,7 @@ class TestFullGraph:
         """Results chunk i row j corresponds to input read i*chunk+j."""
         out_store = MemoryStore()
         align_dataset(dataset, snap_aligner, output_store=out_store,
-                      config=AlignGraphConfig(executor_threads=2))
+                      workers=2)
         from repro.agd.chunk import read_chunk
 
         entry = dataset.manifest.chunks[1]

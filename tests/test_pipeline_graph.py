@@ -17,7 +17,7 @@ from repro.agd.dataset import AGDDataset
 from repro.core.dupmark import mark_duplicates
 from repro.core.pipelines import PipelineSpec, align_dataset, run_pipeline
 from repro.core.sort import SortConfig, sort_dataset, verify_sorted
-from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite, compose
+from repro.core.subgraphs import STAGES, ServerSite, compose
 from repro.core.varcall import (
     VarCallConfig,
     call_from_pileup,
@@ -56,7 +56,7 @@ def eager_chain(reads, reference, snap_aligner):
         reference=reference.manifest_entry(),
     )
     align_dataset(dataset, snap_aligner,
-                  config=AlignGraphConfig(executor_threads=2))
+                  workers=2)
     sorted_ds = sort_dataset(dataset, MemoryStore(), SORT_CONFIG)
     stats = mark_duplicates(sorted_ds)
     variants = call_variants(sorted_ds, reference)
@@ -81,7 +81,6 @@ class TestOneGraphEquivalence:
             ("align", "sort", "dupmark", "varcall"),
             aligner=snap_aligner,
             reference=reference,
-            align_config=AlignGraphConfig(executor_threads=2),
             sort_config=SORT_CONFIG,
             backend=backend,
             workers=2,

@@ -16,7 +16,7 @@ class TestAlignDataset:
     def test_appends_results_column(self, dataset, snap_aligner):
         outcome = align_dataset(
             dataset, snap_aligner,
-            config=AlignGraphConfig(executor_threads=2),
+            workers=2,
         )
         assert "results" in dataset.columns
         assert outcome.total_reads == dataset.total_records
@@ -33,7 +33,7 @@ class TestAlignDataset:
         out = MemoryStore()
         align_dataset(
             dataset, snap_aligner, output_store=out,
-            config=AlignGraphConfig(executor_threads=2),
+            workers=2,
         )
         # Results live in the other store; manifest not extended.
         assert "results" not in dataset.columns
@@ -42,7 +42,7 @@ class TestAlignDataset:
     def test_report_includes_queue_stats(self, dataset, snap_aligner):
         outcome = align_dataset(
             dataset, snap_aligner,
-            config=AlignGraphConfig(executor_threads=2),
+            workers=2,
         )
         assert "queues" in outcome.report
         assert outcome.report["nodes"]["aligner"]["items_in"] == dataset.num_chunks
@@ -50,7 +50,7 @@ class TestAlignDataset:
     def test_bwa_pipeline(self, dataset, bwa_aligner):
         outcome = align_dataset(
             dataset, bwa_aligner,
-            config=AlignGraphConfig(executor_threads=2, subchunk_size=64),
+            config=AlignGraphConfig(subchunk_size=64), workers=2,
         )
         assert outcome.total_reads == dataset.total_records
         results = dataset.read_column("results")
@@ -76,7 +76,7 @@ class TestStandalone:
         outcome = align_standalone(
             dataset.manifest, shard_store, out_store, snap_aligner,
             reference.manifest_entry(),
-            config=AlignGraphConfig(executor_threads=2),
+            workers=2,
         )
         assert outcome.total_reads == dataset.total_records
         # The baseline arm must report a real base volume (its FASTQ
@@ -98,10 +98,10 @@ class TestStandalone:
         align_standalone(
             dataset.manifest, shard_store, sam_store, snap_aligner,
             reference.manifest_entry(),
-            config=AlignGraphConfig(executor_threads=2),
+            workers=2,
         )
         align_dataset(dataset, snap_aligner,
-                      config=AlignGraphConfig(executor_threads=2))
+                      workers=2)
         agd_read = dataset.column_bytes("bases") + dataset.column_bytes("qual")
         agd_written = dataset.column_bytes("results")
         assert fastq_bytes >= 0.9 * agd_read  # read volumes comparable
@@ -125,8 +125,8 @@ class TestPairedGraph:
         paired = PairedAligner(snap, InsertWindow(220, 430))
         outcome = align_dataset(
             ds, paired,
-            config=AlignGraphConfig(executor_threads=2, paired=True,
-                                    subchunk_size=20),
+            config=AlignGraphConfig(paired=True, subchunk_size=20),
+            workers=2,
         )
         assert outcome.total_reads == 200
         results = ds.read_column("results")

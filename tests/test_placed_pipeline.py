@@ -595,8 +595,8 @@ class TestSelfBalancing:
             aligner_factory=factory,
             reference=reference,
             align_config=AlignGraphConfig(
-                executor_threads=1, aligner_nodes=1, reader_nodes=1,
-                parser_nodes=1, queue_depth=1,
+                aligner_nodes=1, reader_nodes=1, parser_nodes=1,
+                queue_depth=1,
             ),
             backend="serial",
         )

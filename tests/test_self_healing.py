@@ -70,8 +70,7 @@ SORT_CONFIG = SortConfig(chunks_per_superchunk=2)
 #: a worker's held set is fixed the moment it stalls and the broker's
 #: front-of-edge requeue order is observable.
 SHALLOW_ALIGN = AlignGraphConfig(
-    executor_threads=1, aligner_nodes=1, reader_nodes=1, parser_nodes=1,
-    queue_depth=1,
+    aligner_nodes=1, reader_nodes=1, parser_nodes=1, queue_depth=1,
 )
 
 

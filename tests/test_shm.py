@@ -1,9 +1,9 @@
 """Shared-memory plane tests.
 
 BufferPool lifecycle (lease/release refcounting, exhaustion, segment
-hygiene), payload estimation, and the process backend's place beside
-it: its payloads go down the pipe, so a process-backend run matches the
-serial one byte for byte and leaves ``/dev/shm`` as it found it.
+hygiene) and the process backend's place beside it: its payloads go
+down the pipe, so a process-backend run matches the serial one byte for
+byte and leaves ``/dev/shm`` as it found it.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from repro.dataflow import shm
-from repro.dataflow.backends import ProcessBackend, payload_nbytes
+from repro.dataflow.backends import ProcessBackend
 from repro.dataflow.shm import BufferPool
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory unavailable"
 )
-
-SIG_DTYPE = np.dtype([("tag", "u1"), ("c1", "<i8"), ("p1", "<i8")])
 
 
 # ---------------------------------------------------------------------------
@@ -30,52 +28,6 @@ SIG_DTYPE = np.dtype([("tag", "u1"), ("c1", "<i8"), ("p1", "<i8")])
 
 def echo_task(shared, payload):
     return payload
-
-
-# ---------------------------------------------------------------------------
-# payload_nbytes: dict keys, recursion cap, structured arrays.
-
-
-class TestPayloadNbytes:
-    def test_dict_keys_counted(self):
-        key_heavy = {b"k" * 1000: b"v"}
-        value_heavy = {b"k": b"v" * 1000}
-        assert payload_nbytes(key_heavy) >= 1000
-        assert payload_nbytes(value_heavy) >= 1000
-
-    def test_structured_array(self):
-        arr = np.zeros(100, dtype=SIG_DTYPE)
-        assert payload_nbytes(arr) == arr.nbytes
-        assert payload_nbytes((arr, arr)) >= 2 * arr.nbytes
-
-    def test_deep_nesting_capped(self):
-        payload = [b"x" * 10_000]
-        for _ in range(200):
-            payload = [payload]
-        estimate = payload_nbytes(payload)  # must not recurse to the leaf
-        assert isinstance(estimate, int)
-        assert estimate < 10_000
-
-    def test_deeply_nested_dicts_capped(self):
-        payload = {"leaf": b"x" * 10_000}
-        for _ in range(200):
-            payload = {"wrap": payload}
-        estimate = payload_nbytes(payload)
-        assert isinstance(estimate, int)
-        assert estimate < 10_000
-        # Shallow nested dicts still count fully (keys and values).
-        shallow = {"a": {b"k" * 500: b"v" * 500}}
-        assert payload_nbytes(shallow) >= 1000
-
-    def test_bases_column_counted(self):
-        from repro.agd.compaction import BasesColumn
-
-        column = BasesColumn(
-            flat=np.frombuffer(b"ACGT" * 256, dtype=np.uint8).copy(),
-            bounds=np.arange(0, 1025, 4, dtype=np.int64),
-        )
-        assert payload_nbytes(column) == column.nbytes
-        assert payload_nbytes(column) >= 1024
 
 
 # ---------------------------------------------------------------------------

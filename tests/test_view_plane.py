@@ -44,6 +44,7 @@ from repro.cluster.broker import (
     BrokerServer,
     LocalBrokerClient,
     TcpBrokerClient,
+    _payload_nbytes,
 )
 from repro.cluster.wire import (
     EDGE_CODEC_LEVEL,
@@ -56,7 +57,6 @@ from repro.agd.chunk import read_column
 from repro.core.columnar import _gather_kept
 from repro.core.ops import ChunkWorkItem
 from repro.dataflow import shm
-from repro.dataflow.backends import payload_nbytes
 from repro.dataflow.queues import PUBLISH_OK, PULL_OK, RemoteQueue
 
 needs_shm = pytest.mark.skipif(
@@ -315,10 +315,12 @@ class TestEdgeCodecNegotiation:
         assert LocalBrokerClient.shares_memory is True
 
     def test_payload_nbytes_counts_memoryview_storage(self):
+        """An edge's payload bytes count a view's storage, not its
+        first-axis length."""
         arr = np.zeros((10, 10))
-        assert payload_nbytes(memoryview(arr)) == 800
-        # Container overhead (16) + view nbytes + bytes len.
-        assert payload_nbytes([memoryview(b"abcd"), b"ef"]) == 16 + 4 + 2
+        assert _payload_nbytes(memoryview(arr)) == 800
+        # A frame list: view nbytes + bytes len.
+        assert _payload_nbytes([memoryview(b"abcd"), b"ef"]) == 4 + 2
 
 
 # ----------------------------------------- end-to-end view deliveries
