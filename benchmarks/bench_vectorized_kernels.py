@@ -19,7 +19,9 @@ same aligned workload and asserts:
   (``tests/dupmark_oracle.py``), and the array read generator at least
   5x faster than the per-read one (``tests/read_sim_oracle.py``; equal
   in law, not in bytes — ``tests/test_synthetic.py`` holds both to the
-  same distributions) — single-thread ratios on one box, so
+  same distributions), and the SNAP aligner's array program at least
+  8x faster than its per-read loop (``conftest.PerReadSnapAligner``)
+  with equal results — single-thread ratios on one box, so
   the gates are armed on any CPU count (CI's perf-smoke job runs this
   file, so a silent fallback to per-record work fails the build).
 
@@ -39,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.agd.chunk import read_column
+from repro.align.snap import SnapAligner
 from repro.core.dupmark import DupmarkStats, mark_duplicates
 from repro.core.ops import ChunkWorkItem, VarCallNode
 from repro.core.pipelines import align_dataset
@@ -69,6 +72,10 @@ GENERATOR_SPEEDUP_GATE = 5.0
 #: so one chunk's span plus one read — what the window holds — is a
 #: little over a quarter of it.
 WINDOW_SPAN_RATIO_GATE = 3.0
+#: ``SnapAligner.align_reads`` must beat the per-read loop by this.
+ALIGNER_SPEEDUP_GATE = 8.0
+#: Chunks of the session read set the aligner gate aligns.
+ALIGNER_CHUNKS = 6
 
 
 @pytest.fixture(scope="module")
@@ -334,4 +341,45 @@ def test_array_generator_speedup(benchmark, bench_reference, bench_reads,
     rep.finish()
 
     benchmark.pedantic(lambda: simulate(ReadSimulator),
+                       rounds=1, iterations=1)
+
+
+def test_array_aligner_speedup(benchmark, bench_dataset, bench_index,
+                               bench_per_read_aligner, report):
+    # What the align stage hands the aligner: a chunk's bases column.
+    store = bench_dataset.store
+    chunks = [read_column(store.get(entry.chunk_file("bases")))
+              for entry in bench_dataset.manifest.chunks[:ALIGNER_CHUNKS]]
+    reads = sum(len(chunk) for chunk in chunks)
+
+    def align(aligner):
+        return [aligner.align_reads(chunk) for chunk in chunks]
+
+    expected, oracle_s = _timed(lambda: align(bench_per_read_aligner),
+                                repeats=3)
+    array = SnapAligner(bench_index)
+    got, array_s = _timed(lambda: align(array), repeats=3)
+    assert got == expected, "the array aligner changed the results"
+
+    speedup = oracle_s / array_s if array_s else float("inf")
+    rep = report("vectorized_kernels_aligner",
+                 "SNAP array program vs the per-read loop")
+    rep.row("per-read loop (align_read per read)", "baseline",
+            f"{oracle_s * 1e3:.1f} ms")
+    rep.row("array program (align_reads per chunk)",
+            f">= {ALIGNER_SPEEDUP_GATE:g}x",
+            f"{array_s * 1e3:.1f} ms ({speedup:.1f}x)")
+    rep.metric("oracle_seconds", oracle_s)
+    rep.metric("array_seconds", array_s)
+    rep.metric("speedup", speedup)
+    rep.metric("reads", reads)
+    rep.add()
+    rep.add("shape checks:")
+    rep.check("identical results from both paths", got == expected)
+    # Single-threaded on both sides, same reads: armed on any CPU count.
+    rep.gate("array aligner speedup over the per-read loop",
+             ALIGNER_SPEEDUP_GATE, speedup, armed=True)
+    rep.finish()
+
+    benchmark.pedantic(lambda: align(SnapAligner(bench_index)),
                        rounds=1, iterations=1)

@@ -12,6 +12,15 @@ function".  Three kernels live here:
 * :func:`banded_alignment` — banded Needleman–Wunsch with traceback,
   producing a CIGAR for the (rare) reads whose best alignment includes
   indels.
+
+The two bounded kernels agree on every distance, and an alignment with
+``d`` edits never leaves the band ``|i - j| <= d``: so the SNAP aligner
+ranks candidates on Landau–Vishkin distances alone and runs
+:func:`banded_alignment` once per read, for its winner, with ``max_k``
+its distance — the CIGAR it would get under any wider bound
+(``tests/test_distance.py`` holds both premises).
+:func:`verify_candidate`, distance and CIGAR per candidate, is what the
+BWA-style aligner and the paired-end rescue call.
 """
 
 from __future__ import annotations

@@ -8,18 +8,21 @@ The algorithm, following Zaharia et al. [47]:
 3. candidates are verified best-vote-first with a *bounded* edit distance
    (Hamming fast path, then Landau–Vishkin); the bound shrinks as better
    alignments are found, so most candidates are rejected cheaply;
-4. MAPQ is derived from the gap between the best and second-best
+4. only the winner gets a CIGAR: if Landau–Vishkin verified it, one
+   banded traceback on a band as wide as its distance;
+5. MAPQ is derived from the gap between the best and second-best
    verified alignment.
 
 The aligner is stateless per read and shared read-only across executor
 threads, matching how Persona's aligner kernels delegate subchunks to the
 thread-owning executor (§4.3, Figure 4).
 
-Backends call :meth:`SnapAligner.align_reads`, which runs seeding,
-voting, ranking and the Hamming pass of verification as whole-array
-operations over a batch and assembles the results column from the same
-arrays; only reads with several candidates, or one that needs
-Landau–Vishkin, go through the per-candidate loop.
+Backends call :meth:`SnapAligner.align_reads`, which runs seeding (one
+probe of the index's bucket directory per seed), voting, ranking and the
+Hamming pass of verification as whole-array operations over a batch and
+assembles the results column from the same arrays; only reads with
+several candidates, or one that needs Landau–Vishkin, go through the
+per-candidate loop.
 :meth:`SnapAligner.align_read` is the per-read form of the same algorithm
 — the oracle the batch path is tested against, and what the paired-end
 layer calls through :meth:`SnapAligner.align_global`.
@@ -34,7 +37,7 @@ import numpy as np
 
 from repro.agd.columns import RaggedColumn
 from repro.align.base import ReadAligner
-from repro.align.distance import hamming, verify_candidate
+from repro.align.distance import banded_alignment, hamming, landau_vishkin
 from repro.align.result import (
     FLAG_REVERSE,
     FLAG_UNMAPPED,
@@ -69,7 +72,8 @@ class SnapStats:
     #: Candidate placements verified (each costs one Hamming compare).
     candidates_checked: int = 0
     #: Verifications that Hamming could not settle and that ran
-    #: ``landau_vishkin`` (a handful per ten thousand clean reads).
+    #: ``landau_vishkin`` (a handful per ten thousand clean reads).  Only
+    #: the read's winner among them is then traced for its CIGAR.
     lv_calls: int = 0
 
     def merge(self, other: "SnapStats") -> None:
@@ -230,14 +234,19 @@ class SnapAligner(ReadAligner):
         """Verify ranked candidates under a shrinking edit bound.
 
         ``hammings`` are the batch path's precomputed mismatch counts,
-        one per candidate (the per-read path computes each here): one
-        within the current bound is the verdict ``verify_candidate``
-        would reach through its own Hamming check, so only the others
-        run it — and count as ``lv_calls``.
+        one per candidate (the per-read path computes each here).  A
+        candidate within the current bound is settled by its mismatch
+        count (``<m>M``); the others run ``landau_vishkin`` — and count
+        as ``lv_calls``.  Candidates are ranked on distances alone: only
+        the winner, if Landau–Vishkin verified it, is traced, once, on a
+        band as wide as its distance.  That is the CIGAR
+        ``verify_candidate`` gives under the bound the candidate was
+        verified at: an alignment with ``d`` edits never leaves the band
+        ``|i - j| <= d``.
         """
         m = len(bases)
         max_k = self.config.max_edit_distance
-        best: "tuple[int, bool, int, bytes] | None" = None
+        best: "tuple[int, bool, int, bool] | None" = None
         second_distance: "int | None" = None
         bound = max_k
         for i, (start, reverse) in enumerate(ordered):
@@ -245,29 +254,33 @@ class SnapAligner(ReadAligner):
             strand = rc if reverse else bases
             # Candidates lie inside the genome, so this is the Hamming
             # check verify_candidate would start with.
-            mismatches = hammings[i] if hammings is not None else \
+            distance = hammings[i] if hammings is not None else \
                 hamming(strand, self.reference.fetch(start, m))
-            if mismatches <= bound:
-                verdict = mismatches, b"%dM" % m
-            else:
+            traced = distance > bound
+            if traced:
                 stats.lv_calls += 1
-                verdict = verify_candidate(
+                distance = landau_vishkin(
                     strand, self.reference.fetch(start, m + bound), bound
                 )
-            if verdict is None:
-                continue
-            distance, cigar = verdict
+                if distance is None:
+                    continue
             if best is None or distance < best[2]:
                 if best is not None:
                     second_distance = best[2]
-                best = (start, reverse, distance, cigar)
+                best = (start, reverse, distance, traced)
                 # Tighten the bound: later candidates must strictly win.
                 bound = min(bound, distance + self.config.confidence_gap)
             elif second_distance is None or distance < second_distance:
                 second_distance = distance
         if best is None:
             return None
-        start, reverse, distance, cigar = best
+        start, reverse, distance, traced = best
+        cigar = b"%dM" % m
+        if traced:
+            _, cigar, _ = banded_alignment(
+                rc if reverse else bases,
+                self.reference.fetch(start, m + distance), distance,
+            )
         mapq = compute_mapq(distance, second_distance, max_k)
         return start, reverse, distance, cigar, mapq
 

@@ -9,7 +9,10 @@ is built once per server and shared read-only by all aligner threads
 
 Construction is vectorized: seeds are 2-bit-encoded into integers with a
 sliding dot product, then grouped with one argsort — O(n log n) for an
-n-base genome.
+n-base genome.  The hash part is a bucket directory over the top 16 bits
+of the packed seed: a batch lookup probes its seed's bucket and bisects
+only the handful of distinct seeds inside it, instead of binary-searching
+all of them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ for _i, _b in enumerate(b"ACGT"):
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
+#: The bucket directory keys on at most this many top bits of a packed
+#: seed (2**16 + 1 int32 entries: 256 KB).
+_BUCKET_BITS = 16
+
 
 @dataclass(frozen=True)
 class SeedHit:
@@ -41,7 +48,13 @@ class SeedHit:
 
 
 class SeedIndex:
-    """Hash table from 2-bit-packed seeds to genome locations."""
+    """Hash table from 2-bit-packed seeds to genome locations.
+
+    Three parallel sorted arrays (seed value, run start, run end) over
+    the position array, plus ``_bucket``, the directory over the values'
+    top 16 bits that :meth:`lookup_values` probes.  The scalar
+    :meth:`lookup_value` binary-searches the values instead: the
+    per-read oracle's lookup stays independent of the directory."""
 
     def __init__(
         self,
@@ -92,6 +105,19 @@ class SeedIndex:
         self._values = unique_values
         self._starts = starts
         self._ends = self._starts + counts
+        # The directory: ``_bucket[b]`` is the first slot whose value's
+        # top bits are >= b, so bucket b's seeds are the slots
+        # [_bucket[b], _bucket[b + 1]) — a running count of the sorted
+        # values per top-bits prefix.
+        bits = min(_BUCKET_BITS, 2 * s)
+        self._shift = 2 * s - bits
+        self._bucket = np.zeros(2 ** bits + 1, dtype=np.int32)
+        np.cumsum(
+            np.bincount(unique_values >> self._shift, minlength=2 ** bits),
+            out=self._bucket[1:],
+        )
+        # Bisection rounds that settle a query in the widest bucket.
+        self._rounds = int(np.diff(self._bucket).max()).bit_length()
         self.num_seeds = int(n)
         self.num_distinct = int(unique_values.size)
 
@@ -132,9 +158,7 @@ class SeedIndex:
         contributes no hit."""
         if not self._values.size:  # an all-N reference indexes nothing
             return _EMPTY_POSITIONS, _EMPTY_POSITIONS
-        slots = np.minimum(
-            np.searchsorted(self._values, values), self._values.size - 1
-        )
+        slots = np.minimum(self._slots(values), self._values.size - 1)
         starts = self._starts[slots]
         counts = self._ends[slots] - starts
         counts[~valid | (self._values[slots] != values)
@@ -143,6 +167,26 @@ class SeedIndex:
         skipped = np.cumsum(counts) - counts  # hits before each query
         hits = np.repeat(starts - skipped, counts) + np.arange(query.size)
         return query, self._positions[hits]
+
+    def _slots(self, values: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._values, values)``, by bisecting each
+        value's bucket only.  Any int64 is a valid query: an invalid
+        seed's garbage (negative, or past the top bucket) is clipped to
+        the first or last bucket, where the bisection still ends on its
+        insertion slot."""
+        bucket = np.clip(values >> self._shift, 0,
+                         self._bucket.size - 2).astype(np.intp)
+        lo = self._bucket[bucket]
+        hi = self._bucket[bucket + 1]
+        for _ in range(self._rounds):
+            mid = (lo + hi) >> 1
+            # Only a query past every value probes past the end (lo ==
+            # hi == size): the clip reads the last value, and the final
+            # minimum undoes the step it takes.
+            right = self._values.take(mid, mode="clip") < values
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return np.minimum(lo, hi)
 
     def pack_seeds(self, reads: np.ndarray, offsets: np.ndarray):
         """2-bit-pack the seeds at ``offsets`` of every row of ``reads``
@@ -170,5 +214,5 @@ class SeedIndex:
         §4.1, at our scale)."""
         return int(
             self._positions.nbytes + self._values.nbytes
-            + self._starts.nbytes + self._ends.nbytes
+            + self._starts.nbytes + self._ends.nbytes + self._bucket.nbytes
         )

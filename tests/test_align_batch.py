@@ -18,6 +18,7 @@ from repro.align.result import AlignmentResult
 from repro.agd.result_column import ResultsColumn
 from repro.align.base import ReadAligner
 from repro.align.snap import SeedIndex, SnapAligner, SnapConfig
+from repro.align.snap import aligner as snap_aligner_module
 from repro.core.pipelines import run_pipeline
 from repro.formats.converters import import_reads
 from repro.genome.reads import ReadRecord
@@ -184,6 +185,58 @@ class TestBatchEqualsOracle:
         assert results == [AlignmentResult(mapq=2), AlignmentResult(mapq=3)]
         assert results[1].mapq == 3
         assert aligner.seen == [b"AC", b"ACG"]
+
+
+class TestOneTracebackPerRead:
+    def test_only_the_winner_is_traced(self, monkeypatch):
+        """Candidates are ranked on Landau–Vishkin distances; the banded
+        traceback runs once per read whose CIGAR is not ``<m>M``, for
+        its winning placement, on a band as wide as its distance."""
+        unique = REFERENCE.contig_start("unique")
+        tandem = REFERENCE.contig_start("tandem") + 200
+        batch = []
+        for k in range(8):
+            at = unique + 300 * k
+            batch.append(GENOME[at:at + 50] + GENOME[at + 51 + k % 2:at + 103])
+            batch.append(GENOME[at + 120:at + 170] + b"GA"[:1 + k % 2]
+                         + GENOME[at + 170:at + 220])
+        # Seven equal-vote placements, each needing Landau–Vishkin: six
+        # verified candidates lose to the first.
+        for k in range(3):
+            at = tandem + 150 * k + 7
+            batch.append(GENOME[at:at + 60] + GENOME[at + 61:at + 102])
+        batch += [reverse_complement(read) for read in batch[::3]]
+        batch.append(GENOME[2000:2101])  # no indel: never traced
+        config = CONFIGS["default"]
+        oracle = SnapAligner(INDEX, config)
+        expected = [oracle.align_read(read) for read in batch]
+
+        calls = []
+        banded = snap_aligner_module.banded_alignment
+
+        def spy(read, ref, k):
+            calls.append((read, ref, k))
+            return banded(read, ref, k)
+
+        monkeypatch.setattr(snap_aligner_module, "banded_alignment", spy)
+        batched = SnapAligner(INDEX, config)
+        got = batched.align_reads(batch)
+        assert got == expected
+        assert batched.stats == oracle.stats
+        winners = []
+        for read, result in zip(batch, expected):
+            if result.cigar == b"%dM" % len(read):
+                continue
+            start = REFERENCE.contig_start(
+                REFERENCE.names[result.contig_index]) + result.position
+            strand = reverse_complement(read) if result.is_reverse else read
+            winners.append((strand, GENOME[
+                start:start + len(read) + result.edit_distance
+            ], result.edit_distance))
+        assert len(winners) >= 20
+        assert sorted(calls) == sorted(winners)
+        # Losing candidates ran Landau–Vishkin but no traceback.
+        assert batched.stats.lv_calls > len(calls)
 
 
 class TestStatsUnderThreads:

@@ -17,6 +17,29 @@ dna = st.binary(min_size=1, max_size=14).map(
 )
 
 
+@st.composite
+def edited_window(draw):
+    """A read drawn from a reference window with substitutions, indels
+    and ``N``s, the window (possibly shorter than the read) and a bound
+    ``k`` in 0..8."""
+    ref = draw(st.binary(min_size=1, max_size=40).map(
+        lambda b: bytes(b"ACGT"[x % 4] for x in b)))
+    read = bytearray(ref[:draw(st.integers(1, len(ref)))])
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(read) - 1))
+        kind = draw(st.sampled_from(["sub", "ins", "del", "N"]))
+        if kind == "sub":
+            read[at] = draw(st.sampled_from(b"ACGT"))
+        elif kind == "ins":
+            read.insert(at, draw(st.sampled_from(b"ACGT")))
+        elif kind == "del" and len(read) > 1:
+            del read[at]
+        elif kind == "N":
+            read[at] = ord("N")
+    window = ref[:draw(st.integers(1, len(ref)))]
+    return bytes(read), window, draw(st.integers(0, 8))
+
+
 def dp_semiglobal(read: bytes, ref: bytes) -> int:
     """Oracle: min edits aligning all of ``read`` against a ``ref`` prefix."""
     m, n = len(read), len(ref)
@@ -135,6 +158,33 @@ class TestBandedAlignment:
         ref_span = sum(n for n, op in ops if op in "MDN=X")
         assert read_span == len(read)
         assert ref_span == consumed
+
+
+class TestTracebackPremises:
+    """What lets the SNAP aligner rank candidates on Landau–Vishkin
+    distances alone and trace only the winner, on a band as wide as its
+    distance."""
+
+    @given(edited_window())
+    @settings(max_examples=300, deadline=None)
+    def test_lv_and_banded_agree(self, case):
+        read, ref, k = case
+        distance = landau_vishkin(read, ref, k)
+        outcome = banded_alignment(read, ref, k)
+        assert (distance is None) == (outcome is None)
+        if outcome is not None:
+            assert outcome[0] == distance
+
+    @given(edited_window())
+    @settings(max_examples=300, deadline=None)
+    def test_band_of_the_distance_traces_the_same_path(self, case):
+        read, ref, k = case
+        distance = landau_vishkin(read, ref, k)
+        if distance is None:
+            return
+        assert banded_alignment(read, ref, k) == banded_alignment(
+            read, ref[:len(read) + distance], distance
+        )
 
 
 class TestVerifyCandidate:

@@ -51,10 +51,12 @@ class TestSeedIndex:
 
     def test_memory_bytes_is_the_arrays(self, seed_index):
         arrays = [getattr(seed_index, name) for name in
-                  ("_values", "_starts", "_ends", "_positions")]
+                  ("_values", "_starts", "_ends", "_positions", "_bucket")]
         assert seed_index.memory_bytes() == sum(a.nbytes for a in arrays)
         assert len(arrays[0]) == len(arrays[1]) == len(arrays[2]) \
             == seed_index.num_distinct
+        # The directory over the top 16 bits, kept as int32.
+        assert arrays[4].dtype == np.int32 and arrays[4].size == 2 ** 16 + 1
 
     def test_pickle_round_trip_identical_lookups(self, seed_index, reference):
         import pickle
@@ -67,6 +69,12 @@ class TestSeedIndex:
                 clone.lookup(seed).positions, seed_index.lookup(seed).positions
             )
         assert clone.memory_bytes() == seed_index.memory_bytes()
+        # The batch lookup goes through the directory the clone carries.
+        values = _queries(seed_index, np.random.default_rng(3))
+        valid = (values >= 0) & (values < 4 ** 16)
+        for got, want in zip(clone.lookup_values(values, valid),
+                             seed_index.lookup_values(values, valid)):
+            assert np.array_equal(got, want)
 
     def test_invalid_params(self, reference):
         with pytest.raises(ValueError):
@@ -83,6 +91,73 @@ class TestSeedIndex:
         values = seed_index.encode_read_seeds(read, offsets)
         for offset, value in zip(offsets, values):
             assert value == seed_index.encode_seed(read[offset : offset + 16])
+
+
+def _directory_reference():
+    """Random sequence, a popular 16-base unit repeated past ``max_hits``
+    and an N run, so an index holds unique, popular and no seeds."""
+    from repro.genome.reference import reference_from_sequences
+
+    genome = synthetic_reference(3000, seed=11).concatenated()
+    return reference_from_sequences([
+        ("mixed", genome[:1500] + b"ACGTTGCAAGCTTCGA" * 20 + b"N" * 40
+         + genome[1500:]),
+    ])
+
+
+def _queries(index, rng):
+    """Packed seeds a lookup can meet: every indexed value and its
+    neighbours, random values, the extremes of int64, and the garbage
+    ``pack_seeds`` leaves for seeds with an N."""
+    s = index.seed_length
+    reads = np.frombuffer(
+        bytes(b"ACGTN"[x] for x in rng.integers(0, 5, size=40 * 64)),
+        dtype=np.uint8,
+    ).reshape(40, 64)
+    garbage, valid = index.pack_seeds(reads, np.arange(0, 64 - s + 1, 3))
+    assert not valid.all()
+    extremes = np.iinfo(np.int64)
+    return np.concatenate([
+        index._values, index._values - 1, index._values + 1,
+        rng.integers(0, 4 ** s, size=2000, dtype=np.int64),
+        np.array([0, -1, 4 ** s - 1, 4 ** s, extremes.min, extremes.max]),
+        garbage.ravel(),
+    ])
+
+
+class TestBucketDirectory:
+    @pytest.mark.parametrize("seed_length", [4, 8, 16, 31])
+    def test_slots_equal_searchsorted(self, seed_length):
+        index = SeedIndex(_directory_reference(), seed_length=seed_length,
+                          max_hits=8)
+        queries = _queries(index, np.random.default_rng(seed_length))
+        assert np.array_equal(index._slots(queries),
+                              np.searchsorted(index._values, queries))
+
+    @pytest.mark.parametrize("seed_length", [4, 16, 31])
+    def test_lookup_values_equals_scalar_lookups(self, seed_length):
+        index = SeedIndex(_directory_reference(), seed_length=seed_length,
+                          max_hits=8)
+        values = _queries(index, np.random.default_rng(seed_length))
+        valid = (values >= 0) & (values < 4 ** seed_length)
+        query, positions = index.lookup_values(values, valid)
+        expected = [
+            (q, int(p)) for q in np.flatnonzero(valid).tolist()
+            for p in index.lookup_value(int(values[q]))
+        ]
+        assert list(zip(query.tolist(), positions.tolist())) == expected
+        # Popular seeds are in the directory but return nothing.
+        assert any(index._ends - index._starts > index.max_hits)
+
+    def test_all_n_reference(self):
+        from repro.genome.reference import reference_from_sequences
+
+        index = SeedIndex(reference_from_sequences([("n", b"N" * 100)]))
+        assert index.num_distinct == 0 and not index._bucket.any()
+        queries = np.array([0, 5, -3, 4 ** 16], dtype=np.int64)
+        assert np.array_equal(index._slots(queries), np.zeros(4, np.int64))
+        query, positions = index.lookup_values(queries, np.ones(4, bool))
+        assert query.size == positions.size == 0
 
 
 class TestSnapAligner:
