@@ -10,7 +10,7 @@ This driver is deliberately small (it runs in CI on every push):
 
 * same reduced synthetic workload as the Table 1 benchmark, alignment
   compute only (in-memory stores, no disk models);
-* the three backends must produce byte-identical alignment results;
+* both backends must produce byte-identical alignment results;
 * the speedup assertion only arms on hosts with >= 2 CPUs — on a
   single-core runner there is no physical parallelism to measure, so
   the check is reported but not enforced (slow-runner tolerance).
@@ -92,26 +92,19 @@ def test_backend_scaling_smoke(
     serial_wall, serial_results = _run(
         smoke_world, bench_aligner, "serial", 1, rounds=timed_rounds
     )
-    thread_wall, thread_results = _run(
-        smoke_world, bench_aligner, "thread", WORKERS
-    )
     process_wall, process_results = _run(
         smoke_world, bench_aligner, "process", WORKERS, rounds=timed_rounds,
     )
 
     rep = report("backend_scaling",
-                 "Backend scaling smoke — serial vs thread vs process")
+                 "Backend scaling smoke — serial vs process")
     rep.add(f"host CPUs: {cpus}; workers: {WORKERS}; "
             f"reads: {len(serial_results)}")
     rep.row("serial backend", "baseline", f"{serial_wall:.2f} s")
-    rep.row("thread backend", "~1x (GIL)",
-            f"{thread_wall:.2f} s ({serial_wall / thread_wall:.2f}x)")
     rep.row("process backend", ">1x on multi-core",
             f"{process_wall:.2f} s ({serial_wall / process_wall:.2f}x)")
     rep.add()
     rep.add("shape checks:")
-    rep.check("serial and thread backends produce identical results",
-              serial_results == thread_results)
     rep.check("serial and process backends produce identical results",
               serial_results == process_results)
     if cpus >= 2:

@@ -51,7 +51,6 @@ def test_fig7_cluster_scaling(
         aligner_factory=lambda sid: bench_aligner,
         output_store_factory=lambda sid: CephStore(ceph, prefix="out/"),
         num_servers=4,
-        workers=1,
     )
     chunk_counts = sorted(s.chunks for s in outcome.servers)
     rep.add("part 1 — actual 4-server run over simulated Ceph:")

@@ -30,16 +30,16 @@ def pytest_addoption(parser):
     group = parser.getgroup("persona", "Persona execution backends")
     group.addoption(
         "--backend",
-        default="thread",
+        default="serial",
         choices=BACKEND_CHOICES,
         help="execution backend the benchmark pipelines use "
-             "(default: thread)",
+             "(default: serial)",
     )
     group.addoption(
         "--bench-workers",
         type=int,
         default=2,
-        help="worker count for thread/process benchmark backends",
+        help="worker count for the process benchmark backend",
     )
 
 

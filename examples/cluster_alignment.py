@@ -51,7 +51,6 @@ def main() -> None:
         aligner_factory=lambda sid: aligner,
         output_store_factory=lambda sid: CephStore(ceph, prefix="out/"),
         num_servers=4,
-        workers=1,
     )
     for server in outcome.servers:
         print(f"  server {server.server_id}: {server.chunks} chunks, "

@@ -106,8 +106,6 @@ def main() -> None:
         align_config=AlignGraphConfig(paired=True, subchunk_size=128),
         sort_config=SortConfig(chunks_per_superchunk=4),
         varcall_config=VarCallConfig(min_mapq=20),
-        backend="thread",
-        workers=2,
         name="wgs",
     )
     print(f"one-graph run: align+sort+dupmark+varcall in "

@@ -139,9 +139,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
     reference = read_fasta(args.reference)
     aligner = _build_aligner(args, reference)
     dataset.manifest.reference = reference.manifest_entry()
-    config = AlignGraphConfig(aligner_nodes=max(1, args.threads // 2))
+    config = AlignGraphConfig(aligner_nodes=max(1, args.workers // 2))
     outcome = align_dataset(dataset, aligner, config=config,
-                            backend=args.backend, workers=args.threads)
+                            backend=args.backend, workers=args.workers)
     dataset.save_manifest(args.dataset_dir)
     print(
         f"aligned {outcome.total_reads} reads "
@@ -723,11 +723,7 @@ def _cmd_runs_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_options(
-    p: argparse.ArgumentParser,
-    default: str = "thread",
-    with_workers: bool = False,
-) -> None:
+def _add_backend_options(p: argparse.ArgumentParser) -> None:
     """Attach the execution-backend flags to a subcommand that aligns
     (only the align kernels dispatch to a backend)."""
     from repro.dataflow.backends import BACKEND_CHOICES
@@ -735,16 +731,16 @@ def _add_backend_options(
     p.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
-        default=default,
-        help=f"execution backend for the align kernels (default: {default})",
+        default="serial",
+        help="execution backend for the align kernels (default: serial)",
     )
-    if with_workers:
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=4,
-            help="worker count for thread/process backends",
-        )
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="worker processes for the process backend; also sizes "
+             "the aligner replicas (workers // 2)",
+    )
 
 
 def _add_ledger_options(p: argparse.ArgumentParser) -> None:
@@ -867,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset_dir")
     p.add_argument("--reference", required=True)
     p.add_argument("--aligner", choices=("snap", "bwa"), default="snap")
-    p.add_argument("--threads", type=int, default=4)
     _add_backend_options(p)
     p.set_defaults(fn=_cmd_align)
 
@@ -939,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="whole-pipeline deadline in seconds (default: none — the "
              "budget is shared by every fused stage)",
     )
-    _add_backend_options(p, with_workers=True)
+    _add_backend_options(p)
     _add_codec_level_option(p, "the sorted output chunks")
     _add_ledger_options(p)
     p.set_defaults(fn=_cmd_pipeline)
@@ -969,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write called variants here")
         cp.add_argument("--timeout", type=float, default=600.0,
                         help="per-server session deadline in seconds")
-        _add_backend_options(cp, default="serial", with_workers=True)
+        _add_backend_options(cp)
 
     def _add_fault_options(cp) -> None:
         cp.add_argument("--delivery-deadline", type=_delivery_deadline,

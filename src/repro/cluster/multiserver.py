@@ -695,7 +695,6 @@ def run_multi_server_alignment(
     num_servers: int,
     config: "AlignGraphConfig | None" = None,
     session_timeout: float = 600.0,
-    workers: int = 4,
 ) -> MultiServerOutcome:
     """Align one dataset across ``num_servers`` in-process servers.
 
@@ -707,8 +706,9 @@ def run_multi_server_alignment(
     ``aligner_factory(server_id)`` returns the per-server aligner (in
     reality each server loads its own copy of the reference index);
     ``output_store_factory(server_id)`` returns that server's handle to
-    the shared output store.  Each server aligns on its own thread
-    backend of ``workers`` threads.
+    the shared output store.  Each server aligns on the serial backend:
+    the servers are this process's threads, so a second backend pool
+    would only contend for the same GIL.
     """
     if num_servers <= 0:
         raise ValueError("need at least one server")
@@ -725,8 +725,6 @@ def run_multi_server_alignment(
             server_id(server)
         ),
         align_config=config,
-        backend="thread",
-        workers=workers,
         session_timeout=session_timeout,
     )
     result = MultiServerOutcome(wall_seconds=outcome.wall_seconds)

@@ -187,8 +187,8 @@ class AlignerNode(Node):
     is notified, and the result buffer is placed in the subgraph output
     queue."
 
-    The backend (serial, thread, or process) comes from the session
-    resource registry.
+    The backend (serial or process) comes from the session resource
+    registry.
     """
 
     def __init__(

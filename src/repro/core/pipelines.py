@@ -139,7 +139,7 @@ def align_dataset(
     config: "AlignGraphConfig | None" = None,
     output_store: "ChunkStore | None" = None,
     session_timeout: "float | None" = 600.0,
-    backend: "str | Backend" = "thread",
+    backend: "str | Backend" = "serial",
     workers: int = 4,
 ) -> AlignOutcome:
     """Align a dataset, appending a results column (Figure 3 end to end):
@@ -149,9 +149,9 @@ def align_dataset(
     columns and the manifest gains a ``results`` column — the paper's
     "unified storage of all genomic data for a given patient" (§1).
 
-    ``backend`` selects the compute substrate (``"serial"``,
-    ``"thread"`` or ``"process"``, made with ``workers`` workers and
-    shut down here) or is a pre-built :class:`Backend` instance, which
+    ``backend`` selects the compute substrate (``"serial"`` or
+    ``"process"``, made with ``workers`` workers and shut down here)
+    or is a pre-built :class:`Backend` instance, which
     stays the caller's and must not have started its workers yet (the
     align stage registers the aligner on it).  For utilization traces
     (Fig. 5), pass one made with ``make_backend(..., busy_counter=...)``.
@@ -219,7 +219,7 @@ def align_standalone(
     contigs: "list[dict]",
     config: "AlignGraphConfig | None" = None,
     session_timeout: "float | None" = 600.0,
-    backend: "str | Backend" = "thread",
+    backend: "str | Backend" = "serial",
     workers: int = 4,
 ) -> AlignOutcome:
     """Run the standalone-tool baseline (Table 1): gzip'd FASTQ in, SAM
@@ -299,7 +299,7 @@ class PipelineSpec:
     ledger: "RunLedger | None" = None
     #: The compute-backend recipe: a name (each server makes its own) or
     #: a pre-built instance (shared, caller-owned).
-    backend: "str | Backend" = "thread"
+    backend: "str | Backend" = "serial"
     workers: int = 4
 
     def __post_init__(self) -> None:
@@ -493,7 +493,7 @@ def run_pipeline(
     output_store: "ChunkStore | None" = None,
     filter_store: "ChunkStore | None" = None,
     scratch_store: "ChunkStore | None" = None,
-    backend: "str | Backend" = "thread",
+    backend: "str | Backend" = "serial",
     workers: int = 4,
     session_timeout: "float | None" = None,
     name: str = "pipeline",

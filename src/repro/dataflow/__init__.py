@@ -5,7 +5,6 @@ from repro.dataflow.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.dataflow.errors import (
@@ -38,7 +37,6 @@ __all__ = [
     "Backend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "make_backend",
     "Buffer",
     "BufferPool",

@@ -7,16 +7,13 @@ execution substrate is swappable: every compute kernel describes its work
 as *picklable task payloads* handed to a :class:`Backend`, and the
 backend decides where they run.
 
-Three backends ship here:
+Two backends ship here, one in-process and one multi-core:
 
 ``SerialBackend``
     Runs payloads inline on the calling thread.  The baseline for
     correctness tests and the denominator for speedup measurements.
-
-``ThreadBackend``
-    Wraps the fine-grain :class:`~repro.dataflow.executor.Executor`
-    (the paper's design): best when kernels release the GIL (I/O,
-    numpy) and for overlap of I/O with compute.
+    Overlap of I/O with compute comes from the session's node threads,
+    not from a second pool.
 
 ``ProcessBackend``
     Forked worker processes, one pipe each; up to
@@ -49,9 +46,9 @@ import threading
 import time
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.dataflow.executor import BusyCounter, Executor
+from repro.dataflow.executor import BusyCounter
 
-BACKEND_CHOICES = ("serial", "thread", "process")
+BACKEND_CHOICES = ("serial", "process")
 
 #: Payloads per IPC message for the process backend (amortizes pickling
 #: and pipe round-trips; one subchunk payload is typically a few KB).
@@ -124,7 +121,7 @@ class Backend(abc.ABC):
         graph can inherit locks held mid-operation by other threads."""
 
     def shutdown(self, wait: bool = True) -> None:
-        """Release worker threads/processes (idempotent)."""
+        """Release worker processes (idempotent)."""
 
     def __enter__(self) -> "Backend":
         return self
@@ -188,47 +185,6 @@ class SerialBackend(Backend):
                 if self._busy_counter is not None:
                     self._busy_counter.exit()
         return results
-
-
-class ThreadBackend(Backend):
-    """The paper's fine-grain thread executor behind the backend API:
-    owns one :class:`Executor` of ``workers`` threads."""
-
-    name = "thread"
-
-    def __init__(
-        self,
-        workers: int = 4,
-        name: str = "thread-backend",
-        busy_counter: "BusyCounter | None" = None,
-    ):
-        super().__init__()
-        self.executor = Executor(workers, name=f"{name}.executor",
-                                 busy_counter=busy_counter)
-        self.workers = self.executor.num_threads
-
-    def run_chunk(
-        self,
-        fn: TaskFn,
-        payloads: Sequence[Any],
-        shared: "Mapping[str, Any] | None" = None,
-        timeout: "float | None" = 300.0,
-    ) -> list:
-        view = self.shared_view(shared)
-        results: list = [None] * len(payloads)
-
-        def make_task(index: int, payload: Any) -> Callable[[], None]:
-            def task() -> None:
-                results[index] = fn(view, payload)
-            return task
-
-        tasks = [make_task(i, p) for i, p in enumerate(payloads)]
-        if tasks:
-            self.executor.run_chunk(tasks, timeout=timeout)
-        return results
-
-    def shutdown(self, wait: bool = True) -> None:
-        self.executor.shutdown(wait=wait)
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +290,7 @@ class ProcessBackend(Backend):
     Workers hold *copies* of shared resources: only task return values
     travel back.  Caller-side mutable state on a shared object (e.g. an
     aligner's stats counters) is NOT updated by process-backend runs —
-    use the serial or thread backend when per-aligner instrumentation
+    use the serial backend when per-aligner instrumentation
     (the Fig. 8 op-mix profiling) must observe the run.
 
     Payloads and results both travel pickled down the pipe; nothing else
@@ -537,10 +493,6 @@ def make_backend(
         return kind
     if kind == "serial":
         return SerialBackend(busy_counter=busy_counter)
-    if kind == "thread":
-        return ThreadBackend(
-            workers=workers, name=name, busy_counter=busy_counter
-        )
     if kind == "process":
         return ProcessBackend(
             workers=workers, name=name, busy_counter=busy_counter

@@ -56,8 +56,8 @@ class NodeContext:
         """Resolve an execution backend from the session resource registry.
 
         Compute kernels are backend-agnostic: the registry holds a
-        :class:`~repro.dataflow.backends.Backend` (serial, thread or
-        process), returned as is; anything else is a ``TypeError``.
+        :class:`~repro.dataflow.backends.Backend` (serial or process),
+        returned as is; anything else is a ``TypeError``.
         In-process backends additionally see the whole resource registry
         as their shared mapping, so task functions can look up resources
         by handle.

@@ -20,6 +20,7 @@ from repro.align.base import ReadAligner
 from repro.align.snap import SeedIndex, SnapAligner, SnapConfig
 from repro.align.snap import aligner as snap_aligner_module
 from repro.core.pipelines import run_pipeline
+from repro.core.subgraphs import AlignGraphConfig
 from repro.formats.converters import import_reads
 from repro.genome.reads import ReadRecord
 from repro.genome.reference import reference_from_sequences
@@ -262,25 +263,26 @@ class TestStatsUnderThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert shared.stats == serial.stats
 
-    def test_thread_backend_run_reports_serial_stats(
+    def test_two_replica_run_reports_direct_stats(
         self, reads, reference, seed_index
     ):
+        """Two aligner replicas merge into one aligner's stats: the
+        pipeline's counts equal one direct ``align_reads`` call's."""
         # A read with two bases dropped: a verification Hamming cannot
         # settle, whatever the session fixture happened to draw.
         gapped = ReadRecord(b"gapped", reads[0].bases[:50]
                             + reads[0].bases[52:] + b"AC", reads[0].qualities)
         reads = list(reads) + [gapped]
-        stats = {}
-        for backend in ("serial", "thread"):
-            aligner = SnapAligner(seed_index)
-            run_pipeline(
-                _dataset(reads, reference), stages=("align",),
-                aligner=aligner, backend=backend, workers=4,
-            )
-            stats[backend] = aligner.stats
-        assert stats["thread"] == stats["serial"]
-        assert stats["serial"].reads == len(reads)
-        assert stats["serial"].lv_calls > 0 and stats["serial"].seed_lookups > 0
+        direct = SnapAligner(seed_index)
+        direct.align_reads([r.bases for r in reads])
+        aligner = SnapAligner(seed_index)
+        run_pipeline(
+            _dataset(reads, reference), stages=("align",), aligner=aligner,
+            align_config=AlignGraphConfig(aligner_nodes=2, subchunk_size=32),
+        )
+        assert aligner.stats == direct.stats
+        assert direct.stats.reads == len(reads)
+        assert direct.stats.lv_calls > 0 and direct.stats.seed_lookups > 0
 
 
 class ScalarOracleAligner(SnapAligner):
@@ -314,7 +316,7 @@ def test_pipeline_outputs_unchanged_versus_scalar_oracle(
     expected = _pipeline_digest(
         ScalarOracleAligner(seed_index), reads, reference, "serial"
     )
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         assert _pipeline_digest(
             SnapAligner(seed_index), reads, reference, backend
         ) == expected, backend

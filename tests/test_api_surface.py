@@ -198,6 +198,9 @@ def test_no_worker_payload_plane():
 #: fields on the graph config, no adapter for a raw ``Executor``.
 BACKEND_KNOB_NAMES = ("batch_bytes", "payload_nbytes", "as_backend",
                       "_apply_backend_choice")
+#: One in-process backend (serial) and one multi-core one (process):
+#: under the GIL a thread pool behind the backend API bought nothing.
+REMOVED_BACKEND_NAMES = ("ThreadBackend",)
 
 
 def test_backend_is_named_once():
@@ -205,6 +208,9 @@ def test_backend_is_named_once():
     from repro.core.paired_bwa import BwaPairedAlignerNode
     from repro.core.pipelines import PipelineSpec
     from repro.core.subgraphs import AlignGraphConfig
+    from repro.dataflow.backends import BACKEND_CHOICES
+
+    assert BACKEND_CHOICES == ("serial", "process")
 
     config_fields = {f.name for f in dataclasses.fields(AlignGraphConfig)}
     assert not config_fields & {"backend", "executor_threads", "batch_size"}
@@ -212,7 +218,8 @@ def test_backend_is_named_once():
         AlignGraphConfig(backend="process")
     assert "batch_size" not in {f.name for f in dataclasses.fields(
         PipelineSpec)}
-    found = _occurrences(rf"\b({'|'.join(BACKEND_KNOB_NAMES)})\b")
+    found = _occurrences(
+        rf"\b({'|'.join(BACKEND_KNOB_NAMES + REMOVED_BACKEND_NAMES)})\b")
     assert not found, "\n".join(found)
     assert not hasattr(AlignerNode, "executor_handle")
     # The paired BWA node's executor is a real handle, not an alias.

@@ -1,4 +1,4 @@
-"""Tests for the pluggable execution backends (serial / thread / process).
+"""Tests for the pluggable execution backends (serial / process).
 
 The contract every backend must honor: ``run_chunk(fn, payloads)``
 returns per-payload results in order, the first task error re-raises in
@@ -29,7 +29,6 @@ from repro.dataflow.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
     resolve_start_method,
 )
@@ -102,14 +101,23 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="no fork start method on this platform",
 )
+needs_spawn = pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods(),
+    reason="no spawn start method on this platform",
+)
 
 
-@pytest.fixture(params=ALL_BACKENDS)
+@pytest.fixture(params=[*ALL_BACKENDS,
+                        pytest.param("spawn", marks=needs_spawn)])
 def any_backend(request):
     # Process: two payloads per message, so a chunk is several batches.
-    backend = (ProcessBackend(workers=2, batch_size=2)
-               if request.param == "process"
-               else make_backend(request.param, workers=2))
+    # Spawn: the only start method macOS and Windows runners offer.
+    if request.param == "serial":
+        backend = SerialBackend()
+    else:
+        backend = ProcessBackend(
+            workers=2, batch_size=2,
+            start_method="spawn" if request.param == "spawn" else None)
     yield backend
     backend.shutdown()
 
@@ -144,26 +152,21 @@ class TestBackendContract:
                 results[kind] = backend.run_chunk(square_task, list(range(25)))
             finally:
                 backend.shutdown()
-        assert results["serial"] == results["thread"] == results["process"]
+        assert results["serial"] == results["process"]
 
 
 class TestMakeBackend:
     def test_kinds(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        thread = make_backend("thread", workers=3)
-        try:
-            assert isinstance(thread, ThreadBackend)
-            assert thread.workers == 3
-        finally:
-            thread.shutdown()
         process = make_backend("process", workers=2)
         assert isinstance(process, ProcessBackend)
         assert process.workers == 2
         process.shutdown()  # never started: must be a no-op
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
+        for kind in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make_backend(kind)
 
     def test_passthrough_instance(self):
         backend = SerialBackend()
@@ -353,10 +356,7 @@ class TestProcessBackend:
         finally:
             backend.shutdown()
 
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="no spawn start method on this platform",
-    )
+    @needs_spawn
     def test_spawn_gives_the_same_results(self):
         backend = ProcessBackend(workers=2, batch_size=2,
                                  start_method="spawn")
@@ -439,19 +439,22 @@ def test_parent_killed_leaves_no_worker(mode):
         process.communicate(timeout=10)
 
 
-@pytest.mark.parametrize("kind", ALL_BACKENDS)
+@pytest.mark.parametrize("kind,workers", [
+    ("serial", 1), ("process", 1), ("process", 2),
+], ids=["serial", "process-1", "process"])
 def test_alignment_pipeline_per_backend(
-    dataset, snap_aligner, aligned_results, kind
+    dataset, snap_aligner, aligned_results, kind, workers
 ):
     """The acceptance property: align_dataset(backend=...) produces the
-    same alignment results on the synthetic genome for every backend."""
+    same alignment results on the synthetic genome for every backend —
+    also with two aligner replicas contending for one worker's pipe."""
     config = AlignGraphConfig(aligner_nodes=2, subchunk_size=32)
     # Process: two subchunks per message, so a chunk is several batches.
-    backend = ProcessBackend(workers=2, batch_size=2) \
+    backend = ProcessBackend(workers=workers, batch_size=2) \
         if kind == "process" else kind
     try:
         outcome = align_dataset(
-            dataset, snap_aligner, config=config, backend=backend, workers=2
+            dataset, snap_aligner, config=config, backend=backend
         )
     finally:
         if kind == "process":
@@ -462,7 +465,7 @@ def test_alignment_pipeline_per_backend(
 
 def test_alignment_backend_instance_reuse(dataset, snap_aligner):
     """A caller-owned Backend instance is honored (and not shut down)."""
-    backend = ThreadBackend(workers=2)
+    backend = SerialBackend()
     try:
         align_dataset(dataset, snap_aligner, backend=backend)
         assert "results" in dataset.columns

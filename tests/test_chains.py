@@ -321,14 +321,20 @@ class TestThreadBudget:
         self, reads, reference, snap_aligner, aligned_on_disk, tmp_path,
         monkeypatch,
     ):
-        dataset = import_reads(
-            reads, "aligned", MemoryStore(), chunk_size=100,
-            reference=reference.manifest_entry())
-        threads, blobs = self.run(
-            dataset, ("align", "sort", "dupmark", "varcall"), reference,
-            tmp_path, monkeypatch, aligner=snap_aligner, backend="serial")
-        assert len(threads) <= 9, threads
-        assert blobs == eager_bytes(aligned_on_disk, reference)
+        """Named ``serial`` or left to the default, which is serial: no
+        backend pool beside the node threads."""
+        expected = eager_bytes(aligned_on_disk, reference)
+        for kw in ({"backend": "serial"}, {}):
+            dataset = import_reads(
+                reads, "aligned", MemoryStore(), chunk_size=100,
+                reference=reference.manifest_entry())
+            with monkeypatch.context() as patch:
+                threads, blobs = self.run(
+                    dataset, ("align", "sort", "dupmark", "varcall"),
+                    reference, tmp_path / str(len(kw)), patch,
+                    aligner=snap_aligner, **kw)
+            assert len(threads) <= 9, (kw, threads)
+            assert blobs == expected
 
 
 class GatedStore(MemoryStore):

@@ -45,7 +45,7 @@ class TestCLI:
         rc = main([
             "align", str(dataset_dir),
             "--reference", str(root / "ref.fasta"),
-            "--threads", "2",
+            "--workers", "2",
         ])
         assert rc == 0
         from repro.agd.dataset import AGDDataset
@@ -113,7 +113,7 @@ class TestPipelineCommand:
             "pipeline", str(ds_dir), str(out_dir),
             "--reference", str(root / "ref.fasta"),
             "--vcf", str(vcf),
-            "--backend", "thread", "--workers", "2",
+            "--backend", "serial", "--workers", "2",
             "--superchunk", "2",
         ])
         assert rc == 0
@@ -314,6 +314,10 @@ class TestClusterErrorsMatchPipeline:
             ["pipeline", str(ds_dir), "--batch-size", "2"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align",
              "--batch-size", "2"],
+            # One in-process backend (serial); one worker-count flag.
+            ["align", str(ds_dir), "--reference", "r", "--threads", "2"],
+            ["align", str(ds_dir), "--reference", "r", "--backend", "thread"],
+            ["pipeline", str(ds_dir), "--backend", "thread"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -70,7 +70,6 @@ class TestMultiServer:
             num_servers=3,
             config=AlignGraphConfig(aligner_nodes=1, reader_nodes=1,
                                     parser_nodes=1),
-            workers=1,
         )
         assert outcome.total_chunks == dataset.num_chunks
         assert outcome.total_records == dataset.total_records
@@ -90,11 +89,9 @@ class TestMultiServer:
             aligner_factory=lambda sid: snap_aligner,
             output_store_factory=lambda sid: output,
             num_servers=2,
-            workers=1,
         )
         single = MemoryStore()
-        align_dataset(dataset, snap_aligner, output_store=single,
-                      workers=1)
+        align_dataset(dataset, snap_aligner, output_store=single)
         for entry in dataset.manifest.chunks:
             key = entry.chunk_file("results")
             multi_records = read_chunk(output.get(key)).records

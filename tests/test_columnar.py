@@ -630,7 +630,7 @@ def test_dupmark_dataset_bytes_match_the_object_specification(
     assert vector_stats == scalar_stats
 
 
-@pytest.mark.parametrize("backend_kind", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend_kind", ["serial", "process"])
 class TestBackendEquivalence:
     """Sort and varcall run on their node threads whatever backend the
     run names: a one-stage pipeline on each kind matches the oracle."""

@@ -57,7 +57,7 @@ from row_sort_oracle import (
     remote_scratch,
 )
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def store_blobs(store) -> "dict[str, bytes]":

@@ -57,7 +57,7 @@ def vcf_bytes(variants, reference) -> bytes:
 
 
 class TestFilterStage:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_full_pipeline_matches_eager_filter(
         self, backend, fresh_dataset, snap_aligner, reference,
         eager_filtered_chain,

@@ -41,9 +41,7 @@ class TestFullWorkflow:
         assert dataset.total_records == len(reads)
         # 2. Align.
         aligner = build_snap_aligner(reference)
-        outcome = align_dataset(
-            dataset, aligner, workers=2
-        )
+        outcome = align_dataset(dataset, aligner)
         assert outcome.total_reads == len(reads)
         # 3. Sort by location.
         sorted_ds = sort_dataset(
@@ -78,8 +76,7 @@ class TestFullWorkflow:
         )
         dataset.manifest.reference = reference.manifest_entry()
         aligner = build_snap_aligner(reference)
-        align_dataset(dataset, aligner,
-                      workers=2)
+        align_dataset(dataset, aligner)
         results = dataset.read_column("results")
         exact = 0
         for result, origin in zip(results, origins):
@@ -103,9 +100,7 @@ class TestCephIntegration:
                                reference=reference.manifest_entry())
         assert dataset.read_column("bases") == [r.bases for r in reads]
         aligner = build_snap_aligner(reference)
-        outcome = align_dataset(
-            dataset, aligner, workers=2
-        )
+        outcome = align_dataset(dataset, aligner)
         assert outcome.total_reads == len(reads)
         assert cluster.bytes_read > 0
         assert cluster.bytes_written > 0
@@ -125,7 +120,6 @@ class TestCephIntegration:
             aligner_factory=lambda sid: aligner,
             output_store_factory=lambda sid: CephStore(cluster, prefix="out/"),
             num_servers=2,
-            workers=1,
         )
         assert outcome.total_chunks == dataset.num_chunks
         assert outcome.completion_imbalance < 50  # both servers participated

@@ -209,7 +209,7 @@ class TestReplay:
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_crash_resume_byte_identity(self, durable_ws, tmp_path, backend):
         root, make_dataset = durable_ws
         make_dataset(tmp_path / "ds-ref")

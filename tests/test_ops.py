@@ -15,7 +15,7 @@ from repro.core.ops import (
 )
 from repro.core.pipelines import align_dataset
 from repro.core.subgraphs import AlignGraphConfig
-from repro.dataflow.backends import ThreadBackend
+from repro.dataflow.backends import SerialBackend
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext
@@ -64,7 +64,7 @@ class TestAlignerNode:
     def test_aligns_chunk(self, dataset, snap_aligner, reads):
         resources = ResourceManager()
         resources.register("aligner", snap_aligner)
-        backend = ThreadBackend(workers=2)
+        backend = SerialBackend()
         resources.register("executor", backend)
         node = AlignerNode("aligner", "executor", subchunk_size=16)
         entry = dataset.manifest.chunks[0]
@@ -83,7 +83,7 @@ class TestAlignerNode:
         """Results identical regardless of subchunk size (Figure 4)."""
         resources = ResourceManager()
         resources.register("aligner", snap_aligner)
-        backend = ThreadBackend(workers=3)
+        backend = SerialBackend()
         resources.register("executor", backend)
         entry = dataset.manifest.chunks[0]
         outputs = []

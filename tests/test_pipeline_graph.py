@@ -70,7 +70,7 @@ def vcf_bytes(variants, reference) -> bytes:
 
 
 class TestOneGraphEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_matches_eager_path(
         self, backend, fresh_dataset, snap_aligner, reference, eager_chain
     ):
@@ -200,7 +200,7 @@ class TestMarksBeforeTheFirstWrite:
         if variants:
             assert outcome.variants == eager_variants
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("stages", [
         ("sort", "dupmark"), ("sort", "dupmark", "varcall"),
     ])

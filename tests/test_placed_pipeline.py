@@ -355,7 +355,7 @@ class TestBroker:
 
 
 class TestPlacedEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_two_server_split_matches_single_session(
         self, backend, fresh_dataset, snap_aligner, reference,
         single_session,
@@ -485,7 +485,7 @@ class TestEdgeCodecNegotiation:
         inflates = codec_spy.on("B.edge_source")
         assert inflates and {c[1] for c in inflates} == {"decompress"}
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_local_tcp_and_single_session_bytes_agree(
         self, backend, reads, reference, aligned_results,
     ):

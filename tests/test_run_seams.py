@@ -335,7 +335,7 @@ class TestPipelineSpecProperties:
         named = PipelineSpec(dataset, ("align",), backend="serial",
                              workers=3)
         assert (named.backend_name, named.owns_backends) == ("serial", True)
-        instance = make_backend("thread", workers=2)
+        instance = make_backend("serial")
         try:
             shared = PipelineSpec(dataset, ("align",), backend=instance)
             assert shared.backend_name == instance.name
