@@ -4,7 +4,7 @@ The tentpole claim of the zero-copy broker plane: when a worker shares
 the broker's host (the common placed-run topology — one broker, several
 worker processes, one machine per placement group), payload segments at
 or above the shm threshold cross as ~100-byte pool descriptors instead
-of socket bytes.  Three rows:
+of socket bytes.  Two rows:
 
 ``TCP copy``
     every payload byte crosses the loopback socket twice (publish in,
@@ -12,15 +12,10 @@ of socket bytes.  Three rows:
 ``shm handoff``
     descriptors cross the socket; the consumer still materializes each
     segment with one ``/dev/shm`` read per pull.
-``raw shm (views)``
-    the consumer maps each segment and consumes it as a read-only
-    ``memoryview`` — zero pull-side copies; the publish write and the
-    final consumer write are the only memcpys end to end.
 
-Same payloads, byte-identical deliveries.  Gates (armed on >= 2 CPUs,
-recorded in the JSON either way): shm handoff >= 1.5x over TCP copy,
-raw shm >= 2x over TCP copy.  The equivalence and /dev/shm leak checks
-always arm.
+Same payloads, byte-identical deliveries.  Gate (armed on >= 2 CPUs,
+recorded in the JSON either way): shm handoff >= 1.5x over TCP copy.
+The equivalence and /dev/shm leak checks always arm.
 
 A second cell covers the edge *codec*: one 1000-record work item
 through the serializer an in-process client negotiates.  Its checks are
@@ -69,19 +64,11 @@ ROUNDS = 3
 EDGE = "xfer"
 
 
-def _transfer(server: BrokerServer, payloads,
-              views: bool = False) -> "tuple[float, list]":
+def _transfer(server: BrokerServer, payloads) -> "tuple[float, list]":
     """One full edge pass: publish every payload, pull + ack every
-    delivery.  Returns (wall seconds, pulled payloads in order).
-
-    ``views=True`` measures the raw decode plane: pulls deliver
-    read-only memoryviews of the mapped segments and the timed loop
-    never copies them (materialization for the byte-identity check
-    happens after the clock stops — exactly what a view-consuming
-    kernel avoids paying).
-    """
+    delivery.  Returns (wall seconds, pulled payloads in order)."""
     producer = TcpBrokerClient(*server.address)
-    consumer = TcpBrokerClient(*server.address, views=views)
+    consumer = TcpBrokerClient(*server.address)
     producer.attach_producer(EDGE)
     try:
         start = time.monotonic()
@@ -94,20 +81,15 @@ def _transfer(server: BrokerServer, payloads,
             status, tag, _key, payload = consumer.pull(EDGE, timeout=5.0)
             assert status == PULL_OK, status
             consumer.ack(EDGE, tag)
-            pulled.append(payload if views else bytes(payload))
+            pulled.append(bytes(payload))
         wall = time.monotonic() - start
-        if views:
-            # Outside the timed region: materialize for the identity
-            # check, dropping the views so the mappings can release.
-            pulled = [bytes(p) for p in pulled]
     finally:
         producer.close()
         consumer.close()
     return wall, pulled
 
 
-def _run_mode(shm_mode: bool, payloads,
-              views: bool = False) -> "tuple[float, list, dict]":
+def _run_mode(shm_mode: bool, payloads) -> "tuple[float, list, dict]":
     best = None
     pulled = None
     stat = None
@@ -116,7 +98,7 @@ def _run_mode(shm_mode: bool, payloads,
         broker.create_edge(EDGE, capacity=len(payloads), producers=1)
         server = BrokerServer(broker, shm=shm_mode).start()
         try:
-            wall, out = _transfer(server, payloads, views=views)
+            wall, out = _transfer(server, payloads)
             stat = broker.stats()[EDGE]
         finally:
             server.stop()
@@ -139,11 +121,9 @@ def test_broker_wire_shm_throughput(report):
     before = set(shm.list_segments("psna-"))
     copy_wall, copy_out, copy_stat = _run_mode(False, payloads)
     shm_wall, shm_out, shm_stat = _run_mode(True, payloads)
-    raw_wall, raw_out, raw_stat = _run_mode(True, payloads, views=True)
     leaked = sorted(set(shm.list_segments("psna-")) - before)
 
     speedup = copy_wall / shm_wall if shm_wall else 0.0
-    raw_speedup = copy_wall / raw_wall if raw_wall else 0.0
     rep = report("broker_wire",
                  "Zero-copy broker plane — same-host shm handoff vs "
                  "TCP copy path")
@@ -155,42 +135,28 @@ def test_broker_wire_shm_throughput(report):
     rep.row("same-host shm handoff", ">= 1.5x",
             f"{shm_wall:.3f} s ({volume / shm_wall / 1e6:.0f} MB/s, "
             f"{speedup:.2f}x)")
-    rep.row("raw shm (zero-copy views)", ">= 2x",
-            f"{raw_wall:.3f} s ({volume / raw_wall / 1e6:.0f} MB/s, "
-            f"{raw_speedup:.2f}x)")
     rep.metric("cpu_count", cpus)
     rep.metric("copy_wall_seconds", copy_wall)
     rep.metric("shm_wall_seconds", shm_wall)
-    rep.metric("raw_wall_seconds", raw_wall)
     rep.metric("speedup", speedup)
-    rep.metric("raw_speedup", raw_speedup)
     rep.metric("payload_bytes_per_round", volume)
     rep.metric("shm_handoff_bytes", shm_stat["shm_bytes"])
     rep.metric("shm_wire_bytes", shm_stat["wire_bytes"])
     rep.metric("copy_wire_bytes", copy_stat["wire_bytes"])
-    rep.metric("raw_segments", raw_stat["raw_segments"])
-    rep.metric("raw_decode_copies", raw_stat["decode_copies"])
-    rep.metric("raw_decode_view_bytes", raw_stat["decode_view_bytes"])
     rep.add()
     rep.add("shape checks:")
-    rep.check("shm, raw, and copy deliveries byte-identical to the inputs",
-              shm_out == payloads and copy_out == payloads
-              and raw_out == payloads)
+    rep.check("shm and copy deliveries byte-identical to the inputs",
+              shm_out == payloads and copy_out == payloads)
     rep.check("copy path handed off nothing",
               copy_stat["shm_handoffs"] == 0)
     rep.check("shm path handed off every payload in both directions",
               shm_stat["shm_handoffs"] == 2 * CHUNKS)
     rep.check("shm path kept payload bytes off the socket",
               shm_stat["wire_bytes"] < copy_stat["wire_bytes"] / 100)
-    rep.check("raw path consumed every delivery as a zero-copy view",
-              raw_stat["raw_segments"] == CHUNKS
-              and raw_stat["decode_copies"] == 0
-              and raw_stat["decode_view_bytes"] == volume)
     rep.check("no /dev/shm segments leaked", not leaked)
     armed = cpus >= 2
     note = f"needs >= 2 CPUs, host has {cpus}" if not armed else ""
     rep.gate("shm_handoff_speedup", 1.5, speedup, armed, note=note)
-    rep.gate("raw_shm_speedup", 2.0, raw_speedup, armed, note=note)
     rep.finish()
 
 

@@ -1,10 +1,10 @@
-"""Sort-spill benchmark — gzip scratch vs raw-view scratch.
+"""Sort-spill benchmark — gzip scratch vs raw scratch.
 
-The zero-copy spill plane's claim: when sort scratch is a local
-directory, spilling runs in the raw (identity-codec) frame layout and
-restoring them as ``mmap`` views beats the gzip fallback, because the
-spill cycle stops paying deflate on the way out and inflate-plus-copy
-on the way back.  Two measurements:
+The spill plane's claim: when sort scratch is a local directory,
+spilling runs in the raw (identity-codec) frame layout and restoring
+them with one file read beats the gzip fallback, because the spill
+cycle stops paying deflate on the way out and inflate-plus-copy on the
+way back.  Two measurements:
 
 spill cycle (gated)
     encode + store every run, then restore + decode every spilled
@@ -22,9 +22,9 @@ end-to-end external sort (informational)
     ratio.
 
 Always-on shape checks: sorted output byte-identical raw vs gzip,
-``decode_copies == 0`` on the view row (every restore was an in-place
-view), zero ``/dev/shm`` leaks, and every scratch directory fully
-removable afterwards (no pinned mappings, no stray spill files).
+``decode_copies == 0`` on the raw row (no restore inflated a second
+copy), zero ``/dev/shm`` leaks, and every scratch directory fully
+removable afterwards (no stray spill files).
 
 Run:  pytest benchmarks/bench_sort_spill.py --benchmark-json=BENCH_sort_spill.json
 """
@@ -38,14 +38,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.agd.chunk import read_chunk_header, read_column
 from repro.agd.compression import SCRATCH_CODEC_LEVEL, leveled_codec
 from repro.agd.dataset import AGDDataset
 from repro.agd.records import as_column, record_type_for_column
 from repro.align.result import AlignmentResult
 from repro.core.sort import (
     SortConfig,
-    SpillLease,
+    _restore_spill,
     encode_run_spill,
     local_scratch_root,
     sort_dataset,
@@ -111,10 +110,9 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
     """One full spill cycle: encode + store every run, restore + decode
     every spilled chunk.  Returns (best wall seconds, restore counters).
 
-    Restore follows the merge's byte path for each mode: raw frames
-    are mapped under a :class:`SpillLease` and decoded in place;
-    gzip frames come back through ``scratch.get`` and inflate into an
-    owned copy.
+    Restore is the merge's own byte path: one file read per spilled
+    chunk, decoded over the bytes read (raw frames) or inflated into a
+    second copy (gzip).
     """
     rng = np.random.default_rng(4242)
     rows = _make_rows(rng)
@@ -127,8 +125,7 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
         root_dir = scratch_dir / f"{codec_name}-{round_index}"
         scratch = DirectoryStore(root_dir)
         root = local_scratch_root(scratch)
-        counters = {"decode_copies": 0, "spill_view_bytes": 0,
-                    "spill_restores": 0}
+        counters = {"decode_copies": 0, "spill_view_bytes": 0}
         start = time.monotonic()
         spilled = [
             store_run_spill(
@@ -141,28 +138,11 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
         for run in spilled:
             for entry in run.entries:
                 for column in COLUMNS:
-                    chunk_file = entry.chunk_file(column)
-                    path = root / chunk_file
-                    lease = None
-                    if codec_name == "none":
-                        lease = SpillLease(path)
-                        buf = lease.buf
-                    else:
-                        buf = scratch.get(chunk_file)
-                    header = read_chunk_header(buf)
-                    decoded_records += len(read_column(buf))
-                    counters["spill_restores"] += 1
-                    if header.codec_name == "none":
-                        counters["spill_view_bytes"] += \
-                            header.uncompressed_size
-                    else:
-                        counters["decode_copies"] += 1
-                    if lease is not None:
-                        del buf
-                        assert lease.release()
+                    decoded_records += len(_restore_spill(
+                        scratch, root, entry.chunk_file(column), counters))
         wall = time.monotonic() - start
         assert decoded_records == len(COLUMNS) * RECORDS
-        shutil.rmtree(root_dir)  # releases cleanly or the bench fails
+        shutil.rmtree(root_dir)
         if best is None or wall < best:
             best = wall
     return best, counters
@@ -194,7 +174,7 @@ def _end_to_end(scratch) -> "tuple[float, dict, dict]":
     blobs = _sorted_bytes(out_store, out)
     root = local_scratch_root(scratch)
     if root is not None:
-        shutil.rmtree(root)  # removable only if every lease released
+        shutil.rmtree(root)
     return wall, blobs, counters
 
 
@@ -215,14 +195,14 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
     speedup = gzip_wall / raw_wall if raw_wall else 0.0
     e2e_speedup = gz_e2e / raw_e2e if raw_e2e else 0.0
     rep = report("sort_spill",
-                 "Zero-copy spill plane — raw-view scratch vs gzip "
+                 "Spill plane — raw scratch (file read) vs gzip "
                  "scratch for the external sort")
     rep.add(f"host CPUs: {cpus}; {RECORDS} records x {READ_LEN} bp "
             f"(~{volume / 1e6:.0f} MB of row payload, "
             f"{PER_SUPER * CHUNK} records per run)")
     rep.row("gzip spill cycle", "deflate + inflate-copy",
             f"{gzip_wall:.3f} s")
-    rep.row("raw-view spill cycle", ">= 1.5x",
+    rep.row("raw spill cycle (file read)", ">= 1.5x",
             f"{raw_wall:.3f} s ({speedup:.2f}x)")
     rep.row("end-to-end sort, gzip scratch", "(informational)",
             f"{gz_e2e:.3f} s")
@@ -249,7 +229,7 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
     rep.add("shape checks:")
     rep.check("sorted output byte-identical, raw vs gzip scratch",
               raw_blobs == gz_blobs and len(raw_blobs) > 0)
-    rep.check("raw cycle restored every chunk as an in-place view "
+    rep.check("raw cycle restored every chunk with no inflate copy "
               "(decode_copies == 0)",
               raw_counters["decode_copies"] == 0
               and raw_counters["spill_view_bytes"] > 0)

@@ -14,7 +14,7 @@ This is format version 2, the only one written.  Version 1 stored the
 index raw (``record_count * 4`` bytes, no stored-size field) and is still
 read.  The index is deflated whatever the data codec: it is copied into
 an array on decode anyway, whereas a ``none``-framed data block stays a
-zero-copy view of the input buffer.
+view of the input buffer (see :func:`read_chunk_data`).
 
 The header carries CRC32 checksums of the *uncompressed* index and data
 so truncation and corruption are detected at parse time rather than
@@ -196,10 +196,10 @@ def read_chunk_header(blob: bytes) -> ChunkHeader:
     """Decode only the header of a chunk file image.
 
     Works on any 64-byte-or-larger buffer (``bytes`` or ``memoryview``),
-    so callers holding an mmap of a spilled sort run can sniff its
-    framing codec — restore paths dispatch on this header rather than on
-    any negotiated write-side setting, which is what lets raw and gzip
-    scratch coexist in one run (mixed after a crash-resume, say).
+    so a spilled sort run's restore can sniff its framing codec — restore
+    paths dispatch on this header rather than on any negotiated
+    write-side setting, which is what lets raw and gzip scratch coexist
+    in one run (mixed after a crash-resume, say).
     """
     return ChunkHeader.from_bytes(blob)
 
@@ -244,20 +244,16 @@ def read_chunk_data(blob) -> tuple[ChunkHeader, RelativeIndex, bytes]:
     (:meth:`AGDDataset.read_record`) all read through here, so format
     and corruption handling cannot drift between them.
 
-    View-native: ``blob`` may be any bytes-like buffer (``bytes``, a
-    :class:`memoryview` over a shared-memory delivery, an
-    ``np.frombuffer`` view).  For a ``memoryview`` input whose chunk was
-    framed with the identity ``none`` codec, the returned data block is
-    a zero-copy slice of that same buffer — no intermediate ``bytes``
-    is ever materialized, and every downstream decoder
-    (``np.frombuffer``, the record codecs) reads the transport buffer
-    in place.  (The index block is inflated into its own small buffer
-    either way.)  CRC and length validation run identically either way.
+    ``blob`` may be any bytes-like buffer.  The data block is sliced
+    through a ``memoryview``, so a chunk framed with the identity
+    ``none`` codec returns a view of ``blob`` itself, never a copy of
+    it: the read that produced ``blob`` stays the block's one copy
+    (:meth:`~repro.agd.columns.RaggedColumn.from_block` says when a
+    column still copies).  A compressed block inflates into its own
+    buffer.  CRC and length validation run identically either way.
     """
     header, index = read_chunk_index(blob)
-    # Slicing a memoryview is zero-copy (slicing bytes is not), so a
-    # memoryview input stays allocation-free through the identity codec.
-    compressed = blob[
+    compressed = memoryview(blob)[
         header.data_offset : header.data_offset + header.compressed_size
     ]
     if len(compressed) != header.compressed_size:

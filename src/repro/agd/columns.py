@@ -69,10 +69,11 @@ class RaggedColumn:
     def from_block(cls, data, lengths) -> "RaggedColumn":
         """Wrap a chunk data block and its record byte lengths.
 
-        ``data`` may be any bytes-like buffer.  A ``memoryview`` (a leased
-        shm segment, an mmap'ed spill) is copied once, whole: columns are
-        buffered, sorted and shipped past the lease of the buffer they
-        were decoded from.
+        ``data`` may be any bytes-like buffer.  ``bytes``, or a
+        ``memoryview`` of ``bytes``, is immutable and kept alive by the
+        column, so the column is a view of it.  Any other ``memoryview``
+        (of an ``mmap``, a ``bytearray``) is copied once, whole: its
+        exporter may be closed or rewritten while the column lives.
         """
         bounds = cumsum0(np.asarray(lengths, dtype=np.int64))
         flat = np.frombuffer(data, dtype=np.uint8)
@@ -82,7 +83,7 @@ class RaggedColumn:
             raise ValueError(
                 f"column has {flat.size - int(bounds[-1])} trailing bytes"
             )
-        if isinstance(data, memoryview):
+        if isinstance(data, memoryview) and not isinstance(data.obj, bytes):
             flat = flat.copy()
         return cls(flat, bounds)
 

@@ -143,11 +143,10 @@ def unpack_column_flat(data: bytes, lengths) -> BasesColumn:
     """Decode a packed column into one flat ASCII array (zero per-record
     bytes objects) — the decode half of the columnar aligner feed.
 
-    ``data`` may be any bytes-like buffer: a ``memoryview`` over a
-    leased shm segment reads through ``np.frombuffer`` without ever
-    materializing the packed block as ``bytes``.  The returned column's
-    arrays are fresh (the 3-bit unpack is a transform, not a copy), so
-    it never aliases — and never outlives — the delivery buffer."""
+    ``data`` may be any bytes-like buffer: it is read through
+    ``np.frombuffer`` without materializing the packed block as
+    ``bytes``.  The returned column's arrays are fresh (the 3-bit unpack
+    is a transform, not a copy), so it never aliases ``data``."""
     n = len(lengths)
     n_bases = np.asarray(lengths, dtype=np.int64) if n \
         else np.zeros(0, np.int64)

@@ -78,26 +78,12 @@ def _lzma_decompress(data: bytes) -> bytes:
 
 def _identity(data: bytes) -> bytes:
     # Pass buffers through untouched: a ``memoryview`` in is a
-    # ``memoryview`` out, which is what makes the ``none`` codec the
-    # zero-copy leg of the view-native decode plane — a chunk framed at
-    # codec level 0 decodes into views of the transport buffer.  The
-    # external sort frames runs it spills to a local directory this way
-    # so the merge restores them as mmap views instead of inflating
-    # gzip blocks (:func:`repro.core.sort.scratch_kind`).
+    # ``memoryview`` out, so a chunk framed at codec level 0 decodes
+    # into views of the buffer it was read into.  The external sort
+    # frames runs it spills to a local directory this way so the merge
+    # restores them without inflating gzip blocks
+    # (:func:`repro.core.sort.scratch_kind`).
     return data
-
-
-def as_bytes(data) -> bytes:
-    """Materialize any bytes-like buffer as owned ``bytes``.
-
-    The explicit escape hatch out of the view plane: decoders that hand
-    out :class:`memoryview` slices alias their transport buffer, and a
-    consumer that outlives the buffer's lease (or needs hashable /
-    orderable / picklable records) converts through here exactly once.
-    """
-    if isinstance(data, bytes):
-        return data
-    return bytes(data)
 
 
 GZIP = Codec("gzip", _probed_deflate, _gzip_decompress)

@@ -112,8 +112,9 @@ class AbsoluteIndex:
         return int(self._lengths[i])
 
     def slice_record(self, data: bytes, i: int) -> bytes:
-        """Extract record ``i``'s raw bytes from ``data``."""
+        """Extract record ``i``'s raw bytes from ``data`` (any bytes-like
+        buffer) as owned ``bytes``."""
         offset, size = self.record_span(i)
         if offset + size > len(data):
             raise ValueError("data block shorter than index implies")
-        return data[offset : offset + size]
+        return bytes(data[offset : offset + size])

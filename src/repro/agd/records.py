@@ -97,19 +97,16 @@ class RawBytesCodec:
         return b"".join(records), [len(r) for r in records]
 
     def decode(self, data: bytes, index: RelativeIndex) -> list[bytes]:
-        # Accepts any bytes-like buffer.  A memoryview input (the shm
-        # view plane) still yields owned bytes records: text records
-        # are used as dict keys downstream, which memoryviews cannot
-        # serve (decode_column / RaggedColumn.view are the zero-copy
-        # forms).
-        materialize = isinstance(data, memoryview)
+        # Accepts any bytes-like buffer (every identity-framed block is a
+        # memoryview) and yields owned bytes records: text records are
+        # used as dict keys downstream, which memoryviews cannot serve
+        # (decode_column / RaggedColumn.view are the zero-copy forms).
         out: list[bytes] = []
         offset = 0
         for n in index.lengths.tolist():
             if offset + n > len(data):
                 raise ValueError("text column data truncated")
-            record = data[offset : offset + n]
-            out.append(bytes(record) if materialize else record)
+            out.append(bytes(data[offset : offset + n]))
             offset += n
         if offset != len(data):
             raise ValueError(
@@ -150,18 +147,15 @@ class ResultsCodec:
 
     def decode(self, data: bytes, index: RelativeIndex) -> list[AlignmentResult]:
         # Trusted fast path: the chunk layer has already CRC-verified the
-        # data block, and records were validated when encoded.  A
-        # memoryview input (the shm view plane) is sliced in place and
-        # each record materialized exactly once — AlignmentResult fields
-        # (cigar bytes) must own their storage, since results are
-        # re-serialized, compared, and shipped across process backends.
-        materialize = isinstance(data, memoryview)
+        # data block, and records were validated when encoded.  Each
+        # record is materialized exactly once (an identity-framed block
+        # is a memoryview) — AlignmentResult fields (cigar bytes) must
+        # own their storage, since results are re-serialized, compared,
+        # and shipped across process backends.
         out: list[AlignmentResult] = []
         offset = 0
         for n in index.lengths.tolist():
-            record = data[offset : offset + n]
-            if materialize:
-                record = bytes(record)
+            record = bytes(data[offset : offset + n])
             out.append(AlignmentResult.from_bytes_trusted(record))
             offset += n
         if offset != len(data):

@@ -877,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="spill superchunk runs under DIR instead of in memory "
              "(spills to a local directory are written raw and restored "
-             "as zero-copy mmap views; in-memory spills are gzipped)",
+             "by one file read, no inflate)",
     )
     _add_codec_level_option(p, "the sorted output chunks")
     p.set_defaults(fn=_cmd_sort)

@@ -166,13 +166,6 @@ class _Edge:
     #: same-host descriptor handoff (one ``readinto`` each).
     spill_restores: int = 0
     spill_restore_bytes: int = 0
-    # --- decode accounting (the consumer reports back on ack) -------
-    #: Segments the consumer decoded as zero-copy views (raw-shm edges).
-    raw_segments: int = 0
-    #: Segments the consumer had to materialize as owned bytes.
-    decode_copies: int = 0
-    #: Bytes that reached record decoders as views, never copied.
-    decode_view_bytes: int = 0
 
     @property
     def exhausted(self) -> bool:
@@ -749,20 +742,6 @@ class Broker:
             e.spill_restores += spill_restores
             e.spill_restore_bytes += spill_restore_bytes
 
-    def record_decode(self, edge: str, raw_segments: int = 0,
-                      decode_copies: int = 0,
-                      decode_view_bytes: int = 0) -> None:
-        """Credit consumer-side decode behavior to an edge (piggybacked
-        on acks by view-pulling clients): how many delivered segments
-        were consumed as zero-copy views versus materialized copies."""
-        with self._lock:
-            e = self._edges.get(edge)
-            if e is None:
-                return
-            e.raw_segments += raw_segments
-            e.decode_copies += decode_copies
-            e.decode_view_bytes += decode_view_bytes
-
     # -------------------------------------------------------------- admin
 
     def abort(self, edge: "str | None" = None) -> None:
@@ -899,9 +878,6 @@ class Broker:
                     "copied_bytes": e.copied_bytes,
                     "spill_restores": e.spill_restores,
                     "spill_restore_bytes": e.spill_restore_bytes,
-                    "raw_segments": e.raw_segments,
-                    "decode_copies": e.decode_copies,
-                    "decode_view_bytes": e.decode_view_bytes,
                 }
                 for name, e in self._edges.items()
             }
@@ -1284,19 +1260,6 @@ class BrokerServer:
             refs = state.leases.pop(key, None) or []
         self._pool.release_all(refs)
 
-    def _credit_decode(self, edge: str, header: dict) -> None:
-        """Credit the consumer's piggybacked decode report (ack ops from
-        view-pulling clients carry a ``dec`` dict) to the edge stats."""
-        dec = header.get("dec")
-        if not isinstance(dec, dict):
-            return
-        self.broker.record_decode(
-            edge,
-            raw_segments=int(dec.get("raw", 0)),
-            decode_copies=int(dec.get("copies", 0)),
-            decode_view_bytes=int(dec.get("view_bytes", 0)),
-        )
-
     def _reap_payload(self, payload) -> None:
         """Release the adopted-segment leases riding a dropped payload
         (the :attr:`Broker.payload_reaper` hook)."""
@@ -1484,7 +1447,6 @@ class BrokerServer:
                 raise
             if status == PUBLISH_OK:
                 self._release_leases(state, (ack_edge, ack_tag))
-                self._credit_decode(ack_edge, header)
             else:
                 self._reap_payload(payload)
             shm_segs = len(header.get("shm") or []) - \
@@ -1511,7 +1473,6 @@ class BrokerServer:
             tag = int(header["tag"])
             self.broker.ack(edge, tag, consumer=state.consumer)
             self._release_leases(state, (edge, tag))
-            self._credit_decode(edge, header)
             return {"status": PULL_OK}, []
         if op == "attach":
             self.broker.attach_producer(edge, state.consumer)
@@ -1562,25 +1523,6 @@ class BrokerServer:
             self._pool.close()
 
 
-class _DeliveryViews:
-    """The segment mappings backing one view-pulled delivery.
-
-    Held (by the client's lease registry or by :class:`RemoteQueue`'s
-    deferred ack) until the consumer is done decoding, so the broker
-    cannot recycle bytes that decoded records still alias.
-    """
-
-    __slots__ = ("leases",)
-
-    def __init__(self, leases: list):
-        self.leases = leases
-
-    def release(self) -> list:
-        """Release every mapping; returns the zombies — leases whose
-        views are still exported (parked by the caller and retried)."""
-        return [lease for lease in self.leases if not lease.release()]
-
-
 class TcpBrokerClient:
     """Worker-side TCP transport (one lock-serialized connection).
 
@@ -1594,21 +1536,14 @@ class TcpBrokerClient:
     segment descriptors instead of socket bytes, in both directions.
     ``None`` (the default) auto-detects; ``False`` forces the copy path;
     ``True`` still degrades to copying when the probe is unreachable
-    (a cross-host peer can never be handed a local segment).
-
-    ``views`` controls the pull-side decode plane: with views on,
-    shm-delivered segments come back as read-only ``memoryview``
-    windows over the mapped segment — zero copies between the
-    publisher's write and the record decoders — and the delivery's
-    mappings are held in a lease registry until :meth:`ack` (or handed
-    to the consumer via :meth:`take_view_lease`).  ``None``
-    auto-enables exactly when it is zero-copy end to end: a verified
-    same-host handshake and the identity wire codec.
+    (a cross-host peer can never be handed a local segment).  A pulled
+    segment is read out of ``/dev/shm`` into owned bytes before
+    :meth:`pull` returns: the broker recycles the slab on ack, and the
+    record decoders would copy a mapped window anyway.
     """
 
     def __init__(self, host: str, port: int, wire_codec: str = "none",
-                 connect_timeout: float = 10.0, shm: "bool | None" = None,
-                 views: "bool | None" = None):
+                 connect_timeout: float = 10.0, shm: "bool | None" = None):
         self._codec = get_codec(wire_codec)
         self._sock = socket.create_connection((host, port),
                                               timeout=connect_timeout)
@@ -1626,10 +1561,6 @@ class TcpBrokerClient:
         self._closed = False
         self._shm = None
         self._shm_counter = itertools.count()
-        self._view_lock = threading.Lock()
-        self._view_leases: "dict[tuple, _DeliveryViews]" = {}
-        self._pending_dec: "dict[tuple, list[int]]" = {}
-        self._zombies: "list" = []
         hello = self._request({"op": "hello"})[0]
         self.consumer = hello.get("consumer")
         self.plan_doc = hello.get("plan")
@@ -1653,11 +1584,6 @@ class TcpBrokerClient:
                         "prefix": str(shm_info["prefix"]),
                         "threshold": int(shm_info["threshold"]),
                     }
-        # View pulls are only zero-copy when nothing re-encodes between
-        # the mapped segment and the decoder: a verified same-host
-        # handshake and the identity wire codec.
-        self._views = (views if views is not None else True) \
-            and self._shm is not None and self._codec.name == "none"
 
     @property
     def shm_active(self) -> bool:
@@ -1665,11 +1591,6 @@ class TcpBrokerClient:
         return self._shm is not None
 
     shares_memory = shm_active
-
-    @property
-    def views_active(self) -> bool:
-        """True when pulls deliver zero-copy segment views."""
-        return self._views
 
     def _request(self, header: dict,
                  segments=()) -> "tuple[dict, list]":
@@ -1743,13 +1664,7 @@ class TcpBrokerClient:
                     timeout: float = 0.05) -> str:
         header = {"op": "publish_ack", "edge": edge, "key": key,
                   "ack_edge": ack_edge, "ack_tag": ack_tag}
-        dec = self._pop_dec(ack_edge, ack_tag)
-        if dec is not None:
-            header["dec"] = dec
-        status = self._publish_op(header, payload, timeout)
-        if status == PUBLISH_OK:
-            self._release_views(ack_edge, ack_tag)
-        return status
+        return self._publish_op(header, payload, timeout)
 
     def pull(self, edge: str, timeout: float = 0.05):
         reply, body = self._request(
@@ -1759,108 +1674,25 @@ class TcpBrokerClient:
         if status != PULL_OK:
             return (status, 0, "", b"")
         plan = reply.get("shm")
-        raw = copies = view_bytes = 0
-        leases: list = []
         if plan is not None:
-            segments = []
+            # Materialize NOW: the broker releases this delivery's
+            # leases as soon as it is acked.
             inline = iter(body)
-            lease_by_seg: dict = {}
-            for entry in plan:
-                if entry is None:
-                    segments.append(next(inline))
-                    continue
-                name = str(entry["seg"])
-                off = int(entry.get("off", 0))
-                length = int(entry["len"])
-                lease = lease_by_seg.get(name)
-                if lease is None and self._views:
-                    try:
-                        lease = shm_plane.SegmentLease(name)
-                    except (OSError, ValueError):
-                        lease = None  # gone/odd segment: copy path
-                    else:
-                        lease_by_seg[name] = lease
-                        leases.append(lease)
-                if lease is not None:
-                    # Zero-copy: a read-only window over the mapped
-                    # segment.  The mapping is held in the lease
-                    # registry until this delivery's ack, so the broker
-                    # cannot recycle the bytes under the decoders.
-                    segments.append(lease.view(off, length))
-                    raw += 1
-                    view_bytes += length
-                else:
-                    # Materialize NOW: the broker releases this lease
-                    # as soon as the delivery is acked, so the bytes
-                    # must leave shared memory before this pull
-                    # returns.
-                    segments.append(shm_plane.read_segment(
-                        name, off, length))
-                    copies += 1
+            segments = [
+                next(inline) if entry is None
+                else shm_plane.read_segment(str(entry["seg"]),
+                                            int(entry.get("off", 0)),
+                                            int(entry["len"]))
+                for entry in plan
+            ]
         else:
             segments = body
         segments = [self._codec.decompress(s) for s in segments]
         payload = _from_segments(bool(reply.get("multi")), segments)
-        tag = reply["tag"]
-        if leases or raw or copies:
-            with self._view_lock:
-                if leases:
-                    self._view_leases[(edge, tag)] = _DeliveryViews(leases)
-                dec = self._pending_dec.setdefault((edge, tag), [0, 0, 0])
-                dec[0] += raw
-                dec[1] += copies
-                dec[2] += view_bytes
-        return (status, tag, reply["key"], payload)
-
-    def take_view_lease(self, edge: str, tag: int) -> "_DeliveryViews | None":
-        """Hand the caller the mappings backing a view-pulled delivery.
-
-        The deferred-ack hook: a consumer that wants decoded views to
-        survive until *it* finishes processing takes the lease out of
-        the registry, acks whenever it likes, and releases the handle
-        afterwards.  None when the delivery carried no views."""
-        with self._view_lock:
-            return self._view_leases.pop((edge, tag), None)
-
-    def release_view_lease(self, handle: "_DeliveryViews") -> None:
-        """Release a handle taken via :meth:`take_view_lease`; leases
-        still pinned by live views are parked as zombies and retried on
-        later acks."""
-        zombies = handle.release()
-        if zombies:
-            with self._view_lock:
-                self._zombies.extend(zombies)
-
-    def _pop_dec(self, edge: str, tag: int) -> "dict | None":
-        with self._view_lock:
-            dec = self._pending_dec.pop((edge, tag), None)
-        if dec is None:
-            return None
-        return {"raw": dec[0], "copies": dec[1], "view_bytes": dec[2]}
-
-    def _release_views(self, edge: str, tag: int) -> None:
-        """Drop a delivery's mappings; park still-pinned ones as
-        zombies (POSIX keeps their unlinked bytes alive) and retry the
-        parked ones opportunistically."""
-        handle = self.take_view_lease(edge, tag)
-        zombies = handle.release() if handle is not None else []
-        with self._view_lock:
-            zombies.extend(self._zombies)
-            self._zombies = []
-        survivors = [z for z in zombies if not z.release()]
-        if survivors:
-            with self._view_lock:
-                self._zombies.extend(survivors)
+        return (status, reply["tag"], reply["key"], payload)
 
     def ack(self, edge: str, tag: int) -> None:
-        header = {"op": "ack", "edge": edge, "tag": tag}
-        dec = self._pop_dec(edge, tag)
-        if dec is not None:
-            # Piggyback the decode report: the broker credits it to the
-            # edge's raw_segments / decode_copies / decode_view_bytes.
-            header["dec"] = dec
-        self._request(header)
-        self._release_views(edge, tag)
+        self._request({"op": "ack", "edge": edge, "tag": tag})
 
     def abort(self, edge: str) -> None:
         self._request({"op": "abort", "edge": edge})
@@ -1898,16 +1730,3 @@ class TcpBrokerClient:
                 self._sock.close()
             except OSError:
                 pass
-        # Best-effort view teardown: drop every held mapping; leases
-        # still pinned by live arrays stay parked (the OS reclaims the
-        # mappings at process exit, and /dev/shm names belong to the
-        # broker's pool, which sweeps them).
-        with self._view_lock:
-            handles = list(self._view_leases.values())
-            self._view_leases.clear()
-            zombies, self._zombies = self._zombies, []
-            self._pending_dec.clear()
-        for handle in handles:
-            zombies.extend(handle.release())
-        for z in zombies:
-            z.release()

@@ -23,7 +23,7 @@ import struct
 from typing import Callable, NamedTuple
 
 from repro.agd.chunk import read_chunk_header, read_column, write_chunk
-from repro.agd.compression import as_bytes, get_codec, leveled_codec
+from repro.agd.compression import get_codec, leveled_codec
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import record_type_for_column
 
@@ -35,8 +35,9 @@ EDGE_CODEC_LEVEL = 1
 
 #: Codec level for edges whose transport ``shares_memory``: no
 #: compression at all.  It buys nothing there (the bytes never cross a
-#: wire) and costs the decode plane its zero-copy property — a chunk
-#: framed at level 0 decodes as views of the mapped segment.
+#: wire) and costs a deflate on the sender plus an inflate on the
+#: receiver — a chunk framed at level 0 decodes as views of the frame
+#: bytes the receiver already holds.
 RAW_EDGE_CODEC_LEVEL = 0
 
 
@@ -178,17 +179,15 @@ def decode_work_item_frames(frames: "list[bytes]"):
     Every column decodes to one flat buffer plus record bounds
     (:func:`repro.agd.chunk.read_column`), which every kernel consumes
     natively — no per-record objects.  Frames may be any bytes-like
-    buffers: under the raw-shm handoff each large frame arrives as a read-only ``memoryview`` of the mapped
-    segment, and a column copies its block out of it once, whole, so
-    decoded items never alias the delivery.  The delivery lease must
-    outlive decoding — the :class:`~repro.dataflow.queues.RemoteQueue`
-    deferred ack guarantees it for the worker loop.
+    buffers: a raw column decoded from a ``bytes`` frame is a view of
+    it, one from a mutable buffer copies its block out once, whole
+    (:meth:`~repro.agd.columns.RaggedColumn.from_block`).
     """
     from repro.core.ops import ChunkWorkItem
 
     if not frames:
         raise WireError("work item frame missing header")
-    header = json.loads(as_bytes(frames[0]).decode())
+    header = json.loads(bytes(frames[0]).decode())
     columns = list(header["columns"])
     expected = len(columns) + (1 if header["results"] else 0)
     if len(frames) != expected + 1:
@@ -242,8 +241,9 @@ def edge_item_serializer(client) -> PayloadSerializer:
     (``QueueTransport.shares_memory``: the in-process client, a TCP
     client whose shm handshake verified the same host) carries columns
     as *raw* level-0 frames — no deflate on either end; over shm, large
-    frames cross as segment descriptors and decode as views.  A remote
-    TCP edge keeps the light level-1 gzip of :data:`EDGE_CODEC_LEVEL`.
+    frames cross as segment descriptors, read out once by the
+    receiver.  A remote TCP edge keeps the light level-1 gzip of
+    :data:`EDGE_CODEC_LEVEL`.
     """
     if client.shares_memory:
         return item_serializer(RAW_EDGE_CODEC_LEVEL)

@@ -200,9 +200,9 @@ def _gather_kept(col, idx: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 
     A :class:`~repro.agd.columns.RaggedColumn` gathers straight from its
     flat array (unpacking still-packed bases first) in one fancy-index
-    pass — no per-record bytes objects, no join copy.  List-of-buffers columns (including memoryview
-    records aliasing a leased segment) take the join path; ``b"".join``
-    accepts any buffer, so views are consumed in place.
+    pass — no per-record bytes objects, no join copy.  List-of-buffers
+    columns take the join path; ``b"".join`` accepts any buffer, so
+    views are consumed in place.
     """
     if isinstance(col, RaggedColumn):
         kept = col.decoded().take(idx)

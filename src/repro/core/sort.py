@@ -35,16 +35,15 @@ only how the permutation is computed
 A run is serialized only when it leaves the process
 (:func:`scratch_kind`): a memory scratch holds each sorted run as its
 columns, never encoded or put; a local directory gets the *raw*
-(identity-codec) chunk frame layout, restored by ``mmap`` under a
-:class:`SpillLease` guard and decoded straight from the mapped pages (no
-``scratch.get`` copy, no inflate); any other store gets gzip at
-``SCRATCH_CODEC_LEVEL``.  The chunk header is self-describing, so a
-resumed run whose scratch holds both framings restores byte-identically.
+(identity-codec) chunk frame layout, restored by one file read and
+decoded over the bytes read (no inflate, no second copy); any other
+store gets gzip at ``SCRATCH_CODEC_LEVEL``.  The chunk header is
+self-describing, so a resumed run whose scratch holds both framings
+restores byte-identically.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,7 +165,7 @@ def sort_run(scratch: ChunkStore, run_index: int, order: str,
 
 
 # ---------------------------------------------------------------------------
-# Scratch kinds; local raw-framed spills restored through mmap leases.
+# Scratch kinds; local raw-framed spills restored by one file read.
 
 
 def _scratch_base(store):
@@ -189,7 +188,8 @@ def scratch_kind(store) -> str:
 
     * ``"memory"`` — a ``MemoryStore``: runs never leave the process, so
       each is held as its sorted columns, never encoded or put;
-    * ``"local"`` — a ``DirectoryStore``: raw frames, restored by mmap;
+    * ``"local"`` — a ``DirectoryStore``: raw frames, restored by a file
+      read;
     * ``"remote"`` — anything else (a modeled disk, an object store):
       gzip frames at ``SCRATCH_CODEC_LEVEL``, restored through ``get``.
 
@@ -203,15 +203,15 @@ def scratch_kind(store) -> str:
 
 def local_scratch_root(store) -> "Path | None":
     """The directory a *local* scratch (:func:`scratch_kind`) keeps its
-    spill files in, which phase 2 maps instead of copying blobs out of
-    the store; None for any other kind."""
+    spill files in, which phase 2 reads directly instead of going
+    through the store; None for any other kind."""
     return _scratch_base(store).root if scratch_kind(store) == "local" \
         else None
 
 
 def scratch_codec(scratch) -> Codec:
     """The codec a run stored in ``scratch`` is framed with: the raw
-    (identity) layout phase 2 can mmap and decode in place for a local
+    (identity) layout phase 2 decodes without inflating for a local
     scratch, gzip at ``SCRATCH_CODEC_LEVEL`` otherwise (a memory scratch
     stores no run).
 
@@ -223,72 +223,14 @@ def scratch_codec(scratch) -> Codec:
     return leveled_codec(name, SCRATCH_CODEC_LEVEL)
 
 
-class SpillLease:
-    """:class:`~repro.dataflow.shm.SegmentLease`-style guard over one
-    mmap'ed spill file.
-
-    ``buf`` is a read-only view of the mapped frame; records decoded
-    from it alias page-cache memory, so the lease must outlive every
-    view derived from it.  The merge decodes (materializing records in
-    the same pass) and releases immediately; :meth:`release` returns
-    False while derived buffers still pin the mapping, exactly like the
-    segment lease it mirrors.
-    """
-
-    __slots__ = ("path", "_mm", "_mv")
-
-    def __init__(self, path: "str | Path"):
-        self.path = str(path)
-        with open(self.path, "rb") as fh:
-            self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        self._mv = memoryview(self._mm).toreadonly()
-
-    @property
-    def buf(self) -> memoryview:
-        return self._mv
-
-    @property
-    def nbytes(self) -> int:
-        return self._mv.nbytes
-
-    def view(self, offset: int = 0, length: "int | None" = None) -> memoryview:
-        end = self._mv.nbytes if length is None else offset + length
-        return self._mv[offset:end]
-
-    def release(self) -> bool:
-        """Unmap; False when views derived from ``buf`` still pin the
-        mapping (the lease stays held — retry after dropping them)."""
-        if self._mv is None:
-            return True
-        try:
-            self._mv.release()
-            self._mm.close()
-        except BufferError:
-            return False
-        self._mv = None
-        return True
-
-    def __enter__(self) -> "SpillLease":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def __del__(self):  # pragma: no cover - GC ordering dependent
-        try:
-            self.release()
-        except Exception:
-            pass
-
-
 def _credit_spill(counters: "dict | None", header) -> None:
     """Account one restored spill blob by what its header says happened.
 
-    ``spill_view_bytes`` — data-block bytes decoded in place (identity
-    codec: the frame *is* the uncompressed block); ``decode_copies`` —
-    blobs whose restore had to materialize a decompressed copy (the
-    gzip fallback).  The acceptance bar for the view path is
-    ``decode_copies == 0``.
+    ``spill_view_bytes`` — data-block bytes decoded as views of the
+    blob read back (identity codec: the frame *is* the uncompressed
+    block, so the read is the restore's one copy); ``decode_copies`` —
+    blobs whose restore had to inflate a second copy (gzip).  A local
+    scratch restores with ``decode_copies == 0``.
     """
     if counters is None:
         return
@@ -364,8 +306,8 @@ def store_run_spill(scratch: ChunkStore, run_index: int,
 
 
 def _decode_spill(blob, counters: "dict | None" = None) -> RaggedColumn:
-    """Decode one spilled column blob (a decoded column owns its
-    storage)."""
+    """Decode one spilled column blob (a ``bytes`` blob becomes the
+    column's storage; see :meth:`RaggedColumn.from_block`)."""
     _credit_spill(counters, read_chunk_header(blob))
     return read_column(blob)
 
@@ -373,18 +315,17 @@ def _decode_spill(blob, counters: "dict | None" = None) -> RaggedColumn:
 def _restore_spill(scratch: ChunkStore, root: "Path | None",
                    chunk_file: str,
                    counters: "dict | None") -> RaggedColumn:
-    """One spilled column, decoded: mapped under a :class:`SpillLease`
-    for just as long as the decode takes when the scratch store is a
-    local directory (``root``), read through ``scratch.get``
-    otherwise."""
+    """One spilled column, decoded from one read: of the file itself
+    when the scratch store is a local directory (``root``; the read
+    bypasses the store's wrappers), through ``scratch.get`` otherwise.
+    The decoded column's buffers are views of the blob read."""
     if root is not None:
         try:
-            lease = SpillLease(root / chunk_file)
+            blob = (root / chunk_file).read_bytes()
         except OSError:
             pass  # not a file under the root after all: ask the store
         else:
-            with lease:
-                return _decode_spill(lease.buf, counters)
+            return _decode_spill(blob, counters)
     return _decode_spill(scratch.get(chunk_file), counters)
 
 

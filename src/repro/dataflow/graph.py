@@ -237,9 +237,9 @@ class Graph:
             if getattr(node.input, "inline", False):
                 # Runs on its producer's thread: no input wait to report.
                 report["nodes"][node.name]["inline"] = True
-            # Memory-plane counters ride along only when a node recorded
-            # any, so reports (and tests comparing them) are unchanged
-            # for nodes outside the view plane.
+            # Node counters ride along only when a node recorded any, so
+            # reports (and tests comparing them) are unchanged for nodes
+            # that keep none.
             if node.stats.counters:
                 report["nodes"][node.name]["counters"] = dict(
                     node.stats.counters

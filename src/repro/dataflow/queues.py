@@ -267,12 +267,6 @@ class RemoteQueue:
         self._aborted = False
         self._lock = threading.Lock()
         self._inflight: dict[str, int] = {}
-        #: Deferred auto-ack: the previous delivery's (tag, view-lease
-        #: handle), acknowledged at the next :meth:`get`.  Set only when
-        #: the transport delivered zero-copy views — the worker loop is
-        #: get -> process -> get, so by the next get the decoded views
-        #: are dead and the segment lease can drop safely.
-        self._deferred: "tuple[int, Any] | None" = None
         # Mirror of the local Queue metrics surface.
         self.total_enqueued = 0
         #: Frames / bytes this endpoint encoded for its transport.
@@ -382,28 +376,7 @@ class RemoteQueue:
                     f"publish to full edge {self.edge!r} timed out"
                 )
 
-    def _flush_deferred(self) -> None:
-        """Acknowledge the previous view-carrying delivery (and drop its
-        segment mappings).  Runs before each pull so the broker sees the
-        ack — and can hand the consumer more work / close the edge —
-        no later than one delivery behind."""
-        with self._lock:
-            deferred, self._deferred = self._deferred, None
-        if deferred is None:
-            return
-        tag, handle = deferred
-        try:
-            self.client.ack(self.edge, tag)
-        finally:
-            if handle is not None:
-                release = getattr(self.client, "release_view_lease", None)
-                if release is not None:
-                    release(handle)
-                else:
-                    handle.release()
-
     def get(self, timeout: "float | None" = None) -> Any:
-        self._flush_deferred()
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._aborted:
@@ -422,20 +395,11 @@ class RemoteQueue:
             with self._lock:
                 self._inflight[key] = tag
             return self._decode(payload)
-        # Auto-ack: decode BEFORE acknowledging.  Under the same-host shm
-        # handoff the ack releases the broker-side segment lease, so the
-        # payload must be fully materialized first.
+        # Auto-ack: decode BEFORE acknowledging, so a payload that fails
+        # to decode stays unacked.  Every transport hands back owned
+        # bytes, so nothing the decoded item holds dies with the ack.
         item = self._decode(payload)
-        take = getattr(self.client, "take_view_lease", None)
-        handle = take(self.edge, tag) if take is not None else None
-        if handle is None:
-            self.client.ack(self.edge, tag)
-        else:
-            # The decoded item aliases mapped segments: defer the ack
-            # (and the mapping release) until the next get, by which
-            # point the worker loop has finished processing this item.
-            with self._lock:
-                self._deferred = (tag, handle)
+        self.client.ack(self.edge, tag)
         return item
 
     def _take_tag(self, key: str) -> "int | None":

@@ -4,7 +4,9 @@ Persona moves chunks between stages by reference, never re-serialized,
 so "all cores run continuously doing meaningful work" (§4.3).  Between
 servers on one host that means a payload crosses ``/dev/shm`` instead of
 the socket: the publisher writes a segment once, the broker adopts it
-without copying, and a consumer reads it through a zero-copy view.
+without copying, and the consumer reads it out once with
+``read_segment`` — the one copy its record decoders would otherwise
+make of a mapped window.
 Between a process backend and its forked workers there is no such plane:
 the aligner's payloads (about 20 KB of packed bases at 101 bp) go down
 the pipe.
@@ -21,6 +23,11 @@ the pipe.
     The reference that actually crosses the socket: segment name,
     offset, length and lease token.  A ~100-byte descriptor regardless
     of payload size.
+
+``PooledView``
+    The one lease a caller holds outside the pool: a read-only window
+    onto pooled bytes that the broker's server writes straight to a
+    socket, released once the send completes.
 
 Segments a broker publisher hands over share the pool's unique prefix,
 so ``BufferPool.close()`` can sweep stragglers left by a peer that died
@@ -50,7 +57,6 @@ __all__ = [
     "DEFAULT_SLAB_BYTES",
     "BufferPool",
     "PooledView",
-    "SegmentLease",
     "ShmRef",
     "create_segment",
     "list_segments",
@@ -696,8 +702,7 @@ class PooledView:
 
     Returned by :meth:`BufferPool.view_ref`.  Holding the view holds a
     pool lease — the slab cannot rewind and the adopted segment cannot
-    unlink until :meth:`release` — which is the copy-on-write
-    discipline of the view plane: ``view`` is read-only, so a kernel
+    unlink until :meth:`release`.  ``view`` is read-only, so a kernel
     that tries to mutate it raises instead of corrupting bytes another
     consumer may be redelivered.  Use as a context manager, or release
     explicitly once every array derived from the view is dropped.
@@ -715,7 +720,7 @@ class PooledView:
         return self.view.nbytes
 
     def materialize(self) -> bytes:
-        """Escape hatch out of the view plane: owned bytes, safe to
+        """Escape hatch out of the pool: owned bytes, safe to
         retain after the lease is released."""
         return bytes(self.view)
 
@@ -740,93 +745,6 @@ class PooledView:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-
-#: Leases whose mappings were still pinned by exported views when their
-#: last reference dropped (see :meth:`SegmentLease.__del__`): parked
-#: here — strongly referenced, so no teardown runs while views alive —
-#: and retried whenever a new lease is created.
-_ZOMBIE_LOCK = threading.Lock()
-_ZOMBIE_LEASES: "list" = []
-
-
-def sweep_zombie_leases() -> int:
-    """Retry parked zombie leases; returns how many remain pinned."""
-    with _ZOMBIE_LOCK:
-        zombies = list(_ZOMBIE_LEASES)
-        _ZOMBIE_LEASES.clear()
-    survivors = [z for z in zombies if not z.release()]
-    if survivors:
-        with _ZOMBIE_LOCK:
-            _ZOMBIE_LEASES.extend(survivors)
-    return len(survivors)
-
-
-class SegmentLease:
-    """A read-only mapping of one named segment, held open for views.
-
-    The consumer half of the raw-shm decode plane: a broker pull that
-    delivers segment descriptors attaches each segment once, hands out
-    zero-copy read-only windows via :meth:`view`, and keeps the mapping
-    open until :meth:`release` — the delivery-lease discipline that
-    lets decoded records alias shared memory safely.  Release tolerates
-    still-exported views by returning False (the caller parks the lease
-    as a zombie and retries later); POSIX keeps unlinked-but-mapped
-    bytes alive, so a parked zombie neither corrupts a reader nor
-    leaks a ``/dev/shm`` entry.
-    """
-
-    __slots__ = ("name", "_seg", "_mv")
-
-    def __init__(self, name: str):
-        sweep_zombie_leases()
-        self.name = name
-        self._seg = _shared_memory.SharedMemory(name=name)
-        # An attacher is not an owner: keep the resource tracker out of
-        # it so this process's exit never unlinks the creator's segment.
-        _untrack(self._seg)
-        self._mv = self._seg.buf.toreadonly()
-
-    @property
-    def nbytes(self) -> int:
-        return self._seg.size
-
-    def view(self, offset: int, length: int) -> memoryview:
-        """Zero-copy read-only window onto ``[offset, offset+length)``."""
-        if offset < 0 or length < 0 or offset + length > len(self._mv):
-            raise ValueError(
-                f"view [{offset}, {offset + length}) outside segment "
-                f"{self.name!r} of {len(self._mv)} bytes"
-            )
-        return self._mv[offset:offset + length]
-
-    def release(self) -> bool:
-        """Drop the mapping.  False when exported views still pin it
-        (retry after the views are garbage)."""
-        if self._seg is None:
-            return True
-        try:
-            if self._mv is not None:
-                self._mv.release()
-                self._mv = None
-            self._seg.close()
-        except BufferError:
-            return False
-        self._seg = None
-        return True
-
-    def __del__(self):
-        # An abandoned lease must not let SharedMemory.__del__ close a
-        # mapping that exported views still pin (unraisable
-        # BufferError).  If release fails, resurrect into the zombie
-        # registry; a later sweep — or interpreter teardown after the
-        # views die — finishes the job.
-        try:
-            if not self.release():
-                with _ZOMBIE_LOCK:
-                    _ZOMBIE_LEASES.append(self)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""Zero-copy spill plane: held runs and view-adopted sort spills.
+"""Spill plane: held runs and raw-framed sort spills.
 
 The scratch store's kind decides how a sorted run is kept: a memory
 store holds it as columns (nothing encoded, put or restored); a local
 directory gets raw (identity-codec) frames that phase 2 of the external
-sort ``mmap``s and decodes in place (``spill_view_bytes`` grows,
-``decode_copies`` stays 0); any other store gets gzip — all
-byte-identical in what the merge emits.  The plane must leak nothing:
-no ``/dev/shm`` entries, no pinned scratch mappings.
+sort reads back with one file read and decodes without inflating
+(``spill_view_bytes`` grows, ``decode_copies`` stays 0); any other store
+gets gzip — all byte-identical in what the merge emits.  The plane must
+leak nothing: no ``/dev/shm`` entries, no open scratch files.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import subprocess
 import sys
@@ -19,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.agd.chunk import read_chunk, write_chunk
+from repro.agd.chunk import write_chunk
 from repro.agd.compression import NONE
 from repro.align.result import AlignmentResult
 from repro.agd.dataset import AGDDataset
 from repro.core.sort import (
     SortConfig,
-    SpillLease,
+    _restore_spill,
     local_scratch_root,
     scratch_codec,
     scratch_kind,
@@ -139,10 +138,12 @@ class TestRawScratchNegotiation:
         assert scratch.bytes_read == scratch.bytes_written > 0
 
 
-# -------------------------------------------------------- spill views
+# ------------------------------------------------------ spill restore
 
 
 class TestSpillLease:
+    """Restoring one raw spill from a local scratch directory."""
+
     def _raw_spill(self, tmp_path) -> "tuple[Path, list[bytes]]":
         records = [f"read-{i:04d}".encode() * 8 for i in range(32)]
         blob = write_chunk(records, "text", codec=NONE)
@@ -151,33 +152,20 @@ class TestSpillLease:
         return path, records
 
     def test_decoded_records_match_and_lease_releases(self, tmp_path):
+        """A local raw spill restores by one file read, past the store,
+        and decodes to the records written."""
         path, records = self._raw_spill(tmp_path)
-        lease = SpillLease(path)
-        buf = lease.buf
-        assert isinstance(buf, memoryview)
-        assert buf.readonly
-        decoded = read_chunk(buf)
-        assert list(decoded.records) == records
-        # read_chunk materialized the rows, so nothing pins the mapping.
-        del buf
-        assert lease.release()
-        assert lease.release()  # idempotent
 
-    def test_release_refuses_while_views_pin_the_mapping(self, tmp_path):
-        path, _records = self._raw_spill(tmp_path)
-        with SpillLease(path) as lease:
-            alias = lease.view(0, 64)
-            assert not lease.release()
-            alias.release()
-            assert lease.release()
+        class _NoGets(DirectoryStore):
+            def get(self, key):
+                raise AssertionError(f"restore went through get({key!r})")
 
-    def test_view_aliases_file_bytes(self, tmp_path):
-        path, _records = self._raw_spill(tmp_path)
-        raw = path.read_bytes()
-        with SpillLease(path) as lease:
-            assert lease.nbytes == len(raw)
-            assert bytes(lease.view(8, 16)) == raw[8:24]
-            assert bytes(lease.buf) == raw
+        counters: dict = {}
+        column = _restore_spill(_NoGets(tmp_path), tmp_path, path.name,
+                                counters)
+        assert list(column) == records
+        assert counters == {"spill_restores": 1, "spill_view_bytes":
+                            len(b"".join(records))}
 
 
 # ------------------------------------------------------ byte identity
@@ -194,7 +182,8 @@ class TestByteIdentity:
 
     def test_raw_scratch_output_matches_gzip(self, tmp_path):
         """The path is chosen by the store: a directory scratch spills
-        raw frames and restores them as views, a remote scratch gzips."""
+        raw frames and restores them with one read, a remote scratch
+        gzips."""
         config = SortConfig(chunks_per_superchunk=3)
         raw_counters: dict = {}
         gzip_counters: dict = {}
@@ -226,7 +215,7 @@ class TestByteIdentity:
 
     def test_forced_raw_on_memory_store_still_correct(self):
         """Raw frames in a non-mappable store (a resumed run whose
-        scratch moved, here forced by writing them): no mmap restore,
+        scratch moved, here forced by writing them): no file read,
         but the identity frames round-trip through ``scratch.get``
         unchanged — next to gzip runs, since every spill's header names
         its own codec."""
@@ -347,16 +336,21 @@ class TestByteIdentity:
         assert got["memory"][1], "fixture calls no variants"
         assert got["memory"] == got["local"] == got["remote"]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to list open files")
     def test_raw_scratch_leaves_no_pinned_mappings(self, tmp_path):
         scratch_dir = tmp_path / "scratch"
         self._sorted_bytes(DirectoryStore(scratch_dir),
                            SortConfig(chunks_per_superchunk=3))
-        gc.collect()
-        # Every SpillLease released: the spill files are plain closed
-        # files, freely removable.
-        for p in scratch_dir.iterdir():
-            p.unlink()
-        scratch_dir.rmdir()
+        spills = {str(p.resolve()) for p in scratch_dir.iterdir()}
+        assert spills
+        open_files = set()
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                open_files.add(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:
+                pass  # closed between listdir and readlink
+        assert not spills & open_files
 
 
 # ------------------------------------------------ large pickled results

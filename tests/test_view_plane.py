@@ -1,25 +1,23 @@
-"""Zero-copy decode plane tests (view-based codecs, per-edge encoding).
+"""Decode-plane tests: one copy per data block, per-edge encoding.
 
-The acceptance properties of the end-to-end view plane:
-
-* chunk decoding over a ``memoryview`` + the identity codec is genuinely
-  zero-copy up to the data block; a decoded column copies that block
-  once (so it never aliases the delivery), ``column.view(i)`` is the
+* chunk decoding over the identity codec never copies the data block
+  out of its input; a decoded column is a view of an immutable
+  ``bytes`` input and copies any other buffer once, whole (so it never
+  aliases a mapping or a mutable buffer), ``column.view(i)`` is the
   zero-copy per-record window, and every escape hatch
   (``RaggedColumn.materialize``, ``PooledView.materialize``) produces
   owned storage byte-identical to the views;
-* view aliasing is *safe*: delivered views are read-only, a consumer
-  mutating (or dying while holding) a view never corrupts the segment a
-  redelivery reads, and no ``/dev/shm`` segment outlives the server;
+* pool views are read-only, a consumer dying between a pull and its
+  ack never corrupts the segment a redelivery reads, and no
+  ``/dev/shm`` segment outlives the server;
 * the per-edge codec negotiation picks raw level-0 frames exactly for
   shm-verified clients and keeps gzip level 1 everywhere else, with
-  byte-identical decoded items either way;
-* the broker's decode counters prove the property the bench gates on:
-  a shm-verified edge decodes with ``decode_copies == 0``.
+  byte-identical decoded items either way.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import signal
@@ -35,7 +33,7 @@ from repro.agd.chunk import (
     write_chunk,
 )
 from repro.agd.columns import BasesColumn, PackedBasesColumn
-from repro.agd.compaction import unpack_column_flat
+from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import get_record_codec
 from repro.align.result import AlignmentResult
@@ -57,7 +55,8 @@ from repro.agd.chunk import read_column
 from repro.core.columnar import _gather_kept
 from repro.core.ops import ChunkWorkItem
 from repro.dataflow import shm
-from repro.dataflow.queues import PUBLISH_OK, PULL_OK, RemoteQueue
+from repro.dataflow.queues import PUBLISH_OK, PULL_OK
+from repro.storage.base import MemoryStore
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory unavailable"
@@ -120,9 +119,9 @@ class TestChunkViewDecode:
         assert read_chunk(memoryview(blob)).records == QUALS
 
     def test_text_column_owns_its_block_and_serves_views(self):
-        blob = write_chunk(QUALS, "text", codec="none")
+        blob = bytearray(write_chunk(QUALS, "text", codec="none"))
         column = read_column(memoryview(blob))
-        # One whole-block copy: nothing aliases the transport buffer.
+        # One whole-block copy: nothing aliases the mutable buffer.
         assert not np.shares_memory(
             column.flat, np.frombuffer(blob, dtype=np.uint8))
         assert column == QUALS
@@ -148,6 +147,68 @@ class TestChunkViewDecode:
         decoded = read_chunk(memoryview(blob)).records
         assert decoded == results
         assert all(isinstance(r.cigar, bytes) for r in decoded)
+
+
+def _identity_blob(column: str) -> bytes:
+    records = {
+        "bases": READS,
+        "text": QUALS,
+        "results": [
+            AlignmentResult(flag=0, mapq=60, contig_index=0, position=i,
+                            cigar=b"10M")
+            for i in range(4)
+        ],
+    }[column]
+    return write_chunk(records, column, codec="none")
+
+
+def _mapped(blob: bytes) -> memoryview:
+    mapping = mmap.mmap(-1, len(blob))
+    mapping[:] = blob
+    return memoryview(mapping)
+
+
+class TestOneCopyPerBlock:
+    """Every decode copies a data block exactly once: the read that made
+    an immutable ``bytes`` blob, or else the column's own copy."""
+
+    @pytest.mark.parametrize("column", ["bases", "text", "results"])
+    def test_bytes_blob_is_the_column_storage(self, column):
+        blob = _identity_blob(column)
+        decoded = read_column(blob)
+        assert np.shares_memory(decoded.flat,
+                                np.frombuffer(blob, dtype=np.uint8))
+        assert decoded == read_chunk(blob).records
+
+    @pytest.mark.parametrize("column", ["bases", "text", "results"])
+    @pytest.mark.parametrize("wrap", [
+        lambda b: memoryview(bytearray(b)), _mapped,
+    ], ids=["bytearray", "mmap"])
+    def test_mutable_or_mapped_buffer_is_copied_once(self, column, wrap):
+        blob = _identity_blob(column)
+        view = wrap(blob)
+        decoded = read_column(view)
+        assert decoded.flat.flags.owndata
+        assert not np.shares_memory(decoded.flat,
+                                    np.frombuffer(view, dtype=np.uint8))
+        assert decoded == read_chunk(blob).records
+
+    @pytest.mark.parametrize("column", ["bases", "text", "results"])
+    def test_gzip_frame_never_aliases_its_input(self, column):
+        records = read_chunk(_identity_blob(column)).records
+        blob = write_chunk(records, column, codec="gzip")
+        decoded = read_column(blob)
+        assert not np.shares_memory(decoded.flat,
+                                    np.frombuffer(blob, dtype=np.uint8))
+        assert decoded == records
+
+    def test_read_record_returns_bytes(self):
+        ds = AGDDataset.create("one-copy", {"qual": QUALS}, MemoryStore(),
+                               chunk_size=3, codecs={"qual": "none"})
+        for i, qual in enumerate(QUALS):
+            record = ds.read_record("qual", i)
+            assert isinstance(record, bytes)
+            assert record == qual
 
 
 class TestBasesColumnViews:
@@ -269,13 +330,13 @@ class TestEdgeCodecNegotiation:
     def test_views_decode_feeds_bases_column(self):
         item = self._item()
         frames = [
-            memoryview(f)
+            memoryview(bytearray(f))
             for f in encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
         ]
         got = decode_work_item_frames(frames)
         # Bases stay in their 3-bit block (whoever reads them unpacks
         # them once); every column owns its storage, none aliases the
-        # delivery frames.
+        # mutable frames it was decoded from.
         bases = got.columns["bases"]
         assert isinstance(bases, PackedBasesColumn)
         assert bases.to_list() == READS
@@ -323,16 +384,16 @@ class TestEdgeCodecNegotiation:
         assert _payload_nbytes([memoryview(b"abcd"), b"ef"]) == 4 + 2
 
 
-# ----------------------------------------- end-to-end view deliveries
+# ------------------------------------------------ end-to-end deliveries
 
 
-def _pull_views_and_die(host, port, edge):  # pragma: no cover - in child
-    client = TcpBrokerClient(host, port, views=True)
+def _pull_and_die(host, port, edge):  # pragma: no cover - in child
+    client = TcpBrokerClient(host, port)
     status, _tag, _key, payload = client.pull(edge, timeout=10.0)
     assert status == PULL_OK
-    assert isinstance(payload, memoryview)
-    # Die holding the mapped view, delivery unacked: the broker must
-    # reclaim the lease and a redelivery must read the original bytes.
+    assert isinstance(payload, bytes)
+    # Die after the pull, delivery unacked: the broker must reclaim the
+    # lease and a redelivery must read the original bytes.
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -345,114 +406,37 @@ class TestViewDeliveries:
             broker, shm=True, shm_threshold=threshold
         ).start()
 
-    def test_view_pull_is_readonly_and_counts_zero_copies(self):
-        server = self._server()
-        try:
-            producer = TcpBrokerClient(*server.address)
-            consumer = TcpBrokerClient(*server.address, views=True)
-            assert consumer.views_active
-            producer.attach_producer("e")
-            blob = os.urandom(16384)
-            assert producer.publish("e", "k", blob,
-                                    timeout=5.0) == PUBLISH_OK
-            tag, key, payload = _drain_pull(consumer, "e")
-            assert isinstance(payload, memoryview)
-            assert payload.readonly
-            with pytest.raises(TypeError):
-                payload[0] = 0x00
-            assert bytes(payload) == blob
-            payload.release()
-            consumer.ack("e", tag)
-            stat = consumer.stats()["e"]
-            assert stat["raw_segments"] == 1
-            assert stat["decode_copies"] == 0
-            assert stat["decode_view_bytes"] == len(blob)
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
-        assert shm.list_segments(server._pool.prefix) == []
-
-    def test_small_socket_payloads_still_copy_under_views_client(self):
-        server = self._server(threshold=1 << 20)
-        try:
-            producer = TcpBrokerClient(*server.address)
-            consumer = TcpBrokerClient(*server.address, views=True)
-            producer.attach_producer("e")
-            assert producer.publish("e", "k", b"tiny payload",
-                                    timeout=5.0) == PUBLISH_OK
-            tag, _key, payload = _drain_pull(consumer, "e")
-            assert bytes(payload) == b"tiny payload"
-            consumer.ack("e", tag)
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
-
     def test_consumer_death_holding_views_never_corrupts_redelivery(self):
+        """A consumer SIGKILLed after a copy-path pull of a segment
+        handed over ``/dev/shm``, before its ack."""
         server = self._server()
         try:
             producer = TcpBrokerClient(*server.address)
             producer.attach_producer("e")
+            assert producer.shm_active
             blob = os.urandom(16384)
             assert producer.publish("e", "k", blob,
                                     timeout=5.0) == PUBLISH_OK
+            assert server.broker.stats()["e"]["shm_handoffs"] == 1
 
             ctx = multiprocessing.get_context("fork")
             child = ctx.Process(
-                target=_pull_views_and_die,
+                target=_pull_and_die,
                 args=(server.host, server.port, "e"),
             )
             child.start()
             child.join(15.0)
             assert child.exitcode == -signal.SIGKILL
 
-            survivor = TcpBrokerClient(*server.address, views=True)
+            survivor = TcpBrokerClient(*server.address)
             tag, key, payload = _drain_pull(survivor, "e")
-            assert (key, bytes(payload)) == ("k", blob)
+            assert (key, payload) == ("k", blob)
             survivor.ack("e", tag)
-            survivor.stats()  # flush past the deferred record
             assert _wait_for(lambda: server._pool.live_leases == 0)
             assert server.broker.stats()["e"]["total_redelivered"] == 1
             producer.close()
             survivor.close()
         finally:
             server.stop()
-        # Leak check: the child died holding mapped views; its mappings
-        # die with it, and nothing under the pool prefix survives stop.
-        assert shm.list_segments(server._pool.prefix) == []
-
-    def test_remote_queue_defers_ack_until_next_get(self):
-        server = self._server()
-        try:
-            producer = TcpBrokerClient(*server.address)
-            consumer = TcpBrokerClient(*server.address, views=True)
-            inlet = RemoteQueue(producer, "e")
-            outlet = RemoteQueue(consumer, "e")
-            inlet.register_producer()
-            first, second = os.urandom(8192), os.urandom(8192)
-            inlet.put(first, timeout=5.0)
-            inlet.put(second, timeout=5.0)
-
-            got = outlet.get(timeout=5.0)
-            assert isinstance(got, memoryview)
-            assert bytes(got) == first
-            # The delivery stays unacked while the decoded views are
-            # live: the worker loop is still processing this item.
-            assert server.broker.stats()["e"]["unacked"] == 1
-            got.release()
-
-            # The next get flushes the deferred ack before pulling.
-            assert bytes(outlet.get(timeout=5.0)) == second
-            assert _wait_for(
-                lambda: server.broker.stats()["e"]["unacked"] == 1
-            )
-            outlet._flush_deferred()
-            assert _wait_for(
-                lambda: server.broker.stats()["e"]["unacked"] == 0
-            )
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
+        # Leak check: nothing under the pool prefix survives stop.
         assert shm.list_segments(server._pool.prefix) == []
