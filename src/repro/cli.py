@@ -386,8 +386,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             delivery_deadline=args.delivery_deadline,
             max_redeliveries=args.max_redeliveries,
             on_poison=args.on_poison,
-            spill_dir=args.spill_dir,
-            spill_watermark=args.spill_watermark,
             **fields,
         )
     except PoisonChunkError as exc:
@@ -440,8 +438,7 @@ def _cmd_cluster_broker(args: argparse.Namespace) -> int:
         on_poison=args.on_poison,
     )
     server = BrokerServer(broker, host=args.host, port=args.port,
-                          shm=args.broker_shm, spill_dir=args.spill_dir,
-                          spill_watermark=args.spill_watermark)
+                          shm=args.broker_shm)
     serve_plan(broker, plan, dataset, listener=server)
     print(f"broker serving plan [{args.plan}] on "
           f"{server.host}:{server.port}")
@@ -982,15 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quarantine: complete the run degraded "
                              "without the poison chunk; fail: abort the "
                              "run at the first quarantined chunk")
-        cp.add_argument("--spill-dir", default=None,
-                        help="spill adopted shared-memory backlog past "
-                             "--spill-watermark to files here (freeing "
-                             "/dev/shm under backpressure)")
-        cp.add_argument("--spill-watermark", type=int, default=None,
-                        metavar="BYTES",
-                        help="adopted-backlog bytes held in shared "
-                             "memory before new payloads spill to "
-                             "--spill-dir (default: the pool cap)")
 
     cp = cluster_sub.add_parser(
         "run",

@@ -162,10 +162,6 @@ class _Edge:
     shm_bytes: int = 0
     copied_segments: int = 0
     copied_bytes: int = 0
-    #: Spilled payloads re-staged from disk back into a pool slab for a
-    #: same-host descriptor handoff (one ``readinto`` each).
-    spill_restores: int = 0
-    spill_restore_bytes: int = 0
 
     @property
     def exhausted(self) -> bool:
@@ -725,9 +721,8 @@ class Broker:
 
     def record_wire(self, edge: str, wire_bytes: int = 0,
                     shm_segments: int = 0, shm_bytes: int = 0,
-                    copied_segments: int = 0, copied_bytes: int = 0,
-                    spill_restores: int = 0,
-                    spill_restore_bytes: int = 0) -> None:
+                    copied_segments: int = 0,
+                    copied_bytes: int = 0) -> None:
         """Credit transport-level traffic to an edge (the TCP server
         calls this; in-process transports never touch a wire)."""
         with self._lock:
@@ -739,8 +734,6 @@ class Broker:
             e.shm_bytes += shm_bytes
             e.copied_segments += copied_segments
             e.copied_bytes += copied_bytes
-            e.spill_restores += spill_restores
-            e.spill_restore_bytes += spill_restore_bytes
 
     # -------------------------------------------------------------- admin
 
@@ -876,8 +869,6 @@ class Broker:
                     "shm_bytes": e.shm_bytes,
                     "copied_segments": e.copied_segments,
                     "copied_bytes": e.copied_bytes,
-                    "spill_restores": e.spill_restores,
-                    "spill_restore_bytes": e.spill_restore_bytes,
                 }
                 for name, e in self._edges.items()
             }
@@ -1099,8 +1090,9 @@ def _from_segments(multi: bool, segments: list):
 
 
 class _ConnState:
-    """Per-connection server state: its consumer id, whether the shm
-    handshake verified a shared ``/dev/shm``, and the pool leases backing
+    """Per-connection server state: its consumer id (which also names
+    the only shm segments it may hand over), whether the shm handshake
+    verified a shared ``/dev/shm``, and the pool leases backing
     deliveries handed to it that are not yet acknowledged."""
 
     __slots__ = ("consumer", "shm_ok", "leases", "record", "send_views")
@@ -1113,8 +1105,9 @@ class _ConnState:
         #: Deferred wire accounting for the reply being sent.
         self.record = None
         #: PooledViews backing the reply's inline segments (copy-path
-        #: peers): the socket writes straight out of the pool slab, so
-        #: the views must outlive the send and are released right after.
+        #: peers): the socket writes straight out of the adopted
+        #: segment, so the views must outlive the send and are released
+        #: right after.
         self.send_views: list = []
 
 
@@ -1129,9 +1122,10 @@ class BrokerServer:
     ``shm`` arms the same-host handoff: the server owns a
     :class:`~repro.dataflow.shm.BufferPool` plus a boot-token probe
     segment; a client that can read the probe's token back over
-    ``/dev/shm`` shares the host, and payload segments at or above
-    ``shm_threshold`` then cross as ~100-byte descriptors leased from
-    the pool (refcounted until the delivery is acked, swept when the
+    ``/dev/shm`` shares the host, writes payload segments at or above
+    ``shm_threshold`` to segments of its own, and the pool adopts them.
+    A verified consumer is handed the adopted segment as a ~100-byte
+    descriptor (leased until the delivery is acked, released when the
     consumer's connection dies).  ``None`` auto-enables where POSIX
     shared memory works; the socket copy path remains the byte-identical
     fallback for every other peer.
@@ -1139,11 +1133,7 @@ class BrokerServer:
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1",
                  port: int = 0, shm: "bool | None" = None,
-                 shm_threshold: int = shm_plane.DEFAULT_SHM_THRESHOLD,
-                 shm_slab_bytes: int = shm_plane.DEFAULT_SLAB_BYTES,
-                 shm_max_bytes: int = shm_plane.DEFAULT_MAX_BYTES,
-                 spill_dir: "str | None" = None,
-                 spill_watermark: "int | None" = None):
+                 shm_threshold: int = shm_plane.DEFAULT_SHM_THRESHOLD):
         self.broker = broker
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -1162,10 +1152,7 @@ class BrokerServer:
         if shm is None:
             shm = shm_plane.shm_available()
         if shm and shm_plane.shm_available():
-            pool = shm_plane.BufferPool(
-                slab_bytes=shm_slab_bytes, max_bytes=shm_max_bytes,
-                spill_dir=spill_dir, spill_watermark=spill_watermark,
-            )
+            pool = shm_plane.BufferPool()
             token = secrets.token_hex(16).encode()
             probe = f"{pool.prefix}-probe"
             if shm_plane.create_segment(probe, token):
@@ -1228,14 +1215,13 @@ class BrokerServer:
                             view.release()
                         state.send_views.clear()
                     if state.record is not None:
-                        (edge, shm_segs, shm_bytes, cp_segs, cp_bytes,
-                         restages, restage_bytes) = state.record
+                        (edge, shm_segs, shm_bytes, cp_segs,
+                         cp_bytes) = state.record
                         state.record = None
                         self.broker.record_wire(
                             edge, wire_bytes=sent, shm_segments=shm_segs,
                             shm_bytes=shm_bytes, copied_segments=cp_segs,
-                            copied_bytes=cp_bytes, spill_restores=restages,
-                            spill_restore_bytes=restage_bytes,
+                            copied_bytes=cp_bytes,
                         )
         finally:
             for view in state.send_views:
@@ -1282,12 +1268,17 @@ class BrokerServer:
         carries a lease, so the bytes the publisher wrote are the bytes
         a same-host consumer reads — zero server-side copies.  The
         lease dies with the delivery (ack, pre-ack, or failed publish).
+        A client may only hand over segments in its own namespace
+        (``{prefix}-c{consumer}-o…``, the names
+        :meth:`TcpBrokerClient._publish_op` writes): never the boot
+        probe, never another connection's segments.
         """
         plan = header.get("shm")
         shm_bytes = 0
         if plan is not None:
             if self._pool is None or not state.shm_ok:
                 raise BrokerError("shm publish from an unverified client")
+            own = f"{self._pool.prefix}-c{state.consumer}-o"
             rebuilt = []
             inline = iter(segments)
             for entry in plan:
@@ -1295,10 +1286,11 @@ class BrokerServer:
                     rebuilt.append(next(inline))
                     continue
                 name = str(entry["seg"])
-                if not name.startswith(self._pool.prefix):
+                if not name.startswith(own):
                     self._reap_payload(rebuilt)
                     raise BrokerError(
-                        f"shm segment {name!r} outside the broker namespace"
+                        f"shm segment {name!r} outside the client's "
+                        f"namespace {own!r}"
                     )
                 ref = self._pool.adopt_segment(
                     name, int(entry.get("off", 0)), int(entry["len"])
@@ -1319,16 +1311,12 @@ class BrokerServer:
         """Split a pulled payload into shm descriptors + inline segments
         and stage the reply; leases stay with the connection until ack.
 
-        Adopted publish leases are re-leased to a verified consumer by
-        reference (the descriptor names the publisher's own segment —
-        the payload never existed server-side as bytes); spilled leases
-        are re-staged from disk into a pool slab with one ``readinto``
-        (:meth:`~repro.dataflow.shm.BufferPool.restage_ref`).  For
-        copy-path peers, mappable segments go out as zero-copy pool
-        views written straight from the slab to the socket (released
-        after the send); only spilled copy-path payloads still
-        materialize through :meth:`read_ref`.  Plain bytes segments at
-        or above the threshold are staged into a pool slab.
+        One rule: an adopted segment goes to a verified same-host
+        consumer as a re-leased descriptor (it names the publisher's own
+        segment — the payload never existed server-side as bytes), and
+        to any other consumer as a zero-copy pool view written straight
+        to the socket (released after the send).  Bytes segments go
+        inline.
         """
         multi, segments = _as_segments(payload)
         reply_extra: dict = {"multi": multi}
@@ -1337,35 +1325,19 @@ class BrokerServer:
         wire_segments = []
         leases = []
         shm_segs = shm_bytes = 0
-        restages = restage_bytes = 0
         for seg in segments:
             ref = None
             if isinstance(seg, shm_plane.ShmRef):
                 if use_shm:
                     ref = self._pool.incref(seg)
-                    if ref is None:
-                        # A spilled payload: re-stage it from disk into
-                        # a pool slab (one readinto) so the same-host
-                        # consumer still gets a descriptor handoff, not
-                        # a socket copy.
-                        ref = self._pool.restage_ref(seg)
-                        if ref is not None:
-                            restages += 1
-                            restage_bytes += ref.length
-                if ref is None and self._pool is not None:
+                else:
                     view = self._pool.view_ref(seg)
                     if view is not None:
-                        # Copy-path peer, mappable segment: send the
-                        # pool bytes zero-copy off the slab.
                         state.send_views.append(view)
                         seg = view.view
-                    else:
-                        data = self._pool.read_ref(seg)
-                        seg = data if data is not None else b""
-                elif ref is None:
+                if ref is None and isinstance(seg, shm_plane.ShmRef):
+                    # The lease is gone: the pool closed mid-pull.
                     seg = b""
-            elif use_shm and len(seg) >= self.shm_threshold:
-                ref = self._pool.put_bytes(seg)
             if ref is None:
                 shm_plan.append(None)
                 wire_segments.append(seg)
@@ -1380,7 +1352,7 @@ class BrokerServer:
             reply_extra["shm"] = shm_plan
         state.record = (
             edge, shm_segs, shm_bytes, len(wire_segments),
-            sum(len(s) for s in wire_segments), restages, restage_bytes,
+            sum(len(s) for s in wire_segments),
         )
         return reply_extra, wire_segments
 
@@ -1517,9 +1489,9 @@ class BrokerServer:
         except OSError:
             pass
         if self._pool is not None:
-            # Unlinks the slabs and sweeps every same-prefix straggler:
-            # the boot probe plus any one-shot publish segment a client
-            # created but died before unlinking.
+            # Unlinks adopted segments and sweeps every same-prefix
+            # straggler: the boot probe plus any one-shot publish
+            # segment a client created but died before handing over.
             self._pool.close()
 
 
@@ -1538,7 +1510,7 @@ class TcpBrokerClient:
     ``True`` still degrades to copying when the probe is unreachable
     (a cross-host peer can never be handed a local segment).  A pulled
     segment is read out of ``/dev/shm`` into owned bytes before
-    :meth:`pull` returns: the broker recycles the slab on ack, and the
+    :meth:`pull` returns: the broker unlinks the segment on ack, and the
     record decoders would copy a mapped window anyway.
     """
 

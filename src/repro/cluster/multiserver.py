@@ -556,8 +556,6 @@ def run_placed_pipeline(
     delivery_deadline="auto",
     max_redeliveries: int = 4,
     on_poison: str = "quarantine",
-    spill_dir: "str | None" = None,
-    spill_watermark: "int | None" = None,
     broker_ready=None,
 ) -> PlacedPipelineOutcome:
     """Run the composed pipeline across the plan's servers.
@@ -583,7 +581,10 @@ def run_placed_pipeline(
     ``broker_shm`` controls the same-host shared-memory handoff on TCP
     transports (None probes ``/dev/shm`` and enables it when clients
     verify the broker's boot token — i.e. they genuinely share the
-    host; False forces the byte-identical copy path).
+    host; False forces the byte-identical copy path).  The broker's
+    ``/dev/shm`` footprint is bounded by edge backpressure (a full edge
+    refuses the publish and its segment is unlinked), and a publisher
+    that cannot create a segment ships the bytes inline.
 
     ``ledger`` (:class:`repro.core.ledger.RunLedger`) makes the placed
     run durable: broker acks and per-stage output writes are journaled,
@@ -629,7 +630,6 @@ def run_placed_pipeline(
                         on_poison=on_poison)
         listener = BrokerServer(
             broker, host=host, port=port, shm=broker_shm,
-            spill_dir=spill_dir, spill_watermark=spill_watermark,
         ) if transport == "tcp" else None
         return broker, listener
 

@@ -12,12 +12,11 @@ the aligner's payloads (about 20 KB of packed bases at 101 bp) go down
 the pipe.
 
 ``BufferPool``
-    The broker's slab allocator over ``multiprocessing.shared_memory``:
-    adopted publisher segments, re-staged spills and copies of inline
-    payloads live here as refcounted *leases*; the last lease out
-    rewinds the slab or unlinks the segment.  Exhaustion is not an
-    error — allocation returns ``None`` and the caller ships the bytes
-    inline (never a deadlock).
+    The broker's registry of adopted publisher segments: each adoption
+    and each re-lease to a consumer is a refcounted *lease* token, and
+    the last lease out unlinks the segment.  The pool never allocates
+    shared memory itself; a publisher that cannot create a segment
+    ships its bytes inline instead.
 
 ``ShmRef``
     The reference that actually crosses the socket: segment name,
@@ -26,8 +25,8 @@ the pipe.
 
 ``PooledView``
     The one lease a caller holds outside the pool: a read-only window
-    onto pooled bytes that the broker's server writes straight to a
-    socket, released once the send completes.
+    onto an adopted segment that the broker's server writes straight to
+    a socket, released once the send completes.
 
 Segments a broker publisher hands over share the pool's unique prefix,
 so ``BufferPool.close()`` can sweep stragglers left by a peer that died
@@ -52,9 +51,7 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 __all__ = [
-    "DEFAULT_MAX_BYTES",
     "DEFAULT_SHM_THRESHOLD",
-    "DEFAULT_SLAB_BYTES",
     "BufferPool",
     "PooledView",
     "ShmRef",
@@ -66,20 +63,9 @@ __all__ = [
     "unlink_segment",
 ]
 
-#: Bytes per pooled slab segment.
-DEFAULT_SLAB_BYTES = 8 << 20
-
-#: Total byte budget across a pool's slabs; allocation beyond it returns
-#: None (the caller ships the bytes inline).
-DEFAULT_MAX_BYTES = 256 << 20
-
 #: Payloads at or above this many bytes ship as ShmRefs; smaller ones
 #: cross the socket faster than a segment round-trip.
 DEFAULT_SHM_THRESHOLD = 64 << 10
-
-#: Slab allocations are aligned so array views never straddle dtype
-#: alignment requirements.
-_ALIGN = 64
 
 #: Where POSIX shared memory segments appear as files (Linux).
 SHM_DIR = "/dev/shm"
@@ -163,7 +149,7 @@ def _untrack(seg) -> None:
 
     CPython registers POSIX segments on *attach* too, so a process that
     merely read (or handed off) a segment would unlink it at exit —
-    yanking live slabs out from under their owner.  Ownership-transfer
+    yanking live segments out from under their owner.  Ownership-transfer
     paths therefore unregister explicitly; the owning process keeps its
     registration and unlinks deliberately.
     """
@@ -175,25 +161,8 @@ def _untrack(seg) -> None:
         pass
 
 
-class _Slab:
-    """One pooled segment: bump allocation + live-lease count.
-
-    Leases are short-lived (one delivery), so a region/arena
-    reset — rewind the bump pointer when the last lease returns — beats
-    a free list: no fragmentation bookkeeping, O(1) everything.
-    """
-
-    __slots__ = ("shm", "capacity", "used", "live")
-
-    def __init__(self, shm, capacity: int):
-        self.shm = shm
-        self.capacity = capacity
-        self.used = 0
-        self.live = 0
-
-
 class _Adopted:
-    """A foreign segment the pool took ownership of (broker handoff).
+    """A publisher segment the pool took ownership of (broker handoff).
 
     The publisher wrote it, the pool adopted it without copying; the
     attached mapping stays open so the bytes survive even an early
@@ -202,180 +171,63 @@ class _Adopted:
 
     __slots__ = ("shm", "refs", "nbytes")
 
-    def __init__(self, shm, nbytes: int = 0):
+    def __init__(self, shm, nbytes: int):
         self.shm = shm
-        self.refs = 0
+        self.refs = 1
         self.nbytes = nbytes
 
 
-class _SpilledSeg:
-    """An adopted payload pushed out to a disk file (backlog spill).
-
-    Created when adoption would carry the pool's adopted backlog past
-    its spill watermark: the publisher's segment is drained to disk and
-    unlinked, freeing ``/dev/shm`` immediately.  Same lease lifecycle as
-    an in-memory adoption — read via :meth:`BufferPool.read_ref`, file
-    deleted when the last lease returns.
-    """
-
-    __slots__ = ("path", "refs", "nbytes")
-
-    def __init__(self, path: str, nbytes: int):
-        self.path = path
-        self.refs = 0
-        self.nbytes = nbytes
+def _drop(seg) -> None:
+    """Close and unlink a segment the pool owns."""
+    try:
+        seg.close()
+    except (OSError, BufferError):
+        # BufferError: a consumer still holds an exported view of the
+        # mapping.  The name can still be unlinked — POSIX keeps
+        # unlinked-but-mapped bytes alive until the last view drops — so
+        # /dev/shm never leaks and the straggler view reads valid bytes
+        # until released.
+        pass
+    try:
+        seg.unlink()
+    except OSError:  # pragma: no cover - raced another cleaner
+        pass
 
 
 class BufferPool:
-    """Slab allocator over named shared-memory segments.
+    """Refcounted registry of adopted publisher segments.
 
-    Producer-owned: only the creating process allocates; consumers
-    attach segments read-only by name.  All methods are thread-safe
-    (broker connection threads lease concurrently).
+    Each lease token names one hold on an adopted segment; the last
+    token out unlinks it.  All methods are thread-safe (broker
+    connection threads lease concurrently).
     """
 
-    def __init__(
-        self,
-        slab_bytes: int = DEFAULT_SLAB_BYTES,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        prefix: "str | None" = None,
-        spill_dir: "str | None" = None,
-        spill_watermark: "int | None" = None,
-    ):
+    def __init__(self, prefix: "str | None" = None):
         if _shared_memory is None:
             raise RuntimeError("multiprocessing.shared_memory unavailable")
-        if slab_bytes <= 0 or max_bytes <= 0:
-            raise ValueError("slab_bytes and max_bytes must be positive")
-        if spill_watermark is not None and spill_watermark < 0:
-            raise ValueError("spill_watermark cannot be negative")
-        self.slab_bytes = slab_bytes
-        self.max_bytes = max_bytes
         self.prefix = prefix or (
             f"psna-{os.getpid()}-{secrets.token_hex(4)}"
         )
-        #: Backlog spill: once adopted segments hold more than
-        #: ``spill_watermark`` bytes of shared memory, further adoptions
-        #: drain to files under ``spill_dir`` instead (and the shm
-        #: segment is unlinked immediately).  Disabled without a dir.
-        self._spill_dir = spill_dir
-        self._spill_watermark = (
-            max_bytes if spill_watermark is None else spill_watermark
-        ) if spill_dir is not None else None
-        if spill_dir is not None:
-            os.makedirs(spill_dir, exist_ok=True)
-        self._slabs: "list[_Slab]" = []
-        self._leases: "dict[int, _Slab]" = {}
         self._adopted: "dict[int, _Adopted]" = {}
-        self._spilled: "dict[int, _SpilledSeg]" = {}
         self._adopted_bytes = 0
-        self.total_spilled_segments = 0
-        self.total_spilled_bytes = 0
         self._tokens = itertools.count()
-        self._segments = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------ metrics
 
     @property
-    def slab_count(self) -> int:
-        with self._lock:
-            return len(self._slabs)
-
-    @property
     def live_leases(self) -> int:
         with self._lock:
-            return (len(self._leases) + len(self._adopted)
-                    + len(self._spilled))
-
-    @property
-    def allocated_bytes(self) -> int:
-        with self._lock:
-            return sum(s.capacity for s in self._slabs)
-
-    @property
-    def adopted_bytes(self) -> int:
-        """Shared-memory bytes currently held by adopted segments (the
-        quantity the spill watermark bounds)."""
-        with self._lock:
-            return self._adopted_bytes
+            return len(self._adopted)
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "slabs": len(self._slabs),
-                "allocated_bytes": sum(s.capacity for s in self._slabs),
-                "live_leases": len(self._leases),
-                "adopted_live": len(self._adopted),
+                "adopted_live": len({id(h) for h in
+                                     self._adopted.values()}),
                 "adopted_bytes": self._adopted_bytes,
-                "spilled_live": len(self._spilled),
-                "total_spilled_segments": self.total_spilled_segments,
-                "total_spilled_bytes": self.total_spilled_bytes,
-                "spill_watermark": self._spill_watermark,
             }
-
-    # --------------------------------------------------------- allocation
-
-    def _alloc(self, nbytes: int) -> "tuple[_Slab, int, int] | None":
-        """Reserve ``nbytes`` in some slab; ``(slab, offset, token)`` or
-        None on exhaustion.  Never blocks, never raises for capacity."""
-        if nbytes <= 0:
-            return None
-        with self._lock:
-            if self._closed:
-                return None
-            slab = self._find_space(nbytes)
-            if slab is None:
-                # Reclaim fully-idle slabs, then retry once.
-                for s in self._slabs:
-                    if s.live == 0:
-                        s.used = 0
-                slab = self._find_space(nbytes)
-            if slab is None:
-                slab = self._grow(nbytes)
-            if slab is None:
-                return None
-            offset = slab.used
-            slab.used = -(-(offset + nbytes) // _ALIGN) * _ALIGN
-            slab.live += 1
-            token = next(self._tokens)
-            self._leases[token] = slab
-            return slab, offset, token
-
-    def _find_space(self, nbytes: int) -> "_Slab | None":
-        for slab in self._slabs:
-            if slab.capacity - slab.used >= nbytes:
-                return slab
-        return None
-
-    def _grow(self, nbytes: int) -> "_Slab | None":
-        capacity = max(self.slab_bytes, nbytes)
-        total = sum(s.capacity for s in self._slabs)
-        if total + capacity > self.max_bytes:
-            return None
-        try:
-            shm = _shared_memory.SharedMemory(
-                create=True,
-                size=capacity,
-                name=f"{self.prefix}-s{next(self._segments)}",
-            )
-        except OSError:
-            return None
-        slab = _Slab(shm, capacity)
-        self._slabs.append(slab)
-        return slab
-
-    def put_bytes(self, data) -> "ShmRef | None":
-        """Copy a bytes-like payload into a slab; None on exhaustion."""
-        n = len(data)
-        got = self._alloc(n)
-        if got is None:
-            return None
-        slab, offset, token = got
-        slab.shm.buf[offset:offset + n] = bytes(data) \
-            if isinstance(data, memoryview) else data
-        return ShmRef(segment=slab.shm.name, offset=offset, length=n,
-                      token=token)
 
     # ---------------------------------------------------------- adoption
 
@@ -384,260 +236,68 @@ class BufferPool:
         """Take ownership of a publisher-written segment without copying.
 
         The zero-copy half of the broker handoff: the publisher wrote
-        the bytes once, the pool attaches the segment and leases it like
-        its own allocation — the payload is never copied server-side.
-        The last lease out unlinks the segment.  None when the segment
-        is gone (the publisher died before the frame arrived).
+        the bytes once, the pool attaches the segment and leases it —
+        the payload is never copied server-side.  The last lease out
+        unlinks the segment.  None when the segment is gone (the
+        publisher died before the frame arrived) or the pool is closed.
         """
-        if _shared_memory is None:
-            return None
         try:
             seg = _shared_memory.SharedMemory(name=name)
         except OSError:
             return None
-        spill = False
         with self._lock:
-            if self._closed:
-                closed = True
-            else:
-                closed = False
-                spill = (
-                    self._spill_watermark is not None
-                    and self._adopted_bytes + length > self._spill_watermark
-                )
-                if not spill:
-                    holder = _Adopted(seg, length)
-                    holder.refs = 1
-                    token = next(self._tokens)
-                    self._adopted[token] = holder
-                    self._adopted_bytes += length
+            closed = self._closed
+            if not closed:
+                token = next(self._tokens)
+                self._adopted[token] = _Adopted(seg, length)
+                self._adopted_bytes += length
         if closed:
-            try:
-                seg.close()
-                seg.unlink()
-            except OSError:  # pragma: no cover - raced the sweep
-                pass
+            _drop(seg)
             return None
-        if spill:
-            return self._spill_adopted(name, seg, offset, length)
         return ShmRef(segment=name, offset=offset, length=length,
                       token=token)
 
-    def _spill_adopted(self, name: str, seg, offset: int,
-                       length: int) -> "ShmRef | None":
-        """Drain an adopted segment to a spill file and unlink it.
-
-        The file is written *before* the segment is unlinked, so a disk
-        failure degrades to an in-memory adoption (ignoring the
-        watermark) rather than losing the payload.
-        """
-        data = bytes(seg.buf[offset:offset + length])
-        with self._lock:
-            token = next(self._tokens)
-        path = os.path.join(
-            self._spill_dir, f"{self.prefix}-spill-{token}"
-        )
-        try:
-            with open(path, "wb") as fh:
-                fh.write(data)
-        except OSError:
-            with self._lock:
-                if not self._closed:
-                    holder = _Adopted(seg, length)
-                    holder.refs = 1
-                    self._adopted[token] = holder
-                    self._adopted_bytes += length
-                    return ShmRef(segment=name, offset=offset,
-                                  length=length, token=token)
-            try:
-                seg.close()
-                seg.unlink()
-            except OSError:  # pragma: no cover - raced the sweep
-                pass
-            return None
-        try:
-            seg.close()
-            seg.unlink()
-        except OSError:  # pragma: no cover - raced the sweep
-            pass
-        dead_path = None
-        with self._lock:
-            if self._closed:
-                dead_path = path
-            else:
-                holder = _SpilledSeg(path, length)
-                holder.refs = 1
-                self._spilled[token] = holder
-                self.total_spilled_segments += 1
-                self.total_spilled_bytes += length
-        if dead_path is not None:
-            try:
-                os.unlink(dead_path)
-            except OSError:  # pragma: no cover - raced close()
-                pass
-            return None
-        # The file holds exactly [offset, offset+length) of the original
-        # segment, so the spilled ref reads from file offset 0.
-        return ShmRef(segment=name, offset=0, length=length, token=token)
-
     def incref(self, ref: ShmRef) -> "ShmRef | None":
-        """Lease an already-leased payload again (a second consumer
-        handoff of the same stored bytes).  Returns a new ref carrying
-        its own token, or None when the backing lease is gone.
-
-        Spilled payloads return None by design: their bytes no longer
-        live in a shared segment a consumer could attach, so the caller
-        must take the :meth:`read_ref` copy path (which re-stages them
-        from disk)."""
+        """Lease an adopted payload again (a second consumer handoff of
+        the same stored bytes).  Returns a new ref carrying its own
+        token, or None when the backing lease is gone."""
         with self._lock:
-            if ref.token in self._spilled:
-                return None
             holder = self._adopted.get(ref.token)
-            if holder is not None:
-                token = next(self._tokens)
-                holder.refs += 1
-                self._adopted[token] = holder
-                return replace(ref, token=token)
-            slab = self._leases.get(ref.token)
-            if slab is None:
+            if holder is None:
                 return None
             token = next(self._tokens)
-            slab.live += 1
-            self._leases[token] = slab
+            holder.refs += 1
+            self._adopted[token] = holder
             return replace(ref, token=token)
-
-    def read_ref(self, ref: ShmRef) -> "bytes | None":
-        """Copy a *spilled* payload back out of its disk file — its only
-        home — for a peer that cannot attach a segment (the socket copy
-        path; same-host peers get :meth:`restage_ref`).  None for
-        anything else: a mappable lease is read through
-        :meth:`view_ref`, zero-copy."""
-        with self._lock:
-            spilled = self._spilled.get(ref.token)
-        if spilled is None:
-            return None
-        try:
-            with open(spilled.path, "rb") as fh:
-                fh.seek(ref.offset)
-                data = fh.read(ref.length)
-        except OSError:  # pragma: no cover - spill file vanished
-            return None
-        return data if len(data) == ref.length else None
 
     def view_ref(self, ref: ShmRef) -> "PooledView | None":
         """Zero-copy read of a leased payload: a read-only window over
-        the backing slab or adopted segment, guarded by its own lease
-        (taken via :meth:`incref`) so the pool cannot rewind or unlink
-        the bytes under the view.
-
-        Returns None for spilled payloads (their bytes live in a disk
-        file, not a mappable segment — fall back to the ``read_ref``
-        copy path) and for leases that are already gone.
-        """
+        the adopted segment, guarded by its own lease (taken via
+        :meth:`incref`) so the pool cannot unlink the bytes under the
+        view.  None when the lease is already gone."""
         guard = self.incref(ref)
         if guard is None:
             return None
         with self._lock:
             holder = self._adopted.get(guard.token)
-            if holder is not None:
-                shm = holder.shm
-            else:
-                slab = self._leases.get(guard.token)
-                shm = slab.shm if slab is not None else None
-        if shm is None:  # pragma: no cover - raced a close()
-            self.release(guard)
+        if holder is None:  # pragma: no cover - raced a close()
             return None
-        view = shm.buf[ref.offset:ref.offset + ref.length].toreadonly()
-        return PooledView(view, self, guard)
-
-    def restage_ref(self, ref: ShmRef) -> "ShmRef | None":
-        """Move a *spilled* payload back into a pool slab with one copy.
-
-        The view-path successor of ``read_ref`` + :meth:`put_bytes` on
-        the broker's spilled re-delivery path: the spill file is read
-        directly into freshly allocated slab space (``readinto``), so
-        the payload is never materialized as intermediate ``bytes``.
-        Returns a slab-backed ref carrying its own lease, or None when
-        the payload is not spilled (use :meth:`view_ref`), slab space is
-        exhausted, or the spill file vanished.
-        """
-        with self._lock:
-            spilled = self._spilled.get(ref.token)
-            path = spilled.path if spilled is not None else None
-        if path is None:
-            return None
-        got = self._alloc(ref.length)
-        if got is None:
-            return None
-        slab, offset, token = got
-        staged = ShmRef(segment=slab.shm.name, offset=offset,
-                        length=ref.length, token=token)
-        n = -1
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(ref.offset)
-                dst = slab.shm.buf[offset:offset + ref.length]
-                try:
-                    n = fh.readinto(dst)
-                finally:
-                    dst.release()
-        except OSError:  # pragma: no cover - spill file vanished
-            pass
-        if n != ref.length:
-            self.release(staged)
-            return None
-        return staged
+        view = holder.shm.buf[ref.offset:ref.offset + ref.length]
+        return PooledView(view.toreadonly(), self, guard)
 
     # ------------------------------------------------------------- leases
 
     def release(self, ref: ShmRef) -> None:
-        """Return one lease; the last lease out rewinds its slab,
-        unlinks its adopted segment, or deletes its spill file."""
-        dead = None
-        dead_path = None
+        """Return one lease; the last lease out unlinks the segment."""
         with self._lock:
-            spilled = self._spilled.pop(ref.token, None)
-            if spilled is not None:
-                spilled.refs -= 1
-                if spilled.refs == 0:
-                    dead_path = spilled.path
-            else:
-                holder = self._adopted.pop(ref.token, None)
-                if holder is not None:
-                    holder.refs -= 1
-                    if holder.refs == 0:
-                        dead = holder.shm
-                        self._adopted_bytes -= holder.nbytes
-                else:
-                    slab = self._leases.pop(ref.token, None)
-                    if slab is None:
-                        return
-                    slab.live -= 1
-                    if slab.live == 0:
-                        slab.used = 0
-        self._finish_release(dead, dead_path)
-
-    @staticmethod
-    def _finish_release(dead, dead_path) -> None:
-        if dead is not None:
-            try:
-                dead.close()
-            except (OSError, BufferError):
-                # BufferError: a consumer still holds an exported view
-                # of the mapping.  The name can still be unlinked —
-                # POSIX keeps unlinked-but-mapped bytes alive until the
-                # last view drops — so /dev/shm never leaks and the
-                # straggler view reads valid bytes until released.
-                pass
-            try:
-                dead.unlink()
-            except OSError:  # pragma: no cover - raced another cleaner
-                pass
-        if dead_path is not None:
-            try:
-                os.unlink(dead_path)
-            except OSError:  # pragma: no cover - raced close()
-                pass
+            holder = self._adopted.pop(ref.token, None)
+            if holder is None:
+                return
+            holder.refs -= 1
+            if holder.refs:
+                return
+            self._adopted_bytes -= holder.nbytes
+        _drop(holder.shm)
 
     def release_all(self, refs) -> None:
         for ref in refs:
@@ -646,44 +306,20 @@ class BufferPool:
     # ---------------------------------------------------------- lifecycle
 
     def close(self) -> int:
-        """Unlink every slab and sweep stale same-prefix segments
-        (one-shot segments a dead publisher left behind).  Returns
-        the number of swept stragglers.  Idempotent."""
+        """Unlink every adopted segment and sweep stale same-prefix
+        segments (the boot probe, one-shot segments a dead publisher
+        left behind).  Returns the number of swept stragglers.
+        Idempotent."""
         with self._lock:
             if self._closed:
                 return 0
             self._closed = True
-            slabs, self._slabs = self._slabs, []
-            self._leases.clear()
             adopted = list({id(h): h for h in self._adopted.values()}
                            .values())
             self._adopted.clear()
             self._adopted_bytes = 0
-            spill_paths = [s.path for s in self._spilled.values()]
-            self._spilled.clear()
-        for path in spill_paths:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
         for holder in adopted:
-            try:
-                holder.shm.close()
-            except (OSError, BufferError):  # live views pin the mapping
-                pass
-            try:
-                holder.shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        for slab in slabs:
-            try:
-                slab.shm.close()
-            except (OSError, BufferError):  # live views pin the mapping
-                pass
-            try:
-                slab.shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
+            _drop(holder.shm)
         return sweep_segments(self.prefix)
 
     def __enter__(self) -> "BufferPool":
@@ -693,16 +329,15 @@ class BufferPool:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<BufferPool {self.prefix!r} slabs={len(self._slabs)} "
-                f"leases={len(self._leases)}>")
+        return f"<BufferPool {self.prefix!r} leases={len(self._adopted)}>"
 
 
 class PooledView:
     """A zero-copy read-only window onto a pool-leased payload.
 
     Returned by :meth:`BufferPool.view_ref`.  Holding the view holds a
-    pool lease — the slab cannot rewind and the adopted segment cannot
-    unlink until :meth:`release`.  ``view`` is read-only, so a kernel
+    pool lease — the adopted segment cannot unlink until
+    :meth:`release`.  ``view`` is read-only, so a kernel
     that tries to mutate it raises instead of corrupting bytes another
     consumer may be redelivered.  Use as a context manager, or release
     explicitly once every array derived from the view is dropped.
@@ -749,8 +384,8 @@ class PooledView:
 
 # ---------------------------------------------------------------------------
 # Named one-shot segments: the broker's same-host handoff trades in
-# these directly (a publisher writes one, the receiver reads and the
-# creator unlinks), bypassing the pool's lease machinery.
+# these directly: a publisher writes one and hands it to the pool, a
+# same-host consumer reads it by name.
 
 
 def create_segment(name: str, data, transfer: bool = False) -> bool:

@@ -21,13 +21,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The keyword entry points: everything a run can be told, spelled out
 #: once.  Below them a run travels as a ``PipelineSpec``.
-ENTRY_POINTS = {"run_pipeline": 17, "run_placed_pipeline": 27}
+ENTRY_POINTS = {"run_pipeline": 17, "run_placed_pipeline": 25}
 #: Where the spec is interpreted, nothing re-lists its fields.
 SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
 #: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
 LIMIT = 12
-CLI_OPTION_LIMIT = 82
+CLI_OPTION_LIMIT = 78
 RUN_PLACED_PIPELINE_LINES = 107
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
 #: the write-behind lane carries is read off the graph, never passed in.
@@ -190,6 +190,29 @@ PAYLOAD_PLANE_NAMES = (
 
 def test_no_worker_payload_plane():
     found = _occurrences(rf"\b({'|'.join(PAYLOAD_PLANE_NAMES)})\b")
+    assert not found, "\n".join(found)
+
+
+#: The broker's shm plane has one mechanism, adoption of publisher
+#: segments: the slab allocator that copied inline payloads into pooled
+#: memory and the disk backlog spill are gone, and must not grow back.
+BROKER_POOL_NAMES = (
+    "put_bytes", "restage_ref", "read_ref", "_SpilledSeg",
+    "spill_watermark", "shm_slab_bytes", "shm_max_bytes", "spill-dir",
+)
+#: The shm plane's modules take no spill directory either.
+BROKER_POOL_MODULES = ("dataflow/shm.py", "cluster/broker.py",
+                       "cluster/multiserver.py")
+
+
+def test_broker_pool_is_adoption_only():
+    found = _occurrences(rf"\b({'|'.join(BROKER_POOL_NAMES)})\b")
+    found += [
+        f"{module}:{n}"
+        for module in BROKER_POOL_MODULES
+        for n, line in enumerate((SRC / module).read_text().splitlines(), 1)
+        if re.search(r"\bspill_dir\b", line)
+    ]
     assert not found, "\n".join(found)
 
 

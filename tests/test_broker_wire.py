@@ -401,6 +401,39 @@ class TestShmHandshake:
         finally:
             server.stop()
 
+    def test_client_adopts_only_its_own_segments(self):
+        """A verified client may hand over only segments in its own
+        ``-c{consumer}-o`` namespace: naming the boot probe (which would
+        let the next ack unlink it and quietly drop every later client
+        to the copy path) or another connection's segment is refused."""
+        broker = Broker()
+        broker.create_edge("e", capacity=4, producers=1)
+        server = BrokerServer(broker, shm=True).start()
+        try:
+            prefix = server._pool.prefix
+            client = TcpBrokerClient(*server.address)
+            other = TcpBrokerClient(*server.address)
+            assert client.shm_active and other.shm_active
+            theirs = f"{prefix}-c{other.consumer}-o0"
+            assert shm.create_segment(theirs, b"not yours", transfer=True)
+            for name, length in ((server._probe_name,
+                                  len(server._shm_token)), (theirs, 9)):
+                with pytest.raises(BrokerError, match="namespace"):
+                    client._request(
+                        {"op": "publish", "edge": "e", "key": "k",
+                         "multi": False, "timeout": 1.0,
+                         "shm": [{"seg": name, "len": length}]},
+                    )
+            assert server._pool.stats()["adopted_live"] == 0
+            assert server._probe_name in shm.list_segments(prefix)
+            late = TcpBrokerClient(*server.address)
+            assert late.shm_active
+            for c in (client, other, late):
+                c.close()
+        finally:
+            server.stop()
+        assert shm.list_segments(prefix) == []
+
 
 # --------------------------------------------- shm delivery + leases
 

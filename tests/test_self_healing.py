@@ -1,4 +1,4 @@
-"""Self-healing broker plane: deadlines, quarantine, spill, admission.
+"""Self-healing broker plane: deadlines, quarantine, admission.
 
 The acceptance properties of the robustness layer:
 
@@ -9,8 +9,8 @@ The acceptance properties of the robustness layer:
   to the edge's dead-letter queue after ``max_redeliveries`` strikes,
   journaled to the run ledger, and the run completes DEGRADED — byte-
   identical to a clean run over the surviving chunks;
-* adopted shared-memory backlog past the spill watermark drains to disk
-  and is still delivered byte-identical (spill-then-pull);
+* the broker's adopted shared memory is bounded by edge backpressure:
+  a full edge refuses the publish and unlinks its segment;
 * a worker admitted into a RUNNING placed pipeline pulls real work and
   the combined output stays byte-identical.
 """
@@ -54,6 +54,7 @@ from repro.dataflow.queues import (
     DELIVERY_FENCED,
     EDGE_ABORTED,
     EDGE_CLOSED,
+    PUBLISH_FULL,
     PUBLISH_OK,
     PULL_EMPTY,
     PULL_OK,
@@ -331,93 +332,60 @@ class TestWorkerAdmission:
         assert broker.live_replicas(("align",)) == []
 
 
-# -------------------------------------------------------- backlog spill
+# ------------------------------------------------- adopted shm bound
 
 
 @pytest.mark.skipif(not shm_plane.shm_available(),
                     reason="POSIX shared memory unavailable")
-class TestBacklogSpill:
-    def test_adoption_past_watermark_spills_to_disk(self, tmp_path):
-        pool = shm_plane.BufferPool(
-            slab_bytes=4096, max_bytes=1 << 20,
-            spill_dir=str(tmp_path), spill_watermark=64,
-        )
-        try:
-            data1 = bytes(range(48))
-            data2 = bytes(reversed(range(48)))
-            name1 = f"{pool.prefix}-t1"
-            name2 = f"{pool.prefix}-t2"
-            assert shm_plane.create_segment(name1, data1)
-            assert shm_plane.create_segment(name2, data2)
-
-            ref1 = pool.adopt_segment(name1, 0, len(data1))
-            assert ref1 is not None
-            assert pool.stats()["spilled_live"] == 0  # under watermark
-
-            ref2 = pool.adopt_segment(name2, 0, len(data2))
-            assert ref2 is not None
-            assert ref2.offset == 0  # spill file holds exactly the span
-            stats = pool.stats()
-            assert stats["spilled_live"] == 1
-            assert stats["total_spilled_segments"] == 1
-            assert stats["total_spilled_bytes"] == len(data2)
-            spill_files = list(tmp_path.glob(f"{pool.prefix}-spill-*"))
-            assert len(spill_files) == 1
-
-            # Spill-then-pull byte identity, via the copy path only:
-            # the bytes no longer live in any attachable segment.
-            assert pool.incref(ref2) is None
-            assert pool.read_ref(ref2) == data2
-            assert pool.read_ref(ref1) is None  # mappable: view it
-            with pool.view_ref(ref1) as view:
-                assert bytes(view.view) == data1
-
-            pool.release(ref2)
-            assert not list(tmp_path.glob(f"{pool.prefix}-spill-*"))
-            pool.release(ref1)
-            assert pool.stats()["adopted_live"] == 0
-        finally:
-            pool.close()
-
-    def test_tcp_spill_then_pull_byte_identity(self, tmp_path):
-        """Every adopted payload spills (watermark 1) and is still
-        delivered byte-identical through a real broker socket."""
+class TestAdoptionBound:
+    def test_full_edge_holds_at_most_capacity_plus_one_segments(self):
+        """With no consumer, the broker's ``/dev/shm`` footprint is
+        bounded by the edge: ``capacity`` pending deliveries plus the one
+        publish in flight.  A refused (``full``) publish leaves no
+        segment behind, and ``stop()`` leaves none at all."""
+        capacity = 2
         broker = Broker(delivery_deadline="off")
-        broker.create_edge("e", capacity=8, producers=1)
-        server = BrokerServer(
-            broker, shm=True, shm_threshold=1,
-            spill_dir=str(tmp_path), spill_watermark=1,
-        ).start()
+        broker.create_edge("e", capacity=capacity, producers=1)
+        server = BrokerServer(broker, shm=True).start()
         if not server.shm_enabled:
             server.stop()
             pytest.skip("broker could not arm the shm handoff")
-        payloads = {f"k{i}": os.urandom(2048) + bytes([i]) * 32
-                    for i in range(3)}
-        producer = consumer = None
+        prefix = server._pool.prefix
+        peak = 0
+        sampling = threading.Event()
+        sampling.set()
+
+        def sample() -> None:
+            nonlocal peak
+            while sampling.is_set():
+                peak = max(peak, server._pool.stats()["adopted_live"])
+                time.sleep(0.0005)
+
+        sampler = threading.Thread(target=sample, daemon=True)
+        sampler.start()
+        producer = None
+        statuses = []
         try:
             producer = TcpBrokerClient(server.host, server.port)
-            consumer = TcpBrokerClient(server.host, server.port)
+            assert producer.shm_active
             producer.attach_producer("e")
-            for key, payload in payloads.items():
-                assert producer.publish("e", key, payload) == PUBLISH_OK
-            pool_stats = server._pool.stats()
-            assert pool_stats["total_spilled_segments"] == len(payloads)
-            assert pool_stats["adopted_bytes"] == 0  # nothing kept in shm
-
-            for _ in payloads:
-                status, tag, key, payload = _pull_until(consumer, "e")
-                assert payload == payloads[key]
-                consumer.ack("e", tag)
-            producer.producer_done("e")
-            assert consumer.pull("e")[0] == EDGE_CLOSED
-            # Acked spill files are gone; lifetime counters remain.
-            assert server._pool.stats()["spilled_live"] == 0
+            for i in range(3 * capacity):
+                statuses.append(producer.publish(
+                    "e", f"k{i}", os.urandom(100_000), timeout=0.05))
+                held = statuses.count(PUBLISH_OK)
+                assert server._pool.stats()["adopted_live"] == held
+                assert len(shm_plane.list_segments(f"{prefix}-c")) == held
         finally:
-            if consumer is not None:
-                consumer.close()
+            sampling.clear()
+            sampler.join(5.0)
             if producer is not None:
                 producer.close()
             server.stop()
+        assert statuses == ([PUBLISH_OK] * capacity
+                            + [PUBLISH_FULL] * (2 * capacity))
+        assert not sampler.is_alive()
+        assert capacity <= peak <= capacity + 1
+        assert shm_plane.list_segments(prefix) == []
 
 
 # ------------------------------------------------------------ chaos hook
@@ -820,11 +788,11 @@ class TestSelfHealingPlaced:
 
     def test_tcp_run_heals_stall_and_poison_together(
         self, fresh_dataset, snap_aligner, reference, degraded_single_24,
-        poison_bases, tmp_path,
+        poison_bases,
     ):
         """The acceptance run: a placed TCP pipeline with a stalled
-        worker AND a poison chunk AND a tiny spill watermark completes
-        byte-identical to a clean run minus the quarantined chunk.
+        worker AND a poison chunk completes byte-identical to a clean
+        run minus the quarantined chunk.
 
         Three things keep the quarantine outcome deterministic despite
         the reissue churn.  24 chunks: the stalled worker always claims
@@ -860,8 +828,6 @@ class TestSelfHealingPlaced:
             transport="tcp",
             delivery_deadline=2.0,
             max_redeliveries=1,
-            spill_dir=str(tmp_path),
-            spill_watermark=1,
             session_timeout=120.0,
             # Backoff == the delivery deadline: every reissue happens
             # AFTER the hung worker is fenced and can no longer pull.
@@ -986,7 +952,6 @@ class TestStoppedWorkerCli:
             "cluster", "broker", str(work / "ds-run"), "--plan", plan,
             "--host", "127.0.0.1", "--port", str(port),
             "--delivery-deadline", "2", "--timeout", "120",
-            "--spill-dir", str(work / "spill"), "--spill-watermark", "1",
         ])
         w1 = w2 = b = None
         try:

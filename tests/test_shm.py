@@ -1,6 +1,6 @@
 """Shared-memory plane tests.
 
-BufferPool lifecycle (lease/release refcounting, exhaustion, segment
+BufferPool lifecycle (adoption, lease/release refcounting, segment
 hygiene) and the process backend's place beside it: its payloads go
 down the pipe, so a process-backend run matches the serial one byte for
 byte and leaves ``/dev/shm`` as it found it.
@@ -8,6 +8,7 @@ byte and leaves ``/dev/shm`` as it found it.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -34,78 +35,92 @@ def echo_task(shared, payload):
 # BufferPool lifecycle.
 
 
+def adopt(pool: BufferPool, data: bytes, tag: str = "t"):
+    """Hand ``data`` to the pool the way a broker publisher does: a
+    segment under the pool's prefix, created with ownership transfer,
+    then adopted."""
+    name = f"{pool.prefix}-{tag}"
+    assert shm.create_segment(name, data, transfer=True)
+    ref = pool.adopt_segment(name, 0, len(data))
+    assert ref is not None
+    return ref
+
+
 @needs_shm
 class TestBufferPool:
     def test_bytes_roundtrip(self):
-        with BufferPool(slab_bytes=1 << 16) as pool:
+        with BufferPool() as pool:
             data = bytes(range(256)) * 8
-            ref = pool.put_bytes(data)
-            assert ref is not None
+            ref = adopt(pool, data)
             with pool.view_ref(ref) as view:
                 assert view.materialize() == data
             pool.release(ref)
             assert pool.live_leases == 0
-
-    def test_lease_refcount_recycles_slab(self):
-        with BufferPool(slab_bytes=1 << 14, max_bytes=1 << 14) as pool:
-            refs = [pool.put_bytes(b"a" * 4000) for _ in range(3)]
-            assert all(r is not None for r in refs)
-            assert pool.live_leases == 3
-            # Full (12KB + alignment in a 16KB slab): next big put fails.
-            assert pool.put_bytes(b"b" * 8000) is None
-            pool.release_all(refs)
-            assert pool.live_leases == 0
-            # Space reclaimed without growing a new slab.
-            assert pool.put_bytes(b"b" * 8000) is not None
-            assert pool.slab_count == 1
-
-    def test_exhaustion_returns_none_never_raises(self):
-        with BufferPool(slab_bytes=1 << 12, max_bytes=1 << 12) as pool:
-            held = pool.put_bytes(b"x" * 3000)
-            assert held is not None
-            for _ in range(10):
-                assert pool.put_bytes(b"y" * 3000) is None
+            assert shm.list_segments(ref.segment) == []
 
     def test_concurrent_lease_release(self):
-        pool = BufferPool(slab_bytes=1 << 16, max_bytes=1 << 20)
+        pool = BufferPool()
+        data = [bytes([i]) * (100 + 37 * i) for i in range(8)]
+        refs = [adopt(pool, d, f"t{i}") for i, d in enumerate(data)]
         errors: list = []
 
         def hammer(seed: int) -> None:
             rng = np.random.default_rng(seed)
             try:
                 for _ in range(100):
-                    data = bytes([seed]) * int(rng.integers(100, 2000))
-                    ref = pool.put_bytes(data)
-                    if ref is None:
-                        continue  # transient exhaustion is legal
-                    with pool.view_ref(ref) as view:
-                        if view.materialize() != data:
+                    i = int(rng.integers(len(refs)))
+                    lease = pool.incref(refs[i])
+                    if lease is None:
+                        raise AssertionError("live lease refused incref")
+                    with pool.view_ref(lease) as view:
+                        if view.materialize() != data[i]:
                             raise AssertionError("lease returned wrong bytes")
-                    pool.release(ref)
+                    pool.release(lease)
             except BaseException as exc:  # noqa: BLE001 - collected
                 errors.append(exc)
 
         threads = [threading.Thread(target=hammer, args=(i,))
                    for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the refcount updates
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
+        # Only the adoption leases are left; the segments survived every
+        # concurrent re-lease and release.
+        assert pool.live_leases == len(refs)
+        assert pool.stats() == {"adopted_live": len(refs),
+                                "adopted_bytes": sum(map(len, data))}
+        pool.release_all(refs)
         assert pool.live_leases == 0
         prefix = pool.prefix
+        assert shm.list_segments(prefix) == []
         pool.close()
         assert shm.list_segments(prefix) == []
 
     def test_close_unlinks_all_slabs(self):
-        pool = BufferPool(slab_bytes=1 << 12, max_bytes=1 << 16)
-        for _ in range(4):
-            assert pool.put_bytes(b"z" * 3000) is not None
+        """``close()`` unlinks every adopted segment, however many
+        leases still hold it."""
+        pool = BufferPool()
+        refs = [adopt(pool, b"z" * 3000, f"t{i}") for i in range(4)]
+        pool.incref(refs[0])
         prefix = pool.prefix
-        assert len(shm.list_segments(prefix)) >= 1
+        assert len(shm.list_segments(prefix)) == 4
         pool.close()
         assert shm.list_segments(prefix) == []
+        assert pool.live_leases == 0
         pool.close()  # idempotent
+        # A closed pool adopts nothing, and unlinks what it was offered.
+        name = f"{prefix}-late"
+        assert shm.create_segment(name, b"late", transfer=True)
+        assert pool.adopt_segment(name, 0, 4) is None
+        assert shm.list_segments(prefix) == []
 
     def test_close_sweeps_stale_result_segments(self):
         """A publisher that died after writing a one-shot segment under

@@ -379,32 +379,6 @@ class TestProcessBackendResultViews:
         assert set(shm_plane.list_segments("psna-")) == before
 
 
-# ------------------------------------------------------ spilled payloads
-
-
-@needs_shm
-class TestReadRefDeprecation:
-    def test_restage_ref_rehydrates_spilled_bytes(self, tmp_path):
-        pool = shm_plane.BufferPool(spill_dir=tmp_path, spill_watermark=1)
-        try:
-            name = f"{pool.prefix}-spill2"
-            data = bytes(range(256)) * 4
-            assert shm_plane.create_segment(name, data)
-            spilled = pool.adopt_segment(name, 0, len(data))
-            assert spilled is not None
-            assert pool.incref(spilled) is None
-            restaged = pool.restage_ref(spilled)
-            assert restaged is not None
-            view = pool.view_ref(restaged)
-            assert view is not None
-            assert bytes(view.view) == data
-            view.release()
-            pool.release(restaged)
-            pool.release(spilled)
-        finally:
-            pool.close()
-
-
 # ------------------------------------------------ stage-report counters
 
 

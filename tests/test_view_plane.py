@@ -255,11 +255,18 @@ class TestBasesColumnViews:
 
 @needs_shm
 class TestBufferPoolViewRef:
+    @staticmethod
+    def _adopt(pool, payload):
+        name = f"{pool.prefix}-adoptee"
+        assert shm.create_segment(name, payload, transfer=True)
+        ref = pool.adopt_segment(name, 0, len(payload))
+        assert ref is not None
+        return ref
+
     def test_view_ref_is_readonly_and_guards_lease(self):
-        with shm.BufferPool(slab_bytes=1 << 16, max_bytes=1 << 20) as pool:
+        with shm.BufferPool() as pool:
             payload = os.urandom(4096)
-            ref = pool.put_bytes(payload)
-            assert ref is not None
+            ref = self._adopt(pool, payload)
             view = pool.view_ref(ref)
             assert view is not None
             assert view.nbytes == len(payload)
@@ -267,37 +274,20 @@ class TestBufferPoolViewRef:
             with pytest.raises(TypeError):
                 view.view[0] = 0  # delivered views are read-only
             assert view.materialize() == payload
-            # The guard lease keeps the payload alive past its own
-            # release; dropping the view frees the last lease.
+            # The guard lease keeps the segment alive past the adoption
+            # lease's release; dropping the view frees the last lease.
             pool.release(ref)
             assert pool.live_leases == 1
+            assert shm.list_segments(ref.segment) == [ref.segment]
             assert view.release()
             assert pool.live_leases == 0
+            assert shm.list_segments(ref.segment) == []
 
     def test_view_ref_after_release_returns_none(self):
-        with shm.BufferPool(slab_bytes=1 << 16, max_bytes=1 << 20) as pool:
-            ref = pool.put_bytes(b"x" * 128)
+        with shm.BufferPool() as pool:
+            ref = self._adopt(pool, b"x" * 128)
             pool.release(ref)
             assert pool.view_ref(ref) is None
-
-    def test_view_ref_spilled_falls_back_to_none(self, tmp_path):
-        pool = shm.BufferPool(
-            slab_bytes=1 << 16, max_bytes=1 << 20,
-            spill_dir=str(tmp_path), spill_watermark=0,
-        )
-        try:
-            name = f"{pool.prefix}-adoptee"
-            data = os.urandom(2048)
-            assert shm.create_segment(name, data)
-            ref = pool.adopt_segment(name, 0, len(data))
-            assert ref is not None
-            # Watermark 0 spills every adoption to disk: no mappable
-            # segment exists, so the view path must decline...
-            assert pool.view_ref(ref) is None
-            # ...and the copy path still serves the bytes.
-            assert pool.read_ref(ref) == data
-        finally:
-            pool.close()
 
 
 # ------------------------------------------------ per-edge codec choice
