@@ -200,19 +200,19 @@ def test_in_process_edge_codec(report, monkeypatch, bench_reads,
     # ``agd/chunk.py`` through its own import, and are not counted).
     spy = ZlibSpy()
     monkeypatch.setattr(compression, "zlib", spy)
-    frames = serializer.encode_frames(item)
-    decoded = serializer.decode_frames(frames)
+    frames = serializer.encode(item)
+    decoded = serializer.decode(frames)
     zlib_calls = len(spy.calls)
     monkeypatch.undo()
 
     gzip = item_serializer()
     raw_wall = _best_of(
-        lambda: serializer.decode_frames(serializer.encode_frames(item)))
+        lambda: serializer.decode(serializer.encode(item)))
     gzip_wall = _best_of(
-        lambda: gzip.decode_frames(gzip.encode_frames(item)))
+        lambda: gzip.decode(gzip.encode(item)))
     ratio = gzip_wall / raw_wall if raw_wall else 0.0
     raw_bytes = sum(len(f) for f in frames)
-    gzip_frames = gzip.encode_frames(item)
+    gzip_frames = gzip.encode(item)
     gzip_bytes = sum(len(f) for f in gzip_frames)
 
     rep = report("broker_wire_codec",
@@ -238,7 +238,7 @@ def test_in_process_edge_codec(report, monkeypatch, bench_reads,
     rep.check("frames == columns declared by dupmark+varcall + header",
               len(frames) == len(keep) + 1 == 4)
     rep.check("raw and gzip frames decode to the same item",
-              decoded == gzip.decode_frames(gzip_frames))
+              decoded == gzip.decode(gzip_frames))
     armed = cpus >= 2
     note = f"needs >= 2 CPUs, host has {cpus}" if not armed else ""
     rep.gate("raw_vs_gzip_codec", RAW_CODEC_GATE, ratio, armed, note=note)

@@ -37,11 +37,13 @@ cannot detect:
 Two transports expose the broker to workers: :class:`LocalBrokerClient`
 (the in-process reference — direct calls under the broker lock) and a
 TCP pair (:class:`BrokerServer`/:class:`TcpBrokerClient`) speaking a
-length-prefixed wire format; payloads are opaque bytes, optionally
-compressed through the existing AGD codec layer.  All client operations
-are short-blocking: pulls/publishes poll with a bounded timeout, which
-is what lets one lock-serialized connection per worker carry every op
-and lets local graph aborts interrupt waiting kernels.
+scatter/gather frame format; payloads are opaque bytes (one blob or a
+segment list) the edge's serializer already encoded.  There is one
+publish operation: it may carry an ``ack`` of an upstream delivery,
+which then lands in the same step.  All client operations are
+short-blocking: pulls/publishes poll with a bounded timeout, which is
+what lets one lock-serialized connection per worker carry every op and
+lets local graph aborts interrupt waiting kernels.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.agd.compression import get_codec
 from repro.cluster.wire import WireError
 from repro.dataflow import shm as shm_plane
 from repro.dataflow.queues import (
@@ -179,6 +180,18 @@ _SERVICE_MIN_PERIOD = 0.02
 #: unacked is fenced (catches a worker frozen *between* deliveries,
 #: which holds no deadline-bearing chunk but still blocks edge close).
 _IDLE_FENCE_FACTOR = 4.0
+#: ``delivery_deadline="auto"``: a delivery's deadline is this many
+#: times the edge's service-time EWMA, clamped to [``_DEADLINE_MIN``,
+#: ``_DEADLINE_MAX``] seconds; until the estimate warms up, only
+#: ``_DEADLINE_MAX`` applies.
+_DEADLINE_FACTOR = 8.0
+_DEADLINE_MIN = 30.0
+_DEADLINE_MAX = 600.0
+#: Exponential redelivery backoff: strike *n* parks the delivery for
+#: ``min(_BACKOFF_CAP, _BACKOFF_BASE * 2**(n-1))`` seconds before it
+#: returns to the front of the edge.
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
 
 
 class Broker:
@@ -188,10 +201,10 @@ class Broker:
 
     ``delivery_deadline``
         ``"auto"`` (default) derives each delivery's deadline from the
-        edge's service-time EWMA — ``deadline_factor`` times the
-        estimate, clamped to [``deadline_min``, ``deadline_max``]; until
-        the estimate warms up, ``deadline_max`` applies.  A float fixes
-        the deadline in seconds; ``"off"``/None disables fencing.
+        edge's service-time EWMA (``_DEADLINE_FACTOR`` times the
+        estimate, clamped to [``_DEADLINE_MIN``, ``_DEADLINE_MAX``]).
+        A float fixes the deadline in seconds; ``"off"``/None disables
+        fencing.
     ``max_redeliveries``
         Strikes a key may accumulate (expiry or consumer death) before
         it is quarantined to the edge's dead-letter queue.
@@ -199,21 +212,15 @@ class Broker:
         ``"quarantine"`` completes the run degraded (the dead key is
         excluded and reported); ``"fail"`` aborts every edge the moment
         a key is quarantined (``poison_failure`` records which).
-    ``backoff_base``/``backoff_cap``
-        Exponential redelivery backoff: strike *n* parks the delivery
-        for ``min(cap, base * 2**(n-1))`` seconds before it returns to
-        the front of the edge.
+
+    Redeliveries back off exponentially (``_BACKOFF_BASE``,
+    ``_BACKOFF_CAP``).
     """
 
     def __init__(self, name: str = "broker", *,
                  delivery_deadline="auto",
-                 deadline_factor: float = 8.0,
-                 deadline_min: float = 30.0,
-                 deadline_max: float = 600.0,
                  max_redeliveries: int = 4,
-                 on_poison: str = "quarantine",
-                 backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0):
+                 on_poison: str = "quarantine"):
         if delivery_deadline is None:
             delivery_deadline = "off"
         if delivery_deadline not in ("auto", "off"):
@@ -229,13 +236,8 @@ class Broker:
             raise ValueError("max_redeliveries cannot be negative")
         self.name = name
         self.delivery_deadline = delivery_deadline
-        self.deadline_factor = float(deadline_factor)
-        self.deadline_min = float(deadline_min)
-        self.deadline_max = float(deadline_max)
         self.max_redeliveries = int(max_redeliveries)
         self.on_poison = on_poison
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._edges: dict[str, _Edge] = {}
@@ -307,18 +309,9 @@ class Broker:
         if e.service_ewma is None:
             # No estimate yet: only the conservative ceiling applies,
             # so a slow first chunk is never fenced spuriously.
-            return self.deadline_max
-        return min(self.deadline_max,
-                   max(self.deadline_min,
-                       self.deadline_factor * e.service_ewma))
-
-    def _observe_service(self, e: _Edge, pulled_at: float,
-                         now: float) -> None:
-        sample = max(0.0, now - pulled_at)
-        if e.service_ewma is None:
-            e.service_ewma = sample
-        else:
-            e.service_ewma += _EWMA_ALPHA * (sample - e.service_ewma)
+            return _DEADLINE_MAX
+        return min(_DEADLINE_MAX,
+                   max(_DEADLINE_MIN, _DEADLINE_FACTOR * e.service_ewma))
 
     def _requeue_locked(self, e: _Edge, entries, reason: str, now: float,
                         events: list) -> None:
@@ -340,8 +333,7 @@ class Broker:
             # surviving replica is redoing.
             d.tag = next(self._tags)
             d.not_before = now + min(
-                self.backoff_cap,
-                self.backoff_base * (2 ** (d.strikes - 1)),
+                _BACKOFF_CAP, _BACKOFF_BASE * (2 ** (d.strikes - 1))
             )
             e.delayed.append(d)
             requeued += 1
@@ -360,15 +352,11 @@ class Broker:
             for other in self._edges.values():
                 other.aborted = True
 
-    def _fence_locked(self, consumer: int, reason: str, now: float,
-                      events: list) -> None:
-        """Reject every further op from ``consumer`` and reassign its
-        work: unacked deliveries are struck + requeued and its producer
-        slots released, exactly as if its connection had died."""
-        if consumer in self._fenced:
-            return
-        self._fenced.add(consumer)
-        self._admitted_by.pop(consumer, None)
+    def _release_locked(self, consumer: int, reason: str, now: float,
+                        events: list) -> None:
+        """Reassign ``consumer``'s work: its unacked deliveries are
+        struck and requeued in original order, its producer slots
+        released.  Death and fencing both end here."""
         for e in self._edges.values():
             owned = sorted(
                 ((tag, d) for tag, (owner, d, _p, _dl) in e.unacked.items()
@@ -376,10 +364,19 @@ class Broker:
                 key=lambda td: td[1].seq,
             )
             self._requeue_locked(e, owned, reason, now, events)
-            held = e.producer_owners.pop(consumer, 0)
-            e.producers_remaining -= held
-        events.append(("fence", consumer, reason))
+            e.producers_remaining -= e.producer_owners.pop(consumer, 0)
+        self._admitted_by.pop(consumer, None)
         self._cond.notify_all()
+
+    def _fence_locked(self, consumer: int, reason: str, now: float,
+                      events: list) -> None:
+        """Reject every further op from ``consumer`` and reassign its
+        work exactly as if its connection had died."""
+        if consumer in self._fenced:
+            return
+        self._fenced.add(consumer)
+        self._release_locked(consumer, reason, now, events)
+        events.append(("fence", consumer, reason))
 
     def _service_locked(self, now: float, events: list) -> None:
         """Opportunistic housekeeping, piggybacked on every broker op
@@ -528,22 +525,9 @@ class Broker:
         clean completion."""
         events: list = []
         with self._cond:
-            now = time.monotonic()
-            for e in self._edges.values():
-                dropped = sorted(
-                    ((tag, d) for tag, (owner, d, _p, _dl)
-                     in e.unacked.items() if owner == consumer),
-                    key=lambda td: td[1].seq,
-                )
-                self._requeue_locked(
-                    e, dropped, "consumer died or disconnected", now,
-                    events,
-                )
-                held = e.producer_owners.pop(consumer, 0)
-                e.producers_remaining -= held
-            self._admitted_by.pop(consumer, None)
+            self._release_locked(consumer, "consumer died or disconnected",
+                                 time.monotonic(), events)
             self._last_op.pop(consumer, None)
-            self._cond.notify_all()
         self._fire(events)
 
     def pre_ack(self, edge: str, keys) -> None:
@@ -560,19 +544,32 @@ class Broker:
 
     # ----------------------------------------------------------- delivery
 
-    def publish(self, edge: str, key: str, payload: bytes,
-                timeout: float = 0.05,
-                consumer: "int | None" = None) -> str:
+    def publish(self, edge: str, key: str, payload,
+                timeout: float = 0.05, consumer: "int | None" = None,
+                ack: "tuple[str, int] | None" = None) -> str:
+        """Enqueue ``payload`` under ``key`` (waiting up to ``timeout``
+        for room) and ack ``ack``, an ``(edge, tag)`` delivery, in the
+        same step: the exactly-once-effective handoff between cuts.
+        The ack lands only when the publish lands or the key needs no
+        delivery (pre-acked or quarantined); a fenced, closed, full or
+        aborted edge leaves it untouched."""
+        enqueued = False
+        acked = None
         events: list = []
         try:
             with self._cond:
                 now = time.monotonic()
                 if consumer is not None:
                     if consumer in self._fenced:
+                        # The ack is deliberately NOT processed: a
+                        # fenced worker's delivery was already requeued
+                        # under a fresh tag, and its reissued outputs
+                        # must not double-enqueue downstream.
                         return DELIVERY_FENCED
                     self._last_op[consumer] = now
                 self._service_locked(now, events)
                 e = self._edge(edge)
+                a = None if ack is None else self._edge(ack[0])
                 if e.aborted:
                     return EDGE_ABORTED
                 if key in e.dead:
@@ -591,76 +588,22 @@ class Broker:
                             return EDGE_ABORTED
                         if len(e.pending) >= e.capacity:
                             return PUBLISH_FULL
-                    self._publish_locked(e, key, payload)
-                    return PUBLISH_OK
+                    tag = next(self._tags)
+                    e.pending.append(_Delivery(tag, key, payload, seq=tag))
+                    e.total_published += 1
+                    e.payload_bytes += _payload_nbytes(payload)
+                    e.max_depth = max(e.max_depth, len(e.pending))
+                    enqueued = True
+                if a is not None:
+                    acked = self._ack_locked(a, ack[1], now)
+                self._cond.notify_all()
         finally:
             self._fire(events)
-        # Pre-acked (work already done) or quarantined (work abandoned)
-        # key: either way the payload dies here.
-        self._reap(payload)
-        return PUBLISH_OK
-
-    def _publish_locked(self, e: _Edge, key: str, payload) -> None:
-        tag = next(self._tags)
-        e.pending.append(_Delivery(tag, key, payload, seq=tag))
-        e.total_published += 1
-        e.payload_bytes += _payload_nbytes(payload)
-        e.max_depth = max(e.max_depth, len(e.pending))
-        self._cond.notify_all()
-
-    def publish_ack(self, edge: str, key: str, payload: bytes,
-                    ack_edge: str, ack_tag: int,
-                    timeout: float = 0.05,
-                    consumer: "int | None" = None) -> str:
-        """Atomically publish to one edge and ack a delivery on another
-        (the exactly-once-effective handoff between pipeline cuts)."""
-        acked = None
-        dropped = None
-        events: list = []
-        try:
-            with self._cond:
-                now = time.monotonic()
-                if consumer is not None:
-                    if consumer in self._fenced:
-                        # The ack side is deliberately NOT processed: a
-                        # fenced worker's delivery was already requeued
-                        # under a fresh tag, and its reissued outputs
-                        # must not double-enqueue downstream.
-                        return DELIVERY_FENCED
-                    self._last_op[consumer] = now
-                self._service_locked(now, events)
-                e = self._edge(edge)
-                a = self._edge(ack_edge)
-                if e.aborted:
-                    return EDGE_ABORTED
-                if key in e.dead or key in e.preacked:
-                    if key in e.preacked:
-                        e.preacked.discard(key)
-                        e.total_preacked += 1
-                    dropped = payload
-                    acked = a.unacked.pop(ack_tag, None)
-                    self._cond.notify_all()
-                else:
-                    if e.producers_remaining <= 0:
-                        return EDGE_CLOSED
-                    if len(e.pending) >= e.capacity:
-                        self._cond.wait(timeout)
-                        if e.aborted:
-                            return EDGE_ABORTED
-                        if len(e.pending) >= e.capacity:
-                            return PUBLISH_FULL
-                    self._publish_locked(e, key, payload)
-                    acked = a.unacked.pop(ack_tag, None)
-                    self._cond.notify_all()
-                if acked is not None:
-                    self._observe_service(a, acked[2], now)
-        finally:
-            self._fire(events)
-        self._reap(dropped)
-        if acked is not None:
-            self._reap(acked[1].payload)
-            if self.ack_listener is not None:
-                self.ack_listener(ack_edge, acked[1].key)
+        if not enqueued:
+            # Pre-acked (work already done) or quarantined (work
+            # abandoned) key: either way the payload dies here.
+            self._reap(payload)
+        self._credit(a, acked)
         return PUBLISH_OK
 
     def pull(self, edge: str, consumer: int,
@@ -709,15 +652,26 @@ class Broker:
                 self._last_op[consumer] = now
             self._service_locked(now, events)
             e = self._edge(edge)
-            acked = e.unacked.pop(tag, None)
-            if acked is not None:
-                self._observe_service(e, acked[2], now)
+            acked = self._ack_locked(e, tag, now)
             self._cond.notify_all()
         self._fire(events)
+        self._credit(e, acked)
+
+    def _ack_locked(self, e: _Edge, tag: int, now: float):
+        """Retire delivery ``tag``; its pull-to-ack time feeds the EWMA."""
+        acked = e.unacked.pop(tag, None)
+        if acked is not None:
+            sample = max(0.0, now - acked[2])
+            e.service_ewma = sample if e.service_ewma is None else \
+                e.service_ewma + _EWMA_ALPHA * (sample - e.service_ewma)
+        return acked
+
+    def _credit(self, e: "_Edge | None", acked) -> None:
+        """Outside the lock: reap an acked payload, journal its key."""
         if acked is not None:
             self._reap(acked[1].payload)
             if self.ack_listener is not None:
-                self.ack_listener(edge, acked[1].key)
+                self.ack_listener(e.name, acked[1].key)
 
     def record_wire(self, edge: str, wire_bytes: int = 0,
                     shm_segments: int = 0, shm_bytes: int = 0,
@@ -894,18 +848,12 @@ class LocalBrokerClient:
     def producer_done(self, edge: str) -> None:
         self.broker.producer_done(edge, self.consumer)
 
-    def publish(self, edge: str, key: str, payload: bytes,
-                timeout: float = 0.05) -> str:
+    def publish(self, edge: str, key: str, payload,
+                timeout: float = 0.05,
+                ack: "tuple[str, int] | None" = None) -> str:
         return self.broker.publish(
-            edge, key, payload, timeout=timeout, consumer=self.consumer
-        )
-
-    def publish_ack(self, edge: str, key: str, payload: bytes,
-                    ack_edge: str, ack_tag: int,
-                    timeout: float = 0.05) -> str:
-        return self.broker.publish_ack(
-            edge, key, payload, ack_edge, ack_tag, timeout=timeout,
-            consumer=self.consumer,
+            edge, key, payload, timeout=timeout, consumer=self.consumer,
+            ack=ack,
         )
 
     def pull(self, edge: str, timeout: float = 0.05):
@@ -968,6 +916,9 @@ _SEGLEN = struct.Struct("!I")
 _MAX_HEAD_BYTES = 1 << 20
 _MAX_SEGMENTS = 4096
 _MAX_SEGMENT_BYTES = 1 << 30
+#: Longest a request may ask the server to block, in seconds (the
+#: client's socket gives up then too).
+_MAX_OP_TIMEOUT = 60.0
 
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
@@ -1067,6 +1018,23 @@ def _recv_frame(sock: socket.socket) -> "tuple[dict, list, int]":
         segments.append(buf)
         wire += n
     return header, segments, wire
+
+
+_REQUIRED = object()
+
+
+def _field(header: dict, name: str, kind, default=_REQUIRED):
+    """One request field, type-checked (null counts as absent).  A
+    missing or ill-typed field is a :class:`BrokerError`, so the peer
+    gets an error reply on a connection that goes on serving."""
+    value = header.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise BrokerError(f"request field {name!r} is missing")
+        return default
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise BrokerError(f"request field {name!r} is ill-typed: {value!r}")
+    return value
 
 
 def _as_segments(payload) -> "tuple[bool, list]":
@@ -1259,9 +1227,10 @@ class BrokerServer:
             )
 
     def _materialize_inbound(self, state: _ConnState, header: dict,
-                             segments: list):
+                             segments: list) -> "tuple[object, int, int]":
         """Rebuild a published payload from inline wire segments plus
-        any same-host segment descriptors the client wrote.
+        any same-host segment descriptors the client wrote; returns
+        ``(payload, shm segments, shm bytes)``.
 
         Descriptor segments are *adopted*, not copied: the pool takes
         ownership of the publisher's one-shot segment and the payload
@@ -1270,41 +1239,47 @@ class BrokerServer:
         lease dies with the delivery (ack, pre-ack, or failed publish).
         A client may only hand over segments in its own namespace
         (``{prefix}-c{consumer}-o…``, the names
-        :meth:`TcpBrokerClient._publish_op` writes): never the boot
-        probe, never another connection's segments.
+        :meth:`TcpBrokerClient.publish` writes): never the boot probe,
+        never another connection's segments.  A bad descriptor fails
+        the whole publish, and what it already adopted is released.
         """
-        plan = header.get("shm")
-        shm_bytes = 0
-        if plan is not None:
-            if self._pool is None or not state.shm_ok:
-                raise BrokerError("shm publish from an unverified client")
-            own = f"{self._pool.prefix}-c{state.consumer}-o"
-            rebuilt = []
-            inline = iter(segments)
+        plan = _field(header, "shm", list, None)
+        multi = bool(header.get("multi"))
+        if plan is None:
+            return _from_segments(multi, segments), 0, 0
+        if self._pool is None or not state.shm_ok:
+            raise BrokerError("shm publish from an unverified client")
+        if plan.count(None) != len(segments):
+            raise BrokerError(f"shm plan names {plan.count(None)} inline "
+                              f"segments, the frame has {len(segments)}")
+        own = f"{self._pool.prefix}-c{state.consumer}-o"
+        rebuilt = []
+        inline = iter(segments)
+        try:
             for entry in plan:
                 if entry is None:
                     rebuilt.append(next(inline))
                     continue
-                name = str(entry["seg"])
+                if not isinstance(entry, dict):
+                    raise BrokerError(f"shm plan entry {entry!r} is not "
+                                      f"an object")
+                name = _field(entry, "seg", str)
                 if not name.startswith(own):
-                    self._reap_payload(rebuilt)
-                    raise BrokerError(
-                        f"shm segment {name!r} outside the client's "
-                        f"namespace {own!r}"
-                    )
+                    raise BrokerError(f"shm segment {name!r} outside the "
+                                      f"client's namespace {own!r}")
                 ref = self._pool.adopt_segment(
-                    name, int(entry.get("off", 0)), int(entry["len"])
-                )
+                    name, _field(entry, "off", int, 0),
+                    _field(entry, "len", int))
                 if ref is None:
-                    self._reap_payload(rebuilt)
                     raise BrokerError(
-                        f"shm segment {name!r} vanished before receipt"
-                    )
+                        f"shm segment {name!r} vanished before receipt")
                 rebuilt.append(ref)
-                shm_bytes += int(entry["len"])
-            segments = rebuilt
-        payload = _from_segments(bool(header.get("multi")), segments)
-        return payload, shm_bytes
+        except (BrokerError, ValueError) as exc:
+            self._reap_payload(rebuilt)
+            raise BrokerError(str(exc)) from None
+        adopted = [r for r in rebuilt if isinstance(r, shm_plane.ShmRef)]
+        return (_from_segments(multi, rebuilt), len(adopted),
+                sum(r.length for r in adopted))
 
     def _stage_outbound(self, state: _ConnState, edge: str, tag: int,
                         payload) -> "tuple[dict, list]":
@@ -1361,8 +1336,11 @@ class BrokerServer:
     def _dispatch(self, state: _ConnState, header: dict, segments: list,
                   recv_wire: int) -> "tuple[dict, list]":
         op = header.get("op")
-        edge = header.get("edge", "")
-        timeout = float(header.get("timeout", 0.05))
+        edge = _field(header, "edge", str, "")
+        timeout = _field(header, "timeout", (int, float), 0.05)
+        if not 0 <= timeout <= _MAX_OP_TIMEOUT:
+            raise BrokerError(f"timeout {timeout!r} outside "
+                              f"[0, {_MAX_OP_TIMEOUT:g}] s")
         if op == "hello":
             reply = {"status": PULL_OK, "consumer": state.consumer,
                      "plan": self.broker.plan_doc}
@@ -1375,54 +1353,36 @@ class BrokerServer:
                 }
             return reply, []
         if op == "shm_verify":
-            token = str(header.get("token", "")).encode()
+            token = _field(header, "token", str, "").encode()
             state.shm_ok = (
                 self._pool is not None
                 and secrets.compare_digest(token, self._shm_token)
             )
             return {"status": PULL_OK, "shm": state.shm_ok}, []
         if op == "publish":
-            payload, shm_bytes = self._materialize_inbound(
+            key = _field(header, "key", str, "")
+            ack = _field(header, "ack", list, None)
+            if ack is not None:
+                if (len(ack) != 2 or not isinstance(ack[0], str)
+                        or type(ack[1]) is not int):
+                    raise BrokerError(f"request field 'ack' is not "
+                                      f"[edge, tag]: {ack!r}")
+                ack = tuple(ack)
+            payload, shm_segs, shm_bytes = self._materialize_inbound(
                 state, header, segments
             )
             try:
                 status = self.broker.publish(
-                    edge, header.get("key", ""), payload, timeout=timeout,
-                    consumer=state.consumer,
+                    edge, key, payload, timeout=timeout,
+                    consumer=state.consumer, ack=ack,
                 )
             except BrokerError:
                 self._reap_payload(payload)
                 raise
             if status != PUBLISH_OK:
                 self._reap_payload(payload)
-            shm_segs = len(header.get("shm") or []) - \
-                (header.get("shm") or []).count(None)
-            self.broker.record_wire(
-                edge, wire_bytes=recv_wire, shm_segments=shm_segs,
-                shm_bytes=shm_bytes, copied_segments=len(segments),
-                copied_bytes=sum(len(s) for s in segments),
-            )
-            return {"status": status}, []
-        if op == "publish_ack":
-            payload, shm_bytes = self._materialize_inbound(
-                state, header, segments
-            )
-            ack_edge, ack_tag = header["ack_edge"], int(header["ack_tag"])
-            try:
-                status = self.broker.publish_ack(
-                    edge, header.get("key", ""), payload,
-                    ack_edge, ack_tag, timeout=timeout,
-                    consumer=state.consumer,
-                )
-            except BrokerError:
-                self._reap_payload(payload)
-                raise
-            if status == PUBLISH_OK:
-                self._release_leases(state, (ack_edge, ack_tag))
-            else:
-                self._reap_payload(payload)
-            shm_segs = len(header.get("shm") or []) - \
-                (header.get("shm") or []).count(None)
+            elif ack is not None:
+                self._release_leases(state, ack)
             self.broker.record_wire(
                 edge, wire_bytes=recv_wire, shm_segments=shm_segs,
                 shm_bytes=shm_bytes, copied_segments=len(segments),
@@ -1442,7 +1402,7 @@ class BrokerServer:
             reply.update(extra)
             return reply, wire_segments
         if op == "ack":
-            tag = int(header["tag"])
+            tag = _field(header, "tag", int)
             self.broker.ack(edge, tag, consumer=state.consumer)
             self._release_leases(state, (edge, tag))
             return {"status": PULL_OK}, []
@@ -1457,7 +1417,7 @@ class BrokerServer:
             return {"status": PULL_OK}, []
         if op == "admit":
             plan = self.broker.admit_worker(
-                str(header["server"]), str(header["like"]),
+                _field(header, "server", str), _field(header, "like", str),
                 consumer=state.consumer,
             )
             return {"status": PULL_OK, "plan": plan}, []
@@ -1498,9 +1458,9 @@ class BrokerServer:
 class TcpBrokerClient:
     """Worker-side TCP transport (one lock-serialized connection).
 
-    ``wire_codec`` names an AGD codec applied per payload segment on the
-    wire (default ``"none"``: stage-boundary payloads are already
-    chunk-compressed, so recompressing buys little).
+    Payload segments cross as the edge's serializer encoded them (raw
+    frames when memory is shared, level-1 gzip frames otherwise); the
+    transport adds no codec of its own.
 
     ``shm`` opts into the same-host handoff: when the broker advertises
     a probe segment in its hello and this process can read the boot
@@ -1514,14 +1474,11 @@ class TcpBrokerClient:
     record decoders would copy a mapped window anyway.
     """
 
-    def __init__(self, host: str, port: int, wire_codec: str = "none",
-                 connect_timeout: float = 10.0, shm: "bool | None" = None):
-        self._codec = get_codec(wire_codec)
-        self._sock = socket.create_connection((host, port),
-                                              timeout=connect_timeout)
+    def __init__(self, host: str, port: int, shm: "bool | None" = None):
+        self._sock = socket.create_connection((host, port), timeout=10.0)
         # Per-op deadline guard: every broker op is short-blocking, so a
         # response always arrives promptly unless the broker is gone.
-        self._sock.settimeout(60.0)
+        self._sock.settimeout(_MAX_OP_TIMEOUT)
         self._lock = threading.Lock()
         #: Held while queueing for ``_lock``.  A plain lock is not fair:
         #: a source looping on 50 ms long-polls re-takes it microseconds
@@ -1579,44 +1536,6 @@ class TcpBrokerClient:
             raise BrokerError(reply.get("error", "broker error"))
         return reply, body
 
-    def _publish_op(self, header: dict, payload,
-                    timeout: float) -> str:
-        """Shared publish path: codec per segment, then hand every
-        at-or-above-threshold segment over shm when the handshake
-        verified a shared host (per-segment fallback to inline)."""
-        multi, segments = _as_segments(payload)
-        segments = [self._codec.compress(s) for s in segments]
-        header["multi"] = multi
-        header["timeout"] = timeout
-        created: list[str] = []
-        if self._shm is not None:
-            plan = []
-            inline = []
-            threshold = self._shm["threshold"]
-            for seg in segments:
-                name = None
-                if len(seg) >= threshold:
-                    name = (f"{self._shm['prefix']}-c{self.consumer}"
-                            f"-o{next(self._shm_counter)}")
-                    if not shm_plane.create_segment(name, seg,
-                                                    transfer=True):
-                        name = None  # shm space exhausted: ship inline
-                if name is None:
-                    plan.append(None)
-                    inline.append(seg)
-                else:
-                    created.append(name)
-                    plan.append({"seg": name, "len": len(seg)})
-            if created:
-                header["shm"] = plan
-                segments = inline
-        # Ownership transfers with the descriptors: the broker adopts
-        # the segments into its pool and unlinks them on last release.
-        # (If we die before the reply, the pool's prefix sweep reclaims
-        # them at server stop.)
-        reply, _ = self._request(header, segments)
-        return reply["status"]
-
     # ------------------------------------------------- QueueTransport API
 
     def attach_producer(self, edge: str) -> None:
@@ -1626,17 +1545,39 @@ class TcpBrokerClient:
         self._request({"op": "done", "edge": edge})
 
     def publish(self, edge: str, key: str, payload,
-                timeout: float = 0.05) -> str:
-        return self._publish_op(
-            {"op": "publish", "edge": edge, "key": key}, payload, timeout
-        )
-
-    def publish_ack(self, edge: str, key: str, payload,
-                    ack_edge: str, ack_tag: int,
-                    timeout: float = 0.05) -> str:
-        header = {"op": "publish_ack", "edge": edge, "key": key,
-                  "ack_edge": ack_edge, "ack_tag": ack_tag}
-        return self._publish_op(header, payload, timeout)
+                timeout: float = 0.05,
+                ack: "tuple[str, int] | None" = None) -> str:
+        """See :meth:`Broker.publish`.  Once the shm handshake verified
+        a shared host, segments at or above its threshold cross as
+        descriptors (per-segment fallback to inline)."""
+        multi, segments = _as_segments(payload)
+        header = {"op": "publish", "edge": edge, "key": key,
+                  "multi": multi, "timeout": timeout}
+        if ack is not None:
+            header["ack"] = list(ack)
+        if self._shm is not None:
+            plan, inline = [], []
+            for seg in segments:
+                name = None
+                if len(seg) >= self._shm["threshold"]:
+                    name = (f"{self._shm['prefix']}-c{self.consumer}"
+                            f"-o{next(self._shm_counter)}")
+                    if not shm_plane.create_segment(name, seg,
+                                                    transfer=True):
+                        name = None  # shm space exhausted: ship inline
+                if name is None:
+                    plan.append(None)
+                    inline.append(seg)
+                else:
+                    plan.append({"seg": name, "len": len(seg)})
+            if len(inline) < len(segments):
+                header["shm"] = plan
+                segments = inline
+        # Ownership transfers with the descriptors: the broker adopts
+        # the segments and unlinks them on last release (if we die
+        # first, its prefix sweep reclaims them at server stop).
+        reply, _ = self._request(header, segments)
+        return reply["status"]
 
     def pull(self, edge: str, timeout: float = 0.05):
         reply, body = self._request(
@@ -1659,7 +1600,6 @@ class TcpBrokerClient:
             ]
         else:
             segments = body
-        segments = [self._codec.decompress(s) for s in segments]
         payload = _from_segments(bool(reply.get("multi")), segments)
         return (status, reply["tag"], reply["key"], payload)
 

@@ -10,24 +10,20 @@ layer (§3's per-column compression) at a light level, since edge
 payloads are written once and read once like sort scratch.  Either way
 the payload is immutable, CRC-checked bytes — never an object reference:
 redelivery, poison quarantine and ``payload_bytes`` accounting need a
-frozen copy the broker can check.
-
-Frames are length-prefixed (``!I`` big-endian) so any transport that
-moves bytes (the TCP broker, a file, a pipe) can carry them.
+frozen copy the broker can check.  A work item crosses as a list of
+frames (a JSON header plus one blob per column) that the TCP broker
+sends segment by segment; a chunk name crosses as one blob.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from typing import Callable, NamedTuple
 
 from repro.agd.chunk import read_chunk_header, read_column, write_chunk
 from repro.agd.compression import get_codec, leveled_codec
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import record_type_for_column
-
-_LEN = struct.Struct("!I")
 
 #: Edge payloads are transient (written once, read once), so compress
 #: like sort scratch: cheap level, not the archival default.
@@ -55,51 +51,14 @@ class WireError(ValueError):
 
 class PayloadSerializer(NamedTuple):
     """An encode/decode pair a :class:`~repro.dataflow.queues.RemoteQueue`
-    applies to items crossing its edge.
+    applies to items crossing its edge, plus the key the broker files
+    each item under.  Work items encode to a list of frames, which the
+    transports move segment by segment without a pack/concat copy;
+    chunk names encode to one blob."""
 
-    ``encode_frames``/``decode_frames`` are the scatter/gather variants:
-    they trade in a *list* of segment blobs instead of one packed byte
-    string, so a transport that can move segments individually (the TCP
-    broker's ``sendmsg`` path, the same-host shm handoff) never pays the
-    pack/concat copy.  Serializers without them fall back to the packed
-    single-blob pair.
-    """
-
-    encode: Callable[[object], bytes]
-    decode: Callable[[bytes], object]
+    encode: Callable[[object], "bytes | list[bytes]"]
+    decode: Callable[["bytes | list[bytes]"], object]
     key: Callable[[object], str]
-    encode_frames: "Callable[[object], list[bytes]] | None" = None
-    decode_frames: "Callable[[list[bytes]], object] | None" = None
-
-
-def pack_frames(blobs: "list[bytes]") -> bytes:
-    """Concatenate blobs as length-prefixed frames."""
-    parts = [_LEN.pack(len(blobs))]
-    for blob in blobs:
-        parts.append(_LEN.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-def unpack_frames(data: bytes) -> "list[bytes]":
-    """Inverse of :func:`pack_frames`."""
-    if len(data) < _LEN.size:
-        raise WireError("truncated frame header")
-    (count,) = _LEN.unpack_from(data, 0)
-    offset = _LEN.size
-    blobs: list[bytes] = []
-    for _ in range(count):
-        if offset + _LEN.size > len(data):
-            raise WireError("truncated frame length")
-        (n,) = _LEN.unpack_from(data, offset)
-        offset += _LEN.size
-        if offset + n > len(data):
-            raise WireError("truncated frame body")
-        blobs.append(data[offset:offset + n])
-        offset += n
-    if offset != len(data):
-        raise WireError(f"{len(data) - offset} trailing bytes after frames")
-    return blobs
 
 
 # ---------------------------------------------------------------- entries
@@ -134,8 +93,7 @@ def encode_work_item_frames(
     """Serialize a :class:`~repro.core.ops.ChunkWorkItem` as a frames
     *list*: a JSON header frame followed by one AGD chunk blob per column
     (results attached as their own frame when they live on
-    ``item.results``).  Scatter/gather transports ship the list as-is;
-    :func:`encode_work_item` packs it for single-blob carriers."""
+    ``item.results``).  Transports ship the list as-is."""
     codec = _codec_for_level(codec_level)
     columns = sorted(item.columns)
     results_attached = item.results is not None and "results" not in columns
@@ -166,11 +124,6 @@ def encode_work_item_frames(
             )
         )
     return blobs
-
-
-def encode_work_item(item, codec_level: int = EDGE_CODEC_LEVEL) -> bytes:
-    """Packed single-blob form of :func:`encode_work_item_frames`."""
-    return pack_frames(encode_work_item_frames(item, codec_level))
 
 
 def decode_work_item_frames(frames: "list[bytes]"):
@@ -219,18 +172,11 @@ def _read_column_frame(frame, column: str, entry: ChunkEntry):
     return read_column(frame)
 
 
-def decode_work_item(blob: bytes):
-    """Inverse of :func:`encode_work_item`."""
-    return decode_work_item_frames(unpack_frames(blob))
-
-
 def item_serializer(codec_level: int = EDGE_CODEC_LEVEL) -> PayloadSerializer:
     return PayloadSerializer(
-        encode=lambda item: encode_work_item(item, codec_level),
-        decode=decode_work_item,
+        encode=lambda item: encode_work_item_frames(item, codec_level),
+        decode=decode_work_item_frames,
         key=lambda item: item.entry.path,
-        encode_frames=lambda item: encode_work_item_frames(item, codec_level),
-        decode_frames=decode_work_item_frames,
     )
 
 

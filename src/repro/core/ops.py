@@ -467,9 +467,7 @@ class EdgeSinkNode(Node):
         item = replace(item, columns=shipped)
         if self.ack_source is not None:
             item.wait_stored()
-            self.remote.put_with_ack(item, self.ack_source, item.entry.path)
-        else:
-            self.remote.put(item)
+        self.remote.put(item, ack_source=self.ack_source)
         self.chunks += 1
         self.records += item.record_count
         return None

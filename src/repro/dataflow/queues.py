@@ -186,6 +186,10 @@ EDGE_ABORTED = "aborted"
 #: its further operations are rejected with this status.
 DELIVERY_FENCED = "fenced"
 
+#: Seconds each short-blocking pull/publish attempt of a
+#: :class:`RemoteQueue` may wait at the broker before polling again.
+POLL_INTERVAL = 0.05
+
 
 class QueueTransport(Protocol):
     """What :class:`RemoteQueue` needs from a broker client.
@@ -206,11 +210,8 @@ class QueueTransport(Protocol):
 
     def producer_done(self, edge: str) -> None: ...
 
-    def publish(self, edge: str, key: str, payload: bytes,
-                timeout: float) -> str: ...
-
-    def publish_ack(self, edge: str, key: str, payload: bytes,
-                    ack_edge: str, ack_tag: int, timeout: float) -> str: ...
+    def publish(self, edge: str, key: str, payload, timeout: float,
+                ack: "tuple[str, int] | None" = None) -> str: ...
 
     def pull(self, edge: str, timeout: float) -> "tuple[str, int, str, bytes]": ...
 
@@ -224,12 +225,9 @@ class RemoteQueue:
 
     ``serializer`` (an encode/decode/key triple, see
     :class:`repro.cluster.wire.PayloadSerializer`) converts items to the
-    bytes that cross the transport; None passes payloads through
-    untouched (they must then be bytes already).  Serializers that carry
-    ``encode_frames``/``decode_frames`` trade in segment *lists* instead
-    of one packed blob, which scatter/gather transports move without the
-    pack/concat copy; the payloads a transport sees are then
-    ``list[bytes]`` and it must return the same shape from ``pull``.
+    payloads that cross the transport — a segment list for work items,
+    one blob for chunk names — and the transport hands the same shape
+    back from ``pull``.
 
     ``ack_mode`` selects the delivery contract:
 
@@ -242,20 +240,19 @@ class RemoteQueue:
     ``"manual"``
         :meth:`get` keeps the delivery tag, filed under the item's key;
         the server acks via :meth:`ack_key` (or atomically via another
-        queue's :meth:`put_with_ack`) only once the chunk has been fully
-        processed.  A worker that dies in between leaves unacked
-        deliveries for the broker to hand to a surviving replica —
-        at-least-once, made exactly-once-effective by idempotent chunk
-        writes.
+        queue's ``put(item, ack_source=...)``) only once the chunk has
+        been fully processed.  A worker that dies in between leaves
+        unacked deliveries for the broker to hand to a surviving
+        replica — at-least-once, made exactly-once-effective by
+        idempotent chunk writes.
     """
 
     def __init__(
         self,
         client: QueueTransport,
         edge: str,
-        serializer=None,
+        serializer,
         ack_mode: str = "auto",
-        poll_interval: float = 0.05,
     ):
         if ack_mode not in ("auto", "manual"):
             raise ValueError(f"unknown ack_mode {ack_mode!r}")
@@ -263,7 +260,6 @@ class RemoteQueue:
         self.edge = edge
         self.serializer = serializer
         self.ack_mode = ack_mode
-        self.poll_interval = poll_interval
         self._aborted = False
         self._lock = threading.Lock()
         self._inflight: dict[str, int] = {}
@@ -294,27 +290,6 @@ class RemoteQueue:
 
     # ------------------------------------------------------------------ I/O
 
-    def _encode(self, item: Any) -> "tuple[str, Any]":
-        if self.serializer is None:
-            return "", bytes(item)
-        encode_frames = getattr(self.serializer, "encode_frames", None)
-        if encode_frames is None:
-            return self.serializer.key(item), self.serializer.encode(item)
-        frames = encode_frames(item)
-        self.total_frames += len(frames)
-        self.total_bytes += sum(map(len, frames))
-        return self.serializer.key(item), frames
-
-    def _decode(self, payload: Any) -> Any:
-        if self.serializer is None:
-            return payload
-        if isinstance(payload, list):
-            decode_frames = getattr(self.serializer, "decode_frames", None)
-            if decode_frames is not None:
-                return decode_frames(payload)
-            payload = b"".join(payload)
-        return self.serializer.decode(payload)
-
     def _check_status(self, status: str) -> None:
         if status == DELIVERY_FENCED:
             raise WorkerFenced(self.edge)
@@ -323,49 +298,32 @@ class RemoteQueue:
         if status == EDGE_CLOSED:
             raise QueueClosed(self.edge)
 
-    def put(self, item: Any, timeout: "float | None" = None) -> None:
-        key, payload = self._encode(item)
+    def put(self, item: Any, timeout: "float | None" = None,
+            ack_source: "RemoteQueue | None" = None) -> None:
+        """Publish ``item``.
+
+        With ``ack_source`` (a manual-ack queue), the delivery it filed
+        under the item's key is acknowledged in the same broker
+        operation.  This closes the duplicate-delivery window: a worker
+        that dies before the call leaves the upstream delivery unacked
+        (clean redelivery); one that dies after leaves the item safely
+        published and the delivery acked.  There is no interleaving in
+        which the item is published twice.  An item that did not come
+        from a tracked delivery (auto-ack ingress, a locally generated
+        chunk) is published alone.
+        """
+        key, payload = self.serializer.key(item), self.serializer.encode(item)
+        frames = payload if isinstance(payload, list) else [payload]
+        self.total_frames += len(frames)
+        self.total_bytes += sum(map(len, frames))
+        tag = None if ack_source is None else ack_source._take_tag(key)
+        ack = None if tag is None else (ack_source.edge, tag)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._aborted:
                 raise PipelineAborted(self.edge)
             status = self.client.publish(
-                self.edge, key, payload, timeout=self.poll_interval
-            )
-            self._check_status(status)
-            if status == PUBLISH_OK:
-                self.total_enqueued += 1
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"publish to full edge {self.edge!r} timed out"
-                )
-
-    def put_with_ack(self, item: Any, ack_source: "RemoteQueue",
-                     ack_key: str, timeout: "float | None" = None) -> None:
-        """Publish ``item`` and acknowledge ``ack_key`` on ``ack_source``
-        as ONE broker operation.
-
-        This closes the duplicate-delivery window: a worker that dies
-        before the call leaves the upstream delivery unacked (clean
-        redelivery); one that dies after leaves the item safely
-        published and the delivery acked.  There is no interleaving in
-        which the item is published twice.
-        """
-        tag = ack_source._take_tag(ack_key)
-        if tag is None:
-            # Item did not originate from a tracked delivery (auto-ack
-            # ingress, locally generated chunk): plain publish.
-            self.put(item, timeout=timeout)
-            return
-        key, payload = self._encode(item)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self._aborted:
-                raise PipelineAborted(self.edge)
-            status = self.client.publish_ack(
-                self.edge, key, payload, ack_source.edge, tag,
-                timeout=self.poll_interval,
+                self.edge, key, payload, timeout=POLL_INTERVAL, ack=ack
             )
             self._check_status(status)
             if status == PUBLISH_OK:
@@ -382,7 +340,7 @@ class RemoteQueue:
             if self._aborted:
                 raise PipelineAborted(self.edge)
             status, tag, key, payload = self.client.pull(
-                self.edge, timeout=self.poll_interval
+                self.edge, timeout=POLL_INTERVAL
             )
             self._check_status(status)
             if status == PULL_OK:
@@ -394,11 +352,11 @@ class RemoteQueue:
         if self.ack_mode == "manual":
             with self._lock:
                 self._inflight[key] = tag
-            return self._decode(payload)
+            return self.serializer.decode(payload)
         # Auto-ack: decode BEFORE acknowledging, so a payload that fails
         # to decode stays unacked.  Every transport hands back owned
         # bytes, so nothing the decoded item holds dies with the ack.
-        item = self._decode(payload)
+        item = self.serializer.decode(payload)
         self.client.ack(self.edge, tag)
         return item
 

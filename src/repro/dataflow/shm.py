@@ -240,11 +240,19 @@ class BufferPool:
         the payload is never copied server-side.  The last lease out
         unlinks the segment.  None when the segment is gone (the
         publisher died before the frame arrived) or the pool is closed.
+        A window outside the segment raises :class:`ValueError` (the
+        segment is unlinked: its publisher handed it over).
         """
         try:
             seg = _shared_memory.SharedMemory(name=name)
         except OSError:
             return None
+        if offset < 0 or length < 0 or offset + length > seg.size:
+            _drop(seg)
+            raise ValueError(
+                f"shm segment {name!r}: window [{offset}, "
+                f"{offset + length}) lies outside its {seg.size} bytes"
+            )
         with self._lock:
             closed = self._closed
             if not closed:

@@ -216,6 +216,26 @@ def test_broker_pool_is_adoption_only():
     assert not found, "\n".join(found)
 
 
+#: The broker plane has one publish operation (``publish(..., ack=)``):
+#: the second publish-and-ack op, the packed work-item form, the
+#: transport codec and the per-broker timing knobs are gone, and must
+#: not grow back.
+ONE_PUBLISH_NAMES = (
+    "publish_ack", "put_with_ack", "wire_codec", "pack_frames",
+    "unpack_frames", "encode_frames", "backoff_base", "deadline_factor",
+)
+
+
+def test_broker_has_one_publish_op():
+    found = _occurrences(rf"\b({'|'.join(ONE_PUBLISH_NAMES)})\b"
+                         r"|\b(encode|decode)_work_item\(")
+    assert not found, "\n".join(found)
+    ops = re.findall(r'op == "(\w+)"',
+                     (SRC / "cluster" / "broker.py").read_text())
+    assert ops == ["hello", "shm_verify", "publish", "pull", "ack",
+                   "attach", "done", "abort", "admit", "stats"]
+
+
 #: The compute backend is named once, by ``backend=``/``workers=`` on the
 #: entry point: no batch-size knob or its byte estimator, no backend
 #: fields on the graph config, no adapter for a raw ``Executor``.

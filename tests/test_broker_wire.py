@@ -63,7 +63,14 @@ from repro.core.ops import ChunkWorkItem
 from repro.core.pipelines import run_pipeline
 from repro.core.sort import SortConfig, verify_sorted
 from repro.dataflow import shm
-from repro.dataflow.queues import PUBLISH_OK, PULL_OK
+from repro.dataflow.queues import (
+    DELIVERY_FENCED,
+    EDGE_ABORTED,
+    EDGE_CLOSED,
+    PUBLISH_FULL,
+    PUBLISH_OK,
+    PULL_OK,
+)
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
 from repro.storage.base import MemoryStore
@@ -277,6 +284,123 @@ class TestPayloadRoundTrip:
             server.stop()
 
 
+# ------------------------------------------------- malformed requests
+
+
+class TestMalformedRequests:
+    """A missing or ill-typed request field gets an error reply; the
+    connection thread survives and serves the next request."""
+
+    @pytest.mark.parametrize("header", [
+        {"op": "ack", "edge": "e"},
+        {"op": "admit", "server": "x"},
+        {"op": "pull", "edge": ["e"], "timeout": 0.01},
+        {"op": "pull", "edge": "e", "timeout": "soon"},
+        {"op": "pull", "edge": "e", "timeout": 1e12},
+        {"op": "publish", "edge": "e", "key": "k", "multi": False,
+         "timeout": 0.01, "ack": ["e", "seven"]},
+    ], ids=["ack-no-tag", "admit-no-like", "edge-list", "timeout-str",
+            "timeout-huge", "ack-bad-tag"])
+    def test_error_reply_then_connection_still_serves(self, header):
+        broker = Broker()
+        broker.create_edge("e", capacity=4, producers=1)
+        broker.plan_doc = {"servers": []}
+        server = BrokerServer(broker, shm=False).start()
+        try:
+            client = TcpBrokerClient(*server.address)
+            client.attach_producer("e")
+            with pytest.raises(BrokerError, match="request field|timeout"):
+                client._request(header)
+            assert client.stats()["e"]["total_published"] == 0
+            client.close()
+        finally:
+            server.stop()
+
+
+# ----------------------------------------------------- one publish op
+
+
+def _filled(broker, worker):
+    assert worker.publish("down", "filler", b"f") == PUBLISH_OK
+
+
+def _quarantined(broker, worker):
+    """Dead-letter key ``k`` on ``down`` (the broker allows no
+    redelivery): its only consumer dies holding it."""
+    assert worker.publish("down", "k", b"x") == PUBLISH_OK
+    doomed = LocalBrokerClient(broker)
+    assert doomed.pull("down")[0] == PULL_OK
+    doomed.close()
+    assert broker.quarantined()["down"][0]["key"] == "k"
+
+
+#: (outcome, broker kwargs, set-up, status, upstream unacked after,
+#: ack landed, items published on ``down``).
+PUBLISH_ACK_TABLE = [
+    ("ok", {}, None, PUBLISH_OK, 0, True, 1),
+    ("full", {}, _filled, PUBLISH_FULL, 1, False, 1),
+    ("closed", {}, lambda b, w: w.producer_done("down"), EDGE_CLOSED,
+     1, False, 0),
+    ("aborted", {}, lambda b, w: b.abort("down"), EDGE_ABORTED,
+     1, False, 0),
+    # Fencing requeues the delivery itself, and the stale ack must not
+    # credit it.
+    ("fenced", {}, lambda b, w: b.fence_consumer(w.consumer),
+     DELIVERY_FENCED, 0, False, 0),
+    ("preacked", {}, lambda b, w: b.pre_ack("down", ["k"]), PUBLISH_OK,
+     0, True, 0),
+    ("quarantined", {"max_redeliveries": 0}, _quarantined, PUBLISH_OK,
+     0, True, 1),
+]
+
+
+class TestOnePublishOp:
+    """``publish(..., ack=(edge, tag))``: the ack lands only when the
+    publish lands or the key needs no delivery; a fenced, closed, full
+    or aborted edge leaves it untouched."""
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    @pytest.mark.parametrize(
+        "outcome,kwargs,setup,status,unacked,acked,published",
+        PUBLISH_ACK_TABLE, ids=[row[0] for row in PUBLISH_ACK_TABLE])
+    def test_publish_with_ack_outcomes(self, transport, outcome, kwargs,
+                                       setup, status, unacked, acked,
+                                       published):
+        broker = Broker(delivery_deadline="off", **kwargs)
+        broker.create_edge("up", capacity=4, producers=1)
+        broker.create_edge("down", capacity=1, producers=1)
+        fired = []
+        broker.ack_listener = lambda edge, key: fired.append((edge, key))
+        source = LocalBrokerClient(broker)
+        source.attach_producer("up")
+        assert source.publish("up", "c0", b"chunk") == PUBLISH_OK
+        server = None
+        if transport == "tcp":
+            server = BrokerServer(broker, shm=False).start()
+            worker = TcpBrokerClient(*server.address)
+        else:
+            worker = LocalBrokerClient(broker)
+        try:
+            worker.attach_producer("down")
+            tag, key, _payload = _drain_pull(worker, "up")
+            assert key == "c0"
+            if setup is not None:
+                setup(broker, worker)
+            got = worker.publish("down", "k", b"item", timeout=0.01,
+                                 ack=("up", tag))
+            assert got == status, outcome
+            stats = broker.stats()
+            assert stats["up"]["unacked"] == unacked, outcome
+            assert (("up", "c0") in fired) == acked, outcome
+            assert stats["down"]["total_published"] == published, outcome
+            if outcome == "fenced":
+                assert stats["up"]["total_redelivered"] == 1
+        finally:
+            worker.close()
+            if server is not None:
+                server.stop()
+
+
 # ------------------------------------------------------- shm handshake
 
 
@@ -435,6 +559,71 @@ class TestShmHandshake:
         assert shm.list_segments(prefix) == []
 
 
+# ------------------------------------------- shm descriptor bounds
+
+
+@needs_shm
+class TestShmDescriptorBounds:
+    """An adopted descriptor must lie inside its segment: a bad window
+    is refused by name, enqueues nothing, and releases what the same
+    publish already adopted."""
+
+    @pytest.mark.parametrize("offset,length", [
+        (50, 10_000), (-1, 10), (0, -5),
+    ], ids=["past-end", "negative-offset", "negative-length"])
+    def test_window_outside_segment_rejected(self, offset, length):
+        broker = Broker()
+        broker.create_edge("e", capacity=4, producers=1)
+        server = BrokerServer(broker, shm=True).start()
+        prefix = server._pool.prefix
+        try:
+            client = TcpBrokerClient(*server.address)
+            assert client.shm_active
+            client.attach_producer("e")
+            own = f"{prefix}-c{client.consumer}-o"
+            assert shm.create_segment(f"{own}0", b"a" * 100, transfer=True)
+            assert shm.create_segment(f"{own}1", b"b" * 100, transfer=True)
+            with pytest.raises(BrokerError, match=f"{own}1"):
+                client._request(
+                    {"op": "publish", "edge": "e", "key": "k",
+                     "multi": True, "timeout": 1.0,
+                     "shm": [{"seg": f"{own}0", "len": 100},
+                             {"seg": f"{own}1", "off": offset,
+                              "len": length}]},
+                )
+            stat = client.stats()["e"]
+            assert (stat["total_published"], stat["pending"],
+                    stat["payload_bytes"]) == (0, 0, 0)
+            assert server._pool.stats()["adopted_live"] == 0
+            client.close()
+        finally:
+            server.stop()
+        assert shm.list_segments(prefix) == []
+
+    @pytest.mark.parametrize("entry", [
+        {"seg": "SEG", "len": "ten"}, {"len": 3}, ["SEG", 0, 3],
+    ], ids=["len-str", "no-seg", "entry-list"])
+    def test_ill_typed_plan_entry_gets_error_reply(self, entry):
+        broker = Broker()
+        broker.create_edge("e", capacity=4, producers=1)
+        server = BrokerServer(broker, shm=True).start()
+        try:
+            client = TcpBrokerClient(*server.address)
+            assert client.shm_active
+            name = f"{server._pool.prefix}-c{client.consumer}-o0"
+            if isinstance(entry, dict) and "seg" in entry:
+                entry = dict(entry, seg=name)
+            with pytest.raises(BrokerError):
+                client._request(
+                    {"op": "publish", "edge": "e", "key": "k",
+                     "multi": False, "timeout": 1.0, "shm": [entry]},
+                )
+            assert client.stats()["e"]["total_published"] == 0
+            client.close()
+        finally:
+            server.stop()
+
+
 # --------------------------------------------- shm delivery + leases
 
 
@@ -569,12 +758,12 @@ class TestEdgeCodecNegotiation:
         serializer = edge_item_serializer(producer)
         producer.attach_producer(EDGE)
         assert producer.publish(
-            EDGE, "k", serializer.encode_frames(item), timeout=5.0
+            EDGE, "k", serializer.encode(item), timeout=5.0
         ) == PUBLISH_OK
         tag, _key, frames = _drain_pull(consumer, EDGE)
         codecs = [read_chunk_header(f).codec_name for f in frames[1:]]
         # Decode before the ack: view deliveries alias a leased segment.
-        decoded = edge_item_serializer(consumer).decode_frames(frames)
+        decoded = edge_item_serializer(consumer).decode(frames)
         del frames
         consumer.ack(EDGE, tag)
         producer.producer_done(EDGE)
@@ -637,7 +826,7 @@ class TestEdgeCodecNegotiation:
 
         item = _work_item(aligned_dataset)
         codec_spy.calls.clear()
-        frames = edge_item_serializer(_Remote()).encode_frames(item)
+        frames = edge_item_serializer(_Remote()).encode(item)
         assert {read_chunk_header(f).codec_name for f in frames[1:]} \
             == {"gzip"}
         deflates = [c for c in codec_spy.calls
@@ -652,7 +841,7 @@ class TestEdgeCodecNegotiation:
         broker = Broker()
         broker.create_edge(EDGE, capacity=2, producers=1)
         producer = LocalBrokerClient(broker)
-        frames = edge_item_serializer(producer).encode_frames(item)
+        frames = edge_item_serializer(producer).encode(item)
         producer.attach_producer(EDGE)
         assert producer.publish(EDGE, "k", frames, timeout=5.0) \
             == PUBLISH_OK

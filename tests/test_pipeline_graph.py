@@ -385,15 +385,10 @@ def published(monkeypatch):
                 seen.setdefault(edge, set()).add(
                     (frozenset(header["columns"]), header["results"]))
 
-        def publish(self, edge, key, payload, timeout=0.05):
+        def publish(self, edge, key, payload, timeout=0.05, ack=None):
             self._record(edge, payload)
-            return super().publish(edge, key, payload, timeout=timeout)
-
-        def publish_ack(self, edge, key, payload, ack_edge, ack_tag,
-                        timeout=0.05):
-            self._record(edge, payload)
-            return super().publish_ack(edge, key, payload, ack_edge,
-                                       ack_tag, timeout=timeout)
+            return super().publish(edge, key, payload, timeout=timeout,
+                                   ack=ack)
 
     monkeypatch.setattr(
         "repro.cluster.multiserver.LocalBrokerClient", RecordingClient)

@@ -41,13 +41,10 @@ from repro.cluster.placement import (
 from repro.cluster.multiserver import WorkerKilled, run_placed_pipeline
 from repro.cluster.wire import (
     decode_entry,
-    decode_work_item,
+    decode_work_item_frames,
     encode_entry,
-    encode_work_item,
+    encode_work_item_frames,
     entry_serializer,
-    item_serializer,
-    pack_frames,
-    unpack_frames,
 )
 from repro.core.ops import ChunkWorkItem
 from repro.core.pipelines import run_pipeline
@@ -176,17 +173,6 @@ class TestWireFormat:
         entry = ChunkEntry("pg-3", 300, 100)
         assert decode_entry(encode_entry(entry)) == entry
 
-    def test_frames_round_trip(self):
-        blobs = [b"", b"abc", b"\x00" * 1000]
-        assert unpack_frames(pack_frames(blobs)) == blobs
-
-    def test_truncated_frames_rejected(self):
-        from repro.cluster.wire import WireError
-
-        packed = pack_frames([b"abcdef"])
-        with pytest.raises(WireError):
-            unpack_frames(packed[:-2])
-
     def test_work_item_round_trip_columns_and_results(
         self, aligned_dataset
     ):
@@ -198,7 +184,7 @@ class TestWireFormat:
             },
             results=aligned_dataset.read_chunk("results", 0).records,
         )
-        back = decode_work_item(encode_work_item(item))
+        back = decode_work_item_frames(encode_work_item_frames(item))
         assert back.entry == item.entry
         assert back.columns == item.columns
         assert back.results == item.results
@@ -311,7 +297,7 @@ class TestBroker:
         server = BrokerServer(broker).start()
         try:
             producer = TcpBrokerClient(*server.address)
-            consumer = TcpBrokerClient(*server.address, wire_codec="none")
+            consumer = TcpBrokerClient(*server.address)
             assert producer.plan() == {"hello": "world"}
             qp = RemoteQueue(producer, "e", entry_serializer())
             qc = RemoteQueue(consumer, "e", entry_serializer())
@@ -322,32 +308,6 @@ class TestBroker:
             with pytest.raises(QueueClosed):
                 qc.get(timeout=5.0)
             assert consumer.stats()["e"]["total_published"] == 1
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
-
-    def test_tcp_gzip_wire_codec(self, aligned_dataset):
-        """Payload bodies can ride the wire through the AGD codec layer."""
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker).start()
-        try:
-            producer = TcpBrokerClient(*server.address, wire_codec="gzip")
-            consumer = TcpBrokerClient(*server.address, wire_codec="gzip")
-            serializer = item_serializer()
-            qp = RemoteQueue(producer, "e", serializer)
-            qc = RemoteQueue(consumer, "e", serializer)
-            qp.register_producer()
-            item = ChunkWorkItem(
-                entry=aligned_dataset.manifest.chunks[0],
-                columns={"qual": aligned_dataset.read_chunk("qual",
-                                                            0).records},
-            )
-            qp.put(item)
-            qp.producer_done()
-            back = qc.get(timeout=5.0)
-            assert back.columns == item.columns
             producer.close()
             consumer.close()
         finally:

@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.align.base import ReadAligner
+from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     Broker,
     BrokerError,
@@ -92,9 +93,10 @@ def _pull_until(client, edge: str, want=PULL_OK, tries: int = 400,
 
 
 class TestDeliveryDeadlines:
-    def test_fixed_deadline_fences_and_redelivers(self):
-        broker = Broker(delivery_deadline=0.08, backoff_base=0.01,
-                        backoff_cap=0.05)
+    def test_fixed_deadline_fences_and_redelivers(self, monkeypatch):
+        monkeypatch.setattr(broker_mod, "_BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(broker_mod, "_BACKOFF_CAP", 0.05)
+        broker = Broker(delivery_deadline=0.08)
         broker.create_edge("e", capacity=8, producers=1)
         producer = LocalBrokerClient(broker)
         slow = LocalBrokerClient(broker)
@@ -123,9 +125,11 @@ class TestDeliveryDeadlines:
         assert stats["total_expired"] >= 1
         assert stats["total_redelivered"] >= 1
 
-    def test_auto_deadline_is_lenient_until_estimate_warms(self):
-        broker = Broker(delivery_deadline="auto", deadline_min=0.05,
-                        deadline_max=600.0)
+    def test_auto_deadline_is_lenient_until_estimate_warms(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(broker_mod, "_DEADLINE_MIN", 0.05)
+        monkeypatch.setattr(broker_mod, "_DEADLINE_MAX", 600.0)
+        broker = Broker(delivery_deadline="auto")
         broker.create_edge("e", capacity=4, producers=1)
         producer = LocalBrokerClient(broker)
         worker = LocalBrokerClient(broker)
@@ -134,7 +138,7 @@ class TestDeliveryDeadlines:
         producer.publish("e", "k", b"p")
         status, tag, _, _ = worker.pull("e")
         assert status == PULL_OK
-        # Cold estimate: only the deadline_max ceiling applies, so a
+        # Cold estimate: only the _DEADLINE_MAX ceiling applies, so a
         # slow first chunk is never fenced spuriously.
         time.sleep(0.1)
         for _ in range(5):
@@ -167,9 +171,11 @@ class TestDeliveryDeadlines:
         with pytest.raises(ValueError, match="negative"):
             Broker(max_redeliveries=-1)
 
-    def test_backoff_parks_then_promotes_in_original_order(self):
-        broker = Broker(delivery_deadline="off", backoff_base=0.2,
-                        backoff_cap=0.2)
+    def test_backoff_parks_then_promotes_in_original_order(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(broker_mod, "_BACKOFF_BASE", 0.2)
+        monkeypatch.setattr(broker_mod, "_BACKOFF_CAP", 0.2)
+        broker = Broker(delivery_deadline="off")
         broker.create_edge("e", capacity=8, producers=1)
         producer = LocalBrokerClient(broker)
         producer.attach_producer("e")
@@ -227,9 +233,10 @@ class TestDeliveryDeadlines:
 
 
 class TestPoisonQuarantine:
-    def test_quarantine_after_redelivery_budget(self):
-        broker = Broker(delivery_deadline="off", max_redeliveries=1,
-                        backoff_base=0.01, backoff_cap=0.01)
+    def test_quarantine_after_redelivery_budget(self, monkeypatch):
+        monkeypatch.setattr(broker_mod, "_BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(broker_mod, "_BACKOFF_CAP", 0.01)
+        broker = Broker(delivery_deadline="off", max_redeliveries=1)
         captured = []
         broker.quarantine_listener = \
             lambda edge, record: captured.append((edge, record))
@@ -659,7 +666,7 @@ class TestSelfHealingPlaced:
 
     def test_poison_chunk_quarantined_run_completes_degraded(
         self, fresh_dataset, snap_aligner, reference, degraded_single,
-        poison_bases, tmp_path,
+        poison_bases, tmp_path, monkeypatch,
     ):
         """A chunk that kills every worker that touches it is dead-
         lettered after its redelivery budget, journaled to the ledger,
@@ -674,6 +681,9 @@ class TestSelfHealingPlaced:
         def factory(server):  # noqa: ARG001 - every replica is at risk
             return _PoisonAligner(snap_aligner, poison_bases)
 
+        # Slow redelivery well past innocent in-flight completion, so
+        # only the poison chunk ever accumulates strikes.
+        monkeypatch.setattr(broker_mod, "_BACKOFF_BASE", 0.5)
         ledger = RunLedger.create(tmp_path, run_id="poisoned")
         placed = run_placed_pipeline(
             dataset,
@@ -686,11 +696,6 @@ class TestSelfHealingPlaced:
             max_redeliveries=1,
             session_timeout=120.0,
             ledger=ledger,
-            # Slow redelivery well past innocent in-flight completion,
-            # so only the poison chunk ever accumulates strikes.
-            broker_ready=lambda broker, _srv: setattr(
-                broker, "backoff_base", 0.5
-            ),
         )
         ledger.close()
 
@@ -788,7 +793,7 @@ class TestSelfHealingPlaced:
 
     def test_tcp_run_heals_stall_and_poison_together(
         self, fresh_dataset, snap_aligner, reference, degraded_single_24,
-        poison_bases,
+        poison_bases, monkeypatch,
     ):
         """The acceptance run: a placed TCP pipeline with a stalled
         worker AND a poison chunk completes byte-identical to a clean
@@ -817,6 +822,9 @@ class TestSelfHealingPlaced:
                 return _HangingAligner(snap_aligner, sleep_s=5.0)
             return _PoisonAligner(snap_aligner, poison_bases)
 
+        # Backoff == the delivery deadline: every reissue happens AFTER
+        # the hung worker is fenced and can no longer pull.
+        monkeypatch.setattr(broker_mod, "_BACKOFF_BASE", 2.0)
         placed = run_placed_pipeline(
             dataset,
             plan,
@@ -829,11 +837,6 @@ class TestSelfHealingPlaced:
             delivery_deadline=2.0,
             max_redeliveries=1,
             session_timeout=120.0,
-            # Backoff == the delivery deadline: every reissue happens
-            # AFTER the hung worker is fenced and can no longer pull.
-            broker_ready=lambda broker, _srv: setattr(
-                broker, "backoff_base", 2.0
-            ),
         )
         hang = placed.server("hang")
         assert hang.killed  # fenced at the deadline

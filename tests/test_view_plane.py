@@ -350,8 +350,8 @@ class TestEdgeCodecNegotiation:
             shares_memory = False
 
         item = self._item()
-        raw_frames = edge_item_serializer(_ShmClient()).encode_frames(item)
-        gz_frames = edge_item_serializer(_TcpClient()).encode_frames(item)
+        raw_frames = edge_item_serializer(_ShmClient()).encode(item)
+        gz_frames = edge_item_serializer(_TcpClient()).encode(item)
         # Raw frames carry the identity codec: strictly larger than the
         # gzip frames for these compressible columns.
         assert sum(len(f) for f in raw_frames) > sum(
