@@ -7,9 +7,9 @@ loss of efficiency" after which result-write bandwidth limits throughput.
 
 Two parts here:
 
-1. *Distribution check (real execution)* — the actual multi-server
-   pipeline (manifest server + N in-process servers over a simulated Ceph
-   store) must process every chunk exactly once with balanced completion.
+1. *Distribution check (real execution)* — the actual placed run
+   (``PlacementPlan.replicated_align(4)``: the broker's work edge + N
+   in-process align servers over a simulated Ceph store) must process every chunk exactly once with balanced completion.
    GIL-bound compute cannot show aggregate speedup, so throughput scaling
    is not asserted on this part (§DESIGN.md substitutions).
 2. *Scaling curve (discrete-event simulation)* — the paper's own Fig. 7
@@ -20,7 +20,8 @@ Two parts here:
 
 from __future__ import annotations
 
-from repro.cluster.multiserver import run_multi_server_alignment
+from repro.cluster.multiserver import run_placed_pipeline
+from repro.cluster.placement import PlacementPlan
 from repro.cluster.simulation import (
     ClusterSimParams,
     saturation_point,
@@ -46,16 +47,18 @@ def test_fig7_cluster_scaling(
         bench_reads[:2000], "fig7", input_store, chunk_size=50,
         reference=bench_reference.manifest_entry(),
     )
-    outcome = run_multi_server_alignment(
+    outcome = run_placed_pipeline(
         dataset,
-        aligner_factory=lambda sid: bench_aligner,
-        output_store_factory=lambda sid: CephStore(ceph, prefix="out/"),
-        num_servers=4,
+        PlacementPlan.replicated_align(4),
+        aligner_factory=lambda server: bench_aligner,
+        align_results_store_factory=lambda server: CephStore(
+            ceph, prefix="out/"),
     )
     chunk_counts = sorted(s.chunks for s in outcome.servers)
+    total_chunks = sum(chunk_counts)
     rep.add("part 1 — actual 4-server run over simulated Ceph:")
     rep.add(f"  chunks per server: {chunk_counts} "
-            f"(total {outcome.total_chunks}/{dataset.num_chunks})")
+            f"(total {total_chunks}/{dataset.num_chunks})")
     rep.add(f"  completion imbalance: {outcome.completion_imbalance:.2f} "
             f"(paper: 'no measurable completion-time imbalance')")
     rep.add()
@@ -88,7 +91,7 @@ def test_fig7_cluster_scaling(
     rep.add()
     rep.add("shape checks:")
     rep.check("every chunk aligned exactly once across servers",
-              outcome.total_chunks == dataset.num_chunks)
+              total_chunks == dataset.num_chunks)
     rep.check("all servers participated (dynamic queue balancing)",
               min(chunk_counts) > 0)
     rep.check("linear speedup to 32 nodes (>=30x)",

@@ -1,7 +1,7 @@
 """Cluster-scale alignment: the work edge, Ceph, and the Fig. 7 curve.
 
 Part 1 runs the *real* placed pipeline in-process: four Persona servers
-(a replicated align group, ``run_placed_pipeline`` under the hood) pull
+(``run_placed_pipeline`` over ``PlacementPlan.replicated_align(4)``) pull
 chunk names from the broker's shared work edge (§5.2's manifest-server
 message queue) and align against a simulated Ceph object store,
 demonstrating dynamic work distribution with no chunk lost or
@@ -17,7 +17,8 @@ Run:  python examples/cluster_alignment.py
 
 from repro.cluster import (
     ClusterSimParams,
-    run_multi_server_alignment,
+    PlacementPlan,
+    run_placed_pipeline,
     saturation_point,
     scaling_series,
 )
@@ -46,17 +47,19 @@ def main() -> None:
     aligner = build_snap_aligner(reference)
     print(f"dataset: {dataset.num_chunks} chunks on the object store; "
           f"running 4 Persona servers...")
-    outcome = run_multi_server_alignment(
+    outcome = run_placed_pipeline(
         dataset,
-        aligner_factory=lambda sid: aligner,
-        output_store_factory=lambda sid: CephStore(ceph, prefix="out/"),
-        num_servers=4,
+        PlacementPlan.replicated_align(4),
+        aligner_factory=lambda server: aligner,
+        align_results_store_factory=lambda server: CephStore(
+            ceph, prefix="out/"),
     )
     for server in outcome.servers:
-        print(f"  server {server.server_id}: {server.chunks} chunks, "
+        print(f"  {server.server}: {server.chunks} chunks, "
               f"{server.records} reads, {server.wall_seconds:.2f}s")
+    total_chunks = sum(s.chunks for s in outcome.servers)
     print(f"  all chunks processed exactly once: "
-          f"{outcome.total_chunks == dataset.num_chunks}; "
+          f"{total_chunks == dataset.num_chunks}; "
           f"completion imbalance {outcome.completion_imbalance:.2f}")
 
     # ----------------------------------------------- part 2: simulation

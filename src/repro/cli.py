@@ -4,16 +4,18 @@ driver script; this is its analog over our Python reproduction).
 Subcommands::
 
     persona import-fastq  <fastq> <dataset-dir> [--name N] [--chunk-size C]
+    persona import-sam    <sam|bam> <dataset-dir> [--name N] [--chunk-size C]
     persona export        <dataset-dir> <out.{sam,bam,fastq}>
-    persona align         <dataset-dir> --reference ref.fasta [--aligner snap|bwa]
-    persona sort          <dataset-dir> <out-dir> [--order location|metadata]
-    persona dupmark       <dataset-dir>
-    persona varcall       <dataset-dir> --reference ref.fasta <out.vcf>
-    persona pipeline      <dataset-dir> <out-dir> --reference ref.fasta
+    persona rechunk       <dataset-dir> <out-dir> --chunk-size C
+    persona pipeline      <dataset-dir> [<out-dir>] [--reference ref.fasta]
                           [--stages align,sort,dupmark,varcall] [--vcf out.vcf]
                           [--ledger-dir runs/ [--resume]]
+    persona cluster       run|broker|worker ...
     persona runs          list|show|verify <ledger-dir> [run-id]
     persona stats         <dataset-dir>
+
+Every stage runs through ``pipeline`` (or a placed ``cluster`` run):
+one stage is the one-element ``--stages align|sort|dupmark|varcall``.
 """
 
 from __future__ import annotations
@@ -118,90 +120,6 @@ def _build_aligner(args: argparse.Namespace, reference):
     return builder[args.aligner](reference)
 
 
-def _sort_config(args: argparse.Namespace):
-    """``SortConfig`` from the sort flags this subcommand has."""
-    from repro.core.sort import SortConfig
-
-    return SortConfig(
-        order=args.order,
-        chunks_per_superchunk=args.superchunk,
-        output_codec_level=getattr(args, "codec_level", None),
-    )
-
-
-def _cmd_align(args: argparse.Namespace) -> int:
-    from repro.core.pipelines import align_dataset
-    from repro.core.subgraphs import AlignGraphConfig
-    from repro.genome.reference import read_fasta
-    from repro.metrics.throughput import format_bases_rate
-
-    dataset = AGDDataset.open(args.dataset_dir)
-    reference = read_fasta(args.reference)
-    aligner = _build_aligner(args, reference)
-    dataset.manifest.reference = reference.manifest_entry()
-    config = AlignGraphConfig(aligner_nodes=max(1, args.workers // 2))
-    outcome = align_dataset(dataset, aligner, config=config,
-                            backend=args.backend, workers=args.workers)
-    dataset.save_manifest(args.dataset_dir)
-    print(
-        f"aligned {outcome.total_reads} reads "
-        f"({outcome.total_bases} bases) in {outcome.wall_seconds:.2f}s "
-        f"[{args.backend} backend] "
-        f"= {format_bases_rate(outcome.bases_per_second)}"
-    )
-    return 0
-
-
-def _cmd_sort(args: argparse.Namespace) -> int:
-    from repro.core.sort import sort_dataset
-
-    dataset = AGDDataset.open(args.dataset_dir)
-    out_store = DirectoryStore(args.output_dir)
-    start = time.monotonic()
-    sorted_ds = sort_dataset(
-        dataset,
-        out_store,
-        _sort_config(args),
-        scratch_store=(DirectoryStore(args.scratch_dir)
-                       if args.scratch_dir else None),
-    )
-    sorted_ds.save_manifest(args.output_dir)
-    elapsed = time.monotonic() - start
-    print(
-        f"sorted {sorted_ds.total_records} records by {args.order} "
-        f"in {elapsed:.2f}s -> {args.output_dir}"
-    )
-    return 0
-
-
-def _cmd_dupmark(args: argparse.Namespace) -> int:
-    from repro.core.dupmark import mark_duplicates
-
-    dataset = AGDDataset.open(args.dataset_dir)
-    start = time.monotonic()
-    stats = mark_duplicates(dataset)
-    elapsed = time.monotonic() - start
-    rate = stats.records / elapsed if elapsed > 0 else 0.0
-    print(
-        f"marked {stats.duplicates_marked} duplicates in "
-        f"{stats.records} records ({rate:,.0f} reads/s)"
-    )
-    return 0
-
-
-def _cmd_varcall(args: argparse.Namespace) -> int:
-    from repro.core.varcall import call_variants
-    from repro.formats.vcf import write_vcf
-    from repro.genome.reference import read_fasta
-
-    dataset = AGDDataset.open(args.dataset_dir)
-    reference = read_fasta(args.reference)
-    variants = call_variants(dataset, reference)
-    count = write_vcf(variants, args.output, contigs=reference.manifest_entry())
-    print(f"called {count} variants -> {args.output}")
-    return 0
-
-
 def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
                     output_arg: str = "an output directory"):
     """The run a ``pipeline`` / ``cluster run`` / ``cluster worker``
@@ -215,11 +133,19 @@ def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
     """
     from repro.core.filters import by_min_mapq
     from repro.core.pipelines import PipelineSpec
+    from repro.core.sort import SortConfig
     from repro.core.subgraphs import AlignGraphConfig, check_stages
     from repro.genome.reference import read_fasta
 
     check_stages(stages)
     hosted = stages if hosted is None else hosted
+    # An output flag for a stage the run lacks would be dropped silently.
+    if args.vcf and "varcall" not in stages:
+        raise ValueError("--vcf needs a varcall stage (it receives the "
+                         "called variants)")
+    if args.filter_dir and "filter" not in stages:
+        raise ValueError("--filter-dir needs a filter stage (it receives "
+                         "the filtered dataset)")
     if "sort" in stages and not args.output_dir \
             and {"sort", "dupmark"} & set(hosted):
         raise ValueError(f"{output_arg} is required when the sort stage "
@@ -240,7 +166,11 @@ def _spec_from_args(args: argparse.Namespace, stages, hosted=None,
         reference=reference,
         align_config=AlignGraphConfig(
             aligner_nodes=max(1, args.workers // 2)),
-        sort_config=_sort_config(args),
+        sort_config=SortConfig(
+            order=args.order,
+            chunks_per_superchunk=args.superchunk,
+            output_codec_level=getattr(args, "codec_level", None),
+        ),
         filter_predicate=(by_min_mapq(args.min_mapq)
                           if args.min_mapq is not None else None),
         output_store=(DirectoryStore(args.output_dir)
@@ -721,7 +651,7 @@ def _cmd_runs_verify(args: argparse.Namespace) -> int:
 
 
 def _add_backend_options(p: argparse.ArgumentParser) -> None:
-    """Attach the execution-backend flags to a subcommand that aligns
+    """Attach the execution-backend flags to a stage-running subcommand
     (only the align kernels dispatch to a backend)."""
     from repro.dataflow.backends import BACKEND_CHOICES
 
@@ -856,42 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_codec_level_option(p, "the rewritten columns")
     p.set_defaults(fn=_cmd_rechunk)
 
-    p = sub.add_parser("align", help="align a dataset, appending results")
-    p.add_argument("dataset_dir")
-    p.add_argument("--reference", required=True)
-    p.add_argument("--aligner", choices=("snap", "bwa"), default="snap")
-    _add_backend_options(p)
-    p.set_defaults(fn=_cmd_align)
-
-    p = sub.add_parser("sort", help="external-merge sort a dataset")
-    p.add_argument("dataset_dir")
-    p.add_argument("output_dir")
-    p.add_argument("--order", choices=("location", "metadata"), default="location")
-    p.add_argument("--superchunk", type=int, default=4)
-    p.add_argument(
-        "--scratch-dir",
-        default=None,
-        metavar="DIR",
-        help="spill superchunk runs under DIR instead of in memory "
-             "(spills to a local directory are written raw and restored "
-             "by one file read, no inflate)",
-    )
-    _add_codec_level_option(p, "the sorted output chunks")
-    p.set_defaults(fn=_cmd_sort)
-
-    p = sub.add_parser("dupmark", help="mark duplicate reads in place")
-    p.add_argument("dataset_dir")
-    p.set_defaults(fn=_cmd_dupmark)
-
-    p = sub.add_parser("varcall", help="call variants to VCF")
-    p.add_argument("dataset_dir")
-    p.add_argument("output")
-    p.add_argument("--reference", required=True)
-    p.set_defaults(fn=_cmd_varcall)
-
     p = sub.add_parser(
         "pipeline",
-        help="run several stages as one streaming dataflow graph",
+        help="run one stage, or several as one streaming dataflow graph",
     )
     p.add_argument("dataset_dir")
     p.add_argument(
@@ -943,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_sub = p.add_subparsers(dest="cluster_command", required=True)
 
-    def _add_cluster_shared(cp, with_vcf: bool = True) -> None:
+    def _add_cluster_shared(cp) -> None:
         cp.add_argument("--reference", default=None)
         cp.add_argument("--aligner", choices=("snap", "bwa"),
                         default="snap")
@@ -956,9 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--filter-dir", default=None,
                         help="directory for the filtered dataset (plans "
                              "with a filter stage)")
-        if with_vcf:
-            cp.add_argument("--vcf", default=None,
-                            help="write called variants here")
+        cp.add_argument("--vcf", default=None,
+                        help="write called variants here")
         cp.add_argument("--timeout", type=float, default=600.0,
                         help="per-server session deadline in seconds")
         _add_backend_options(cp)

@@ -8,12 +8,9 @@ from repro.cluster.broker import (
     TcpBrokerClient,
 )
 from repro.cluster.multiserver import (
-    MultiServerOutcome,
     PlacedPipelineOutcome,
     PlacedServerOutcome,
-    ServerOutcome,
     WorkerKilled,
-    run_multi_server_alignment,
     run_placed_pipeline,
 )
 from repro.cluster.placement import (
@@ -54,12 +51,10 @@ __all__ = [
     "CostInputs",
     "EdgeSpec",
     "LocalBrokerClient",
-    "MultiServerOutcome",
     "PlacedPipelineOutcome",
     "PlacedServerOutcome",
     "PlacementError",
     "PlacementPlan",
-    "ServerOutcome",
     "StagePlacement",
     "TCOReport",
     "TcpBrokerClient",
@@ -72,7 +67,6 @@ __all__ = [
     "national_scale_tco",
     "persona_bwa_rate",
     "persona_snap_rate",
-    "run_multi_server_alignment",
     "run_placed_pipeline",
     "saturation_point",
     "scaling_series",

@@ -19,6 +19,10 @@ thread) and *collect*.  A worker that joins later or runs in its own
 process (:func:`join_placed_worker`, ``persona cluster worker``) goes
 through the same :func:`build_placed_server` / :func:`run_placed_server`
 pair; ``persona cluster broker`` through the same :func:`serve_plan`.
+The paper's §5.2 cluster mode is one plan among others:
+``run_placed_pipeline(dataset, PlacementPlan.replicated_align(n),
+aligner_factory=..., align_results_store_factory=...)`` runs ``n``
+align servers that pull chunk names from the shared work edge.
 
 Within one CPython process the servers share the GIL, so in-process runs
 demonstrate *distribution correctness* (every chunk processed exactly
@@ -91,35 +95,6 @@ class PoisonChunkError(RuntimeError):
 
 
 @dataclass
-class ServerOutcome:
-    """One simulated server's run."""
-
-    server_id: int
-    chunks: int
-    records: int
-    wall_seconds: float
-
-
-@dataclass
-class MultiServerOutcome:
-    """Aggregate over all servers."""
-
-    servers: list[ServerOutcome] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    total_records: int = 0
-    total_chunks: int = 0
-
-    @property
-    def completion_imbalance(self) -> float:
-        """Max/min server wall time — the paper reports "no measurable
-        completion-time imbalance" (§1)."""
-        if not self.servers:
-            return 0.0
-        times = [s.wall_seconds for s in self.servers]
-        return max(times) / min(times) if min(times) > 0 else float("inf")
-
-
-@dataclass
 class PlacedServerOutcome:
     """One placed server's share of a pipeline run."""
 
@@ -170,6 +145,8 @@ class PlacedPipelineOutcome(StageOutputs):
 
     @property
     def completion_imbalance(self) -> float:
+        """Max/min wall time over the servers that finished — the paper
+        reports "no measurable completion-time imbalance" (§1)."""
         live = [s.wall_seconds for s in self.servers if not s.killed]
         if not live:
             return 0.0
@@ -686,56 +663,3 @@ def join_placed_worker(
     finally:
         client.close()
         spec.shutdown_backend(site.backend)
-
-
-def run_multi_server_alignment(
-    dataset: AGDDataset,
-    aligner_factory,
-    output_store_factory,
-    num_servers: int,
-    config: "AlignGraphConfig | None" = None,
-    session_timeout: float = 600.0,
-) -> MultiServerOutcome:
-    """Align one dataset across ``num_servers`` in-process servers.
-
-    The degenerate one-stage placement plan: every server runs just the
-    align group, all pulling chunk names from the shared work edge —
-    exactly the paper's §5.2 cluster mode, now expressed on the same
-    broker machinery that places whole pipelines.
-
-    ``aligner_factory(server_id)`` returns the per-server aligner (in
-    reality each server loads its own copy of the reference index);
-    ``output_store_factory(server_id)`` returns that server's handle to
-    the shared output store.  Each server aligns on the serial backend:
-    the servers are this process's threads, so a second backend pool
-    would only contend for the same GIL.
-    """
-    if num_servers <= 0:
-        raise ValueError("need at least one server")
-    plan = PlacementPlan.replicated_align(num_servers)
-
-    def server_id(server: str) -> int:
-        return int(server.removeprefix("server"))
-
-    outcome = run_placed_pipeline(
-        dataset,
-        plan,
-        aligner_factory=lambda server: aligner_factory(server_id(server)),
-        align_results_store_factory=lambda server: output_store_factory(
-            server_id(server)
-        ),
-        align_config=config,
-        session_timeout=session_timeout,
-    )
-    result = MultiServerOutcome(wall_seconds=outcome.wall_seconds)
-    for placed in outcome.servers:
-        result.servers.append(ServerOutcome(
-            server_id=server_id(placed.server),
-            chunks=placed.chunks,
-            records=placed.records,
-            wall_seconds=placed.wall_seconds,
-        ))
-    result.servers.sort(key=lambda s: s.server_id)
-    result.total_records = sum(s.records for s in result.servers)
-    result.total_chunks = sum(s.chunks for s in result.servers)
-    return result

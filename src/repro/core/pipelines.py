@@ -32,7 +32,7 @@ from repro.core.ops import (
     QueueNameSource,
     SamWriterNode,
 )
-from repro.core.sort import SortConfig, sort_dataset
+from repro.core.sort import SortConfig, key_column, sort_dataset
 from repro.core.subgraphs import (
     STAGES,
     AlignGraphConfig,
@@ -396,8 +396,12 @@ def _check_stage_requirements(
         raise ValueError("a varcall stage needs reference=")
     if "filter" in hosted and spec.filter_predicate is None:
         raise ValueError("a filter stage needs filter_predicate=")
-    if "align" not in spec.stages and \
-            not spec.manifest.has_column("results"):
+    # A metadata sort reads no results column; every other stage does.
+    readers = {"dupmark", "filter", "varcall"}
+    if key_column(spec.sort_config.order) == "results":
+        readers.add("sort")
+    if "align" not in spec.stages and readers & set(spec.stages) \
+            and not spec.manifest.has_column("results"):
         raise ValueError(
             f"stages {list(spec.stages)} need alignment results; include "
             f"an align stage or align the dataset first"

@@ -17,7 +17,8 @@ import pytest
 from repro.cli import build_parser
 from repro.genome.synthetic import ReadSimulator
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 #: The keyword entry points: everything a run can be told, spelled out
 #: once.  Below them a run travels as a ``PipelineSpec``.
@@ -27,7 +28,7 @@ SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
 #: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
 LIMIT = 12
-CLI_OPTION_LIMIT = 78
+CLI_OPTION_LIMIT = 69
 RUN_PLACED_PIPELINE_LINES = 107
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
 #: the write-behind lane carries is read off the graph, never passed in.
@@ -95,6 +96,33 @@ def test_cli_option_count():
         and not isinstance(action, argparse._HelpAction)
     ]
     assert len(pairs) <= CLI_OPTION_LIMIT, sorted(pairs)
+
+
+#: One command runs stages (``pipeline --stages X``, one stage included)
+#: and one function runs placements (``run_placed_pipeline``): no
+#: single-stage subcommand, no placed-alignment wrapper.
+LEAF_SUBCOMMANDS = {
+    "import-fastq", "import-sam", "export", "rechunk", "pipeline",
+    "cluster run", "cluster broker", "cluster worker",
+    "runs list", "runs show", "runs verify", "stats",
+}
+PLACED_ALIGN_WRAPPER_NAMES = (
+    "run_multi_server_alignment", "MultiServerOutcome", "ServerOutcome",
+)
+
+
+def test_one_command_runs_stages():
+    assert {command for command, _ in _leaf_parsers(build_parser())} \
+        == LEAF_SUBCOMMANDS
+    regex = re.compile(rf"\b({'|'.join(PLACED_ALIGN_WRAPPER_NAMES)})\b")
+    found = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for tree in ("src", "examples", "benchmarks")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if regex.search(line)
+    ]
+    assert not found, found
 
 
 def test_only_the_aligner_dispatches():

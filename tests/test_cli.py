@@ -31,6 +31,15 @@ def imported(workspace):
     return root, ref, reads, dataset_dir
 
 
+@pytest.fixture(scope="module")
+def unaligned(workspace):
+    root, _, _ = workspace
+    ds_dir = root / "unaligned-ds"
+    assert main(["import-fastq", str(root / "reads.fastq"), str(ds_dir),
+                 "--chunk-size", "100"]) == 0
+    return root, ds_dir
+
+
 class TestCLI:
     def test_import(self, imported):
         _, _, reads, dataset_dir = imported
@@ -43,7 +52,7 @@ class TestCLI:
     def test_align(self, imported):
         root, _, _, dataset_dir = imported
         rc = main([
-            "align", str(dataset_dir),
+            "pipeline", str(dataset_dir), "--stages", "align",
             "--reference", str(root / "ref.fasta"),
             "--workers", "2",
         ])
@@ -56,13 +65,14 @@ class TestCLI:
     def test_sort_and_dupmark(self, imported):
         root, _, _, dataset_dir = imported
         sorted_dir = root / "sorted"
-        assert main(["sort", str(dataset_dir), str(sorted_dir)]) == 0
+        assert main(["pipeline", str(dataset_dir), str(sorted_dir),
+                     "--stages", "sort"]) == 0
         from repro.agd.dataset import AGDDataset
         from repro.core.sort import verify_sorted
 
         ds = AGDDataset.open(sorted_dir)
         assert verify_sorted(ds)
-        assert main(["dupmark", str(sorted_dir)]) == 0
+        assert main(["pipeline", str(sorted_dir), "--stages", "dupmark"]) == 0
         results = ds.read_column("results")
         assert any(r.is_duplicate for r in results)
 
@@ -81,8 +91,8 @@ class TestCLI:
         root, _, _, dataset_dir = imported
         out = root / "calls.vcf"
         rc = main([
-            "varcall", str(dataset_dir), str(out),
-            "--reference", str(root / "ref.fasta"),
+            "pipeline", str(dataset_dir), "--stages", "varcall",
+            "--reference", str(root / "ref.fasta"), "--vcf", str(out),
         ])
         assert rc == 0
         assert out.read_text().startswith("##fileformat")
@@ -240,11 +250,13 @@ class TestClusterErrorsMatchPipeline:
     with the same one-line message and exit 2 — never a traceback."""
 
     @pytest.fixture(scope="class")
-    def unaligned(self, workspace):
+    def aligned(self, workspace):
         root, _, _ = workspace
-        ds_dir = root / "unaligned-ds"
+        ds_dir = root / "aligned-ds"
         assert main(["import-fastq", str(root / "reads.fastq"), str(ds_dir),
                      "--chunk-size", "100"]) == 0
+        assert main(["pipeline", str(ds_dir), "--stages", "align",
+                     "--reference", str(root / "ref.fasta")]) == 0
         return root, ds_dir
 
     def _both(self, capsys, root, ds_dir, stages, plan, *extra):
@@ -286,6 +298,23 @@ class TestClusterErrorsMatchPipeline:
         assert "an output directory is required" in err
         assert "--output-dir" not in err  # positional on `cluster run`
 
+    def test_vcf_without_a_varcall_stage(self, aligned, capsys):
+        root, _ = aligned
+        vcf = root / "dropped.vcf"
+        err = self._both(capsys, *aligned, "sort,dupmark",
+                         "A=sort;B=dupmark", "--vcf", str(vcf))
+        assert "--vcf needs a varcall stage" in err
+        assert not vcf.exists()
+
+    def test_filter_dir_without_a_filter_stage(self, aligned, capsys):
+        root, _ = aligned
+        filter_dir = root / "dropped-filtered"
+        err = self._both(capsys, *aligned, "sort,dupmark",
+                         "A=sort;B=dupmark", "--filter-dir", str(filter_dir),
+                         "--min-mapq", "20")
+        assert "--filter-dir needs a filter stage" in err
+        assert not filter_dir.exists()
+
     def test_bad_plan_is_a_one_line_error(self, unaligned, capsys):
         root, ds_dir = unaligned
         assert main(["cluster", "run", str(ds_dir), str(root / "x"),
@@ -295,33 +324,69 @@ class TestClusterErrorsMatchPipeline:
     def test_deleted_selectors_are_gone(self, unaligned):
         root, ds_dir = unaligned
         for argv in (
-            ["dupmark", str(ds_dir), "--backend", "thread"],
-            ["varcall", str(ds_dir), "x.vcf", "--reference", "r",
-             "--kernels", "scalar"],
+            ["pipeline", str(ds_dir), "--stages", "dupmark",
+             "--backend", "thread"],
+            ["pipeline", str(ds_dir), "--stages", "varcall",
+             "--reference", "r", "--kernels", "scalar"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align", "--shm"],
             # Process-backend payloads go down the pipe only.
-            ["align", str(ds_dir), "--reference", "r", "--shm"],
+            ["pipeline", str(ds_dir), "--stages", "align",
+             "--reference", "r", "--shm"],
             ["pipeline", str(ds_dir), "--no-shm"],
             # Only the aligner dispatches; one merge; framing by store.
-            ["sort", str(ds_dir), str(root / "x"), "--backend", "thread"],
-            ["varcall", str(ds_dir), "x.vcf", "--reference", "r",
-             "--workers", "2"],
+            ["pipeline", str(ds_dir), str(root / "x"), "--stages", "sort",
+             "--backend", "thread"],
             ["pipeline", str(ds_dir), "--merge-partitions", "2"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align",
              "--raw-scratch", "on"],
             # The backend is named by --backend/--workers alone.
-            ["align", str(ds_dir), "--reference", "r", "--batch-size", "2"],
+            ["pipeline", str(ds_dir), "--stages", "align",
+             "--reference", "r", "--batch-size", "2"],
             ["pipeline", str(ds_dir), "--batch-size", "2"],
             ["cluster", "run", str(ds_dir), "--plan", "A=align",
              "--batch-size", "2"],
             # One in-process backend (serial); one worker-count flag.
-            ["align", str(ds_dir), "--reference", "r", "--threads", "2"],
-            ["align", str(ds_dir), "--reference", "r", "--backend", "thread"],
+            ["pipeline", str(ds_dir), "--stages", "align",
+             "--reference", "r", "--threads", "2"],
             ["pipeline", str(ds_dir), "--backend", "thread"],
+            # One command runs stages: `pipeline --stages X`.
+            ["align", str(ds_dir), "--reference", "r"],
+            ["sort", str(ds_dir), str(root / "x")],
+            ["dupmark", str(ds_dir)],
+            ["varcall", str(ds_dir), "x.vcf", "--reference", "r"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+
+
+def _tree_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestMetadataSortOfUnalignedDataset:
+    """A metadata sort reads no results column: `pipeline` and `cluster
+    run` sort an unaligned dataset like the eager ``sort_dataset``."""
+
+    def test_pipeline_and_cluster_run_match_sort_dataset(self, unaligned):
+        from repro.agd.dataset import AGDDataset
+        from repro.core.sort import SortConfig, sort_dataset
+        from repro.storage.base import DirectoryStore
+
+        root, ds_dir = unaligned
+        eager = root / "meta-eager"
+        sort_dataset(AGDDataset.open(ds_dir), DirectoryStore(eager),
+                     SortConfig(order="metadata")).save_manifest(eager)
+        piped, placed = root / "meta-pipeline", root / "meta-placed"
+        assert main(["pipeline", str(ds_dir), str(piped),
+                     "--stages", "sort", "--order", "metadata"]) == 0
+        assert main(["cluster", "run", str(ds_dir), str(placed),
+                     "--plan", "A=sort", "--order", "metadata"]) == 0
+        expected = _tree_bytes(eager)
+        assert "manifest.json" in expected
+        assert _tree_bytes(piped) == expected
+        assert _tree_bytes(placed) == expected
 
 
 class TestClusterWorkerCli:

@@ -1,10 +1,12 @@
-"""Tests for the cluster substrate: manifest server, multi-server runs,
-discrete-event simulation, thread scaling, and the TCO model."""
+"""Tests for the cluster substrate: manifest partitioning, replicated
+align runs, discrete-event simulation, thread scaling, and the TCO
+model."""
 
 import pytest
 
 from repro.agd.manifest import ChunkEntry, Manifest
-from repro.cluster.multiserver import run_multi_server_alignment
+from repro.cluster.multiserver import run_placed_pipeline
+from repro.cluster.placement import PlacementError, PlacementPlan
 from repro.cluster.simulation import (
     ClusterSimParams,
     ThreadScalingParams,
@@ -57,22 +59,25 @@ class TestManifestServer:
 
 
 class TestMultiServer:
+    """§5.2's cluster mode: N align servers on one work edge."""
+
     def test_distribution_correctness(self, dataset, reference):
         """Every chunk aligned exactly once across servers (§5.5)."""
         from repro.core.pipelines import build_snap_aligner
 
         shared_aligner = build_snap_aligner(reference)
         output = MemoryStore()
-        outcome = run_multi_server_alignment(
+        outcome = run_placed_pipeline(
             dataset,
-            aligner_factory=lambda sid: shared_aligner,
-            output_store_factory=lambda sid: output,
-            num_servers=3,
-            config=AlignGraphConfig(aligner_nodes=1, reader_nodes=1,
-                                    parser_nodes=1),
+            PlacementPlan.replicated_align(3),
+            aligner_factory=lambda server: shared_aligner,
+            align_results_store_factory=lambda server: output,
+            align_config=AlignGraphConfig(aligner_nodes=1, reader_nodes=1,
+                                          parser_nodes=1),
         )
-        assert outcome.total_chunks == dataset.num_chunks
-        assert outcome.total_records == dataset.total_records
+        assert sum(s.chunks for s in outcome.servers) == dataset.num_chunks
+        assert sum(s.records for s in outcome.servers) \
+            == dataset.total_records
         assert len(outcome.servers) == 3
         written = {k for k in output.keys() if k.endswith(".results")}
         assert written == {
@@ -84,11 +89,11 @@ class TestMultiServer:
         from repro.core.pipelines import align_dataset
 
         output = MemoryStore()
-        run_multi_server_alignment(
+        run_placed_pipeline(
             dataset,
-            aligner_factory=lambda sid: snap_aligner,
-            output_store_factory=lambda sid: output,
-            num_servers=2,
+            PlacementPlan.replicated_align(2),
+            aligner_factory=lambda server: snap_aligner,
+            align_results_store_factory=lambda server: output,
         )
         single = MemoryStore()
         align_dataset(dataset, snap_aligner, output_store=single)
@@ -98,11 +103,10 @@ class TestMultiServer:
             single_records = read_chunk(single.get(key)).records
             assert multi_records == single_records
 
-    def test_invalid_server_count(self, dataset):
-        with pytest.raises(ValueError):
-            run_multi_server_alignment(
-                dataset, lambda s: None, lambda s: MemoryStore(), 0
-            )
+    def test_invalid_server_count(self):
+        with pytest.raises(PlacementError):
+            PlacementPlan.replicated_align(0)
+        assert issubclass(PlacementError, ValueError)
 
 
 class TestClusterSimulation:

@@ -5,7 +5,8 @@ import io
 import pytest
 
 from repro.agd.dataset import AGDDataset
-from repro.cluster.multiserver import run_multi_server_alignment
+from repro.cluster.multiserver import run_placed_pipeline
+from repro.cluster.placement import PlacementPlan
 from repro.core.dupmark import mark_duplicates
 from repro.core.filters import by_min_mapq, filter_dataset
 from repro.core.pipelines import align_dataset, build_snap_aligner
@@ -115,13 +116,14 @@ class TestCephIntegration:
         dataset = import_reads(reads, "dist", input_store, chunk_size=100,
                                reference=reference.manifest_entry())
         aligner = build_snap_aligner(reference)
-        outcome = run_multi_server_alignment(
+        outcome = run_placed_pipeline(
             dataset,
-            aligner_factory=lambda sid: aligner,
-            output_store_factory=lambda sid: CephStore(cluster, prefix="out/"),
-            num_servers=2,
+            PlacementPlan.replicated_align(2),
+            aligner_factory=lambda server: aligner,
+            align_results_store_factory=lambda server: CephStore(
+                cluster, prefix="out/"),
         )
-        assert outcome.total_chunks == dataset.num_chunks
+        assert sum(s.chunks for s in outcome.servers) == dataset.num_chunks
         assert outcome.completion_imbalance < 50  # both servers participated
 
 
