@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,10 +53,12 @@ from repro.core.sort import (
     store_run_spill,
     verify_sorted,
 )
-from repro.dataflow import shm
 from repro.storage.base import DirectoryStore, MemoryStore
 from repro.storage.diskmodel import DiskModel
 from repro.storage.local import ModeledDiskStore
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from dev_shm import dev_shm_entries  # noqa: E402
 
 RECORDS = 6_000
 READ_LEN = 600
@@ -182,7 +186,7 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
     cpus = os.cpu_count() or 1
     volume = RECORDS * (READ_LEN * 2 + 30)  # bases + qual + key columns
 
-    before = set(shm.list_segments("psna-"))
+    before = dev_shm_entries()
     gzip_wall, gzip_counters = _spill_cycle("gzip", tmp_path)
     raw_wall, raw_counters = _spill_cycle("none", tmp_path)
     gz_e2e, gz_blobs, gz_sort_counters = _end_to_end(
@@ -190,7 +194,7 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
     raw_e2e, raw_blobs, raw_sort_counters = _end_to_end(
         DirectoryStore(tmp_path / "e2e-raw"))
     held_e2e, _held_blobs, _held_counters = _end_to_end(MemoryStore())
-    leaked = sorted(set(shm.list_segments("psna-")) - before)
+    leaked = sorted(dev_shm_entries() - before)
 
     speedup = gzip_wall / raw_wall if raw_wall else 0.0
     e2e_speedup = gz_e2e / raw_e2e if raw_e2e else 0.0
@@ -241,7 +245,7 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
               and raw_sort_counters.get("spill_view_bytes", 0) > 0)
     rep.check("gzip end-to-end sort stayed on the fallback",
               gz_sort_counters.get("decode_copies", 0) > 0)
-    rep.check("no /dev/shm segments leaked", not leaked)
+    rep.check("no /dev/shm entries leaked", not leaked)
     armed = cpus >= 2
     note = f"needs >= 2 CPUs, host has {cpus}" if not armed else ""
     rep.gate("spill_cycle_speedup", 1.5, speedup, armed, note=note)

@@ -311,7 +311,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             transport=args.transport,
             host=args.host,
             port=args.port,
-            broker_shm=args.broker_shm,
             session_timeout=args.timeout,
             delivery_deadline=args.delivery_deadline,
             max_redeliveries=args.max_redeliveries,
@@ -367,8 +366,7 @@ def _cmd_cluster_broker(args: argparse.Namespace) -> int:
         max_redeliveries=args.max_redeliveries,
         on_poison=args.on_poison,
     )
-    server = BrokerServer(broker, host=args.host, port=args.port,
-                          shm=args.broker_shm)
+    server = BrokerServer(broker, host=args.host, port=args.port)
     serve_plan(broker, plan, dataset, listener=server)
     print(f"broker serving plan [{args.plan}] on "
           f"{server.host}:{server.port}")
@@ -396,11 +394,9 @@ def _cmd_cluster_broker(args: argparse.Namespace) -> int:
               f"expired {stat['total_expired']:>3}  "
               f"quarantined {stat['total_quarantined']:>3}  "
               f"max depth {stat['max_depth']}")
-        if stat.get("wire_bytes") or stat.get("shm_handoffs"):
+        if stat.get("wire_bytes"):
             print(f"  {'':<16} wire {stat['wire_bytes']:>12,}B of "
-                  f"{stat['payload_bytes']:>12,}B payload  "
-                  f"shm handoffs {stat['shm_handoffs']:>4} "
-                  f"({stat['shm_bytes']:,}B)  copied "
+                  f"{stat['payload_bytes']:>12,}B payload  copied "
                   f"{stat['copied_segments']:>4} "
                   f"({stat['copied_bytes']:,}B)")
     server.stop()
@@ -434,7 +430,7 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     from repro.dataflow.errors import WorkerFenced
 
     host, port = _parse_host_port(args.connect)
-    client = TcpBrokerClient(host, port, shm=args.broker_shm)
+    client = TcpBrokerClient(host, port)
     site = None
     try:
         plan_doc = client.plan()
@@ -895,14 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "TCP broker")
     cp.add_argument("--host", default="127.0.0.1")
     cp.add_argument("--port", type=int, default=0)
-    cp.add_argument("--broker-shm", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="hand large TCP edge payloads to same-host "
-                         "workers through the broker's shared-memory "
-                         "pool instead of copying them over the socket "
-                         "(default: auto — on wherever /dev/shm works "
-                         "and the client proves it shares the host; "
-                         "--no-broker-shm forces the copy path)")
     _add_cluster_shared(cp)
     _add_fault_options(cp)
     _add_ledger_options(cp)
@@ -919,11 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--port", type=int, default=7470)
     cp.add_argument("--timeout", type=float, default=3600.0,
                     help="how long to wait for workers to drain the run")
-    cp.add_argument("--broker-shm", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="offer the shared-memory handoff to workers "
-                         "that prove they share this host (default: "
-                         "auto; --no-broker-shm serves copies only)")
     _add_fault_options(cp)
     cp.set_defaults(fn=_cmd_cluster_broker)
 
@@ -945,11 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--output-dir", default=None,
                     help="shared sorted-dataset directory (sort/dupmark "
                          "workers)")
-    cp.add_argument("--broker-shm", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="accept the broker's shared-memory handoff when "
-                         "this worker shares its host (default: auto; "
-                         "--no-broker-shm always pulls copies)")
     _add_cluster_shared(cp)
     cp.set_defaults(fn=_cmd_cluster_worker)
 

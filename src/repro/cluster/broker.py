@@ -38,20 +38,21 @@ Two transports expose the broker to workers: :class:`LocalBrokerClient`
 (the in-process reference — direct calls under the broker lock) and a
 TCP pair (:class:`BrokerServer`/:class:`TcpBrokerClient`) speaking a
 scatter/gather frame format; payloads are opaque bytes (one blob or a
-segment list) the edge's serializer already encoded.  There is one
-publish operation: it may carry an ``ack`` of an upstream delivery,
-which then lands in the same step.  All client operations are
-short-blocking: pulls/publishes poll with a bounded timeout, which is
-what lets one lock-serialized connection per worker carry every op and
-lets local graph aborts interrupt waiting kernels.
+segment list) the edge's serializer already encoded, and every byte of
+a TCP edge crosses its socket.  There is one publish operation: it may
+carry an ``ack`` of an upstream delivery, which then lands in the same
+step.  All client operations are short-blocking: pulls/publishes poll
+with a bounded timeout, which is what lets one lock-serialized
+connection per worker carry every op and lets local graph aborts
+interrupt waiting kernels.
 """
 
 from __future__ import annotations
 
 import collections
+import ipaddress
 import itertools
 import json
-import secrets
 import socket
 import struct
 import threading
@@ -59,7 +60,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster.wire import WireError
-from repro.dataflow import shm as shm_plane
 from repro.dataflow.queues import (
     DELIVERY_FENCED,
     EDGE_ABORTED,
@@ -98,14 +98,9 @@ class _Delivery:
 
 
 def _payload_nbytes(payload) -> int:
-    if isinstance(payload, shm_plane.ShmRef):
-        return payload.length
     if isinstance(payload, list):
-        return sum(
-            s.length if isinstance(s, shm_plane.ShmRef)
-            else (s.nbytes if isinstance(s, memoryview) else len(s))
-            for s in payload
-        )
+        return sum(s.nbytes if isinstance(s, memoryview) else len(s)
+                   for s in payload)
     if isinstance(payload, memoryview):
         # len() of a multi-dimensional view counts first-axis items.
         return payload.nbytes
@@ -154,13 +149,10 @@ class _Edge:
     # --- wire accounting (per-edge cost model inputs) ---------------
     #: Logical payload bytes enqueued (what the pipeline moved).
     payload_bytes: int = 0
-    #: Bytes that actually crossed a TCP socket for this edge
-    #: (zero for in-process transports and shm-handed segments).
+    #: Bytes that actually crossed a TCP socket for this edge (zero
+    #: for in-process transports).
     wire_bytes: int = 0
-    #: Segments handed off through same-host shared memory / copied
-    #: inline through the socket, with their byte totals.
-    shm_handoffs: int = 0
-    shm_bytes: int = 0
+    #: Payload segments copied through the socket, with their bytes.
     copied_segments: int = 0
     copied_bytes: int = 0
 
@@ -266,10 +258,6 @@ class Broker:
         #: lock) whenever a delivery is actually acknowledged — the
         #: durable-run ledger journals completed work through this.
         self.ack_listener = None
-        #: Optional ``callback(payload)`` fired when a payload leaves
-        #: the broker for good (acked, pre-acked, or never enqueued) —
-        #: the TCP server releases adopted shared-memory leases here.
-        self.payload_reaper = None
         #: Optional ``callback(edge, record)`` fired (outside the lock)
         #: when a key is quarantined — the run ledger journals the
         #: failure history through this.
@@ -278,18 +266,12 @@ class Broker:
         #: lock) when a consumer is fenced.
         self.fence_listener = None
 
-    def _reap(self, payload) -> None:
-        if self.payload_reaper is not None and payload is not None:
-            self.payload_reaper(payload)
-
     def _fire(self, events) -> None:
-        """Run deferred callbacks collected under the lock (payload
-        reaping, quarantine/fence listeners) now that it is released."""
+        """Run deferred callbacks collected under the lock (quarantine
+        and fence listeners) now that it is released."""
         for ev in events:
             kind = ev[0]
-            if kind == "reap":
-                self._reap(ev[1])
-            elif kind == "quarantine":
+            if kind == "quarantine":
                 if self.quarantine_listener is not None:
                     self.quarantine_listener(ev[1], ev[2])
             elif kind == "fence":
@@ -345,7 +327,6 @@ class Broker:
                   "history": list(d.history)}
         e.dead[d.key] = record
         e.total_quarantined += 1
-        events.append(("reap", d.payload))
         events.append(("quarantine", e.name, record))
         if self.on_poison == "fail" and self.poison_failure is None:
             self.poison_failure = (e.name, d.key)
@@ -553,7 +534,6 @@ class Broker:
         The ack lands only when the publish lands or the key needs no
         delivery (pre-acked or quarantined); a fenced, closed, full or
         aborted edge leaves it untouched."""
-        enqueued = False
         acked = None
         events: list = []
         try:
@@ -593,16 +573,11 @@ class Broker:
                     e.total_published += 1
                     e.payload_bytes += _payload_nbytes(payload)
                     e.max_depth = max(e.max_depth, len(e.pending))
-                    enqueued = True
                 if a is not None:
                     acked = self._ack_locked(a, ack[1], now)
                 self._cond.notify_all()
         finally:
             self._fire(events)
-        if not enqueued:
-            # Pre-acked (work already done) or quarantined (work
-            # abandoned) key: either way the payload dies here.
-            self._reap(payload)
         self._credit(a, acked)
         return PUBLISH_OK
 
@@ -667,27 +642,21 @@ class Broker:
         return acked
 
     def _credit(self, e: "_Edge | None", acked) -> None:
-        """Outside the lock: reap an acked payload, journal its key."""
-        if acked is not None:
-            self._reap(acked[1].payload)
-            if self.ack_listener is not None:
-                self.ack_listener(e.name, acked[1].key)
+        """Outside the lock: journal an acked delivery's key."""
+        if acked is not None and self.ack_listener is not None:
+            self.ack_listener(e.name, acked[1].key)
 
-    def record_wire(self, edge: str, wire_bytes: int = 0,
-                    shm_segments: int = 0, shm_bytes: int = 0,
-                    copied_segments: int = 0,
-                    copied_bytes: int = 0) -> None:
-        """Credit transport-level traffic to an edge (the TCP server
+    def record_wire(self, edge: str, wire_bytes: int, segments: list) -> None:
+        """Credit one frame's traffic to an edge: its bytes on the
+        wire and the payload ``segments`` it copied (the TCP server
         calls this; in-process transports never touch a wire)."""
         with self._lock:
             e = self._edges.get(edge)
             if e is None:
                 return
             e.wire_bytes += wire_bytes
-            e.shm_handoffs += shm_segments
-            e.shm_bytes += shm_bytes
-            e.copied_segments += copied_segments
-            e.copied_bytes += copied_bytes
+            e.copied_segments += len(segments)
+            e.copied_bytes += sum(len(s) for s in segments)
 
     # -------------------------------------------------------------- admin
 
@@ -819,8 +788,6 @@ class Broker:
                     },
                     "payload_bytes": e.payload_bytes,
                     "wire_bytes": e.wire_bytes,
-                    "shm_handoffs": e.shm_handoffs,
-                    "shm_bytes": e.shm_bytes,
                     "copied_segments": e.copied_segments,
                     "copied_bytes": e.copied_bytes,
                 }
@@ -835,7 +802,7 @@ class LocalBrokerClient:
     """
 
     #: Payloads never leave the process (still frozen bytes, see wire.py).
-    shares_memory = True
+    same_host = True
 
     def __init__(self, broker: Broker):
         self.broker = broker
@@ -905,8 +872,7 @@ class LocalBrokerClient:
 #                pack/concat copy on either end.
 #
 # The header's "multi" flag records whether the logical payload was a
-# segment list or one blob; "shm" (when present) is a per-segment plan
-# mixing inline wire segments with same-host shared-memory descriptors.
+# segment list or one blob.
 
 _FRAME = struct.Struct("!II")
 _SEGLEN = struct.Struct("!I")
@@ -1038,16 +1004,9 @@ def _field(header: dict, name: str, kind, default=_REQUIRED):
 
 
 def _as_segments(payload) -> "tuple[bool, list]":
-    """Normalize a delivery payload to (multi, segment list).
-
-    Segments are bytes-like on the wire; a stored payload may also hold
-    :class:`~repro.dataflow.shm.ShmRef` leases (adopted publishes) that
-    the server resolves or re-leases per consumer.
-    """
+    """Normalize a delivery payload to (multi, segment list)."""
     if isinstance(payload, list):
         return True, payload
-    if isinstance(payload, shm_plane.ShmRef):
-        return False, [payload]
     return False, ([payload] if payload else [])
 
 
@@ -1057,26 +1016,24 @@ def _from_segments(multi: bool, segments: list):
     return segments[0] if segments else b""
 
 
-class _ConnState:
-    """Per-connection server state: its consumer id (which also names
-    the only shm segments it may hand over), whether the shm handshake
-    verified a shared ``/dev/shm``, and the pool leases backing
-    deliveries handed to it that are not yet acknowledged."""
+def peer_is_same_host(sock: socket.socket) -> bool:
+    """True when ``sock``'s peer runs on this host: its address is a
+    loopback address or the socket's own local address.
 
-    __slots__ = ("consumer", "shm_ok", "leases", "record", "send_views")
-
-    def __init__(self, consumer: int):
-        self.consumer = consumer
-        self.shm_ok = False
-        #: (edge, tag) -> list[ShmRef] released on ack or disconnect.
-        self.leases: dict = {}
-        #: Deferred wire accounting for the reply being sent.
-        self.record = None
-        #: PooledViews backing the reply's inline segments (copy-path
-        #: peers): the socket writes straight out of the adopted
-        #: segment, so the views must outlive the send and are released
-        #: right after.
-        self.send_views: list = []
+    The verdict picks an edge's codec (raw frames between processes of
+    one host, light gzip across hosts); it never changes what crosses
+    the socket.  Tests monkeypatch this function to play a remote peer.
+    """
+    peer = sock.getpeername()[0]
+    if peer == sock.getsockname()[0]:
+        return True
+    try:
+        address = ipaddress.ip_address(peer)
+    except ValueError:
+        return False
+    if address.version == 6 and address.ipv4_mapped is not None:
+        address = address.ipv4_mapped
+    return address.is_loopback
 
 
 class BrokerServer:
@@ -1085,23 +1042,12 @@ class BrokerServer:
     A connection is one worker-side client: the server assigns it a
     consumer id at accept time and calls :meth:`Broker.drop_consumer`
     when the socket dies — so over TCP, worker death detection is the
-    transport itself, no heartbeats needed.
-
-    ``shm`` arms the same-host handoff: the server owns a
-    :class:`~repro.dataflow.shm.BufferPool` plus a boot-token probe
-    segment; a client that can read the probe's token back over
-    ``/dev/shm`` shares the host, writes payload segments at or above
-    ``shm_threshold`` to segments of its own, and the pool adopts them.
-    A verified consumer is handed the adopted segment as a ~100-byte
-    descriptor (leased until the delivery is acked, released when the
-    consumer's connection dies).  ``None`` auto-enables where POSIX
-    shared memory works; the socket copy path remains the byte-identical
-    fallback for every other peer.
+    transport itself, no heartbeats needed.  Every payload segment is
+    copied through the socket, in both directions.
     """
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1",
-                 port: int = 0, shm: "bool | None" = None,
-                 shm_threshold: int = shm_plane.DEFAULT_SHM_THRESHOLD):
+                 port: int = 0):
         self.broker = broker
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -1113,27 +1059,6 @@ class BrokerServer:
         self._conn_lock = threading.Lock()
         self._conn_cond = threading.Condition(self._conn_lock)
         self._active_connections = 0
-        self.shm_threshold = shm_threshold
-        self._pool = None
-        self._shm_token = None
-        self._probe_name = None
-        if shm is None:
-            shm = shm_plane.shm_available()
-        if shm and shm_plane.shm_available():
-            pool = shm_plane.BufferPool()
-            token = secrets.token_hex(16).encode()
-            probe = f"{pool.prefix}-probe"
-            if shm_plane.create_segment(probe, token):
-                self._pool = pool
-                self._shm_token = token
-                self._probe_name = probe
-                broker.payload_reaper = self._reap_payload
-            else:  # pragma: no cover - no shm space at boot
-                pool.close()
-
-    @property
-    def shm_enabled(self) -> bool:
-        return self._pool is not None
 
     @property
     def address(self) -> "tuple[str, int]":
@@ -1157,7 +1082,7 @@ class BrokerServer:
             self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        state = _ConnState(self.broker.register_consumer())
+        consumer = self.broker.register_consumer()
         with self._conn_cond:
             self._active_connections += 1
         try:
@@ -1169,7 +1094,7 @@ class BrokerServer:
                         return
                     try:
                         reply, body = self._dispatch(
-                            state, header, segments, recv_wire
+                            consumer, header, segments, recv_wire
                         )
                     except BrokerError as exc:
                         reply, body = {"status": "error",
@@ -1178,162 +1103,16 @@ class BrokerServer:
                         sent = _send_frame(conn, reply, body)
                     except OSError:
                         return
-                    finally:
-                        for view in state.send_views:
-                            view.release()
-                        state.send_views.clear()
-                    if state.record is not None:
-                        (edge, shm_segs, shm_bytes, cp_segs,
-                         cp_bytes) = state.record
-                        state.record = None
-                        self.broker.record_wire(
-                            edge, wire_bytes=sent, shm_segments=shm_segs,
-                            shm_bytes=shm_bytes, copied_segments=cp_segs,
-                            copied_bytes=cp_bytes,
-                        )
+                    if header.get("op") == "pull" \
+                            and reply["status"] == PULL_OK:
+                        self.broker.record_wire(header["edge"], sent, body)
         finally:
-            for view in state.send_views:
-                view.release()
-            state.send_views.clear()
-            self._release_leases(state, all_keys=True)
-            self.broker.drop_consumer(state.consumer)
+            self.broker.drop_consumer(consumer)
             with self._conn_cond:
                 self._active_connections -= 1
                 self._conn_cond.notify_all()
 
-    # ----------------------------------------------------- shm handoff
-
-    def _release_leases(self, state: _ConnState, key=None,
-                        all_keys: bool = False) -> None:
-        if self._pool is None:
-            return
-        if all_keys:
-            refs = [r for leases in state.leases.values() for r in leases]
-            state.leases.clear()
-        else:
-            refs = state.leases.pop(key, None) or []
-        self._pool.release_all(refs)
-
-    def _reap_payload(self, payload) -> None:
-        """Release the adopted-segment leases riding a dropped payload
-        (the :attr:`Broker.payload_reaper` hook)."""
-        if self._pool is None:
-            return
-        if isinstance(payload, shm_plane.ShmRef):
-            self._pool.release(payload)
-        elif isinstance(payload, list):
-            self._pool.release_all(
-                [s for s in payload if isinstance(s, shm_plane.ShmRef)]
-            )
-
-    def _materialize_inbound(self, state: _ConnState, header: dict,
-                             segments: list) -> "tuple[object, int, int]":
-        """Rebuild a published payload from inline wire segments plus
-        any same-host segment descriptors the client wrote; returns
-        ``(payload, shm segments, shm bytes)``.
-
-        Descriptor segments are *adopted*, not copied: the pool takes
-        ownership of the publisher's one-shot segment and the payload
-        carries a lease, so the bytes the publisher wrote are the bytes
-        a same-host consumer reads — zero server-side copies.  The
-        lease dies with the delivery (ack, pre-ack, or failed publish).
-        A client may only hand over segments in its own namespace
-        (``{prefix}-c{consumer}-o…``, the names
-        :meth:`TcpBrokerClient.publish` writes): never the boot probe,
-        never another connection's segments.  A bad descriptor fails
-        the whole publish, and what it already adopted is released.
-        """
-        plan = _field(header, "shm", list, None)
-        multi = bool(header.get("multi"))
-        if plan is None:
-            return _from_segments(multi, segments), 0, 0
-        if self._pool is None or not state.shm_ok:
-            raise BrokerError("shm publish from an unverified client")
-        if plan.count(None) != len(segments):
-            raise BrokerError(f"shm plan names {plan.count(None)} inline "
-                              f"segments, the frame has {len(segments)}")
-        own = f"{self._pool.prefix}-c{state.consumer}-o"
-        rebuilt = []
-        inline = iter(segments)
-        try:
-            for entry in plan:
-                if entry is None:
-                    rebuilt.append(next(inline))
-                    continue
-                if not isinstance(entry, dict):
-                    raise BrokerError(f"shm plan entry {entry!r} is not "
-                                      f"an object")
-                name = _field(entry, "seg", str)
-                if not name.startswith(own):
-                    raise BrokerError(f"shm segment {name!r} outside the "
-                                      f"client's namespace {own!r}")
-                ref = self._pool.adopt_segment(
-                    name, _field(entry, "off", int, 0),
-                    _field(entry, "len", int))
-                if ref is None:
-                    raise BrokerError(
-                        f"shm segment {name!r} vanished before receipt")
-                rebuilt.append(ref)
-        except (BrokerError, ValueError) as exc:
-            self._reap_payload(rebuilt)
-            raise BrokerError(str(exc)) from None
-        adopted = [r for r in rebuilt if isinstance(r, shm_plane.ShmRef)]
-        return (_from_segments(multi, rebuilt), len(adopted),
-                sum(r.length for r in adopted))
-
-    def _stage_outbound(self, state: _ConnState, edge: str, tag: int,
-                        payload) -> "tuple[dict, list]":
-        """Split a pulled payload into shm descriptors + inline segments
-        and stage the reply; leases stay with the connection until ack.
-
-        One rule: an adopted segment goes to a verified same-host
-        consumer as a re-leased descriptor (it names the publisher's own
-        segment — the payload never existed server-side as bytes), and
-        to any other consumer as a zero-copy pool view written straight
-        to the socket (released after the send).  Bytes segments go
-        inline.
-        """
-        multi, segments = _as_segments(payload)
-        reply_extra: dict = {"multi": multi}
-        use_shm = state.shm_ok and self._pool is not None
-        shm_plan = []
-        wire_segments = []
-        leases = []
-        shm_segs = shm_bytes = 0
-        for seg in segments:
-            ref = None
-            if isinstance(seg, shm_plane.ShmRef):
-                if use_shm:
-                    ref = self._pool.incref(seg)
-                else:
-                    view = self._pool.view_ref(seg)
-                    if view is not None:
-                        state.send_views.append(view)
-                        seg = view.view
-                if ref is None and isinstance(seg, shm_plane.ShmRef):
-                    # The lease is gone: the pool closed mid-pull.
-                    seg = b""
-            if ref is None:
-                shm_plan.append(None)
-                wire_segments.append(seg)
-            else:
-                leases.append(ref)
-                shm_plan.append({"seg": ref.segment, "off": ref.offset,
-                                 "len": ref.length})
-                shm_segs += 1
-                shm_bytes += ref.length
-        if leases:
-            state.leases[(edge, tag)] = leases
-            reply_extra["shm"] = shm_plan
-        state.record = (
-            edge, shm_segs, shm_bytes, len(wire_segments),
-            sum(len(s) for s in wire_segments),
-        )
-        return reply_extra, wire_segments
-
-    # ------------------------------------------------------- dispatch
-
-    def _dispatch(self, state: _ConnState, header: dict, segments: list,
+    def _dispatch(self, consumer: int, header: dict, segments: list,
                   recv_wire: int) -> "tuple[dict, list]":
         op = header.get("op")
         edge = _field(header, "edge", str, "")
@@ -1342,23 +1121,8 @@ class BrokerServer:
             raise BrokerError(f"timeout {timeout!r} outside "
                               f"[0, {_MAX_OP_TIMEOUT:g}] s")
         if op == "hello":
-            reply = {"status": PULL_OK, "consumer": state.consumer,
-                     "plan": self.broker.plan_doc}
-            if self._pool is not None:
-                reply["shm"] = {
-                    "probe": self._probe_name,
-                    "token_len": len(self._shm_token),
-                    "prefix": self._pool.prefix,
-                    "threshold": self.shm_threshold,
-                }
-            return reply, []
-        if op == "shm_verify":
-            token = _field(header, "token", str, "").encode()
-            state.shm_ok = (
-                self._pool is not None
-                and secrets.compare_digest(token, self._shm_token)
-            )
-            return {"status": PULL_OK, "shm": state.shm_ok}, []
+            return {"status": PULL_OK, "consumer": consumer,
+                    "plan": self.broker.plan_doc}, []
         if op == "publish":
             key = _field(header, "key", str, "")
             ack = _field(header, "ack", list, None)
@@ -1368,49 +1132,32 @@ class BrokerServer:
                     raise BrokerError(f"request field 'ack' is not "
                                       f"[edge, tag]: {ack!r}")
                 ack = tuple(ack)
-            payload, shm_segs, shm_bytes = self._materialize_inbound(
-                state, header, segments
+            status = self.broker.publish(
+                edge, key, _from_segments(bool(header.get("multi")),
+                                          segments),
+                timeout=timeout, consumer=consumer, ack=ack,
             )
-            try:
-                status = self.broker.publish(
-                    edge, key, payload, timeout=timeout,
-                    consumer=state.consumer, ack=ack,
-                )
-            except BrokerError:
-                self._reap_payload(payload)
-                raise
-            if status != PUBLISH_OK:
-                self._reap_payload(payload)
-            elif ack is not None:
-                self._release_leases(state, ack)
-            self.broker.record_wire(
-                edge, wire_bytes=recv_wire, shm_segments=shm_segs,
-                shm_bytes=shm_bytes, copied_segments=len(segments),
-                copied_bytes=sum(len(s) for s in segments),
-            )
+            self.broker.record_wire(edge, recv_wire, segments)
             return {"status": status}, []
         if op == "pull":
             status, tag, key, payload = self.broker.pull(
-                edge, state.consumer, timeout=timeout
+                edge, consumer, timeout=timeout
             )
             reply = {"status": status, "tag": tag, "key": key}
             if status != PULL_OK:
                 return reply, []
-            extra, wire_segments = self._stage_outbound(
-                state, edge, tag, payload
-            )
-            reply.update(extra)
-            return reply, wire_segments
+            multi, body = _as_segments(payload)
+            reply["multi"] = multi
+            return reply, body
         if op == "ack":
             tag = _field(header, "tag", int)
-            self.broker.ack(edge, tag, consumer=state.consumer)
-            self._release_leases(state, (edge, tag))
+            self.broker.ack(edge, tag, consumer=consumer)
             return {"status": PULL_OK}, []
         if op == "attach":
-            self.broker.attach_producer(edge, state.consumer)
+            self.broker.attach_producer(edge, consumer)
             return {"status": PULL_OK}, []
         if op == "done":
-            self.broker.producer_done(edge, state.consumer)
+            self.broker.producer_done(edge, consumer)
             return {"status": PULL_OK}, []
         if op == "abort":
             self.broker.abort(edge or None)
@@ -1418,14 +1165,11 @@ class BrokerServer:
         if op == "admit":
             plan = self.broker.admit_worker(
                 _field(header, "server", str), _field(header, "like", str),
-                consumer=state.consumer,
+                consumer=consumer,
             )
             return {"status": PULL_OK, "plan": plan}, []
         if op == "stats":
-            reply = {"status": PULL_OK, "stats": self.broker.stats()}
-            if self._pool is not None:
-                reply["pool"] = self._pool.stats()
-            return reply, []
+            return {"status": PULL_OK, "stats": self.broker.stats()}, []
         raise BrokerError(f"unknown op {op!r}")
 
     def wait_connections_closed(self, timeout: "float | None" = None) -> bool:
@@ -1448,37 +1192,24 @@ class BrokerServer:
             self._sock.close()
         except OSError:
             pass
-        if self._pool is not None:
-            # Unlinks adopted segments and sweeps every same-prefix
-            # straggler: the boot probe plus any one-shot publish
-            # segment a client created but died before handing over.
-            self._pool.close()
 
 
 class TcpBrokerClient:
     """Worker-side TCP transport (one lock-serialized connection).
 
-    Payload segments cross as the edge's serializer encoded them (raw
-    frames when memory is shared, level-1 gzip frames otherwise); the
-    transport adds no codec of its own.
-
-    ``shm`` opts into the same-host handoff: when the broker advertises
-    a probe segment in its hello and this process can read the boot
-    token back through ``/dev/shm``, large payload segments cross as
-    segment descriptors instead of socket bytes, in both directions.
-    ``None`` (the default) auto-detects; ``False`` forces the copy path;
-    ``True`` still degrades to copying when the probe is unreachable
-    (a cross-host peer can never be handed a local segment).  A pulled
-    segment is read out of ``/dev/shm`` into owned bytes before
-    :meth:`pull` returns: the broker unlinks the segment on ack, and the
-    record decoders would copy a mapped window anyway.
+    Payload segments cross the socket as the edge's serializer encoded
+    them; the transport adds no codec of its own.  ``same_host`` is the
+    serializer's cue (see :func:`repro.cluster.wire.edge_item_serializer`):
+    read once off the connected socket (:func:`peer_is_same_host`), it
+    makes a same-host edge frame raw and a cross-host one gzip.
     """
 
-    def __init__(self, host: str, port: int, shm: "bool | None" = None):
+    def __init__(self, host: str, port: int):
         self._sock = socket.create_connection((host, port), timeout=10.0)
         # Per-op deadline guard: every broker op is short-blocking, so a
         # response always arrives promptly unless the broker is gone.
         self._sock.settimeout(_MAX_OP_TIMEOUT)
+        self.same_host = peer_is_same_host(self._sock)
         self._lock = threading.Lock()
         #: Held while queueing for ``_lock``.  A plain lock is not fair:
         #: a source looping on 50 ms long-polls re-takes it microseconds
@@ -1488,38 +1219,9 @@ class TcpBrokerClient:
         #: ahead of it.
         self._queue = threading.Lock()
         self._closed = False
-        self._shm = None
-        self._shm_counter = itertools.count()
         hello = self._request({"op": "hello"})[0]
         self.consumer = hello.get("consumer")
         self.plan_doc = hello.get("plan")
-        shm_info = hello.get("shm")
-        want_shm = shm_info is not None and shm is not False \
-            and shm_plane.shm_available()
-        if want_shm:
-            try:
-                token = shm_plane.read_segment(
-                    str(shm_info["probe"]), 0, int(shm_info["token_len"])
-                )
-            except OSError:
-                token = None  # not the broker's host: copy path
-            if token is not None:
-                reply = self._request(
-                    {"op": "shm_verify",
-                     "token": token.decode("ascii", "replace")}
-                )[0]
-                if reply.get("shm"):
-                    self._shm = {
-                        "prefix": str(shm_info["prefix"]),
-                        "threshold": int(shm_info["threshold"]),
-                    }
-
-    @property
-    def shm_active(self) -> bool:
-        """True when the same-host handshake verified a shared pool."""
-        return self._shm is not None
-
-    shares_memory = shm_active
 
     def _request(self, header: dict,
                  segments=()) -> "tuple[dict, list]":
@@ -1547,35 +1249,12 @@ class TcpBrokerClient:
     def publish(self, edge: str, key: str, payload,
                 timeout: float = 0.05,
                 ack: "tuple[str, int] | None" = None) -> str:
-        """See :meth:`Broker.publish`.  Once the shm handshake verified
-        a shared host, segments at or above its threshold cross as
-        descriptors (per-segment fallback to inline)."""
+        """See :meth:`Broker.publish`."""
         multi, segments = _as_segments(payload)
         header = {"op": "publish", "edge": edge, "key": key,
                   "multi": multi, "timeout": timeout}
         if ack is not None:
             header["ack"] = list(ack)
-        if self._shm is not None:
-            plan, inline = [], []
-            for seg in segments:
-                name = None
-                if len(seg) >= self._shm["threshold"]:
-                    name = (f"{self._shm['prefix']}-c{self.consumer}"
-                            f"-o{next(self._shm_counter)}")
-                    if not shm_plane.create_segment(name, seg,
-                                                    transfer=True):
-                        name = None  # shm space exhausted: ship inline
-                if name is None:
-                    plan.append(None)
-                    inline.append(seg)
-                else:
-                    plan.append({"seg": name, "len": len(seg)})
-            if len(inline) < len(segments):
-                header["shm"] = plan
-                segments = inline
-        # Ownership transfers with the descriptors: the broker adopts
-        # the segments and unlinks them on last release (if we die
-        # first, its prefix sweep reclaims them at server stop).
         reply, _ = self._request(header, segments)
         return reply["status"]
 
@@ -1586,21 +1265,7 @@ class TcpBrokerClient:
         status = reply["status"]
         if status != PULL_OK:
             return (status, 0, "", b"")
-        plan = reply.get("shm")
-        if plan is not None:
-            # Materialize NOW: the broker releases this delivery's
-            # leases as soon as it is acked.
-            inline = iter(body)
-            segments = [
-                next(inline) if entry is None
-                else shm_plane.read_segment(str(entry["seg"]),
-                                            int(entry.get("off", 0)),
-                                            int(entry["len"]))
-                for entry in plan
-            ]
-        else:
-            segments = body
-        payload = _from_segments(bool(reply.get("multi")), segments)
+        payload = _from_segments(bool(reply.get("multi")), body)
         return (status, reply["tag"], reply["key"], payload)
 
     def ack(self, edge: str, tag: int) -> None:

@@ -293,8 +293,8 @@ def queue_factory(client_for):
                    ack_mode: str) -> RemoteQueue:
         client = client_for(server)
         # Per-edge codec negotiation: the serializer is read off the
-        # client (``shares_memory``) — in-process and shm-verified
-        # same-host edges carry raw level-0 frames, remote edges gzip.
+        # client (``same_host``) — in-process and same-host TCP edges
+        # carry raw level-0 frames, cross-host edges gzip.
         serializer = entry_serializer() if kind == "names" \
             else edge_item_serializer(client)
         return RemoteQueue(client, edge, serializer, ack_mode=ack_mode)
@@ -527,7 +527,6 @@ def run_placed_pipeline(
     transport: str = "local",
     host: str = "127.0.0.1",
     port: int = 0,
-    broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
     ledger=None,
     delivery_deadline="auto",
@@ -555,13 +554,10 @@ def run_placed_pipeline(
     aborts every edge and re-raises.  Every stage-boundary edge holds
     :data:`~repro.cluster.placement.EDGE_CAPACITY` chunks in flight.
 
-    ``broker_shm`` controls the same-host shared-memory handoff on TCP
-    transports (None probes ``/dev/shm`` and enables it when clients
-    verify the broker's boot token — i.e. they genuinely share the
-    host; False forces the byte-identical copy path).  The broker's
-    ``/dev/shm`` footprint is bounded by edge backpressure (a full edge
-    refuses the publish and its segment is unlinked), and a publisher
-    that cannot create a segment ships the bytes inline.
+    Over TCP every payload byte crosses the socket; each client reads
+    off its connection whether the broker shares its host, and a
+    same-host edge frames columns raw while a cross-host one uses light
+    gzip (:func:`repro.cluster.wire.edge_item_serializer`).
 
     ``ledger`` (:class:`repro.core.ledger.RunLedger`) makes the placed
     run durable: broker acks and per-stage output writes are journaled,
@@ -605,9 +601,8 @@ def run_placed_pipeline(
         broker = Broker(delivery_deadline=delivery_deadline,
                         max_redeliveries=max_redeliveries,
                         on_poison=on_poison)
-        listener = BrokerServer(
-            broker, host=host, port=port, shm=broker_shm,
-        ) if transport == "tcp" else None
+        listener = BrokerServer(broker, host=host, port=port) \
+            if transport == "tcp" else None
         return broker, listener
 
     return _run_placed_once(
@@ -625,7 +620,6 @@ def join_placed_worker(
     port: "int | None" = None,
     aligner=None,
     align_results_store=None,
-    broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
 ) -> PlacedServerOutcome:
     """Attach a NEW worker to a placed pipeline that is already running.
@@ -650,7 +644,7 @@ def join_placed_worker(
     if (broker is None) == (host is None):
         raise ValueError("pass exactly one of broker= or host=/port=")
     client = LocalBrokerClient(broker) if broker is not None \
-        else TcpBrokerClient(host, port, shm=broker_shm)
+        else TcpBrokerClient(host, port)
     # Only the align group admits replicas.
     site = ServerSite(aligner=aligner,
                       backend=spec.make_backend(server, ("align",)),

@@ -3,11 +3,11 @@
 Two payload kinds cross broker edges: chunk *names* (manifest entries,
 tiny JSON) and whole *work items* (a chunk's parsed columns mid-
 pipeline).  Work items reuse the AGD chunk serialization — every column
-is one ``write_chunk`` blob.  Where both ends reach the same memory (the
-in-process broker, a shm-verified same-host TCP client) the data block
-is framed raw; only a remote TCP edge compresses it, through the codec
-layer (§3's per-column compression) at a light level, since edge
-payloads are written once and read once like sort scratch.  Either way
+is one ``write_chunk`` blob.  Where both ends run on one host (the
+in-process broker, a TCP client whose broker is on its host) the data
+block is framed raw; only a cross-host TCP edge compresses it, through
+the codec layer (§3's per-column compression) at a light level, since
+edge payloads are written once and read once like sort scratch.  Either way
 the payload is immutable, CRC-checked bytes — never an object reference:
 redelivery, poison quarantine and ``payload_bytes`` accounting need a
 frozen copy the broker can check.  A work item crosses as a list of
@@ -29,17 +29,17 @@ from repro.agd.records import record_type_for_column
 #: like sort scratch: cheap level, not the archival default.
 EDGE_CODEC_LEVEL = 1
 
-#: Codec level for edges whose transport ``shares_memory``: no
-#: compression at all.  It buys nothing there (the bytes never cross a
-#: wire) and costs a deflate on the sender plus an inflate on the
-#: receiver — a chunk framed at level 0 decodes as views of the frame
+#: Codec level for edges whose transport is ``same_host``: no
+#: compression at all.  It buys nothing there (the bytes never leave
+#: the host) and costs a deflate on the sender plus an inflate on the
+#: receiver — a chunk framed at level 0 decodes straight from the frame
 #: bytes the receiver already holds.
 RAW_EDGE_CODEC_LEVEL = 0
 
 
 def _codec_for_level(codec_level: int):
-    """Level 0 is the identity codec (shared-memory edges); positive
-    levels are light gzip for remote TCP edges."""
+    """Level 0 is the identity codec (same-host edges); positive
+    levels are light gzip for cross-host TCP edges."""
     if codec_level <= 0:
         return get_codec("none")
     return leveled_codec("gzip", codec_level)
@@ -183,14 +183,14 @@ def item_serializer(codec_level: int = EDGE_CODEC_LEVEL) -> PayloadSerializer:
 def edge_item_serializer(client) -> PayloadSerializer:
     """The edge's codec, read off its transport.
 
-    A client whose payloads stay in memory both ends can reach
-    (``QueueTransport.shares_memory``: the in-process client, a TCP
-    client whose shm handshake verified the same host) carries columns
-    as *raw* level-0 frames — no deflate on either end; over shm, large
-    frames cross as segment descriptors, read out once by the
-    receiver.  A remote TCP edge keeps the light level-1 gzip of
-    :data:`EDGE_CODEC_LEVEL`.
+    A client on the same host as its broker
+    (``QueueTransport.same_host``: the in-process client, a TCP client
+    whose peer address is loopback or its own) carries columns as *raw*
+    level-0 frames — no deflate on either end.  A cross-host TCP edge
+    keeps the light level-1 gzip of :data:`EDGE_CODEC_LEVEL`.  The
+    decoder reads each frame's codec off its header, so either end
+    decodes whatever the other framed.
     """
-    if client.shares_memory:
+    if client.same_host:
         return item_serializer(RAW_EDGE_CODEC_LEVEL)
     return item_serializer()

@@ -202,9 +202,10 @@ class QueueTransport(Protocol):
     :mod:`repro.cluster.broker`.
     """
 
-    #: True when payloads stay in memory both ends can reach (in-process,
-    #: verified same-host shm): such edges frame columns uncompressed.
-    shares_memory: bool
+    #: True when the broker runs on this host (in-process, or a TCP
+    #: peer at a loopback or local address): such edges frame columns
+    #: uncompressed.
+    same_host: bool
 
     def attach_producer(self, edge: str) -> None: ...
 

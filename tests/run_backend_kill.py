@@ -71,9 +71,9 @@ def worker_lost() -> dict:
 
 
 def one_chunk() -> dict:
-    """One ``run_chunk`` of payloads above the broker's shm threshold,
-    then shutdown: which shared-memory segments were created, and
-    whether a resource-tracker process was started."""
+    """One ``run_chunk`` of 100 kB payloads, then shutdown: which
+    shared-memory segments were created, and whether a resource-tracker
+    process was started."""
     from multiprocessing import resource_tracker, shared_memory
 
     created = []

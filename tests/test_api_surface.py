@@ -22,14 +22,14 @@ SRC = ROOT / "src" / "repro"
 
 #: The keyword entry points: everything a run can be told, spelled out
 #: once.  Below them a run travels as a ``PipelineSpec``.
-ENTRY_POINTS = {"run_pipeline": 17, "run_placed_pipeline": 25}
+ENTRY_POINTS = {"run_pipeline": 17, "run_placed_pipeline": 24}
 #: Where the spec is interpreted, nothing re-lists its fields.
 SPEC_MODULES = ("core/pipelines.py", "cluster/multiserver.py")
 SPEC_MODULE_LIMIT = 12
 #: Everywhere else: ``SuperchunkMergeNode.__init__``'s 12.
 LIMIT = 12
-CLI_OPTION_LIMIT = 69
-RUN_PLACED_PIPELINE_LINES = 107
+CLI_OPTION_LIMIT = 66
+RUN_PLACED_PIPELINE_LINES = 101
 #: ``Session(graph, queue_sample_interval)``: what is chained and what
 #: the write-behind lane carries is read off the graph, never passed in.
 SESSION_INIT_PARAMETERS = 3
@@ -228,9 +228,8 @@ BROKER_POOL_NAMES = (
     "put_bytes", "restage_ref", "read_ref", "_SpilledSeg",
     "spill_watermark", "shm_slab_bytes", "shm_max_bytes", "spill-dir",
 )
-#: The shm plane's modules take no spill directory either.
-BROKER_POOL_MODULES = ("dataflow/shm.py", "cluster/broker.py",
-                       "cluster/multiserver.py")
+#: The broker's modules take no spill directory either.
+BROKER_POOL_MODULES = ("cluster/broker.py", "cluster/multiserver.py")
 
 
 def test_broker_pool_is_adoption_only():
@@ -260,8 +259,32 @@ def test_broker_has_one_publish_op():
     assert not found, "\n".join(found)
     ops = re.findall(r'op == "(\w+)"',
                      (SRC / "cluster" / "broker.py").read_text())
-    assert ops == ["hello", "shm_verify", "publish", "pull", "ack",
-                   "attach", "done", "abort", "admit", "stats"]
+    assert ops == ["hello", "publish", "pull", "ack", "attach", "done",
+                   "abort", "admit", "stats"]
+
+
+#: Every TCP edge is a socket copy: the broker's same-host shared-memory
+#: handoff (segment refs, the adopting pool and its leases, the
+#: handshake op, its switch and payload reaper) is gone, and must not
+#: grow back.  Nothing under ``src/repro`` touches ``/dev/shm``.
+SHM_PLANE_NAMES = (
+    "ShmRef", "BufferPool", "PooledView", "shm_verify", "broker_shm",
+    "payload_reaper", "shared_memory",
+)
+#: ``dataflow/pools.py``'s ``BufferPool`` is the dataflow layer's
+#: recyclable-buffer object pool, not a shared-memory one.
+OBJECT_POOL_MODULES = ("dataflow/pools.py", "dataflow/__init__.py")
+
+
+def test_no_shared_memory_plane():
+    assert not (SRC / "dataflow" / "shm.py").exists()
+    found = [
+        hit for hit in _occurrences(
+            rf"\b({'|'.join(SHM_PLANE_NAMES)})\b|/dev/shm")
+        if not (hit.split(":")[0] in OBJECT_POOL_MODULES
+                and hit.endswith(": BufferPool"))
+    ]
+    assert not found, "\n".join(found)
 
 
 #: The compute backend is named once, by ``backend=``/``workers=`` on the

@@ -4,7 +4,9 @@ The contract every backend must honor: ``run_chunk(fn, payloads)``
 returns per-payload results in order, the first task error re-raises in
 the caller (including across process boundaries, where a dead worker is
 an error too), and all backends produce identical results for the same
-task payloads.
+task payloads.  A process-backend run sends its payloads down the
+workers' pipes only: it matches the serial run byte for byte and
+leaves ``/dev/shm`` as it found it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import run_backend_kill
+from dev_shm import dev_shm_entries
 
 from repro.core.pipelines import align_dataset
 from repro.core.subgraphs import AlignGraphConfig
@@ -523,3 +527,79 @@ def test_worker_count_defaults():
     backend = ProcessBackend()
     assert backend.workers == cpus
     assert isinstance(backend, Backend)
+
+
+# ---------------------------------------------------------------------------
+# /dev/shm: payloads go down the pipe, never through a segment.
+
+
+def echo_task(shared, payload):
+    return payload
+
+
+class TestProcessBackendShm:
+    def test_no_segments_leak_after_shutdown(self):
+        """Not one ``/dev/shm`` entry appears, even for payloads of
+        64 KiB and more."""
+        before = dev_shm_entries()
+        backend = ProcessBackend(workers=2)
+        big = np.arange(20_000, dtype=np.int64)
+        assert big.nbytes >= 64 * 1024
+        try:
+            out = backend.run_chunk(echo_task, [big] * 4)
+            assert dev_shm_entries() == before
+        finally:
+            backend.shutdown()
+        assert all(np.array_equal(o, big) for o in out)
+        assert dev_shm_entries() == before
+
+
+class TestPipelineEquivalence:
+    @pytest.mark.parametrize("stages", [
+        ("align", "sort", "dupmark", "varcall"),
+    ])
+    def test_pipeline_outputs_byte_identical(
+        self, reads, reference, snap_aligner, stages
+    ):
+        from repro.core.pipelines import run_pipeline
+        from repro.core.sort import SortConfig
+        from repro.formats.converters import import_reads
+        from repro.storage.base import MemoryStore
+
+        def fresh():
+            return import_reads(
+                reads, "shm-eq", MemoryStore(), chunk_size=100,
+                reference=reference.manifest_entry(),
+            )
+
+        def run(backend):
+            return run_pipeline(
+                fresh(), stages,
+                aligner=snap_aligner, reference=reference,
+                sort_config=SortConfig(chunks_per_superchunk=2),
+                backend=backend, workers=2,
+            )
+
+        before = dev_shm_entries()
+        process = run("process")
+        serial = run("serial")
+        assert dev_shm_entries() == before
+        for column in serial.sorted_dataset.columns:
+            assert (process.sorted_dataset.read_column(column)
+                    == serial.sorted_dataset.read_column(column)), column
+        assert process.variants == serial.variants
+        assert (process.dupmark_stats.duplicates_marked
+                == serial.dupmark_stats.duplicates_marked)
+
+
+def test_process_backend_run_leaves_stderr_and_dev_shm_clean():
+    """A whole process-backend pipeline in a fresh interpreter: nothing
+    on stderr (no resource-tracker complaint) and nothing left in
+    ``/dev/shm``."""
+    from run_wgs_pipeline import launch
+
+    before = dev_shm_entries()
+    proc = launch("process")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert dev_shm_entries() == before

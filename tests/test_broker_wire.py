@@ -1,22 +1,20 @@
-"""Zero-copy broker plane tests (scatter/gather framing + shm handoff).
-
-The acceptance properties of the zero-copy wire refactor:
+"""Broker wire tests (scatter/gather framing, one socket copy path).
 
 * the scatter/gather TCP frame round-trips every payload shape —
   zero-length blobs, 1-byte segments, >64 KiB columns — and a torn or
   hostile frame raises :class:`WireError` without wedging the server;
-* the same-host shm handoff only arms after the boot-token handshake
-  proves the client genuinely shares ``/dev/shm`` with the broker, and
-  degrades to the byte-identical socket copy path everywhere else;
-* pool leases die with their delivery: acked, redelivered after a
-  SIGKILLed consumer, or swept at ``server.stop()`` — never orphaned;
-* a placed TCP run with shm handoffs is byte-identical to the copy
-  path and to the single-``Session`` run, killed workers included;
+* every TCP edge copies its payload through the socket, and nothing on
+  it creates a ``/dev/shm`` entry;
+* a client reads off its socket whether the broker shares its host
+  (a loopback or its own local address): same-host edges frame raw, a
+  remote peer (the check monkeypatched) at gzip level 1;
+* a placed TCP run is byte-identical to the single-``Session`` run,
+  killed workers included;
 * on ``--resume``, a multi-group plan whose leading group is pure
   align pre-acks journaled chunks AND re-injects their work items so
   downstream stages still see the full chunk set;
 * an edge's codec is a property of its transport: in-process and
-  shm-verified clients frame raw, a remote TCP client at gzip level 1,
+  same-host clients frame raw, a remote TCP client at gzip level 1,
   all three deliver equal items, and column frames are checked against
   the item header on decode.
 """
@@ -24,9 +22,7 @@ The acceptance properties of the zero-copy wire refactor:
 from __future__ import annotations
 
 import io
-import multiprocessing
 import os
-import signal
 import socket
 import time
 
@@ -34,6 +30,7 @@ import pytest
 
 from repro.agd.chunk import read_chunk_header, read_column
 from repro.align.base import ReadAligner
+from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     _FRAME,
     _MAX_HEAD_BYTES,
@@ -47,6 +44,7 @@ from repro.cluster.broker import (
     TcpBrokerClient,
     _recv_frame,
     _send_frame,
+    peer_is_same_host,
 )
 from repro.cluster.multiserver import run_placed_pipeline
 from repro.cluster.placement import WORK_EDGE, PlacementPlan
@@ -62,7 +60,6 @@ from repro.core.ledger import RunLedger
 from repro.core.ops import ChunkWorkItem
 from repro.core.pipelines import run_pipeline
 from repro.core.sort import SortConfig, verify_sorted
-from repro.dataflow import shm
 from repro.dataflow.queues import (
     DELIVERY_FENCED,
     EDGE_ABORTED,
@@ -74,12 +71,9 @@ from repro.dataflow.queues import (
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
 from repro.storage.base import MemoryStore
+from dev_shm import dev_shm_entries
 
 SORT_CONFIG = SortConfig(chunks_per_superchunk=2)
-
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
-)
 
 
 def _drain_pull(client, edge, deadline=10.0):
@@ -90,15 +84,6 @@ def _drain_pull(client, edge, deadline=10.0):
         if status == PULL_OK:
             return tag, key, payload
     raise TimeoutError(f"no delivery on {edge!r} within {deadline}s")
-
-
-def _wait_for(predicate, deadline=10.0):
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 # --------------------------------------------------- scatter/gather frame
@@ -211,7 +196,7 @@ class TestScatterGatherFraming:
         """A hostile/broken peer costs only its own connection."""
         broker = Broker()
         broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=False).start()
+        server = BrokerServer(broker).start()
         try:
             raw = socket.create_connection(server.address)
             raw.sendall(b"\xff" * 64)
@@ -234,16 +219,17 @@ class TestScatterGatherFraming:
 
 class TestPayloadRoundTrip:
     def test_multi_segment_payload_and_wire_accounting(self):
-        """Segment lists survive the copy path byte-for-byte, and the
-        per-edge ledger accounts every byte as copied, none as shm."""
+        """Segment lists survive the copy path byte-for-byte, the
+        per-edge ledger accounts every byte as copied, and a same-host
+        pair leaves ``/dev/shm`` as it found it."""
+        before = dev_shm_entries()
         broker = Broker()
         broker.create_edge("e", capacity=8, producers=1)
-        server = BrokerServer(broker, shm=False).start()
-        assert not server.shm_enabled
+        server = BrokerServer(broker).start()
         try:
             producer = TcpBrokerClient(*server.address)
             consumer = TcpBrokerClient(*server.address)
-            assert not producer.shm_active
+            assert producer.same_host and consumer.same_host
             producer.attach_producer("e")
             payloads = {
                 "empty": b"",
@@ -272,8 +258,7 @@ class TestPayloadRoundTrip:
             # Both directions crossed the socket: framing overhead makes
             # wire bytes strictly larger than the logical payload.
             assert stat["wire_bytes"] > logical
-            assert stat["shm_handoffs"] == 0
-            assert stat["shm_bytes"] == 0
+            assert dev_shm_entries() == before
             # 0 + 1 + 4 segments (an empty blob normalizes to no
             # segments), copied inline in each direction.
             assert stat["copied_segments"] == 10
@@ -282,6 +267,7 @@ class TestPayloadRoundTrip:
             consumer.close()
         finally:
             server.stop()
+        assert dev_shm_entries() == before
 
 
 # ------------------------------------------------- malformed requests
@@ -305,7 +291,7 @@ class TestMalformedRequests:
         broker = Broker()
         broker.create_edge("e", capacity=4, producers=1)
         broker.plan_doc = {"servers": []}
-        server = BrokerServer(broker, shm=False).start()
+        server = BrokerServer(broker).start()
         try:
             client = TcpBrokerClient(*server.address)
             client.attach_producer("e")
@@ -376,7 +362,7 @@ class TestOnePublishOp:
         assert source.publish("up", "c0", b"chunk") == PUBLISH_OK
         server = None
         if transport == "tcp":
-            server = BrokerServer(broker, shm=False).start()
+            server = BrokerServer(broker).start()
             worker = TcpBrokerClient(*server.address)
         else:
             worker = LocalBrokerClient(broker)
@@ -401,333 +387,78 @@ class TestOnePublishOp:
                 server.stop()
 
 
-# ------------------------------------------------------- shm handshake
+# ---------------------------------------------------- same-host verdict
 
 
-@needs_shm
-class TestShmHandshake:
-    def test_same_host_client_auto_verifies(self):
+class _Sock:
+    """The two addresses :func:`peer_is_same_host` reads."""
+
+    def __init__(self, local: str, peer: str):
+        self._local, self._peer = local, peer
+
+    def getsockname(self):
+        return (self._local, 7470)
+
+    def getpeername(self):
+        return (self._peer, 51000)
+
+
+class TestSameHostVerdict:
+    """A client reads once off its connected socket whether the broker
+    shares its host; the verdict picks the edge codec and nothing else —
+    the payload crosses the socket either way."""
+
+    def test_loopback_peer_is_same_host(self):
         broker = Broker()
         broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
+        server = BrokerServer(broker).start()
         try:
-            assert server.shm_enabled
             client = TcpBrokerClient(*server.address)
-            assert client.shm_active
+            assert client.same_host
             client.close()
         finally:
             server.stop()
 
-    def test_shm_false_forces_copy_path(self):
+    @pytest.mark.parametrize("local,peer,same", [
+        ("127.0.0.1", "127.0.0.1", True),
+        ("10.1.2.3", "127.0.0.2", True),
+        ("10.1.2.3", "10.1.2.3", True),
+        ("10.1.2.3", "10.1.2.4", False),
+        ("::1", "::1", True),
+        ("2001:db8::1", "::ffff:127.0.0.1", True),
+        ("2001:db8::1", "2001:db8::2", False),
+        ("10.1.2.3", "fe80::1%eth9", False),
+    ])
+    def test_verdict_reads_the_socket_addresses(self, local, peer, same):
+        assert peer_is_same_host(_Sock(local, peer)) is same
+
+    def test_remote_peer_gets_the_payload_byte_identical(self, monkeypatch):
+        """A peer on another host (the check monkeypatched) publishes
+        and pulls over the same socket copy path, byte for byte."""
+        monkeypatch.setattr(broker_mod, "peer_is_same_host",
+                            lambda sock: False)
+        before = dev_shm_entries()
         broker = Broker()
         broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True, shm_threshold=64).start()
+        server = BrokerServer(broker).start()
         try:
-            producer = TcpBrokerClient(*server.address, shm=False)
-            consumer = TcpBrokerClient(*server.address, shm=False)
-            assert not producer.shm_active
-            producer.attach_producer("e")
-            big = bytes(range(256)) * 16  # 4 KiB, over the threshold
-            assert producer.publish("e", "k", [big, b"x"],
-                                    timeout=5.0) == PUBLISH_OK
-            tag, _key, payload = _drain_pull(consumer, "e")
-            consumer.ack("e", tag)
-            assert [bytes(s) for s in payload] == [big, b"x"]
-            assert consumer.stats()["e"]["shm_handoffs"] == 0
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
-
-    def test_fake_remote_host_degrades_to_copy(self):
-        """A peer that cannot read the probe segment (i.e. a different
-        host) must never be handed descriptors — and still gets the
-        payload, byte-identical, over the socket."""
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True, shm_threshold=64).start()
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                def unreachable(name, offset, length, cache=False):
-                    raise OSError("no such segment on this host")
-
-                mp.setattr(shm, "read_segment", unreachable)
-                remote = TcpBrokerClient(*server.address)
-            assert not remote.shm_active
+            remote = TcpBrokerClient(*server.address)
+            remote_consumer = TcpBrokerClient(*server.address)
+            assert not remote.same_host and not remote_consumer.same_host
             remote.attach_producer("e")
-            big = bytes(range(256)) * 16
-            assert remote.publish("e", "k", big, timeout=5.0) == PUBLISH_OK
-            with pytest.MonkeyPatch.context() as mp:
-                def unreachable(name, offset, length, cache=False):
-                    raise OSError("no such segment on this host")
-
-                mp.setattr(shm, "read_segment", unreachable)
-                remote_consumer = TcpBrokerClient(*server.address)
-            assert not remote_consumer.shm_active
+            big = os.urandom(100_000)
+            assert remote.publish("e", "k", [big, b"x"],
+                                  timeout=5.0) == PUBLISH_OK
             tag, _key, payload = _drain_pull(remote_consumer, "e")
             remote_consumer.ack("e", tag)
-            assert bytes(payload) == big
-            assert remote_consumer.stats()["e"]["shm_handoffs"] == 0
+            assert [bytes(s) for s in payload] == [big, b"x"]
+            stat = remote_consumer.stats()["e"]
+            assert stat["copied_bytes"] == 2 * (len(big) + 1)
             remote.close()
             remote_consumer.close()
         finally:
             server.stop()
-
-    def test_wrong_token_refused(self):
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        try:
-            client = TcpBrokerClient(*server.address, shm=False)
-            reply = client._request(
-                {"op": "shm_verify", "token": "00" * 16}
-            )[0]
-            assert reply.get("shm") is False
-            client.close()
-        finally:
-            server.stop()
-
-    def test_unverified_shm_publish_rejected(self):
-        """Descriptors from a client that never passed the handshake are
-        a protocol violation, not a silent read."""
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        try:
-            client = TcpBrokerClient(*server.address, shm=False)
-            with pytest.raises(BrokerError, match="unverified"):
-                client._request(
-                    {"op": "publish", "edge": "e", "key": "k",
-                     "multi": False, "timeout": 1.0,
-                     "shm": [{"seg": f"{server._pool.prefix}-c9-o0",
-                              "len": 3}]},
-                )
-            client.close()
-        finally:
-            server.stop()
-
-    def test_segment_outside_broker_namespace_rejected(self):
-        """Even a verified client may only name segments under the
-        broker's own pool prefix — no arbitrary /dev/shm reads."""
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        try:
-            client = TcpBrokerClient(*server.address)
-            assert client.shm_active
-            with pytest.raises(BrokerError, match="namespace"):
-                client._request(
-                    {"op": "publish", "edge": "e", "key": "k",
-                     "multi": False, "timeout": 1.0,
-                     "shm": [{"seg": "unrelated-segment", "len": 3}]},
-                )
-            client.close()
-        finally:
-            server.stop()
-
-    def test_client_adopts_only_its_own_segments(self):
-        """A verified client may hand over only segments in its own
-        ``-c{consumer}-o`` namespace: naming the boot probe (which would
-        let the next ack unlink it and quietly drop every later client
-        to the copy path) or another connection's segment is refused."""
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        try:
-            prefix = server._pool.prefix
-            client = TcpBrokerClient(*server.address)
-            other = TcpBrokerClient(*server.address)
-            assert client.shm_active and other.shm_active
-            theirs = f"{prefix}-c{other.consumer}-o0"
-            assert shm.create_segment(theirs, b"not yours", transfer=True)
-            for name, length in ((server._probe_name,
-                                  len(server._shm_token)), (theirs, 9)):
-                with pytest.raises(BrokerError, match="namespace"):
-                    client._request(
-                        {"op": "publish", "edge": "e", "key": "k",
-                         "multi": False, "timeout": 1.0,
-                         "shm": [{"seg": name, "len": length}]},
-                    )
-            assert server._pool.stats()["adopted_live"] == 0
-            assert server._probe_name in shm.list_segments(prefix)
-            late = TcpBrokerClient(*server.address)
-            assert late.shm_active
-            for c in (client, other, late):
-                c.close()
-        finally:
-            server.stop()
-        assert shm.list_segments(prefix) == []
-
-
-# ------------------------------------------- shm descriptor bounds
-
-
-@needs_shm
-class TestShmDescriptorBounds:
-    """An adopted descriptor must lie inside its segment: a bad window
-    is refused by name, enqueues nothing, and releases what the same
-    publish already adopted."""
-
-    @pytest.mark.parametrize("offset,length", [
-        (50, 10_000), (-1, 10), (0, -5),
-    ], ids=["past-end", "negative-offset", "negative-length"])
-    def test_window_outside_segment_rejected(self, offset, length):
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        prefix = server._pool.prefix
-        try:
-            client = TcpBrokerClient(*server.address)
-            assert client.shm_active
-            client.attach_producer("e")
-            own = f"{prefix}-c{client.consumer}-o"
-            assert shm.create_segment(f"{own}0", b"a" * 100, transfer=True)
-            assert shm.create_segment(f"{own}1", b"b" * 100, transfer=True)
-            with pytest.raises(BrokerError, match=f"{own}1"):
-                client._request(
-                    {"op": "publish", "edge": "e", "key": "k",
-                     "multi": True, "timeout": 1.0,
-                     "shm": [{"seg": f"{own}0", "len": 100},
-                             {"seg": f"{own}1", "off": offset,
-                              "len": length}]},
-                )
-            stat = client.stats()["e"]
-            assert (stat["total_published"], stat["pending"],
-                    stat["payload_bytes"]) == (0, 0, 0)
-            assert server._pool.stats()["adopted_live"] == 0
-            client.close()
-        finally:
-            server.stop()
-        assert shm.list_segments(prefix) == []
-
-    @pytest.mark.parametrize("entry", [
-        {"seg": "SEG", "len": "ten"}, {"len": 3}, ["SEG", 0, 3],
-    ], ids=["len-str", "no-seg", "entry-list"])
-    def test_ill_typed_plan_entry_gets_error_reply(self, entry):
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        try:
-            client = TcpBrokerClient(*server.address)
-            assert client.shm_active
-            name = f"{server._pool.prefix}-c{client.consumer}-o0"
-            if isinstance(entry, dict) and "seg" in entry:
-                entry = dict(entry, seg=name)
-            with pytest.raises(BrokerError):
-                client._request(
-                    {"op": "publish", "edge": "e", "key": "k",
-                     "multi": False, "timeout": 1.0, "shm": [entry]},
-                )
-            assert client.stats()["e"]["total_published"] == 0
-            client.close()
-        finally:
-            server.stop()
-
-
-# --------------------------------------------- shm delivery + leases
-
-
-@needs_shm
-class TestShmHandoffDelivery:
-    def _server(self, threshold=64):
-        broker = Broker()
-        broker.create_edge("e", capacity=8, producers=1)
-        return BrokerServer(broker, shm=True, shm_threshold=threshold
-                            ).start()
-
-    def test_large_segments_cross_via_shm_byte_identical(self):
-        server = self._server()
-        try:
-            producer = TcpBrokerClient(*server.address)
-            consumer = TcpBrokerClient(*server.address)
-            assert producer.shm_active and consumer.shm_active
-            producer.attach_producer("e")
-            big_a = bytes(range(256)) * 300   # 76.8 KB column
-            big_b = os.urandom(4096)
-            payload = [big_a, b"tiny", big_b]
-            assert producer.publish("e", "k", payload,
-                                    timeout=5.0) == PUBLISH_OK
-            tag, key, got = _drain_pull(consumer, "e")
-            consumer.ack("e", tag)
-            assert key == "k"
-            assert [bytes(s) for s in got] == [big_a, b"tiny", big_b]
-            stat = consumer.stats()["e"]
-            # Two big segments in each direction crossed as descriptors;
-            # only the tiny one (and frame heads) used the socket.
-            assert stat["shm_handoffs"] == 4
-            assert stat["shm_bytes"] == 2 * (len(big_a) + len(big_b))
-            assert stat["wire_bytes"] < len(big_a)
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
-        assert shm.list_segments(server._pool.prefix) == []
-
-    def test_lease_released_on_ack(self):
-        server = self._server()
-        try:
-            producer = TcpBrokerClient(*server.address)
-            consumer = TcpBrokerClient(*server.address)
-            producer.attach_producer("e")
-            assert producer.publish("e", "k", os.urandom(8192),
-                                    timeout=5.0) == PUBLISH_OK
-            tag, _key, _payload = _drain_pull(consumer, "e")
-            # Two leases ride the un-acked delivery: the adopted storage
-            # lease (the publisher's segment, now pool-owned) plus the
-            # consumer's handoff lease from the pull.
-            assert server._pool.live_leases == 2
-            consumer.ack("e", tag)
-            # The ack reply is sent before the deferred wire record, so
-            # observe the release through a follow-up request.
-            consumer.stats()
-            assert server._pool.live_leases == 0
-            producer.close()
-            consumer.close()
-        finally:
-            server.stop()
-
-    def test_sigkilled_consumer_leases_reclaimed_and_redelivered(self):
-        """A consumer SIGKILLed mid-delivery (pulled, never acked) must
-        not orphan its pool leases: the dead connection releases them
-        and the delivery goes to a surviving consumer."""
-        server = self._server()
-        try:
-            producer = TcpBrokerClient(*server.address)
-            producer.attach_producer("e")
-            blob = os.urandom(16384)
-            assert producer.publish("e", "k", blob,
-                                    timeout=5.0) == PUBLISH_OK
-
-            ctx = multiprocessing.get_context("fork")
-            child = ctx.Process(
-                target=_pull_and_die, args=(server.host, server.port, "e")
-            )
-            child.start()
-            child.join(15.0)
-            assert child.exitcode == -signal.SIGKILL
-
-            survivor = TcpBrokerClient(*server.address)
-            tag, key, payload = _drain_pull(survivor, "e")
-            assert (key, bytes(payload)) == ("k", blob)
-            survivor.ack("e", tag)
-            survivor.stats()  # flush past the deferred record
-            assert _wait_for(lambda: server._pool.live_leases == 0)
-            assert server.broker.stats()["e"]["total_redelivered"] == 1
-            producer.close()
-            survivor.close()
-        finally:
-            server.stop()
-        assert shm.list_segments(server._pool.prefix) == []
-
-    def test_stop_sweeps_straggler_publish_segments(self):
-        """A client that died between creating its one-shot publish
-        segment and unlinking it leaves debris under the pool prefix;
-        ``server.stop()`` sweeps the whole namespace."""
-        server = self._server()
-        straggler = f"{server._pool.prefix}-c99-o0"
-        assert shm.create_segment(straggler, b"orphaned bytes")
-        server.stop()
-        assert shm.list_segments(server._pool.prefix) == []
+        assert dev_shm_entries() == before
 
 
 # ------------------------------------------------- placed-run identity
@@ -748,9 +479,9 @@ def _work_item(dataset, index=0) -> ChunkWorkItem:
 
 
 class TestEdgeCodecNegotiation:
-    """The codec is read off the transport (``shares_memory``), never
-    selected: raw where the payload stays in reachable memory, gzip
-    level 1 where it crosses a real wire."""
+    """The codec is read off the transport (``same_host``), never
+    selected: raw where both ends run on one host, gzip level 1 where
+    the payload crosses to another."""
 
     def _through(self, producer, consumer, item):
         """Publish ``item`` over the producer's negotiated serializer and
@@ -762,33 +493,34 @@ class TestEdgeCodecNegotiation:
         ) == PUBLISH_OK
         tag, _key, frames = _drain_pull(consumer, EDGE)
         codecs = [read_chunk_header(f).codec_name for f in frames[1:]]
-        # Decode before the ack: view deliveries alias a leased segment.
         decoded = edge_item_serializer(consumer).decode(frames)
         del frames
         consumer.ack(EDGE, tag)
         producer.producer_done(EDGE)
         return codecs, decoded
 
-    def test_three_transports_deliver_equal_items(self, aligned_dataset):
+    def test_three_transports_deliver_equal_items(self, aligned_dataset,
+                                                  monkeypatch):
         item = _work_item(aligned_dataset)
         delivered = {}
 
         broker = Broker()
         broker.create_edge(EDGE, capacity=2, producers=1)
         local = LocalBrokerClient(broker)
-        assert local.shares_memory
+        assert local.same_host
         delivered["local"] = self._through(local, local, item)
 
-        for name, shm_mode in (("tcp", False), ("shm", None)):
-            if name == "shm" and not shm.shm_available():
-                continue
+        for name in ("same-host", "remote"):
+            if name == "remote":
+                monkeypatch.setattr(broker_mod, "peer_is_same_host",
+                                    lambda sock: False)
             broker = Broker()
             broker.create_edge(EDGE, capacity=2, producers=1)
-            server = BrokerServer(broker, shm_threshold=512).start()
+            server = BrokerServer(broker).start()
             try:
-                producer = TcpBrokerClient(*server.address, shm=shm_mode)
-                consumer = TcpBrokerClient(*server.address, shm=shm_mode)
-                assert producer.shares_memory is (name == "shm")
+                producer = TcpBrokerClient(*server.address)
+                consumer = TcpBrokerClient(*server.address)
+                assert producer.same_host is (name == "same-host")
                 delivered[name] = self._through(producer, consumer, item)
                 producer.close()
                 consumer.close()
@@ -796,9 +528,8 @@ class TestEdgeCodecNegotiation:
                 server.stop()
 
         assert set(delivered["local"][0]) == {"none"}
-        assert set(delivered["tcp"][0]) == {"gzip"}
-        if "shm" in delivered:
-            assert set(delivered["shm"][0]) == {"none"}
+        assert set(delivered["same-host"][0]) == {"none"}
+        assert set(delivered["remote"][0]) == {"gzip"}
         for name, (_codecs, decoded) in delivered.items():
             assert decoded == item, name
 
@@ -822,7 +553,7 @@ class TestEdgeCodecNegotiation:
         self, aligned_dataset, codec_spy,
     ):
         class _Remote:
-            shares_memory = False
+            same_host = False
 
         item = _work_item(aligned_dataset)
         codec_spy.calls.clear()
@@ -906,13 +637,6 @@ class TestWorkItemFrameValidation:
             decode_work_item_frames(frames)
 
 
-def _pull_and_die(host, port, edge):  # pragma: no cover - runs in child
-    client = TcpBrokerClient(host, port)
-    status, _tag, _key, _payload = client.pull(edge, timeout=10.0)
-    assert status == PULL_OK
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 @pytest.fixture()
 def fresh_dataset(reads, reference):
     def factory():
@@ -959,20 +683,6 @@ def assert_matches_single(placed, single, reference) -> None:
         _vcf_bytes(single.variants, reference)
 
 
-def _small_threshold_server(instances, threshold=512):
-    """A BrokerServer subclass whose pool hands off tiny test chunks."""
-
-    class _Server(BrokerServer):
-        def __init__(self, broker, host="127.0.0.1", port=0, shm=None,
-                     **kwargs):
-            kwargs.setdefault("shm_threshold", threshold)
-            super().__init__(broker, host=host, port=port, shm=shm,
-                             **kwargs)
-            instances.append(self)
-
-    return _Server
-
-
 class _DyingAligner(ReadAligner):
     """Raises WorkerKilled after a fixed number of reads."""
 
@@ -989,57 +699,13 @@ class _DyingAligner(ReadAligner):
         return self._inner.align_read(bases)
 
 
-@needs_shm
-class TestPlacedShmEquivalence:
-    def test_shm_run_byte_identical_to_copy_run(
-        self, fresh_dataset, snap_aligner, reference, single_session,
-        monkeypatch,
+class TestPlacedTcpRun:
+    def test_killed_worker_redelivered_over_tcp(
+        self, reads, snap_aligner, reference,
     ):
-        """Same placed TCP run, shm on vs forced off: both byte-identical
-        to the single-session reference; only the shm run hands off."""
-        servers: list = []
-        monkeypatch.setattr(
-            "repro.cluster.multiserver.BrokerServer",
-            _small_threshold_server(servers),
-        )
-        plan = PlacementPlan.parse("A=align,sort;B=dupmark,varcall")
-        outcomes = {}
-        for shm_mode in (False, True):
-            outcomes[shm_mode] = run_placed_pipeline(
-                fresh_dataset(),
-                plan,
-                aligner=snap_aligner,
-                reference=reference,
-                sort_config=SORT_CONFIG,
-                backend="serial",
-                transport="tcp",
-                broker_shm=shm_mode,
-            )
-            assert_matches_single(outcomes[shm_mode], single_session,
-                                  reference)
-
-        def handoffs(outcome):
-            return sum(stat.get("shm_handoffs", 0)
-                       for stat in outcome.broker_stats.values())
-
-        assert handoffs(outcomes[False]) == 0
-        assert handoffs(outcomes[True]) > 0
-        # The handoff saved those bytes from the socket entirely.
-        shm_stats = outcomes[True].broker_stats
-        copy_stats = outcomes[False].broker_stats
-        for edge, stat in shm_stats.items():
-            if stat.get("shm_handoffs"):
-                assert stat["wire_bytes"] < copy_stats[edge]["wire_bytes"]
-        for server in servers:
-            if server._pool is not None:
-                assert shm.list_segments(server._pool.prefix) == []
-
-    def test_killed_worker_redelivered_under_shm(
-        self, reads, snap_aligner, reference, monkeypatch,
-    ):
-        """At-least-once delivery survives shm handoffs: a dead worker's
-        leases are reclaimed, its chunks redelivered, no segment
-        leaked once the run closes its pool.
+        """At-least-once delivery over the socket copy path: a dead
+        worker's chunks are redelivered, the output is byte-identical,
+        and ``/dev/shm`` is left as it was found.
 
         24 small chunks, not the usual 6: each worker prefetches ~7
         chunk names into its local pipeline, so with 6 chunks the
@@ -1061,11 +727,6 @@ class TestPlacedShmEquivalence:
             sort_config=SORT_CONFIG,
             backend="serial",
         )
-        servers: list = []
-        monkeypatch.setattr(
-            "repro.cluster.multiserver.BrokerServer",
-            _small_threshold_server(servers),
-        )
         plan = PlacementPlan.parse(
             "dying=align;survivor=align;B=sort,dupmark,varcall"
         )
@@ -1076,6 +737,7 @@ class TestPlacedShmEquivalence:
                 return _DyingAligner(snap_aligner, survive_reads=30)
             return snap_aligner
 
+        before = dev_shm_entries()
         placed = run_placed_pipeline(
             dataset24(),
             plan,
@@ -1084,17 +746,13 @@ class TestPlacedShmEquivalence:
             sort_config=SORT_CONFIG,
             backend="serial",
             transport="tcp",
-            broker_shm=True,
         )
         assert placed.server("dying").killed
         assert placed.total_redelivered > 0
         assert placed.server("dying").chunks \
             + placed.server("survivor").chunks == 24
         assert_matches_single(placed, single, reference)
-        for server in servers:
-            if server._pool is not None:
-                assert server._pool.live_leases == 0
-                assert shm.list_segments(server._pool.prefix) == []
+        assert dev_shm_entries() == before
 
 
 # ------------------------------------------- pre-ack resume injection

@@ -354,6 +354,17 @@ class TestClusterErrorsMatchPipeline:
             ["sort", str(ds_dir), str(root / "x")],
             ["dupmark", str(ds_dir)],
             ["varcall", str(ds_dir), "x.vcf", "--reference", "r"],
+            # Every TCP edge is a socket copy: no shm handoff to select.
+            *(
+                [*role, flag]
+                for role in (
+                    ["cluster", "run", str(ds_dir), "--plan", "A=align"],
+                    ["cluster", "broker", str(ds_dir), "--plan", "A=align"],
+                    ["cluster", "worker", str(ds_dir), "--connect",
+                     "127.0.0.1:1", "--server", "A"],
+                )
+                for flag in ("--broker-shm", "--no-broker-shm")
+            ),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

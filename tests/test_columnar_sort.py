@@ -46,9 +46,9 @@ from repro.core.sort import (
     verify_sorted,
 )
 from repro.core.varcall import VarCallConfig, call_from_pileup, pileup_dataset
-from repro.dataflow import shm as shm_plane
 from repro.formats.converters import import_reads
 from repro.storage.base import DirectoryStore, MemoryStore
+from dev_shm import dev_shm_entries
 from dupmark_oracle import oracle_mark_duplicates
 from row_sort_oracle import (
     oracle_merge,
@@ -65,10 +65,10 @@ def store_blobs(store) -> "dict[str, bytes]":
 
 
 def assert_no_leaks(segments_before, *directories) -> None:
-    """No new ``/dev/shm`` segment, no torn ``.tmp`` file, and every
+    """No new ``/dev/shm`` entry, no torn ``.tmp`` file, and every
     spill mapping released (the files unlink cleanly)."""
     gc.collect()
-    assert set(shm_plane.list_segments("psna-")) == segments_before
+    assert dev_shm_entries() == segments_before
     for directory in directories:
         directory = Path(directory)
         assert not list(directory.rglob("*.tmp"))
@@ -498,7 +498,7 @@ class TestPipelineDigest:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_downstream_stages(self, aligned_dataset, reference,
                                oracle_digest, kind, tmp_path):
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         outcome = run_pipeline(
             aligned_dataset, ("sort", "dupmark", "varcall"),
             reference=reference, sort_config=SORT_CONFIG,
@@ -514,7 +514,7 @@ class TestPipelineDigest:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_all_four_stages(self, dataset, reference, snap_aligner,
                              oracle_digest, kind, tmp_path):
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         outcome = run_pipeline(
             dataset, ("align", "sort", "dupmark", "varcall"),
             aligner=snap_aligner, reference=reference,
@@ -532,7 +532,7 @@ class TestPipelineDigest:
     def test_placed_sort_then_dupmark_varcall(self, aligned_dataset,
                                               reference, oracle_digest,
                                               tmp_path):
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         outcome = run_placed_pipeline(
             aligned_dataset, PlacementPlan.parse("A=sort;B=dupmark,varcall"),
             reference=reference, sort_config=SORT_CONFIG,

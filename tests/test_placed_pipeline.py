@@ -24,6 +24,7 @@ import pytest
 
 from repro.agd.manifest import ChunkEntry
 from repro.align.base import ReadAligner
+from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     Broker,
     BrokerError,
@@ -54,6 +55,7 @@ from repro.dataflow.queues import RemoteQueue
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
 from repro.storage.base import MemoryStore
+from dev_shm import dev_shm_entries
 
 SORT_CONFIG = SortConfig(chunks_per_superchunk=2)
 
@@ -406,7 +408,8 @@ def _downstream_bytes(outcome, reference) -> dict:
 
 class TestEdgeCodecNegotiation:
     """``A=sort;B=dupmark,varcall`` — the suite's ``downstream_placed``
-    cut — over the in-process broker and over TCP with shm off."""
+    cut — over the in-process broker, over loopback TCP, and over TCP
+    to a peer the same-host check calls remote."""
 
     def _placed(self, dataset, reference, **kwargs):
         return run_placed_pipeline(
@@ -433,11 +436,35 @@ class TestEdgeCodecNegotiation:
         assert [c[1] for c in codec_spy.index.on("B.edge_source")] \
             == ["decompressobj"] * (3 * chunks)
 
-    def test_tcp_edge_without_shm_frames_at_level_one(
-        self, aligned_dataset, reference, codec_spy,
+    def test_loopback_tcp_edge_no_deflate_no_dev_shm(
+        self, aligned_dataset, reference, codec_spy, monkeypatch,
     ):
-        self._placed(aligned_dataset, reference, transport="tcp",
-                     broker_shm=False)
+        """A same-host TCP edge frames raw and copies through the
+        socket: no data-block deflate or inflate on either end, and no
+        ``/dev/shm`` entry at any publish, let alone after the run."""
+        before = dev_shm_entries()
+        appeared = set()
+        publish = Broker.publish
+
+        def spying_publish(self, *args, **kwargs):
+            appeared.update(dev_shm_entries() - before)
+            return publish(self, *args, **kwargs)
+
+        monkeypatch.setattr(Broker, "publish", spying_publish)
+        placed = self._placed(aligned_dataset, reference, transport="tcp")
+        assert placed.broker_stats["sort->dupmark"]["total_published"] == 6
+        assert placed.broker_stats["sort->dupmark"]["wire_bytes"] > 0
+        assert codec_spy.on("A.edge_sink") == []
+        assert codec_spy.on("B.edge_source") == []
+        assert appeared == set()
+        assert dev_shm_entries() == before
+
+    def test_tcp_edge_without_shm_frames_at_level_one(
+        self, aligned_dataset, reference, codec_spy, monkeypatch,
+    ):
+        monkeypatch.setattr(broker_mod, "peer_is_same_host",
+                            lambda sock: False)
+        self._placed(aligned_dataset, reference, transport="tcp")
         deflates = codec_spy.on("A.edge_sink")
         assert deflates
         assert {c[1] for c in deflates} <= {"compress", "compressobj"}
@@ -465,7 +492,7 @@ class TestEdgeCodecNegotiation:
         for transport in ("local", "tcp"):
             placed = self._placed(
                 dataset(), reference, backend=backend, workers=2,
-                transport=transport, broker_shm=False,
+                transport=transport,
             )
             assert placed.dupmark_stats.duplicates_marked > 0
             assert _downstream_bytes(placed, reference) == single, transport

@@ -31,7 +31,6 @@ from repro.core.pipelines import (
 )
 from repro.core.sort import SortConfig
 from repro.core.subgraphs import STAGES as STAGE_TABLE
-from repro.dataflow import shm as shm_plane
 from repro.formats.converters import import_reads
 from repro.formats.vcf import write_vcf
 from repro.genome.reference import (
@@ -41,6 +40,7 @@ from repro.genome.reference import (
 )
 from repro.genome.synthetic import ReadSimulator, synthetic_reference
 from repro.storage.base import DirectoryStore, MemoryStore
+from dev_shm import dev_shm_entries
 from test_self_healing import _free_port, _popen_cli, _wait_port
 
 PLAN = "A=align;B=sort,dupmark;C=varcall"
@@ -246,7 +246,7 @@ class TestOnlyTheAlignServerMakesABackend:
         if not dataset.manifest.has_column("results"):
             dataset.manifest.add_column("results")
         assert multiprocessing.active_children() == []
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         out = _CensusStore(work / "out-downstream")
         outcome = run_pipeline(
             dataset, ("sort", "dupmark", "varcall"), reference=reference,
@@ -254,7 +254,7 @@ class TestOnlyTheAlignServerMakesABackend:
         )
         assert out.children and set(out.children) == {0}
         assert multiprocessing.active_children() == []
-        assert set(shm_plane.list_segments("psna-")) == before
+        assert dev_shm_entries() == before
         _save(outcome, reference, work / "out-downstream",
               work / "downstream.vcf")
         assert _tree(work / "out-downstream") == _tree(out_single)
@@ -266,7 +266,7 @@ class TestOnlyTheAlignServerMakesABackend:
     ):
         work, reference, _ = world
         assert multiprocessing.active_children() == []
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         in_flight: list = []
         placed = run_placed_pipeline(
             make_dataset("ds-forks"),
@@ -279,7 +279,7 @@ class TestOnlyTheAlignServerMakesABackend:
         )
         assert in_flight == [2]  # A's two workers; B and C have none
         assert multiprocessing.active_children() == []
-        assert set(shm_plane.list_segments("psna-")) == before
+        assert dev_shm_entries() == before
         _save(placed, reference, work / "out-forks", work / "forks.vcf")
         assert_same_bytes(work, "forks", single)
 

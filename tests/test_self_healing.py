@@ -36,9 +36,7 @@ from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     Broker,
     BrokerError,
-    BrokerServer,
     LocalBrokerClient,
-    TcpBrokerClient,
 )
 from repro.cluster.multiserver import (
     WorkerKilled,
@@ -50,12 +48,10 @@ from repro.core.ledger import CHAOS_MODE_ENV, CRASH_ENV, RunLedger
 from repro.core.pipelines import PipelineSpec, run_pipeline
 from repro.core.sort import SortConfig, verify_sorted
 from repro.core.subgraphs import AlignGraphConfig
-from repro.dataflow import shm as shm_plane
 from repro.dataflow.queues import (
     DELIVERY_FENCED,
     EDGE_ABORTED,
     EDGE_CLOSED,
-    PUBLISH_FULL,
     PUBLISH_OK,
     PULL_EMPTY,
     PULL_OK,
@@ -337,62 +333,6 @@ class TestWorkerAdmission:
         assert broker.live_replicas(("align",)) == ["late"]
         broker.fence_consumer(client.consumer)
         assert broker.live_replicas(("align",)) == []
-
-
-# ------------------------------------------------- adopted shm bound
-
-
-@pytest.mark.skipif(not shm_plane.shm_available(),
-                    reason="POSIX shared memory unavailable")
-class TestAdoptionBound:
-    def test_full_edge_holds_at_most_capacity_plus_one_segments(self):
-        """With no consumer, the broker's ``/dev/shm`` footprint is
-        bounded by the edge: ``capacity`` pending deliveries plus the one
-        publish in flight.  A refused (``full``) publish leaves no
-        segment behind, and ``stop()`` leaves none at all."""
-        capacity = 2
-        broker = Broker(delivery_deadline="off")
-        broker.create_edge("e", capacity=capacity, producers=1)
-        server = BrokerServer(broker, shm=True).start()
-        if not server.shm_enabled:
-            server.stop()
-            pytest.skip("broker could not arm the shm handoff")
-        prefix = server._pool.prefix
-        peak = 0
-        sampling = threading.Event()
-        sampling.set()
-
-        def sample() -> None:
-            nonlocal peak
-            while sampling.is_set():
-                peak = max(peak, server._pool.stats()["adopted_live"])
-                time.sleep(0.0005)
-
-        sampler = threading.Thread(target=sample, daemon=True)
-        sampler.start()
-        producer = None
-        statuses = []
-        try:
-            producer = TcpBrokerClient(server.host, server.port)
-            assert producer.shm_active
-            producer.attach_producer("e")
-            for i in range(3 * capacity):
-                statuses.append(producer.publish(
-                    "e", f"k{i}", os.urandom(100_000), timeout=0.05))
-                held = statuses.count(PUBLISH_OK)
-                assert server._pool.stats()["adopted_live"] == held
-                assert len(shm_plane.list_segments(f"{prefix}-c")) == held
-        finally:
-            sampling.clear()
-            sampler.join(5.0)
-            if producer is not None:
-                producer.close()
-            server.stop()
-        assert statuses == ([PUBLISH_OK] * capacity
-                            + [PUBLISH_FULL] * (2 * capacity))
-        assert not sampler.is_alive()
-        assert capacity <= peak <= capacity + 1
-        assert shm_plane.list_segments(prefix) == []
 
 
 # ------------------------------------------------------------ chaos hook

@@ -32,19 +32,14 @@ from repro.core.sort import (
     verify_sorted,
 )
 from repro.core.ledger import JournaledStore, RunLedger
-from repro.dataflow import shm as shm_plane
 from repro.storage.base import DirectoryStore, MemoryStore
 from repro.storage.ceph import CephStore, SimulatedCephCluster
 from repro.storage.diskmodel import DiskModel
 from repro.storage.local import CountingStore, ModeledDiskStore
+from dev_shm import dev_shm_entries
 from row_sort_oracle import remote_scratch
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-needs_shm = pytest.mark.skipif(
-    not shm_plane.shm_available(), reason="POSIX shared memory unavailable"
-)
-
 
 def make_aligned_dataset(positions, chunk_size=4):
     """A tiny aligned dataset with given (contig, position) results."""
@@ -279,7 +274,7 @@ class TestByteIdentity:
                   call_variants(eager_sorted, reference, varcall))
         assert expect[1], "fixture calls no variants"
 
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         for scratch in (DirectoryStore(tmp_path / "scratch"),
                         remote_scratch(), MemoryStore(),
                         CountingStore(MemoryStore())):
@@ -298,7 +293,7 @@ class TestByteIdentity:
             assert ("spill_restores" in counters) != held
             assert ("decode_copies" in counters) == \
                 (scratch_kind(scratch) == "remote")
-        assert set(shm_plane.list_segments("psna-")) == before
+        assert dev_shm_entries() == before
 
     def test_placed_memory_scratch_holds_runs(self, tmp_path,
                                               aligned_dataset, reference):
@@ -360,7 +355,6 @@ def _big_result_task(shared, payload) -> bytes:
     return bytes(payload) * 1024
 
 
-@needs_shm
 class TestProcessBackendResultViews:
     """There is no result-view plane: large results return pickled,
     whole, and leave nothing behind."""
@@ -368,7 +362,7 @@ class TestProcessBackendResultViews:
     def test_shutdown_leaves_no_segments(self):
         from repro.dataflow.backends import ProcessBackend
 
-        before = set(shm_plane.list_segments("psna-"))
+        before = dev_shm_entries()
         backend = ProcessBackend(workers=2, start_method="fork")
         try:
             results = backend.run_chunk(_big_result_task,
@@ -376,7 +370,7 @@ class TestProcessBackendResultViews:
         finally:
             backend.shutdown()
         assert results == [b"a" * 1024, b"b" * 1024, b"c" * 1024]
-        assert set(shm_plane.list_segments("psna-")) == before
+        assert dev_shm_entries() == before
 
 
 # ------------------------------------------------ stage-report counters

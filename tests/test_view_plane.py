@@ -4,14 +4,13 @@
   out of its input; a decoded column is a view of an immutable
   ``bytes`` input and copies any other buffer once, whole (so it never
   aliases a mapping or a mutable buffer), ``column.view(i)`` is the
-  zero-copy per-record window, and every escape hatch
-  (``RaggedColumn.materialize``, ``PooledView.materialize``) produces
-  owned storage byte-identical to the views;
-* pool views are read-only, a consumer dying between a pull and its
-  ack never corrupts the segment a redelivery reads, and no
-  ``/dev/shm`` segment outlives the server;
+  zero-copy per-record window, and ``RaggedColumn.materialize``
+  produces owned storage byte-identical to the views;
+* a consumer dying between a TCP pull and its ack never corrupts the
+  bytes a redelivery reads, and the socket copy path creates no
+  ``/dev/shm`` entry;
 * the per-edge codec negotiation picks raw level-0 frames exactly for
-  shm-verified clients and keeps gzip level 1 everywhere else, with
+  same-host clients and keeps gzip level 1 for a remote one, with
   byte-identical decoded items either way.
 """
 
@@ -37,6 +36,7 @@ from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry
 from repro.agd.records import get_record_codec
 from repro.align.result import AlignmentResult
+from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     Broker,
     BrokerServer,
@@ -54,13 +54,9 @@ from repro.cluster.wire import (
 from repro.agd.chunk import read_column
 from repro.core.columnar import _gather_kept
 from repro.core.ops import ChunkWorkItem
-from repro.dataflow import shm
 from repro.dataflow.queues import PUBLISH_OK, PULL_OK
 from repro.storage.base import MemoryStore
-
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
-)
+from dev_shm import dev_shm_entries
 
 READS = [b"ACGTACGTAC", b"GGGTTTAAAC", b"ACGT", b"TTTTTTTTTTTTTTTT"]
 QUALS = [b"IIIIIIIIII", b"FFFFFFFFFF", b"IIII", b"FFFFFFFFFFFFFFFF"]
@@ -73,15 +69,6 @@ def _drain_pull(client, edge, deadline=10.0):
         if status == PULL_OK:
             return tag, key, payload
     raise TimeoutError(f"no delivery on {edge!r} within {deadline}s")
-
-
-def _wait_for(predicate, deadline=10.0):
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 # ------------------------------------------------- chunk-level view decode
@@ -250,46 +237,6 @@ class TestBasesColumnViews:
         assert flat_col.tobytes() == READS[3] + READS[0] + READS[2]
 
 
-# ----------------------------------------------------- pool view leases
-
-
-@needs_shm
-class TestBufferPoolViewRef:
-    @staticmethod
-    def _adopt(pool, payload):
-        name = f"{pool.prefix}-adoptee"
-        assert shm.create_segment(name, payload, transfer=True)
-        ref = pool.adopt_segment(name, 0, len(payload))
-        assert ref is not None
-        return ref
-
-    def test_view_ref_is_readonly_and_guards_lease(self):
-        with shm.BufferPool() as pool:
-            payload = os.urandom(4096)
-            ref = self._adopt(pool, payload)
-            view = pool.view_ref(ref)
-            assert view is not None
-            assert view.nbytes == len(payload)
-            assert bytes(view.view) == payload
-            with pytest.raises(TypeError):
-                view.view[0] = 0  # delivered views are read-only
-            assert view.materialize() == payload
-            # The guard lease keeps the segment alive past the adoption
-            # lease's release; dropping the view frees the last lease.
-            pool.release(ref)
-            assert pool.live_leases == 1
-            assert shm.list_segments(ref.segment) == [ref.segment]
-            assert view.release()
-            assert pool.live_leases == 0
-            assert shm.list_segments(ref.segment) == []
-
-    def test_view_ref_after_release_returns_none(self):
-        with shm.BufferPool() as pool:
-            ref = self._adopt(pool, b"x" * 128)
-            pool.release(ref)
-            assert pool.view_ref(ref) is None
-
-
 # ------------------------------------------------ per-edge codec choice
 
 
@@ -338,20 +285,30 @@ class TestEdgeCodecNegotiation:
             assert not any(np.shares_memory(column.flat, np.frombuffer(
                 f, dtype=np.uint8)) for f in frames)
 
-    def test_negotiation_keys_on_shm_handshake(self):
+    def test_negotiation_keys_on_same_host_verdict(self, monkeypatch):
         # The serializer reads the transport's one protocol member; for
-        # a TCP client that member is the shm handshake's verdict.
-        assert TcpBrokerClient.shares_memory is TcpBrokerClient.shm_active
+        # a TCP client that member is read off its connected socket.
+        server = BrokerServer(Broker()).start()
+        try:
+            for verdict in (True, False):
+                if not verdict:
+                    monkeypatch.setattr(broker_mod, "peer_is_same_host",
+                                        lambda sock: False)
+                client = TcpBrokerClient(*server.address)
+                assert client.same_host is verdict
+                client.close()
+        finally:
+            server.stop()
 
-        class _ShmClient:
-            shares_memory = True
+        class _SameHostClient:
+            same_host = True
 
-        class _TcpClient:
-            shares_memory = False
+        class _RemoteClient:
+            same_host = False
 
         item = self._item()
-        raw_frames = edge_item_serializer(_ShmClient()).encode(item)
-        gz_frames = edge_item_serializer(_TcpClient()).encode(item)
+        raw_frames = edge_item_serializer(_SameHostClient()).encode(item)
+        gz_frames = edge_item_serializer(_RemoteClient()).encode(item)
         # Raw frames carry the identity codec: strictly larger than the
         # gzip frames for these compressible columns.
         assert sum(len(f) for f in raw_frames) > sum(
@@ -362,8 +319,8 @@ class TestEdgeCodecNegotiation:
             == ["none"] * (len(raw_frames) - 1)
         assert [read_chunk_header(f).codec_name for f in gz_frames[1:]] \
             == ["gzip"] * (len(gz_frames) - 1)
-        # The in-process transport shares memory by construction.
-        assert LocalBrokerClient.shares_memory is True
+        # The in-process transport is on the same host by construction.
+        assert LocalBrokerClient.same_host is True
 
     def test_payload_nbytes_counts_memoryview_storage(self):
         """An edge's payload bytes count a view's storage, not its
@@ -379,35 +336,28 @@ class TestEdgeCodecNegotiation:
 
 def _pull_and_die(host, port, edge):  # pragma: no cover - in child
     client = TcpBrokerClient(host, port)
-    status, _tag, _key, payload = client.pull(edge, timeout=10.0)
+    status, _tag, _key, _payload = client.pull(edge, timeout=10.0)
     assert status == PULL_OK
-    assert isinstance(payload, bytes)
-    # Die after the pull, delivery unacked: the broker must reclaim the
-    # lease and a redelivery must read the original bytes.
+    # Die after the pull, delivery unacked: a redelivery must read the
+    # original bytes.
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@needs_shm
 class TestViewDeliveries:
-    def _server(self, threshold=64):
+    def test_consumer_death_holding_views_never_corrupts_redelivery(self):
+        """A consumer SIGKILLed after a socket-copy pull, before its
+        ack: the broker's frozen copy goes to the next consumer byte
+        for byte, and nothing lands in ``/dev/shm``."""
+        before = dev_shm_entries()
         broker = Broker()
         broker.create_edge("e", capacity=8, producers=1)
-        return BrokerServer(
-            broker, shm=True, shm_threshold=threshold
-        ).start()
-
-    def test_consumer_death_holding_views_never_corrupts_redelivery(self):
-        """A consumer SIGKILLed after a copy-path pull of a segment
-        handed over ``/dev/shm``, before its ack."""
-        server = self._server()
+        server = BrokerServer(broker).start()
         try:
             producer = TcpBrokerClient(*server.address)
             producer.attach_producer("e")
-            assert producer.shm_active
             blob = os.urandom(16384)
             assert producer.publish("e", "k", blob,
                                     timeout=5.0) == PUBLISH_OK
-            assert server.broker.stats()["e"]["shm_handoffs"] == 1
 
             ctx = multiprocessing.get_context("fork")
             child = ctx.Process(
@@ -420,13 +370,11 @@ class TestViewDeliveries:
 
             survivor = TcpBrokerClient(*server.address)
             tag, key, payload = _drain_pull(survivor, "e")
-            assert (key, payload) == ("k", blob)
+            assert (key, bytes(payload)) == ("k", blob)
             survivor.ack("e", tag)
-            assert _wait_for(lambda: server._pool.live_leases == 0)
-            assert server.broker.stats()["e"]["total_redelivered"] == 1
+            assert broker.stats()["e"]["total_redelivered"] == 1
             producer.close()
             survivor.close()
         finally:
             server.stop()
-        # Leak check: nothing under the pool prefix survives stop.
-        assert shm.list_segments(server._pool.prefix) == []
+        assert dev_shm_entries() == before
