@@ -1,17 +1,29 @@
-"""Sort-spill benchmark — gzip scratch vs raw scratch.
+"""Sort-spill benchmark — gzip scratch vs raw scratch, and the sort's
+memory at scale.
 
 The spill plane's claim: when sort scratch is a local directory,
-spilling runs in the raw (identity-codec) frame layout and restoring
-them with one file read beats the gzip fallback, because the spill
-cycle stops paying deflate on the way out and inflate-plus-copy on the
-way back.  Two measurements:
+spilling runs in the raw (identity-codec) frame layout and reading
+them back in windows of records beats the gzip fallback, because the
+spill cycle stops paying deflate on the way out and inflate-plus-copy
+on the way back.  Three measurements:
 
 spill cycle (gated)
-    encode + store every run, then restore + decode every spilled
-    chunk — the exact byte path phase 2's merge pays, with the scratch
-    codec as the *only* differing compute.  Gate:
+    encode + store every run, then verify and read back every spilled
+    run a window at a time — the exact byte path phase 2's merge pays,
+    with the scratch codec as the *only* differing compute.  Gate:
     ``spill_cycle_speedup >= 1.5x`` (armed on >= 2 CPUs, recorded in
     the JSON either way).
+
+sort memory at scale (gated, always armed)
+    ``sort_dataset``'s ΔRSS (``ru_maxrss`` after the sort minus before
+    it, a fresh process per size, the dataset built in another) with
+    directory input, output and scratch, at 120 000 and 360 000 reads
+    of the benchmark suite's ``downstream`` law: 10x coverage of a
+    two-contig genome, seed 3, 1 000-read chunks,
+    ``chunks_per_superchunk=4`` (30 and 90 runs).  The merge holds
+    ``MERGE_WINDOW_BYTES`` of run windows, not the runs, so the gates
+    are ΔRSS <= 50 MB at 360 000 reads and a 360k / 120k ratio <= 1.5
+    (re-sorting the runs' concatenation took 216.8 MB and 3.0).
 
 end-to-end external sort (informational)
     ``sort_dataset`` wall time on a directory scratch (raw frames), on
@@ -31,28 +43,36 @@ Run:  pytest benchmarks/bench_sort_spill.py --benchmark-json=BENCH_sort_spill.js
 
 from __future__ import annotations
 
+import gc
+import json
 import os
+import resource
 import shutil
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.agd.compression import SCRATCH_CODEC_LEVEL, leveled_codec
 from repro.agd.dataset import AGDDataset
 from repro.agd.records import as_column, record_type_for_column
-from repro.align.result import AlignmentResult
+from repro.agd.result_column import RESULT_FIXED_DTYPE, ResultsColumn
+from repro.align.result import FLAG_REVERSE, FLAG_UNMAPPED, AlignmentResult
 from repro.core.sort import (
+    MERGE_WINDOW_BYTES,
     SortConfig,
-    _restore_spill,
+    _open_spill,
+    _RunCursor,
     encode_run_spill,
     local_scratch_root,
     sort_dataset,
     store_run_spill,
     verify_sorted,
 )
+from repro.formats.converters import import_reads
+from repro.genome.synthetic import ReadSimulator, synthetic_reference
 from repro.storage.base import DirectoryStore, MemoryStore
 from repro.storage.diskmodel import DiskModel
 from repro.storage.local import ModeledDiskStore
@@ -111,12 +131,14 @@ def _make_dataset(rows) -> AGDDataset:
 
 
 def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
-    """One full spill cycle: encode + store every run, restore + decode
-    every spilled chunk.  Returns (best wall seconds, restore counters).
+    """One full spill cycle: encode + store every run, then read every
+    run back a window at a time.  Returns (best wall seconds, restore
+    counters).
 
-    Restore is the merge's own byte path: one file read per spilled
-    chunk, decoded over the bytes read (raw frames) or inflated into a
-    second copy (gzip).
+    Read-back is the merge's own byte path (one cursor per run at its
+    share of ``MERGE_WINDOW_BYTES``): a raw frame is verified by one
+    streaming pass and read in windows decoded over the bytes read, a
+    gzip one restored whole and inflated into a second copy.
     """
     rng = np.random.default_rng(4242)
     rows = _make_rows(rng)
@@ -139,11 +161,18 @@ def _spill_cycle(codec_name: str, scratch_dir) -> "tuple[float, dict]":
             for index, run in enumerate(run_rows)
         ]
         decoded_records = 0
+        share = MERGE_WINDOW_BYTES // len(spilled)
         for run in spilled:
             for entry in run.entries:
-                for column in COLUMNS:
-                    decoded_records += len(_restore_spill(
-                        scratch, root, entry.chunk_file(column), counters))
+                cursor = _RunCursor({
+                    column: _open_spill(scratch, root,
+                                        entry.chunk_file(column), counters)
+                    for column in COLUMNS
+                }, entry.record_count, "location")
+                while not cursor.done:
+                    cursor.fill(share, counters)
+                    cursor.offset = cursor.count
+                    decoded_records += cursor.count * len(COLUMNS)
         wall = time.monotonic() - start
         assert decoded_records == len(COLUMNS) * RECORDS
         shutil.rmtree(root_dir)
@@ -182,6 +211,105 @@ def _end_to_end(scratch) -> "tuple[float, dict, dict]":
     return wall, blobs, counters
 
 
+#: The scale rows: reads, and the ΔRSS gates (MB at the largest size,
+#: and largest / smallest).
+SCALE_READS = (120_000, 360_000)
+SCALE_RSS_MB = 50.0
+SCALE_RSS_RATIO = 1.5
+
+
+def _law_seed(stream: int) -> int:
+    """The suite's per-stream seeds, derived from its seed 3."""
+    return int(np.random.SeedSequence([3, stream]).generate_state(1)[0])
+
+
+def _build_scale_dataset(reads: int, directory: Path) -> None:
+    """The suite's downstream law at ``reads`` reads: 101 bp reads at
+    10x over two contigs, 12 % duplicates, a results column from the
+    simulator's ground truth (a read crossing a contig end unmapped)."""
+    reference = synthetic_reference(reads * 10, num_contigs=2,
+                                    seed=_law_seed(0))
+    batch, origins = ReadSimulator(
+        reference, read_length=101, duplicate_fraction=0.12,
+        seed=_law_seed(2)).simulate(reads)
+    dataset = import_reads(batch, "scale", DirectoryStore(directory),
+                           chunk_size=1000,
+                           reference=reference.manifest_entry())
+    contig, local = reference.to_local_arrays(
+        np.array([o.global_pos for o in origins], dtype=np.int64))
+    sizes = np.array([len(c) for c in reference.contigs], dtype=np.int64)
+    mapped = local + 101 <= sizes[contig]
+    reverse = np.array([o.reverse for o in origins])
+    fixed = np.zeros(reads, dtype=RESULT_FIXED_DTYPE)
+    fixed["flag"] = np.where(mapped, np.where(reverse, FLAG_REVERSE, 0),
+                             FLAG_UNMAPPED)
+    fixed["mapq"] = np.where(mapped, 60, 0)
+    fixed["contig"] = np.where(mapped, contig, -1)
+    fixed["position"] = np.where(mapped, local, -1)
+    fixed["next_contig"] = fixed["next_position"] = -1
+    fixed["edit_distance"] = np.where(mapped, [o.errors for o in origins], 0)
+    dataset.append_column("results", ResultsColumn.from_fields(
+        fixed, np.frombuffer(b"101M" * int(mapped.sum()), np.uint8),
+        np.where(mapped, 4, 0)))
+    dataset.save_manifest(directory)
+
+
+def _peak_rss_mb() -> float:
+    """This process image's peak RSS: ``VmHWM`` where Linux reports it,
+    since an exec'd child's ``ru_maxrss`` starts at its parent's peak
+    (here, the whole pytest process's)."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _sort_child(directory: Path) -> dict:
+    """Sort the dataset in ``directory`` into directory stores beside it;
+    the sort's ΔRSS, wall and CPU seconds, and its counters."""
+    dataset = AGDDataset.open(directory)
+    gc.collect()
+    peak = _peak_rss_mb()
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    start = time.monotonic()
+    counters: dict = {}
+    out = sort_dataset(dataset, DirectoryStore(directory.parent / "sorted"),
+                       SortConfig(chunks_per_superchunk=4),
+                       scratch_store=DirectoryStore(directory.parent / "spill"),
+                       counters=counters)
+    wall = time.monotonic() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "delta_rss_mb": _peak_rss_mb() - peak,
+        "wall_s": wall,
+        "cpu_s": (after.ru_utime + after.ru_stime
+                  - before.ru_utime - before.ru_stime),
+        "records": out.total_records,
+        "counters": counters,
+    }
+
+
+def _child(*args: str) -> str:
+    """Run this file as a fresh interpreter; its last stdout line."""
+    done = subprocess.run([sys.executable, __file__, *args], check=True,
+                          capture_output=True, text=True, timeout=600)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def _sort_at_scale(tmp_path: Path) -> "dict[int, dict]":
+    measured = {}
+    for reads in SCALE_READS:
+        directory = tmp_path / f"scale-{reads}" / "dataset"
+        _child("build", str(reads), str(directory))
+        measured[reads] = json.loads(_child("sort", str(directory)))
+        shutil.rmtree(directory.parent)
+    return measured
+
+
 def test_sort_spill_raw_vs_gzip(report, tmp_path):
     cpus = os.cpu_count() or 1
     volume = RECORDS * (READ_LEN * 2 + 30)  # bases + qual + key columns
@@ -195,6 +323,9 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
         DirectoryStore(tmp_path / "e2e-raw"))
     held_e2e, _held_blobs, _held_counters = _end_to_end(MemoryStore())
     leaked = sorted(dev_shm_entries() - before)
+    scale = _sort_at_scale(tmp_path)
+    small, large = (scale[reads] for reads in SCALE_READS)
+    rss_ratio = large["delta_rss_mb"] / small["delta_rss_mb"]
 
     speedup = gzip_wall / raw_wall if raw_wall else 0.0
     e2e_speedup = gz_e2e / raw_e2e if raw_e2e else 0.0
@@ -206,7 +337,7 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
             f"{PER_SUPER * CHUNK} records per run)")
     rep.row("gzip spill cycle", "deflate + inflate-copy",
             f"{gzip_wall:.3f} s")
-    rep.row("raw spill cycle (file read)", ">= 1.5x",
+    rep.row("raw spill cycle (window reads)", ">= 1.5x",
             f"{raw_wall:.3f} s ({speedup:.2f}x)")
     rep.row("end-to-end sort, gzip scratch", "(informational)",
             f"{gz_e2e:.3f} s")
@@ -214,6 +345,20 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
             f"{raw_e2e:.3f} s ({e2e_speedup:.2f}x)")
     rep.row("end-to-end sort, memory scratch (held, no spill)",
             "(informational)", f"{held_e2e:.3f} s")
+    for reads, run in scale.items():
+        rep.row(f"sort dRSS, {reads:,} reads (directory scratch)",
+                f"<= {SCALE_RSS_MB:g} MB" if reads == SCALE_READS[-1]
+                else "(informational)",
+                f"{run['delta_rss_mb']:.1f} MB",
+                f"{run['wall_s']:.2f} s wall, {run['cpu_s']:.2f} s CPU, "
+                f"{run['counters']['window_reads']} window reads")
+        rep.metric(f"sort_rss_megabytes_{reads}", run["delta_rss_mb"])
+        rep.metric(f"sort_cpu_seconds_{reads}", run["cpu_s"])
+        rep.metric(f"sort_window_peak_bytes_{reads}",
+                   run["counters"]["window_peak_bytes"])
+    rep.row(f"sort dRSS ratio, {SCALE_READS[-1]:,} / {SCALE_READS[0]:,}",
+            f"<= {SCALE_RSS_RATIO:g}", f"{rss_ratio:.2f}")
+    rep.metric("sort_rss_ratio", rss_ratio)
     rep.metric("cpu_count", cpus)
     rep.metric("gzip_cycle_seconds", gzip_wall)
     rep.metric("raw_cycle_seconds", raw_wall)
@@ -246,7 +391,26 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
     rep.check("gzip end-to-end sort stayed on the fallback",
               gz_sort_counters.get("decode_copies", 0) > 0)
     rep.check("no /dev/shm entries leaked", not leaked)
+    rep.check("every scale sort merged every record with no inflate copy",
+              all(run["records"] == reads
+                  and run["counters"].get("decode_copies", 0) == 0
+                  and run["counters"]["window_peak_bytes"]
+                  <= MERGE_WINDOW_BYTES for reads, run in scale.items()))
     armed = cpus >= 2
     note = f"needs >= 2 CPUs, host has {cpus}" if not armed else ""
     rep.gate("spill_cycle_speedup", 1.5, speedup, armed, note=note)
+    # Memory gates, always armed, as bound / measured (>= 1 holds).
+    rep.gate(f"{SCALE_RSS_MB:g} MB over the sort's dRSS at "
+             f"{SCALE_READS[-1]:,} reads", 1.0,
+             SCALE_RSS_MB / large["delta_rss_mb"], True)
+    rep.gate(f"{SCALE_RSS_RATIO:g} over the sort's dRSS ratio", 1.0,
+             SCALE_RSS_RATIO / rss_ratio, True)
     rep.finish()
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "build":
+        _build_scale_dataset(int(sys.argv[2]), Path(sys.argv[3]))
+        print("built")
+    else:
+        print(json.dumps(_sort_child(Path(sys.argv[2]))))

@@ -21,6 +21,10 @@ class RelativeIndex:
     """Per-record logical lengths for one chunk."""
 
     def __init__(self, lengths: Sequence[int]):
+        if isinstance(lengths, np.ndarray) and lengths.dtype == np.uint32 \
+                and lengths.ndim == 1:
+            self._lengths = lengths  # already the stored form: no checks
+            return
         arr = np.asarray(lengths, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("index must be one-dimensional")

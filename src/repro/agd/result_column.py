@@ -140,11 +140,8 @@ def decode_results_arrays(data, lengths) -> ResultsArrays:
         )
     if np.all(lens == lens[0]):
         # Uniform records: view the block with a per-record stride.
-        stride = int(lens[0])
-        first = base[:RESULT_FIXED_SIZE].view(RESULT_FIXED_DTYPE)
-        fixed = np.lib.stride_tricks.as_strided(
-            first, shape=(n,), strides=(stride,)
-        )
+        fixed = np.ndarray((n,), RESULT_FIXED_DTYPE, buffer=base,
+                           strides=(int(lens[0]),))
     else:
         gathered = base[offsets[:-1, None] + np.arange(RESULT_FIXED_SIZE)]
         fixed = gathered.view(RESULT_FIXED_DTYPE)[:, 0]

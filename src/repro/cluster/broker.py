@@ -867,8 +867,8 @@ class LocalBrokerClient:
 #     header     UTF-8 JSON ({"op": ..., "edge": ..., ...})
 #     !I × n     per-segment byte lengths
 #     segments   opaque bytes, written with ``sendmsg`` straight from the
-#                caller's buffer list and read into preallocated buffers
-#                with ``recv_into`` — large AGD columns never pay a
+#                caller's buffer list and read as one immutable ``bytes``
+#                each (``_recv_segment``) — large AGD columns never pay a
 #                pack/concat copy on either end.
 #
 # The header's "multi" flag records whether the logical payload was a
@@ -933,15 +933,6 @@ def _recv_exact(sock: socket.socket, n: int,
     return bytes(buf)
 
 
-def _recv_into_exact(sock: socket.socket, view: memoryview) -> None:
-    got = 0
-    while got < len(view):
-        n = sock.recv_into(view[got:])
-        if not n:
-            raise WireError("broker connection truncated mid-frame")
-        got += n
-
-
 def _recv_frame(sock: socket.socket) -> "tuple[dict, list, int]":
     """Read one frame; returns (header, segments, wire_bytes)."""
     head_len, seg_count = _FRAME.unpack(
@@ -976,14 +967,19 @@ def _recv_frame(sock: socket.socket) -> "tuple[dict, list, int]":
                     f"{_MAX_SEGMENT_BYTES}-byte sanity cap"
                 )
             lengths.append(n)
-    segments = []
-    for n in lengths:
-        buf = bytearray(n)
-        if n:
-            _recv_into_exact(sock, memoryview(buf))
-        segments.append(buf)
-        wire += n
-    return header, segments, wire
+    segments = [_recv_segment(sock, n) for n in lengths]
+    return header, segments, wire + sum(lengths)
+
+
+def _recv_segment(sock: socket.socket, n: int) -> bytes:
+    """One payload segment as immutable ``bytes``: normally one
+    ``MSG_WAITALL`` read, the segment's only copy, which a decoded
+    column may then keep as its storage.  A short read (a socket with a
+    timeout returns what has arrived) reads the rest and joins it."""
+    data = sock.recv(n, socket.MSG_WAITALL) if n else b""
+    if len(data) < n:
+        data += _recv_exact(sock, n - len(data))
+    return data
 
 
 _REQUIRED = object()

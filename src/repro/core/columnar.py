@@ -583,30 +583,36 @@ def sort_keys(order: str, column) -> "np.ndarray | None":
     raise ValueError(f"unknown sort order {order!r} (location|metadata)")
 
 
+def fallback_sort_keys(order: str, column) -> np.ndarray:
+    """One Python sort key per record, in an object array: the
+    ``location_key()`` tuples of the results column, or the metadata
+    ``bytes`` — what orders records whose :func:`sort_keys` do not pack.
+    They compare exactly as the packed keys do wherever those exist."""
+    if order == "location":
+        arrays = _ensure_results_arrays(column)
+        aligned = arrays.is_aligned
+        keys = zip(
+            np.where(aligned, arrays.contig_index, 0x7FFFFFFF).tolist(),
+            np.where(aligned, arrays.position, 0x7FFFFFFFFFFFFFFF).tolist(),
+        )
+        return np.fromiter(keys, dtype=object, count=len(arrays))
+    return np.fromiter(column, dtype=object, count=len(column))
+
+
 def sort_permutation(order: str, column) -> "tuple[np.ndarray, np.ndarray | None]":
     """``(permutation, keys)``: the stable permutation sorting
     ``column``'s records by ``order``, and their :func:`sort_keys`.
 
     Packable keys sort with one stable ``np.argsort``; records that do
-    not pack (``keys`` is None) are ordered by ``np.lexsort`` over the
-    (contig, position) fields or by a Python-keyed index sort over the
-    metadata — the same order either way, and exactly the order a
-    stable ``list.sort`` over ``location_key()`` / the metadata bytes
-    gives.
+    not pack (``keys`` is None) sort stably by their
+    :func:`fallback_sort_keys` — the same order either way, and exactly
+    the order a stable ``list.sort`` over ``location_key()`` / the
+    metadata bytes gives.
     """
     keys = sort_keys(order, column)
     if keys is not None:
         return np.argsort(keys, kind="stable"), keys
-    if order == "location":
-        arrays = _ensure_results_arrays(column)
-        aligned = arrays.is_aligned
-        return np.lexsort((
-            np.where(aligned, arrays.position, 0x7FFFFFFFFFFFFFFF),
-            np.where(aligned, arrays.contig_index, 0x7FFFFFFF),
-        )), None
-    records = list(column)
-    return np.array(sorted(range(len(records)), key=records.__getitem__),
-                    dtype=np.int64), None
+    return np.argsort(fallback_sort_keys(order, column), kind="stable"), None
 
 
 # --------------------------------------------------------------------------

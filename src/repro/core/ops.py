@@ -750,7 +750,7 @@ class SortRunNode(Node):
 
         From every journaled entry, in row order: a run an older version
         spilled by key range lists its sub-chunks there, and the merge
-        concatenates a run's entries."""
+        reads a run's entries as consecutive pieces of it."""
         from repro.core.sort import SpilledRun
 
         return SpilledRun(
@@ -854,9 +854,9 @@ class SuperchunkMergeNode(Node):
         from repro.core.sort import build_sorted_manifest, iter_merged_chunks
 
         runs = sorted(self._runs, key=lambda r: r.index)
-        # Restore-side accounting lands directly in this node's counters
-        # (spill_view_bytes / decode_copies) and surfaces through
-        # stage_report.
+        # Restore and window accounting lands directly in this node's
+        # counters (spill_view_bytes / decode_copies / window_reads /
+        # window_peak_bytes) and surfaces through stage_report.
         for entry, columns, stored in iter_merged_chunks(
             self.scratch, runs, self.ordered_columns, self.order,
             self.out_chunk_size, self.dataset_name, self.output_store,

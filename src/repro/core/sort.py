@@ -18,37 +18,42 @@ columnar encoding).
   concatenate the group's columns, ``argsort`` the packed keys (stable),
   ``take`` each column, then keep the run as the scratch store's kind
   asks (:func:`scratch_kind`).
-* Phase 2 (:func:`iter_merged_chunks`): concatenate the runs' columns and
-  apply one stable ``argsort`` over the concatenated keys — ties keep run
-  order, which is exactly a k-way merge's tie-break — gathering one
-  output chunk at a time, so chunks stream downstream while later ones
-  are still being written.
+* Phase 2 (:func:`iter_merged_chunks`): a k-way merge over run cursors
+  that read a window of records at a time (``MERGE_WINDOW_BYTES`` in
+  all, whatever the dataset's size), gathering one output chunk at a
+  time, so chunks stream downstream while later ones are written.
 
 Neither phase dispatches to a compute backend: a run sort is one
 ``argsort`` + ``take`` + a deflate that releases the GIL, and no backend
 ever beat running it inline (measurements in ``CHANGES.md``, PR 19).
 
 Keys that do not pack (positions >= 2**32, NUL bytes in metadata) change
-only how the permutation is computed
-(:func:`repro.core.columnar.sort_permutation`), never the data path.
+only how records compare (:func:`repro.core.columnar.fallback_sort_keys`,
+in both phases), never the data path.
 
 A run is serialized only when it leaves the process
 (:func:`scratch_kind`): a memory scratch holds each sorted run as its
 columns, never encoded or put; a local directory gets the *raw*
-(identity-codec) chunk frame layout, restored by one file read and
-decoded over the bytes read (no inflate, no second copy); any other
-store gets gzip at ``SCRATCH_CODEC_LEVEL``.  The chunk header is
+(identity-codec) chunk frame layout, read back in windows decoded over
+the bytes read (no inflate, no second copy); any other store gets gzip
+at ``SCRATCH_CODEC_LEVEL``, restored whole.  The chunk header is
 self-describing, so a resumed run whose scratch holds both framings
 restores byte-identically.
 """
 
 from __future__ import annotations
 
+import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.agd.chunk import read_chunk_header, read_column, write_chunk
+import numpy as np
+
+from repro.agd.chunk import (HEADER_SIZE, ChunkFormatError, read_chunk_header,
+                             read_chunk_index, read_column, write_chunk)
 from repro.agd.columns import RaggedColumn
+from repro.agd.index import RelativeIndex
 from repro.agd.compression import (
     DEFAULT_CODEC,
     SCRATCH_CODEC_LEVEL,
@@ -59,11 +64,15 @@ from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry, Manifest
 from repro.agd.records import get_record_codec, record_type_for_column
 from repro.align.result import AlignmentResult
-from repro.core.columnar import sort_keys, sort_permutation
+from repro.core.columnar import fallback_sort_keys, sort_keys, \
+    sort_permutation
 from repro.dataflow.lane import WriteBehindLane
 from repro.storage.base import ChunkStore, DirectoryStore, MemoryStore
 from repro.storage.local import ModeledDiskStore
 
+#: Bytes of run records phase 2 keeps decoded at once, split evenly
+#: between the runs' cursors (each window holds at least one record).
+MERGE_WINDOW_BYTES = 2 << 20
 
 @dataclass
 class SortConfig:
@@ -165,7 +174,7 @@ def sort_run(scratch: ChunkStore, run_index: int, order: str,
 
 
 # ---------------------------------------------------------------------------
-# Scratch kinds; local raw-framed spills restored by one file read.
+# Scratch kinds; spills verified, then read back a window at a time.
 
 
 def _scratch_base(store):
@@ -188,8 +197,8 @@ def scratch_kind(store) -> str:
 
     * ``"memory"`` — a ``MemoryStore``: runs never leave the process, so
       each is held as its sorted columns, never encoded or put;
-    * ``"local"`` — a ``DirectoryStore``: raw frames, restored by a file
-      read;
+    * ``"local"`` — a ``DirectoryStore``: raw frames, read back a
+      window of records at a time from the file;
     * ``"remote"`` — anything else (a modeled disk, an object store):
       gzip frames at ``SCRATCH_CODEC_LEVEL``, restored through ``get``.
 
@@ -253,9 +262,9 @@ class SpilledRun:
     A stored run's ``entries`` list its chunk entries in the scratch
     store, in row order: one jumbo superchunk — or, for a run adopted
     from a ledger an older version wrote, its key-range sub-chunks;
-    concatenating them reproduces the sorted run either way.  A held run
+    read in order, they are the sorted run either way.  A held run
     (memory scratch) has no entries: ``columns`` holds its sorted
-    columns until the merge concatenates, and drops, each one.
+    columns until the merge takes them over (so a run merges once).
     ``nbytes`` is the total stored frame size (0 when held or unknown,
     e.g. a ledger-adopted run).  ``index`` is the run's position in
     spill order.
@@ -306,27 +315,156 @@ def store_run_spill(scratch: ChunkStore, run_index: int,
 
 
 def _decode_spill(blob, counters: "dict | None" = None) -> RaggedColumn:
-    """Decode one spilled column blob (a ``bytes`` blob becomes the
-    column's storage; see :meth:`RaggedColumn.from_block`)."""
+    """Decode one spilled column blob whole (a ``bytes`` blob becomes
+    the column's storage; see :meth:`RaggedColumn.from_block`)."""
     _credit_spill(counters, read_chunk_header(blob))
     return read_column(blob)
 
 
-def _restore_spill(scratch: ChunkStore, root: "Path | None",
-                   chunk_file: str,
-                   counters: "dict | None") -> RaggedColumn:
-    """One spilled column, decoded from one read: of the file itself
-    when the scratch store is a local directory (``root``; the read
-    bypasses the store's wrappers), through ``scratch.get`` otherwise.
-    The decoded column's buffers are views of the blob read."""
-    if root is not None:
+class _HeldColumn:
+    """A resident column (held, or restored whole): windows are slices."""
+
+    def __init__(self, column: RaggedColumn):
+        self.column = column
+        self.max_bytes = int(column.lengths.max(initial=0))
+
+    def read(self, lo: int, hi: int) -> RaggedColumn:
+        return self.column[lo:hi]
+
+
+class _SpillFile:
+    """A raw-framed spilled column read in windows from its file: one
+    ``pread`` per window, decoded over the bytes read.  Of the relative
+    index it keeps the distinct lengths and, if there are several, one
+    code per record into them (a byte for up to 256) — no bounds."""
+
+    def __init__(self, path: Path, header, lengths: np.ndarray):
+        self.path = path
+        self.codec = get_record_codec(header.record_type)
+        self._values, codes, counts = np.unique(
+            lengths, return_inverse=True, return_counts=True)
+        self._codes = None if self._values.size < 2 else codes.astype(
+            np.min_scalar_type(self._values.size - 1))
+        self._sizes = np.array(  # byte_size once per distinct length
+            [self.codec.byte_size(int(v)) for v in self._values], np.int64)
+        if int(self._sizes @ counts) != header.uncompressed_size:
+            raise ChunkFormatError(
+                f"spill {path.name}: index and data block disagree")
+        self.max_bytes = int(self._sizes.max(initial=0))
+        # The last window's first record, file offset and byte bounds.
+        self._start, self._bounds = (0, header.data_offset), np.zeros(1)
+
+    def _lookup(self, table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        if self._codes is None:
+            return np.full(hi - lo, table[0], table.dtype)
+        return table[self._codes[lo:hi]]
+
+    def read(self, lo: int, hi: int) -> RaggedColumn:
+        offset = self._start[1] + int(self._bounds[lo - self._start[0]])
+        nbytes = int(self._lookup(self._sizes, lo, hi).sum())
+        fd = os.open(self.path, os.O_RDONLY)
         try:
-            blob = (root / chunk_file).read_bytes()
-        except OSError:
-            pass  # not a file under the root after all: ask the store
-        else:
-            return _decode_spill(blob, counters)
-    return _decode_spill(scratch.get(chunk_file), counters)
+            blob = os.pread(fd, nbytes, offset)
+        finally:
+            os.close(fd)
+        if len(blob) != nbytes:
+            raise ChunkFormatError(f"spill {self.path.name} truncated")
+        column = self.codec.decode_column(
+            blob, RelativeIndex(self._lookup(self._values, lo, hi)))
+        self._start, self._bounds = (lo, offset), column.bounds
+        return column
+
+
+def _open_spill(scratch: ChunkStore, root: "Path | None", chunk_file: str,
+                counters: "dict | None"):
+    """One spilled column, verified whole and ready to read in windows.
+
+    A raw frame under a local scratch's ``root`` is read from its file,
+    past the store's wrappers: header and relative index now, the data
+    block streamed through its CRC (1 MiB at a time), then read again
+    window by window.  Any other spill (gzip, or not a file under the
+    root) is restored whole by one read and the chunk codec's checks.
+    """
+    if root is None:
+        return _HeldColumn(_decode_spill(scratch.get(chunk_file), counters))
+    try:
+        with open(root / chunk_file, "rb", buffering=0) as f:
+            head = f.read(HEADER_SIZE)
+            header = read_chunk_header(head)
+            if header.codec_name != "none":
+                return _HeldColumn(_decode_spill(head + f.read(), counters))
+            _header, index = read_chunk_index(head + f.read(header.index_size))
+            crc, left = 0, header.compressed_size
+            view = memoryview(bytearray(min(left, 1 << 20)))
+            while left:
+                got = f.readinto(view[:min(left, len(view))])
+                if not got:
+                    raise ChunkFormatError("chunk data block truncated")
+                crc, left = zlib.crc32(view[:got], crc), left - got
+    except OSError:
+        return _open_spill(scratch, None, chunk_file, counters)
+    if crc != header.data_crc or \
+            header.compressed_size != header.uncompressed_size:
+        raise ChunkFormatError("chunk data CRC mismatch")
+    _credit_spill(counters, header)
+    return _SpillFile(root / chunk_file, header, index.lengths)
+
+
+class _RunCursor:
+    """One sorted sequence of records (a spill entry, or a held run)
+    read a window at a time.  ``window`` holds records ``[start, start +
+    count)``, the first ``offset`` of them merged; ``keys`` are their
+    packed sort keys (None if they do not pack).  ``final``: the window
+    ends the sequence; ``spent``: the next :meth:`fill` replaces it —
+    once half merged, or a final one once merged to the end."""
+
+    def __init__(self, sources: "dict", total: int, order: str):
+        self.sources, self.total, self.order = sources, total, order
+        self.row_bytes = max(1, sum(s.max_bytes for s in sources.values()))
+        self.start = self.count = self.offset = self.nbytes = 0
+        self.window = self.keys = None
+
+    done = property(lambda self: self.start + self.offset == self.total)
+    final = property(lambda self: self.start + self.count == self.total)
+    spent = property(lambda self: self.count == self.offset if self.final
+                     else 2 * (self.count - self.offset) < self.count)
+
+    def fill(self, share: int, counters: "dict | None") -> None:
+        """Read a new window if this one is spent: from the first unmerged
+        record, as many as ``share`` bytes hold at the largest row size
+        (at least one)."""
+        if self.window is not None and not self.spent:
+            return
+        start = self.start + self.offset
+        stop = min(self.total, start + max(1, share // self.row_bytes))
+        self.window = {name: source.read(start, stop)
+                       for name, source in self.sources.items()}
+        self.nbytes = sum(int(column.bounds[-1] - column.bounds[0])
+                          for column in self.window.values())
+        self.keys = sort_keys(self.order, self.window[key_column(self.order)])
+        self.start, self.count, self.offset = start, stop - start, 0
+        if counters is not None:
+            counters["window_reads"] = counters.get("window_reads", 0) + 1
+
+
+def _open_runs(scratch: ChunkStore, runs: "list[SpilledRun]",
+               ordered_columns: "list[str]", order: str,
+               counters: "dict | None") -> "list[_RunCursor]":
+    """A cursor per held run (taking its columns over: it merges once) and
+    per spill entry, in run order, every spill verified first.  A run's
+    entries are consecutive pieces of it: merging them is merging it."""
+    root = local_scratch_root(scratch)
+    cursors = []
+    for run in runs:
+        if run.columns is not None:
+            held = {c: _HeldColumn(run.columns.pop(c)) for c in ordered_columns}
+            cursors.append(_RunCursor(
+                held, len(held[ordered_columns[0]].column), order))
+        for entry in run.entries:
+            cursors.append(_RunCursor({
+                c: _open_spill(scratch, root, entry.chunk_file(c), counters)
+                for c in ordered_columns}, entry.record_count, order))
+    return [cursor for cursor in cursors if not cursor.done]
 
 
 def sort_dataset(
@@ -345,7 +483,8 @@ def sort_dataset(
 
     ``counters`` (optional dict) accumulates the spill-restore
     accounting: ``spill_view_bytes``/``decode_copies`` (see
-    :func:`_credit_spill`).
+    :func:`_credit_spill`) and the merge's ``window_reads`` /
+    ``window_peak_bytes`` (see :func:`_merged_batches`).
     """
     config = config or SortConfig()
     manifest = dataset.manifest
@@ -392,61 +531,71 @@ def _merged_batches(
     batch_size: int,
     counters: "dict | None" = None,
 ):
-    """The runs' records in globally sorted order, as a stream of column
-    batches (``{column: RaggedColumn}``): restore every stored run (a
-    held run already is its columns), one stable permutation over the
-    concatenated keys — ties keep run order, a merge heap's tie-break —
-    and one gather per ``batch_size`` records; a batch is only built
-    when the consumer asks for it.
-    """
-    root = local_scratch_root(scratch)
-
-    def parts(column):
-        for run in runs:
-            if run.columns is not None:
-                yield run.columns.pop(column)
-            for entry in run.entries:
-                yield _restore_spill(scratch, root, entry.chunk_file(column),
-                                     counters)
-
-    # Column by column: a run's column (restored or held) is dropped as
-    # soon as it is concatenated, so one column's runs are resident at
-    # a time beside the columns still held.
-    columns = {column: _concat_column(column, parts(column))
-               for column in ordered_columns}
-    perm, _keys = sort_permutation(order, columns[key_column(order)])
-    for lo in range(0, perm.size, batch_size):
-        yield _take_columns(columns, perm[lo:lo + batch_size])
-
-
-def _rechunk(batches, size: int, first_column: str):
-    """Re-cut a stream of column batches into batches of exactly
-    ``size`` records (the last may be shorter).  Slices are zero-copy;
-    batches are only concatenated where a chunk straddles two of them."""
-    pending: "list[dict]" = []
-    held = 0
-    for batch in batches:
-        count = len(batch[first_column])
-        if not count:
-            continue
-        pending.append(batch)
-        held += count
-        if held < size:
-            continue
-        merged = pending[0] if len(pending) == 1 else {
-            name: RaggedColumn.concat([b[name] for b in pending])
-            for name in pending[0]
-        }
-        cut = held - held % size
-        for lo in range(0, cut, size):
-            yield _slice_columns(merged, lo, lo + size)
-        held -= cut
-        pending = [_slice_columns(merged, cut, cut + held)] if held else []
-    if held:
-        yield {
-            name: RaggedColumn.concat([b[name] for b in pending])
-            for name in pending[0]
-        }
+    """The runs' records in sorted order, as ``{column: RaggedColumn}``
+    batches of ``batch_size`` records (the last may be shorter), built
+    when the consumer asks: a k-way merge over :func:`_open_runs`'
+    cursors.  A step merges every buffered record up to the smallest
+    last buffered key of the cursors with more to read (ties to the
+    earlier cursor) — no unread record sorts before it — by one stable
+    ``argsort`` in cursor order: the order one stable ``argsort`` over
+    the runs' concatenation gives.  ``counters`` also gets
+    ``window_reads`` and ``window_peak_bytes``."""
+    live = _open_runs(scratch, runs, ordered_columns, order, counters)
+    share = max(1, MERGE_WINDOW_BYTES // max(1, len(live)))
+    held, pending = 0, None
+    while live:
+        for cursor in live:
+            cursor.fill(share, counters)
+        if counters is not None:
+            counters["window_peak_bytes"] = max(counters.get(
+                "window_peak_bytes", 0), sum(c.nbytes for c in live))
+        if all(cursor.keys is not None for cursor in live):
+            keys = [cursor.keys[cursor.offset:] for cursor in live]
+        else:
+            keys = [fallback_sort_keys(order, cursor.window[key_column(
+                order)][cursor.offset:]) for cursor in live]
+        bound = min((i for i, cursor in enumerate(live) if not cursor.final),
+                    key=lambda i: keys[i][-1], default=None)
+        takes = [
+            len(mine) if bound is None else int(mine.searchsorted(
+                keys[bound][-1:], "right" if index <= bound else "left")[0])
+            for index, mine in enumerate(keys)
+        ]
+        perm = None if sum(map(bool, takes)) == 1 else np.argsort(
+            np.concatenate([mine[:taken] for mine, taken in zip(keys, takes)]),
+            kind="stable")
+        parts = [(cursor, cursor.offset, taken)
+                 for cursor, taken in zip(live, takes) if taken]
+        for cursor, taken in zip(live, takes):
+            cursor.offset += taken
+        # Join each column's slices (a lone slice as it is); then a spent
+        # window drops the column, and a finished run its source too.
+        spent = [cursor for cursor, _lo, _taken in parts if cursor.spent]
+        columns = {}
+        for name in ordered_columns:
+            columns[name] = _concat_column(name, [
+                cursor.window[name][lo:lo + taken]
+                for cursor, lo, taken in parts])
+            for cursor in spent:
+                cursor.window[name] = None
+                if cursor.done:
+                    cursor.sources[name] = None
+        live = [cursor for cursor in live if not cursor.done]
+        step, cut = sum(takes), 0
+        while cut < step:
+            end = min(step, cut + batch_size - held)
+            batch = (_slice_columns(columns, cut, end) if perm is None
+                     else _take_columns(columns, perm[cut:end]))
+            if pending is not None:  # a batch the last step began
+                batch = {name: RaggedColumn.concat([pending[name], column])
+                         for name, column in batch.items()}
+            held, cut, pending = held + end - cut, end, batch
+            if held == batch_size:
+                yield batch
+                held, pending = 0, None
+        del columns
+    if pending is not None:
+        yield pending
 
 
 def _store_chunk(store: ChunkStore, entry: ChunkEntry,
@@ -489,25 +638,23 @@ def iter_merged_chunks(
     which whatever must not precede the write (another column's put, an
     acknowledgment) waits on, by then rarely for long.  The lane is
     drained, and a failed write re-raised here, before the generator
-    returns.  A held run is merged from its columns, each dropped once
-    concatenated (so ``runs`` merge once); a stored run is restored from
+    returns.  A held run is merged from its columns, which the merge
+    takes over (so ``runs`` merge once); a stored run is read back from
     ``scratch``, and ``counters`` accumulates that restore-side
-    accounting (see :func:`_credit_spill`).
+    accounting (see :func:`_credit_spill`, :func:`_merged_batches`).
     """
+    if out_chunk_size <= 0:
+        raise ValueError("out_chunk_size must be positive")
     sorted_name = f"{dataset_name}-sorted"
     total = 0
-    batches = _merged_batches(
-        scratch, runs, ordered_columns, order, out_chunk_size,
-        counters=counters,
-    )
+    batches = _merged_batches(scratch, runs, ordered_columns, order,
+                              out_chunk_size, counters=counters)
     own_lane = lane is None
     if own_lane:
         lane = WriteBehindLane("sort.lane")
     try:
         behind = None
-        for index, columns in enumerate(
-            _rechunk(batches, out_chunk_size, ordered_columns[0])
-        ):
+        for index, columns in enumerate(batches):
             entry = ChunkEntry(
                 f"{sorted_name}-{index}", total,
                 len(columns[ordered_columns[0]]),

@@ -18,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.agd.chunk import write_chunk
+from repro.agd.chunk import ChunkFormatError, read_chunk_header, write_chunk
 from repro.agd.compression import NONE
 from repro.align.result import AlignmentResult
 from repro.agd.dataset import AGDDataset
 from repro.core.sort import (
     SortConfig,
-    _restore_spill,
+    _open_spill,
     local_scratch_root,
     scratch_codec,
     scratch_kind,
@@ -147,8 +147,8 @@ class TestSpillLease:
         return path, records
 
     def test_decoded_records_match_and_lease_releases(self, tmp_path):
-        """A local raw spill restores by one file read, past the store,
-        and decodes to the records written."""
+        """A local raw spill is verified and read in record windows from
+        its file, past the store, and decodes to the records written."""
         path, records = self._raw_spill(tmp_path)
 
         class _NoGets(DirectoryStore):
@@ -156,9 +156,13 @@ class TestSpillLease:
                 raise AssertionError(f"restore went through get({key!r})")
 
         counters: dict = {}
-        column = _restore_spill(_NoGets(tmp_path), tmp_path, path.name,
-                                counters)
-        assert list(column) == records
+        spill = _open_spill(_NoGets(tmp_path), tmp_path, path.name,
+                            counters)
+        got = []
+        for lo in range(0, len(records), 5):
+            hi = min(lo + 5, len(records))
+            got.extend(spill.read(lo, hi))
+        assert got == records
         assert counters == {"spill_restores": 1, "spill_view_bytes":
                             len(b"".join(records))}
 
@@ -346,6 +350,58 @@ class TestByteIdentity:
             except OSError:
                 pass  # closed between listdir and readlink
         assert not spills & open_files
+
+
+# ------------------------------------------------------ corrupt spills
+
+
+class _DamagingScratch(DirectoryStore):
+    """A local scratch that damages one spill as it is written: flips a
+    byte of its data block, or cuts its last bytes off."""
+
+    def __init__(self, root, damage: str):
+        super().__init__(root)
+        self.damage = damage
+
+    def put(self, key, blob):
+        if key == "superchunk-1.qual":
+            blob = bytearray(blob)
+            if self.damage == "flip":
+                blob[read_chunk_header(bytes(blob)).data_offset + 2] ^= 0xFF
+            else:
+                del blob[-7:]
+            blob = bytes(blob)
+        super().put(key, blob)
+
+
+class TestCorruptSpillFailsBeforeOutput:
+    """Every spill is verified before the merge emits: a flipped or torn
+    raw spill fails the sort with ``ChunkFormatError`` and no sorted
+    chunk is written, eager or streaming."""
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_sort_dataset(self, tmp_path, damage):
+        out = MemoryStore()
+        with pytest.raises(ChunkFormatError):
+            sort_dataset(make_aligned_dataset(POSITIONS, chunk_size=5), out,
+                         SortConfig(chunks_per_superchunk=3),
+                         scratch_store=_DamagingScratch(tmp_path, damage))
+        assert not list(out.keys())
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_streaming_sort(self, tmp_path, damage):
+        from repro.core.pipelines import run_pipeline
+        from repro.dataflow.errors import PipelineError
+
+        out = MemoryStore()
+        with pytest.raises(PipelineError) as failed:
+            run_pipeline(make_aligned_dataset(POSITIONS, chunk_size=5),
+                         ("sort",), sort_config=SortConfig(
+                             chunks_per_superchunk=3),
+                         scratch_store=_DamagingScratch(tmp_path, damage),
+                         output_store=out, backend="serial")
+        assert isinstance(failed.value.__cause__, ChunkFormatError)
+        assert not [key for key in out.keys() if "-sorted-" in key]
 
 
 # ------------------------------------------------ large pickled results

@@ -285,6 +285,41 @@ class TestEdgeCodecNegotiation:
             assert not any(np.shares_memory(column.flat, np.frombuffer(
                 f, dtype=np.uint8)) for f in frames)
 
+    def test_bytes_frames_decode_as_views(self):
+        """A frame received as immutable ``bytes`` is its columns'
+        storage: decoding copies none of it."""
+        item = self._item()
+        frames = encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
+        assert all(isinstance(f, bytes) for f in frames)
+        got = decode_work_item_frames(frames)
+        assert got.columns["qual"] == QUALS
+        assert got.results == item.results
+        for column in (got.columns["bases"], got.columns["qual"],
+                       got.results):
+            assert any(np.shares_memory(column.flat, np.frombuffer(
+                f, dtype=np.uint8)) for f in frames)
+
+    def test_socket_segments_arrive_as_bytes(self):
+        """``_recv_frame`` hands each payload segment over as ``bytes``
+        (one copy out of the socket), short reads included."""
+        import socket
+        import threading
+
+        item = self._item()
+        frames = encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
+        left, right = socket.socketpair()
+        with left, right:
+            right.settimeout(5.0)  # a timeout socket may read short
+            writer = threading.Thread(target=broker_mod._send_frame,
+                                      args=(left, {"op": "x"}, frames))
+            writer.start()
+            header, segments, _wire = broker_mod._recv_frame(right)
+            writer.join()
+        assert header == {"op": "x"}
+        assert [type(s) for s in segments] == [bytes] * len(frames)
+        assert segments == [bytes(f) for f in frames]
+        assert decode_work_item_frames(segments).results == item.results
+
     def test_negotiation_keys_on_same_host_verdict(self, monkeypatch):
         # The serializer reads the transport's one protocol member; for
         # a TCP client that member is read off its connected socket.
