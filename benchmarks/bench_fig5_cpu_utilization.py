@@ -22,8 +22,7 @@ from repro.core.pipelines import (
     stage_fastq_shards,
 )
 from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite
-from repro.dataflow.backends import make_backend
-from repro.dataflow.executor import BusyCounter
+from repro.dataflow.backends import BusyCounter, make_backend
 from repro.dataflow.session import Session
 from repro.metrics.cputrace import UtilizationSampler
 from repro.storage.base import MemoryStore

@@ -27,10 +27,14 @@ from repro.storage import DirectoryStore
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="agd-tour-") as tmp:
+        tour(Path(tmp))
+
+
+def tour(workdir: Path) -> None:
     reference, reads, _ = synthetic_dataset(
         genome_length=20_000, coverage=4.0, seed=123
     )
-    workdir = Path(tempfile.mkdtemp(prefix="agd-tour-"))
     store = DirectoryStore(workdir)
 
     # -------------------------------------------------- columns & chunks

@@ -15,9 +15,11 @@ The structure follows BWA-MEM [30]:
 
 Paired-end alignment reproduces BWA-MEM's split-phase structure: "BWA-MEM
 incorporates a single-threaded step over sets of reads to infer
-information about the data", which forces Persona to partition executor
-threads (§4.3).  :meth:`BwaMemAligner.infer_insert_size` is that serial
-step; :meth:`align_pair` is the parallel step.
+information about the data" (§4.3).  :meth:`BwaMemAligner.infer_insert_size`
+is that serial step: it runs once, before the graph, over a sample of
+pairs (as ``examples/wgs_pipeline.py`` does).  :meth:`align_pair` is the
+parallel step, dispatched per subchunk by ``PairedAlignerNode`` through
+the run's compute backend.
 """
 
 from __future__ import annotations
@@ -226,9 +228,10 @@ class BwaMemAligner(ReadAligner):
         """The single-threaded inference step over a batch of read pairs.
 
         Aligns a sample of pairs independently and fits the insert-size
-        distribution from confidently, properly oriented pairs.  Persona
-        must run this step serially per batch — the thread-partitioning
-        cost §4.3 describes.
+        distribution from confidently, properly oriented pairs.  It runs
+        serially, once, before the graph starts (as
+        ``examples/wgs_pipeline.py`` does); every :meth:`align_pair` in
+        the graph then reads the fitted model.
         """
         inserts: list[int] = []
         for r1, r2 in pairs:

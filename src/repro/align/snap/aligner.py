@@ -13,9 +13,9 @@ The algorithm, following Zaharia et al. [47]:
 5. MAPQ is derived from the gap between the best and second-best
    verified alignment.
 
-The aligner is stateless per read and shared read-only across executor
-threads, matching how Persona's aligner kernels delegate subchunks to the
-thread-owning executor (§4.3, Figure 4).
+The aligner is stateless per read and shared read-only across the compute
+backend's workers, to which Persona's aligner kernels delegate subchunks
+(§4.3's executor resource, Figure 4).
 
 Backends call :meth:`SnapAligner.align_reads`, which runs seeding (one
 probe of the index's bucket directory per seed), voting, ranking and the

@@ -243,6 +243,8 @@ class PairedAlignerNode(Node):
         journal=None,
     ):
         super().__init__(name, parallelism)
+        if subchunk_size <= 0:
+            raise ValueError("subchunk_size must be positive")
         self.paired_handle = paired_handle
         self.backend_handle = backend_handle
         self.subchunk_size = subchunk_size

@@ -3,6 +3,7 @@
 from repro.dataflow.backends import (
     BACKEND_CHOICES,
     Backend,
+    BusyCounter,
     ProcessBackend,
     SerialBackend,
     make_backend,
@@ -11,13 +12,6 @@ from repro.dataflow.errors import (
     PipelineAborted,
     PipelineError,
     QueueClosed,
-)
-from repro.dataflow.executor import (
-    BusyCounter,
-    ChunkCompletion,
-    Executor,
-    ExecutorStats,
-    PartitionedExecutor,
 )
 from repro.dataflow.graph import Graph, GraphError
 from repro.dataflow.node import (
@@ -41,10 +35,7 @@ __all__ = [
     "Buffer",
     "BufferPool",
     "BusyCounter",
-    "ChunkCompletion",
     "CollectSink",
-    "Executor",
-    "ExecutorStats",
     "Graph",
     "GraphError",
     "Handle",
@@ -54,7 +45,6 @@ __all__ = [
     "NodeContext",
     "NodeStats",
     "ObjectPool",
-    "PartitionedExecutor",
     "PipelineAborted",
     "PipelineError",
     "Queue",

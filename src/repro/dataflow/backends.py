@@ -46,8 +46,6 @@ import threading
 import time
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.dataflow.executor import BusyCounter
-
 BACKEND_CHOICES = ("serial", "process")
 
 #: Payloads per IPC message for the process backend (amortizes pickling
@@ -55,6 +53,27 @@ BACKEND_CHOICES = ("serial", "process")
 DEFAULT_BATCH_SIZE = 4
 
 TaskFn = Callable[[Mapping[str, Any], Any], Any]
+
+
+class BusyCounter:
+    """Counts concurrently-busy workers; sampled for CPU-utilization traces."""
+
+    def __init__(self) -> None:
+        self._count = 0
+        self._lock = threading.Lock()
+
+    def enter(self) -> None:
+        with self._lock:
+            self._count += 1
+
+    def exit(self) -> None:
+        with self._lock:
+            self._count -= 1
+
+    @property
+    def busy(self) -> int:
+        with self._lock:
+            return self._count
 
 
 class Backend(abc.ABC):

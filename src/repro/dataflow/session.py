@@ -24,14 +24,13 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.dataflow.backends import Backend
+from repro.dataflow.backends import Backend, BusyCounter
 from repro.dataflow.errors import (
     PipelineAborted,
     PipelineError,
     QueueClosed,
     WorkerFenced,
 )
-from repro.dataflow.executor import BusyCounter
 from repro.dataflow.graph import Graph
 from repro.dataflow.lane import WriteBehindLane
 from repro.dataflow.node import Node, bind_thread

@@ -2,12 +2,12 @@
 
 Figure 5 plots per-second CPU utilization of SNAP-standalone vs Persona
 under different storage configurations.  Our analog samples
-:class:`repro.dataflow.executor.BusyCounter` instances — one count of
+:class:`repro.dataflow.backends.BusyCounter` instances — one count of
 currently-busy compute workers per sampling tick — and normalizes by the
 provisioned worker count.  The single-disk standalone run shows the same
 cyclical writeback starvation the paper describes (§5.3) because the
 writeback disk model stalls reads during flush storms, which drains the
-pipeline's input queues and idles the executor.
+pipeline's input queues and idles the compute backend.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.dataflow.executor import BusyCounter
+from repro.dataflow.backends import BusyCounter
 
 
 @dataclass

@@ -111,25 +111,31 @@ PLACED_ALIGN_WRAPPER_NAMES = (
 )
 
 
-def test_one_command_runs_stages():
-    assert {command for command, _ in _leaf_parsers(build_parser())} \
-        == LEAF_SUBCOMMANDS
-    regex = re.compile(rf"\b({'|'.join(PLACED_ALIGN_WRAPPER_NAMES)})\b")
-    found = [
+def _public_occurrences(names) -> "list[str]":
+    """``path:line`` for every use of ``names`` in the library, the
+    examples or the benchmarks."""
+    regex = re.compile(rf"\b({'|'.join(names)})\b")
+    return [
         f"{path.relative_to(ROOT)}:{n}"
         for tree in ("src", "examples", "benchmarks")
         for path in sorted((ROOT / tree).rglob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if regex.search(line)
     ]
+
+
+def test_one_command_runs_stages():
+    assert {command for command, _ in _leaf_parsers(build_parser())} \
+        == LEAF_SUBCOMMANDS
+    found = _public_occurrences(PLACED_ALIGN_WRAPPER_NAMES)
     assert not found, found
 
 
 def test_only_the_aligner_dispatches():
-    """``.run_chunk(`` call sites under ``core/``: the two aligner nodes
-    (and ``paired_bwa``'s own executor).  Sort, dupmark, filter and
-    varcall were measured faster on their node threads; a second
-    dispatching stage needs a measurement to come back."""
+    """``.run_chunk(`` call sites under ``core/``: the two aligner nodes.
+    Sort, dupmark, filter and varcall were measured faster on their node
+    threads; a second dispatching stage needs a measurement to come
+    back."""
     sites = {
         (path.name, top.name)
         for path in sorted((SRC / "core").glob("*.py"))
@@ -141,8 +147,7 @@ def test_only_the_aligner_dispatches():
         and node.func.attr == "run_chunk"
     }
     assert sites == {("ops.py", "AlignerNode"),
-                     ("ops.py", "PairedAlignerNode"),
-                     ("paired_bwa.py", "BwaPairedAlignerNode")}
+                     ("ops.py", "PairedAlignerNode")}
 
 
 def test_one_read_generator():
@@ -289,7 +294,7 @@ def test_no_shared_memory_plane():
 
 #: The compute backend is named once, by ``backend=``/``workers=`` on the
 #: entry point: no batch-size knob or its byte estimator, no backend
-#: fields on the graph config, no adapter for a raw ``Executor``.
+#: fields on the graph config, no adapter for a raw thread pool.
 BACKEND_KNOB_NAMES = ("batch_bytes", "payload_nbytes", "as_backend",
                       "_apply_backend_choice")
 #: One in-process backend (serial) and one multi-core one (process):
@@ -299,7 +304,6 @@ REMOVED_BACKEND_NAMES = ("ThreadBackend",)
 
 def test_backend_is_named_once():
     from repro.core.ops import AlignerNode
-    from repro.core.paired_bwa import BwaPairedAlignerNode
     from repro.core.pipelines import PipelineSpec
     from repro.core.subgraphs import AlignGraphConfig
     from repro.dataflow.backends import BACKEND_CHOICES
@@ -316,9 +320,111 @@ def test_backend_is_named_once():
         rf"\b({'|'.join(BACKEND_KNOB_NAMES + REMOVED_BACKEND_NAMES)})\b")
     assert not found, "\n".join(found)
     assert not hasattr(AlignerNode, "executor_handle")
-    # The paired BWA node's executor is a real handle, not an alias.
-    assert "executor_handle" in inspect.signature(
-        BwaPairedAlignerNode).parameters
+
+
+#: §4.3's executor resource is the run's ``Backend``: the thread-pool
+#: executor family and the second paired-BWA node built on it are gone,
+#: and must not grow back.
+REMOVED_EXECUTOR_NAMES = (
+    "Executor", "PartitionedExecutor", "ChunkCompletion", "ExecutorStats",
+    "BwaPairedAlignerNode", "make_bwa_paired_executor",
+)
+
+
+def test_one_executor():
+    assert not (SRC / "dataflow" / "executor.py").exists()
+    assert not (SRC / "core" / "paired_bwa.py").exists()
+    found = _public_occurrences(REMOVED_EXECUTOR_NAMES)
+    assert not found, "\n".join(found)
+
+
+def _run_imports(tree):
+    """Every import statement in ``tree``, function-level ones included,
+    except those under ``if TYPE_CHECKING:`` (they never run)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+              and node.test.id == "TYPE_CHECKING"):
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unreached_modules() -> "set[str]":
+    """``src/repro`` modules (package ``__init__``s aside) that no import
+    chain from ``repro.cli`` reaches.
+
+    ``from pkg import name`` is resolved through package ``__init__``s to
+    the module that defines ``name``, and an ``__init__``'s own imports
+    are never followed: a bare re-export reaches nothing."""
+    paths = {}
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        paths[".".join(parts)] = path
+    trees = {name: ast.parse(path.read_text()) for name, path in paths.items()}
+    packages = {name for name, path in paths.items()
+                if path.name == "__init__.py"}
+
+    def resolve(module: str, name: str) -> str:
+        if f"{module}.{name}" in trees:
+            return f"{module}.{name}"
+        if module in packages:
+            for node in trees[module].body:
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        if (alias.asname or alias.name) == name:
+                            return resolve(node.module, alias.name)
+        return module
+
+    reached, todo = set(), ["repro.cli"]
+    while todo:
+        module = todo.pop()
+        if module in reached or module not in trees:
+            continue
+        reached.add(module)
+        if module in packages:
+            continue
+        for node in _run_imports(trees[module]):
+            if isinstance(node, ast.Import):
+                todo.extend(alias.name for alias in node.names)
+            else:
+                todo.extend(resolve(node.module, alias.name)
+                            for alias in node.names)
+    return {paths[name].relative_to(SRC).as_posix()
+            for name in trees.keys() - reached - packages}
+
+
+#: The library is what a run imports: every module under ``src/repro``
+#: that ``repro.cli`` does not reach, each with the ROADMAP item (7,
+#: "least code") that owes its removal.  The set can shrink, not grow.
+UNREACHED_MODULES = {
+    # 7(a): nothing runs these; delete them with their tests.
+    "core/region_index.py",
+    "dataflow/pools.py",
+    "metrics/throughput.py",
+    # 7(b): paper models a figure benchmark imports; move them to
+    # ``benchmarks/models/`` with their tests.
+    "align/baseline/blast_like.py",
+    "align/baseline/smith_waterman.py",
+    "core/baselines.py",
+    "cluster/simulation.py",
+    "cluster/tco.py",
+    "metrics/cputrace.py",
+    "metrics/microarch.py",
+    "storage/ceph.py",
+    # Owed by no item: the read generator every test, example and
+    # benchmark builds its input with.
+    "genome/synthetic.py",
+}
+
+
+def test_library_is_what_a_run_imports():
+    assert _unreached_modules() == UNREACHED_MODULES
 
 
 def test_replicability_is_read_off_the_stage_table():

@@ -31,12 +31,12 @@ from repro.dataflow.backends import (
     BACKEND_CHOICES,
     DEFAULT_BATCH_SIZE,
     Backend,
+    BusyCounter,
     ProcessBackend,
     SerialBackend,
     make_backend,
     resolve_start_method,
 )
-from repro.dataflow.executor import BusyCounter
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext
 

@@ -36,7 +36,6 @@ from repro.align.result import FLAG_DUPLICATE, AlignmentResult
 from repro.agd.result_column import ResultsColumn
 from repro.cluster.multiserver import run_placed_pipeline
 from repro.cluster.placement import PlacementPlan
-from repro.core.dupmark import mark_duplicates
 from repro.core.pipelines import run_pipeline
 from repro.core.sort import (
     SortConfig,

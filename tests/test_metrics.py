@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.dataflow.executor import BusyCounter, Executor
+from repro.dataflow.backends import BusyCounter, SerialBackend
 from repro.metrics.cputrace import UtilizationSampler, UtilizationTrace
 from repro.metrics.microarch import (
     OP_WEIGHTS,
@@ -55,16 +55,21 @@ class TestUtilizationTrace:
         assert len(plot.splitlines()[0]) <= 60
 
 
+def sleep_task(shared, seconds):
+    time.sleep(seconds)
+
+
 class TestSampler:
     def test_samples_busy_executor(self):
         counter = BusyCounter()
-        executor = Executor(2, busy_counter=counter)
+        backend = SerialBackend(busy_counter=counter)
         with UtilizationSampler([counter], capacity=2, interval=0.005) as s:
-            executor.run_chunk([lambda: time.sleep(0.05)] * 2)
+            backend.run_chunk(sleep_task, [0.05] * 2)
         trace = s.trace
         assert trace.samples
         assert max(trace.samples) >= 1
-        executor.shutdown()
+        assert counter.busy == 0
+        backend.shutdown()
 
     def test_validation(self):
         with pytest.raises(ValueError):

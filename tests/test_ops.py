@@ -10,16 +10,16 @@ from repro.core.ops import (
     ChunkReaderNode,
     ChunkWorkItem,
     ColumnWriterNode,
+    PairedAlignerNode,
     QueueNameSource,
     SamWriterNode,
 )
 from repro.core.pipelines import align_dataset
 from repro.core.subgraphs import AlignGraphConfig
-from repro.dataflow.backends import SerialBackend
+from repro.dataflow.backends import BusyCounter, SerialBackend
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext
-from repro.dataflow.executor import BusyCounter
 import threading
 
 from repro.storage.base import MemoryStore
@@ -102,6 +102,28 @@ class TestAlignerNode:
     def test_invalid_subchunk_size(self):
         with pytest.raises(ValueError):
             AlignerNode("a", "e", subchunk_size=0)
+
+
+class TestPairedAlignerNode:
+    def test_invalid_subchunk_size(self):
+        with pytest.raises(ValueError, match="subchunk_size"):
+            PairedAlignerNode("p", "e", subchunk_size=0)
+        with pytest.raises(ValueError, match="subchunk_size"):
+            PairedAlignerNode("p", "e", subchunk_size=-1)
+
+    def test_odd_chunk_rejected(self, bwa_aligner, reads):
+        resources = ResourceManager()
+        resources.register("paired", bwa_aligner)
+        backend = SerialBackend()
+        resources.register("executor", backend)
+        node = PairedAlignerNode("paired", "executor")
+        item = ChunkWorkItem(
+            entry=ChunkEntry("p-0", 0, 3),
+            columns={"bases": [reads[0].bases] * 3},
+        )
+        with pytest.raises(ValueError, match="odd"):
+            node.process(item, make_ctx(resources))
+        backend.shutdown()
 
 
 class TestWriters:

@@ -138,6 +138,48 @@ class TestPairedGraph:
             if r1.is_aligned and r2.is_aligned:
                 assert r1.next_position == r2.position
 
+    def test_bwa_pairs_after_inference_match_across_backends(
+        self, reference, fm_index
+    ):
+        """BWA-MEM pairs run through ``PairedAlignerNode`` on either
+        backend: the serial inference step runs once before the graph,
+        and both backends store byte-identical results."""
+        from repro.align.bwa import BwaMemAligner
+        from repro.formats.converters import import_reads
+        from repro.genome.synthetic import ReadSimulator
+
+        sim = ReadSimulator(reference, paired=True, insert_size_mean=310,
+                            insert_size_sd=20, seed=612)
+        reads, origins = sim.simulate(200)
+        aligner = BwaMemAligner(fm_index)
+        model = aligner.infer_insert_size(
+            [(reads[i].bases, reads[i + 1].bases) for i in range(0, 64, 2)])
+        assert model.samples > 0 and aligner.insert_model is model
+
+        blobs = {}
+        for backend in ("serial", "process"):
+            ds = import_reads(reads, "pbwa", MemoryStore(), chunk_size=50,
+                              reference=reference.manifest_entry())
+            outcome = align_dataset(
+                ds, aligner,
+                config=AlignGraphConfig(paired=True, subchunk_size=16),
+                backend=backend, workers=2,
+            )
+            assert outcome.total_reads == 200
+            blobs[backend] = [ds.store.get(entry.chunk_file("results"))
+                              for entry in ds.manifest.chunks]
+        assert blobs["process"] == blobs["serial"]
+
+        results = ds.read_column("results")
+        proper = sum(1 for r in results if r.flag & 0x2)
+        assert proper >= 0.85 * len(results)
+        exact = 0
+        for r, o in zip(results, origins):
+            _, local = reference.to_local(o.global_pos)
+            if r.is_aligned and r.position == local:
+                exact += 1
+        assert exact >= 0.95 * len(results)
+
 
 def test_serial_pipeline_never_imports_numpy_ma():
     """A plain ``np.unique(x)`` imports ``numpy.ma`` on first use — 10 ms

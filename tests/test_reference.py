@@ -6,7 +6,6 @@ import pytest
 
 from repro.genome.reference import (
     Contig,
-    ReferenceGenome,
     parse_fasta,
     read_fasta,
     reference_from_sequences,

@@ -34,7 +34,6 @@ from repro.agd.chunk import (
 from repro.agd.columns import BasesColumn, PackedBasesColumn
 from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry
-from repro.agd.records import get_record_codec
 from repro.align.result import AlignmentResult
 from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
