@@ -252,8 +252,9 @@ class PackedBasesColumn(RaggedColumn):
 
     What a chunk decodes to.  Sorting, merging, filtering and the wire
     move the packed words and re-frame them as they are, so a read's
-    bases are unpacked at most once, by the kernel that reads them
-    (:meth:`decoded`: the aligner, the pileup) — and never re-packed.
+    bases are unpacked at most once, by the kernel that reads them (the
+    aligner through :meth:`decoded`; the pileup reads the kept reads'
+    codes straight from the words) — and never re-packed.
     Records index and iterate as ASCII ``bytes`` like a
     :class:`BasesColumn`'s.
     """

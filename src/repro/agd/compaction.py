@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.agd.columns import BasesColumn, PackedBasesColumn, RaggedColumn
+from repro.agd.columns import (
+    BasesColumn,
+    PackedBasesColumn,
+    RaggedColumn,
+    cumsum0,
+    ragged_index,
+)
 from repro.genome.sequence import (
+    InvalidBaseError,
     decode_bases,
     decode_bases_array,
     encode_bases,
@@ -139,6 +146,54 @@ def _validate_packed_size(data: bytes, words_per_record: np.ndarray) -> int:
     return expected
 
 
+#: Lane ``k`` of a word is bits ``3k .. 3k + 2``: the little-endian byte
+#: holding its low bit and the right shift that brings it down, then the
+#: next byte and the left shift that brings its spill-over bits up (a
+#: shift of 7 or more leaves nothing in the low three bits, so lanes that
+#: do not straddle a byte take nothing from it).
+_LANE_BIT = np.arange(BASES_PER_WORD) * BITS_PER_BASE
+_LANE_BYTE = _LANE_BIT // 8
+_LANE_SHIFT = (_LANE_BIT % 8).astype(np.uint8)
+_SPILL_BYTE = np.minimum(_LANE_BYTE + 1, 7)
+_SPILL_SHIFT = np.minimum(8 - _LANE_SHIFT, 7).astype(np.uint8)
+
+
+def unpack_codes(data, lengths) -> np.ndarray:
+    """The 3-bit codes (0-4: A, C, G, T, N) of a packed column's records,
+    laid end to end as one fresh ``uint8`` array.
+
+    Lanes are cut out of the words' bytes with ``uint8`` shifts, so no
+    temporary is wider than the codes themselves.  Padding lanes past a
+    record's base count are never read.  Raises
+    :class:`~repro.genome.sequence.InvalidBaseError` on a code above 4.
+    """
+    n = len(lengths)
+    n_bases = np.asarray(lengths, dtype=np.int64) if n \
+        else np.zeros(0, np.int64)
+    words_per_record = (n_bases + BASES_PER_WORD - 1) // BASES_PER_WORD
+    if _validate_packed_size(data, words_per_record) == 0:
+        return np.zeros(0, dtype=np.uint8)
+    word_bytes = np.frombuffer(data, dtype=np.uint8).reshape(-1, 8)
+    lanes = word_bytes[:, _LANE_BYTE] >> _LANE_SHIFT
+    lanes |= word_bytes[:, _SPILL_BYTE] << _SPILL_SHIFT
+    lanes &= 0b111
+    if (n_bases == n_bases[0]).all():
+        # Equal-length reads (the sequencer's usual output): every
+        # record is the same run of lanes, so one strided cut replaces
+        # the gather below.
+        codes = lanes.reshape(n, -1)[:, :int(n_bases[0])].reshape(-1)
+    else:
+        # Records occupy whole words, so lanes between records are
+        # padding: gather each record's bases out of its own lanes.
+        word_offsets = cumsum0(words_per_record)[:-1]
+        codes = lanes.reshape(-1)[
+            ragged_index(word_offsets * BASES_PER_WORD, n_bases)
+        ]
+    if codes.max(initial=0) > 4:
+        raise InvalidBaseError(f"invalid base code {int(codes.max())}")
+    return codes
+
+
 def unpack_column_flat(data: bytes, lengths) -> BasesColumn:
     """Decode a packed column into one flat ASCII array (zero per-record
     bytes objects) — the decode half of the columnar aligner feed.
@@ -147,39 +202,11 @@ def unpack_column_flat(data: bytes, lengths) -> BasesColumn:
     ``np.frombuffer`` without materializing the packed block as
     ``bytes``.  The returned column's arrays are fresh (the 3-bit unpack
     is a transform, not a copy), so it never aliases ``data``."""
-    n = len(lengths)
-    n_bases = np.asarray(lengths, dtype=np.int64) if n \
-        else np.zeros(0, np.int64)
-    words_per_record = (n_bases + BASES_PER_WORD - 1) // BASES_PER_WORD
-    expected = _validate_packed_size(data, words_per_record)
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_bases, out=bounds[1:])
-    if expected == 0:
-        return BasesColumn(flat=np.zeros(0, dtype=np.uint8), bounds=bounds)
-    words = np.frombuffer(data, dtype="<u8").astype(np.uint64)
-    lanes = ((words[:, None] >> _SHIFTS) & _MASK).astype(np.uint8)
-    if (n_bases == n_bases[0]).all():
-        # Equal-length reads (the sequencer's usual output): every
-        # record is the same run of lanes, so one strided cut replaces
-        # the gather below.
-        kept = lanes.reshape(n, -1)[:, :int(n_bases[0])]
-        return BasesColumn(
-            flat=decode_bases_array(np.ascontiguousarray(kept).reshape(-1)),
-            bounds=bounds,
-        )
-    padded = decode_bases_array(lanes.reshape(-1))
-    word_offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(words_per_record[:-1], out=word_offsets[1:])
-    # Gather each record's bases out of its word-aligned lanes (records
-    # occupy whole words, so lanes between records are padding).
-    nonempty = n_bases > 0
-    src = np.repeat(
-        word_offsets[nonempty] * BASES_PER_WORD, n_bases[nonempty]
-    ) + (
-        np.arange(int(bounds[-1]), dtype=np.int64)
-        - np.repeat(bounds[:-1][nonempty], n_bases[nonempty])
+    codes = unpack_codes(data, lengths)
+    return BasesColumn(
+        flat=decode_bases_array(codes),
+        bounds=cumsum0(np.asarray(lengths, dtype=np.int64)),
     )
-    return BasesColumn(flat=padded[src], bounds=bounds)
 
 
 def unpack_column(data: bytes, lengths: "list[int]") -> list[bytes]:

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agd.columns import RaggedColumn, TextColumn, cumsum0, ragged_index
+from repro.agd.columns import (
+    PackedBasesColumn,
+    RaggedColumn,
+    TextColumn,
+    cumsum0,
+    ragged_index,
+)
+from repro.agd.compaction import unpack_codes
 from repro.agd.result_column import (  # noqa: F401 - re-exported
     RESULT_FIXED_DTYPE,
     RESULT_FIXED_SIZE,
@@ -159,18 +166,18 @@ def parse_cigars(
 # --------------------------------------------------------------------------
 # Vectorized pileup (the reference path is repro.core.varcall).
 
-#: Base byte -> pileup matrix column, in 3-bit-code order (A,C,G,T,N);
-#: 255 marks a byte the matrix cannot hold.  Row 0 reads a forward
-#: read's stored byte; row 1 reads a reverse read's — whose stored bases
-#: are the reverse complement of what aligned — as its complement.
-_STRAND_CODE_LUT = np.full((2, 256), 255, dtype=np.uint8)
-for _i, (_c, _rc) in enumerate(zip(b"ACGTN", b"TGCAN")):
-    _STRAND_CODE_LUT[0, _c] = _i
-    _STRAND_CODE_LUT[1, _rc] = _i
-_STRAND_CODE_LUT = _STRAND_CODE_LUT.reshape(-1)
-
-#: Matrix column -> base byte.
+#: Matrix column -> base byte.  Matrix columns are the 3-bit base codes
+#: (A,C,G,T,N = 0..4) the bases column stores.
 BASE_BYTES = np.frombuffer(b"ACGTN", dtype=np.uint8)
+
+#: ASCII base byte -> base code; 255 marks a byte the matrix cannot hold.
+_BYTE_CODE = np.full(256, 255, dtype=np.uint8)
+_BYTE_CODE[BASE_BYTES] = np.arange(5)
+
+#: Base code -> the code of its complement (255 stays 255): a reverse
+#: read's stored bases are the reverse complement of what aligned.
+_COMPLEMENT_CODE = np.full(256, 255, dtype=np.uint8)
+_COMPLEMENT_CODE[:5] = (3, 2, 1, 0, 4)
 
 #: Matrix columns ranked by descending base byte (T,N,G,C,A) — argmax over
 #: this order reproduces ``max(counts.items(), key=(count, byte))``.
@@ -195,52 +202,117 @@ def _ensure_results_arrays(results) -> ResultsArrays:
     return ResultsColumn.from_records(results).arrays
 
 
+def _kept_lengths(col, idx: np.ndarray) -> np.ndarray:
+    """Bases (or quality bytes) of each kept record, without reading
+    one: a packed column's relative index says how many it holds."""
+    if isinstance(col, PackedBasesColumn):
+        return col.counts[idx]
+    if isinstance(col, RaggedColumn):
+        return col.lengths[idx]
+    return np.fromiter((len(col[int(i)]) for i in idx), np.int64, idx.size)
+
+
 def _gather_kept(col, idx: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Concatenate the kept records of a column as one uint8 array.
+    """The kept records of a byte column, end to end, as one uint8 array,
+    and their lengths.
 
     A :class:`~repro.agd.columns.RaggedColumn` gathers straight from its
-    flat array (unpacking still-packed bases first) in one fancy-index
-    pass — no per-record bytes objects, no join copy.  List-of-buffers
-    columns take the join path; ``b"".join`` accepts any buffer, so
-    views are consumed in place.
+    flat array in one fancy-index pass — no per-record bytes objects, no
+    join copy.  List-of-buffers columns take the join path;
+    ``b"".join`` accepts any buffer, so views are consumed in place.
     """
     if isinstance(col, RaggedColumn):
-        kept = col.decoded().take(idx)
+        kept = col.take(idx)
         return kept.flat, kept.lengths
     kept = [col[int(i)] for i in idx]
     lens = np.fromiter((len(b) for b in kept), np.int64, idx.size)
     return np.frombuffer(b"".join(kept), dtype=np.uint8), lens
 
 
-def pileup_partial(results, bases_col, quals_col, config) -> dict:
-    """Vectorized analog of :func:`repro.core.varcall.pileup_records`.
+def _kept_codes(col, idx: np.ndarray) -> np.ndarray:
+    """Base codes (0-4) of the kept reads, end to end, in a fresh array.
 
-    Returns a pileup partial (see :data:`PileupPartial`); partials fold
-    commutatively into a :class:`PileupWindow`, so per-chunk partials
-    can still fan out across any backend.
-
-    Reads are walked where they lie: a reverse read's aligned segment is
-    the same stored bytes read back to front through the complementing
-    row of the base-code LUT, so strand is a per-segment buffer start
-    and a +-1 step — no strand-corrected copy of bases or qualities.
+    A :class:`~repro.agd.columns.PackedBasesColumn` yields them straight
+    from the kept reads' words (no ASCII, no :meth:`decoded` cache); an
+    ASCII column maps its bytes once, 255 for a byte outside ``ACGTN``.
     """
-    arrays = _ensure_results_arrays(results)
-    keep = arrays.is_aligned & (arrays.mapq >= config.min_mapq)
-    if config.skip_duplicates:
-        keep &= ~arrays.is_duplicate
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return {}
-    raw_b, lens = _gather_kept(bases_col, idx)
-    raw_q, qlens = _gather_kept(quals_col, idx)
-    if not np.array_equal(lens, qlens):
-        raise ValueError("bases/qual record lengths disagree")
-    starts = cumsum0(lens)
+    if isinstance(col, PackedBasesColumn):
+        kept = col.take(idx)
+        return unpack_codes(kept.flat, kept.counts)
+    return _BYTE_CODE.take(_gather_kept(col, idx)[0])
 
-    # Per CIGAR op: its offset into the (strand-corrected) read and its
-    # reference position.
+
+def _check_counted_codes(codes: np.ndarray, good: np.ndarray) -> None:
+    """A counted byte the matrix cannot hold (lowercase, IUPAC): the
+    scalar Counter keys raw bytes, the 5-column matrix cannot."""
+    if codes.max(initial=0) == 255 and (codes[good] == 255).any():
+        raise ColumnarFallback("non-ACGTN base byte in pileup fast path")
+
+
+def _runs(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The distinct values, ascending, and how often each occurs
+    (``np.unique`` would import ``numpy.ma``: +1.3 MB of RSS for a
+    run)."""
+    values = np.sort(values)
+    edges = np.flatnonzero(np.diff(values, prepend=values[:1] - 1,
+                                   append=values[-1:] + 1))
+    return values[edges[:-1]], np.diff(edges)
+
+
+#: Reads of one length a chunk needs before they pile as a block.  A
+#: block costs ~20 array calls whatever its size, the segment walk a few
+#: microseconds per read: 1000 trimmed reads of ~60 scattered lengths
+#: piled ~2x slower as one block per length than as one walk.
+_BLOCK_MIN_READS = 64
+
+
+def _block_lengths(lens: np.ndarray) -> np.ndarray:
+    """The nonzero read lengths held by at least :data:`_BLOCK_MIN_READS`
+    of ``lens``, ascending."""
+    lengths, reads = _runs(lens[lens > 0])
+    return lengths[reads >= _BLOCK_MIN_READS]
+
+
+def _full_match(arrays: ResultsArrays, idx: np.ndarray,
+                lens: np.ndarray) -> np.ndarray:
+    """Per kept read: does it pile in a block — is its CIGAR exactly
+    ``<L>M`` with ``L`` its base count, a length common in the chunk?
+    One byte compare per such length, no CIGAR parse."""
+    cstart = arrays.cigar_starts[idx]
+    clen = arrays.cigar_ends[idx] - cstart
+    full = np.zeros(idx.size, dtype=bool)
+    for length in _block_lengths(lens):
+        want = np.frombuffer(b"%dM" % length, dtype=np.uint8)
+        cand = np.flatnonzero((lens == length) & (clen == want.size))
+        got = arrays.cigar_buf[cstart[cand, None] + np.arange(want.size)]
+        full[cand[(got == want).all(axis=1)]] = True
+    return full
+
+
+def _block_keys(arrays, rows, length, bases_col, quals_col, floor):
+    """Pileup keys ``5 * ref_pos + code`` of the good bases of reads
+    ``rows``, each ``<length>M`` over ``length`` bases: one
+    ``(reads, length)`` matrix, no per-base index arrays."""
+    codes = _kept_codes(bases_col, rows).reshape(-1, length)
+    good = _gather_kept(quals_col, rows)[0].reshape(-1, length) >= floor
+    _check_counted_codes(codes, good)
+    all_good = bool(good.all())
+    rev = np.flatnonzero(arrays.is_reverse[rows])
+    if rev.size:
+        codes[rev] = _COMPLEMENT_CODE.take(codes[rev, ::-1])
+        if not all_good:
+            good[rev] = good[rev, ::-1]
+    keys = np.add.outer(arrays.position[rows].astype(np.int64) * 5,
+                        np.arange(0, 5 * length, 5, dtype=np.int64))
+    keys += codes
+    return keys.reshape(-1) if all_good else keys[good]
+
+
+def _ragged_keys(arrays, rows, lens, bases_col, quals_col, floor):
+    """Pileup keys of the good bases of reads ``rows``, of any CIGAR,
+    walked segment by segment."""
     ops = parse_cigars(
-        arrays.cigar_buf, arrays.cigar_starts[idx], arrays.cigar_ends[idx]
+        arrays.cigar_buf, arrays.cigar_starts[rows], arrays.cigar_ends[rows]
     )
     gread = cumsum0(ops.length * _CONSUMES_READ[ops.op])
     gref = cumsum0(ops.length * _CONSUMES_REF[ops.op])
@@ -248,7 +320,7 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     m = _IS_ALIGN_OP[ops.op]
     seg_len = ops.length[m]
     if seg_len.size == 0:
-        return {}
+        return np.zeros(0, np.int64)
     seg_rec = ops.record[m]
     seg_read_local = (gread[:-1] - gread[first])[m]
     # Per-record bound: an aligned segment reaching past its own read
@@ -258,9 +330,10 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
         raise ValueError(
             "CIGAR consumes more read bases than the record has"
         )
-    seg_ref = (arrays.position[idx].astype(np.int64)[ops.record]
+    seg_ref = (arrays.position[rows].astype(np.int64)[ops.record]
                + gref[:-1] - gref[first])[m]
-    seg_rev = arrays.is_reverse[idx][seg_rec]
+    seg_rev = arrays.is_reverse[rows][seg_rec]
+    starts = cumsum0(lens)
     seg_buf = starts[seg_rec] + np.where(
         seg_rev, lens[seg_rec] - 1 - seg_read_local, seg_read_local
     )
@@ -274,48 +347,85 @@ def pileup_partial(results, bases_col, quals_col, config) -> dict:
     ramp = np.arange(int(seg_first[-1]))
     seg_first = seg_first[:-1]
     seg_step = np.where(seg_rev, -1, 1)
-    ref_pos = np.repeat(seg_ref - seg_first, seg_len)
-    ref_pos += ramp
+    keys = np.repeat(5 * (seg_ref - seg_first), seg_len)
+    keys += 5 * ramp
     read_idx = np.repeat(seg_step, seg_len)
     read_idx *= ramp
     read_idx += np.repeat(seg_buf - seg_step * seg_first, seg_len)
 
-    good = raw_q.take(read_idx) >= config.min_base_quality + 33
-    lut_row = np.repeat(np.where(seg_rev, 256, 0).astype(np.uint16), seg_len)
-    lut_row += raw_b.take(read_idx)
-    codes = _STRAND_CODE_LUT.take(lut_row).compress(good)
-    if codes.size and int(codes.max()) == 255:
-        # Lowercase / IUPAC bytes: the scalar Counter keys raw bytes,
-        # which the 5-column matrix cannot represent — fall back.
-        raise ColumnarFallback("non-ACGTN base byte in pileup fast path")
-    ref_pos = ref_pos.compress(good)
+    good = _gather_kept(quals_col, rows)[0].take(read_idx) >= floor
+    codes = _kept_codes(bases_col, rows)
+    reverse = np.repeat(arrays.is_reverse[rows], lens)
+    codes[reverse] = _COMPLEMENT_CODE.take(codes[reverse])
+    codes = codes.take(read_idx)
+    _check_counted_codes(codes, good)
+    keys += codes
+    return keys.compress(good)
 
+
+def _contig_keys(arrays, rows, lens, full, bases_col, quals_col, floor):
+    """Pileup keys of kept reads ``rows`` (one contig's): a block per
+    distinct length of the ``full`` ones, a segment walk for the rest."""
+    parts = [
+        _block_keys(arrays, rows[full & (lens == length)], int(length),
+                    bases_col, quals_col, floor)
+        for length in _runs(lens[full])[0]
+    ]
+    if not full.all():
+        parts.append(_ragged_keys(arrays, rows[~full], lens[~full],
+                                  bases_col, quals_col, floor))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def pileup_partial(results, bases_col, quals_col, config) -> dict:
+    """Vectorized analog of :func:`repro.core.varcall.pileup_records`.
+
+    Returns a pileup partial (see :data:`PileupPartial`); partials fold
+    commutatively into a :class:`PileupWindow`, so per-chunk partials
+    can still fan out across any backend.
+
+    The kernel works on base codes 0-4 (A,C,G,T,N), whatever its input:
+    a packed bases column yields them from the kept reads' words, an
+    ASCII one maps its bytes once.  A reverse read's bases are its
+    stored codes read back to front through the complement table.  A
+    kept read whose CIGAR is exactly ``<L>M`` over its ``L`` bases (the
+    sequencer's usual read) joins a ``(reads, L)`` block, one per ``L``
+    that at least :data:`_BLOCK_MIN_READS` kept reads share; every
+    other read walks its CIGAR segments.  Both
+    give keys ``5 * ref_pos + code`` that one ``bincount`` per contig
+    counts.  On the downstream suite's 30 sorted chunks this takes
+    ~35 ms (the ASCII-and-segments kernel it replaced: ~85 ms).
+    """
+    arrays = _ensure_results_arrays(results)
+    keep = arrays.is_aligned & (arrays.mapq >= config.min_mapq)
+    if config.skip_duplicates:
+        keep &= ~arrays.is_duplicate
+    idx = np.flatnonzero(keep)
+    if idx.size == 0:
+        return {}
+    lens = _kept_lengths(bases_col, idx)
+    if not np.array_equal(lens, _kept_lengths(quals_col, idx)):
+        raise ValueError("bases/qual record lengths disagree")
+    floor = config.min_base_quality + 33
+    full = _full_match(arrays, idx, lens)
     contigs = arrays.contig_index[idx]
-    low, high = int(contigs.min()), int(contigs.max())
-    if low == high:
-        groups = [(low, ref_pos, codes)]
-    else:
-        # One per-base contig vector, only for a subchunk that spans
-        # contigs; the contigs present come from the per-read array.
-        contig_per_base = np.repeat(contigs[seg_rec], seg_len).compress(good)
-        groups = []
-        for contig in np.flatnonzero(np.bincount(contigs - low)) + low:
-            cm = contig_per_base == contig
-            groups.append((contig, ref_pos.compress(cm), codes.compress(cm)))
     partial: dict = {}
-    for contig, p, c5 in groups:
-        if p.size == 0:
+    for contig in _runs(contigs)[0]:
+        on = contigs == contig
+        k = _contig_keys(arrays, idx[on], lens[on], full[on], bases_col,
+                         quals_col, floor)
+        if k.size == 0:
             continue
-        pmin = int(p.min())
-        span = int(p.max()) - pmin + 1
-        _check_dense_span(span, int(p.size), int(contig))
+        # A key's position is ``key // 5`` (floor division: exact for
+        # negative positions too), so the span is the keys' range.
+        pmin = int(k.min()) // 5
+        span = int(k.max()) // 5 - pmin + 1
+        _check_dense_span(span, int(k.size), int(contig))
         # One bincount histogram over the covered range: positions piled
         # by reads are contiguous in practice, so dense is the fast form.
-        # (``p`` is this function's own array: the index is built in it.)
-        p -= pmin
-        p *= 5
-        p += c5
-        counts = np.bincount(p, minlength=span * 5)
+        # (``k`` is this function's own array: the index is built in it.)
+        k -= 5 * pmin
+        counts = np.bincount(k, minlength=span * 5)
         partial[int(contig)] = (
             pmin, counts.reshape(span, 5).astype(np.int32)
         )

@@ -186,11 +186,9 @@ class Node:
             self.stats.items_in += 1
         ctx.executing = self
         busy_start = time.monotonic()
-        ctx.busy_counter.enter()
         try:
             out = self.process(item, ctx)
         finally:
-            ctx.busy_counter.exit()
             self._add_busy(time.monotonic() - busy_start)
         self._emit(ctx, out)
 

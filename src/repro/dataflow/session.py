@@ -24,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.dataflow.backends import Backend, BusyCounter
+from repro.dataflow.backends import Backend
 from repro.dataflow.errors import (
     PipelineAborted,
     PipelineError,
@@ -42,7 +42,6 @@ class NodeContext:
     """What a kernel replica sees while running."""
 
     resources: ResourceManager
-    busy_counter: BusyCounter
     stats_lock: threading.Lock
     replica: int = 0
     #: The session's write-behind lane (None outside a session).
@@ -160,7 +159,6 @@ class Session:
         queue_sample_interval: "float | None" = None,
     ):
         self.graph = graph
-        self.busy_counter = BusyCounter()
         self.queue_sample_interval = queue_sample_interval
         self._failure: "tuple[str, BaseException] | None" = None
         self._failure_lock = threading.Lock()
@@ -246,7 +244,6 @@ class Session:
             for replica in range(node.parallelism):
                 ctx = NodeContext(
                     resources=self.graph.resources,
-                    busy_counter=self.busy_counter,
                     stats_lock=stats_lock,
                     replica=replica,
                     lane=lane,

@@ -180,7 +180,7 @@ class TestMakeBackend:
         """A kernel's ``ctx.backend`` returns the registered Backend
         itself and rejects anything else."""
         resources = ResourceManager()
-        ctx = NodeContext(resources, BusyCounter(), threading.Lock())
+        ctx = NodeContext(resources, threading.Lock())
         backend = SerialBackend()
         resources.register("executor", backend)
         assert ctx.backend() is backend

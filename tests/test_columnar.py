@@ -11,6 +11,7 @@ pre-marked-duplicate records) and across all three execution backends.
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.genome.reference import Contig, ReferenceGenome
 from repro.genome.synthetic import synthetic_reference
 from repro.storage.base import MemoryStore
 from dupmark_oracle import oracle_mark_duplicates
+from pileup_oracle import oracle_pileup_partial
 from row_sort_oracle import oracle_sort_dataset, sort_key_for
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,21 @@ def aligned_triples(draw, alphabet=BASES):
 
 
 triple_lists = st.lists(aligned_triples(), min_size=1, max_size=40)
+
+
+@st.composite
+def full_triples(draw, alphabet=BASES):
+    """A kept ``<L>M`` read over its ``L`` bases, ``L`` one of two
+    lengths, so a few of them share a length and pile as a block."""
+    read_len = draw(st.sampled_from([5, 8]))
+    result = AlignmentResult(
+        flag=draw(st.sampled_from([0, 0x10])), mapq=60,
+        contig_index=draw(st.integers(0, 1)),
+        position=draw(st.integers(0, 150)), cigar=b"%dM" % read_len,
+    )
+    bases = bytes(draw(st.sampled_from(alphabet)) for _ in range(read_len))
+    quals = bytes(draw(st.integers(33, 74)) for _ in range(read_len))
+    return result, bases, quals
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +199,35 @@ class TestResultsArrays:
 # ---------------------------------------------------------------------------
 # Pileup equivalence.
 
+#: Block thresholds a drawn chunk of a few reads is piled under, so its
+#: ``<L>M`` reads take the 2-D block (or, above their count, the walk).
+block_mins = st.integers(1, 6)
+
+
 class TestPileupEquivalence:
-    @given(triple_lists)
+    @given(triple_lists, block_mins)
     @settings(max_examples=40, deadline=None)
-    def test_partial_matches_scalar_columns(self, triples):
+    def test_partial_matches_scalar_columns(self, triples, block_min):
         results = [t[0] for t in triples]
         bases = [t[1] for t in triples]
         quals = [t[2] for t in triples]
         config = VarCallConfig(min_mapq=20, min_base_quality=15)
         scalar = dict(pileup_records(results, bases, quals, config))
-        vector = columnar.pileup_to_columns(
-            columnar.pileup_partial(results, bases, quals, config)
-        )
+        with mock.patch.object(columnar, "_BLOCK_MIN_READS", block_min):
+            vector = columnar.pileup_to_columns(
+                columnar.pileup_partial(results, bases, quals, config)
+            )
         assert set(scalar) == set(vector)
         for key in scalar:
             assert scalar[key].depth == vector[key].depth
             assert scalar[key].counts == vector[key].counts
 
-    @given(st.lists(aligned_triples(alphabet=b"ACGTTGCANacgtRY"),
-                    min_size=1, max_size=12))
+    @given(st.lists(st.one_of(aligned_triples(alphabet=b"ACGTTGCANacgtRY"),
+                              full_triples(alphabet=b"ACGTTGCANacgtRY")),
+                    min_size=1, max_size=12), block_mins)
     @settings(max_examples=60, deadline=None)
     def test_falls_back_exactly_when_a_counted_byte_is_not_acgtn(
-        self, triples
+        self, triples, block_min
     ):
         """Soft-masked and IUPAC bytes, on either strand: the fast path
         gives up iff the scalar pileup *counts* one (a kept record, an
@@ -213,14 +237,15 @@ class TestPileupEquivalence:
         quals = [t[2] for t in triples]
         config = VarCallConfig(min_mapq=20, min_base_quality=15)
         scalar = dict(pileup_records(results, bases, quals, config))
-        if any(byte not in BASES
-               for column in scalar.values() for byte in column.counts):
-            with pytest.raises(columnar.ColumnarFallback):
-                columnar.pileup_partial(results, bases, quals, config)
-        else:
-            assert columnar.pileup_to_columns(
-                columnar.pileup_partial(results, bases, quals, config)
-            ) == scalar
+        with mock.patch.object(columnar, "_BLOCK_MIN_READS", block_min):
+            if any(byte not in BASES
+                   for column in scalar.values() for byte in column.counts):
+                with pytest.raises(columnar.ColumnarFallback):
+                    columnar.pileup_partial(results, bases, quals, config)
+            else:
+                assert columnar.pileup_to_columns(
+                    columnar.pileup_partial(results, bases, quals, config)
+                ) == scalar
 
     @given(triple_lists)
     @settings(max_examples=20, deadline=None)
@@ -249,6 +274,134 @@ class TestPileupEquivalence:
             pileup_dataset(aligned_dataset, config), reference, config
         )
         assert call_variants(aligned_dataset, reference, config) == scalar
+
+
+# ---------------------------------------------------------------------------
+# Pileup over stored chunks: bases arrive as packed 3-bit codes.
+
+
+@st.composite
+def packed_pileup_triples(draw):
+    """Records over a few read lengths, on both strands and three
+    contigs: ``<L>M`` reads over their ``L`` bases (the 2-D block),
+    ``<M>M`` reads over ``L != M`` bases, and clipped / indel /
+    multi-op reads (the segment walk)."""
+    lengths = draw(st.lists(st.integers(1, 50), min_size=1, max_size=3))
+    triples = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["full", "full", "ops", "mismatch"]))
+        if kind == "ops":
+            ops = draw(cigar_ops())
+            read_len = sum(n for n, op in ops if op in "MIS=X")
+            cigar = make_cigar(ops)
+        else:
+            read_len = draw(st.sampled_from(lengths))
+            matched = read_len
+            if kind == "mismatch":
+                matched = draw(st.integers(1, 55).filter(
+                    lambda m: m != read_len))
+            cigar = b"%dM" % matched
+        flag = draw(st.sampled_from([0, 0x10, 0x400, 0x4]))
+        result = AlignmentResult() if flag == 0x4 else AlignmentResult(
+            flag=flag,
+            mapq=draw(st.sampled_from([0, 60])),
+            contig_index=draw(st.integers(0, 2)),
+            position=draw(st.integers(0, 150)),
+            cigar=cigar,
+        )
+        bases = bytes(draw(st.sampled_from(BASES)) for _ in range(read_len))
+        quals = bytes(draw(st.integers(33, 74)) for _ in range(read_len))
+        triples.append((result, bases, quals))
+    return triples
+
+
+def _stored_columns(triples):
+    """The triples framed as chunk files and decoded as a run decodes
+    them: bases as a :class:`PackedBasesColumn`."""
+    from repro.agd.chunk import read_column, write_chunk
+    from repro.agd.records import record_type_for_column
+
+    return [
+        read_column(write_chunk([t[i] for t in triples],
+                                record_type_for_column(name)))
+        for i, name in enumerate(("results", "bases", "qual"))
+    ]
+
+
+class TestPackedPileup:
+    @given(packed_pileup_triples(), block_mins)
+    @settings(max_examples=80, deadline=None)
+    def test_packed_chunk_matches_scalar(self, triples, block_min):
+        with mock.patch.object(columnar, "_BLOCK_MIN_READS", block_min):
+            self._check_packed(triples)
+
+    def _check_packed(self, triples):
+        from repro.agd.columns import PackedBasesColumn
+
+        results, bases, quals = _stored_columns(triples)
+        assert isinstance(bases, PackedBasesColumn)
+        config = VarCallConfig(min_mapq=20, min_base_quality=15)
+        lists = [[t[i] for t in triples] for i in range(3)]
+        overrun = any(
+            r.is_aligned and r.mapq >= 20 and not r.is_duplicate
+            and sum(n for n, op in cigar_operations(r.cigar)
+                    if op in "MIS=X") > len(b)
+            for r, b, _ in triples
+        )
+        if overrun:
+            with pytest.raises(ValueError, match="more read bases"):
+                columnar.pileup_partial(results, bases, quals, config)
+            with pytest.raises(ValueError, match="more read bases"):
+                oracle_pileup_partial(results, bases, quals, config)
+            return
+        packed = columnar.pileup_partial(results, bases, quals, config)
+        assert "_ascii" not in vars(bases), "the kernel decoded to ASCII"
+        assert columnar.pileup_to_columns(packed) == \
+            dict(pileup_records(*lists, config))
+        expected = oracle_pileup_partial(results, bases, quals, config)
+        for got in (packed, columnar.pileup_partial(*lists, config)):
+            assert got.keys() == expected.keys()
+            for contig, (start, mat) in got.items():
+                assert start == expected[contig][0]
+                assert mat.dtype == expected[contig][1].dtype == np.int32
+                assert np.array_equal(mat, expected[contig][1])
+
+    def test_only_common_lengths_pile_as_blocks(self):
+        """A length held by fewer than ``_BLOCK_MIN_READS`` kept reads
+        (trimmed reads of scattered lengths) walks its segments; empty
+        reads never form a block."""
+        least = columnar._BLOCK_MIN_READS
+        lens = np.array([101] * least + [100] * (least - 1) + [0] * least
+                        + [7] * (least + 1), dtype=np.int64)
+        np.random.default_rng(0).shuffle(lens)
+        assert columnar._block_lengths(lens).tolist() == [7, 101]
+        assert columnar._block_lengths(lens[:0]).size == 0
+
+    @pytest.mark.parametrize("cigar", [b"8M", b"2S6M", b"3M1D5M"])
+    @pytest.mark.parametrize("flag", [0, 0x10])
+    def test_invalid_code_in_a_kept_read_raises(self, cigar, flag):
+        """A 3-bit code above 4 (no base) in a read the kernel unpacks,
+        on either path; the same code in a read it skips is never
+        read."""
+        from repro.agd.columns import PackedBasesColumn
+        from repro.agd.compaction import pack_column
+        from repro.genome.sequence import InvalidBaseError
+
+        data, counts = pack_column([b"ACGTACGT", b"ACGTACGT"])
+        words = np.frombuffer(data, dtype="<u8").copy()
+        words[1] |= np.uint64(0b111 << 9)  # second read, base 3: code 7
+        bases = PackedBasesColumn.from_block(words.tobytes(), counts)
+        quals = [b"IIIIIIII"] * 2
+        config = VarCallConfig(min_mapq=0, min_base_quality=0)
+        kept = AlignmentResult(flag=flag, mapq=60, contig_index=0,
+                               position=10, cigar=cigar)
+        skipped = AlignmentResult(flag=flag | 0x400, mapq=60, contig_index=0,
+                                  position=10, cigar=cigar)
+        with mock.patch.object(columnar, "_BLOCK_MIN_READS", 1):
+            with pytest.raises(InvalidBaseError):
+                columnar.pileup_partial([kept, kept], bases, quals, config)
+            assert columnar.pileup_partial([kept, skipped], bases, quals,
+                                           config)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.core.ops import (
 )
 from repro.core.pipelines import align_dataset
 from repro.core.subgraphs import AlignGraphConfig
-from repro.dataflow.backends import BusyCounter, SerialBackend
+from repro.dataflow.backends import SerialBackend
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext
@@ -28,7 +28,6 @@ from repro.storage.base import MemoryStore
 def make_ctx(resources=None):
     return NodeContext(
         resources=resources or ResourceManager(),
-        busy_counter=BusyCounter(),
         stats_lock=threading.Lock(),
     )
 

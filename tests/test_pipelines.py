@@ -194,3 +194,20 @@ def test_serial_pipeline_never_imports_numpy_ma():
     doc = json.loads(proc.stdout)
     assert doc["duplicates"] > 0
     assert not doc["numpy_ma_imported"]
+
+
+def test_directory_scratch_pipeline_never_imports_numpy_ma(tmp_path):
+    """The same four stages over a dataset on disk with a directory
+    scratch, so the sort spills raw frames and merges them back through
+    its cursors: ``numpy.ma`` costs ~1.3 MB of a run's peak RSS, and no
+    kernel on that path may import it either."""
+    import json
+
+    from run_wgs_pipeline import launch
+
+    proc = launch("serial", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["duplicates"] > 0
+    assert doc["spill_restores"] > 0
+    assert not doc["numpy_ma_imported"]
