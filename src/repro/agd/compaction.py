@@ -32,8 +32,9 @@ BASES_PER_WORD = 21
 #: Bits per base code.
 BITS_PER_BASE = 3
 
+#: Lane shifts of the pack side (:func:`unpack_codes` cuts lanes out
+#: byte-wise).
 _SHIFTS = (np.arange(BASES_PER_WORD, dtype=np.uint64) * BITS_PER_BASE).astype(np.uint64)
-_MASK = np.uint64(0b111)
 
 
 def packed_size(num_bases: int) -> int:
@@ -71,10 +72,7 @@ def unpack_bases(packed: bytes, num_bases: int) -> bytes:
             f"packed buffer is {len(packed)} bytes; "
             f"{num_bases} bases require {expected}"
         )
-    words = np.frombuffer(packed, dtype="<u8").astype(np.uint64)
-    lanes = (words[:, None] >> _SHIFTS) & _MASK
-    codes = lanes.reshape(-1)[:num_bases].astype(np.uint8)
-    return decode_bases(codes)
+    return decode_bases(unpack_codes(packed, [num_bases]))
 
 
 def _pack_codes(codes: np.ndarray, n_bases: np.ndarray) -> bytes:

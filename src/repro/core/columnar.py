@@ -219,8 +219,12 @@ def _gather_kept(col, idx: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     A :class:`~repro.agd.columns.RaggedColumn` gathers straight from its
     flat array in one fancy-index pass — no per-record bytes objects, no
     join copy.  List-of-buffers columns take the join path;
-    ``b"".join`` accepts any buffer, so views are consumed in place.
+    ``b"".join`` accepts any buffer, so views are consumed in place.  A
+    packed bases column holds words, not bytes: :func:`_kept_codes`
+    reads it.
     """
+    if isinstance(col, PackedBasesColumn):
+        raise TypeError("a packed bases column holds words, not bytes")
     if isinstance(col, RaggedColumn):
         kept = col.take(idx)
         return kept.flat, kept.lengths
@@ -261,8 +265,10 @@ def _runs(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 
 #: Reads of one length a chunk needs before they pile as a block.  A
 #: block costs ~20 array calls whatever its size, the segment walk a few
-#: microseconds per read: 1000 trimmed reads of ~60 scattered lengths
-#: piled ~2x slower as one block per length than as one walk.
+#: microseconds per read: on chunks with half their reads trimmed to
+#: ~60 scattered lengths, one block per length piles ~3x slower than
+#: this floor (``benchmarks/bench_vectorized_kernels.py``, trimmed
+#: chunks).
 _BLOCK_MIN_READS = 64
 
 

@@ -235,6 +235,13 @@ class TestBasesColumnViews:
         assert np.array_equal(flat_col, flat_lst)
         assert flat_col.tobytes() == READS[3] + READS[0] + READS[2]
 
+    def test_gather_kept_rejects_packed_words(self):
+        """A packed bases column holds 3-bit words, not base bytes."""
+        packed = read_column(write_chunk(READS, "bases", codec="none"))
+        assert isinstance(packed, PackedBasesColumn)
+        with pytest.raises(TypeError):
+            _gather_kept(packed, np.array([0], dtype=np.int64))
+
 
 # ------------------------------------------------ per-edge codec choice
 
