@@ -8,12 +8,26 @@ column needs to be read/written from the AGD dataset."
 Shape to reproduce: Persona (results column only) is severalfold faster
 than the samblaster-like baseline (full SAM rows); both mark exactly the
 same duplicate set; Persona touches only the results column.
+
+dupmark memory at scale (gated, always armed)
+    the eager ``mark_duplicates``' ΔRSS (``VmHWM`` after the marking
+    minus before it, a fresh process per size, the dataset built in
+    another) over a directory store, at 120 000 and 360 000 reads of
+    the benchmark suite's ``downstream`` law (``scale_law.py``).  The
+    seen set holds ~8 B per distinct single-end signature, so the gate
+    is ΔRSS <= 10 MB at 360 000 reads (a set of struct bytes took
+    31–32 MB).
+
+Run:  pytest benchmarks/bench_sec56_dupmark.py
 """
 
 from __future__ import annotations
 
 import io
+import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +39,10 @@ from repro.formats.converters import export_sam
 from repro.formats.sam import read_sam
 from repro.storage.base import MemoryStore
 from repro.storage.local import CountingStore
+from scale_law import SCALE_READS, at_scale, measure
+
+#: The dupmark scale row's ΔRSS gate, MB at the largest size.
+SCALE_RSS_MB = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +124,46 @@ def test_sec56_duplicate_marking(benchmark, marked_world, report):
         lambda: mark_duplicates(AGDDataset(dataset.manifest, dataset.store)),
         rounds=1, iterations=1,
     )
+
+
+def _dupmark_child(directory: Path) -> dict:
+    """Mark duplicates in the dataset in ``directory``, in place; the
+    marking's ΔRSS, wall and CPU seconds, and its counts."""
+    from repro.agd.dataset import AGDDataset
+
+    dataset = AGDDataset.open(directory)
+    run, stats = measure(lambda: mark_duplicates(dataset))
+    return {**run, "records": stats.records,
+            "duplicates_marked": stats.duplicates_marked}
+
+
+def test_sec56_dupmark_memory_at_scale(report, tmp_path):
+    scale = at_scale(__file__, tmp_path)
+    large = scale[SCALE_READS[-1]]
+
+    rep = report("sec56_dupmark_scale",
+                 "Sec 5.6 — Duplicate marking memory at scale")
+    for reads, run in scale.items():
+        rep.row(f"dupmark dRSS, {reads:,} reads",
+                f"<= {SCALE_RSS_MB:g} MB" if reads == SCALE_READS[-1]
+                else "(informational)",
+                f"{run['delta_rss_mb']:.1f} MB",
+                f"{run['wall_s']:.2f} s wall, {run['cpu_s']:.2f} s CPU, "
+                f"{run['duplicates_marked']} duplicates")
+        rep.metric(f"dupmark_rss_megabytes_{reads}", run["delta_rss_mb"])
+        rep.metric(f"dupmark_cpu_seconds_{reads}", run["cpu_s"])
+        rep.metric(f"dupmark_duplicates_{reads}", run["duplicates_marked"])
+    rep.add()
+    rep.add("shape checks:")
+    rep.check("every scale run scanned every record and marked duplicates",
+              all(run["records"] == reads and run["duplicates_marked"] > 0
+                  for reads, run in scale.items()))
+    # A memory gate, always armed, as bound / measured (>= 1 holds).
+    rep.gate(f"{SCALE_RSS_MB:g} MB over dupmark's dRSS at "
+             f"{SCALE_READS[-1]:,} reads", 1.0,
+             SCALE_RSS_MB / large["delta_rss_mb"], True)
+    rep.finish()
+
+
+if __name__ == "__main__":
+    print(json.dumps(_dupmark_child(Path(sys.argv[1]))))

@@ -43,12 +43,9 @@ Run:  pytest benchmarks/bench_sort_spill.py --benchmark-json=BENCH_sort_spill.js
 
 from __future__ import annotations
 
-import gc
 import json
 import os
-import resource
 import shutil
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -58,8 +55,7 @@ import numpy as np
 from repro.agd.compression import SCRATCH_CODEC_LEVEL, leveled_codec
 from repro.agd.dataset import AGDDataset
 from repro.agd.records import as_column, record_type_for_column
-from repro.agd.result_column import RESULT_FIXED_DTYPE, ResultsColumn
-from repro.align.result import FLAG_REVERSE, FLAG_UNMAPPED, AlignmentResult
+from repro.align.result import AlignmentResult
 from repro.core.sort import (
     MERGE_WINDOW_BYTES,
     SortConfig,
@@ -71,14 +67,13 @@ from repro.core.sort import (
     store_run_spill,
     verify_sorted,
 )
-from repro.formats.converters import import_reads
-from repro.genome.synthetic import ReadSimulator, synthetic_reference
 from repro.storage.base import DirectoryStore, MemoryStore
 from repro.storage.diskmodel import DiskModel
 from repro.storage.local import ModeledDiskStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from dev_shm import dev_shm_entries  # noqa: E402
+from scale_law import SCALE_READS, at_scale, measure  # noqa: E402
 
 RECORDS = 6_000
 READ_LEN = 600
@@ -211,103 +206,23 @@ def _end_to_end(scratch) -> "tuple[float, dict, dict]":
     return wall, blobs, counters
 
 
-#: The scale rows: reads, and the ΔRSS gates (MB at the largest size,
-#: and largest / smallest).
-SCALE_READS = (120_000, 360_000)
+#: The scale rows' ΔRSS gates (MB at the largest size, and largest /
+#: smallest).
 SCALE_RSS_MB = 50.0
 SCALE_RSS_RATIO = 1.5
-
-
-def _law_seed(stream: int) -> int:
-    """The suite's per-stream seeds, derived from its seed 3."""
-    return int(np.random.SeedSequence([3, stream]).generate_state(1)[0])
-
-
-def _build_scale_dataset(reads: int, directory: Path) -> None:
-    """The suite's downstream law at ``reads`` reads: 101 bp reads at
-    10x over two contigs, 12 % duplicates, a results column from the
-    simulator's ground truth (a read crossing a contig end unmapped)."""
-    reference = synthetic_reference(reads * 10, num_contigs=2,
-                                    seed=_law_seed(0))
-    batch, origins = ReadSimulator(
-        reference, read_length=101, duplicate_fraction=0.12,
-        seed=_law_seed(2)).simulate(reads)
-    dataset = import_reads(batch, "scale", DirectoryStore(directory),
-                           chunk_size=1000,
-                           reference=reference.manifest_entry())
-    contig, local = reference.to_local_arrays(
-        np.array([o.global_pos for o in origins], dtype=np.int64))
-    sizes = np.array([len(c) for c in reference.contigs], dtype=np.int64)
-    mapped = local + 101 <= sizes[contig]
-    reverse = np.array([o.reverse for o in origins])
-    fixed = np.zeros(reads, dtype=RESULT_FIXED_DTYPE)
-    fixed["flag"] = np.where(mapped, np.where(reverse, FLAG_REVERSE, 0),
-                             FLAG_UNMAPPED)
-    fixed["mapq"] = np.where(mapped, 60, 0)
-    fixed["contig"] = np.where(mapped, contig, -1)
-    fixed["position"] = np.where(mapped, local, -1)
-    fixed["next_contig"] = fixed["next_position"] = -1
-    fixed["edit_distance"] = np.where(mapped, [o.errors for o in origins], 0)
-    dataset.append_column("results", ResultsColumn.from_fields(
-        fixed, np.frombuffer(b"101M" * int(mapped.sum()), np.uint8),
-        np.where(mapped, 4, 0)))
-    dataset.save_manifest(directory)
-
-
-def _peak_rss_mb() -> float:
-    """This process image's peak RSS: ``VmHWM`` where Linux reports it,
-    since an exec'd child's ``ru_maxrss`` starts at its parent's peak
-    (here, the whole pytest process's)."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _sort_child(directory: Path) -> dict:
     """Sort the dataset in ``directory`` into directory stores beside it;
     the sort's ΔRSS, wall and CPU seconds, and its counters."""
     dataset = AGDDataset.open(directory)
-    gc.collect()
-    peak = _peak_rss_mb()
-    before = resource.getrusage(resource.RUSAGE_SELF)
-    start = time.monotonic()
     counters: dict = {}
-    out = sort_dataset(dataset, DirectoryStore(directory.parent / "sorted"),
-                       SortConfig(chunks_per_superchunk=4),
-                       scratch_store=DirectoryStore(directory.parent / "spill"),
-                       counters=counters)
-    wall = time.monotonic() - start
-    after = resource.getrusage(resource.RUSAGE_SELF)
-    return {
-        "delta_rss_mb": _peak_rss_mb() - peak,
-        "wall_s": wall,
-        "cpu_s": (after.ru_utime + after.ru_stime
-                  - before.ru_utime - before.ru_stime),
-        "records": out.total_records,
-        "counters": counters,
-    }
-
-
-def _child(*args: str) -> str:
-    """Run this file as a fresh interpreter; its last stdout line."""
-    done = subprocess.run([sys.executable, __file__, *args], check=True,
-                          capture_output=True, text=True, timeout=600)
-    return done.stdout.strip().splitlines()[-1]
-
-
-def _sort_at_scale(tmp_path: Path) -> "dict[int, dict]":
-    measured = {}
-    for reads in SCALE_READS:
-        directory = tmp_path / f"scale-{reads}" / "dataset"
-        _child("build", str(reads), str(directory))
-        measured[reads] = json.loads(_child("sort", str(directory)))
-        shutil.rmtree(directory.parent)
-    return measured
+    run, out = measure(lambda: sort_dataset(
+        dataset, DirectoryStore(directory.parent / "sorted"),
+        SortConfig(chunks_per_superchunk=4),
+        scratch_store=DirectoryStore(directory.parent / "spill"),
+        counters=counters))
+    return {**run, "records": out.total_records, "counters": counters}
 
 
 def test_sort_spill_raw_vs_gzip(report, tmp_path):
@@ -323,7 +238,7 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
         DirectoryStore(tmp_path / "e2e-raw"))
     held_e2e, _held_blobs, _held_counters = _end_to_end(MemoryStore())
     leaked = sorted(dev_shm_entries() - before)
-    scale = _sort_at_scale(tmp_path)
+    scale = at_scale(__file__, tmp_path)
     small, large = (scale[reads] for reads in SCALE_READS)
     rss_ratio = large["delta_rss_mb"] / small["delta_rss_mb"]
 
@@ -409,8 +324,4 @@ def test_sort_spill_raw_vs_gzip(report, tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1] == "build":
-        _build_scale_dataset(int(sys.argv[2]), Path(sys.argv[3]))
-        print("built")
-    else:
-        print(json.dumps(_sort_child(Path(sys.argv[2]))))
+    print(json.dumps(_sort_child(Path(sys.argv[1]))))

@@ -609,11 +609,17 @@ class PileupWindow:
         mat = mat[:max(0, seq.size - start)]
         if mat.shape[0] == 0:
             return
-        depth = mat.sum(axis=1, dtype=np.int64)
+        # Five column adds: a 5-wide ``sum(axis=1)`` costs ~7x as much.
+        depth = mat[:, 0].astype(np.int64)
+        for col in range(1, 5):
+            depth += mat[:, col]
         ref_bases = seq[start:start + depth.size]
         ref_col = _REF_COL_LUT[ref_bases]
         ref_count = np.where(
-            ref_col < 5, mat[np.arange(depth.size), np.minimum(ref_col, 4)], 0
+            ref_col < 5,
+            np.ravel(mat).take(np.arange(0, 5 * depth.size, 5)
+                               + np.minimum(ref_col, 4)),
+            0,
         )
         # A row whose only base is the reference base cannot call.
         rows = np.flatnonzero((depth >= config.min_depth) & (depth > ref_count))
@@ -735,9 +741,10 @@ def sort_permutation(order: str, column) -> "tuple[np.ndarray, np.ndarray | None
 # Duplicate signatures and marking (repro.core.dupmark holds the
 # object-level specification).
 
-#: Structured signature rows.  tag 0 = single-end, 1 = paired fragment;
-#: two records are duplicates iff their rows compare equal, exactly
-#: matching the tuple signatures of ``fragment_signature``.
+#: Structured signature rows.  tag 0 = single-end (c2/p2/s2 zero), 1 =
+#: paired fragment; s1/s2 are strands, 0 or 1.  Two records are
+#: duplicates iff their rows compare equal, exactly matching the tuple
+#: signatures of ``fragment_signature``.
 SIGNATURE_DTYPE = np.dtype(
     [
         ("tag", "u1"),
@@ -825,39 +832,119 @@ def fragment_signature_arrays(
     return sig, valid
 
 
+#: Bit layout of a packed single-end signature key, low bits first: the
+#: strand, the unclipped 5' position, the contig.  Equal keys mean equal
+#: signatures.  A signature that does not fit (a paired fragment, a
+#: position below zero or past the layout, a contig past it) keeps its
+#: packed struct bytes instead; a signature either packs or it does not,
+#: so the two key spaces never overlap.
+SIG_STRAND_BITS = 1
+SIG_POSITION_BITS = 32
+SIG_CONTIG_BITS = 31
+
+
+def _signature_keys(sigs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(packs, keys)``: which signature rows pack into the uint64
+    layout above, and the keys of those rows, in row order."""
+    c1 = sigs["c1"]
+    p1 = sigs["p1"]
+    s1 = sigs["s1"]
+    packs = (
+        (sigs["tag"] == 0)
+        & (c1 >= 0) & (c1 < 1 << SIG_CONTIG_BITS)
+        & (p1 >= 0) & (p1 < 1 << SIG_POSITION_BITS)
+    )
+    if not packs.all():
+        c1, p1, s1 = c1[packs], p1[packs], s1[packs]
+    keys = (
+        (c1.astype(np.uint64)
+         << np.uint64(SIG_POSITION_BITS + SIG_STRAND_BITS))
+        | (p1.astype(np.uint64) << np.uint64(SIG_STRAND_BITS))
+        | s1
+    )
+    return packs, keys
+
+
 class DuplicateTracker:
     """Cross-chunk duplicate scanning over signature arrays.
 
     The array form of :func:`repro.core.dupmark.scan_signatures`: the
     first fragment seen with a signature wins, so chunks must still
-    arrive in deterministic order.  Within a chunk, repeats collapse
-    with one stable ``np.lexsort`` over the signature's integer fields;
-    only the (few) distinct signatures probe the cross-chunk seen set,
-    keyed by their packed struct bytes — the Samblaster hashing idea,
-    fed by array extraction.
+    arrive in deterministic order.  Seen signatures come in the two
+    kinds the sort's keys do (:func:`sort_keys` /
+    :func:`fallback_sort_keys`):
+
+    * a single-end signature that fits the ``SIG_*_BITS`` layout is one
+      ``uint64`` key, ~8 B per distinct signature.  Within a chunk,
+      repeats collapse with one stable ``np.argsort`` over the keys.
+      Each chunk's new distinct keys become a sorted level, and
+      adjacent levels merge while the newer is at least half the
+      older's size: O(log n) levels, each key merged O(log n) times,
+      and a probe is one ``np.searchsorted`` per level;
+    * every other signature (paired fragments, positions or contigs
+      outside the layout) collapses with one stable ``np.lexsort`` over
+      its integer fields and probes a ``set`` of its packed struct
+      bytes — the Samblaster hashing idea, ~130 B per signature.
     """
 
-    #: Sort keys, least significant first; a chunk with no paired
-    #: fragment has tag/c2/p2/s2 all zero and sorts on the first three.
+    #: Sort keys, least significant first; rows with no paired fragment
+    #: have tag/c2/p2/s2 all zero and sort on the first three.
     _SINGLE_KEYS = ("s1", "p1", "c1")
     _PAIRED_KEYS = ("s2", "p2", "c2") + _SINGLE_KEYS + ("tag",)
 
     def __init__(self) -> None:
+        #: Sorted, disjoint uint64 key arrays, oldest (largest) first.
+        self._levels: list[np.ndarray] = []
         self._seen: set[bytes] = set()
 
     def scan(self, sigs: np.ndarray, valid: np.ndarray, stats) -> list[int]:
-        """Update stats and the seen set; return duplicate positions."""
+        """Update stats and the seen keys; return duplicate positions."""
         idx = np.flatnonzero(valid)
         stats.records += int(valid.size)
         stats.unmapped += int(valid.size - idx.size)
         if idx.size == 0:
             return []
         cur = sigs[idx]
+        packs, keys = _signature_keys(cur)
+        dup = np.ones(cur.size, dtype=bool)
+        if keys.size:
+            dup[np.flatnonzero(packs)[self._scan_keys(keys)]] = False
+        if keys.size < cur.size:
+            rows = np.flatnonzero(~packs)
+            dup[rows[self._scan_rows(cur[rows])]] = False
+        stats.duplicates_marked += int(dup.sum())
+        return idx[dup].tolist()
+
+    def _scan_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Positions in ``keys`` of the first occurrences of keys never
+        seen before, which join the seen levels."""
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        # Stable sort: each run of equal keys starts at its first
+        # occurrence in chunk order.
+        leads = np.ones(order.size, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=leads[1:])
+        distinct = ranked[leads]
+        known = np.zeros(distinct.size, dtype=bool)
+        for level in self._levels:
+            at = np.searchsorted(level, distinct)
+            known |= level[np.minimum(at, level.size - 1)] == distinct
+        new = ~known
+        if new.any():
+            levels = self._levels
+            levels.append(distinct[new])
+            while len(levels) > 1 and 2 * levels[-1].size >= levels[-2].size:
+                newer = levels.pop()
+                merged = np.concatenate((levels[-1], newer))
+                merged.sort(kind="stable")  # two sorted runs: one merge
+                levels[-1] = merged
+        return order[leads][new]
+
+    def _scan_rows(self, cur: np.ndarray) -> np.ndarray:
+        """:meth:`_scan_keys` for signature rows that do not pack."""
         keys = self._PAIRED_KEYS if cur["tag"].any() else self._SINGLE_KEYS
         columns = [cur[key] for key in keys]
         order = np.lexsort(columns)
-        # Stable sort: each run of equal signatures starts at its first
-        # occurrence in chunk order.
         leads = np.ones(order.size, dtype=bool)
         leads[1:] = np.logical_or.reduce([
             ranked[1:] != ranked[:-1]
@@ -869,7 +956,4 @@ class DuplicateTracker:
         known = np.fromiter(map(seen.__contains__, packed), dtype=bool,
                             count=len(packed))
         seen.update(packed)
-        dup = np.ones(cur.size, dtype=bool)
-        dup[first[~known]] = False
-        stats.duplicates_marked += int(dup.sum())
-        return idx[dup].tolist()
+        return first[~known]

@@ -146,7 +146,10 @@ def mark_duplicates(
     decode straight into numpy arrays, signatures are structured-array
     rows, and the :class:`~repro.core.columnar.DuplicateTracker` keeps
     the sequential semantics (first fragment with a signature wins, in
-    chunk order).  A chunk that gained a duplicate is rewritten by
+    chunk order).  What stays resident is one chunk plus the signatures
+    seen: ~8 B per distinct single-end signature (sorted ``uint64``
+    keys), ~130 B per paired or out-of-layout one (a ``set`` of packed
+    bytes).  A chunk that gained a duplicate is rewritten by
     patching the flag bytes of its serialized block
     (:meth:`ResultsColumn.with_flag`) and re-framing it with the codec
     it was stored with — byte for byte what re-encoding the updated

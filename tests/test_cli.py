@@ -32,6 +32,20 @@ def imported(workspace):
 
 
 @pytest.fixture(scope="module")
+def aligned(imported):
+    """``imported``'s dataset once the align stage has run on it: what
+    every test that needs alignment results starts from, whatever ran
+    (or did not run) before it."""
+    root, _, _, dataset_dir = imported
+    assert main([
+        "pipeline", str(dataset_dir), "--stages", "align",
+        "--reference", str(root / "ref.fasta"),
+        "--workers", "2",
+    ]) == 0
+    return imported
+
+
+@pytest.fixture(scope="module")
 def unaligned(workspace):
     root, _, _ = workspace
     ds_dir = root / "unaligned-ds"
@@ -49,21 +63,15 @@ class TestCLI:
         ds = AGDDataset.open(dataset_dir)
         assert ds.total_records == len(reads)
 
-    def test_align(self, imported):
-        root, _, _, dataset_dir = imported
-        rc = main([
-            "pipeline", str(dataset_dir), "--stages", "align",
-            "--reference", str(root / "ref.fasta"),
-            "--workers", "2",
-        ])
-        assert rc == 0
+    def test_align(self, aligned):
+        _, _, _, dataset_dir = aligned
         from repro.agd.dataset import AGDDataset
 
         ds = AGDDataset.open(dataset_dir)
         assert "results" in ds.columns
 
-    def test_sort_and_dupmark(self, imported):
-        root, _, _, dataset_dir = imported
+    def test_sort_and_dupmark(self, aligned):
+        root, _, _, dataset_dir = aligned
         sorted_dir = root / "sorted"
         assert main(["pipeline", str(dataset_dir), str(sorted_dir),
                      "--stages", "sort"]) == 0
@@ -76,8 +84,8 @@ class TestCLI:
         results = ds.read_column("results")
         assert any(r.is_duplicate for r in results)
 
-    def test_exports(self, imported, capsys):
-        root, _, reads, dataset_dir = imported
+    def test_exports(self, aligned, capsys):
+        root, _, reads, dataset_dir = aligned
         for suffix in ("sam", "bam", "fastq"):
             out = root / f"out.{suffix}"
             assert main(["export", str(dataset_dir), str(out)]) == 0
@@ -87,8 +95,8 @@ class TestCLI:
         root, _, _, dataset_dir = imported
         assert main(["export", str(dataset_dir), str(root / "x.xyz")]) == 2
 
-    def test_varcall(self, imported):
-        root, _, _, dataset_dir = imported
+    def test_varcall(self, aligned):
+        root, _, _, dataset_dir = aligned
         out = root / "calls.vcf"
         rc = main([
             "pipeline", str(dataset_dir), "--stages", "varcall",
@@ -214,9 +222,9 @@ class TestPipelineCommand:
 
 
 class TestImportSamAndRechunk:
-    def test_import_sam_roundtrip(self, imported, workspace):
+    def test_import_sam_roundtrip(self, aligned, workspace):
         root, ref, reads = workspace
-        _, _, _, dataset_dir = imported
+        _, _, _, dataset_dir = aligned
         sam_out = root / "roundtrip.sam"
         assert main(["export", str(dataset_dir), str(sam_out)]) == 0
         sam_ds_dir = root / "from-sam"
@@ -248,16 +256,6 @@ class TestImportSamAndRechunk:
 class TestClusterErrorsMatchPipeline:
     """`cluster run` / `cluster worker` reject what `pipeline` rejects,
     with the same one-line message and exit 2 — never a traceback."""
-
-    @pytest.fixture(scope="class")
-    def aligned(self, workspace):
-        root, _, _ = workspace
-        ds_dir = root / "aligned-ds"
-        assert main(["import-fastq", str(root / "reads.fastq"), str(ds_dir),
-                     "--chunk-size", "100"]) == 0
-        assert main(["pipeline", str(ds_dir), "--stages", "align",
-                     "--reference", str(root / "ref.fasta")]) == 0
-        return root, ds_dir
 
     def _both(self, capsys, root, ds_dir, stages, plan, *extra):
         out = str(root / "err-out")
@@ -299,17 +297,17 @@ class TestClusterErrorsMatchPipeline:
         assert "--output-dir" not in err  # positional on `cluster run`
 
     def test_vcf_without_a_varcall_stage(self, aligned, capsys):
-        root, _ = aligned
+        root, _, _, ds_dir = aligned
         vcf = root / "dropped.vcf"
-        err = self._both(capsys, *aligned, "sort,dupmark",
+        err = self._both(capsys, root, ds_dir, "sort,dupmark",
                          "A=sort;B=dupmark", "--vcf", str(vcf))
         assert "--vcf needs a varcall stage" in err
         assert not vcf.exists()
 
     def test_filter_dir_without_a_filter_stage(self, aligned, capsys):
-        root, _ = aligned
+        root, _, _, ds_dir = aligned
         filter_dir = root / "dropped-filtered"
-        err = self._both(capsys, *aligned, "sort,dupmark",
+        err = self._both(capsys, root, ds_dir, "sort,dupmark",
                          "A=sort;B=dupmark", "--filter-dir", str(filter_dir),
                          "--min-mapq", "20")
         assert "--filter-dir needs a filter stage" in err

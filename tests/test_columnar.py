@@ -27,6 +27,7 @@ from repro.core.dupmark import (
     fragment_signature,
     mark_duplicates,
     mark_duplicates_results,
+    scan_signatures,
 )
 from repro.agd.result_column import ResultsColumn, decode_results_arrays
 from repro.core.ops import ChunkWorkItem, VarCallNode
@@ -710,15 +711,77 @@ def fragment_records(draw):
     )
 
 
+#: Contigs and unclipped positions at, and one past, each edge of the
+#: dupmark key layout.  The results column's int32 contig holds nothing
+#: past the top contig edge; ``signature_rows`` draws that one.
+CONTIG_EDGES = [-1, 0, 1, (1 << columnar.SIG_CONTIG_BITS) - 1]
+POSITION_EDGES = [-1, 0, 1, 1 << 31, (1 << columnar.SIG_POSITION_BITS) - 1,
+                  1 << columnar.SIG_POSITION_BITS]
+
+
+@st.composite
+def edge_records(draw):
+    """Aligned results whose signature's contig and unclipped position
+    sit on an edge of the key layout, single-end or paired (a mate on
+    an edge too), on either strand, clipped or not."""
+    lead, trail = draw(st.sampled_from([(0, 0), (3, 0), (0, 2), (1, 1)]))
+    span = draw(st.sampled_from([1, 4]))
+    ops = [(span, "M")]
+    if lead:
+        ops.insert(0, (lead, "S"))
+    if trail:
+        ops.append((trail, "S"))
+    reverse = draw(st.booleans())
+    unclipped = draw(st.sampled_from(POSITION_EDGES))
+    kwargs = {}
+    flag = 0x10 if reverse else 0
+    if draw(st.integers(0, 3)) == 0:
+        flag |= 0x1
+        kwargs = dict(next_contig_index=draw(st.sampled_from(CONTIG_EDGES)),
+                      next_position=draw(st.sampled_from(POSITION_EDGES)))
+    return AlignmentResult(
+        flag=flag, mapq=60,
+        contig_index=draw(st.sampled_from(CONTIG_EDGES)),
+        position=unclipped - (span + trail - 1) if reverse
+        else unclipped + lead,
+        cigar=make_cigar(ops),
+        **kwargs,
+    )
+
+
+@st.composite
+def signature_rows(draw):
+    """Raw signature rows on and one past every edge of the key layout,
+    the top contig edge included, single-end and paired — or one of a
+    few small single-end keys, which later chunks keep repeating after
+    earlier chunks left them in older seen levels."""
+    contigs = CONTIG_EDGES + [1 << columnar.SIG_CONTIG_BITS]
+    row = np.zeros(1, dtype=columnar.SIGNATURE_DTYPE)
+    if draw(st.booleans()):
+        row["p1"] = draw(st.integers(2, 9))
+        return row
+    row["c1"] = draw(st.sampled_from(contigs))
+    row["p1"] = draw(st.sampled_from(POSITION_EDGES))
+    row["s1"] = draw(st.integers(0, 1))
+    if draw(st.integers(0, 3)) == 0:
+        row["tag"] = 1
+        row["c2"] = draw(st.sampled_from(contigs))
+        row["p2"] = draw(st.sampled_from(POSITION_EDGES))
+        row["s2"] = draw(st.integers(0, 1))
+    return row
+
+
 class TestDupmarkEquivalence:
-    @given(st.lists(fragment_records(), min_size=1, max_size=60),
+    @given(st.lists(st.one_of(fragment_records(), edge_records()),
+                    min_size=1, max_size=60),
            st.lists(st.integers(1, 12), min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_tracker_matches_the_object_specification(self, results, cuts):
         """Whatever the chunk cuts — a duplicate's first occurrence may
-        sit chunks earlier — the tracker marks exactly the records, and
-        counts exactly the stats, of ``mark_duplicates_results`` over
-        the whole column."""
+        sit chunks earlier, in any seen level — and whatever mix of
+        packed, unpacked and paired signatures a chunk holds, the
+        tracker marks exactly the records, and counts exactly the
+        stats, of ``mark_duplicates_results`` over the whole column."""
         scalar_stats, vector_stats = DupmarkStats(), DupmarkStats()
         marked = mark_duplicates_results(results, scalar_stats)
         expected = [i for i, (new, old) in enumerate(zip(marked, results))
@@ -736,6 +799,62 @@ class TestDupmarkEquivalence:
             lo += size
         assert got == expected
         assert vector_stats == scalar_stats
+
+    @given(st.lists(signature_rows(), min_size=1, max_size=80),
+           st.lists(st.integers(1, 9), min_size=1, max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_tracker_matches_scan_signatures_on_raw_rows(self, rows, cuts):
+        """Two rows are one signature iff all their fields are equal:
+        the tracker over raw rows on the key layout's edges marks what
+        ``scan_signatures`` marks over the rows as tuples."""
+        sigs = np.concatenate(rows)
+        valid = np.ones(sigs.size, dtype=bool)
+        tuples = [tuple(row) for row in sigs.tolist()]
+        scalar_stats, vector_stats = DupmarkStats(), DupmarkStats()
+        expected = scan_signatures(tuples, set(), scalar_stats)
+        tracker = columnar.DuplicateTracker()
+        got, lo = [], 0
+        for size in cuts + [sigs.size]:
+            if lo >= sigs.size:
+                break
+            got += [lo + at for at in tracker.scan(
+                sigs[lo:lo + size], valid[lo:lo + size], vector_stats)]
+            lo += size
+        assert got == expected
+        assert vector_stats == scalar_stats
+
+    def test_edge_signatures_are_distinct(self):
+        """Each single-end row on, or one past, an edge of the key
+        layout is a signature of its own: new in the first chunk that
+        holds them all, a duplicate in the next."""
+        contigs = CONTIG_EDGES + [1 << columnar.SIG_CONTIG_BITS]
+        grid = np.array([(c, p, s) for c in contigs for p in POSITION_EDGES
+                         for s in (0, 1)])
+        sigs = np.zeros(len(grid), dtype=columnar.SIGNATURE_DTYPE)
+        sigs["c1"], sigs["p1"], sigs["s1"] = grid.T
+        valid = np.ones(sigs.size, dtype=bool)
+        tracker, stats = columnar.DuplicateTracker(), DupmarkStats()
+        assert tracker.scan(sigs, valid, stats) == []
+        assert tracker.scan(sigs[::-1], valid, stats) == \
+            list(range(sigs.size))
+
+    def test_keys_in_every_seen_level_stay_seen(self):
+        """Chunks whose new keys shrink by more than half each time
+        leave one seen level per chunk; a last chunk repeating the first
+        key of each is all duplicates."""
+        tracker, stats = columnar.DuplicateTracker(), DupmarkStats()
+        firsts, start = [], 0
+        for size in (64, 16, 4, 1):
+            sigs = np.zeros(size, dtype=columnar.SIGNATURE_DTYPE)
+            sigs["p1"] = np.arange(start, start + size)
+            assert tracker.scan(sigs, np.ones(size, dtype=bool), stats) == []
+            firsts.append(start)
+            start += size
+        repeats = np.zeros(len(firsts), dtype=columnar.SIGNATURE_DTYPE)
+        repeats["p1"] = firsts
+        assert tracker.scan(repeats, np.ones(len(firsts), dtype=bool),
+                            stats) == list(range(len(firsts)))
+        assert stats.duplicates_marked == len(firsts)
 
     @given(triple_lists)
     @settings(max_examples=30, deadline=None)
