@@ -22,12 +22,12 @@ from repro.core.pipelines import (
     stage_fastq_shards,
 )
 from repro.core.subgraphs import STAGES, AlignGraphConfig, ServerSite
-from repro.dataflow.backends import BusyCounter, make_backend
 from repro.dataflow.session import Session
-from repro.metrics.cputrace import UtilizationSampler
 from repro.storage.base import MemoryStore
 from repro.storage.diskmodel import WritebackDiskModel, raid0
 from repro.storage.local import CountingStore, ModeledDiskStore
+
+from models.cputrace import BusyCounter, UtilizationSampler, counting_backend
 
 CONFIG = AlignGraphConfig(aligner_nodes=1, reader_nodes=1, parser_nodes=1)
 WORKERS = 1
@@ -46,7 +46,7 @@ def _run_with_trace(run, kind):
     """Trace ``run(backend)`` on a backend of ``kind`` that reports to a
     busy counter the sampler reads."""
     busy = BusyCounter()
-    backend = make_backend(kind, workers=WORKERS, busy_counter=busy)
+    backend = counting_backend(kind, busy, workers=WORKERS)
     try:
         with UtilizationSampler([busy], capacity=1, interval=0.01) as sampler:
             run(backend)

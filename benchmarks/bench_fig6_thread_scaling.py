@@ -18,9 +18,10 @@ from __future__ import annotations
 import os
 import time
 
-from repro.cluster.simulation import ThreadScalingParams, thread_scaling_table
 from repro.core.ops import align_subchunk_task
 from repro.dataflow.backends import ProcessBackend
+
+from models.simulation import ThreadScalingParams, thread_scaling_table
 
 
 def _measure_rate(aligner, reads) -> float:

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from repro.cluster.multiserver import run_placed_pipeline
 from repro.cluster.placement import PlacementPlan
-from repro.cluster.simulation import (
+
+from models.simulation import (
     ClusterSimParams,
     saturation_point,
     scaling_series,
     simulate_cluster,
 )
-from repro.storage.ceph import CephConfig, CephStore, SimulatedCephCluster
+from models.ceph import CephConfig, CephStore, SimulatedCephCluster
 
 
 def test_fig7_cluster_scaling(

@@ -8,14 +8,15 @@ in FM-index walks).  Hyperthreading shifts part of the memory stall into
 retirement.
 
 We reproduce the analysis through operation-mix profiling of our kernels
-(see ``repro.metrics.microarch``): the op counts are measured from real
-aligner runs; the per-class top-down weights are fixed constants, so the
-SNAP-vs-BWA contrast emerges from what each algorithm actually executes.
+(see ``benchmarks/models/microarch.py``): the op counts are measured from
+real aligner runs; the per-class top-down weights are fixed constants, so
+the SNAP-vs-BWA contrast emerges from what each algorithm actually
+executes.
 """
 
 from __future__ import annotations
 
-from repro.metrics.microarch import (
+from models.microarch import (
     SPEC_REFERENCE,
     hyperthreading_shift,
     profile_bwa,

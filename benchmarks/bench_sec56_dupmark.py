@@ -32,13 +32,14 @@ from pathlib import Path
 import pytest
 
 from repro.align.result import FLAG_DUPLICATE
-from repro.core.baselines import SamblasterLike, SamblasterReport
 from repro.core.dupmark import DupmarkStats, mark_duplicates
 from repro.core.pipelines import align_dataset
 from repro.formats.converters import export_sam
 from repro.formats.sam import read_sam
 from repro.storage.base import MemoryStore
 from repro.storage.local import CountingStore
+
+from models.baselines import SamblasterLike, SamblasterReport
 from scale_law import SCALE_READS, at_scale, measure
 
 #: The dupmark scale row's ΔRSS gate, MB at the largest size.

@@ -34,9 +34,10 @@ from repro.core.pipelines import (
 )
 from repro.core.subgraphs import AlignGraphConfig
 from repro.storage.base import MemoryStore
-from repro.storage.ceph import CephConfig, CephStore, SimulatedCephCluster
 from repro.storage.diskmodel import WritebackDiskModel, raid0
 from repro.storage.local import CountingStore, ModeledDiskStore
+
+from models.ceph import CephConfig, CephStore, SimulatedCephCluster
 
 # Single-threaded kernels: pure-Python compute gains nothing from more
 # threads (GIL), and fewer runnable threads keeps timing noise low.  The

@@ -19,12 +19,13 @@ import time
 
 import pytest
 
-from repro.core.baselines import PicardLikeSorter, SamtoolsLikeSorter
 from repro.core.pipelines import align_dataset
 from repro.core.sort import SortConfig, sort_dataset, verify_sorted
 from repro.formats.bam import read_bam
 from repro.formats.converters import export_sam
 from repro.storage.base import MemoryStore
+
+from models.baselines import PicardLikeSorter, SamtoolsLikeSorter
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ an exact reproduction, not a calibrated simulation.
 
 from __future__ import annotations
 
-from repro.cluster.tco import (
+from models.tco import (
     CostInputs,
     cluster_tco,
     glacier_cost_per_genome,

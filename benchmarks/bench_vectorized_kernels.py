@@ -117,17 +117,6 @@ def sorted_world(aligned_world):
                         SortConfig(output_chunk_size=1000))
 
 
-def _timed(fn, repeats: int = 1):
-    best = None
-    result = None
-    for _ in range(repeats):
-        start = time.monotonic()
-        result = fn()
-        elapsed = time.monotonic() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return result, best
-
-
 def _alternating_best(oracle, kernel, repeats: int = 15):
     """``(oracle_s, kernel_s)``: each whole-workload call's best of
     ``repeats``.  Each is warmed by one untimed call, then the two take
@@ -167,11 +156,17 @@ def test_vectorized_pileup_speedup(benchmark, sorted_world, bench_reference,
     dataset = sorted_world
     config = VarCallConfig()
 
-    scalar_variants, scalar_s = _timed(
-        lambda: call_from_pileup(pileup_dataset(dataset, config),
-                                 bench_reference, config), repeats=3)
-    node, vector_s = _timed(
-        lambda: _windowed_calls(dataset, bench_reference, config), repeats=3)
+    def scalar():
+        return call_from_pileup(pileup_dataset(dataset, config),
+                                bench_reference, config)
+
+    def windowed():
+        return _windowed_calls(dataset, bench_reference, config)
+
+    scalar_variants = scalar()
+    node = windowed()
+    # The scalar side takes ~0.9 s a call: 5 turns each.
+    scalar_s, vector_s = _alternating_best(scalar, windowed, repeats=5)
     vector_variants = node.variants
     assert vector_variants == scalar_variants, \
         "windowed pileup changed the called variants"
@@ -459,11 +454,12 @@ def test_array_generator_speedup(benchmark, bench_reference, bench_reads,
             duplicate_fraction=0.12, seed=7002,
         ).simulate(count)
 
-    (_, oracle_origins), oracle_s = _timed(
-        lambda: simulate(OracleReadSimulator), repeats=3)
-    (reads, origins), array_s = _timed(
-        lambda: simulate(ReadSimulator), repeats=3)
+    _, oracle_origins = simulate(OracleReadSimulator)
+    reads, origins = simulate(ReadSimulator)
     assert len(reads) == len(origins) == len(oracle_origins) == count
+    oracle_s, array_s = _alternating_best(
+        lambda: simulate(OracleReadSimulator),
+        lambda: simulate(ReadSimulator), repeats=15)
 
     speedup = oracle_s / array_s if array_s else float("inf")
     rep = report("vectorized_kernels_generator",
@@ -501,11 +497,13 @@ def test_array_aligner_speedup(benchmark, bench_dataset, bench_index,
     def align(aligner):
         return [aligner.align_reads(chunk) for chunk in chunks]
 
-    expected, oracle_s = _timed(lambda: align(bench_per_read_aligner),
-                                repeats=3)
     array = SnapAligner(bench_index)
-    got, array_s = _timed(lambda: align(array), repeats=3)
+    expected = align(bench_per_read_aligner)
+    got = align(array)
     assert got == expected, "the array aligner changed the results"
+    oracle_s, array_s = _alternating_best(
+        lambda: align(bench_per_read_aligner), lambda: align(array),
+        repeats=9)
 
     speedup = oracle_s / array_s if array_s else float("inf")
     rep = report("vectorized_kernels_aligner",

@@ -2,12 +2,13 @@
 
 Figure 5 plots per-second CPU utilization of SNAP-standalone vs Persona
 under different storage configurations.  Our analog samples
-:class:`repro.dataflow.backends.BusyCounter` instances — one count of
-currently-busy compute workers per sampling tick — and normalizes by the
-provisioned worker count.  The single-disk standalone run shows the same
-cyclical writeback starvation the paper describes (§5.3) because the
-writeback disk model stalls reads during flush storms, which drains the
-pipeline's input queues and idles the compute backend.
+:class:`BusyCounter` instances — one count of currently-busy compute
+calls per sampling tick, kept by a :func:`counting_backend` — and
+normalizes by the provisioned worker count.  The single-disk standalone
+run shows the same cyclical writeback starvation the paper describes
+(§5.3) because the writeback disk model stalls reads during flush
+storms, which drains the pipeline's input queues and idles the compute
+backend.
 """
 
 from __future__ import annotations
@@ -15,7 +16,45 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.dataflow.backends import BusyCounter
+from repro.dataflow.backends import Backend, ProcessBackend, SerialBackend
+
+
+class BusyCounter:
+    """Counts concurrently-busy workers; sampled for CPU-utilization traces."""
+
+    def __init__(self) -> None:
+        self._count = 0
+        self._lock = threading.Lock()
+
+    def enter(self) -> None:
+        with self._lock:
+            self._count += 1
+
+    def exit(self) -> None:
+        with self._lock:
+            self._count -= 1
+
+    @property
+    def busy(self) -> int:
+        with self._lock:
+            return self._count
+
+
+def counting_backend(kind: str, busy: BusyCounter, workers: int = 1) -> Backend:
+    """A ``serial`` or ``process`` backend whose every ``run_chunk`` call
+    holds one count on ``busy`` while it runs: one count per in-flight
+    call (a serial backend's calls run one after another)."""
+    base = {"serial": SerialBackend, "process": ProcessBackend}[kind]
+
+    class Counting(base):
+        def run_chunk(self, *args, **kwargs):
+            busy.enter()
+            try:
+                return super().run_chunk(*args, **kwargs)
+            finally:
+                busy.exit()
+
+    return Counting() if base is SerialBackend else Counting(workers=workers)
 
 
 @dataclass

@@ -12,20 +12,28 @@ calibration (45.45 Mbases/s/node, 6 GB/s Ceph) and prints the Figure 7
 scaling curve: linear to 32 nodes, the whole genome in ~16.7 s, and the
 storage-saturation knee near 60 nodes.
 
+The Ceph-like store and the simulator are paper models, not part of
+``repro``: they are imported from ``benchmarks/models/`` (``ceph`` and
+``simulation``), which the Fig. 7 benchmark runs too.
+
 Run:  python examples/cluster_alignment.py
 """
 
-from repro.cluster import (
-    ClusterSimParams,
-    PlacementPlan,
-    run_placed_pipeline,
-    saturation_point,
-    scaling_series,
-)
+import sys
+from pathlib import Path
+
+from repro.cluster import PlacementPlan, run_placed_pipeline
 from repro.core import build_snap_aligner
 from repro.formats import import_reads
 from repro.genome import synthetic_dataset
-from repro.storage import CephConfig, CephStore, SimulatedCephCluster
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from models.ceph import CephConfig, CephStore, SimulatedCephCluster  # noqa: E402
+from models.simulation import (  # noqa: E402
+    ClusterSimParams,
+    saturation_point,
+    scaling_series,
+)
 
 
 def main() -> None:

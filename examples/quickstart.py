@@ -10,7 +10,6 @@ Run:  python examples/quickstart.py
 from repro.core import align_dataset, build_snap_aligner
 from repro.formats import import_reads
 from repro.genome import synthetic_dataset
-from repro.metrics import format_bases_rate
 from repro.storage import MemoryStore
 
 
@@ -41,7 +40,7 @@ def main() -> None:
     )
     print(f"aligned {outcome.total_reads:,} reads "
           f"({outcome.total_bases:,} bases) in {outcome.wall_seconds:.2f}s "
-          f"= {format_bases_rate(outcome.bases_per_second)}")
+          f"= {outcome.bases_per_second / 1e6:.2f} Mbases/s")
 
     # The results column now lives beside the read columns (§3).
     results = dataset.read_column("results")

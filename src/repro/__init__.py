@@ -4,8 +4,11 @@ A from-scratch Python implementation of Byma et al., USENIX ATC 2017:
 the AGD columnar genomic data format, a coarse-grain dataflow engine with
 fine-grain executors (the TensorFlow substrate analog), SNAP- and
 BWA-MEM-style aligners, external-merge sorting, Samblaster-style
-duplicate marking, pileup variant calling, storage and cluster
-simulations, and the paper's full benchmark suite.
+duplicate marking, pileup variant calling, chunk stores and placed
+multi-server runs.  The package holds what a ``persona`` run imports;
+the paper's models of what it is compared against (row-oriented tools,
+a Ceph-like store, the cluster simulator and cost model) live with the
+benchmarks in ``benchmarks/models/``.
 
 Quickstart::
 
@@ -21,7 +24,7 @@ Quickstart::
     print(outcome.bases_per_second)
 """
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "agd",
@@ -31,6 +34,5 @@ __all__ = [
     "dataflow",
     "formats",
     "genome",
-    "metrics",
     "storage",
 ]

@@ -1,4 +1,4 @@
-"""Aligner substrate: SNAP-like, BWA-MEM-like, baselines, paired-end."""
+"""Aligner substrate: SNAP-like, BWA-MEM-like, paired-end."""
 
 from repro.align.bwa import BwaConfig, BwaMemAligner, FMIndex, InsertSizeModel
 from repro.align.distance import (
@@ -26,16 +26,9 @@ from repro.align.result import (
     make_cigar,
 )
 from repro.align.snap import SeedIndex, SnapAligner, SnapConfig, compute_mapq
-from repro.align.baseline import (
-    BlastLikeAligner,
-    SWScores,
-    smith_waterman,
-    sw_score_only,
-)
 
 __all__ = [
     "AlignmentResult",
-    "BlastLikeAligner",
     "BwaConfig",
     "BwaMemAligner",
     "FLAG_DUPLICATE",
@@ -52,7 +45,6 @@ __all__ = [
     "InsertSizeModel",
     "InsertWindow",
     "PairedAligner",
-    "SWScores",
     "SeedIndex",
     "SnapAligner",
     "SnapConfig",
@@ -64,7 +56,5 @@ __all__ = [
     "hamming",
     "landau_vishkin",
     "make_cigar",
-    "smith_waterman",
-    "sw_score_only",
     "verify_candidate",
 ]

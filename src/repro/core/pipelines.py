@@ -153,8 +153,8 @@ def align_dataset(
     ``"process"``, made with ``workers`` workers and shut down here)
     or is a pre-built :class:`Backend` instance, which
     stays the caller's and must not have started its workers yet (the
-    align stage registers the aligner on it).  For utilization traces
-    (Fig. 5), pass one made with ``make_backend(..., busy_counter=...)``.
+    align stage registers the aligner on it): Fig. 5's utilization
+    traces pass one that counts its in-flight ``run_chunk`` calls.
     """
     spec = PipelineSpec(dataset, ("align",), align_config=config,
                         backend=backend, workers=workers)

@@ -3,7 +3,6 @@
 from repro.dataflow.backends import (
     BACKEND_CHOICES,
     Backend,
-    BusyCounter,
     ProcessBackend,
     SerialBackend,
     make_backend,
@@ -21,7 +20,6 @@ from repro.dataflow.node import (
     Node,
     NodeStats,
 )
-from repro.dataflow.pools import Buffer, BufferPool, ObjectPool
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import Handle, ResourceManager
 from repro.dataflow.session import NodeContext, Session, SessionResult
@@ -32,9 +30,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "make_backend",
-    "Buffer",
-    "BufferPool",
-    "BusyCounter",
     "CollectSink",
     "Graph",
     "GraphError",
@@ -44,7 +39,6 @@ __all__ = [
     "Node",
     "NodeContext",
     "NodeStats",
-    "ObjectPool",
     "PipelineAborted",
     "PipelineError",
     "Queue",

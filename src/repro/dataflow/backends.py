@@ -55,27 +55,6 @@ DEFAULT_BATCH_SIZE = 4
 TaskFn = Callable[[Mapping[str, Any], Any], Any]
 
 
-class BusyCounter:
-    """Counts concurrently-busy workers; sampled for CPU-utilization traces."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def enter(self) -> None:
-        with self._lock:
-            self._count += 1
-
-    def exit(self) -> None:
-        with self._lock:
-            self._count -= 1
-
-    @property
-    def busy(self) -> int:
-        with self._lock:
-            return self._count
-
-
 class Backend(abc.ABC):
     """Execution substrate for compute kernels.
 
@@ -182,10 +161,6 @@ class SerialBackend(Backend):
     name = "serial"
     workers = 1
 
-    def __init__(self, busy_counter: "BusyCounter | None" = None):
-        super().__init__()
-        self._busy_counter = busy_counter
-
     def run_chunk(
         self,
         fn: TaskFn,
@@ -194,16 +169,7 @@ class SerialBackend(Backend):
         timeout: "float | None" = 300.0,
     ) -> list:
         view = self.shared_view(shared)
-        results = []
-        for payload in payloads:
-            if self._busy_counter is not None:
-                self._busy_counter.enter()
-            try:
-                results.append(fn(view, payload))
-            finally:
-                if self._busy_counter is not None:
-                    self._busy_counter.exit()
-        return results
+        return [fn(view, payload) for payload in payloads]
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +295,6 @@ class ProcessBackend(Backend):
         batch_size: int = DEFAULT_BATCH_SIZE,
         name: str = "process-backend",
         start_method: "str | None" = None,
-        busy_counter: "BusyCounter | None" = None,
     ):
         super().__init__()
         if workers is None:
@@ -347,7 +312,6 @@ class ProcessBackend(Backend):
         self._idle: queue.LifoQueue = queue.LifoQueue()
         self._broken: "str | None" = None
         self._lock = threading.Lock()
-        self._busy_counter = busy_counter
 
     def _make_batches(self, payloads: Sequence[Any]) -> "list[Sequence]":
         """Consecutive slices of ``batch_size`` payloads, one per IPC
@@ -425,8 +389,6 @@ class ProcessBackend(Backend):
         first_error: "BaseException | None" = None
         flying: dict = {}  # connection -> (its process, batch index)
         sent = 0
-        if self._busy_counter is not None:
-            self._busy_counter.enter()
         try:
             while flying or sent < len(batches):
                 if sent < len(batches):
@@ -469,8 +431,6 @@ class ProcessBackend(Backend):
                 self._broken = f"backend {self.name!r} is broken: {error!r}"
             raise
         finally:
-            if self._busy_counter is not None:
-                self._busy_counter.exit()
             for conn, (process, _) in flying.items():
                 self._idle.put((process, conn))  # wakes a blocked caller
         if first_error is not None:
@@ -504,18 +464,15 @@ class ProcessBackend(Backend):
 def make_backend(
     kind: "str | Backend",
     workers: int = 4,
-    busy_counter: "BusyCounter | None" = None,
     name: str = "backend",
 ) -> Backend:
     """Build a backend from a CLI-style name (or pass one through)."""
     if isinstance(kind, Backend):
         return kind
     if kind == "serial":
-        return SerialBackend(busy_counter=busy_counter)
+        return SerialBackend()
     if kind == "process":
-        return ProcessBackend(
-            workers=workers, name=name, busy_counter=busy_counter
-        )
+        return ProcessBackend(workers=workers, name=name)
     raise ValueError(
         f"unknown backend {kind!r} (choices: {', '.join(BACKEND_CHOICES)})"
     )

@@ -1,4 +1,4 @@
-"""Storage substrate: chunk stores, disk models, Ceph-like object store."""
+"""Storage substrate: chunk stores and disk models."""
 
 from repro.storage.base import (
     ChunkStore,
@@ -6,7 +6,6 @@ from repro.storage.base import (
     MemoryStore,
     StorageError,
 )
-from repro.storage.ceph import CephConfig, CephStore, SimulatedCephCluster
 from repro.storage.diskmodel import (
     BandwidthLimiter,
     DiskModel,
@@ -18,8 +17,6 @@ from repro.storage.local import CountingStore, ModeledDiskStore
 
 __all__ = [
     "BandwidthLimiter",
-    "CephConfig",
-    "CephStore",
     "ChunkStore",
     "CountingStore",
     "DirectoryStore",
@@ -27,7 +24,6 @@ __all__ = [
     "IOCounters",
     "MemoryStore",
     "ModeledDiskStore",
-    "SimulatedCephCluster",
     "StorageError",
     "WritebackDiskModel",
     "raid0",

@@ -3,9 +3,10 @@
 AGD "requires only a way to store keyed chunks of data" (§7) — the API can
 be "layered on top of different storage or file systems".  Everything that
 reads or writes AGD goes through this small keyed-blob interface; local
-directories, bandwidth-modeled disks, and the Ceph-like object store all
-implement it, which is precisely how Persona swaps storage backends by
-changing only the Reader/Writer dataflow nodes (§4.2).
+directories, bandwidth-modeled disks, and the benchmarks' Ceph-like
+object store all implement it, which is precisely how Persona swaps
+storage backends by changing only the Reader/Writer dataflow nodes
+(§4.2).
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ the cheap factories.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 from zlib_spy import ZlibSpy
 
@@ -15,6 +18,9 @@ from repro.align.snap import SeedIndex, SnapAligner
 from repro.formats.converters import import_reads
 from repro.genome.synthetic import ReadSimulator, synthetic_reference
 from repro.storage.base import MemoryStore
+
+# The paper models the figure benchmarks run live in ``benchmarks/models``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 GENOME_LENGTH = 30_000
 READ_LENGTH = 101

@@ -9,7 +9,10 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,7 +281,7 @@ SHM_PLANE_NAMES = (
 )
 #: ``dataflow/pools.py``'s ``BufferPool`` is the dataflow layer's
 #: recyclable-buffer object pool, not a shared-memory one.
-OBJECT_POOL_MODULES = ("dataflow/pools.py", "dataflow/__init__.py")
+OBJECT_POOL_MODULES = ("dataflow/pools.py",)
 
 
 def test_no_shared_memory_plane():
@@ -400,31 +403,53 @@ def _unreached_modules() -> "set[str]":
 
 
 #: The library is what a run imports: every module under ``src/repro``
-#: that ``repro.cli`` does not reach, each with the ROADMAP item (7,
-#: "least code") that owes its removal.  The set can shrink, not grow.
+#: that ``repro.cli`` does not reach, each with the ROADMAP item (8,
+#: "least code") that owes its removal.  The set can shrink, not grow;
+#: paper models a benchmark runs live in ``benchmarks/models/``.
 UNREACHED_MODULES = {
-    # 7(a): nothing runs these; delete them with their tests.
+    # 8(a): nothing runs these; delete them with their tests.
     "core/region_index.py",
     "dataflow/pools.py",
-    "metrics/throughput.py",
-    # 7(b): paper models a figure benchmark imports; move them to
-    # ``benchmarks/models/`` with their tests.
-    "align/baseline/blast_like.py",
-    "align/baseline/smith_waterman.py",
-    "core/baselines.py",
-    "cluster/simulation.py",
-    "cluster/tco.py",
-    "metrics/cputrace.py",
-    "metrics/microarch.py",
-    "storage/ceph.py",
     # Owed by no item: the read generator every test, example and
     # benchmark builds its input with.
     "genome/synthetic.py",
 }
+#: ``repro.genome`` re-exports the generator, so a run that imports the
+#: package loads it; nothing else in ``UNREACHED_MODULES`` may load.
+RE_EXPORTED_FIXTURE = "genome/synthetic.py"
 
 
 def test_library_is_what_a_run_imports():
     assert _unreached_modules() == UNREACHED_MODULES
+
+
+def test_a_run_loads_no_unreached_module():
+    """The walk above never follows a package ``__init__``'s imports, but
+    a process runs them: a fresh interpreter that imports the CLI and
+    both run paths must hold none of ``UNREACHED_MODULES`` (the
+    re-exported generator aside) in ``sys.modules``."""
+    code = ("import sys, repro.cli, repro.core.pipelines, "
+            "repro.cluster.multiserver; print(*sys.modules, sep='\\n')")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True, timeout=60,
+    ).stdout.split()
+    unreached = {"repro." + path.removesuffix(".py").replace("/", ".")
+                 for path in UNREACHED_MODULES - {RE_EXPORTED_FIXTURE}}
+    assert not unreached & set(loaded)
+
+
+def test_one_version():
+    """``repro.__version__`` is the version ``pyproject.toml`` declares
+    (read with a regex: ``tomllib`` is not in Python 3.10)."""
+    import repro
+
+    declared = re.search(r'^version = "([^"]+)"$',
+                         (ROOT / "pyproject.toml").read_text(), re.M)
+    assert declared and declared.group(1) == repro.__version__
 
 
 def test_replicability_is_read_off_the_stage_table():

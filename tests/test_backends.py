@@ -31,7 +31,6 @@ from repro.dataflow.backends import (
     BACKEND_CHOICES,
     DEFAULT_BATCH_SIZE,
     Backend,
-    BusyCounter,
     ProcessBackend,
     SerialBackend,
     make_backend,
@@ -39,6 +38,8 @@ from repro.dataflow.backends import (
 )
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext
+
+from models.cputrace import BusyCounter, counting_backend
 
 ALL_BACKENDS = list(BACKEND_CHOICES)
 
@@ -192,8 +193,9 @@ class TestMakeBackend:
 class TestSerialBackend:
     def test_busy_counter_balanced(self):
         counter = BusyCounter()
-        backend = SerialBackend(busy_counter=counter)
-        backend.run_chunk(square_task, [1, 2])
+        backend = counting_backend("serial", counter)
+        assert isinstance(backend, SerialBackend)
+        assert backend.run_chunk(square_task, [1, 2]) == [1, 4]
         assert counter.busy == 0
 
     def test_shared_fallback_mapping(self):

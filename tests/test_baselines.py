@@ -4,15 +4,16 @@ import io
 
 import pytest
 
-from repro.core.baselines import (
+from repro.formats.bam import read_bam, write_bam
+from repro.formats.sam import SamHeader, SamRecord, read_sam, sam_bytes
+
+from models.baselines import (
     BaselineSortReport,
     PicardLikeSorter,
     SamblasterLike,
     SamblasterReport,
     SamtoolsLikeSorter,
 )
-from repro.formats.bam import read_bam, write_bam
-from repro.formats.sam import SamHeader, SamRecord, read_sam, sam_bytes
 
 
 HEADER = SamHeader(contigs=[{"name": "chr1", "length": 100_000},

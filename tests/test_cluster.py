@@ -7,7 +7,10 @@ import pytest
 from repro.agd.manifest import ChunkEntry, Manifest
 from repro.cluster.multiserver import run_placed_pipeline
 from repro.cluster.placement import PlacementError, PlacementPlan
-from repro.cluster.simulation import (
+from repro.core.subgraphs import AlignGraphConfig
+from repro.storage.base import MemoryStore
+
+from models.simulation import (
     ClusterSimParams,
     ThreadScalingParams,
     bwa_standalone_rate,
@@ -19,7 +22,7 @@ from repro.cluster.simulation import (
     snap_standalone_rate,
     thread_scaling_table,
 )
-from repro.cluster.tco import (
+from models.tco import (
     CostInputs,
     cluster_tco,
     glacier_cost_per_genome,
@@ -27,8 +30,6 @@ from repro.cluster.tco import (
     single_server_tco,
     table3_rows,
 )
-from repro.core.subgraphs import AlignGraphConfig
-from repro.storage.base import MemoryStore
 
 
 def partition_manifest(manifest: Manifest,

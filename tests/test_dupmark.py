@@ -147,7 +147,7 @@ class TestMarkDataset:
         """Persona and the samblaster-like baseline mark the same set."""
         import io
 
-        from repro.core.baselines import SamblasterLike, SamblasterReport
+        from models.baselines import SamblasterLike, SamblasterReport
         from repro.formats.converters import export_sam
 
         buf = io.BytesIO()

@@ -17,7 +17,8 @@ from repro.formats.fastq import fastq_bytes
 from repro.formats.sam import read_sam
 from repro.genome.synthetic import synthetic_dataset
 from repro.storage.base import MemoryStore
-from repro.storage.ceph import CephConfig, CephStore, SimulatedCephCluster
+
+from models.ceph import CephConfig, CephStore, SimulatedCephCluster
 
 
 class TestFullWorkflow:

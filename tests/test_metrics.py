@@ -1,22 +1,22 @@
-"""Tests for metrics: utilization tracing, microarch profiles, rates."""
+"""Tests for the figure models: utilization tracing (Fig. 5) and
+microarch profiles (Fig. 8)."""
 
 import time
 
 import pytest
 
-from repro.dataflow.backends import BusyCounter, SerialBackend
-from repro.metrics.cputrace import UtilizationSampler, UtilizationTrace
-from repro.metrics.microarch import (
+from models.cputrace import (
+    BusyCounter,
+    UtilizationSampler,
+    UtilizationTrace,
+    counting_backend,
+)
+from models.microarch import (
     OP_WEIGHTS,
     SPEC_REFERENCE,
     hyperthreading_shift,
     profile_bwa,
     profile_snap,
-)
-from repro.metrics.throughput import (
-    RateMeter,
-    format_bases_rate,
-    format_bytes_rate,
 )
 
 
@@ -62,7 +62,7 @@ def sleep_task(shared, seconds):
 class TestSampler:
     def test_samples_busy_executor(self):
         counter = BusyCounter()
-        backend = SerialBackend(busy_counter=counter)
+        backend = counting_backend("serial", counter)
         with UtilizationSampler([counter], capacity=2, interval=0.005) as s:
             backend.run_chunk(sleep_task, [0.05] * 2)
         trace = s.trace
@@ -117,31 +117,3 @@ class TestMicroarch:
     def test_empty_reads_rejected(self, snap_aligner):
         with pytest.raises(ValueError):
             profile_snap(snap_aligner, [])
-
-
-class TestRateMeter:
-    def test_basic(self):
-        meter = RateMeter()
-        with meter:
-            meter.add(1000)
-            time.sleep(0.02)
-        assert meter.count == 1000
-        assert meter.elapsed >= 0.02
-        assert meter.rate > 0
-
-    def test_double_start_rejected(self):
-        meter = RateMeter().start()
-        with pytest.raises(RuntimeError):
-            meter.start()
-
-    def test_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            RateMeter().stop()
-
-    def test_formatting(self):
-        assert format_bases_rate(1.353e9) == "1.353 Gbases/s"
-        assert format_bases_rate(45.45e6) == "45.45 Mbases/s"
-        assert format_bases_rate(1500) == "1.5 Kbases/s"
-        assert format_bases_rate(10) == "10 bases/s"
-        assert format_bytes_rate(6e9) == "6.00 GB/s"
-        assert format_bytes_rate(360e6) == "360.0 MB/s"

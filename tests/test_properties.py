@@ -11,7 +11,8 @@ from repro.core.dupmark import mark_duplicates_results
 from repro.core.sort import SortConfig, sort_dataset
 from repro.formats.sam import SamHeader, SamRecord, read_sam, sam_bytes
 from repro.storage.base import MemoryStore
-from repro.storage.ceph import CephConfig, SimulatedCephCluster
+
+from models.ceph import CephConfig, SimulatedCephCluster
 
 # ------------------------------------------------------------------ SAM
 

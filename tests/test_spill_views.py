@@ -33,9 +33,10 @@ from repro.core.sort import (
 )
 from repro.core.ledger import JournaledStore, RunLedger
 from repro.storage.base import DirectoryStore, MemoryStore
-from repro.storage.ceph import CephStore, SimulatedCephCluster
 from repro.storage.diskmodel import DiskModel
 from repro.storage.local import CountingStore, ModeledDiskStore
+
+from models.ceph import CephStore, SimulatedCephCluster
 from dev_shm import dev_shm_entries
 from row_sort_oracle import remote_scratch
 

@@ -6,13 +6,14 @@ import time
 import pytest
 
 from repro.storage.base import DirectoryStore, MemoryStore, StorageError
-from repro.storage.ceph import CephConfig, CephStore, SimulatedCephCluster
 from repro.storage.diskmodel import (
     DiskModel,
     WritebackDiskModel,
     raid0,
 )
 from repro.storage.local import CountingStore, ModeledDiskStore
+
+from models.ceph import CephConfig, CephStore, SimulatedCephCluster
 
 
 class TestMemoryStore:
