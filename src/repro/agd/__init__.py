@@ -33,7 +33,7 @@ from repro.agd.compression import (
     get_codec,
     register_codec,
 )
-from repro.agd.dataset import DEFAULT_CHUNK_SIZE, AGDDataset, ColumnChunkRef
+from repro.agd.dataset import DEFAULT_CHUNK_SIZE, AGDDataset
 from repro.agd.index import AbsoluteIndex, RelativeIndex
 from repro.agd.manifest import (
     MANIFEST_FILENAME,
@@ -64,7 +64,6 @@ __all__ = [
     "ChunkFormatError",
     "ChunkHeader",
     "Codec",
-    "ColumnChunkRef",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_CODEC",
     "GZIP",

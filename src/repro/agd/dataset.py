@@ -10,7 +10,6 @@ on-the-fly absolute indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -27,18 +26,6 @@ from repro.storage.base import ChunkStore, DirectoryStore, MemoryStore
 
 #: Paper configuration: "Unless noted, the AGD chunk size is 100,000".
 DEFAULT_CHUNK_SIZE = 100_000
-
-
-@dataclass(frozen=True)
-class ColumnChunkRef:
-    """A (column, chunk) coordinate within a dataset."""
-
-    column: str
-    entry: ChunkEntry
-
-    @property
-    def key(self) -> str:
-        return self.entry.chunk_file(self.column)
 
 
 class AGDDataset:
@@ -134,11 +121,6 @@ class AGDDataset:
     @property
     def num_chunks(self) -> int:
         return self.manifest.num_chunks
-
-    def chunk_refs(self, column: str) -> list[ColumnChunkRef]:
-        return [
-            ColumnChunkRef(column, entry) for entry in self.manifest.chunks
-        ]
 
     def read_chunk(self, column: str, chunk_index: int) -> Chunk:
         """Read and decode one chunk of one column."""

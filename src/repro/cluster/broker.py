@@ -50,7 +50,6 @@ interrupt waiting kernels.
 from __future__ import annotations
 
 import collections
-import ipaddress
 import itertools
 import json
 import socket
@@ -262,21 +261,13 @@ class Broker:
         #: when a key is quarantined — the run ledger journals the
         #: failure history through this.
         self.quarantine_listener = None
-        #: Optional ``callback(consumer, reason)`` fired (outside the
-        #: lock) when a consumer is fenced.
-        self.fence_listener = None
 
     def _fire(self, events) -> None:
-        """Run deferred callbacks collected under the lock (quarantine
-        and fence listeners) now that it is released."""
-        for ev in events:
-            kind = ev[0]
-            if kind == "quarantine":
-                if self.quarantine_listener is not None:
-                    self.quarantine_listener(ev[1], ev[2])
-            elif kind == "fence":
-                if self.fence_listener is not None:
-                    self.fence_listener(ev[1], ev[2])
+        """Run the quarantine callbacks collected under the lock now
+        that it is released."""
+        for edge, record in events:
+            if self.quarantine_listener is not None:
+                self.quarantine_listener(edge, record)
 
     # ------------------------------------------------------ self-healing
 
@@ -327,7 +318,7 @@ class Broker:
                   "history": list(d.history)}
         e.dead[d.key] = record
         e.total_quarantined += 1
-        events.append(("quarantine", e.name, record))
+        events.append((e.name, record))
         if self.on_poison == "fail" and self.poison_failure is None:
             self.poison_failure = (e.name, d.key)
             for other in self._edges.values():
@@ -357,7 +348,6 @@ class Broker:
             return
         self._fenced.add(consumer)
         self._release_locked(consumer, reason, now, events)
-        events.append(("fence", consumer, reason))
 
     def _service_locked(self, now: float, events: list) -> None:
         """Opportunistic housekeeping, piggybacked on every broker op
@@ -801,9 +791,6 @@ class LocalBrokerClient:
     Implements :class:`repro.dataflow.queues.QueueTransport`.
     """
 
-    #: Payloads never leave the process (still frozen bytes, see wire.py).
-    same_host = True
-
     def __init__(self, broker: Broker):
         self.broker = broker
         self.consumer = broker.register_consumer()
@@ -1012,26 +999,6 @@ def _from_segments(multi: bool, segments: list):
     return segments[0] if segments else b""
 
 
-def peer_is_same_host(sock: socket.socket) -> bool:
-    """True when ``sock``'s peer runs on this host: its address is a
-    loopback address or the socket's own local address.
-
-    The verdict picks an edge's codec (raw frames between processes of
-    one host, light gzip across hosts); it never changes what crosses
-    the socket.  Tests monkeypatch this function to play a remote peer.
-    """
-    peer = sock.getpeername()[0]
-    if peer == sock.getsockname()[0]:
-        return True
-    try:
-        address = ipaddress.ip_address(peer)
-    except ValueError:
-        return False
-    if address.version == 6 and address.ipv4_mapped is not None:
-        address = address.ipv4_mapped
-    return address.is_loopback
-
-
 class BrokerServer:
     """Serves a :class:`Broker` over TCP (thread per connection).
 
@@ -1194,10 +1161,7 @@ class TcpBrokerClient:
     """Worker-side TCP transport (one lock-serialized connection).
 
     Payload segments cross the socket as the edge's serializer encoded
-    them; the transport adds no codec of its own.  ``same_host`` is the
-    serializer's cue (see :func:`repro.cluster.wire.edge_item_serializer`):
-    read once off the connected socket (:func:`peer_is_same_host`), it
-    makes a same-host edge frame raw and a cross-host one gzip.
+    them; the transport adds no codec of its own.
     """
 
     def __init__(self, host: str, port: int):
@@ -1205,7 +1169,6 @@ class TcpBrokerClient:
         # Per-op deadline guard: every broker op is short-blocking, so a
         # response always arrives promptly unless the broker is gone.
         self._sock.settimeout(_MAX_OP_TIMEOUT)
-        self.same_host = peer_is_same_host(self._sock)
         self._lock = threading.Lock()
         #: Held while queueing for ``_lock``.  A plain lock is not fair:
         #: a source looping on 50 ms long-polls re-takes it microseconds

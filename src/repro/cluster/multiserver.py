@@ -48,7 +48,7 @@ from repro.cluster.broker import (
     TcpBrokerClient,
 )
 from repro.cluster.placement import EDGE_CAPACITY, WORK_EDGE, PlacementPlan
-from repro.cluster.wire import edge_item_serializer, entry_serializer
+from repro.cluster.wire import entry_serializer, item_serializer
 from repro.core.ledger import bind_run_config, blob_digest
 from repro.core.ops import ChunkWorkItem
 from repro.core.pipelines import (
@@ -252,23 +252,22 @@ def reinject(broker: Broker, edge: str, dataset: AGDDataset,
              paths: "list[str]") -> None:
     """Publish pre-acked chunks' work items on ``edge`` from the
     digest-verified store, exactly as an align replica would have sent
-    them (the edge serializer normalizes both transports).  Blocks on
-    the edge's capacity, so its consumers must be running."""
+    them.  Blocks on the edge's capacity, so its consumers must be
+    running."""
     client = LocalBrokerClient(broker)
-    queue = RemoteQueue(client, edge, edge_item_serializer(client))
+    queue = RemoteQueue(client, edge, item_serializer())
     queue.register_producer()
     wanted = set(paths)
+    # An interrupted run's manifest may not list the results it wrote.
+    columns = set(dataset.manifest.columns) | {"results"}
     try:
         for entry in dataset.manifest.chunks:
             if entry.path not in wanted:
                 continue
-            item = ChunkWorkItem(entry=entry)
-            for column in dataset.manifest.columns:
-                if column != "results":
-                    item.columns[column] = read_column(
-                        dataset.store.get(entry.chunk_file(column)))
-            item.results = read_column(
-                dataset.store.get(entry.chunk_file("results")))
+            item = ChunkWorkItem(entry=entry, columns={
+                column: read_column(
+                    dataset.store.get(entry.chunk_file(column)))
+                for column in columns})
             queue.put(item)
     except (PipelineAborted, QueueClosed):
         # A server failed and aborted the edges mid-publish; its error
@@ -291,13 +290,10 @@ def queue_factory(client_for):
     :func:`repro.core.pipelines.split_pipeline`."""
     def make_queue(server: str, edge: str, kind: str,
                    ack_mode: str) -> RemoteQueue:
-        client = client_for(server)
-        # Per-edge codec negotiation: the serializer is read off the
-        # client (``same_host``) — in-process and same-host TCP edges
-        # carry raw level-0 frames, cross-host edges gzip.
         serializer = entry_serializer() if kind == "names" \
-            else edge_item_serializer(client)
-        return RemoteQueue(client, edge, serializer, ack_mode=ack_mode)
+            else item_serializer()
+        return RemoteQueue(client_for(server), edge, serializer,
+                           ack_mode=ack_mode)
     return make_queue
 
 
@@ -554,10 +550,8 @@ def run_placed_pipeline(
     aborts every edge and re-raises.  Every stage-boundary edge holds
     :data:`~repro.cluster.placement.EDGE_CAPACITY` chunks in flight.
 
-    Over TCP every payload byte crosses the socket; each client reads
-    off its connection whether the broker shares its host, and a
-    same-host edge frames columns raw while a cross-host one uses light
-    gzip (:func:`repro.cluster.wire.edge_item_serializer`).
+    Over TCP every payload byte crosses the socket; every edge frames
+    columns raw (:func:`repro.cluster.wire.item_serializer`).
 
     ``ledger`` (:class:`repro.core.ledger.RunLedger`) makes the placed
     run durable: broker acks and per-stage output writes are journaled,

@@ -40,18 +40,18 @@ class ChunkWorkItem:
     ``columns`` holds decoded columns — one flat buffer plus record
     bounds each (:mod:`repro.agd.columns`), never a list of per-record
     objects; index or iterate a column to get records (``bytes``, or
-    ``AlignmentResult`` from a results column).  Kernels also accept
-    plain record lists there and wrap them once.  ``codecs`` names the
-    codec each column parsed from ``raw`` was stored with, for a kernel
-    that rewrites the chunk in place.  ``stored`` is the write-behind
-    ticket of a chunk whose columns may still be on their way to the
-    store (a sort merge's output): acknowledge only after waiting on it.
+    ``AlignmentResult`` from the ``results`` column an align stage
+    adds).  Kernels also accept plain record lists there and wrap them
+    once.  ``codecs`` names the codec each column parsed from ``raw``
+    was stored with, for a kernel that rewrites the chunk in place.
+    ``stored`` is the write-behind ticket of a chunk whose columns may
+    still be on their way to the store (a sort merge's output):
+    acknowledge only after waiting on it.
     """
 
     entry: ChunkEntry
     raw: dict[str, bytes] = field(default_factory=dict)
     columns: dict = field(default_factory=dict)
-    results: "ResultsColumn | None" = None
     codecs: "dict[str, str]" = field(default_factory=dict)
     stored: "Ticket | None" = None
 
@@ -214,7 +214,7 @@ class AlignerNode(Node):
         if self.journal is not None:
             cached = self.journal.cached_results(item.entry)
             if cached is not None:
-                item.results = cached
+                item.columns["results"] = cached
                 return [item]
         backend = ctx.backend(self.backend_handle)
         bases = item.columns["bases"]
@@ -226,7 +226,8 @@ class AlignerNode(Node):
             align_subchunk_task, payloads, shared=ctx.resources
         )
         # Owned, writable storage whichever backend returned the blocks.
-        item.results = ResultsColumn.concat(subchunk_results).materialize()
+        item.columns["results"] = \
+            ResultsColumn.concat(subchunk_results).materialize()
         return [item]
 
 
@@ -254,7 +255,7 @@ class PairedAlignerNode(Node):
         if self.journal is not None:
             cached = self.journal.cached_results(item.entry)
             if cached is not None:
-                item.results = cached
+                item.columns["results"] = cached
                 return [item]
         backend = ctx.backend(self.backend_handle)
         bases = item.columns["bases"]
@@ -271,7 +272,8 @@ class PairedAlignerNode(Node):
             align_pairs_task, payloads, shared=ctx.resources
         )
         # Owned, writable storage whichever backend returned the blocks.
-        item.results = ResultsColumn.concat(subchunk_results).materialize()
+        item.columns["results"] = \
+            ResultsColumn.concat(subchunk_results).materialize()
         return [item]
 
 
@@ -299,17 +301,8 @@ class ColumnWriterNode(Node):
         self.codec = codec
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        if self.column == "results":
-            records = item.results
-            if records is None:
-                raise ValueError(
-                    f"chunk {item.entry.path!r} reached the results writer "
-                    f"without results"
-                )
-        else:
-            records = item.columns[self.column]
         blob = write_chunk(
-            records,
+            _item_column(item, self.column, self.name),
             self.record_type,
             first_ordinal=item.entry.first_ordinal,
             codec=self.codec,
@@ -342,8 +335,7 @@ class SamWriterNode(Node):
         self._wrote_header = False
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
-        if item.results is None:
-            raise ValueError("SAM writer needs aligned chunks")
+        results = _item_column(item, "results", self.name)
         lines = []
         if self.header is not None:
             with self._header_lock:
@@ -353,7 +345,7 @@ class SamWriterNode(Node):
         metas = item.columns["metadata"]
         bases = item.columns["bases"]
         quals = item.columns["qual"]
-        for meta, base, qual, result in zip(metas, bases, quals, item.results):
+        for meta, base, qual, result in zip(metas, bases, quals, results):
             record = record_from_alignment(
                 ReadRecord(meta, base, qual), result, self.contig_names
             )
@@ -622,32 +614,21 @@ class FilterStageNode(Node):
 # materializing in storage between five sequential passes.
 
 
-def _item_results(item: ChunkWorkItem):
-    """A work item's alignment results, wherever the pipeline put them."""
-    if "results" in item.columns:
-        return item.columns["results"]
-    if item.results is not None:
-        return item.results
-    raise ValueError(
-        f"chunk {item.entry.path!r} carries no alignment results; "
-        f"run an align stage first or start from an aligned dataset"
-    )
-
-
 def _item_column(item: ChunkWorkItem, column: str, stage: str):
     """One of a work item's columns, as a column (a record list — a test
     fake's, a FASTQ parser's — is wrapped once)."""
-    if column in item.columns:
-        records = item.columns[column]
-    elif column == "results":
-        records = _item_results(item)
-    else:
+    if column == "results" and column not in item.columns:
+        raise ValueError(
+            f"chunk {item.entry.path!r} carries no alignment results; "
+            f"run an align stage first or start from an aligned dataset"
+        )
+    if column not in item.columns:
         raise ValueError(
             f"chunk {item.entry.path!r} lacks column {column!r} "
             f"needed by the {stage} stage (a cut upstream ships what "
             f"STAGES[{stage!r}].reads declares)"
         )
-    return as_column(record_type_for_column(column), records)
+    return as_column(record_type_for_column(column), item.columns[column])
 
 
 class ResequencerNode(Node):
@@ -918,8 +899,6 @@ class DupmarkNode(Node):
             # no AlignmentResult on either side of the rewrite.
             records = records.with_flag(dup_positions, FLAG_DUPLICATE)
             item.columns["results"] = records
-            if item.results is not None:
-                item.results = records
         if dup_positions or self.write_codec is not None:
             codec = self.write_codec or item.codecs.get("results",
                                                         DEFAULT_CODEC)

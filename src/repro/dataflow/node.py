@@ -76,10 +76,6 @@ class NodeStats:
     def total_seconds(self) -> float:
         return self.busy_seconds + self.wait_seconds
 
-    def busy_fraction(self) -> float:
-        total = self.total_seconds
-        return self.busy_seconds / total if total > 0 else 0.0
-
 
 class Node:
     """Base dataflow kernel.

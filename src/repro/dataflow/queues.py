@@ -202,11 +202,6 @@ class QueueTransport(Protocol):
     :mod:`repro.cluster.broker`.
     """
 
-    #: True when the broker runs on this host (in-process, or a TCP
-    #: peer at a loopback or local address): such edges frame columns
-    #: uncompressed.
-    same_host: bool
-
     def attach_producer(self, edge: str) -> None: ...
 
     def producer_done(self, edge: str) -> None: ...

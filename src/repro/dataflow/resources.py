@@ -3,8 +3,8 @@
 "We avoid using TensorFlow tensors directly for storing data ... Instead,
 we pass tensors of handles, which are identifiers for resources stored in
 the TensorFlow Session."  Our analog: kernels exchange lightweight string
-handles; the actual objects (buffer pools, reference indexes, compute backends)
-live in a :class:`ResourceManager` owned by the session, so large shared
+handles; the actual objects (reference indexes, compute backends) live
+in a :class:`ResourceManager` owned by the session, so large shared
 state — e.g. "the multi-gigabyte reference indexes required for some
 aligners" — is materialized exactly once per server.
 """

@@ -279,19 +279,29 @@ SHM_PLANE_NAMES = (
     "ShmRef", "BufferPool", "PooledView", "shm_verify", "broker_shm",
     "payload_reaper", "shared_memory",
 )
-#: ``dataflow/pools.py``'s ``BufferPool`` is the dataflow layer's
-#: recyclable-buffer object pool, not a shared-memory one.
-OBJECT_POOL_MODULES = ("dataflow/pools.py",)
 
 
 def test_no_shared_memory_plane():
     assert not (SRC / "dataflow" / "shm.py").exists()
-    found = [
-        hit for hit in _occurrences(
-            rf"\b({'|'.join(SHM_PLANE_NAMES)})\b|/dev/shm")
-        if not (hit.split(":")[0] in OBJECT_POOL_MODULES
-                and hit.endswith(": BufferPool"))
-    ]
+    found = _occurrences(rf"\b({'|'.join(SHM_PLANE_NAMES)})\b|/dev/shm")
+    assert not found, "\n".join(found)
+
+
+#: A work item has one shape on every edge: alignment results are one
+#: of its columns, and every edge frames raw.  The second results slot
+#: and the per-transport codec choice are gone, and must not grow back.
+ONE_SHAPE_NAMES = (
+    "same_host", "peer_is_same_host", "EDGE_CODEC_LEVEL",
+    "RAW_EDGE_CODEC_LEVEL", "edge_item_serializer", "_item_results",
+)
+
+
+def test_work_item_has_one_shape():
+    from repro.core.ops import ChunkWorkItem
+
+    assert "results" not in {f.name for f in
+                             dataclasses.fields(ChunkWorkItem)}
+    found = _occurrences(rf"\b({'|'.join(ONE_SHAPE_NAMES)})\b")
     assert not found, "\n".join(found)
 
 
@@ -407,9 +417,6 @@ def _unreached_modules() -> "set[str]":
 #: "least code") that owes its removal.  The set can shrink, not grow;
 #: paper models a benchmark runs live in ``benchmarks/models/``.
 UNREACHED_MODULES = {
-    # 8(a): nothing runs these; delete them with their tests.
-    "core/region_index.py",
-    "dataflow/pools.py",
     # Owed by no item: the read generator every test, example and
     # benchmark builds its input with.
     "genome/synthetic.py",

@@ -5,24 +5,21 @@
   hostile frame raises :class:`WireError` without wedging the server;
 * every TCP edge copies its payload through the socket, and nothing on
   it creates a ``/dev/shm`` entry;
-* a client reads off its socket whether the broker shares its host
-  (a loopback or its own local address): same-host edges frame raw, a
-  remote peer (the check monkeypatched) at gzip level 1;
 * a placed TCP run is byte-identical to the single-``Session`` run,
   killed workers included;
 * on ``--resume``, a multi-group plan whose leading group is pure
   align pre-acks journaled chunks AND re-injects their work items so
   downstream stages still see the full chunk set;
-* an edge's codec is a property of its transport: in-process and
-  same-host clients frame raw, a remote TCP client at gzip level 1,
-  all three deliver equal items, and column frames are checked against
+* every edge frames raw: in-process and loopback TCP edges run no
+  data-block zlib call and deliver equal items, alignment results cross
+  as an ordinary column frame, and column frames are checked against
   the item header on decode.
 """
 
 from __future__ import annotations
 
 import io
-import os
+import json
 import socket
 import time
 
@@ -30,7 +27,6 @@ import pytest
 
 from repro.agd.chunk import read_chunk_header, read_column
 from repro.align.base import ReadAligner
-from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     _FRAME,
     _MAX_HEAD_BYTES,
@@ -44,17 +40,14 @@ from repro.cluster.broker import (
     TcpBrokerClient,
     _recv_frame,
     _send_frame,
-    peer_is_same_host,
 )
 from repro.cluster.multiserver import run_placed_pipeline
 from repro.cluster.placement import WORK_EDGE, PlacementPlan
 from repro.cluster.wire import (
-    EDGE_CODEC_LEVEL,
-    RAW_EDGE_CODEC_LEVEL,
     WireError,
     decode_work_item_frames,
-    edge_item_serializer,
     encode_work_item_frames,
+    item_serializer,
 )
 from repro.core.ledger import RunLedger
 from repro.core.ops import ChunkWorkItem
@@ -220,7 +213,7 @@ class TestScatterGatherFraming:
 class TestPayloadRoundTrip:
     def test_multi_segment_payload_and_wire_accounting(self):
         """Segment lists survive the copy path byte-for-byte, the
-        per-edge ledger accounts every byte as copied, and a same-host
+        per-edge ledger accounts every byte as copied, and a loopback
         pair leaves ``/dev/shm`` as it found it."""
         before = dev_shm_entries()
         broker = Broker()
@@ -229,7 +222,6 @@ class TestPayloadRoundTrip:
         try:
             producer = TcpBrokerClient(*server.address)
             consumer = TcpBrokerClient(*server.address)
-            assert producer.same_host and consumer.same_host
             producer.attach_producer("e")
             payloads = {
                 "empty": b"",
@@ -387,84 +379,10 @@ class TestOnePublishOp:
                 server.stop()
 
 
-# ---------------------------------------------------- same-host verdict
-
-
-class _Sock:
-    """The two addresses :func:`peer_is_same_host` reads."""
-
-    def __init__(self, local: str, peer: str):
-        self._local, self._peer = local, peer
-
-    def getsockname(self):
-        return (self._local, 7470)
-
-    def getpeername(self):
-        return (self._peer, 51000)
-
-
-class TestSameHostVerdict:
-    """A client reads once off its connected socket whether the broker
-    shares its host; the verdict picks the edge codec and nothing else —
-    the payload crosses the socket either way."""
-
-    def test_loopback_peer_is_same_host(self):
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker).start()
-        try:
-            client = TcpBrokerClient(*server.address)
-            assert client.same_host
-            client.close()
-        finally:
-            server.stop()
-
-    @pytest.mark.parametrize("local,peer,same", [
-        ("127.0.0.1", "127.0.0.1", True),
-        ("10.1.2.3", "127.0.0.2", True),
-        ("10.1.2.3", "10.1.2.3", True),
-        ("10.1.2.3", "10.1.2.4", False),
-        ("::1", "::1", True),
-        ("2001:db8::1", "::ffff:127.0.0.1", True),
-        ("2001:db8::1", "2001:db8::2", False),
-        ("10.1.2.3", "fe80::1%eth9", False),
-    ])
-    def test_verdict_reads_the_socket_addresses(self, local, peer, same):
-        assert peer_is_same_host(_Sock(local, peer)) is same
-
-    def test_remote_peer_gets_the_payload_byte_identical(self, monkeypatch):
-        """A peer on another host (the check monkeypatched) publishes
-        and pulls over the same socket copy path, byte for byte."""
-        monkeypatch.setattr(broker_mod, "peer_is_same_host",
-                            lambda sock: False)
-        before = dev_shm_entries()
-        broker = Broker()
-        broker.create_edge("e", capacity=4, producers=1)
-        server = BrokerServer(broker).start()
-        try:
-            remote = TcpBrokerClient(*server.address)
-            remote_consumer = TcpBrokerClient(*server.address)
-            assert not remote.same_host and not remote_consumer.same_host
-            remote.attach_producer("e")
-            big = os.urandom(100_000)
-            assert remote.publish("e", "k", [big, b"x"],
-                                  timeout=5.0) == PUBLISH_OK
-            tag, _key, payload = _drain_pull(remote_consumer, "e")
-            remote_consumer.ack("e", tag)
-            assert [bytes(s) for s in payload] == [big, b"x"]
-            stat = remote_consumer.stats()["e"]
-            assert stat["copied_bytes"] == 2 * (len(big) + 1)
-            remote.close()
-            remote_consumer.close()
-        finally:
-            server.stop()
-        assert dev_shm_entries() == before
-
-
 # ------------------------------------------------- placed-run identity
 
 
-# ------------------------------------------------ edge codec negotiation
+# ------------------------------------------------------- raw edge frames
 
 
 EDGE = "cut"
@@ -478,59 +396,53 @@ def _work_item(dataset, index=0) -> ChunkWorkItem:
     })
 
 
-class TestEdgeCodecNegotiation:
-    """The codec is read off the transport (``same_host``), never
-    selected: raw where both ends run on one host, gzip level 1 where
-    the payload crosses to another."""
+class TestRawEdgeFrames:
+    """Every edge frames a work item's columns raw, results included:
+    in-process and loopback TCP edges run no data-block zlib call."""
 
     def _through(self, producer, consumer, item):
-        """Publish ``item`` over the producer's negotiated serializer and
-        pull it back: (frame codec names, decoded item)."""
-        serializer = edge_item_serializer(producer)
+        """Publish ``item`` over the edge serializer and pull it back:
+        (frame codec names, decoded item)."""
+        serializer = item_serializer()
         producer.attach_producer(EDGE)
         assert producer.publish(
             EDGE, "k", serializer.encode(item), timeout=5.0
         ) == PUBLISH_OK
         tag, _key, frames = _drain_pull(consumer, EDGE)
         codecs = [read_chunk_header(f).codec_name for f in frames[1:]]
-        decoded = edge_item_serializer(consumer).decode(frames)
+        decoded = serializer.decode(frames)
         del frames
         consumer.ack(EDGE, tag)
         producer.producer_done(EDGE)
         return codecs, decoded
 
-    def test_three_transports_deliver_equal_items(self, aligned_dataset,
-                                                  monkeypatch):
+    def test_three_transports_deliver_equal_items(self, aligned_dataset):
+        """In-process both ends, TCP both ends, and an in-process
+        publisher feeding a TCP consumer."""
         item = _work_item(aligned_dataset)
         delivered = {}
 
         broker = Broker()
         broker.create_edge(EDGE, capacity=2, producers=1)
         local = LocalBrokerClient(broker)
-        assert local.same_host
         delivered["local"] = self._through(local, local, item)
 
-        for name in ("same-host", "remote"):
-            if name == "remote":
-                monkeypatch.setattr(broker_mod, "peer_is_same_host",
-                                    lambda sock: False)
+        for name in ("tcp", "local->tcp"):
             broker = Broker()
             broker.create_edge(EDGE, capacity=2, producers=1)
             server = BrokerServer(broker).start()
             try:
-                producer = TcpBrokerClient(*server.address)
+                producer = TcpBrokerClient(*server.address) \
+                    if name == "tcp" else LocalBrokerClient(broker)
                 consumer = TcpBrokerClient(*server.address)
-                assert producer.same_host is (name == "same-host")
                 delivered[name] = self._through(producer, consumer, item)
                 producer.close()
                 consumer.close()
             finally:
                 server.stop()
 
-        assert set(delivered["local"][0]) == {"none"}
-        assert set(delivered["same-host"][0]) == {"none"}
-        assert set(delivered["remote"][0]) == {"gzip"}
-        for name, (_codecs, decoded) in delivered.items():
+        for name, (codecs, decoded) in delivered.items():
+            assert set(codecs) == {"none"}, name
             assert decoded == item, name
 
     def test_in_process_item_crosses_without_the_data_block_codec(
@@ -549,21 +461,20 @@ class TestEdgeCodecNegotiation:
         assert [c[1] for c in codec_spy.index.calls] == \
             ["compress"] * 4 + ["decompressobj"] * 4
 
-    def test_remote_tcp_edge_still_frames_at_level_one(
-        self, aligned_dataset, codec_spy,
+    def test_aligned_item_carries_results_as_a_column_frame(
+        self, aligned_dataset,
     ):
-        class _Remote:
-            same_host = False
-
+        """The header lists ``results`` among the columns and nothing
+        else: its frame sits in sorted column order like any other."""
         item = _work_item(aligned_dataset)
-        codec_spy.calls.clear()
-        frames = edge_item_serializer(_Remote()).encode(item)
-        assert {read_chunk_header(f).codec_name for f in frames[1:]} \
-            == {"gzip"}
-        deflates = [c for c in codec_spy.calls
-                    if c[1] in ("compress", "compressobj")]
-        assert deflates and {c[2] for c in deflates} == {EDGE_CODEC_LEVEL}
-        assert EDGE_CODEC_LEVEL == 1
+        frames = item_serializer().encode(item)
+        header = json.loads(frames[0])
+        assert set(header) == {"path", "first", "count", "columns"}
+        assert header["columns"] == ["bases", "metadata", "qual", "results"]
+        assert len(frames) == 1 + 4
+        assert read_chunk_header(frames[4]).record_type == "results"
+        assert decode_work_item_frames(frames).columns["results"] == \
+            item.columns["results"]
 
     def test_redelivered_raw_payload_is_byte_equal(self, aligned_dataset):
         """The broker holds a frozen copy, not a reference: a dead
@@ -572,7 +483,7 @@ class TestEdgeCodecNegotiation:
         broker = Broker()
         broker.create_edge(EDGE, capacity=2, producers=1)
         producer = LocalBrokerClient(broker)
-        frames = edge_item_serializer(producer).encode(item)
+        frames = item_serializer().encode(item)
         producer.attach_producer(EDGE)
         assert producer.publish(EDGE, "k", frames, timeout=5.0) \
             == PUBLISH_OK
@@ -595,26 +506,26 @@ class TestWorkItemFrameValidation:
     """A column frame is intact by its own CRCs even when it belongs to
     another chunk or column; only the item header can tell."""
 
-    @pytest.mark.parametrize(
-        "level", [RAW_EDGE_CODEC_LEVEL, EDGE_CODEC_LEVEL])
-    def test_frame_from_another_chunk_rejected(self, aligned_dataset, level):
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_frame_from_another_chunk_rejected(self, aligned_dataset, index):
         import dataclasses
 
-        item = _work_item(aligned_dataset)
-        frames = encode_work_item_frames(item, level)
+        item = _work_item(aligned_dataset, index)
+        frames = encode_work_item_frames(item)
         assert decode_work_item_frames(frames) == item
         qual = sorted(item.columns).index("qual") + 1
 
         short = dataclasses.replace(
             item, columns={"qual": item.columns["qual"][:2]})
         crafted = list(frames)
-        crafted[qual] = encode_work_item_frames(short, level)[1]
-        with pytest.raises(WireError, match=r"'aligned-0'.*'qual'"):
+        crafted[qual] = encode_work_item_frames(short)[1]
+        with pytest.raises(WireError,
+                           match=rf"'aligned-{index}'.*'qual'"):
             decode_work_item_frames(crafted)
 
-        other = _work_item(aligned_dataset, 1)
+        other = _work_item(aligned_dataset, 1 - index)
         crafted = list(frames)
-        crafted[qual] = encode_work_item_frames(other, level)[qual]
+        crafted[qual] = encode_work_item_frames(other)[qual]
         with pytest.raises(WireError, match="first ordinal"):
             decode_work_item_frames(crafted)
 
@@ -627,11 +538,10 @@ class TestWorkItemFrameValidation:
         import dataclasses
 
         item = _work_item(aligned_dataset)
-        results = item.columns.pop("results")
-        item.results = results
+        results = item.columns["results"]
         frames = encode_work_item_frames(item)
-        assert decode_work_item_frames(frames).results == results
-        short = dataclasses.replace(item, results=results[:2])
+        short = dataclasses.replace(
+            item, columns={"results": results[:2]})
         frames[-1] = encode_work_item_frames(short)[-1]
         with pytest.raises(WireError, match="'results'"):
             decode_work_item_frames(frames)

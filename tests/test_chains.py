@@ -180,7 +180,9 @@ class TestChainSemantics:
         q0, q1 = g.queue("q0", 2), g.queue("q1", 2)
         g.add(IterableSource("src", range(2)), output=q0)
         g.add(LambdaNode("head", lambda x: x), input=q0, output=q1)
-        g.add(LambdaNode("sleeper", lambda x: time.sleep(30)), input=q1)
+        # Asleep well past the 0.3 s timeout, but back within the run's
+        # join grace, so the test does not wait out the grace.
+        g.add(LambdaNode("sleeper", lambda x: time.sleep(1.0)), input=q1)
         with pytest.raises(TimeoutError, match="t.head.0, node 'sleeper'"):
             Session(g).run(timeout=0.3)
 

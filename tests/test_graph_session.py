@@ -119,9 +119,11 @@ class TestSessionExecution:
             Session(g).run(timeout=10)
 
     def test_timeout(self):
+        # Stuck well past the 0.2 s timeout, but back within the run's
+        # join grace, so the test does not wait out the grace.
         class Stuck(Node):
             def generate(self, ctx):
-                time.sleep(30)
+                time.sleep(1.0)
                 yield 1
 
         g = Graph("t")

@@ -72,9 +72,10 @@ class TestAlignerNode:
             columns={"bases": [r.bases for r in reads[:100]]},
         )
         [out] = node.process(item, make_ctx(resources))
-        assert len(out.results) == 100
-        assert all(r is not None for r in out.results)
-        aligned = sum(1 for r in out.results if r.is_aligned)
+        results = out.columns["results"]
+        assert len(results) == 100
+        assert all(r is not None for r in results)
+        aligned = sum(1 for r in results if r.is_aligned)
         assert aligned >= 98
         backend.shutdown()
 
@@ -94,7 +95,7 @@ class TestAlignerNode:
                 columns={"bases": [r.bases for r in reads[:50]]},
             )
             [out] = node.process(item, make_ctx(resources))
-            outputs.append(out.results)
+            outputs.append(out.columns["results"])
         assert outputs[0] == outputs[1]
         backend.shutdown()
 
@@ -132,8 +133,7 @@ class TestWriters:
                                   record_type="results")
         entry = aligned_dataset.manifest.chunks[0]
         results = aligned_dataset.read_chunk("results", 0).records
-        item = ChunkWorkItem(entry=entry)
-        item.results = results
+        item = ChunkWorkItem(entry=entry, columns={"results": results})
         writer.process(item, make_ctx())
         from repro.agd.chunk import read_chunk
 
@@ -144,7 +144,7 @@ class TestWriters:
         writer = ColumnWriterNode(MemoryStore(), column="results",
                                   record_type="results")
         item = ChunkWorkItem(entry=dataset.manifest.chunks[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no alignment results"):
             writer.process(item, make_ctx())
 
     def test_sam_writer(self, aligned_dataset, reference):
@@ -157,9 +157,9 @@ class TestWriters:
                 "bases": aligned_dataset.read_chunk("bases", 0).records,
                 "qual": aligned_dataset.read_chunk("qual", 0).records,
                 "metadata": aligned_dataset.read_chunk("metadata", 0).records,
+                "results": aligned_dataset.read_chunk("results", 0).records,
             },
         )
-        item.results = aligned_dataset.read_chunk("results", 0).records
         writer.process(item, make_ctx())
         blob = out_store.get(f"{entry.path}.sam")
         assert blob.count(b"\n") == 100

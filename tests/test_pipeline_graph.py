@@ -370,8 +370,8 @@ class TestStreamingVarcall:
 
 @pytest.fixture()
 def published(monkeypatch):
-    """A recording in-process transport: edge -> the distinct (column
-    set, results attached) shapes of the work items published on it."""
+    """A recording in-process transport: edge -> the distinct column
+    sets of the work items published on it."""
     import json
 
     from repro.cluster.broker import LocalBrokerClient
@@ -383,7 +383,7 @@ def published(monkeypatch):
             if isinstance(payload, list):  # item edges ship frame lists
                 header = json.loads(bytes(payload[0]))
                 seen.setdefault(edge, set()).add(
-                    (frozenset(header["columns"]), header["results"]))
+                    frozenset(header["columns"]))
 
         def publish(self, edge, key, payload, timeout=0.05, ack=None):
             self._record(edge, payload)
@@ -399,9 +399,8 @@ class TestColumnPruning:
     """A cut ships the union of what the stages placed after it declare
     (``STAGES[stage].reads``), not every column the item holds."""
 
-    VARCALL_READS = (frozenset({"results", "bases", "qual"}), False)
-    EVERYTHING = (frozenset({"results", "bases", "qual", "metadata"}),
-                  False)
+    VARCALL_READS = frozenset({"results", "bases", "qual"})
+    EVERYTHING = frozenset({"results", "bases", "qual", "metadata"})
 
     def _placed(self, dataset, plan, reference, **kwargs):
         from repro.cluster.multiserver import run_placed_pipeline
@@ -449,9 +448,7 @@ class TestColumnPruning:
     ):
         self._placed(fresh_dataset(), "A1=align;A2=align;B=sort,dupmark",
                      reference, aligner=snap_aligner)
-        # The align stage attaches its results beside the columns.
-        assert published == {"align->sort": {
-            (frozenset({"bases", "qual", "metadata"}), True)}}
+        assert published == {"align->sort": {self.EVERYTHING}}
 
     def test_everything_crosses_into_a_group_holding_filter(
         self, aligned_dataset, reference, published,
@@ -471,10 +468,43 @@ class TestColumnPruning:
         )
         placed = self._placed(fresh_dataset(), "A=align;B=dupmark",
                               reference, aligner=snap_aligner)
-        # bases and qual stay behind; item.results is the results column.
-        assert published == {"align->dupmark": {(frozenset(), True)}}
+        # bases and qual stay behind; the aligner's results column goes.
+        assert published == {"align->dupmark": {frozenset({"results"})}}
         assert placed.dupmark_stats.duplicates_marked == \
             single.dupmark_stats.duplicates_marked > 0
+
+    def test_a_cut_reading_no_results_ships_no_results_frame(
+        self, aligned_dataset,
+    ):
+        """Results are pruned like any other column: a cut whose
+        downstream stages declare only bases and qual leaves them
+        behind."""
+        import json
+
+        from repro.agd.chunk import read_chunk_header
+        from repro.cluster.broker import Broker, LocalBrokerClient
+        from repro.cluster.wire import item_serializer
+        from repro.core.ops import ChunkWorkItem, EdgeSinkNode
+        from repro.dataflow.queues import PULL_OK, RemoteQueue
+
+        broker = Broker()
+        broker.create_edge("cut", capacity=2, producers=1)
+        client = LocalBrokerClient(broker)
+        remote = RemoteQueue(client, "cut", item_serializer())
+        remote.register_producer()
+        item = ChunkWorkItem(
+            entry=aligned_dataset.manifest.chunks[0],
+            columns={column: aligned_dataset.read_chunk(column, 0).records
+                     for column in ("bases", "qual", "results")})
+        sink = EdgeSinkNode(remote, columns=frozenset({"bases", "qual"}))
+        sink.process(item, None)
+        status, _tag, _key, frames = client.pull("cut", timeout=1.0)
+        assert status == PULL_OK
+        assert json.loads(bytes(frames[0]))["columns"] == ["bases", "qual"]
+        assert len(frames) == 3
+        assert "results" not in {read_chunk_header(f).record_type
+                                 for f in frames[1:]}
+        assert sink.stats.counters == {"columns_pruned": 1}
 
     def test_a_wrong_declaration_fails_with_the_item_column_message(
         self, aligned_dataset, reference, monkeypatch,
@@ -501,7 +531,7 @@ class TestColumnPruning:
         self, aligned_dataset,
     ):
         from repro.cluster.broker import Broker, LocalBrokerClient
-        from repro.cluster.wire import edge_item_serializer
+        from repro.cluster.wire import item_serializer
         from repro.core.pipelines import (
             PipelineSpec,
             ServerEndpoints,
@@ -522,7 +552,7 @@ class TestColumnPruning:
             ServerSite(
                 backend=make_backend("serial"),
                 endpoints=ServerEndpoints(egress=RemoteQueue(
-                    client, edge, edge_item_serializer(client))),
+                    client, edge, item_serializer())),
             ),
         )
         report = Session(server.pipeline.graph).run(timeout=60).report

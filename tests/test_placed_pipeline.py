@@ -10,8 +10,8 @@ The acceptance properties of the placed refactor:
   skewed per-chunk costs (self-balancing via the shared work edge);
 * a killed worker's in-flight chunks are redelivered to a surviving
   replica and completed (at-least-once delivery, idempotent writes);
-* an in-process cut never runs the data-block codec (raw frames), a
-  remote TCP cut runs it at level 1, and both are byte-identical to the
+* neither an in-process nor a loopback TCP cut runs the data-block
+  codec (every edge frames raw), and both are byte-identical to the
   single-session run.
 """
 
@@ -24,7 +24,6 @@ import pytest
 
 from repro.agd.manifest import ChunkEntry
 from repro.align.base import ReadAligner
-from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     Broker,
     BrokerError,
@@ -181,15 +180,13 @@ class TestWireFormat:
         item = ChunkWorkItem(
             entry=aligned_dataset.manifest.chunks[0],
             columns={
-                "bases": aligned_dataset.read_chunk("bases", 0).records,
-                "qual": aligned_dataset.read_chunk("qual", 0).records,
+                column: aligned_dataset.read_chunk(column, 0).records
+                for column in ("bases", "qual", "results")
             },
-            results=aligned_dataset.read_chunk("results", 0).records,
         )
         back = decode_work_item_frames(encode_work_item_frames(item))
         assert back.entry == item.entry
         assert back.columns == item.columns
-        assert back.results == item.results
 
 
 class TestBroker:
@@ -406,10 +403,10 @@ def _downstream_bytes(outcome, reference) -> dict:
     return blobs
 
 
-class TestEdgeCodecNegotiation:
+class TestRawEdgeFrames:
     """``A=sort;B=dupmark,varcall`` — the suite's ``downstream_placed``
-    cut — over the in-process broker, over loopback TCP, and over TCP
-    to a peer the same-host check calls remote."""
+    cut — over the in-process broker and over loopback TCP: every edge
+    frames raw, so neither runs a data-block zlib call."""
 
     def _placed(self, dataset, reference, **kwargs):
         return run_placed_pipeline(
@@ -439,7 +436,7 @@ class TestEdgeCodecNegotiation:
     def test_loopback_tcp_edge_no_deflate_no_dev_shm(
         self, aligned_dataset, reference, codec_spy, monkeypatch,
     ):
-        """A same-host TCP edge frames raw and copies through the
+        """A loopback TCP edge frames raw and copies through the
         socket: no data-block deflate or inflate on either end, and no
         ``/dev/shm`` entry at any publish, let alone after the run."""
         before = dev_shm_entries()
@@ -458,19 +455,6 @@ class TestEdgeCodecNegotiation:
         assert codec_spy.on("B.edge_source") == []
         assert appeared == set()
         assert dev_shm_entries() == before
-
-    def test_tcp_edge_without_shm_frames_at_level_one(
-        self, aligned_dataset, reference, codec_spy, monkeypatch,
-    ):
-        monkeypatch.setattr(broker_mod, "peer_is_same_host",
-                            lambda sock: False)
-        self._placed(aligned_dataset, reference, transport="tcp")
-        deflates = codec_spy.on("A.edge_sink")
-        assert deflates
-        assert {c[1] for c in deflates} <= {"compress", "compressobj"}
-        assert {c[2] for c in deflates} == {1}
-        inflates = codec_spy.on("B.edge_source")
-        assert inflates and {c[1] for c in inflates} == {"decompress"}
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_local_tcp_and_single_session_bytes_agree(

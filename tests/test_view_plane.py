@@ -1,4 +1,4 @@
-"""Decode-plane tests: one copy per data block, per-edge encoding.
+"""Decode-plane tests: one copy per data block, raw edge frames.
 
 * chunk decoding over the identity codec never copies the data block
   out of its input; a decoded column is a view of an immutable
@@ -9,9 +9,9 @@
 * a consumer dying between a TCP pull and its ack never corrupts the
   bytes a redelivery reads, and the socket copy path creates no
   ``/dev/shm`` entry;
-* the per-edge codec negotiation picks raw level-0 frames exactly for
-  same-host clients and keeps gzip level 1 for a remote one, with
-  byte-identical decoded items either way.
+* every edge frames a work item's columns raw (the identity codec),
+  and a frame compressed by another codec still decodes to the same
+  item, because the decoder reads each frame's codec off its header.
 """
 
 from __future__ import annotations
@@ -34,21 +34,19 @@ from repro.agd.chunk import (
 from repro.agd.columns import BasesColumn, PackedBasesColumn
 from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import ChunkEntry
+from repro.agd.records import record_type_for_column
 from repro.align.result import AlignmentResult
 from repro.cluster import broker as broker_mod
 from repro.cluster.broker import (
     Broker,
     BrokerServer,
-    LocalBrokerClient,
     TcpBrokerClient,
     _payload_nbytes,
 )
 from repro.cluster.wire import (
-    EDGE_CODEC_LEVEL,
-    RAW_EDGE_CODEC_LEVEL,
     decode_work_item_frames,
-    edge_item_serializer,
     encode_work_item_frames,
+    item_serializer,
 )
 from repro.agd.chunk import read_column
 from repro.core.columnar import _gather_kept
@@ -243,16 +241,16 @@ class TestBasesColumnViews:
             _gather_kept(packed, np.array([0], dtype=np.int64))
 
 
-# ------------------------------------------------ per-edge codec choice
+# ---------------------------------------------------- raw edge frames
 
 
-class TestEdgeCodecNegotiation:
+class TestRawEdgeFrames:
     def _item(self) -> ChunkWorkItem:
         entry = ChunkEntry("c0", 0, len(READS))
         item = ChunkWorkItem(entry=entry)
         item.columns["bases"] = list(READS)
         item.columns["qual"] = list(QUALS)
-        item.results = [
+        item.columns["results"] = [
             AlignmentResult(flag=0, mapq=60, contig_index=0, position=i,
                             cigar=b"10M")
             for i in range(len(READS))
@@ -260,21 +258,29 @@ class TestEdgeCodecNegotiation:
         return item
 
     def test_raw_frames_decode_identically_to_gzip_frames(self):
+        """The decoder reads each frame's codec off its header: the
+        same item with gzip frames decodes to the same item."""
         item = self._item()
-        raw = encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
-        gz = encode_work_item_frames(item, EDGE_CODEC_LEVEL)
+        raw = encode_work_item_frames(item)
+        gz = raw[:1] + [
+            write_chunk(item.columns[column], record_type_for_column(column),
+                        codec="gzip")
+            for column in sorted(item.columns)
+        ]
+        assert [read_chunk_header(f).codec_name for f in gz[1:]] == \
+            ["gzip"] * 3
         for frames in (raw, gz):
             got = decode_work_item_frames(frames)
             assert got.entry == item.entry
             assert got.columns["bases"] == READS
             assert got.columns["qual"] == QUALS
-            assert got.results == item.results
+            assert got.columns["results"] == item.columns["results"]
 
     def test_views_decode_feeds_bases_column(self):
         item = self._item()
         frames = [
             memoryview(bytearray(f))
-            for f in encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
+            for f in encode_work_item_frames(item)
         ]
         got = decode_work_item_frames(frames)
         # Bases stay in their 3-bit block (whoever reads them unpacks
@@ -286,8 +292,8 @@ class TestEdgeCodecNegotiation:
         assert isinstance(bases.decoded(), BasesColumn)
         assert got.columns["qual"] == QUALS
         assert all(isinstance(r, bytes) for r in got.columns["qual"])
-        assert got.results == item.results
-        for column in (bases, got.columns["qual"], got.results):
+        assert got.columns["results"] == item.columns["results"]
+        for column in (bases, got.columns["qual"], got.columns["results"]):
             assert not any(np.shares_memory(column.flat, np.frombuffer(
                 f, dtype=np.uint8)) for f in frames)
 
@@ -295,13 +301,12 @@ class TestEdgeCodecNegotiation:
         """A frame received as immutable ``bytes`` is its columns'
         storage: decoding copies none of it."""
         item = self._item()
-        frames = encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
+        frames = encode_work_item_frames(item)
         assert all(isinstance(f, bytes) for f in frames)
         got = decode_work_item_frames(frames)
         assert got.columns["qual"] == QUALS
-        assert got.results == item.results
-        for column in (got.columns["bases"], got.columns["qual"],
-                       got.results):
+        assert got.columns["results"] == item.columns["results"]
+        for column in got.columns.values():
             assert any(np.shares_memory(column.flat, np.frombuffer(
                 f, dtype=np.uint8)) for f in frames)
 
@@ -312,7 +317,7 @@ class TestEdgeCodecNegotiation:
         import threading
 
         item = self._item()
-        frames = encode_work_item_frames(item, RAW_EDGE_CODEC_LEVEL)
+        frames = encode_work_item_frames(item)
         left, right = socket.socketpair()
         with left, right:
             right.settimeout(5.0)  # a timeout socket may read short
@@ -324,44 +329,18 @@ class TestEdgeCodecNegotiation:
         assert header == {"op": "x"}
         assert [type(s) for s in segments] == [bytes] * len(frames)
         assert segments == [bytes(f) for f in frames]
-        assert decode_work_item_frames(segments).results == item.results
+        assert decode_work_item_frames(segments).columns["results"] == \
+            item.columns["results"]
 
-    def test_negotiation_keys_on_same_host_verdict(self, monkeypatch):
-        # The serializer reads the transport's one protocol member; for
-        # a TCP client that member is read off its connected socket.
-        server = BrokerServer(Broker()).start()
-        try:
-            for verdict in (True, False):
-                if not verdict:
-                    monkeypatch.setattr(broker_mod, "peer_is_same_host",
-                                        lambda sock: False)
-                client = TcpBrokerClient(*server.address)
-                assert client.same_host is verdict
-                client.close()
-        finally:
-            server.stop()
-
-        class _SameHostClient:
-            same_host = True
-
-        class _RemoteClient:
-            same_host = False
-
+    def test_every_serializer_frames_raw(self):
+        """One serializer for every edge: each column, results included,
+        crosses as one identity-codec frame behind the header."""
         item = self._item()
-        raw_frames = edge_item_serializer(_SameHostClient()).encode(item)
-        gz_frames = edge_item_serializer(_RemoteClient()).encode(item)
-        # Raw frames carry the identity codec: strictly larger than the
-        # gzip frames for these compressible columns.
-        assert sum(len(f) for f in raw_frames) > sum(
-            len(f) for f in gz_frames
-        )
-        assert read_chunk(raw_frames[1]).record_type == "bases"
-        assert [read_chunk_header(f).codec_name for f in raw_frames[1:]] \
-            == ["none"] * (len(raw_frames) - 1)
-        assert [read_chunk_header(f).codec_name for f in gz_frames[1:]] \
-            == ["gzip"] * (len(gz_frames) - 1)
-        # The in-process transport is on the same host by construction.
-        assert LocalBrokerClient.same_host is True
+        frames = item_serializer().encode(item)
+        assert len(frames) == 1 + len(item.columns)
+        assert read_chunk(frames[1]).record_type == "bases"
+        assert [read_chunk_header(f).codec_name for f in frames[1:]] \
+            == ["none"] * len(item.columns)
 
     def test_payload_nbytes_counts_memoryview_storage(self):
         """An edge's payload bytes count a view's storage, not its
